@@ -13,19 +13,23 @@
 * :mod:`~repro.pipeline.executor` — the cycle-accurate, schedule-driven
   engine running any of the above over a
   :class:`~repro.models.arch.StageGraphModel`.
-* :mod:`~repro.pipeline.runtime` — the concurrent multi-worker runtime:
-  one thread per stage, packets through per-stage queues, driven by the
-  same schedules.  Lockstep mode is bit-exact with the executor;
-  free-running mode measures real per-stage busy/idle wall-clock time.
+* :mod:`~repro.pipeline.worker` — the one per-stage worker loop
+  (:class:`~repro.pipeline.worker.StageWorker`) and the one
+  :class:`~repro.pipeline.worker.WorkerGroup` that hosts it
+  as threads or as processes over shared-memory rings; training and
+  serving both run on it.
+* :mod:`~repro.pipeline.runtime` — the concurrent training engines
+  driving a worker group through the same schedules.  Lockstep mode is
+  bit-exact with the executor; free-running mode measures real
+  per-stage busy/idle wall-clock time.
 * :mod:`~repro.pipeline.checkpoint` — durable training: versioned run
   checkpoints capturing every stage's state plus the data-stream cursor
   at drain barriers, bit-exact resume, and the :class:`DurableRun`
   driver that snapshots on a fixed cadence.
 * :mod:`~repro.pipeline.inference` — forward-only serving: the
-  ``infer`` schedule's streams (sim / threaded / process over
-  backward-slot-free shared-memory rings) and the schedule-driven
-  batch driver behind every engine's ``infer()`` and
-  :mod:`repro.serve`.
+  ``infer`` schedule's streams (the synchronous reference and the
+  worker-group stream on either host) and the schedule-driven batch
+  driver behind every engine's ``infer()`` and :mod:`repro.serve`.
 * :mod:`~repro.pipeline.occupancy` — occupancy-grid timing models for
   Figures 1-2 and the schedule-comparison example.
 * :mod:`~repro.pipeline.utilization` — closed-form utilization (eq. 1,
@@ -56,9 +60,8 @@ from repro.pipeline.executor import PipelineExecutor, PipelineRunStats
 from repro.pipeline.inference import (
     InferenceRunStats,
     InferenceStreamError,
-    ProcessInferenceStream,
+    PipelineInferenceStream,
     SimInferenceStream,
-    ThreadedInferenceStream,
     infer_batch,
     open_inference_stream,
     run_inference,
@@ -81,9 +84,9 @@ from repro.pipeline.runtime import (
     ProcessPipelineRunner,
     ReplicatedPipelineRunner,
     RuntimeStats,
-    StageRuntimeStats,
     make_pipeline_engine,
 )
+from repro.pipeline.worker import StageCounters
 from repro.pipeline.transport import (
     ArraySpec,
     RingDescriptor,
@@ -139,9 +142,8 @@ __all__ = [
     "PipelineRunStats",
     "InferenceRunStats",
     "InferenceStreamError",
-    "ProcessInferenceStream",
+    "PipelineInferenceStream",
     "SimInferenceStream",
-    "ThreadedInferenceStream",
     "infer_batch",
     "open_inference_stream",
     "run_inference",
@@ -160,7 +162,7 @@ __all__ = [
     "ProcessPipelineRunner",
     "ReplicatedPipelineRunner",
     "RuntimeStats",
-    "StageRuntimeStats",
+    "StageCounters",
     "make_pipeline_engine",
     "ArraySpec",
     "RingDescriptor",

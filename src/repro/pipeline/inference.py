@@ -1,6 +1,6 @@
 """Forward-only pipelined inference: streams, driver, and run stats.
 
-Training taught this repo three ways to run a pipeline (discrete-time
+Training taught this repo to run a pipeline on three hosts (discrete-time
 simulator, thread-per-stage, process-per-stage over shared-memory
 rings); serving needs the same pipeline *without the backward half*.
 torchgpipe and PipeDream both note that the forward pipelining structure
@@ -9,25 +9,23 @@ packets without waiting for large batches, which is exactly the paper's
 argument applied to the online setting.
 
 This module is the engine-level half of the :mod:`repro.serve`
-subsystem.  It provides one **inference stream** per runtime backend —
-a persistent forward-only pipeline you push packets into and pull
-outputs out of:
+subsystem.  An **inference stream** is a persistent forward-only
+pipeline you push packets into and pull outputs out of:
 
 * :class:`SimInferenceStream` — synchronous in-process forward (the
-  discrete-time engine's counterpart; a submitted packet is transformed
-  through every stage immediately);
-* :class:`ThreadedInferenceStream` — one worker thread per compute
-  stage, packets through per-stage forward deques;
-* :class:`ProcessInferenceStream` — one worker process per compute
-  stage, packets through the **forward-only shared-memory rings** of
-  :func:`repro.pipeline.transport.build_inference_rings` (no backward
-  slots: slots are released eagerly, and the last ring is consumed by
-  the parent, which reads the logits straight out of shared memory).
+  discrete-time engine's counterpart, and the reference the parity
+  tests compare against);
+* :class:`PipelineInferenceStream` — one worker per compute stage, a
+  ``forward_only`` :class:`~repro.pipeline.worker.WorkerGroup` hosted as
+  threads or as processes (the worker loop, channels and control
+  protocol are described in :mod:`repro.pipeline.worker`).  ``submit``
+  is the first channel's ``try_send``, ``poll`` the last channel's
+  ``try_recv``.
 
-All three expose the same SPSC surface — ``submit`` (non-blocking, with
+Both expose the same SPSC surface — ``submit`` (non-blocking, with
 explicit backpressure: ``False`` means "pipeline full, try later"),
 ``poll`` (completed ``(pid, start, logits)`` triples) and ``close`` —
-so :func:`run_inference` can drive any of them through an
+so :func:`run_inference` can drive either through an
 :class:`~repro.pipeline.schedule.InferenceSchedule` unchanged, and the
 serving front-end (:mod:`repro.serve.server`) can keep one stream open
 across requests.
@@ -36,7 +34,7 @@ Determinism contract
 --------------------
 
 Inference applies no updates, so weights are constant and every packet's
-output is independent of worker timing: **all three streams produce
+output is independent of worker timing: **all backends produce
 bit-identical outputs for the same packet decomposition**.  The
 decomposition itself matters — BLAS kernels round differently for
 different GEMM shapes, so a width-3 packet and a width-64 batch can
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,33 +60,22 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
-from repro.pipeline.stage import PipelineStage, StageBuildSpec
-from repro.pipeline.transport import (
-    ShmRing,
-    TransportAborted,
-    build_inference_rings,
-    probe_boundary_layouts,
+from repro.pipeline.stage import PipelineStage
+from repro.pipeline.worker import (
+    PipelineRuntimeError,
+    StageCounters,
+    WorkerGroup,
 )
 
 #: Default ceiling for any single wait inside a stream or driver.
 DEFAULT_INFER_TIMEOUT = 60.0
 #: Default maximum packets in flight inside one stream (backpressure
-#: threshold; the process stream additionally sizes its rings with it).
+#: threshold: the slot count of every channel of a worker stream).
 DEFAULT_STREAM_CAPACITY = 8
 
 
 class InferenceStreamError(RuntimeError):
     """A stream worker died or the stream was misused."""
-
-
-@dataclass
-class InferenceStageCounters:
-    """Per-stage op accounting of one inference stream's lifetime."""
-
-    index: int
-    forward_ops: int = 0
-    forward_samples: int = 0
-    busy_seconds: float = 0.0
 
 
 @dataclass
@@ -180,7 +166,7 @@ class SimInferenceStream:
         self.stages = list(stages)
         self.capacity = max(1, int(capacity))
         self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
+            StageCounters(index=s) for s in range(len(stages))
         ]
         self._results: deque = deque()
         self._lock = threading.Lock()
@@ -227,422 +213,126 @@ class SimInferenceStream:
 
 
 # ---------------------------------------------------------------------------
-# threaded stream
+# worker-group stream (threads or processes)
 # ---------------------------------------------------------------------------
 
 
-class _FwdChannel:
-    """A compute stage's inbound forward mailbox (deque + condition)."""
+class PipelineInferenceStream:
+    """Persistent worker-per-stage forward-only pipeline.
 
-    __slots__ = ("cond", "items", "closed")
+    ``backend`` picks the host: ``"threaded"`` workers run the session's
+    own stage objects over in-process channels; ``"process"`` workers run
+    over shared-memory rings, the final compute stage's output landing in
+    shared memory and copied out exactly once, into the result the
+    caller sees.  Workers stay alive across packets (and across serving
+    requests), so launch cost is paid once per stream, not once per
+    batch.
 
-    def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.items: deque = deque()
-        self.closed = False
-
-    def put(self, item) -> None:
-        with self.cond:
-            self.items.append(item)
-            self.cond.notify_all()
-
-    def close(self) -> None:
-        with self.cond:
-            self.closed = True
-            self.cond.notify_all()
-
-
-class ThreadedInferenceStream:
-    """Persistent thread-per-stage forward-only pipeline.
-
-    ``capacity`` bounds the total packets in flight (submitted, not yet
-    polled); a full window turns ``submit`` into ``False`` — explicit
-    backpressure for the serving dispatcher.
-    """
-
-    backend = "threaded"
-
-    def __init__(
-        self,
-        stages: Sequence[PipelineStage],
-        capacity: int = DEFAULT_STREAM_CAPACITY,
-        stall_timeout: float = DEFAULT_INFER_TIMEOUT,
-        **_unused: Any,
-    ):
-        _check_inference_stages(stages)
-        self.stages = list(stages)
-        self.capacity = max(1, int(capacity))
-        self.stall_timeout = float(stall_timeout)
-        self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
-        ]
-        self._channels = [_FwdChannel() for _ in range(len(stages) - 1)]
-        self._results: deque = deque()
-        self._results_lock = threading.Lock()
-        self._in_flight = 0
-        self._error: BaseException | None = None
-        self._eval_guard = eval_mode(self.stages)
-        self._eval_guard.__enter__()
-        self._closed = False
-        self._threads = [
-            threading.Thread(
-                target=self._worker,
-                args=(s,),
-                name=f"infer-stage-{s}",
-                daemon=True,
-            )
-            for s in range(len(stages) - 1)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _worker(self, s: int) -> None:
-        stage = self.stages[s]
-        ch = self._channels[s]
-        last = s == len(self.stages) - 2
-        while True:
-            with ch.cond:
-                while not ch.items and not ch.closed:
-                    ch.cond.wait(0.05)
-                if not ch.items and ch.closed:
-                    return
-                pid, start, payload = ch.items.popleft()
-            try:
-                t0 = time.perf_counter()
-                out = stage.forward(pid, payload, train=False)
-                counters = self.counters[s]
-                counters.forward_ops += 1
-                counters.forward_samples += out[0].shape[0]
-                counters.busy_seconds += time.perf_counter() - t0
-                if last:
-                    with self._results_lock:
-                        self._results.append((pid, start, out[0]))
-                else:
-                    self._channels[s + 1].put((pid, start, out))
-            except BaseException as exc:
-                self._error = exc
-                for other in self._channels:
-                    other.close()
-                return
-
-    def _raise_if_failed(self) -> None:
-        if self._error is not None:
-            raise InferenceStreamError(
-                f"inference worker failed: {self._error!r}"
-            ) from self._error
-
-    def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
-        if self._closed:
-            raise InferenceStreamError("stream is closed")
-        self._raise_if_failed()
-        with self._results_lock:
-            if self._in_flight >= self.capacity:
-                return False
-            self._in_flight += 1
-        self._channels[0].put((pid, start, [np.asarray(x)]))
-        return True
-
-    def poll(self) -> list[tuple[int, int, np.ndarray]]:
-        self._raise_if_failed()
-        with self._results_lock:
-            out = list(self._results)
-            self._results.clear()
-            self._in_flight -= len(out)
-        return out
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for ch in self._channels:
-            ch.close()
-        deadline = time.monotonic() + self.stall_timeout
-        for t in self._threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        self._threads = []
-        self._eval_guard.__exit__(None, None, None)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-# ---------------------------------------------------------------------------
-# process stream
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _InferWorkerSpec:
-    """Everything one forward-only stage worker needs (spawn-picklable)."""
-
-    stage_index: int
-    conn: Any  # multiprocessing.connection.Connection
-    fwd_in: ShmRing
-    fwd_out: ShmRing
-    abort: Any  # multiprocessing.Event
-    stall_timeout: float
-    stage_state: dict | None
-    stage: PipelineStage | None = None  # fork path: inherited object
-    build_spec: StageBuildSpec | None = None  # spawn path: rebuild recipe
-
-
-def _infer_worker_main(spec: _InferWorkerSpec) -> None:
-    """Forward-only event loop of one stage worker process."""
-    try:
-        if spec.stage is not None:
-            stage = spec.stage
-        elif spec.build_spec is not None:
-            stage = spec.build_spec.build()
-            if spec.stage_state is not None:
-                stage.load_state_dict(spec.stage_state)
-        else:  # pragma: no cover - constructor validates
-            raise RuntimeError("worker spec carries neither stage nor recipe")
-        if stage.spec.module is not None:
-            stage.spec.module.eval()
-        counters = InferenceStageCounters(index=spec.stage_index)
-        idle_sleep = 1e-5
-        while True:
-            while spec.conn.poll(0):
-                cmd = spec.conn.recv()
-                if cmd[0] == "finalize":
-                    spec.conn.send(("counters", counters))
-                    return
-                if cmd[0] == "stop":
-                    return
-                raise RuntimeError(
-                    f"infer stage {spec.stage_index}: unknown command "
-                    f"{cmd[0]!r}"
-                )
-            if spec.abort.is_set():
-                return
-            pkt = spec.fwd_in.try_recv()
-            if pkt is None:
-                time.sleep(idle_sleep)
-                idle_sleep = min(idle_sleep * 2.0, 2e-3)
-                continue
-            idle_sleep = 1e-5
-            pid, start, size, payload = pkt
-            t0 = time.perf_counter()
-            out = stage.forward(pid, payload, train=False)
-            counters.forward_ops += 1
-            counters.forward_samples += size
-            counters.busy_seconds += time.perf_counter() - t0
-            # copy into the downstream ring before releasing anything
-            # the output may alias (identity/sum stages pass views)
-            spec.fwd_out.send(
-                pid, start, size, out, spec.stall_timeout, spec.abort
-            )
-            spec.fwd_in.release()
-    except TransportAborted:
-        pass  # the parent is tearing the stream down; exit quietly
-    except BaseException as exc:
-        try:
-            spec.conn.send(
-                (
-                    "err",
-                    spec.stage_index,
-                    f"{exc!r}\n{traceback.format_exc()}",
-                )
-            )
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-        spec.abort.set()
-
-
-class ProcessInferenceStream:
-    """Persistent process-per-stage forward-only pipeline over
-    shared-memory rings.
-
-    The parent produces into ring 0 and consumes the **last** ring
-    directly — the final compute stage's output lands in shared memory
-    and is copied out exactly once, into the result the caller sees.
-    Workers stay alive across packets (and across serving requests), so
-    the per-call process-launch cost of the training runtime is paid
-    once per stream, not once per batch.
-
-    ``max_width`` fixes the ring slot width (the widest packet a
-    ``submit`` may carry); ``capacity`` sizes every ring, bounding the
-    in-flight window — a full injection ring is the backpressure signal
+    ``max_width`` fixes the packet width a ``submit`` may carry (the ring
+    slot width); ``capacity`` sizes every channel, bounding the in-flight
+    window — a full injection channel is the backpressure signal
     (``submit`` returns ``False``).
     """
 
-    backend = "process"
-
     def __init__(
         self,
         stages: Sequence[PipelineStage],
-        max_width: int,
-        sample_shape: tuple,
+        backend: str,
+        max_width: int = 1,
+        sample_shape: tuple = (),
         dtype="float64",
         capacity: int = DEFAULT_STREAM_CAPACITY,
         stall_timeout: float = DEFAULT_INFER_TIMEOUT,
         model_factory=None,
         start_method: str | None = None,
-        layouts=None,
-        **_unused: Any,
     ):
-        import multiprocessing as mp
-        import sys
-
         _check_inference_stages(stages)
+        self.backend = backend
         self.stages = list(stages)
         self.capacity = max(1, int(capacity))
         self.stall_timeout = float(stall_timeout)
         self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
+            StageCounters(index=s) for s in range(len(stages))
         ]
-        available = mp.get_all_start_methods()
-        if start_method is None:
-            start_method = (
-                "fork"
-                if sys.platform.startswith("linux") and "fork" in available
-                else "spawn"
-            )
-        if start_method not in available:
-            raise ValueError(
-                f"start_method {start_method!r} not available on this "
-                f"platform (have {available})"
-            )
-        if start_method != "fork" and model_factory is None:
-            raise ValueError(
-                f"start_method {start_method!r} cannot inherit stage "
-                "objects; pass a spawn-safe model_factory"
-            )
-        # initialize every teardown-visible attribute BEFORE anything
-        # can fail, so the error path below can always self.close() —
-        # including exiting the eval guard, which must not leak
-        # eval-mode modules back to a caller that still trains them
-        self._rings = []
-        self._abort = None
-        self._conns = []
-        self._child_conns = []
-        self._procs = []
+        self._group: WorkerGroup | None = None
+        self._error: PipelineRuntimeError | None = None
         self._closed = False
-        #: _raise_if_failed polls the worker pipes and may be reached
-        #: from both stream ends (the server's dispatcher via submit and
-        #: its collector via poll); Connection objects are not
-        #: thread-safe, so health checks serialize on this lock
+        #: health checks read the workers' control endpoints and may be
+        #: reached from both stream ends (the server's dispatcher via
+        #: submit and its collector via poll); the endpoints are not
+        #: thread-safe, so the checks serialize on this lock
         self._health_lock = threading.Lock()
         self._last_health_check = 0.0
         self._eval_guard = eval_mode(self.stages)
         self._eval_guard.__enter__()
-        use_factory = model_factory is not None
         try:
-            probe = np.zeros(
-                (max(1, int(max_width)),) + tuple(sample_shape), dtype=dtype
+            self._group = WorkerGroup(
+                self.stages,
+                np.zeros(
+                    (max(1, int(max_width)),) + tuple(sample_shape),
+                    dtype=dtype,
+                ),
+                processes=backend == "process",
+                name="infer-stage",
+                stall_timeout=self.stall_timeout,
+                forward_only=True,
+                slots=self.capacity,
+                model_factory=model_factory,
+                start_method=start_method,
             )
-            self._rings = build_inference_rings(
-                self.stages, probe, slots=self.capacity, layouts=layouts
-            )
-            ctx = mp.get_context(start_method)
-            self._abort = ctx.Event()
-            for s in range(len(stages) - 1):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                self._child_conns.append(child_conn)
-                stage = self.stages[s]
-                spec = _InferWorkerSpec(
-                    stage_index=s,
-                    conn=child_conn,
-                    fwd_in=self._rings[s],
-                    fwd_out=self._rings[s + 1],
-                    abort=self._abort,
-                    stall_timeout=self.stall_timeout,
-                    stage_state=stage.state_dict() if use_factory else None,
-                    stage=None if use_factory else stage,
-                    build_spec=(
-                        StageBuildSpec(
-                            model_factory=model_factory,
-                            index=s,
-                            lr=stage.lr,
-                            # rebuild on the stage's storage grid so the
-                            # shipped state passes the dtype validation
-                            precision=stage.precision.mode,
-                        )
-                        if use_factory
-                        else None
-                    ),
-                )
-                proc = ctx.Process(
-                    target=_infer_worker_main,
-                    args=(spec,),
-                    name=f"infer-stage-proc-{s}",
-                    daemon=True,
-                )
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            for p in self._procs:
-                p.start()
-            # the child ends now live in the workers; drop our copies so
-            # a dead worker surfaces as pipe EOF in _raise_if_failed
-            for conn in self._child_conns:
-                try:
-                    conn.close()
-                except Exception:  # pragma: no cover - idempotent
-                    pass
-            self._child_conns = []
         except BaseException:
+            # the eval guard must not leak eval-mode modules back to a
+            # caller that still trains them
             self.close()
             raise
 
     # -- SPSC surface -------------------------------------------------------
 
     def _raise_if_failed(self) -> None:
-        # rate-limited: submit/poll sit on the serving hot path, and a
-        # full scan is a pipe-poll syscall per stage — checking every
-        # 50 ms bounds failure-detection latency far below the stall
-        # timeouts while keeping the steady state syscall-free
-        now = time.monotonic()
-        if now - self._last_health_check < 0.05:
-            return
-        # serialized: pipe poll/recv from two threads at once is
-        # undefined (see _health_lock in the constructor)
-        with self._health_lock:
-            if now - self._last_health_check < 0.05:
-                return  # another thread scanned while we waited
-            self._last_health_check = now
-            for s, conn in enumerate(self._conns):
+        if self._error is None:
+            # a worker that reports an error also sets the abort flag, so
+            # that is checked on every call; the full scan (an endpoint
+            # poll and an exit-code read per stage, which is what catches
+            # a silently killed worker) is rate-limited — submit/poll sit
+            # on the serving hot path
+            now = time.monotonic()
+            if (
+                not self._group.abort.is_set()
+                and now - self._last_health_check < 0.05
+            ):
+                return
+            with self._health_lock:
+                self._last_health_check = now
                 try:
-                    if conn.poll(0):
-                        msg = conn.recv()
-                        if msg[0] == "err":
-                            raise InferenceStreamError(
-                                f"inference stage {msg[1]} worker failed: "
-                                f"{msg[2]}"
-                            )
-                except (EOFError, OSError) as exc:
-                    raise InferenceStreamError(
-                        f"inference stage {s} worker died "
-                        f"(exitcode={self._procs[s].exitcode})"
-                    ) from exc
-            for s, p in enumerate(self._procs):
-                if p.ident is not None and (p.exitcode or 0) != 0:
-                    raise InferenceStreamError(
-                        f"inference stage {s} worker died "
-                        f"(exitcode={p.exitcode})"
-                    )
+                    self._group.check_errors()
+                except PipelineRuntimeError as exc:
+                    self._error = exc
+        if self._error is not None:
+            raise InferenceStreamError(
+                f"inference stage {self._error.stage_index} worker failed: "
+                f"{self._error.cause!r}"
+            ) from self._error
 
     def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
         if self._closed:
             raise InferenceStreamError("stream is closed")
         self._raise_if_failed()
-        return self._rings[0].try_send(
-            pid, start, np.asarray(x).shape[0], [np.ascontiguousarray(x)]
-        )
+        x = np.ascontiguousarray(x)
+        return self._group.channels[0].try_send(pid, start, x.shape[0], [x])
 
     def poll(self) -> list[tuple[int, int, np.ndarray]]:
+        if self._closed:
+            raise InferenceStreamError("stream is closed")
         self._raise_if_failed()
         out = []
-        ring = self._rings[-1]
+        ring = self._group.channels[-1]
         while True:
             pkt = ring.try_recv()
             if pkt is None:
                 break
             pid, start, size, views = pkt
-            # one copy out of shared memory, then free the slot
+            # one copy (out of shared memory, on a process host), then
+            # free the slot
             out.append((pid, start, np.array(views[0][:size], copy=True)))
             ring.release()
         return out
@@ -651,57 +341,26 @@ class ProcessInferenceStream:
         if self._closed:
             return
         self._closed = True
-        deadline = time.monotonic() + self.stall_timeout
-        with self._health_lock:  # no health check may race the pipes
-            for s, conn in enumerate(self._conns):
+        group = self._group
+        if group is not None:
+            with self._health_lock:  # no health check may race the pipes
                 try:
-                    conn.send(("finalize",))
-                except (OSError, BrokenPipeError):  # pragma: no cover
-                    pass
-            # abort *before* waiting for counter replies: a worker
-            # blocked in a ring send (error-path teardown with packets
-            # in flight) only unblocks via the abort flag, and the
-            # counters wait below would otherwise stall a full
-            # stall_timeout.  Idle workers drain their command pipe
-            # before checking abort, so the happy path still collects
-            # counters.
-            if self._abort is not None:
-                self._abort.set()
-            for s, conn in enumerate(self._conns):
-                proc = self._procs[s]
-                try:
-                    while not conn.poll(0.05):
-                        if time.monotonic() >= deadline:
-                            break
-                        if (
-                            proc.ident is not None
-                            and proc.exitcode is not None
-                        ):
-                            break
-                    if conn.poll(0):
-                        msg = conn.recv()
-                        if msg[0] == "counters":
-                            self.counters[msg[1].index] = msg[1]
-                except (EOFError, OSError):  # pragma: no cover
-                    pass
-        started = [p for p in self._procs if p.ident is not None]
-        for p in started:
-            p.join(max(0.0, deadline - time.monotonic()))
-        for p in started:
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - idempotent
-                pass
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-        self._procs = []
-        self._conns = []
-        self._rings = []
+                    group.broadcast(("finalize",))
+                except RuntimeError:
+                    pass  # a dead worker: the rest exit on abort below
+                # abort *before* waiting for replies: a worker blocked
+                # in a channel send (error-path teardown with packets in
+                # flight) only unblocks via the abort flag.  A worker
+                # that sees the flag still answers the finalize sent
+                # before it, so the happy path collects every counter.
+                group.abort.set()
+                for s in range(len(self.stages) - 1):
+                    try:
+                        payload = group.recv(s, "state")[1]
+                    except RuntimeError:
+                        continue  # worker gone without a reply
+                    self.counters[s] = payload["counters"]
+                group.teardown(failed=False)
         self._eval_guard.__exit__(None, None, None)
 
     def __enter__(self):
@@ -850,9 +509,9 @@ def infer_batch(
         stats = run_inference(
             stream, schedule, X, len(stages), stall_timeout=stall_timeout
         )
-    # per-stage counters after close(): the process stream only learns
-    # its workers' counts from their finalize replies during teardown,
-    # so the snapshot taken inside run_inference would be all zeros
+    # per-stage counters after close(): a worker stream only learns its
+    # workers' counts from their finalize replies during teardown, so
+    # the snapshot taken inside run_inference would be all zeros
     stats.stage_counters = list(getattr(stream, "counters", []))
     return stats
 
@@ -874,13 +533,10 @@ def open_inference_stream(
         return SimInferenceStream(
             stages, capacity=capacity, stall_timeout=stall_timeout
         )
-    if backend == "threaded":
-        return ThreadedInferenceStream(
-            stages, capacity=capacity, stall_timeout=stall_timeout
-        )
-    if backend == "process":
-        return ProcessInferenceStream(
+    if backend in ("threaded", "process"):
+        return PipelineInferenceStream(
             stages,
+            backend,
             max_width=max_width,
             sample_shape=tuple(sample_shape),
             dtype=dtype,

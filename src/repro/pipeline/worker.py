@@ -1,0 +1,1107 @@
+"""One pipeline stage loop, hosted as a thread or as a process.
+
+The paper's argument is that fine-grained pipelined backpropagation
+makes every stage run the *same* tiny loop forever: take one activation,
+take one gradient, update, pass both on.  PipeDream's worker model
+(Harlap et al. 2018: backward priority plus an in-flight cap) and
+torchgpipe's forward-only reuse of it (Kim et al. 2020) are that loop
+again.  This module is the one place the loop is written outside the
+discrete-time simulator: :class:`StageWorker` is the loop,
+:class:`WorkerGroup` hosts one worker per stage and owns launch, health,
+finalize and teardown.  :mod:`repro.pipeline.runtime` (training) and
+:mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
+
+The transformations mirror the simulator's sweep bodies
+(``PipelineExecutor._run``): loss-stage seeding, ``update_after_backward``
+and the op/sample accounting must stay in sync with it.  The bit-exact
+parity goldens (``tests/test_runtime_parity.py``,
+``tests/test_process_runtime.py``) pin that equivalence — any unsynced
+change to either side fails them at hex level.
+
+The loop
+--------
+
+A worker owns one :class:`~repro.pipeline.stage.PipelineStage` and runs
+one of two loops over it:
+
+* **lockstep** — block on the control endpoint; every ``("step", ...)``
+  message is one simulated time step: apply the coalesced control
+  commands, then at most one forward and one backward, forward first
+  (the simulator's forward sweep precedes its backward sweep).  Because
+  no two stages share mutable state within a step, the per-worker
+  operation order equals the simulator's and the run is bit-exact.
+* **free-running** — control first (a flush sent before the next
+  batch's packets must apply before them; control writes precede the
+  channel publishes) → **backward priority** (PipeDream's drain rule,
+  and the deadlock-freedom argument: the oldest in-flight packet can
+  always progress) → a forward only while fewer than ``D_s + 1 =
+  2(S-1-s) + 1`` packets sit between their forward and backward here →
+  idle wait.  The cap is PipeDream's in-flight bound; it also turns the
+  paper's eq. 5 into a guaranteed staleness ceiling: the forward of
+  sample ``i`` at stage ``s`` sees at least ``max(0, i - 2(S-1-s))``
+  updates applied.
+
+``forward_only`` (serving) is the same free-running loop with the
+backward half gone: no loss slot (the parent consumes the last channel),
+``stage.forward(..., train=False)``, eager slot release, no cap.
+
+Channels
+--------
+
+Packets ``(pid, start, size, payload)`` move over channels with the
+:class:`~repro.pipeline.transport.ShmRing` surface — ``send`` /
+``try_send`` / ``recv`` / ``try_recv`` / ``poll`` / ``release`` — by duck
+typing.  A process host uses the shared-memory rings themselves
+(zero-copy views, no pickling on the hot path); a thread host uses
+:class:`LocalChannel`, a bounded deque passing references, whose
+condition variable is the *consumer's* wake-up: every inbound source of a
+thread-hosted worker (forward channel, backward channel, control
+endpoint, abort flag) notifies the same condition, so an idle worker
+blocks on it instead of polling.  Both hosts size channel ``s`` at
+``D_s + 1 + RING_SLACK`` slots (a flat count for serving), which
+guarantees backward sends never block.
+
+Slot lifetime follows the autodiff engine's lazy reads (see
+``transport.py``): a compute stage's forward slot is released only when
+that packet's backward has run (FIFO, checked); every other slot is
+released as soon as its packet has been transformed and its output
+copied downstream — *after* the copy, because identity/sum stages pass
+views of the inbound slot through.
+
+Control messages
+----------------
+
+Only control crosses the control endpoint (an OS pipe per worker for
+processes, an in-process :class:`LocalConn` pair for threads).  Parent
+to worker:
+
+``("step", do_fwd, do_bwd, need_ack, cmds)``
+    lockstep only.  One write carries the whole tick for this worker;
+    ``cmds`` is a tuple of ``("flush", n)`` / ``("set_lr", lr)``
+    generated at the previous tick's barrier and applied *before* the
+    step work — exactly where a standalone broadcast would have landed
+    in the pipe.  The worker answers ``("ok", completed_since_last_ack)``
+    only when ``need_ack`` is set; the parent predicts completions from
+    packet metadata and asks for an ack every
+    :data:`LOCKSTEP_ACK_INTERVAL` ticks (process host) or every tick
+    (thread host) as a flow-control barrier and invariant check.  Idle
+    ticks are not sent at all.
+``("flush", count)``
+    synchronous-schedule batch boundary (with a :class:`_ReduceSpec`,
+    one cross-replica reduce round).  In free-running mode the worker
+    answers ``("flushed",)`` so the next batch cannot overtake it.
+``("set_lr", lr)``
+    LR-schedule tick.  The parent never writes ``stage.lr`` itself
+    while workers run: a thread-hosted worker shares the stage object.
+``("finalize",)``
+    answer ``("state", payload)`` and exit.
+
+Worker to parent: ``("ok", n)``, ``("done", start, size)`` (stage 0's
+free-running completions), ``("flushed",)``, ``("state", payload)`` and
+``("err", stage, text, exc)`` for any failure (``exc`` is the exception
+object itself on an in-process endpoint, ``None`` across a pipe).
+
+A worker that observes the abort flag polls its control endpoint once
+more and honours a ``finalize`` found there: a stream's ``close()`` sends
+``finalize`` *before* setting abort (abort is what unblocks a worker
+stuck in a ring send), so anything sent-before is visible by then.
+
+What a host decides
+-------------------
+
+Thread versus process changes only: the channel type, the control
+endpoint, whether stage state is shipped (processes rebuild or inherit
+the stage and ship trained state back at finalize; threads operate on
+the parent's own stage objects, so methods shadowed on those instances
+are the ones executed), how an idle worker waits (condition variable
+versus adaptive back-off), and how often lockstep acks.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import sys
+import threading
+import time
+import traceback
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from repro.pipeline.executor import softmax_xent_grad_batch
+from repro.pipeline.stage import PipelineStage, StageBuildSpec
+from repro.pipeline.transport import (
+    ShmRing,
+    TransportAborted,
+    TransportError,
+    TransportStall,
+    build_inference_rings,
+    build_pipeline_rings,
+    probe_boundary_layouts,
+    ring_slots_for,
+)
+from repro.tensor.tensor import enable_grad
+
+#: Seconds any single wait may block before the run is declared
+#: stalled.  Generous for real work, small enough that a deadlocked test
+#: fails loudly instead of hanging CI.
+DEFAULT_STALL_TIMEOUT = 60.0
+#: Ticks between lockstep acks on a process host (a thread host acks
+#: every tick).
+LOCKSTEP_ACK_INTERVAL = 16
+#: Extra channel slots beyond the per-stage in-flight cap ``D_s + 1``
+#: (see :func:`repro.pipeline.transport.ring_slots_for`).
+RING_SLACK = 2
+
+
+class PipelineRuntimeError(RuntimeError):
+    """A stage worker died; carries the stage index and original error."""
+
+    def __init__(self, stage_index: int, cause: BaseException):
+        super().__init__(
+            f"pipeline stage {stage_index} worker failed: {cause!r}"
+        )
+        self.stage_index = stage_index
+        self.cause = cause
+
+
+@dataclass
+class StageCounters:
+    """Measured per-stage activity of one worker's lifetime (a training
+    run or an inference stream)."""
+
+    index: int
+    forward_ops: int = 0
+    backward_ops: int = 0
+    forward_samples: int = 0
+    backward_samples: int = 0
+    busy_seconds: float = 0.0
+
+    @property
+    def busy_steps(self) -> int:
+        """Slot occupancy: one per packet transformation, the measured
+        counterpart of one non-idle cell in an occupancy grid row."""
+        return self.forward_ops + self.backward_ops
+
+
+def resolve_start_method(start_method: str | None, model_factory) -> str:
+    """Pick and validate the multiprocessing start method.
+
+    ``fork`` only where it is actually safe: forking a NumPy/BLAS parent
+    on macOS (Accelerate) can deadlock in the child, so anywhere but
+    Linux the spawn + ``model_factory`` path is the default (matching
+    CPython's own default flip on darwin).
+    """
+    available = mp.get_all_start_methods()
+    if start_method is None:
+        start_method = (
+            "fork"
+            if sys.platform.startswith("linux") and "fork" in available
+            else "spawn"
+        )
+    if start_method not in available:
+        raise ValueError(
+            f"start_method {start_method!r} not available on this "
+            f"platform (have {available})"
+        )
+    if start_method != "fork" and model_factory is None:
+        raise ValueError(
+            f"start_method {start_method!r} cannot inherit stage "
+            "objects; pass a spawn-safe model_factory so workers can "
+            "rebuild their stage (see StageBuildSpec)"
+        )
+    return start_method
+
+
+# ---------------------------------------------------------------------------
+# in-process channel, control endpoint and abort flag (thread host)
+# ---------------------------------------------------------------------------
+
+
+class LocalChannel:
+    """In-process SPSC packet channel with the :class:`ShmRing` surface.
+
+    A bounded deque passing payload references; a slot counts as
+    occupied from ``send`` until the consumer's ``release``, exactly like
+    a ring slot.  ``cond`` is the consumer's wake-up condition (shared
+    with its other inbound sources); a producer blocked in ``send`` waits
+    on it too and is woken by ``release``.
+    """
+
+    def __init__(self, cond: threading.Condition, slots: int, label: str):
+        self.cond = cond
+        self.slots = slots
+        self.label = label
+        self._items: deque = deque()
+        self._held = 0  # received, not yet released
+
+    def poll(self) -> bool:
+        return bool(self._items)
+
+    def _has_free_slot(self) -> bool:
+        return len(self._items) + self._held < self.slots
+
+    def try_send(self, pid, start, size, payload) -> bool:
+        with self.cond:
+            if not self._has_free_slot():
+                return False
+            self._items.append((pid, start, size, payload))
+            self.cond.notify_all()
+        return True
+
+    def try_recv(self):
+        with self.cond:
+            if not self._items:
+                return None
+            self._held += 1
+            return self._items.popleft()
+
+    def _wait(self, ready, timeout: float, what: str, abort) -> None:
+        if not self.cond.wait_for(lambda: ready() or abort.is_set(), timeout):
+            raise TransportStall(
+                f"channel {self.label!r}: stalled waiting for {what} "
+                f"({timeout:.1f}s) — likely a dead or deadlocked peer"
+            )
+        if not ready():
+            raise TransportAborted(
+                f"channel {self.label!r}: aborted while waiting for {what}"
+            )
+
+    def send(self, pid, start, size, payload, timeout: float, abort) -> None:
+        with self.cond:
+            if not self._has_free_slot():
+                self._wait(self._has_free_slot, timeout, "a free slot", abort)
+            self._items.append((pid, start, size, payload))
+            self.cond.notify_all()
+
+    def recv(self, timeout: float, what: str, abort):
+        with self.cond:
+            if not self._items:
+                self._wait(self.poll, timeout, what, abort)
+            self._held += 1
+            return self._items.popleft()
+
+    def release(self) -> None:
+        with self.cond:
+            if self._held == 0:
+                raise TransportError(
+                    f"channel {self.label!r}: release without an "
+                    "outstanding recv"
+                )
+            self._held -= 1
+            self.cond.notify_all()
+
+    def close(self) -> None:
+        """ShmRing teardown surface; nothing to unmap in-process."""
+        self._items.clear()
+
+    unlink = close
+
+
+class LocalConn:
+    """One end of an in-process control pipe: the ``poll``/``recv``/
+    ``send``/``close`` subset of ``multiprocessing.connection.Connection``
+    the worker protocol uses.  Messages pass by reference; ``cond`` is
+    the receiving side's wake-up condition."""
+
+    def __init__(self, cond: threading.Condition):
+        self.cond = cond
+        self.peer: LocalConn | None = None
+        self._inbox: deque = deque()
+
+    def send(self, msg) -> None:
+        peer = self.peer
+        with peer.cond:
+            peer._inbox.append(msg)
+            peer.cond.notify_all()
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        if self._inbox or not timeout:
+            return bool(self._inbox)
+        with self.cond:
+            return self.cond.wait_for(lambda: bool(self._inbox), timeout)
+
+    def recv(self):
+        return self._inbox.popleft()
+
+    def close(self) -> None:
+        pass
+
+
+def _local_pipe(parent_cond, child_cond) -> tuple[LocalConn, LocalConn]:
+    parent, child = LocalConn(parent_cond), LocalConn(child_cond)
+    parent.peer, child.peer = child, parent
+    return parent, child
+
+
+class _LocalAbort(threading.Event):
+    """Abort flag of a thread-hosted group: setting it also wakes every
+    waiter, since they block on condition variables instead of polling."""
+
+    def __init__(self, conds: Sequence[threading.Condition]):
+        super().__init__()
+        self._conds = conds
+
+    def set(self) -> None:
+        super().set()
+        for cond in self._conds:
+            with cond:
+                cond.notify_all()
+
+
+class _SharedAbort:
+    """Abort flag of a process-hosted group: one lock-free shared byte.
+
+    Not a ``multiprocessing.Event``: that guards its flag with a
+    semaphore, workers poll the flag constantly, and a worker SIGKILLed
+    inside ``is_set()`` would leave the semaphore held — hanging every
+    sibling and the parent's crash recovery on their next check."""
+
+    def __init__(self, ctx):
+        self._flag = ctx.RawValue("b", 0)
+
+    def set(self) -> None:
+        self._flag.value = 1
+
+    def is_set(self) -> bool:
+        return bool(self._flag.value)
+
+
+# ---------------------------------------------------------------------------
+# the worker
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ReduceSpec:
+    """One stage worker's slice of the cross-replica reduce plane.
+
+    The reduce topology is a chain over replica ranks (see
+    :func:`~repro.pipeline.transport.build_reduce_rings`): partial
+    gradient sums travel rank ``0 -> 1 -> ... -> R-1`` over the
+    ``chain`` rings, and the finished global sum travels back
+    ``R-1 -> ... -> 0`` over the ``result`` rings.  The chain order is
+    load-bearing for bit-exactness: folding rank ``r``'s per-packet
+    gradients on top of ranks ``0..r-1``'s partial sum reproduces the
+    *stream-order left fold* a single pipeline at update size ``R*U``
+    performs, addition by addition.
+    """
+
+    rank: int
+    world: int
+    chain_in: ShmRing | None  # from rank-1 (None at rank 0)
+    chain_out: ShmRing | None  # to rank+1 (None at the last rank)
+    result_in: ShmRing | None  # from rank+1 (None at the last rank)
+    result_out: ShmRing | None  # to rank-1 (None at rank 0)
+
+
+@dataclass
+class _WorkerSpec:
+    """Everything one stage worker needs, picklable under ``spawn``."""
+
+    index: int
+    conn: Any  # Connection | LocalConn
+    fwd_in: Any  # ShmRing | LocalChannel
+    fwd_out: Any  # None for the loss stage
+    bwd_in: Any  # None for the loss stage and in forward-only mode
+    bwd_out: Any  # None for stage 0 and in forward-only mode
+    abort: Any  # _SharedAbort | _LocalAbort
+    wake: threading.Condition | None  # thread host: the idle wait
+    lockstep: bool
+    forward_only: bool
+    update_after_backward: bool
+    ship_state: bool  # process host: trained state returns at finalize
+    stall_timeout: float
+    jitter: float
+    jitter_seed: int
+    stage: PipelineStage | None  # threads and fork: the object itself
+    build_spec: StageBuildSpec | None = None  # rebuild recipe ...
+    stage_state: dict | None = None  # ... and the weights to load into it
+    labels: np.ndarray | None = None  # loss stage only
+    reduce: _ReduceSpec | None = None  # replicated runs only
+
+
+class StageWorker:
+    """One stage's event loop (see the module docstring)."""
+
+    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
+        self.spec = spec
+        self.stage = stage
+        self.s = spec.index
+        self.counters = StageCounters(index=self.s)
+        self.is_loss = stage.spec.kind == "loss"
+        self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
+        #: compute stages re-read forward inputs lazily at backward time,
+        #: so their inbound forward slot outlives the forward op
+        self.defer_fwd_release = (
+            stage.spec.kind == "compute" and not spec.forward_only
+        )
+        self._pending_fwd: deque[int] = deque()
+        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
+        self.in_flight = 0
+        self._reduce_round = 0  # packet ids on the reduce rings
+        self._rng = (
+            np.random.default_rng(
+                (spec.jitter_seed * 1_000_003 + self.s) & 0xFFFFFFFF
+            )
+            if spec.jitter > 0.0
+            else None
+        )
+        if spec.ship_state:
+            # ship only THIS run's version trace back; the parent extends
+            # its accumulated list.  A fork-inherited stage would
+            # otherwise carry — and duplicate — prior runs' entries.
+            stage.version_trace = []
+        if spec.reduce is not None:
+            # replicated sync runs fold per-packet gradient segments
+            # across replicas instead of accumulating locally
+            stage.collect_grad_segments = True
+        if spec.forward_only and stage.spec.module is not None:
+            stage.spec.module.eval()
+
+    # -- packet transformations -------------------------------------------
+
+    # busy_seconds accounting: only the transformations themselves are
+    # timed — blocking sends (downstream backpressure) fall outside the
+    # window, so busy fractions stay comparable across hosts.
+
+    def _forward(self, pkt) -> int:
+        """Transform one inbound forward packet; returns completions."""
+        pid, start, size, payload = pkt
+        spec = self.spec
+        if self._rng is not None:
+            time.sleep(self._rng.uniform(0.0, spec.jitter))
+        t0 = time.perf_counter()
+        if self.is_loss:
+            lvec, out = softmax_xent_grad_batch(
+                payload[0], spec.labels[start : start + size]
+            )
+            self.losses[start : start + size] = lvec
+        else:
+            out = self.stage.forward(
+                pid, payload, train=not spec.forward_only
+            )
+        self.counters.forward_ops += 1
+        self.counters.forward_samples += size
+        self.counters.busy_seconds += time.perf_counter() - t0
+        if self.is_loss:
+            # the loss stage consumes its own seeded backward in the same
+            # step, exactly as the simulator's forward sweep seeds bwd_in
+            completed = self._backward((pid, start, size, [out]), seeded=True)
+            spec.fwd_in.release()
+            return completed
+        # copy downstream *before* releasing anything the output may
+        # alias (identity/sum stages pass views of the inbound slot)
+        spec.fwd_out.send(pid, start, size, out, spec.stall_timeout, spec.abort)
+        if self.defer_fwd_release:
+            self._pending_fwd.append(pid)
+        else:
+            spec.fwd_in.release()
+        if not spec.forward_only:
+            self.in_flight += 1
+        return 0
+
+    def _backward(self, pkt, seeded: bool = False) -> int:
+        """Transform one backward packet; returns completions (only
+        stage 0 completes samples)."""
+        pid, start, size, grads = pkt
+        spec = self.spec
+        if self._rng is not None and not seeded:
+            time.sleep(self._rng.uniform(0.0, spec.jitter))
+        t0 = time.perf_counter()
+        upstream = self.stage.backward(pid, grads)
+        if spec.update_after_backward:
+            self.stage.apply_update()
+        self.counters.backward_ops += 1
+        self.counters.backward_samples += size
+        self.counters.busy_seconds += time.perf_counter() - t0
+        if spec.bwd_out is not None:
+            spec.bwd_out.send(
+                pid, start, size, upstream, spec.stall_timeout, spec.abort
+            )
+        if not seeded:
+            spec.bwd_in.release()  # gradients are consumed eagerly
+            self.in_flight -= 1
+            if self.defer_fwd_release:
+                expect = self._pending_fwd.popleft()
+                if expect != pid:
+                    raise RuntimeError(
+                        f"stage {self.s}: backward for packet {pid} "
+                        f"arrived before packet {expect}'s — FIFO violated"
+                    )
+                spec.fwd_in.release()
+        return size if self.s == 0 else 0
+
+    # -- control ----------------------------------------------------------
+
+    def _reduce_flush(self, local_count: int) -> None:
+        """One cross-replica reduce round ending in a synchronized update.
+
+        Every replica's stage worker (same stage, ranks ``0..R-1``)
+        enters this once per global batch — replicas whose shard holds no
+        samples for the batch enter with ``local_count == 0`` and empty
+        segments, keeping the chain aligned.  Rank ``r`` receives ranks
+        ``0..r-1``'s partial sums, folds its own per-packet gradients on
+        top *in stream order*, and forwards; the last rank's fold is the
+        global sum, which travels back down the result chain.  Everyone
+        then installs the identical sum and applies the identical mean
+        update, so replicas stay bit-for-bit in sync — and equal to one
+        pipeline running the whole ``R*U`` batch.
+        """
+        spec = self.spec
+        red = spec.reduce
+        params = self.stage.params
+        segments = self.stage.pop_grad_segments()
+        if red.chain_in is not None:
+            pkt = red.chain_in.recv(
+                spec.stall_timeout,
+                f"stage {self.s} reduce chain (rank {red.rank})",
+                spec.abort,
+            )
+            # cumulative sample count rides in the ``start`` meta slot
+            upstream_count = int(pkt[1])
+            acc: list = list(pkt[3])  # zero-copy views into the ring slot
+        else:
+            upstream_count = 0
+            acc = [None] * len(params)
+        total = upstream_count + int(local_count)
+        for k, seg in enumerate(segments):
+            a = acc[k]
+            for g in seg:
+                # the left fold: same association order as the single
+                # pipeline's per-packet gradient accumulation
+                a = g if a is None else a + g
+            acc[k] = a
+        if params and any(a is None for a in acc):
+            # only reachable when rank 0 flushes a batch it saw no
+            # samples of — the block-cyclic shard gives rank 0 the
+            # earliest samples of every batch, so this is a plan bug
+            raise RuntimeError(
+                f"stage {self.s} rank {red.rank}: reduce round "
+                f"{self._reduce_round} has no gradient to contribute or "
+                "forward"
+            )
+        pid = self._reduce_round
+        self._reduce_round += 1
+        if red.chain_out is not None:
+            size = max((int(a.shape[0]) for a in acc), default=0)
+            red.chain_out.send(
+                pid, total, size, acc, spec.stall_timeout, spec.abort
+            )
+            if red.chain_in is not None:
+                red.chain_in.release()  # the send copied the views out
+            pkt = red.result_in.recv(
+                spec.stall_timeout,
+                f"stage {self.s} reduce result (rank {red.rank})",
+                spec.abort,
+            )
+            total = int(pkt[1])
+            result = [np.array(a, copy=True) for a in pkt[3]]
+            if red.result_out is not None:
+                red.result_out.send(
+                    pid, total, pkt[2], pkt[3], spec.stall_timeout,
+                    spec.abort,
+                )
+            red.result_in.release()
+        else:
+            # last rank: its fold IS the global sum.  Copy before
+            # releasing the inbound slot the views may alias.
+            result = [np.array(a, copy=True) for a in acc]
+            if red.chain_in is not None:
+                red.chain_in.release()
+            size = max((int(a.shape[0]) for a in result), default=0)
+            red.result_out.send(
+                pid, total, size, result, spec.stall_timeout, spec.abort
+            )
+        if params:
+            self.stage.set_reduced_grads(result)
+        self.stage.flush_update(total)
+
+    def _control(self, cmd) -> bool:
+        """Apply a non-step command; ``True`` when the worker should exit."""
+        tag = cmd[0]
+        if tag == "flush":
+            if self.spec.reduce is not None:
+                self._reduce_flush(int(cmd[1]))
+            else:
+                self.stage.flush_update(cmd[1])
+            if not self.spec.lockstep:
+                # free mode: the parent must not inject the next batch
+                # until every stage has flushed — a worker past its
+                # control poll could otherwise transform a fresh packet
+                # with un-flushed weights (lockstep needs no ack: the
+                # flush is ordered before the next step command)
+                self.spec.conn.send(("flushed",))
+        elif tag == "set_lr":
+            self.stage.lr = float(cmd[1])
+        elif tag == "finalize":
+            self.spec.conn.send(("state", self._finalize_payload()))
+            return True
+        else:  # pragma: no cover - protocol bug
+            raise RuntimeError(f"stage {self.s}: unknown command {tag!r}")
+        return False
+
+    def _finalize_payload(self) -> dict:
+        ship = self.spec.ship_state
+        return {
+            "counters": self.counters,
+            "losses": self.losses,
+            "state": self.stage.state_dict() if ship else None,
+            "version_trace": list(self.stage.version_trace) if ship else (),
+        }
+
+    # -- event loops -------------------------------------------------------
+
+    def run(self) -> None:
+        if self.spec.lockstep:
+            self._run_lockstep()
+        else:
+            self._run_free()
+
+    def _run_lockstep(self) -> None:
+        spec = self.spec
+        completed_since_ack = 0
+        while True:
+            # blocking command read that still honours the abort flag
+            while not spec.conn.poll(0.05):
+                if spec.abort.is_set():
+                    return
+            cmd = spec.conn.recv()
+            if cmd[0] != "step":
+                # standalone command (end-of-run flush delivery,
+                # replicated missing-round flushes, finalize)
+                if self._control(cmd):
+                    return
+                continue
+            _, do_fwd, do_bwd, need_ack, cmds = cmd
+            for sub in cmds:
+                self._control(sub)
+            if do_fwd:
+                completed_since_ack += self._forward(
+                    spec.fwd_in.recv(
+                        spec.stall_timeout, f"stage {self.s} fwd packet",
+                        spec.abort,
+                    )
+                )
+            if do_bwd:
+                completed_since_ack += self._backward(
+                    spec.bwd_in.recv(
+                        spec.stall_timeout, f"stage {self.s} bwd packet",
+                        spec.abort,
+                    )
+                )
+            if need_ack:
+                spec.conn.send(("ok", completed_since_ack))
+                completed_since_ack = 0
+
+    def _has_work(self) -> bool:
+        spec = self.spec
+        return (
+            spec.conn.poll()
+            or spec.abort.is_set()
+            or (spec.bwd_in is not None and spec.bwd_in.poll())
+            or (self.in_flight < self.cap and spec.fwd_in.poll())
+        )
+
+    def _wait_for_work(self) -> None:
+        wake = self.spec.wake
+        if wake is not None:
+            # thread host: every inbound source notifies this condition
+            # (the timeout is a safety net, not a poll interval)
+            with wake:
+                wake.wait_for(self._has_work, 0.5)
+            return
+        # process host: nothing to block on across shared memory
+        sleep = 1e-5
+        while not self._has_work():
+            time.sleep(sleep)
+            sleep = min(sleep * 2.0, 2e-3)
+
+    def _run_free(self) -> None:
+        spec = self.spec
+        while True:
+            while spec.conn.poll():
+                if self._control(spec.conn.recv()):
+                    return
+            if spec.abort.is_set():
+                # whatever the parent sent before aborting is visible by
+                # now: answer a finalize instead of dropping it
+                while spec.conn.poll():
+                    cmd = spec.conn.recv()
+                    if cmd[0] == "finalize":
+                        self._control(cmd)
+                return
+            if spec.bwd_in is not None and spec.bwd_in.poll():
+                pkt = spec.bwd_in.try_recv()
+                completed = self._backward(pkt)
+            elif self.in_flight < self.cap and spec.fwd_in.poll():
+                pkt = spec.fwd_in.try_recv()
+                completed = self._forward(pkt)
+            else:
+                self._wait_for_work()
+                continue
+            if completed:
+                spec.conn.send(("done", pkt[1], int(completed)))
+
+
+def _worker_main(spec: _WorkerSpec) -> None:
+    """The single entry point of a stage worker: thread target and
+    process target alike (top-level for ``spawn``)."""
+    # a fork inherits the forking thread's grad mode
+    enable_grad()
+    try:
+        stage = spec.stage
+        if stage is None:
+            stage = spec.build_spec.build()
+            stage.load_state_dict(spec.stage_state)
+        StageWorker(spec, stage).run()
+    except TransportAborted:
+        pass  # the parent is tearing the run down; exit quietly
+    except BaseException as exc:
+        # an exception object only crosses an in-process endpoint
+        cause = exc if isinstance(spec.conn, LocalConn) else None
+        try:
+            spec.conn.send(
+                (
+                    "err",
+                    spec.index,
+                    f"{exc!r}\n{traceback.format_exc()}",
+                    cause,
+                )
+            )
+        except OSError:  # pragma: no cover - parent already gone
+            pass
+        spec.abort.set()
+
+
+# ---------------------------------------------------------------------------
+# the group
+# ---------------------------------------------------------------------------
+
+
+def _build_rings(stages, probe, forward_only, slots, layout_cache):
+    """The shared-memory rings of a process-hosted run: ``(fwd, bwd)``,
+    ``bwd`` all ``None`` for a forward-only run."""
+    # boundary layouts depend only on architecture + packet shape/dtype,
+    # so relaunches (per-segment drives, crash recovery) skip the dummy
+    # probe pass after the first
+    key = (probe.shape, str(probe.dtype))
+    layouts = layout_cache.get(key)
+    if layouts is None:
+        layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
+    if forward_only:
+        return (
+            build_inference_rings(stages, probe, slots, layouts),
+            [None] * len(stages),
+        )
+    return build_pipeline_rings(stages, probe, RING_SLACK, layouts)
+
+
+class WorkerGroup:
+    """Host one :class:`StageWorker` per stage — as threads over the
+    parent's own stage objects, or as processes over shared-memory rings
+    — and own launch, message receipt with a deadline, error attribution,
+    the dead-worker watchdog and teardown.
+
+    The constructor launches; a failure midway tears down whatever was
+    created.  ``stages`` is the whole pipeline; a ``forward_only`` group
+    hosts every stage but the final loss slot and leaves the last channel
+    for the parent to consume.  ``probe`` is a max-width input packet
+    (shape and dtype size the rings); ``slots`` a flat per-channel
+    capacity replacing the ``D_s + 1 + RING_SLACK`` training sizing.
+    """
+
+    def __init__(
+        self,
+        stages: Sequence[PipelineStage],
+        probe: np.ndarray,
+        *,
+        processes: bool,
+        name: str,
+        stall_timeout: float,
+        lockstep: bool = False,
+        forward_only: bool = False,
+        slots: int | None = None,
+        update_after_backward: Callable[[int], bool] = lambda s: False,
+        labels: np.ndarray | None = None,
+        jitter: float = 0.0,
+        jitter_seed: int = 0,
+        reduce_plan: Sequence[_ReduceSpec] | None = None,
+        model_factory=None,
+        start_method: str | None = None,
+        layout_cache: dict | None = None,
+    ):
+        self.stall_timeout = float(stall_timeout)
+        self.workers: list = []  # threading.Thread | Process
+        self.channels: list = []  # the forward channel into each stage
+        self.rings: list = []  # every channel of the run
+        self.abort = None
+        self._conns: list = []
+        self._rx_buf: list[deque] = []
+        S = len(stages)
+        count = S - 1 if forward_only else S
+        rebuild = processes and model_factory is not None
+        try:
+            if processes:
+                ctx = mp.get_context(
+                    resolve_start_method(start_method, model_factory)
+                )
+                self.abort = _SharedAbort(ctx)
+                pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
+                wakes = [None] * count
+                host = ctx.Process
+                fwd, bwd = _build_rings(
+                    stages, probe, forward_only, slots,
+                    {} if layout_cache is None else layout_cache,
+                )
+            else:
+                wakes = [threading.Condition() for _ in range(S)]
+                # the parent end of each control pipe has its own
+                # condition: waiting on one worker's reply is not woken
+                # by every other worker's
+                mine = [threading.Condition() for _ in range(count)]
+
+                def channel(kind: str, s: int) -> LocalChannel:
+                    return LocalChannel(
+                        wakes[s],
+                        slots or ring_slots_for(stages[s].delay, RING_SLACK),
+                        f"{kind}[->{s}]",
+                    )
+
+                fwd = [channel("fwd", s) for s in range(S)]
+                bwd = [None] * S
+                if not forward_only:
+                    bwd[: S - 1] = [channel("bwd", s) for s in range(S - 1)]
+                self.abort = _LocalAbort(wakes + mine)
+                pipes = [_local_pipe(mine[s], wakes[s]) for s in range(count)]
+                host = threading.Thread
+            self.channels = fwd
+            self.rings = fwd + [b for b in bwd if b is not None]
+            self._rx_buf = [deque() for _ in range(count)]
+            for s in range(count):
+                stage = stages[s]
+                parent_conn, child_conn = pipes[s]
+                spec = _WorkerSpec(
+                    index=s,
+                    conn=child_conn,
+                    fwd_in=fwd[s],
+                    fwd_out=fwd[s + 1] if s + 1 < S else None,
+                    bwd_in=bwd[s],
+                    bwd_out=bwd[s - 1] if s > 0 else None,
+                    abort=self.abort,
+                    wake=wakes[s],
+                    lockstep=lockstep,
+                    forward_only=forward_only,
+                    update_after_backward=update_after_backward(s),
+                    ship_state=processes and not forward_only,
+                    stall_timeout=self.stall_timeout,
+                    jitter=jitter,
+                    jitter_seed=jitter_seed,
+                    stage=None if rebuild else stage,
+                    build_spec=(
+                        StageBuildSpec(
+                            model_factory=model_factory,
+                            index=s,
+                            lr=stage.lr,
+                            momentum=stage.momentum,
+                            weight_decay=stage.weight_decay,
+                            mitigation=stage.mitigation,
+                            always_stash=stage.always_stash,
+                            record_versions=stage.record_versions,
+                            # rebuild on the stage's storage grid so the
+                            # shipped state passes the dtype validation
+                            precision=stage.precision.mode,
+                        )
+                        if rebuild
+                        else None
+                    ),
+                    stage_state=stage.state_dict() if rebuild else None,
+                    labels=labels if stage.spec.kind == "loss" else None,
+                    reduce=None if reduce_plan is None else reduce_plan[s],
+                )
+                self._conns.append(parent_conn)
+                self.workers.append(
+                    host(
+                        target=_worker_main,
+                        args=(spec,),
+                        name=f"{name}-{s}",
+                        daemon=True,
+                    )
+                )
+            for w in self.workers:
+                w.start()
+            if processes:
+                # the child ends now live in the workers; drop the
+                # parent's copies so a dead worker can surface as EOF
+                for _, child_conn in pipes:
+                    child_conn.close()
+        except BaseException:
+            self.teardown(failed=True)
+            raise
+
+    # -- messaging ----------------------------------------------------------
+
+    def send(self, s: int, msg) -> None:
+        try:
+            self._conns[s].send(msg)
+        except OSError as exc:
+            self.check_errors()
+            raise PipelineRuntimeError(
+                s, RuntimeError("worker control pipe is closed")
+            ) from exc
+
+    def broadcast(self, msg) -> None:
+        for s in range(len(self._conns)):
+            self.send(s, msg)
+
+    def _worker_error(self, msg) -> PipelineRuntimeError:
+        _, stage_index, text, cause = msg
+        return PipelineRuntimeError(
+            stage_index, RuntimeError(text) if cause is None else cause
+        )
+
+    def _scan_for_err(self) -> None:
+        """Drain buffered worker messages; raise the first ``err`` found.
+
+        A worker failure often surfaces indirectly: the parent runs
+        ahead, sibling workers of the stage that actually failed die next
+        on the aborted transport (quietly — see :func:`_worker_main`),
+        and the parent's first symptom can be a sibling's silence or a
+        stall.  The root-cause ``err`` report is still sitting in the
+        failed worker's endpoint; scanning every endpoint before raising
+        a secondary error keeps the failure attributed to the right
+        stage.  Non-err messages (e.g. in-flight acks from healthy
+        workers) are stashed and replayed to later :meth:`recv` calls.
+        """
+        for s, conn in enumerate(self._conns):
+            try:
+                while conn.poll(0):
+                    msg = conn.recv()
+                    if msg[0] == "err":
+                        raise self._worker_error(msg)
+                    self._rx_buf[s].append(msg)
+            except (EOFError, OSError):
+                continue
+
+    def check_dead(self) -> None:
+        """Raise for a worker that died *abnormally* (touches no pipe, so
+        a monitor thread may call it while a driver owns the endpoints).
+
+        Abnormal means a nonzero exit code: SIGKILL/OOM/segfault.  Every
+        legitimate worker path — finalize reply, stop, abort, even an
+        internal error (reported as ``err`` first) — returns from
+        :func:`_worker_main` and exits 0, so the exit code is the
+        discriminator that works in every phase.  The check exists
+        because pipe EOF alone cannot flag a dead worker: under ``fork``
+        sibling workers inherit each other's pipe ends, keeping the write
+        side open after a SIGKILL, and a dead stage can leave its
+        *neighbors* blocked on rings with their own pipes silent.
+        (Threads have no exit code; they report every failure as ``err``.)
+        """
+        for s, w in enumerate(self.workers):
+            code = getattr(w, "exitcode", None)
+            if code:
+                raise PipelineRuntimeError(
+                    s,
+                    RuntimeError(
+                        "worker process died without reporting an error "
+                        f"(exitcode={code})"
+                    ),
+                )
+
+    def check_errors(self) -> None:
+        """Surface a worker's error report or death without blocking."""
+        self._scan_for_err()
+        self.check_dead()
+
+    def recv(self, s: int, expect: str | None = None, wait: float | None = None):
+        """One message from worker ``s``.
+
+        Blocks up to the stall deadline and raises when it passes — or,
+        with ``wait``, up to ``wait`` seconds, returning ``None``.  While
+        waiting, worker health is polled, so a dead or failed worker
+        raises :class:`PipelineRuntimeError` instead of stalling out.  A
+        worker that has exited with nothing buffered sent nothing before
+        exiting — once ``send`` has returned, its message is visible to
+        ``poll`` — so raising loses no messages.
+        """
+        conn = self._conns[s]
+        buffered = self._rx_buf[s]
+        patience = self.stall_timeout if wait is None else wait
+        deadline = time.monotonic() + patience
+        while not buffered and not conn.poll(min(patience, 0.05)):
+            self.check_errors()  # may stash worker s's messages
+            if buffered:
+                break
+            if not self.workers[s].is_alive() and not conn.poll(0):
+                raise PipelineRuntimeError(
+                    s, RuntimeError("worker exited without replying")
+                )
+            if time.monotonic() >= deadline:
+                if wait is not None:
+                    return None
+                raise RuntimeError(
+                    f"pipeline runtime stalled waiting on stage {s} worker "
+                    f"({self.stall_timeout:.1f}s) — likely deadlock or a "
+                    "dead worker"
+                )
+        if buffered:
+            msg = buffered.popleft()  # err is never stashed
+        else:
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError) as exc:
+                # a worker killed without reporting closes its pipe end;
+                # surface the documented error, not a bare EOF — unless a
+                # sibling's buffered err names the real culprit
+                self.check_errors()
+                raise PipelineRuntimeError(
+                    s,
+                    RuntimeError(
+                        "worker process died without reporting an error"
+                    ),
+                ) from exc
+        if msg[0] == "err":
+            raise self._worker_error(msg)
+        if expect is not None and msg[0] != expect:  # pragma: no cover
+            raise RuntimeError(
+                f"stage {s}: expected {expect!r}, got {msg[0]!r}"
+            )
+        return msg
+
+    # -- teardown -----------------------------------------------------------
+
+    def teardown(self, failed: bool) -> None:
+        """Join (or kill) every worker and free every channel."""
+        if failed and self.abort is not None:
+            self.abort.set()
+        deadline = time.monotonic() + self.stall_timeout
+        started = [w for w in self.workers if w.ident is not None]
+        for w in started:
+            w.join(max(0.0, deadline - time.monotonic()))
+        stuck = []
+        for w in started:
+            if not w.is_alive():
+                continue
+            if hasattr(w, "terminate"):  # a process can always be killed
+                w.terminate()
+                w.join(5.0)
+            else:  # a thread cannot
+                stuck.append(w.name)
+        for conn in self._conns:
+            conn.close()
+        for ring in self.rings:
+            ring.close()
+            ring.unlink()
+        self.workers = []
+        self.channels = []
+        self.rings = []
+        self._conns = []
+        self._rx_buf = []
+        if stuck and not failed:
+            # only complain when no richer error is already propagating.
+            # A straggling thread is a daemon that exits once its
+            # in-flight op returns and it observes the abort flag.
+            raise RuntimeError(f"pipeline workers failed to shut down: {stuck}")

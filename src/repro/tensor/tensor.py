@@ -19,30 +19,48 @@ backpropagation):
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import config
 
-_GRAD_ENABLED: bool = True
+class _GradMode(threading.local):
+    """Per-thread grad mode.  A process-global flag is not safe here:
+    ``no_grad`` saves and restores it non-atomically, so two threads
+    interleaving enter/exit pairs could leave it stuck ``False`` for
+    everyone.  The class attribute is the default every new thread
+    starts from; a forked child inherits the forking thread's value,
+    which is why worker entry points reset it explicitly."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the ``with`` block (inference)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction inside the ``with`` block (inference),
+    for the calling thread only."""
+    prev = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops currently record the autodiff graph."""
-    return _GRAD_ENABLED
+    """Whether ops on the calling thread record the autodiff graph."""
+    return _GRAD.enabled
+
+
+def enable_grad() -> None:
+    """Switch the calling thread back to recording the graph (worker
+    entry points call this: a fork inherits the forking thread's mode)."""
+    _GRAD.enabled = True
 
 
 def _coerce_array(data, dtype=None) -> np.ndarray:
@@ -296,7 +314,7 @@ def _result(
     backward_fn: Callable[[np.ndarray], None],
 ) -> Tensor:
     """Build an op result, attaching the graph only when grad is enabled."""
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    requires = _GRAD.enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
         out._parents = parents

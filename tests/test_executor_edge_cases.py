@@ -261,14 +261,14 @@ class TestReplicaStatsMerge:
         across replicas but the per-stage time budget is wall * R, so
         two fully-busy replicas report busy_fraction 1.0 (the un-
         normalized merge would report 2.0)."""
-        from repro.pipeline import RuntimeStats, StageRuntimeStats
+        from repro.pipeline import RuntimeStats, StageCounters
 
         def record():
             return RuntimeStats(
                 mode="free_running", schedule="fill_drain", num_stages=2,
                 wall_seconds=2.0, backend="process",
                 stages=[
-                    StageRuntimeStats(
+                    StageCounters(
                         index=s, forward_ops=8, backward_ops=8,
                         forward_samples=8, backward_samples=8,
                         busy_seconds=2.0,
@@ -288,17 +288,17 @@ class TestReplicaStatsMerge:
         assert merged.idle_seconds(0) == pytest.approx(0.0)
 
     def test_runtime_stats_merge_rejects_mismatch(self):
-        from repro.pipeline import RuntimeStats, StageRuntimeStats
+        from repro.pipeline import RuntimeStats, StageCounters
 
         a = RuntimeStats(
             mode="free_running", schedule="fill_drain", num_stages=1,
             wall_seconds=1.0,
-            stages=[StageRuntimeStats(index=0)],
+            stages=[StageCounters(index=0)],
         )
         b = RuntimeStats(
             mode="free_running", schedule="fill_drain", num_stages=2,
             wall_seconds=1.0,
-            stages=[StageRuntimeStats(index=s) for s in range(2)],
+            stages=[StageCounters(index=s) for s in range(2)],
         )
         with pytest.raises(ValueError):
             RuntimeStats.merge_replicas([a, b])

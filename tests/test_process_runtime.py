@@ -19,6 +19,7 @@ and the shared-memory transport:
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 
 import numpy as np
@@ -138,20 +139,35 @@ class TestLockstepBitExact:
         assert _weight_fingerprint(m_sim) == _weight_fingerprint(m_proc)
         assert runner.samples_completed == 16
 
-    def test_lr_schedule_applied_at_barrier(self):
+    @pytest.mark.parametrize("jitter_seed", [1, 2])
+    @pytest.mark.parametrize(
+        "mode,kw",
+        [("pb", {}), ("gpipe", dict(update_size=4, micro_batch_size=2))],
+    )
+    def test_lr_schedule_applied_at_barrier(self, mode, kw, jitter_seed):
+        """LR ticks ride the step messages in tick order, so they land
+        between the same two operations of every worker as in the
+        simulator — whatever the worker timing."""
         X, Y = _stream(12)
         sched = lambda done: 0.05 / (1 + 0.1 * done)  # noqa: E731
         m1 = small_cnn(num_classes=4, widths=(4, 8), seed=3)
         m2 = small_cnn(num_classes=4, widths=(4, 8), seed=3)
-        sim = PipelineExecutor(
-            m1, lr=0.05, momentum=0.9, mode="pb", lr_schedule=sched
-        ).train(X, Y)
-        proc = ProcessPipelineRunner(
-            m2, lr=0.05, momentum=0.9, mode="pb", lr_schedule=sched,
-            lockstep=True, stall_timeout=STALL,
-        ).train(X, Y)
+        sim_engine = PipelineExecutor(
+            m1, lr=0.05, momentum=0.9, mode=mode, lr_schedule=sched, **kw
+        )
+        sim = sim_engine.train(X, Y)
+        runner = ProcessPipelineRunner(
+            m2, lr=0.05, momentum=0.9, mode=mode, lr_schedule=sched,
+            lockstep=True, stall_timeout=STALL, jitter=0.002,
+            jitter_seed=jitter_seed, **kw,
+        )
+        proc = runner.train(X, Y)
         assert _hex_losses(sim) == _hex_losses(proc)
         assert _weight_fingerprint(m1) == _weight_fingerprint(m2)
+        # the final LR returns with the shipped state
+        assert [st.lr for st in sim_engine.stages] == [
+            st.lr for st in runner.stages
+        ]
 
 
 class TestGoldenRePin:
@@ -386,6 +402,11 @@ class TestFailureAndEdgeCases:
             runner.train(X, Y)
         assert exc_info.value.stage_index == m.num_stages - 1
         # workers and shared memory are gone: a fresh run still works
+        assert runner._procs == [] and runner._rings == []
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("pipeline-stage-", "infer-stage-"))
+        ]
         m_ok = small_cnn(seed=2)
         ok = ProcessPipelineRunner(
             m_ok, lr=0.01, mode="pb", lockstep=lockstep, stall_timeout=STALL

@@ -43,6 +43,20 @@ SCHEDULES = [
 ]
 
 
+def _lr_decay(done: int) -> float:
+    return 0.05 / (1 + 0.1 * done)
+
+
+#: an LR tick between time steps: a thread-hosted worker shares
+#: ``stage.lr`` with the parent, so the change must reach it in step
+#: order (riding the step message) — never be applied parent-side while
+#: workers are still on an earlier tick
+LR_SCHEDULES = [
+    ("pb", dict(lr_schedule=_lr_decay)),
+    ("gpipe", dict(update_size=4, micro_batch_size=2, lr_schedule=_lr_decay)),
+]
+
+
 def _stream(n: int, seed: int = 7):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 3, 8, 8)), rng.integers(0, 4, size=n)
@@ -51,7 +65,7 @@ def _stream(n: int, seed: int = 7):
 def _pipeline_threads() -> list[str]:
     return [
         t.name for t in threading.enumerate()
-        if t.name.startswith("pipeline-stage-")
+        if t.name.startswith(("pipeline-stage-", "infer-stage-"))
     ]
 
 
@@ -60,7 +74,7 @@ class TestJitteredInterleavings:
     worker runs, never what it computes."""
 
     @pytest.mark.parametrize("jitter_seed", [1, 2, 3])
-    @pytest.mark.parametrize("mode,kw", SCHEDULES)
+    @pytest.mark.parametrize("mode,kw", SCHEDULES + LR_SCHEDULES)
     def test_lockstep_bit_exact_under_jitter(self, mode, kw, jitter_seed):
         X, Y = _stream(12)
         m_sim = small_cnn(num_classes=4, widths=(4,), seed=11)
@@ -181,6 +195,7 @@ class TestShutdown:
         assert err.value.stage_index == 1
         assert isinstance(err.value.cause, ValueError)
         assert not _pipeline_threads()
+        assert runner._procs == [] and runner._rings == []
 
     @pytest.mark.parametrize("lockstep", [True, False])
     def test_exception_on_first_packet(self, lockstep):

@@ -13,6 +13,8 @@ checkpoint restore, and the engine-level ``infer()`` surface.
 
 from __future__ import annotations
 
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.models.simple import small_cnn
 from repro.pipeline import (
     ConcurrentPipelineRunner,
     InferenceSchedule,
+    InferenceStreamError,
     PipelineExecutor,
     ProcessPipelineRunner,
     make_schedule,
@@ -78,6 +81,60 @@ class TestServingParity:
         for c in stats.stage_counters[:-1]:
             assert c.forward_ops == packets
             assert c.forward_samples == 19
+
+    def test_close_collects_every_counter_every_time(self):
+        """``close()`` sends finalize and then sets the abort flag; a
+        worker that sees the flag first must still answer the finalize
+        sent before it (a lost reply showed up as ``forward_ops == 0``
+        about every other run)."""
+        session = InferenceSession(
+            _trained_model(), runtime="process", micro_batch=3,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        X = _requests(19)
+        for run in range(30):
+            stats = session.infer(X)
+            ops = [c.forward_ops for c in stats.stage_counters[:-1]]
+            assert ops == [7] * (session.num_stages - 1), f"run {run}: {ops}"
+
+    def test_threaded_worker_death_surfaces_and_closes_cleanly(self):
+        """A stage raising on its third packet turns into an
+        InferenceStreamError at the stream's ends, and the stream still
+        closes: no worker thread left, eval mode handed back."""
+        model = _trained_model()
+        model.train(True)
+        session = InferenceSession(
+            model, runtime="threaded", micro_batch=2, sample_shape=SHAPE
+        )
+        stage = session.stages[1]
+        original, calls = stage.forward, {"n": 0}
+
+        def flaky_forward(pid, payload, train=True):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise ValueError("injected stage failure")
+            return original(pid, payload, train)
+
+        stage.forward = flaky_forward
+        stream = session.open_stream()
+        X = _requests(2)
+        deadline = time.monotonic() + 30.0
+        with pytest.raises(InferenceStreamError, match="stage 1"):
+            pid = 0
+            while time.monotonic() < deadline:
+                pid += stream.submit(pid, pid, X)
+                stream.poll()
+        # the failure is sticky: both ends keep raising it
+        with pytest.raises(InferenceStreamError):
+            stream.submit(99, 99, X)
+        with pytest.raises(InferenceStreamError):
+            stream.poll()
+        stream.close()
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("infer-stage-")
+        ]
+        assert model.training is True
 
     def test_all_backends_agree_bitwise(self):
         model = _trained_model()

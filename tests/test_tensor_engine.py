@@ -1,6 +1,9 @@
 """Graph-mechanics tests: accumulation, no_grad, lazy weight reads,
 multi-root backward."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,41 @@ class TestGraphMechanics:
         except ValueError:
             pass
         assert grad_enabled()
+
+    def test_no_grad_is_thread_local(self):
+        """Grad mode is per thread: with a process-global flag, two
+        threads interleaving ``no_grad`` enter/exit pairs restore each
+        other's saved value and leave the flag stuck ``False`` for
+        everyone (the multi-core tier-1 failure this pins)."""
+        threads_n, blocks = 8, 2000
+        barrier = threading.Barrier(threads_n)
+        violations = []
+
+        def hammer():
+            bad = 0
+            barrier.wait()
+            for _ in range(blocks):
+                with no_grad():
+                    bad += grad_enabled()
+                bad += not grad_enabled()
+            violations.append(bad)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer) for _ in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert violations == [0] * threads_n
+        assert grad_enabled()
+        assert (Tensor([1.0], requires_grad=True) * 2).requires_grad
 
     def test_deep_chain_no_recursion_error(self, rng):
         a = Tensor(rng.normal(size=(2,)), requires_grad=True)
