@@ -122,7 +122,7 @@ def test_replica_scaling(benchmark, store):
             "speedup_vs_1": base_s / wall_s,
             "losses_equal_r1": losses_equal,
             "mean_loss": float(stats.mean_loss),
-            "mean_busy_fraction": stats.runtime.mean_busy_fraction,
+            "mean_busy_fraction": stats.mean_busy_fraction,
         }
         scaling.append(row)
         print(

@@ -92,8 +92,7 @@ def _speedup_case(name: str, build_model, n: int, shape: tuple, mode: str,
     proc_free_s, proc_stats = _best_wall_seconds(
         build_model, n, shape, mode, "process", False, repeats, **kw
     )
-    thr_rt = thr_stats.runtime
-    proc_rt = proc_stats.runtime
+    thr_rt, proc_rt = thr_stats, proc_stats
     return {
         "case": name,
         "num_stages": thr_rt.num_stages,
@@ -118,7 +117,7 @@ def _speedup_case(name: str, build_model, n: int, shape: tuple, mode: str,
         # control-plane cost of the lockstep process run: the batched
         # step protocol's pipe traffic vs the modeled 2 msgs/worker/tick
         # (1 command + 1 ack) of a per-tick round-trip protocol
-        "control": proc_lock_stats.runtime.control,
+        "control": proc_lock_stats.control,
     }
 
 

@@ -65,10 +65,6 @@ def _headline(name: str, p: dict[str, Any]) -> str:
                     f"{last.get('replicas', '?')} replicas: "
                     f"{_fmt(float(last.get('speedup_vs_1', 0)))}x vs 1"
                 )
-        if name == "BENCH_partition":
-            acc = p.get("acceptance")
-            if acc is not None:
-                return f"acceptance: {acc}"
         if name == "BENCH_serving":
             rows = p.get("rows") or []
             if rows:

@@ -7,7 +7,7 @@ Walks the :mod:`repro.precision` subsystem through one small workload:
 2. the same run in **float32** on the process runtime — float32 BLAS
    kernels, every shared-memory ring slot half the bytes, loss curve
    inside the policy tolerance, control-plane pipe traffic printed
-   from ``RuntimeStats.control``;
+   from the run record's ``control``;
 3. the same run in **bf16** (bf16-storage/fp32-compute emulation) with
    a :class:`~repro.precision.LossScaler` on a standalone ``SGDM`` to
    show the bit-neutral overflow skip;
@@ -58,7 +58,7 @@ policy = resolve_precision("float32")
 dev = np.max(np.abs(np.asarray(got.losses) - np.asarray(ref.losses)))
 assert np.allclose(got.losses, ref.losses,
                    rtol=policy.loss_rtol, atol=policy.loss_atol)
-control = got.runtime.control
+control = got.control
 print(f"float32 process:  mean loss {got.mean_loss:.6f} "
       f"(max dev {dev:.2e}, tolerance rtol={policy.loss_rtol})")
 print(f"  control plane:  {control['msgs_per_step']:.2f} pipe msgs/step "

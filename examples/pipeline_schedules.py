@@ -178,13 +178,12 @@ def threaded_runtime() -> None:
         free_model, lr=0.02, momentum=0.9, mode="pb", lockstep=False
     )
     stats = runner.train(X, Y)
-    rt = stats.runtime
     print(
-        f"free-running (pb, {n} samples): wall {rt.wall_seconds*1e3:.1f} ms,"
+        f"free-running (pb, {n} samples): wall {stats.wall_seconds*1e3:.1f} ms,"
         f" measured per-stage busy fractions below (modeled utilization"
         f" {stats.utilization:.3f}):"
     )
-    print(format_table(rt.summary_rows()))
+    print(format_table(stats.summary_rows()))
 
     # the process backend: same contract, stages in separate processes,
     # packets through shared-memory rings (zero-copy, no pickling).  The
@@ -202,7 +201,7 @@ def threaded_runtime() -> None:
     print(
         "process backend, lockstep vs simulator (pb): losses "
         f"bit-identical = {bool(np.array_equal(sim.losses, proc.losses))}"
-        f" (backend={proc.runtime.backend})"
+        f" (backend={proc.backend})"
     )
     print(
         "\nDeterminism caveats: free-running pb/1f1b losses and weights\n"

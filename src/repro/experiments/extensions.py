@@ -377,7 +377,7 @@ def runtime_comparison(
             )
             t0 = _time.perf_counter()
             stats = runner.train(xs, ys)
-            return _time.perf_counter() - t0, stats, runner
+            return _time.perf_counter() - t0, stats
 
         model, sched, hp = build()
         t0 = _time.perf_counter()
@@ -387,12 +387,10 @@ def runtime_comparison(
         ).train(xs, ys)
         sim_s = _time.perf_counter() - t0
 
-        lock_s, lock_stats, _ = timed(ConcurrentPipelineRunner, True)
-        free_s, _, free_runner = timed(ConcurrentPipelineRunner, False)
-        free_rt = free_runner.last_runtime_stats
-        plock_s, plock_stats, _ = timed(ProcessPipelineRunner, True)
-        pfree_s, _, pfree_runner = timed(ProcessPipelineRunner, False)
-        pfree_rt = pfree_runner.last_runtime_stats
+        lock_s, lock_stats = timed(ConcurrentPipelineRunner, True)
+        free_s, free_rt = timed(ConcurrentPipelineRunner, False)
+        plock_s, plock_stats = timed(ProcessPipelineRunner, True)
+        pfree_s, pfree_rt = timed(ProcessPipelineRunner, False)
 
         rows.append(
             {
@@ -981,7 +979,7 @@ def hybrid_parallelism(
             "global_update": global_update,
             "replicated_s": round(rep_s, 4),
             "mean_busy_frac": round(
-                rep_stats.runtime.mean_busy_fraction, 4
+                rep_stats.mean_busy_fraction, 4
             ),
         }
         if synchronous:

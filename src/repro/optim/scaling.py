@@ -51,12 +51,24 @@ def scale_for_batch_size(
     batch_ref: int,
     batch_new: int,
 ) -> tuple[float, float]:
-    """Eq. 9: scale ``(lr, momentum)`` from ``batch_ref`` to ``batch_new``."""
+    """Eq. 9: scale ``(lr, momentum)`` from ``batch_ref`` to ``batch_new``.
+
+    Raises ``ValueError`` when a positive ``momentum_ref`` scales to a
+    momentum that is exactly 0.0 in floating point.
+    """
     if not 0.0 <= momentum_ref < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum_ref}")
     if batch_ref <= 0 or batch_new <= 0:
         raise ValueError("batch sizes must be positive")
     m = momentum_ref ** (batch_new / batch_ref)
+    if momentum_ref > 0.0 and m == 0.0:
+        # e.g. 0.03125 ** 215 == 2 ** -1075: the half-life eq. 9 keeps
+        # constant is undefined at momentum 0, so no clamp is right
+        raise ValueError(
+            "eq. 9 underflows the scaled momentum to exactly 0.0 for "
+            f"(momentum_ref, batch_ref, batch_new) = ({momentum_ref}, "
+            f"{batch_ref}, {batch_new})"
+        )
     lr = (1.0 - m) * batch_new / ((1.0 - momentum_ref) * batch_ref) * lr_ref
     return lr, m
 

@@ -56,9 +56,12 @@ from repro.pipeline.schedule import (
     OneFOneBSchedule,
     make_schedule,
 )
-from repro.pipeline.executor import PipelineExecutor, PipelineRunStats
+from repro.pipeline.executor import (
+    PipelineExecutor,
+    PipelineRunStats,
+    StageCounters,
+)
 from repro.pipeline.inference import (
-    InferenceRunStats,
     InferenceStreamError,
     PipelineInferenceStream,
     SimInferenceStream,
@@ -83,10 +86,8 @@ from repro.pipeline.runtime import (
     PipelineRuntimeError,
     ProcessPipelineRunner,
     ReplicatedPipelineRunner,
-    RuntimeStats,
     make_pipeline_engine,
 )
-from repro.pipeline.worker import StageCounters
 from repro.pipeline.transport import (
     ArraySpec,
     RingDescriptor,
@@ -140,7 +141,6 @@ __all__ = [
     "make_schedule",
     "PipelineExecutor",
     "PipelineRunStats",
-    "InferenceRunStats",
     "InferenceStreamError",
     "PipelineInferenceStream",
     "SimInferenceStream",
@@ -161,7 +161,6 @@ __all__ = [
     "PipelineRuntimeError",
     "ProcessPipelineRunner",
     "ReplicatedPipelineRunner",
-    "RuntimeStats",
     "StageCounters",
     "make_pipeline_engine",
     "ArraySpec",

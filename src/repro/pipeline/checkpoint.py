@@ -3,10 +3,10 @@
 Long pipelined-backprop runs on real hardware die — machines reboot, jobs
 get preempted, workers OOM.  PipeDream-style systems (Harlap et al. 2018)
 treat per-stage state capture as a first-class concern for exactly this
-reason; this module is that concern for all three pipeline engines
-(:class:`~repro.pipeline.executor.PipelineExecutor`,
-:class:`~repro.pipeline.runtime.ConcurrentPipelineRunner`,
-:class:`~repro.pipeline.runtime.ProcessPipelineRunner`).
+reason; this module is that concern for every pipeline engine — each
+is a :class:`~repro.pipeline.executor.PipelineExecutor` (the simulator
+itself, or a :mod:`~repro.pipeline.runtime` runner subclassing it), so
+``state_dict`` / ``load_state_dict`` are one implementation.
 
 What a checkpoint holds
 -----------------------

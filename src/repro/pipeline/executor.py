@@ -101,37 +101,115 @@ class _Packet:
     payload: list[np.ndarray]  # (B, ...) arrays: main + skip stack
 
 
+#: Seconds any single wait may block before a run is declared stalled.
+#: Generous for real work, small enough that a deadlocked test fails
+#: loudly instead of hanging CI.
+DEFAULT_STALL_TIMEOUT = 60.0
+
+
 @dataclass
-class PipelineRunStats:
-    """Outcome of one executor run.
+class StageCounters:
+    """Per-stage activity of one run (or one inference stream's
+    lifetime): counted by the simulator's sweeps, or measured by the
+    stage's own worker and collected at drain time."""
 
-    ``forward_ops``/``backward_ops`` count *slot* occupancy (one packet
-    transformation each); ``forward_samples``/``backward_samples`` count
-    sample transformations, so a micro-batched op of ``B`` samples adds
-    ``1`` to the former and ``B`` to the latter.
-    """
-
-    losses: np.ndarray
-    time_steps: int
-    forward_ops: int
-    backward_ops: int
-    num_stages: int
-    samples: int
-    updates_per_stage: list[int] = field(default_factory=list)
+    index: int
+    forward_ops: int = 0
+    backward_ops: int = 0
     forward_samples: int = 0
     backward_samples: int = 0
-    micro_batch: int = 1
+    busy_seconds: float = 0.0
+
+    @property
+    def busy_steps(self) -> int:
+        """Slot occupancy: one per packet transformation, the measured
+        counterpart of one non-idle cell in an occupancy grid row."""
+        return self.forward_ops + self.backward_ops
+
+
+@dataclass
+class PipelineRunStats:
+    """The one record of a pipeline run — any engine, any host,
+    training (``losses``) or forward-only (``outputs``).
+
+    Its data is one :class:`StageCounters` per stage plus the run's
+    span: everything else is derived.  ``stages[s].forward_ops`` /
+    ``backward_ops`` count *slot* occupancy (one packet transformation
+    each) and equal row ``s`` of the schedule's occupancy grid
+    (:mod:`repro.pipeline.occupancy`); ``forward_samples`` /
+    ``backward_samples`` count sample transformations, so a
+    micro-batched op of ``B`` samples adds ``1`` to the former and ``B``
+    to the latter.  ``time_steps`` is the simulated (sim, lockstep) or
+    modeled (free-running, forward-only: ``Schedule.drain_span``) span
+    that utilization — the paper's eq. 1 — is judged against.
+
+    ``backend`` names the host that ran the stages (``"sim"``,
+    ``"threaded"`` or ``"process"``) and ``mode`` how they were clocked
+    (``"lockstep"`` or ``"free_running"``).  A worker host also measures:
+    ``wall_seconds`` spans first injection to last completion and each
+    stage's ``busy_seconds`` sums its time inside forward/backward
+    transformations, so :meth:`idle_seconds` is measured (not modeled)
+    pipeline bubble time.  The simulator leaves both at zero.
+    """
+
+    stages: list[StageCounters]
+    time_steps: int
     schedule: str = "pb"
-    #: Measured wall-clock stats when the run came from the threaded
-    #: :class:`~repro.pipeline.runtime.ConcurrentPipelineRunner`
-    #: (a :class:`~repro.pipeline.runtime.RuntimeStats`); ``None`` for
-    #: discrete-time simulator runs.
-    runtime: object | None = None
-    #: Data-parallel pipeline replicas that produced this record (the
-    #: replicated runner merges per-replica records with
-    #: :meth:`merge_replicas`); scales the worker-step capacity so
-    #: utilization stays sample-accurate under replication.
+    micro_batch: int = 1
+    #: per-sample training losses, in stream order (``None`` for a
+    #: forward-only run)
+    losses: np.ndarray | None = None
+    #: the last compute stage's logits, one row per input sample in
+    #: input order (``None`` for a training run)
+    outputs: np.ndarray | None = None
+    updates_per_stage: list[int] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    backend: str = "sim"
+    mode: str = "lockstep"
+    #: Data-parallel pipeline replicas this record aggregates
+    #: (:meth:`merge_replicas`).  The replicas ran concurrently over one
+    #: window, so every capacity — worker steps, per-stage wall budget —
+    #: scales by it; without the factor R perfectly busy replicas would
+    #: report R× utilization.
     replicas: int = 1
+    #: control-plane traffic of a lockstep worker-hosted run: control
+    #: messages actually sent/received per time step under the batched
+    #: step protocol, next to the ``2 * num_stages`` an unbatched
+    #: protocol would use.  ``None`` otherwise.
+    control: dict | None = None
+
+    @property
+    def runtime(self) -> "PipelineRunStats | None":
+        """Read-only compatibility member for ``benchmarks/perf``
+        (frozen for the PR that folded ``RuntimeStats`` into this
+        record): ``None`` for a simulator run, else the record itself.
+        The next ``[benchmark]`` PR removes it."""
+        return None if self.backend == "sim" else self
+
+    @property
+    def num_stages(self) -> int:
+        return len(self.stages)
+
+    @property
+    def samples(self) -> int:
+        data = self.outputs if self.losses is None else self.losses
+        return int(data.shape[0])
+
+    @property
+    def forward_ops(self) -> int:
+        return sum(st.forward_ops for st in self.stages)
+
+    @property
+    def backward_ops(self) -> int:
+        return sum(st.backward_ops for st in self.stages)
+
+    @property
+    def forward_samples(self) -> int:
+        return sum(st.forward_samples for st in self.stages)
+
+    @property
+    def backward_samples(self) -> int:
+        return sum(st.backward_samples for st in self.stages)
 
     @property
     def utilization(self) -> float:
@@ -150,32 +228,76 @@ class PipelineRunStats:
         """
         if self.time_steps <= 0:
             return 0.0
-        width = max(self.micro_batch, 1)
         capacity = (
-            2.0 * self.num_stages * self.time_steps * width
-            * max(self.replicas, 1)
+            2.0 * self.num_stages * self.time_steps
+            * max(self.micro_batch, 1) * max(self.replicas, 1)
         )
-        work = self.forward_samples + self.backward_samples
-        if self.forward_ops + self.backward_ops > 0 and work == 0:
-            # legacy construction with op counts but no sample counts
-            work = self.forward_ops + self.backward_ops
-        return work / capacity
+        return (self.forward_samples + self.backward_samples) / capacity
+
+    @property
+    def busy_seconds(self) -> float:
+        return sum(st.busy_seconds for st in self.stages)
+
+    def busy_fraction(self, stage_index: int) -> float:
+        if self.wall_seconds <= 0.0:
+            return 0.0
+        wall = self.wall_seconds * max(self.replicas, 1)
+        return self.stages[stage_index].busy_seconds / wall
+
+    def idle_seconds(self, stage_index: int) -> float:
+        wall = self.wall_seconds * max(self.replicas, 1)
+        return max(0.0, wall - self.stages[stage_index].busy_seconds)
+
+    @property
+    def mean_busy_fraction(self) -> float:
+        if not self.stages:
+            return 0.0
+        return sum(
+            self.busy_fraction(s) for s in range(self.num_stages)
+        ) / self.num_stages
+
+    def summary_rows(self) -> list[dict]:
+        """One row per stage, ready for ``format_table``."""
+        return [
+            {
+                "stage": st.index,
+                "fwd_ops": st.forward_ops,
+                "bwd_ops": st.backward_ops,
+                "busy_s": round(st.busy_seconds, 6),
+                "busy_frac": round(self.busy_fraction(s), 4),
+            }
+            for s, st in enumerate(self.stages)
+        ]
+
+    @property
+    def throughput(self) -> float:
+        """Samples per wall-clock second (NaN for an unmeasured run)."""
+        if self.wall_seconds <= 0.0:
+            return float("nan")
+        return self.samples / self.wall_seconds
+
+    @property
+    def mean_loss(self) -> float:
+        """Mean per-sample loss; NaN (not a crash, not 0.0) for the
+        empty stream, so downstream aggregation can't mistake a run
+        that never saw data for a perfectly-converged one."""
+        return float(self.losses.mean()) if self.losses.size else float("nan")
 
     @staticmethod
     def merge_replicas(
         parts: Sequence["PipelineRunStats"],
         losses: np.ndarray,
         updates_per_stage: list[int] | None = None,
-        runtime: object | None = None,
     ) -> "PipelineRunStats":
         """Merge per-replica run records into one sample-accurate record.
 
         ``losses`` is the already-scattered global loss array (per-replica
-        losses mapped back to their global stream positions).  Work
-        counters are summed across replicas; ``time_steps`` is the *max*
-        (replicas run concurrently, so wall capacity is one replica's
-        steps times ``R`` workers — never the sum, which would
-        double-count capacity and deflate utilization).
+        losses mapped back to their global stream positions).  The
+        replicas ran concurrently over one window, so per-stage work
+        (ops, samples, busy seconds) is summed while ``time_steps`` and
+        ``wall_seconds`` are the *max* — never the sum, which would
+        double-count capacity and deflate utilization — and ``replicas``
+        accumulates so every capacity scales by ``R``.
         """
         if not parts:
             raise ValueError("merge_replicas needs at least one record")
@@ -192,32 +314,33 @@ class PipelineRunStats:
                     f"{first.schedule}/{first.num_stages}/"
                     f"{first.micro_batch})"
                 )
+        stages = []
+        for s in range(first.num_stages):
+            merged = StageCounters(index=s)
+            for p in parts:
+                st = p.stages[s]
+                merged.forward_ops += st.forward_ops
+                merged.backward_ops += st.backward_ops
+                merged.forward_samples += st.forward_samples
+                merged.backward_samples += st.backward_samples
+                merged.busy_seconds += st.busy_seconds
+            stages.append(merged)
         return PipelineRunStats(
-            losses=losses,
+            stages=stages,
             time_steps=max(p.time_steps for p in parts),
-            forward_ops=sum(p.forward_ops for p in parts),
-            backward_ops=sum(p.backward_ops for p in parts),
-            num_stages=first.num_stages,
-            samples=int(losses.shape[0]),
-            updates_per_stage=(
-                list(updates_per_stage)
-                if updates_per_stage is not None
-                else list(first.updates_per_stage)
-            ),
-            forward_samples=sum(p.forward_samples for p in parts),
-            backward_samples=sum(p.backward_samples for p in parts),
-            micro_batch=first.micro_batch,
             schedule=first.schedule,
-            runtime=runtime,
+            micro_batch=first.micro_batch,
+            losses=losses,
+            updates_per_stage=list(
+                first.updates_per_stage
+                if updates_per_stage is None
+                else updates_per_stage
+            ),
+            wall_seconds=max(p.wall_seconds for p in parts),
+            backend=first.backend,
+            mode=first.mode,
             replicas=sum(max(p.replicas, 1) for p in parts),
         )
-
-    @property
-    def mean_loss(self) -> float:
-        """Mean per-sample loss; NaN (not a crash, not 0.0) for the
-        empty stream, so downstream aggregation can't mistake a run
-        that never saw data for a perfectly-converged one."""
-        return float(self.losses.mean()) if self.losses.size else float("nan")
 
 
 class PipelineExecutor:
@@ -227,7 +350,22 @@ class PipelineExecutor:
     The schedule may be named via ``mode`` (with ``update_size`` /
     ``micro_batch_size`` forwarded to :func:`make_schedule`) or passed
     ready-made via ``schedule`` (which then wins).
+
+    This class is the engine surface of every runtime: the worker-hosted
+    engines of :mod:`repro.pipeline.runtime` subclass it and override
+    only how a validated batch is run (:meth:`_run`) and the attributes
+    below, which the run record and :meth:`infer` key on.
     """
+
+    #: the host that runs the stages: ``"sim"`` is this class's own loop
+    _backend = "sim"
+    #: the simulator is the tick-by-tick reference by construction
+    lockstep = True
+    stall_timeout = DEFAULT_STALL_TIMEOUT
+    #: process-host settings (``None`` where stages are never rebuilt)
+    model_factory: Callable[[], StageGraphModel] | None = None
+    start_method: str | None = None
+    replicas = 1
 
     def __init__(
         self,
@@ -285,10 +423,16 @@ class PipelineExecutor:
             st.record_versions = record_versions
             st.always_stash = schedule.stash_weights
         self.samples_completed = 0
+        #: the record the latest ``train()`` call returned
+        self.last_runtime_stats: PipelineRunStats | None = None
 
     @property
     def num_stages(self) -> int:
         return len(self.stages)
+
+    @property
+    def runtime_mode(self) -> str:
+        return "lockstep" if self.lockstep else "free_running"
 
     def set_lr(self, lr: float) -> None:
         for st in self.stages:
@@ -389,9 +533,26 @@ class PipelineExecutor:
         Y = np.asarray(Y)
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y length mismatch")
-        stats = self._run(X, Y)
-        check_stages_drained(self.stages)
+        stats = self.last_runtime_stats = self._run(X, Y)
         return stats
+
+    def _record(
+        self, stages: list[StageCounters], time_steps: int,
+        losses: np.ndarray, **measured,
+    ) -> PipelineRunStats:
+        """The record of a training run on this engine."""
+        return PipelineRunStats(
+            stages=stages,
+            time_steps=time_steps,
+            schedule=self.schedule.name,
+            micro_batch=self.schedule.micro_batch,
+            losses=losses,
+            updates_per_stage=[st.updates_applied for st in self.stages],
+            backend=self._backend,
+            mode=self.runtime_mode,
+            replicas=self.replicas,
+            **measured,
+        )
 
     # -- inference -----------------------------------------------------------
 
@@ -399,49 +560,48 @@ class PipelineExecutor:
         self,
         X: np.ndarray,
         micro_batch_size: int = 1,
-        schedule=None,
+        schedule: Schedule | None = None,
         stall_timeout: float | None = None,
-    ):
+    ) -> PipelineRunStats:
         """Forward-only inference over the pipeline (serving mode).
 
         Drives an :class:`~repro.pipeline.schedule.InferenceSchedule`
         (or any ``forward_only`` schedule passed via ``schedule``)
-        through the same stages ``train`` uses, with modules held in
-        eval mode and no autodiff graph — see
-        :mod:`repro.pipeline.inference`.  Returns an
-        :class:`~repro.pipeline.inference.InferenceRunStats` whose
-        ``outputs`` are the last compute stage's logits, in input
-        order, bit-exact across all three runtime backends for the
-        same packet decomposition.
+        through the same stages ``train`` uses, on this engine's own
+        host, with modules held in eval mode and no autodiff graph — see
+        :mod:`repro.pipeline.inference`.  The record's ``outputs`` are
+        the last compute stage's logits, in input order, bit-exact
+        across all three backends for the same packet decomposition: no
+        updates means no staleness, so worker timing cannot change a
+        single bit.
         """
-        from repro.pipeline.inference import (
-            DEFAULT_INFER_TIMEOUT,
-            infer_batch,
-        )
+        from repro.pipeline.inference import infer_batch
 
         return infer_batch(
             self.stages,
             self.precision.cast_array(X),
             schedule=schedule,
             micro_batch_size=micro_batch_size,
-            backend="sim",
+            backend=self._backend,
             stall_timeout=(
-                DEFAULT_INFER_TIMEOUT if stall_timeout is None
+                self.stall_timeout if stall_timeout is None
                 else stall_timeout
             ),
+            model_factory=self.model_factory,
+            start_method=self.start_method,
         )
 
     def _run(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
+        """Run one validated batch: here, the discrete-time loop."""
         n = X.shape[0]
         S = self.num_stages
         sched = self.schedule
         state = ScheduleState(num_samples=n)
         sched.reset(n)
         losses = np.zeros(n)
+        counters = [StageCounters(s) for s in range(S)]
         fwd_in: dict[int, _Packet] = {}
         bwd_in: dict[int, _Packet] = {}
-        f_ops = b_ops = 0
-        f_samples = b_samples = 0
 
         while state.next_sample < n or fwd_in or bwd_in:
             # inject one new packet if the first stage is free this step
@@ -472,8 +632,8 @@ class PipelineExecutor:
                         pkt.size,
                         stage.forward(pkt.pid, pkt.payload),
                     )
-                f_ops += 1
-                f_samples += pkt.size
+                counters[s].forward_ops += 1
+                counters[s].forward_samples += pkt.size
 
             # backward sweep
             new_bwd: dict[int, _Packet] = {}
@@ -485,8 +645,8 @@ class PipelineExecutor:
                 upstream = stage.backward(pkt.pid, pkt.payload)
                 if sched.update_after_backward(s):
                     stage.apply_update()
-                b_ops += 1
-                b_samples += pkt.size
+                counters[s].backward_ops += 1
+                counters[s].backward_samples += pkt.size
                 if s > 0:
                     new_bwd[s - 1] = _Packet(pkt.pid, pkt.start, pkt.size, upstream)
                 else:
@@ -503,16 +663,5 @@ class PipelineExecutor:
             if self.lr_schedule is not None:
                 self.set_lr(self.lr_schedule(self.samples_completed))
 
-        return PipelineRunStats(
-            losses=losses,
-            time_steps=state.step,
-            forward_ops=f_ops,
-            backward_ops=b_ops,
-            num_stages=S,
-            samples=n,
-            updates_per_stage=[st.updates_applied for st in self.stages],
-            forward_samples=f_samples,
-            backward_samples=b_samples,
-            micro_batch=sched.micro_batch,
-            schedule=sched.name,
-        )
+        check_stages_drained(self.stages)
+        return self._record(counters, state.step, losses)

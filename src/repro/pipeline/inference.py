@@ -1,4 +1,4 @@
-"""Forward-only pipelined inference: streams, driver, and run stats.
+"""Forward-only pipelined inference: streams and their batch driver.
 
 Training taught this repo to run a pipeline on three hosts (discrete-time
 simulator, thread-per-stage, process-per-stage over shared-memory
@@ -28,7 +28,9 @@ explicit backpressure: ``False`` means "pipeline full, try later"),
 so :func:`run_inference` can drive either through an
 :class:`~repro.pipeline.schedule.InferenceSchedule` unchanged, and the
 serving front-end (:mod:`repro.serve.server`) can keep one stream open
-across requests.
+across requests.  A driven batch returns the engines' one run record
+(:class:`~repro.pipeline.executor.PipelineRunStats`, described there)
+with ``outputs`` in place of ``losses``.
 
 Determinism contract
 --------------------
@@ -54,21 +56,21 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.pipeline.executor import (
+    DEFAULT_STALL_TIMEOUT,
+    PipelineRunStats,
+    StageCounters,
+)
 from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
 from repro.pipeline.stage import PipelineStage
-from repro.pipeline.worker import (
-    PipelineRuntimeError,
-    StageCounters,
-    WorkerGroup,
-)
+from repro.pipeline.worker import PipelineRuntimeError, WorkerGroup
 
 #: Default ceiling for any single wait inside a stream or driver.
-DEFAULT_INFER_TIMEOUT = 60.0
+DEFAULT_INFER_TIMEOUT = DEFAULT_STALL_TIMEOUT
 #: Default maximum packets in flight inside one stream (backpressure
 #: threshold: the slot count of every channel of a worker stream).
 DEFAULT_STREAM_CAPACITY = 8
@@ -76,36 +78,6 @@ DEFAULT_STREAM_CAPACITY = 8
 
 class InferenceStreamError(RuntimeError):
     """A stream worker died or the stream was misused."""
-
-
-@dataclass
-class InferenceRunStats:
-    """Outcome of one forward-only run (``engine.infer`` /
-    ``InferenceSession.infer``).
-
-    ``outputs`` holds one logits row per input sample, in input order;
-    ``time_steps`` is the modeled pipeline span (``P + S - 1`` for ``P``
-    packets — forward-only pays half of training's fill cost).
-    """
-
-    outputs: np.ndarray
-    time_steps: int
-    forward_ops: int
-    forward_samples: int
-    num_stages: int
-    samples: int
-    micro_batch: int = 1
-    schedule: str = "infer"
-    backend: str = "sim"
-    wall_seconds: float = 0.0
-    stage_counters: list = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        """Samples per wall-clock second (NaN for an unmeasured run)."""
-        if self.wall_seconds <= 0.0:
-            return float("nan")
-        return self.samples / self.wall_seconds
 
 
 @contextmanager
@@ -382,7 +354,7 @@ def run_inference(
     X: np.ndarray,
     num_stages: int,
     stall_timeout: float = DEFAULT_INFER_TIMEOUT,
-) -> InferenceRunStats:
+) -> PipelineRunStats:
     """Drive one batch of samples through an open inference stream.
 
     The :class:`~repro.pipeline.schedule.Schedule` protocol decides
@@ -391,6 +363,11 @@ def run_inference(
     the way ring/in-flight caps gate the training runtimes.  Outputs are
     assembled in input order, with dropped or duplicated packets turned
     into loud errors — the serving correctness contract starts here.
+
+    The record's ``stages`` are the stream's counters as of now: a
+    worker stream only learns its workers' counts at ``close()``.
+    ``num_stages`` predates the record carrying its stage list and is
+    kept for its callers; it equals ``len(stream.counters)``.
     """
     if not getattr(schedule, "forward_only", False):
         raise ValueError(
@@ -404,8 +381,6 @@ def run_inference(
     outputs: np.ndarray | None = None
     received = np.zeros(n, dtype=bool)
     completed = 0
-    f_ops = 0
-    f_samples = 0
     t0 = time.perf_counter()
     last_progress = time.monotonic()
     while completed < n:
@@ -431,8 +406,6 @@ def run_inference(
             received[start : start + size] = True
             outputs[start : start + size] = logits
             completed += size
-            f_ops += 1
-            f_samples += size
             progressed = True
         now = time.monotonic()
         if progressed:
@@ -444,21 +417,34 @@ def run_inference(
             )
         elif completed < n:
             time.sleep(1e-5)
-    wall = time.perf_counter() - t0
-    if outputs is None:
-        outputs = np.zeros((0,))
-    return InferenceRunStats(
-        outputs=outputs,
-        time_steps=schedule.drain_span(n, num_stages),
-        forward_ops=f_ops,
-        forward_samples=f_samples,
-        num_stages=num_stages,
-        samples=n,
-        micro_batch=schedule.micro_batch,
+    return _record(
+        schedule,
+        stream.counters,
+        np.zeros(0) if outputs is None else outputs,
+        stream.backend,
+        time.perf_counter() - t0,
+    )
+
+
+def _record(
+    schedule: Schedule,
+    counters: Sequence[StageCounters],
+    outputs: np.ndarray,
+    backend: str,
+    wall_seconds: float = 0.0,
+) -> PipelineRunStats:
+    """The record of a forward-only run: ``time_steps`` is the modeled
+    span (``P + S - 1`` for ``P`` packets — forward-only pays half of
+    training's fill cost)."""
+    return PipelineRunStats(
+        stages=list(counters),
+        time_steps=schedule.drain_span(outputs.shape[0], len(counters)),
         schedule=schedule.name,
-        backend=getattr(stream, "backend", "?"),
-        wall_seconds=wall,
-        stage_counters=list(getattr(stream, "counters", [])),
+        micro_batch=schedule.micro_batch,
+        outputs=outputs,
+        wall_seconds=wall_seconds,
+        backend=backend,
+        mode="free_running",
     )
 
 
@@ -470,11 +456,11 @@ def infer_batch(
     backend: str = "sim",
     stall_timeout: float = DEFAULT_INFER_TIMEOUT,
     **stream_kwargs: Any,
-) -> InferenceRunStats:
+) -> PipelineRunStats:
     """One-shot batch inference: open a stream, drive the batch, close.
 
-    The engines' ``infer()`` methods are thin wrappers over this; the
-    serving front-end keeps a stream open instead (see
+    Every engine's ``infer()`` is a thin wrapper over this; the serving
+    front-end keeps a stream open instead (see
     :meth:`repro.serve.session.InferenceSession.open_stream`).
     """
     X = np.asarray(X)
@@ -485,17 +471,9 @@ def infer_batch(
             f"infer needs a forward-only schedule, got {schedule.name!r}"
         )
     if X.shape[0] == 0:
-        return InferenceRunStats(
-            outputs=np.zeros(0),
-            time_steps=0,
-            forward_ops=0,
-            forward_samples=0,
-            num_stages=len(stages),
-            samples=0,
-            micro_batch=schedule.micro_batch,
-            schedule=schedule.name,
-            backend=backend,
-        )
+        # nothing to launch workers for
+        idle = [StageCounters(s) for s in range(len(stages))]
+        return _record(schedule, idle, np.zeros(0), backend)
     stream = open_inference_stream(
         stages,
         backend=backend,
@@ -512,7 +490,7 @@ def infer_batch(
     # per-stage counters after close(): a worker stream only learns its
     # workers' counts from their finalize replies during teardown, so
     # the snapshot taken inside run_inference would be all zeros
-    stats.stage_counters = list(getattr(stream, "counters", []))
+    stats.stages = list(stream.counters)
     return stats
 
 

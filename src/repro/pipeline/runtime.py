@@ -14,14 +14,17 @@ channels and its control protocol are described once, in
 injection gating, per-gradient vs averaged updates and weight stashing
 are the schedule's decisions in every engine.
 
-This module is the parent side: ``train`` → ``_train_attempt`` (launch a
-group, drive it, collect state, tear it down) → ``_drive_lockstep`` |
-``_drive_free``.  :class:`ConcurrentPipelineRunner` and
-:class:`ProcessPipelineRunner` differ only in which host the group uses
-(threads over the engine's own stage objects, or processes over
-shared-memory rings with crash recovery);
-:class:`ReplicatedPipelineRunner` runs ``R`` process pipelines side by
-side with a cross-replica gradient reduction.
+Every engine here *is* a :class:`PipelineExecutor` — same stages,
+schedule, optimizer state, ``state_dict``, ``train`` and ``infer`` —
+that overrides one step: how a validated batch is run.  This module is
+that step's parent side: ``train`` → ``_run`` (the crash-recovery
+restart loop) → ``_train_attempt`` (launch a group, drive it, collect
+state, tear it down) → ``_drive_lockstep`` | ``_drive_free``.
+:class:`ConcurrentPipelineRunner` and :class:`ProcessPipelineRunner`
+differ only in which host the group uses (threads over the engine's own
+stage objects, or processes over shared-memory rings with crash
+recovery); :class:`ReplicatedPipelineRunner` runs ``R`` process
+pipelines side by side with a cross-replica gradient reduction.
 
 Two execution modes
 -------------------
@@ -46,18 +49,18 @@ packet FIFO ordering per stage, and exact schedule semantics for the
 synchronous schedules' updates (``fill_drain``/``gpipe`` still flush the
 averaged update only once the batch has fully drained).
 
-Every run produces a :class:`RuntimeStats` with measured per-stage
-busy/idle wall-clock time and per-stage op counts; the op counts equal
-the modeled occupancy-grid totals of :mod:`repro.pipeline.occupancy`
-row by row (property-tested), tying the measured runtime back to the
-paper's timing model.
+Every run returns the same record the simulator does
+(:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
+here with measured per-stage busy/idle wall-clock time next to the
+per-stage op counts; the op counts equal the modeled occupancy-grid
+totals of :mod:`repro.pipeline.occupancy` row by row (property-tested),
+tying the measured runtime back to the paper's timing model.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
@@ -67,157 +70,32 @@ from repro.core.mitigation import MitigationConfig
 from repro.data.loader import shard_positions
 from repro.models.arch import StageGraphModel
 from repro.pipeline.executor import (
+    DEFAULT_STALL_TIMEOUT,
     PipelineExecutor,
     PipelineRunStats,
+    StageCounters,
     check_stages_drained,
 )
 from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
 from repro.pipeline.transport import ShmRing, build_reduce_rings
 from repro.pipeline.worker import (
-    DEFAULT_STALL_TIMEOUT,
     LOCKSTEP_ACK_INTERVAL,
     PipelineRuntimeError,
-    StageCounters,
     WorkerGroup,
     _ReduceSpec,
     resolve_start_method,
 )
 
 
-@dataclass
-class RuntimeStats:
-    """Wall-clock outcome of one concurrent pipeline run.
-
-    ``wall_seconds`` spans first injection to last completion; each
-    stage's ``busy_seconds`` sums its time inside forward/backward
-    transformations, so ``idle_seconds(s)`` is measured (not modeled)
-    pipeline bubble time.  ``backend`` names the worker host that
-    produced the run: ``"threaded"`` (:class:`ConcurrentPipelineRunner`)
-    or ``"process"`` (:class:`ProcessPipelineRunner`); either way the
-    per-stage counters are the workers' own, collected at drain time.
+class _WorkerGroupEngine(PipelineExecutor):
+    """A :class:`PipelineExecutor` whose batches run on a
+    :class:`~repro.pipeline.worker.WorkerGroup` instead of the
+    discrete-time loop: the training driver the concurrent runners
+    share.  Subclasses pick the worker host through ``_backend``.
     """
 
-    mode: str  # "lockstep" | "free_running"
-    schedule: str
-    num_stages: int
-    wall_seconds: float = 0.0
-    stages: list[StageCounters] = field(default_factory=list)
-    backend: str = "threaded"
-    #: pipeline replicas whose activity this record aggregates.  A
-    #: merged record sums per-stage busy seconds across R concurrent
-    #: replicas over one shared wall-clock window, so every per-stage
-    #: time budget is ``wall_seconds * replicas`` — without the factor,
-    #: R perfectly busy replicas would report R× "utilization".
-    replicas: int = 1
-    #: control-plane traffic of a lockstep run: counts of control
-    #: messages actually sent/received per simulated time step under the
-    #: batched step protocol, next to the ``2 * num_stages`` an unbatched
-    #: protocol would use.  ``None`` for free-running runs.
-    control: dict | None = None
-
-    @property
-    def busy_seconds(self) -> float:
-        return sum(st.busy_seconds for st in self.stages)
-
-    def busy_fraction(self, stage_index: int) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        wall = self.wall_seconds * max(self.replicas, 1)
-        return self.stages[stage_index].busy_seconds / wall
-
-    def idle_seconds(self, stage_index: int) -> float:
-        wall = self.wall_seconds * max(self.replicas, 1)
-        return max(0.0, wall - self.stages[stage_index].busy_seconds)
-
-    @property
-    def mean_busy_fraction(self) -> float:
-        if not self.stages:
-            return 0.0
-        return sum(
-            self.busy_fraction(s.index) for s in self.stages
-        ) / len(self.stages)
-
-    def summary_rows(self) -> list[dict]:
-        """One row per stage, ready for ``format_table``."""
-        return [
-            {
-                "stage": st.index,
-                "fwd_ops": st.forward_ops,
-                "bwd_ops": st.backward_ops,
-                "busy_s": round(st.busy_seconds, 6),
-                "busy_frac": round(self.busy_fraction(st.index), 4),
-            }
-            for st in self.stages
-        ]
-
-    @staticmethod
-    def merge_replicas(parts: Sequence["RuntimeStats"]) -> "RuntimeStats":
-        """Aggregate per-replica runtime records of one replicated run.
-
-        The replicas ran concurrently over one wall-clock window, so
-        ``wall_seconds`` is the max (the window), per-stage op counts,
-        sample counts and busy seconds are summed, and ``replicas``
-        accumulates so :meth:`busy_fraction` divides by the combined
-        ``wall * R`` budget instead of double-counting capacity.
-        """
-        if not parts:
-            raise ValueError("merge_replicas needs at least one part")
-        first = parts[0]
-        for p in parts[1:]:
-            if p.num_stages != first.num_stages:
-                raise ValueError(
-                    "cannot merge runtime stats across stage counts "
-                    f"({p.num_stages} vs {first.num_stages})"
-                )
-            if p.schedule != first.schedule:
-                raise ValueError(
-                    "cannot merge runtime stats across schedules "
-                    f"({p.schedule!r} vs {first.schedule!r})"
-                )
-        stages = []
-        for s in range(first.num_stages):
-            merged = StageCounters(index=s)
-            for p in parts:
-                st = p.stages[s]
-                merged.forward_ops += st.forward_ops
-                merged.backward_ops += st.backward_ops
-                merged.forward_samples += st.forward_samples
-                merged.backward_samples += st.backward_samples
-                merged.busy_seconds += st.busy_seconds
-            stages.append(merged)
-        return RuntimeStats(
-            mode=first.mode,
-            schedule=first.schedule,
-            num_stages=first.num_stages,
-            wall_seconds=max(p.wall_seconds for p in parts),
-            stages=stages,
-            backend=first.backend,
-            replicas=sum(max(p.replicas, 1) for p in parts),
-        )
-
-
-class _ConcurrentEngineFacade:
-    """The engine surface and the training driver the concurrent runners
-    share.
-
-    A runner wraps an internal :class:`PipelineExecutor` in
-    ``self._executor`` (which owns the stages, schedule and optimizer
-    state) and re-exposes its engine API, so
-    :class:`~repro.train.pb_trainer.PipelinedTrainer` and
-    :func:`make_pipeline_engine` can treat all engines uniformly.
-    Subclasses pick the worker host through ``_processes``.
-    """
-
-    _executor: PipelineExecutor
-    lockstep: bool
-    #: host of the per-stage workers: processes over shared-memory rings,
-    #: or threads over the engine's own stage objects
-    _processes = False
-    #: process-host settings (a thread host has none of them)
-    model_factory: Callable[[], StageGraphModel] | None = None
-    start_method: str | None = None
+    _backend = "threaded"
     max_restarts = 0
-    replicas = 1
     #: the live worker group of the ``train()`` call in progress
     _group: WorkerGroup | None = None
     #: per-stage reduce slices, set by :class:`ReplicatedPipelineRunner`
@@ -243,89 +121,18 @@ class _ConcurrentEngineFacade:
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         precision: "str | None" = None,
     ):
-        self._executor = PipelineExecutor(
-            model,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            mitigation=mitigation,
-            mode=mode,
-            update_size=update_size,
-            micro_batch_size=micro_batch_size,
-            lr_schedule=lr_schedule,
-            record_versions=record_versions,
-            schedule=schedule,
-            precision=precision,
+        super().__init__(
+            model, lr, momentum, weight_decay, mitigation, mode, update_size,
+            micro_batch_size, lr_schedule, record_versions, schedule,
+            precision,
         )
         self.lockstep = bool(lockstep)
         self.jitter = float(jitter)
         self.jitter_seed = int(jitter_seed)
         self.stall_timeout = float(stall_timeout)
         self.restarts_used = 0
-        self.last_runtime_stats: RuntimeStats | None = None
         self.completion_order: list[int] = []
         self._layout_cache: dict[tuple, list] = {}
-
-    @property
-    def model(self) -> StageGraphModel:
-        return self._executor.model
-
-    @property
-    def stages(self):
-        return self._executor.stages
-
-    @property
-    def schedule(self) -> Schedule:
-        return self._executor.schedule
-
-    @property
-    def mode(self) -> str:
-        return self._executor.mode
-
-    @property
-    def update_size(self) -> int:
-        return self._executor.update_size
-
-    @property
-    def num_stages(self) -> int:
-        return self._executor.num_stages
-
-    @property
-    def samples_completed(self) -> int:
-        return self._executor.samples_completed
-
-    @property
-    def lr_schedule(self):
-        return self._executor.lr_schedule
-
-    @property
-    def precision(self):
-        """The wrapped executor's :class:`~repro.precision.PrecisionPolicy`."""
-        return self._executor.precision
-
-    def set_lr(self, lr: float) -> None:
-        self._executor.set_lr(lr)
-
-    def flush_stages(self, count: int) -> None:
-        self._executor.flush_stages(count)
-
-    def state_dict(self) -> dict:
-        """Engine snapshot at a drain barrier (see
-        :meth:`PipelineExecutor.state_dict`); the concurrent engines'
-        authoritative state lives in the wrapped executor's stages
-        between ``train()`` calls."""
-        return self._executor.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        self._executor.load_state_dict(state)
-
-    @property
-    def runtime_mode(self) -> str:
-        return "lockstep" if self.lockstep else "free_running"
-
-    @property
-    def _backend(self) -> str:
-        return "process" if self._processes else "threaded"
 
     @property
     def _procs(self) -> list:
@@ -339,64 +146,10 @@ class _ConcurrentEngineFacade:
         group = self._group
         return group.rings if group is not None else []
 
-    def infer(
-        self,
-        X: np.ndarray,
-        micro_batch_size: int = 1,
-        schedule: Schedule | None = None,
-        stall_timeout: float | None = None,
-    ):
-        """Forward-only inference on this runner's host (serving mode):
-        the same per-stage workers that train execute an
-        :class:`~repro.pipeline.schedule.InferenceSchedule` with no
-        backward half (see :mod:`repro.pipeline.inference`).  Outputs
-        are bit-exact with the discrete-time engine's ``infer`` for the
-        same packet decomposition: no updates means no staleness, so
-        worker timing cannot change a single bit.
-        """
-        from repro.pipeline.inference import infer_batch
+    # -- one batch ----------------------------------------------------------
 
-        return infer_batch(
-            self.stages,
-            self._executor.precision.cast_array(X),
-            schedule=schedule,
-            micro_batch_size=micro_batch_size,
-            backend=self._backend,
-            stall_timeout=(
-                self.stall_timeout if stall_timeout is None
-                else stall_timeout
-            ),
-            model_factory=self.model_factory,
-            start_method=self.start_method,
-        )
-
-    def _finish_stats(
-        self,
-        losses: np.ndarray,
-        time_steps: int,
-        runtime: RuntimeStats,
-    ) -> PipelineRunStats:
-        self.last_runtime_stats = runtime
-        counters = runtime.stages
-        return PipelineRunStats(
-            losses=losses,
-            time_steps=time_steps,
-            forward_ops=sum(c.forward_ops for c in counters),
-            backward_ops=sum(c.backward_ops for c in counters),
-            num_stages=self.num_stages,
-            samples=losses.shape[0],
-            updates_per_stage=[st.updates_applied for st in self.stages],
-            forward_samples=sum(c.forward_samples for c in counters),
-            backward_samples=sum(c.backward_samples for c in counters),
-            micro_batch=self.schedule.micro_batch,
-            schedule=self.schedule.name,
-            runtime=runtime,
-        )
-
-    # -- public entry -------------------------------------------------------
-
-    def train(self, X: np.ndarray, Y: Sequence[int]) -> PipelineRunStats:
-        """Stream all samples through the worker pipeline (training).
+    def _run(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
+        """Stream the batch through the worker pipeline.
 
         With ``max_restarts > 0`` a dead stage worker does not kill the
         run: the engine state captured at this call's entry (a drain
@@ -404,30 +157,13 @@ class _ConcurrentEngineFacade:
         partial batch replays — bit-identical to a crash-free run (see
         :class:`ProcessPipelineRunner`).
         """
-        if self.schedule.forward_only:
-            raise ValueError(
-                f"schedule {self.schedule.name!r} is forward-only; use "
-                "infer() (or repro.serve) instead of train()"
-            )
-        X = np.ascontiguousarray(self._executor.precision.cast_array(X))
-        Y = np.asarray(Y)
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y length mismatch")
         if X.shape[0] == 0:
-            self.schedule.reset(0)
+            # nothing to launch workers for: the discrete-time loop's
+            # zero-step run is the record of an empty stream
             self.completion_order = []
-            runtime = RuntimeStats(
-                mode=self.runtime_mode,
-                schedule=self.schedule.name,
-                num_stages=self.num_stages,
-                stages=[StageCounters(s) for s in range(self.num_stages)],
-                backend=self._backend,
-                replicas=self.replicas,
-            )
-            return self._finish_stats(np.zeros(0), 0, runtime)
-        snapshot = (
-            self._executor.state_dict() if self.max_restarts > 0 else None
-        )
+            return super()._run(X, Y)
+        X = np.ascontiguousarray(X)
+        snapshot = self.state_dict() if self.max_restarts > 0 else None
         attempt = 0
         while True:
             try:
@@ -440,7 +176,7 @@ class _ConcurrentEngineFacade:
                 # every worker (and its channels) is already gone — the
                 # attempt tore its group down; rewind to the entry drain
                 # barrier and replay the batch
-                self._executor.load_state_dict(snapshot)
+                self.load_state_dict(snapshot)
 
     def _train_attempt(
         self, X: np.ndarray, Y: np.ndarray, trailing_flushes: int = 0
@@ -459,7 +195,7 @@ class _ConcurrentEngineFacade:
         group = self._group = WorkerGroup(
             self.stages,
             np.zeros((width,) + X.shape[1:], dtype=X.dtype),
-            processes=self._processes,
+            processes=self._backend == "process",
             name="pipeline-stage",
             stall_timeout=self.stall_timeout,
             lockstep=self.lockstep,
@@ -492,16 +228,9 @@ class _ConcurrentEngineFacade:
             group.teardown(failed)
             self._group = None
         check_stages_drained(self.stages)
-        runtime = RuntimeStats(
-            mode=self.runtime_mode,
-            schedule=self.schedule.name,
-            num_stages=self.num_stages,
-            wall_seconds=wall,
-            stages=counters,
-            backend=self._backend,
-            control=control,
+        return self._record(
+            counters, time_steps, losses, wall_seconds=wall, control=control
         )
-        return self._finish_stats(losses, time_steps, runtime)
 
     def _finalize_workers(
         self, group: WorkerGroup, losses: np.ndarray
@@ -537,7 +266,7 @@ class _ConcurrentEngineFacade:
         next lockstep step message."""
         if self.lr_schedule is None:
             return
-        lr = float(self.lr_schedule(self._executor.samples_completed))
+        lr = float(self.lr_schedule(self.samples_completed))
         if lr == self._last_sent_lr:
             return
         self._last_sent_lr = lr
@@ -597,7 +326,7 @@ class _ConcurrentEngineFacade:
         boundary = SimpleNamespace(flush_stages=queue_flush)
         fwd_meta: dict[int, tuple[int, int, int]] = {}
         bwd_meta: dict[int, tuple[int, int, int]] = {}
-        ack_every = LOCKSTEP_ACK_INTERVAL if self._processes else 1
+        ack_every = LOCKSTEP_ACK_INTERVAL if self._backend == "process" else 1
         ticks_since_ack = 0
         expect_completed = 0  # metadata completions since the last ack
         sends = 0
@@ -653,7 +382,7 @@ class _ConcurrentEngineFacade:
                     new_bwd[s - 1] = meta
             fwd_meta, bwd_meta = new_fwd, new_bwd
             state.completed += completed
-            self._executor.samples_completed += completed
+            self.samples_completed += completed
             expect_completed += completed
             state.step += 1
 
@@ -738,7 +467,7 @@ class _ConcurrentEngineFacade:
             _, start, size = msg
             self.completion_order.append(start)
             state.completed += size
-            self._executor.samples_completed += size
+            self.samples_completed += size
             # batch boundaries: a synchronous schedule's batch only fully
             # drains when every worker is idle (stage 0's backward is
             # globally last), so flushing here is race-free
@@ -750,12 +479,11 @@ class _ConcurrentEngineFacade:
         return sched.drain_span(n, self.num_stages), None
 
 
-class ConcurrentPipelineRunner(_ConcurrentEngineFacade):
+class ConcurrentPipelineRunner(_WorkerGroupEngine):
     """Execute a :class:`StageGraphModel` pipeline with one worker thread
     per stage (see module docstring for the design).
 
-    The constructor mirrors :class:`PipelineExecutor` (it builds one
-    internally, sharing stages, schedule and optimizer state), plus:
+    The constructor is :class:`PipelineExecutor`'s, plus:
 
     lockstep:
         ``True`` for the tick-by-tick mode that is bit-exact with the
@@ -781,7 +509,7 @@ class ConcurrentPipelineRunner(_ConcurrentEngineFacade):
     """
 
 
-class ProcessPipelineRunner(_ConcurrentEngineFacade):
+class ProcessPipelineRunner(_WorkerGroupEngine):
     """Execute a :class:`StageGraphModel` pipeline with one worker
     *process* per stage and shared-memory packet transport.
 
@@ -794,12 +522,13 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
     model_factory:
         Spawn-safe callable rebuilding the model from scratch (a
         module-level function or ``functools.partial``).  Required for
-        ``start_method="spawn"``; optional under ``"fork"``, where it
-        switches the workers from inheriting the parent's stage objects
-        to reconstructing them via :class:`StageBuildSpec` — the same
-        code path ``spawn`` uses, handy for testing it.
+        ``start_method="spawn"``, unused under ``"fork"``.
     start_method:
-        ``"fork"`` (default where available) or ``"spawn"``.
+        ``"fork"`` (default where available) or ``"spawn"``.  It alone
+        picks the launch path: forked workers inherit the parent's stage
+        objects, spawned workers reconstruct them from ``model_factory``
+        via :class:`StageBuildSpec` and load the shipped
+        ``PipelineStage.state_dict``.
     max_restarts:
         Crash recovery: how many times one :meth:`train` call may
         respawn its workers after a stage worker dies (``0``, the
@@ -818,16 +547,14 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         with the worker, and only drain-barrier state is globally
         consistent — a single-stage respawn could never be bit-exact.
 
-    Workers hold a copy of their stage (inherited under ``fork``,
-    rebuilt from ``model_factory`` plus the shipped
-    ``PipelineStage.state_dict`` otherwise); trained weights, optimizer
+    Workers hold a copy of their stage; trained weights, optimizer
     state, per-stage op counts/busy seconds, losses and version traces
     all ship back to the parent at drain time, so after ``train()`` the
     master model is updated in place just like with the other engines.
     Shared memory is created and torn down per ``train()`` call.
     """
 
-    _processes = True
+    _backend = "process"
 
     def __init__(
         self,
@@ -863,7 +590,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         self.max_restarts = int(max_restarts)
 
 
-class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
+class ReplicatedPipelineRunner(ProcessPipelineRunner):
     """Hybrid parallelism: ``R`` data-parallel copies of the ``S``-stage
     pipeline over the process runtime (PipeDream-2BW-style replication,
     Narayanan et al. 2021).
@@ -918,10 +645,15 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
     stage death, and the replay is bit-identical to a crash-free run.
     Checkpointing via :class:`DurableRun`/:func:`capture_checkpoint`
     works unchanged: between ``train()`` calls the authoritative state
-    lives in the master executor's stages.
+    lives in this runner's own stages.
     """
 
-    _processes = True
+    #: ``samples_completed`` as of the last merge barrier ...
+    _merged_samples = 0
+    #: ... and the replicas' counts when the attempt in progress began:
+    #: the master count only advances at the merge barrier, so mid-drive
+    #: progress is the sum of the replicas' advances over these
+    _progress_bases: list[int] | None = None
 
     def __init__(
         self,
@@ -980,12 +712,9 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
             model, lr, momentum, weight_decay, mitigation, mode,
             self._block * self.replicas if self._sync else update_size,
             micro_batch_size, lr_schedule, record_versions, None,
-            lockstep, jitter, jitter_seed, stall_timeout, precision,
+            lockstep, jitter, jitter_seed, stall_timeout, model_factory,
+            start_method, max_restarts, precision,
         )
-        self.model_factory = model_factory
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-        self.max_restarts = int(max_restarts)
         #: the R inner single-pipeline runners (``replica_runners[r]``
         #: is rank r); exposed so tests can reach per-replica state
         #: (version traces, worker pids) directly
@@ -1018,15 +747,10 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                     f"has {self.num_stages} stages"
                 )
             self.replica_runners.append(rep)
-        self.start_method = self.replica_runners[0].start_method
-        #: live-progress bases: master samples_completed only advances at
-        #: the merge barrier, so mid-drive progress is the sum of the
-        #: replicas' advances over these per-attempt baselines
-        self._progress_bases: list[int] | None = None
 
     @property
     def samples_completed(self) -> int:
-        done = self._executor.samples_completed
+        done = self._merged_samples
         bases = self._progress_bases
         if bases is not None:
             done += sum(
@@ -1034,6 +758,10 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                 for rep, base in zip(self.replica_runners, bases)
             )
         return done
+
+    @samples_completed.setter
+    def samples_completed(self, value: int) -> None:
+        self._merged_samples = int(value)
 
     # -- public entry -------------------------------------------------------
 
@@ -1044,9 +772,7 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         if self.lr_schedule is not None and len(X):
             # once per train() call, at its entry drain barrier (see the
             # class docstring's contract deviations)
-            self._executor.set_lr(
-                float(self.lr_schedule(self._executor.samples_completed))
-            )
+            self.set_lr(float(self.lr_schedule(self.samples_completed)))
         return super().train(X, Y)
 
     # -- one attempt --------------------------------------------------------
@@ -1162,16 +888,11 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         for pos, part in zip(shards, part_stats):
             if pos.size:
                 losses[pos] = part.losses
-        self._executor.samples_completed += n
-        runtime = RuntimeStats.merge_replicas(
-            [part.runtime for part in part_stats]
-        )
-        self.last_runtime_stats = runtime
+        self.samples_completed += n
         return PipelineRunStats.merge_replicas(
             part_stats,
             losses,
             updates_per_stage=[st.updates_applied for st in self.stages],
-            runtime=runtime,
         )
 
     # -- merging ------------------------------------------------------------
@@ -1239,7 +960,7 @@ def make_pipeline_engine(
     lr: float,
     lockstep: bool = False,
     **kwargs: Any,
-) -> PipelineExecutor | ConcurrentPipelineRunner | ProcessPipelineRunner:
+) -> PipelineExecutor:
     """Build the requested pipeline engine behind one switch.
 
     ``runtime="sim"`` returns the discrete-time :class:`PipelineExecutor`;
@@ -1250,10 +971,9 @@ def make_pipeline_engine(
     runtime only) returns a :class:`ReplicatedPipelineRunner`: R
     data-parallel pipeline copies with cross-replica gradient reduction
     at update barriers.  The concurrent engines are free-running unless
-    ``lockstep=True``.  All engines expose the same
-    ``train``/``samples_completed``/``set_lr`` surface, so callers like
-    :class:`~repro.train.pb_trainer.PipelinedTrainer` switch engines
-    without touching their training loops.
+    ``lockstep=True``.  Every engine is a :class:`PipelineExecutor`, so
+    callers like :class:`~repro.train.pb_trainer.PipelinedTrainer`
+    switch engines without touching their training loops.
     """
     replicas = int(kwargs.pop("replicas", 1) or 1)
     if replicas > 1:

@@ -110,8 +110,9 @@ What a host decides
 -------------------
 
 Thread versus process changes only: the channel type, the control
-endpoint, whether stage state is shipped (processes rebuild or inherit
-the stage and ship trained state back at finalize; threads operate on
+endpoint, whether stage state is shipped (processes inherit the stage
+under ``fork``, rebuild it under any other start method, and ship
+trained state back at finalize; threads operate on
 the parent's own stage objects, so methods shadowed on those instances
 are the ones executed), how an idle worker waits (condition variable
 versus adaptive back-off), and how often lockstep acks.
@@ -130,7 +131,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.pipeline.executor import softmax_xent_grad_batch
+from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
     ShmRing,
@@ -144,10 +145,6 @@ from repro.pipeline.transport import (
 )
 from repro.tensor.tensor import enable_grad
 
-#: Seconds any single wait may block before the run is declared
-#: stalled.  Generous for real work, small enough that a deadlocked test
-#: fails loudly instead of hanging CI.
-DEFAULT_STALL_TIMEOUT = 60.0
 #: Ticks between lockstep acks on a process host (a thread host acks
 #: every tick).
 LOCKSTEP_ACK_INTERVAL = 16
@@ -165,25 +162,6 @@ class PipelineRuntimeError(RuntimeError):
         )
         self.stage_index = stage_index
         self.cause = cause
-
-
-@dataclass
-class StageCounters:
-    """Measured per-stage activity of one worker's lifetime (a training
-    run or an inference stream)."""
-
-    index: int
-    forward_ops: int = 0
-    backward_ops: int = 0
-    forward_samples: int = 0
-    backward_samples: int = 0
-    busy_seconds: float = 0.0
-
-    @property
-    def busy_steps(self) -> int:
-        """Slot occupancy: one per packet transformation, the measured
-        counterpart of one non-idle cell in an occupancy grid row."""
-        return self.forward_ops + self.backward_ops
 
 
 def resolve_start_method(start_method: str | None, model_factory) -> str:
@@ -842,12 +820,15 @@ class WorkerGroup:
         self._rx_buf: list[deque] = []
         S = len(stages)
         count = S - 1 if forward_only else S
-        rebuild = processes and model_factory is not None
+        rebuild = False
         try:
             if processes:
-                ctx = mp.get_context(
-                    resolve_start_method(start_method, model_factory)
-                )
+                method = resolve_start_method(start_method, model_factory)
+                # the start method alone decides: a forked worker inherits
+                # its stage object, any other rebuilds it from
+                # ``model_factory`` plus the shipped state
+                rebuild = method != "fork"
+                ctx = mp.get_context(method)
                 self.abort = _SharedAbort(ctx)
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
                 wakes = [None] * count

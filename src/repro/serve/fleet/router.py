@@ -38,11 +38,9 @@ duplicated at the seam, which the router's fleet-id accounting proves.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 import numpy as np
@@ -57,7 +55,7 @@ from repro.pipeline.inference import InferenceStreamError
 from repro.serve.batcher import Overloaded, PendingRequest
 from repro.serve.fleet.admission import AdmissionController, SLOClass
 from repro.serve.fleet.autoscaler import AutoscalePolicy, FleetAutoscaler
-from repro.serve.server import PipelineServer
+from repro.serve.server import HttpFrontDoor, PipelineServer
 from repro.serve.session import InferenceSession
 from repro.serve.stats import RequestTiming, ServingStats
 
@@ -256,9 +254,12 @@ class FleetRequest:
     #: the replica-side request (its ``request_id`` is replica-scoped
     #: and resets across generations; ``fleet_id`` is the durable one)
     request: PendingRequest
+    #: set by the router's done-callback; a second resolution of the
+    #: same request counts as a duplicate
+    resolved: bool = False
 
 
-class FleetRouter:
+class FleetRouter(HttpFrontDoor):
     """Route requests across N replicas (module docstring).
 
     Parameters
@@ -309,14 +310,12 @@ class FleetRouter:
         self.stats.set_gauge_source(self._gauges)
         self._lock = threading.Lock()
         self._replica_ids = itertools.count()
-        self._fleet_ids = itertools.count()
         self.replicas: dict[str, Replica] = {}
         self._checkpoint = checkpoint
         self._outstanding: dict[str, int] = {}
-        self._resolved: set[int] = set()
         self.submitted = 0
+        self.resolved = 0
         self.duplicates = 0
-        self._http_server = None
         for _ in range(num_replicas):
             self.add_replica()
 
@@ -404,20 +403,19 @@ class FleetRouter:
                 self._outstanding[slo.name] -= 1
             raise
         with self._lock:
-            fid = next(self._fleet_ids)
+            fid = self.submitted  # fleet ids are monotone from 0
             self.submitted += 1
-        request.future.add_done_callback(
-            lambda fut, fid=fid, slo_name=slo.name, req=request: (
-                self._resolve(fid, slo_name, req, fut)
-            )
-        )
-        return FleetRequest(
+        fleet_request = FleetRequest(
             fleet_id=fid,
             future=request.future,
             slo_class=slo.name,
             replica=replica.name,
             request=request,
         )
+        request.future.add_done_callback(
+            lambda fut: self._resolve(fleet_request, fut)
+        )
+        return fleet_request
 
     def _dispatch(
         self, x: np.ndarray, slo: SLOClass, ready: list[Replica]
@@ -441,25 +439,26 @@ class FleetRouter:
             f"{slo.name!r}: {last_exc}"
         )
 
-    def _resolve(
-        self, fid: int, slo_name: str, req: PendingRequest, fut
-    ) -> None:
+    def _resolve(self, fleet_request: FleetRequest, fut) -> None:
         """Done-callback of every fleet future: per-class accounting +
-        resolved-exactly-once proof.  Runs on the owning replica's
-        collector thread."""
+        resolved-exactly-once proof (the request carries its own
+        "already resolved" flag, so the router keeps no per-request
+        state).  Runs on the owning replica's collector thread."""
         t_now = time.monotonic()
+        slo_name, req = fleet_request.slo_class, fleet_request.request
         with self._lock:
             self._outstanding[slo_name] -= 1
-            if fid in self._resolved:
+            if fleet_request.resolved:
                 self.duplicates += 1
             else:
-                self._resolved.add(fid)
+                fleet_request.resolved = True
+                self.resolved += 1
         if fut.exception() is not None:
             self.stats.record_failed()
             return
         self.stats.record(
             RequestTiming(
-                request_id=fid,
+                request_id=fleet_request.fleet_id,
                 queue_wait=req.t_dispatch - req.t_submit,
                 pipeline_time=t_now - req.t_dispatch,
                 latency=t_now - req.t_submit,
@@ -503,27 +502,29 @@ class FleetRouter:
 
     # -- introspection + teardown --------------------------------------------
 
+    def _describe_replicas(self) -> dict:
+        return {
+            name: replica.describe()
+            for name, replica in sorted(self.replicas.items())
+        }
+
     def snapshot(self) -> dict:
         """Fleet-level stats + per-replica state + the id-accounting
         proof (``submitted == resolved + outstanding`` and zero
         duplicates whenever the fleet is healthy)."""
         with self._lock:
-            submitted = self.submitted
-            resolved = len(self._resolved)
-            duplicates = self.duplicates
-            outstanding = dict(self._outstanding)
+            accounting = {
+                "submitted": self.submitted,
+                "resolved": self.resolved,
+                "duplicates": self.duplicates,
+                "outstanding": dict(self._outstanding),
+            }
         snap = self.stats.snapshot()
         snap.update(
             {
-                "replicas": {
-                    name: replica.describe()
-                    for name, replica in sorted(self.replicas.items())
-                },
+                "replicas": self._describe_replicas(),
                 "num_ready": self.num_ready,
-                "submitted": submitted,
-                "resolved": resolved,
-                "duplicates": duplicates,
-                "outstanding": outstanding,
+                **accounting,
                 "autoscale_events": (
                     list(self.autoscaler.events)
                     if self.autoscaler is not None
@@ -556,109 +557,38 @@ class FleetRouter:
         pushback), ``GET /stats`` (fleet :meth:`snapshot`), ``GET
         /healthz`` (fleet liveness: any live replica), ``GET /readyz``
         (200 while at least one replica admits traffic)."""
-        server = _make_fleet_http_server(self, host, port)
-        self._http_server = server
-        thread = threading.Thread(
-            target=server.serve_forever, name="fleet-http", daemon=True
-        )
-        thread.start()
-        return server.server_address[0], server.server_address[1]
 
-    def http_stop(self) -> None:
-        if self._http_server is not None:
-            self._http_server.shutdown()
-            self._http_server.server_close()
-            self._http_server = None
+        def submit(x: np.ndarray, slo_class: str | None):
+            request = self.submit(x, slo_class=slo_class)
+            return request.future, {
+                "request_id": request.fleet_id,
+                "replica": request.replica,
+                "class": request.slo_class,
+            }
 
-
-def _make_fleet_http_server(
-    router: FleetRouter, host: str, port: int
-) -> ThreadingHTTPServer:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve-fleet/1.0"
-
-        def log_message(self, *args) -> None:  # quiet by default
-            pass
-
-        def _reply(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:
-            if self.path == "/healthz":
-                live = [
-                    name
-                    for name, r in router.replicas.items()
-                    if r.server._error is None
-                ]
-                self._reply(
-                    200 if live else 503,
-                    {
-                        "ok": bool(live),
-                        "replicas": len(router.replicas),
-                        "live": sorted(live),
-                    },
-                )
-            elif self.path == "/readyz":
-                ready = router.num_ready
-                self._reply(
-                    200 if ready > 0 else 503,
-                    {
-                        "ready": ready > 0,
-                        "num_ready": ready,
-                        "replicas": {
-                            name: r.describe()
-                            for name, r in sorted(router.replicas.items())
-                        },
-                    },
-                )
-            elif self.path == "/stats":
-                self._reply(200, router.snapshot())
-            else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-
-        def do_POST(self) -> None:
-            if self.path != "/infer":
-                self._reply(404, {"error": f"unknown path {self.path}"})
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                x = np.asarray(payload["x"])
-                slo_class = payload.get("class")
-                if slo_class is not None and not isinstance(slo_class, str):
-                    raise TypeError("'class' must be a string")
-            except (ValueError, KeyError, TypeError) as exc:
-                self._reply(400, {"error": f"bad request body: {exc!r}"})
-                return
-            t0 = time.monotonic()
-            try:
-                fleet_request = router.submit(x, slo_class=slo_class)
-                logits = fleet_request.future.result(
-                    router.spec.result_timeout
-                )
-            except Overloaded as exc:
-                self._reply(429, {"error": str(exc)})
-                return
-            except ValueError as exc:
-                self._reply(400, {"error": str(exc)})
-                return
-            except BaseException as exc:
-                self._reply(500, {"error": repr(exc)})
-                return
-            self._reply(
-                200,
-                {
-                    "request_id": fleet_request.fleet_id,
-                    "replica": fleet_request.replica,
-                    "class": fleet_request.slo_class,
-                    "logits": np.asarray(logits).tolist(),
-                    "latency_ms": (time.monotonic() - t0) * 1e3,
-                },
+        def healthz():
+            live = sorted(
+                n for n, r in self.replicas.items() if r.server._error is None
             )
+            return 200 if live else 503, {
+                "ok": bool(live),
+                "replicas": len(self.replicas),
+                "live": live,
+            }
 
-    return ThreadingHTTPServer((host, port), Handler)
+        def readyz():
+            ready = self.num_ready
+            return 200 if ready > 0 else 503, {
+                "ready": ready > 0,
+                "num_ready": ready,
+                "replicas": self._describe_replicas(),
+            }
+
+        def stats():
+            return 200, self.snapshot()
+
+        return self._start_http(
+            host, port, "repro-serve-fleet/1.0", "fleet-http", submit,
+            {"/healthz": healthz, "/readyz": readyz, "/stats": stats},
+            dtype=None, result_timeout=self.spec.result_timeout,
+        )

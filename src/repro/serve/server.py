@@ -37,6 +37,7 @@ import threading
 import time
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +47,104 @@ from repro.serve.session import InferenceSession
 from repro.serve.stats import RequestTiming, ServingStats
 
 
-class PipelineServer:
+class HttpFrontDoor:
+    """``serve_http()`` / ``http_stop()`` for :class:`PipelineServer` and
+    :class:`~repro.serve.fleet.router.FleetRouter`: the one HTTP handler
+    both answer through, serving on a daemon thread of its own."""
+
+    _http_server: ThreadingHTTPServer | None = None
+
+    def _start_http(
+        self,
+        host: str,
+        port: int,
+        version: str,
+        thread_name: str,
+        submit: Callable[[np.ndarray, "str | None"], tuple[Future, dict]],
+        get_routes: dict[str, Callable[[], tuple[int, dict]]],
+        dtype,
+        result_timeout: float,
+    ) -> tuple[str, int]:
+        """Bind ``host:port`` and serve; returns the bound address.
+
+        ``POST /infer`` parses ``{"x": ..., "class": ...}`` (``x`` as
+        ``dtype``), calls ``submit(x, slo_class)`` for a future plus the
+        reply fields that identify the request, waits ``result_timeout``
+        seconds for the logits, and maps :class:`Overloaded` to 429, a
+        ``ValueError`` to 400 and anything else to 500.  Each ``GET``
+        path in ``get_routes`` replies with the ``(status, payload)`` its
+        builder returns; every other path is a 404.
+        """
+
+        class Handler(BaseHTTPRequestHandler):
+            server_version = version
+
+            def log_message(self, *args) -> None:  # quiet by default
+                pass
+
+            def _reply(self, code: int, payload: dict) -> None:
+                body = json.dumps(payload).encode()
+                self.send_response(code)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def _unknown_path(self) -> tuple[int, dict]:
+                return 404, {"error": f"unknown path {self.path}"}
+
+            def do_GET(self) -> None:
+                self._reply(*get_routes.get(self.path, self._unknown_path)())
+
+            def do_POST(self) -> None:
+                if self.path != "/infer":
+                    self._reply(*self._unknown_path())
+                    return
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                    payload = json.loads(self.rfile.read(length) or b"{}")
+                    x = np.asarray(payload["x"], dtype=dtype)
+                    slo_class = payload.get("class")
+                    if slo_class is not None and not isinstance(slo_class, str):
+                        raise TypeError("'class' must be a string")
+                except (ValueError, KeyError, TypeError) as exc:
+                    self._reply(400, {"error": f"bad request body: {exc!r}"})
+                    return
+                t0 = time.monotonic()
+                try:
+                    future, fields = submit(x, slo_class)
+                    logits = future.result(result_timeout)
+                except Overloaded as exc:
+                    self._reply(429, {"error": str(exc)})
+                except ValueError as exc:
+                    self._reply(400, {"error": str(exc)})
+                except BaseException as exc:
+                    self._reply(500, {"error": repr(exc)})
+                else:
+                    self._reply(
+                        200,
+                        {
+                            **fields,
+                            "logits": np.asarray(logits).tolist(),
+                            "latency_ms": (time.monotonic() - t0) * 1e3,
+                        },
+                    )
+
+        server = ThreadingHTTPServer((host, port), Handler)
+        self._http_server = server
+        threading.Thread(
+            target=server.serve_forever, name=thread_name, daemon=True
+        ).start()
+        return server.server_address[:2]
+
+    def http_stop(self) -> None:
+        if self._http_server is not None:
+            self._http_server.shutdown()
+            self._http_server.server_close()
+            self._http_server = None
+
+
+class PipelineServer(HttpFrontDoor):
     """Serve an :class:`~repro.serve.session.InferenceSession` (module
     docstring).  Not started at construction — call :meth:`start` (or
     use as a context manager) so tests can stage deterministic request
@@ -96,7 +194,6 @@ class PipelineServer:
         self._threads: list[threading.Thread] = []
         self._started = False
         self._stopped = False
-        self._http_server = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -344,11 +441,14 @@ class PipelineServer:
             self._error = exc
             # a batch popped from _pending but not fully resolved would
             # be invisible to _fail_pending — fail its futures here
-            for req in batch or []:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-                    self.stats.record_failed()
+            self._fail(batch or [], exc)
             self._fail_pending(exc)
+
+    def _fail(self, requests: list[PendingRequest], exc: BaseException) -> None:
+        for req in requests:
+            if not req.future.done():
+                req.future.set_exception(exc)
+                self.stats.record_failed()
 
     def _fail_pending(self, exc: BaseException) -> None:
         """Fail every future still in flight — loudly, never silently."""
@@ -360,18 +460,12 @@ class PipelineServer:
             leftovers = list(self._pending.values())
             self._pending.clear()
         for batch in leftovers:
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-                    self.stats.record_failed()
+            self._fail(batch, exc)
         while True:
             drained = self.batcher.next_batch(timeout=0.0)
             if not drained:
                 break
-            for req in drained:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-                    self.stats.record_failed()
+            self._fail(drained, exc)
 
     # -- HTTP front door ----------------------------------------------------
 
@@ -394,111 +488,39 @@ class PipelineServer:
         """
         if not self._started:
             raise RuntimeError("start() the server before serve_http()")
-        server = _make_http_server(self, host, port)
-        self._http_server = server
-        thread = threading.Thread(
-            target=server.serve_forever, name="serve-http", daemon=True
+        session = self.session
+
+        def submit(x: np.ndarray, slo_class: str | None):
+            request = self.submit_request(x, slo_class=slo_class)
+            return request.future, {"request_id": request.request_id}
+
+        def healthz():
+            # liveness only — response shape is stable (PR 5)
+            return 200, {
+                "ok": self._error is None,
+                "model": session.model.name,
+                "fingerprint": session.fingerprint,
+                "runtime": session.runtime,
+            }
+
+        def readyz():
+            ready = self.ready
+            return 200 if ready else 503, {
+                "ready": ready,
+                "reason": self.ready_reason,
+                "fingerprint": session.fingerprint,
+                "pending": self.batcher.pending,
+                "in_flight": self.in_flight,
+            }
+
+        def stats():
+            return 200, {
+                **self.stats.snapshot(),
+                "precision": session.precision.mode,
+            }
+
+        return self._start_http(
+            host, port, "repro-serve/1.0", "serve-http", submit,
+            {"/healthz": healthz, "/readyz": readyz, "/stats": stats},
+            dtype=session.dtype, result_timeout=self.result_timeout,
         )
-        thread.start()
-        return server.server_address[0], server.server_address[1]
-
-    def http_stop(self) -> None:
-        if self._http_server is not None:
-            self._http_server.shutdown()
-            self._http_server.server_close()
-            self._http_server = None
-
-
-def _make_http_server(
-    pipeline_server: PipelineServer, host: str, port: int
-) -> ThreadingHTTPServer:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1.0"
-
-        def log_message(self, *args) -> None:  # quiet by default
-            pass
-
-        def _reply(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:
-            if self.path == "/healthz":
-                # liveness only — response shape is stable (PR 5)
-                self._reply(
-                    200,
-                    {
-                        "ok": pipeline_server._error is None,
-                        "model": pipeline_server.session.model.name,
-                        "fingerprint": pipeline_server.session.fingerprint,
-                        "runtime": pipeline_server.session.runtime,
-                    },
-                )
-            elif self.path == "/readyz":
-                ready = pipeline_server.ready
-                self._reply(
-                    200 if ready else 503,
-                    {
-                        "ready": ready,
-                        "reason": pipeline_server.ready_reason,
-                        "fingerprint": pipeline_server.session.fingerprint,
-                        "pending": pipeline_server.batcher.pending,
-                        "in_flight": pipeline_server.in_flight,
-                    },
-                )
-            elif self.path == "/stats":
-                self._reply(
-                    200,
-                    {
-                        **pipeline_server.stats.snapshot(),
-                        "precision": pipeline_server.session.precision.mode,
-                    },
-                )
-            else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-
-        def do_POST(self) -> None:
-            if self.path != "/infer":
-                self._reply(404, {"error": f"unknown path {self.path}"})
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                x = np.asarray(payload["x"], dtype=pipeline_server.session.dtype)
-                slo_class = payload.get("class")
-                if slo_class is not None and not isinstance(slo_class, str):
-                    raise TypeError("'class' must be a string")
-            except (ValueError, KeyError, TypeError) as exc:
-                self._reply(400, {"error": f"bad request body: {exc!r}"})
-                return
-            t0 = time.monotonic()
-            try:
-                request = pipeline_server.submit_request(
-                    x, slo_class=slo_class
-                )
-                logits = request.future.result(
-                    pipeline_server.result_timeout
-                )
-            except Overloaded as exc:
-                self._reply(429, {"error": str(exc)})
-                return
-            except ValueError as exc:
-                self._reply(400, {"error": str(exc)})
-                return
-            except BaseException as exc:
-                self._reply(500, {"error": repr(exc)})
-                return
-            self._reply(
-                200,
-                {
-                    "request_id": request.request_id,
-                    "logits": np.asarray(logits).tolist(),
-                    "latency_ms": (time.monotonic() - t0) * 1e3,
-                },
-            )
-
-    return ThreadingHTTPServer((host, port), Handler)

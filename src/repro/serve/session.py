@@ -45,10 +45,10 @@ from repro.pipeline.checkpoint import (
     model_fingerprint,
     restore_inference_weights,
 )
+from repro.pipeline.executor import PipelineRunStats
 from repro.pipeline.inference import (
     DEFAULT_INFER_TIMEOUT,
     DEFAULT_STREAM_CAPACITY,
-    InferenceRunStats,
     infer_batch,
     modules_eval_mode,
     open_inference_stream,
@@ -226,7 +226,7 @@ class InferenceSession:
 
     def infer(
         self, X: np.ndarray, micro_batch: int | None = None
-    ) -> InferenceRunStats:
+    ) -> PipelineRunStats:
         """Run one batch through the pipeline, micro-batched at
         ``micro_batch`` (defaulting to the session width)."""
         X = self.precision.cast_array(X)

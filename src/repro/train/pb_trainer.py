@@ -70,8 +70,9 @@ class PipelinedTrainer:
         effective size — so ``R`` replicas at update size ``U`` train
         the exact trajectory of one pipeline at ``R*U``.
     engine_kwargs:
-        Extra engine-specific keyword arguments (e.g. ``model_factory``
-        / ``start_method`` for the process backend).
+        Extra engine-specific keyword arguments (e.g. ``start_method``
+        for the process backend, and the ``model_factory`` that
+        ``"spawn"`` and ``replicas > 1`` require).
     """
 
     def __init__(

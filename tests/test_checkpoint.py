@@ -411,23 +411,22 @@ class TestDurableRun:
         assert ckpt["checkpoint_every"] == 4
         assert ckpt["stream"]["epoch"] == 1  # one full epoch consumed
 
+    @pytest.mark.parametrize("engine_key", sorted(ENGINES))
     @pytest.mark.parametrize("sched_key", sorted(SCHEDULES))
+    @pytest.mark.concurrency
     def test_resume_lands_on_golden_weights_and_losses(
-        self, tmp_path, sched_key
+        self, tmp_path, sched_key, engine_key
     ):
         """Kill the driver after its first snapshot; a freshly built
         engine + stream resumed from the file finishes with hex-equal
-        weights and losses vs the uninterrupted cadence-matched run."""
-        kw = SCHEDULES[sched_key]
+        weights and losses vs the uninterrupted cadence-matched run —
+        on every runtime (lockstep), the process one included."""
         every = 8
         epochs = 2
 
         def build():
             model = FACTORY()
-            engine = PipelineExecutor(
-                model, lr=LR, momentum=MOMENTUM,
-                weight_decay=WEIGHT_DECAY, **kw,
-            )
+            engine = ENGINES[engine_key](model, dict(SCHEDULES[sched_key]))
             X, Y = _stream(16, seed=31)
             stream = ResumableSampleStream(X, Y, epochs, new_rng(12))
             return model, engine, stream

@@ -7,7 +7,17 @@ import pytest
 from repro.core import MitigationConfig
 from repro.models import small_cnn
 from repro.optim import SGDM
-from repro.pipeline import PipelineExecutor, PipelineRunStats
+from repro.pipeline import (
+    PipelineExecutor,
+    PipelineRunStats,
+    StageCounters,
+    fill_drain_occupancy,
+    gpipe_occupancy,
+    make_pipeline_engine,
+    one_f_one_b_occupancy,
+    pb_occupancy,
+)
+from repro.pipeline.occupancy import BWD, FWD
 from repro.tensor import Tensor, cross_entropy
 
 #: Every schedule with its canonical kwargs (micro-batched gpipe wider
@@ -24,6 +34,14 @@ def max_param_diff(m1, m2):
     return max(
         float(np.abs(a.data - b.data).max())
         for a, b in zip(m1.parameters(), m2.parameters())
+    )
+
+
+def _counters(index, ops, samples, busy=0.0):
+    """One stage's counters with equal forward and backward work."""
+    return StageCounters(
+        index, forward_ops=ops, backward_ops=ops, forward_samples=samples,
+        backward_samples=samples, busy_seconds=busy,
     )
 
 
@@ -159,20 +177,75 @@ class TestZeroStreamStats:
         0.0 even with nonzero op counts (the old ``max(time_steps, 1)``
         clamp invented one step of capacity)."""
         stats = PipelineRunStats(
-            losses=np.zeros(0), time_steps=0, forward_ops=3,
-            backward_ops=3, num_stages=5, samples=0,
+            [_counters(s, ops=3, samples=3) for s in range(5)],
+            time_steps=0, losses=np.zeros(0),
         )
         assert stats.utilization == 0.0
+        assert stats.samples == 0
         assert np.isnan(stats.mean_loss)
 
-    def test_legacy_op_count_fallback_still_works(self):
-        """Legacy records (op counts, no sample counts) keep their
-        op-granularity utilization."""
+    def test_partial_tail_micro_batch_counts_fractionally(self):
+        """Two packets of width 4 and 2: work is 6 sample transformations
+        per stage per direction, capacity ``2 * S * T * B``."""
         stats = PipelineRunStats(
-            losses=np.zeros(4), time_steps=10, forward_ops=20,
-            backward_ops=20, num_stages=2, samples=4,
+            [_counters(s, ops=2, samples=6) for s in range(2)],
+            time_steps=10, micro_batch=4, losses=np.zeros(6),
         )
-        assert stats.utilization == pytest.approx(40 / (2.0 * 2 * 10))
+        assert stats.forward_ops == stats.backward_ops == 4
+        assert stats.forward_samples == stats.backward_samples == 12
+        assert stats.utilization == pytest.approx(24 / (2.0 * 2 * 10 * 4))
+
+    @pytest.mark.parametrize(
+        "mode,kw,occupancy",
+        [
+            ("pb", {}, lambda S: pb_occupancy(S, 12)),
+            ("1f1b", {}, lambda S: one_f_one_b_occupancy(S, 12)),
+            ("fill_drain", dict(update_size=4),
+             lambda S: fill_drain_occupancy(S, 4, num_batches=3)),
+            ("gpipe", dict(update_size=8, micro_batch_size=4),
+             lambda S: gpipe_occupancy(S, 2, num_batches=2)),
+        ],
+    )
+    def test_sim_stage_counters_match_occupancy_rows(
+        self, rng, mode, kw, occupancy
+    ):
+        """The simulator fills the same per-stage counters the worker
+        hosts measure: row ``s`` of the schedule's occupancy grid."""
+        n = 16 if mode == "gpipe" else 12
+        X = rng.normal(size=(n, 3, 8, 8))
+        Y = rng.integers(0, 10, size=n)
+        stats = PipelineExecutor(
+            small_cnn(seed=7), lr=0.01, mode=mode, **kw
+        ).train(X, Y)
+        occ = occupancy(stats.num_stages)
+        assert stats.time_steps == occ.time_steps
+        for s, st in enumerate(stats.stages):
+            assert st.index == s
+            assert st.forward_ops == np.count_nonzero(occ.grid[s] & FWD)
+            assert st.backward_ops == np.count_nonzero(occ.grid[s] & BWD)
+            assert st.forward_samples == st.backward_samples == n
+
+    @pytest.mark.parametrize("runtime", ["sim", "threaded", "process"])
+    def test_infer_returns_the_samePipelineRunStats(self, rng, runtime):
+        """``train`` and ``infer`` answer with one record type on every
+        backend; a forward-only run carries outputs and per-stage
+        counters, and no losses."""
+        X = rng.normal(size=(6, 3, 8, 8))
+        Y = rng.integers(0, 10, size=6)
+        m = small_cnn(seed=7)
+        engine = make_pipeline_engine(runtime, m, 0.01)
+        trained = engine.train(X, Y)
+        stats = engine.infer(X, micro_batch_size=4)
+        assert type(trained) is type(stats) is PipelineRunStats
+        assert engine.last_runtime_stats is trained
+        assert stats.losses is None and trained.outputs is None
+        assert stats.backend == trained.backend == runtime
+        assert stats.outputs.shape == (6, 10) and stats.samples == 6
+        assert stats.num_stages == m.num_stages
+        for st in stats.stages[:-1]:  # the loss slot never runs
+            assert (st.forward_ops, st.forward_samples) == (2, 6)
+            assert st.backward_ops == 0
+        assert stats.stages[-1].busy_steps == 0
 
 
 class TestNumericalHygiene:
@@ -208,12 +281,12 @@ class TestReplicaStatsMerge:
     identically-busy replicas report the same utilization and busy
     fractions as one, not R× (or 1/R of) it."""
 
-    def _run_record(self, time_steps=10, replicas=1):
+    def _run_record(self, time_steps=10, replicas=1, busy=2.0):
         return PipelineRunStats(
-            losses=np.zeros(8), time_steps=time_steps, forward_ops=16,
-            backward_ops=16, num_stages=2, samples=8,
-            forward_samples=16, backward_samples=16, micro_batch=1,
-            schedule="fill_drain", replicas=replicas,
+            [_counters(s, ops=8, samples=8, busy=busy) for s in range(2)],
+            time_steps=time_steps, losses=np.zeros(8),
+            schedule="fill_drain", replicas=replicas, wall_seconds=2.0,
+            backend="process", mode="free_running",
         )
 
     def test_replicas_field_scales_capacity(self):
@@ -222,85 +295,59 @@ class TestReplicaStatsMerge:
         one = self._run_record()
         two = self._run_record(replicas=2)
         assert two.utilization == pytest.approx(one.utilization / 2)
+        assert two.busy_fraction(0) == pytest.approx(one.busy_fraction(0) / 2)
 
     def test_merge_identical_records_keeps_utilization(self):
         """R identical replicas running concurrently: work doubles,
-        time_steps stays max (not sum), replicas carries R — so
-        utilization is unchanged, not doubled or halved."""
+        time_steps and wall_seconds stay max (not sum), replicas carries
+        R — so utilization and busy fractions are unchanged, not doubled
+        or halved (two fully-busy replicas report busy_fraction 1.0)."""
         parts = [self._run_record(), self._run_record()]
-        merged = PipelineRunStats.merge_replicas(parts, np.zeros(16))
+        assert parts[0].busy_fraction(0) == pytest.approx(1.0)
+        merged = PipelineRunStats.merge_replicas(
+            parts, np.zeros(16), updates_per_stage=[3, 3]
+        )
         assert merged.replicas == 2
         assert merged.time_steps == 10  # max, never sum
+        assert merged.wall_seconds == pytest.approx(2.0)
         assert merged.forward_samples == 32
+        assert merged.forward_ops == merged.backward_ops == 32
+        assert merged.stages[0].busy_seconds == pytest.approx(4.0)
+        assert merged.stages[0].forward_samples == 16
         assert merged.samples == 16
+        assert merged.updates_per_stage == [3, 3]
+        assert (merged.backend, merged.mode) == ("process", "free_running")
         assert merged.utilization == pytest.approx(parts[0].utilization)
+        assert merged.busy_fraction(0) == pytest.approx(1.0)
+        assert merged.idle_seconds(0) == pytest.approx(0.0)
+        assert merged.mean_busy_fraction == pytest.approx(1.0)
 
     def test_merge_uneven_records_uses_max_steps(self):
         """Uneven shards: the longer replica's steps set the shared
         wall capacity."""
-        parts = [self._run_record(time_steps=10),
-                 self._run_record(time_steps=7)]
+        parts = [self._run_record(time_steps=10, busy=1.0),
+                 self._run_record(time_steps=7, busy=0.5)]
         merged = PipelineRunStats.merge_replicas(parts, np.zeros(16))
         assert merged.time_steps == 10
+        assert merged.busy_fraction(1) == pytest.approx(1.5 / 4.0)
+        assert merged.idle_seconds(1) == pytest.approx(2.5)
 
-    def test_merge_rejects_mismatched_records(self):
+    @pytest.mark.parametrize(
+        "change",
+        [dict(schedule="gpipe"), dict(micro_batch=2), dict(num_stages=3)],
+    )
+    def test_merge_rejects_mismatched_records(self, change):
+        S = change.pop("num_stages", 2)
+        fields = dict(schedule="fill_drain", micro_batch=1) | change
         other = PipelineRunStats(
-            losses=np.zeros(8), time_steps=10, forward_ops=16,
-            backward_ops=16, num_stages=3, samples=8,
-            schedule="fill_drain",
+            [_counters(s, ops=8, samples=8) for s in range(S)],
+            time_steps=10, losses=np.zeros(8), **fields,
         )
         with pytest.raises(ValueError, match="mismatched"):
             PipelineRunStats.merge_replicas(
                 [self._run_record(), other], np.zeros(16)
             )
+
+    def test_merge_rejects_the_empty_list(self):
         with pytest.raises(ValueError, match="at least one"):
             PipelineRunStats.merge_replicas([], np.zeros(0))
-
-    def test_runtime_stats_merge_busy_fractions(self):
-        """RuntimeStats.merge_replicas: per-stage busy seconds sum
-        across replicas but the per-stage time budget is wall * R, so
-        two fully-busy replicas report busy_fraction 1.0 (the un-
-        normalized merge would report 2.0)."""
-        from repro.pipeline import RuntimeStats, StageCounters
-
-        def record():
-            return RuntimeStats(
-                mode="free_running", schedule="fill_drain", num_stages=2,
-                wall_seconds=2.0, backend="process",
-                stages=[
-                    StageCounters(
-                        index=s, forward_ops=8, backward_ops=8,
-                        forward_samples=8, backward_samples=8,
-                        busy_seconds=2.0,
-                    )
-                    for s in range(2)
-                ],
-            )
-
-        single = record()
-        assert single.busy_fraction(0) == pytest.approx(1.0)
-        merged = RuntimeStats.merge_replicas([record(), record()])
-        assert merged.replicas == 2
-        assert merged.wall_seconds == pytest.approx(2.0)  # max, not sum
-        assert merged.stages[0].busy_seconds == pytest.approx(4.0)
-        assert merged.stages[0].forward_samples == 16
-        assert merged.busy_fraction(0) == pytest.approx(1.0)
-        assert merged.idle_seconds(0) == pytest.approx(0.0)
-
-    def test_runtime_stats_merge_rejects_mismatch(self):
-        from repro.pipeline import RuntimeStats, StageCounters
-
-        a = RuntimeStats(
-            mode="free_running", schedule="fill_drain", num_stages=1,
-            wall_seconds=1.0,
-            stages=[StageCounters(index=0)],
-        )
-        b = RuntimeStats(
-            mode="free_running", schedule="fill_drain", num_stages=2,
-            wall_seconds=1.0,
-            stages=[StageCounters(index=s) for s in range(2)],
-        )
-        with pytest.raises(ValueError):
-            RuntimeStats.merge_replicas([a, b])
-        with pytest.raises(ValueError):
-            RuntimeStats.merge_replicas([])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Parameter
@@ -165,15 +165,43 @@ class TestScalingRules:
         lr, m = scale_for_batch_size(0.1, 0.9, 128, 128)
         assert lr == pytest.approx(0.1) and m == pytest.approx(0.9)
 
+    @staticmethod
+    def _scale_or_underflow(lr_ref, m_ref, n_ref, n_new):
+        """``scale_for_batch_size``, or ``None`` for a draw it refuses —
+        having checked that it refuses for the one documented reason:
+        the scaled momentum is exactly 0.0."""
+        try:
+            return scale_for_batch_size(lr_ref, m_ref, n_ref, n_new)
+        except ValueError:
+            assert m_ref > 0.0 and m_ref ** (n_new / n_ref) == 0.0
+            return None
+
+    def test_momentum_underflow_raises(self):
+        """0.03125 ** 215 == 2 ** -1075 rounds to 0.0: fail loudly,
+        naming the inputs, instead of returning a momentum whose
+        half-life is undefined."""
+        with pytest.raises(ValueError, match=r"\(0\.03125, 1, 215\)"):
+            scale_for_batch_size(1.0, 0.03125, 1, 215)
+        with pytest.raises(ValueError, match="underflows"):
+            HyperParams(1.0, 0.03125, 1).scaled_to(215)
+        # one step short of the underflow still scales
+        assert scale_for_batch_size(1.0, 0.03125, 1, 214)[1] == 2.0 ** -1070
+        # momentum 0 is a legitimate reference, not an underflow
+        assert scale_for_batch_size(1.0, 0.0, 1, 215)[1] == 0.0
+
     @given(
         st.floats(0.01, 1.0),
         st.floats(0.001, 0.999),
         st.integers(1, 512),
         st.integers(1, 512),
     )
+    @example(1.0, 0.03125, 1, 215)  # underflows: must raise
     def test_half_life_invariant(self, lr_ref, m_ref, n_ref, n_new):
         """eq. 9 keeps the momentum half-life constant in samples."""
-        lr, m = scale_for_batch_size(lr_ref, m_ref, n_ref, n_new)
+        scaled = self._scale_or_underflow(lr_ref, m_ref, n_ref, n_new)
+        if scaled is None:
+            return
+        lr, m = scaled
         h_ref = momentum_half_life_samples(m_ref, n_ref)
         h_new = momentum_half_life_samples(m, n_new)
         assert h_new == pytest.approx(h_ref, rel=1e-6)
@@ -186,7 +214,10 @@ class TestScalingRules:
     )
     def test_per_sample_contribution_invariant(self, lr_ref, m_ref, n_ref, n_new):
         """eq. 9 keeps each sample's total weight contribution constant."""
-        lr, m = scale_for_batch_size(lr_ref, m_ref, n_ref, n_new)
+        scaled = self._scale_or_underflow(lr_ref, m_ref, n_ref, n_new)
+        if scaled is None:
+            return
+        lr, m = scaled
         c_ref = per_sample_contribution(lr_ref, m_ref, n_ref)
         c_new = per_sample_contribution(lr, m, n_new)
         assert c_new == pytest.approx(c_ref, rel=1e-9)

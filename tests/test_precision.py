@@ -523,7 +523,7 @@ class TestControlPlaneStats:
             lockstep=True, model_factory=FACTORY,
         )
         stats = runner.train(X, Y)
-        control = stats.runtime.control
+        control = stats.control
         assert control is not None
         assert control["protocol"] == "batched-step"
         S = control["num_stages"]
@@ -542,4 +542,4 @@ class TestControlPlaneStats:
             model_factory=FACTORY,
         )
         stats = runner.train(X, Y)
-        assert stats.runtime.control is None
+        assert stats.control is None

@@ -304,7 +304,7 @@ class TestFreeRunning:
             m, lr=0.01, mode="pb", lockstep=False, stall_timeout=STALL
         )
         stats = runner.train(X, Y)
-        rt = stats.runtime
+        rt = stats
         assert rt is runner.last_runtime_stats
         assert rt.backend == "process"
         assert rt.mode == "free_running"

@@ -158,12 +158,12 @@ class TestReplicaParitySync:
         assert _weight_fingerprint(m_sim) == _weight_fingerprint(m_rep)
 
     def test_runtime_stats_merge_replicas(self):
-        """Merged RuntimeStats carry the replica count and per-stage op
+        """Merged run records carry the replica count and per-stage op
         totals over all replicas without double-counting capacity."""
         _, rep, _, _, runner = _run_both(
             4, 2, "fill_drain", dict(update_size=2), n=12
         )
-        rt = rep.runtime
+        rt = rep
         assert rt.replicas == 2
         assert rep.replicas == 2
         assert rt.num_stages == runner.num_stages

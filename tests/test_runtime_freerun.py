@@ -10,7 +10,7 @@ guarantee — and what these tests pin — is:
   and at most ``i`` updates: never *staler* than the discrete-time
   model, possibly fresher.  Backward still sees exactly ``i`` updates
   (per-gradient schedules update once per backward, FIFO).
-* **occupancy accounting.**  The measured ``RuntimeStats`` busy-step
+* **occupancy accounting.**  The measured run record's busy-step
   counts per stage equal the modeled occupancy-grid row totals of
   :mod:`repro.pipeline.occupancy` — the wall-clock runtime does exactly
   the work the paper's timing model says it does, no more, no less.
@@ -112,7 +112,7 @@ class TestOccupancyAccounting:
                                           lockstep=False)
         stats = runner.train(X, Y)
         occ = pb_occupancy(m.num_stages, n)
-        for s, st in enumerate(stats.runtime.stages):
+        for s, st in enumerate(stats.stages):
             assert st.forward_ops == int(
                 np.count_nonzero(occ.grid[s] & FWD)
             )
@@ -132,7 +132,7 @@ class TestOccupancyAccounting:
         )
         stats = runner.train(X, Y)
         occ = gpipe_occupancy(m.num_stages, N // B, num_batches=n // N)
-        for s, st in enumerate(stats.runtime.stages):
+        for s, st in enumerate(stats.stages):
             assert st.forward_ops == int(
                 np.count_nonzero(occ.grid[s] & FWD)
             )
@@ -149,7 +149,7 @@ class TestOccupancyAccounting:
         )
         stats = runner.train(X, Y)
         occ = fill_drain_occupancy(m.num_stages, N, num_batches=n // N)
-        for s, st in enumerate(stats.runtime.stages):
+        for s, st in enumerate(stats.stages):
             assert st.forward_ops == int(
                 np.count_nonzero(occ.grid[s] & FWD)
             )
@@ -164,7 +164,7 @@ class TestOccupancyAccounting:
         runner = ConcurrentPipelineRunner(m, lr=0.01, mode="pb",
                                           lockstep=False)
         stats = runner.train(X, Y)
-        rt = stats.runtime
+        rt = stats
         assert rt.mode == "free_running"
         assert len(rt.stages) == m.num_stages
         assert rt.wall_seconds > 0.0

@@ -184,7 +184,7 @@ class TestRuntimeStatsLockstep:
         m = small_cnn(num_classes=4, widths=(4,), seed=1)
         runner = ConcurrentPipelineRunner(m, lr=0.01, mode="pb", lockstep=True)
         stats = runner.train(X, Y)
-        rt = stats.runtime
+        rt = stats
         assert rt is runner.last_runtime_stats
         assert rt.mode == "lockstep"
         assert rt.schedule == "pb"

@@ -289,6 +289,56 @@ class TestFleetRouter:
         assert snap["resolved"] == 8 and snap["duplicates"] == 0
         assert snap["outstanding"] == {"batch": 0}
 
+    def test_router_keeps_no_per_request_state(self, checkpoints):
+        """10 000 resolved requests leave the router's memory where 100
+        did: resolution is a counter plus a flag each request carries,
+        so router state is O(outstanding), not O(lifetime traffic)."""
+        ck_a, _ = checkpoints
+
+        def held(router) -> int:
+            return sum(
+                len(v) for v in vars(router).values()
+                if isinstance(v, (set, dict, list, tuple))
+            )
+
+        spec = _spec(micro_batch=64, max_queue=64)
+        with FleetRouter(spec, 2, checkpoint=ck_a) as router:
+            x = _requests(1)[0]
+
+            def pump(n: int) -> None:
+                for _ in range(n // 50):
+                    window = [router.submit(x, "batch") for _ in range(50)]
+                    for fr in window:
+                        fr.future.result(10.0)
+
+            pump(100)
+            after_100 = held(router)
+            pump(9_900)
+            deadline = time.monotonic() + 5.0
+            while router.outstanding and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            snap = router.snapshot()
+            assert held(router) == after_100
+        assert snap["submitted"] == snap["resolved"] == 10_000
+        assert snap["duplicates"] == 0
+        assert snap["outstanding"] == {"batch": 0}
+
+    def test_second_resolution_counts_as_duplicate(self, checkpoints):
+        ck_a, _ = checkpoints
+        with FleetRouter(_spec(), 1, checkpoint=ck_a) as router:
+            fr = router.submit(_requests(1)[0], "batch")
+            fr.future.result(10.0)
+            deadline = time.monotonic() + 5.0
+            while router.outstanding and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            assert fr.resolved and router.snapshot()["duplicates"] == 0
+            with router._lock:
+                router._outstanding["batch"] += 1  # what a re-resolve undoes
+            router._resolve(fr, fr.future)
+            snap = router.snapshot()
+        assert snap["duplicates"] == 1
+        assert snap["submitted"] == snap["resolved"] == 1
+
     def test_unknown_class_is_refused_loudly(self, checkpoints):
         ck_a, _ = checkpoints
         with FleetRouter(_spec(), 1, checkpoint=ck_a) as router:

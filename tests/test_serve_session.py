@@ -78,7 +78,7 @@ class TestServingParity:
         # (the process stream only learns them at teardown — regression
         # pin against returning fabricated zeros)
         packets = -(-19 // micro)
-        for c in stats.stage_counters[:-1]:
+        for c in stats.stages[:-1]:
             assert c.forward_ops == packets
             assert c.forward_samples == 19
 
@@ -94,7 +94,7 @@ class TestServingParity:
         X = _requests(19)
         for run in range(30):
             stats = session.infer(X)
-            ops = [c.forward_ops for c in stats.stage_counters[:-1]]
+            ops = [c.forward_ops for c in stats.stages[:-1]]
             assert ops == [7] * (session.num_stages - 1), f"run {run}: {ops}"
 
     def test_threaded_worker_death_surfaces_and_closes_cleanly(self):
