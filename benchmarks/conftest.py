@@ -5,12 +5,12 @@ Each bench regenerates one paper table/figure via
 persists the payload under ``results/``, and asserts the paper's
 qualitative claims (orderings, crossovers, stability regions).  Absolute
 values are not expected to match — the substrate is a synthetic-data CPU
-simulation (see DESIGN.md) — but the *shape* of every result is checked.
+simulation — but the *shape* of every result is checked.
 
 Every test collected from this directory is auto-marked ``bench`` so the
 tier-1 suite (which deselects ``-m "not bench"`` via ``pytest.ini``)
 never runs them.  Run with ``pytest -m bench`` (or ``pytest -m bench
-benchmarks/bench_schedule_comparison.py`` for one file); set
+benchmarks/bench_fig02_utilization.py`` for one file); set
 ``REPRO_SCALE=paper`` for full-size runs.
 """
 

@@ -8,14 +8,6 @@ Usage::
     python -m repro.experiments fig08 --save    # also write results/<id>.json
     python -m repro.experiments schedule_comparison --schedule gpipe
     python -m repro.experiments schedule_comparison --runtime process
-    python -m repro.experiments runtime_comparison
-    python -m repro.experiments durable_training --checkpoint ckpts
-    python -m repro.experiments durable_training --schedule pb \
-        --resume ckpts/pb.ckpt
-    python -m repro.experiments serving --serve-backend process \
-        --serve-max-batch 8 --serve-deadline-ms 2
-    python -m repro.experiments serving_fleet --fleet-replicas 3 \
-        --fleet-backend process --fleet-interactive-pct 70
 """
 
 from __future__ import annotations
@@ -76,75 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         "(process, free-running)",
     )
     parser.add_argument(
-        "--replicas", metavar="R", type=int, default=None,
-        help="data-parallel pipeline replicas for replica-aware "
-        "experiments (e.g. hybrid_parallelism): R copies of the "
-        "process-runtime pipeline over disjoint shards, gradients "
-        "reduced at update barriers",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="checkpoint directory for durability-aware experiments "
-        "(e.g. durable_training): snapshots land here instead of a "
-        "temp dir",
-    )
-    parser.add_argument(
-        "--checkpoint-every", metavar="N", type=int, default=None,
-        help="samples between snapshots (rounded up to a drain "
-        "barrier, i.e. a multiple of the schedule's update size)",
-    )
-    parser.add_argument(
-        "--resume", metavar="PATH", default=None,
-        help="resume a durability-aware experiment from a checkpoint "
-        "file written by an earlier --checkpoint run",
-    )
-    parser.add_argument(
-        "--serve-backend", choices=["sim", "threaded", "process"],
-        default=None,
-        help="serving experiment: pipeline backend for the inference "
-        "session (the serving counterpart of --runtime)",
-    )
-    parser.add_argument(
-        "--serve-requests", metavar="N", type=int, default=None,
-        help="serving experiment: closed-loop requests to drive",
-    )
-    parser.add_argument(
-        "--serve-max-batch", metavar="B", type=int, default=None,
-        help="serving experiment: dynamic batcher width cap (micro-"
-        "batch packet width)",
-    )
-    parser.add_argument(
-        "--serve-deadline-ms", metavar="MS", type=float, default=None,
-        help="serving experiment: batcher coalescing deadline on the "
-        "oldest queued request, in milliseconds",
-    )
-    parser.add_argument(
-        "--serve-concurrency", metavar="C", type=int, default=None,
-        help="serving experiment: closed-loop client threads (offered "
-        "load)",
-    )
-    parser.add_argument(
-        "--fleet-replicas", metavar="R", type=int, default=None,
-        help="serving_fleet experiment: number of serving replicas "
-        "behind the router",
-    )
-    parser.add_argument(
-        "--fleet-backend", choices=["sim", "threaded", "process"],
-        default=None,
-        help="serving_fleet experiment: pipeline backend each replica "
-        "runs on",
-    )
-    parser.add_argument(
-        "--fleet-requests", metavar="N", type=int, default=None,
-        help="serving_fleet experiment: closed-loop requests to drive "
-        "through the fleet (spanning the rolling weight reload)",
-    )
-    parser.add_argument(
-        "--fleet-interactive-pct", metavar="PCT", type=float, default=None,
-        help="serving_fleet experiment: percentage of requests in the "
-        "interactive SLO class (the rest are batch)",
-    )
-    parser.add_argument(
         "--save", action="store_true", help="persist to results/<id>.json"
     )
     args = parser.parse_args(argv)
@@ -160,37 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     warnings.filterwarnings("ignore", category=RuntimeWarning)
     np.seterr(all="ignore")
     scale = get_scale(args.scale) if args.scale else None
-    overrides = {}
-    if args.schedule is not None:
-        overrides["schedule"] = args.schedule
-    if args.runtime is not None:
-        overrides["runtime"] = args.runtime
-    if args.replicas is not None:
-        overrides["replicas"] = args.replicas
-    if args.checkpoint is not None:
-        overrides["checkpoint"] = args.checkpoint
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if args.resume is not None:
-        overrides["resume"] = args.resume
-    if args.serve_backend is not None:
-        overrides["serve_backend"] = args.serve_backend
-    if args.serve_requests is not None:
-        overrides["serve_requests"] = args.serve_requests
-    if args.serve_max_batch is not None:
-        overrides["serve_max_batch"] = args.serve_max_batch
-    if args.serve_deadline_ms is not None:
-        overrides["serve_deadline_ms"] = args.serve_deadline_ms
-    if args.serve_concurrency is not None:
-        overrides["serve_concurrency"] = args.serve_concurrency
-    if args.fleet_replicas is not None:
-        overrides["fleet_replicas"] = args.fleet_replicas
-    if args.fleet_backend is not None:
-        overrides["fleet_backend"] = args.fleet_backend
-    if args.fleet_requests is not None:
-        overrides["fleet_requests"] = args.fleet_requests
-    if args.fleet_interactive_pct is not None:
-        overrides["fleet_interactive_pct"] = args.fleet_interactive_pct
+    overrides = {
+        name: getattr(args, name)
+        for name in ("schedule", "runtime")
+        if getattr(args, name) is not None
+    }
     payload = run_experiment(args.experiment, scale, **overrides)
     _print_payload(args.experiment, payload)
     if args.save:

@@ -97,39 +97,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., dict], str]] = {
         "Extension — PB vs fill-drain vs GPipe vs 1F1B: steps-to-loss "
         "and utilization per schedule",
     ),
-    "runtime_comparison": (
-        extensions.runtime_comparison,
-        "Extension — discrete-time simulator vs concurrent multi-worker "
-        "runtime: lockstep bit-exactness + free-running wall-clock",
-    ),
-    "durable_training": (
-        extensions.durable_training,
-        "Extension — checkpoint/resume durability: interrupted runs "
-        "resume to hex-identical weights (supports --resume / "
-        "--checkpoint / --checkpoint-every)",
-    ),
-    "hybrid_parallelism": (
-        extensions.hybrid_parallelism,
-        "Extension — hybrid parallelism: R data-parallel pipeline "
-        "replicas vs one pipeline at R*U (bit-exact for synchronous "
-        "schedules; eq.-5 staleness per replica for pb/1f1b; supports "
-        "--schedule / --replicas)",
-    ),
-    "serving": (
-        extensions.serving,
-        "Extension — pipelined inference serving vs sequential forward: "
-        "closed-loop throughput + p50/p95/p99 latency with dynamic "
-        "micro-batching (supports --serve-backend / --serve-requests / "
-        "--serve-max-batch / --serve-deadline-ms / --serve-concurrency)",
-    ),
-    "serving_fleet": (
-        extensions.serving_fleet,
-        "Extension — multi-replica serving fleet: SLO-class admission "
-        "(interactive vs batch), least-loaded dispatch, and a rolling "
-        "zero-downtime weight hot-swap under live mixed load (supports "
-        "--fleet-replicas / --fleet-backend / --fleet-requests / "
-        "--fleet-interactive-pct)",
-    ),
 }
 
 

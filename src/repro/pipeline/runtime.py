@@ -116,8 +116,6 @@ class _WorkerGroupEngine(PipelineExecutor):
         record_versions: bool = False,
         schedule: Schedule | None = None,
         lockstep: bool = False,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         precision: "str | None" = None,
     ):
@@ -127,8 +125,6 @@ class _WorkerGroupEngine(PipelineExecutor):
             precision,
         )
         self.lockstep = bool(lockstep)
-        self.jitter = float(jitter)
-        self.jitter_seed = int(jitter_seed)
         self.stall_timeout = float(stall_timeout)
         self.restarts_used = 0
         self.completion_order: list[int] = []
@@ -201,8 +197,6 @@ class _WorkerGroupEngine(PipelineExecutor):
             lockstep=self.lockstep,
             update_after_backward=self.schedule.update_after_backward,
             labels=Y,
-            jitter=self.jitter,
-            jitter_seed=self.jitter_seed,
             reduce_plan=self._reduce_plan,
             model_factory=self.model_factory,
             start_method=self.start_method,
@@ -491,21 +485,16 @@ class ConcurrentPipelineRunner(_WorkerGroupEngine):
         :func:`make_pipeline_engine`) for free-running.  The default is
         the performance mode — pass ``lockstep=True`` explicitly
         wherever reproducibility matters.
-    jitter:
-        Maximum per-op random sleep in seconds injected into every
-        worker loop (0 disables).  Used by the concurrency stress tests
-        to randomize interleavings; lockstep results must be — and are
-        — unchanged under any jitter.
-    jitter_seed:
-        Seed for the per-worker jitter RNGs (deterministic schedule of
-        sleeps, nondeterministic OS interleaving).
     stall_timeout:
         Seconds any coordinator wait may block before the run raises
         instead of hanging.
 
     The workers operate on ``self.stages`` themselves: nothing is copied
     or shipped, and a method shadowed on a stage instance is the one the
-    worker calls.
+    worker calls — which is how the stress tests perturb interleavings
+    (a ``tests/conftest.py`` helper wraps ``stage.forward`` /
+    ``stage.backward`` in seeded sleeps; lockstep results must be — and
+    are — unchanged under any interleaving).
     """
 
 
@@ -570,8 +559,6 @@ class ProcessPipelineRunner(_WorkerGroupEngine):
         record_versions: bool = False,
         schedule: Schedule | None = None,
         lockstep: bool = False,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         model_factory: Callable[[], StageGraphModel] | None = None,
         start_method: str | None = None,
@@ -581,7 +568,7 @@ class ProcessPipelineRunner(_WorkerGroupEngine):
         super().__init__(
             model, lr, momentum, weight_decay, mitigation, mode, update_size,
             micro_batch_size, lr_schedule, record_versions, schedule,
-            lockstep, jitter, jitter_seed, stall_timeout, precision,
+            lockstep, stall_timeout, precision,
         )
         self.model_factory = model_factory
         self.start_method = resolve_start_method(start_method, model_factory)
@@ -669,8 +656,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         record_versions: bool = False,
         schedule: Schedule | None = None,
         lockstep: bool = False,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         model_factory: Callable[[], StageGraphModel] | None = None,
         start_method: str | None = None,
@@ -712,7 +697,7 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             model, lr, momentum, weight_decay, mitigation, mode,
             self._block * self.replicas if self._sync else update_size,
             micro_batch_size, lr_schedule, record_versions, None,
-            lockstep, jitter, jitter_seed, stall_timeout, model_factory,
+            lockstep, stall_timeout, model_factory,
             start_method, max_restarts, precision,
         )
         #: the R inner single-pipeline runners (``replica_runners[r]``
@@ -732,8 +717,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
                 lr_schedule=None,  # evaluated once at the master barrier
                 record_versions=record_versions,
                 lockstep=lockstep,
-                jitter=jitter,
-                jitter_seed=jitter_seed * 1_000_003 + r,
                 stall_timeout=stall_timeout,
                 model_factory=model_factory,
                 start_method=start_method,

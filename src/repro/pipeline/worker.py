@@ -114,8 +114,11 @@ endpoint, whether stage state is shipped (processes inherit the stage
 under ``fork``, rebuild it under any other start method, and ship
 trained state back at finalize; threads operate on
 the parent's own stage objects, so methods shadowed on those instances
-are the ones executed), how an idle worker waits (condition variable
-versus adaptive back-off), and how often lockstep acks.
+are the ones executed — a forked worker inherits the shadows with the
+stage, a rebuilt one does not; the stress tests' seeded-sleep helper
+in ``tests/conftest.py`` and the benchmark's tracer rely on exactly
+this), how an idle worker waits (condition variable versus adaptive
+back-off), and how often lockstep acks.
 """
 
 from __future__ import annotations
@@ -392,8 +395,6 @@ class _WorkerSpec:
     update_after_backward: bool
     ship_state: bool  # process host: trained state returns at finalize
     stall_timeout: float
-    jitter: float
-    jitter_seed: int
     stage: PipelineStage | None  # threads and fork: the object itself
     build_spec: StageBuildSpec | None = None  # rebuild recipe ...
     stage_state: dict | None = None  # ... and the weights to load into it
@@ -420,13 +421,6 @@ class StageWorker:
         self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
         self.in_flight = 0
         self._reduce_round = 0  # packet ids on the reduce rings
-        self._rng = (
-            np.random.default_rng(
-                (spec.jitter_seed * 1_000_003 + self.s) & 0xFFFFFFFF
-            )
-            if spec.jitter > 0.0
-            else None
-        )
         if spec.ship_state:
             # ship only THIS run's version trace back; the parent extends
             # its accumulated list.  A fork-inherited stage would
@@ -449,8 +443,6 @@ class StageWorker:
         """Transform one inbound forward packet; returns completions."""
         pid, start, size, payload = pkt
         spec = self.spec
-        if self._rng is not None:
-            time.sleep(self._rng.uniform(0.0, spec.jitter))
         t0 = time.perf_counter()
         if self.is_loss:
             lvec, out = softmax_xent_grad_batch(
@@ -486,8 +478,6 @@ class StageWorker:
         stage 0 completes samples)."""
         pid, start, size, grads = pkt
         spec = self.spec
-        if self._rng is not None and not seeded:
-            time.sleep(self._rng.uniform(0.0, spec.jitter))
         t0 = time.perf_counter()
         upstream = self.stage.backward(pid, grads)
         if spec.update_after_backward:
@@ -804,8 +794,6 @@ class WorkerGroup:
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
         labels: np.ndarray | None = None,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         reduce_plan: Sequence[_ReduceSpec] | None = None,
         model_factory=None,
         start_method: str | None = None,
@@ -878,8 +866,6 @@ class WorkerGroup:
                     update_after_backward=update_after_backward(s),
                     ship_state=processes and not forward_only,
                     stall_timeout=self.stall_timeout,
-                    jitter=jitter,
-                    jitter_seed=jitter_seed,
                     stage=None if rebuild else stage,
                     build_spec=(
                         StageBuildSpec(

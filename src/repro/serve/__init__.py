@@ -21,8 +21,7 @@ this package is the same claim applied to serving (the ROADMAP's
 * :mod:`~repro.serve.stats` — :class:`ServingStats`: p50/p95/p99
   latency, queue wait vs pipeline time, drop-proof counters;
 * :mod:`~repro.serve.loadgen` — closed-loop load generator plus the
-  sequential single-request baseline the serving benchmark
-  (``benchmarks/bench_serving.py``) compares against;
+  sequential single-request baseline (:class:`SequentialServer`);
 * :mod:`~repro.serve.fleet` — multi-replica serving:
   :class:`~repro.serve.fleet.router.FleetRouter` (least-loaded
   dispatch + SLO-class admission + fleet-id accounting),

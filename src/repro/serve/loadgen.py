@@ -1,8 +1,8 @@
 """Closed-loop load generation and the sequential-forward baseline.
 
-The serving benchmark's question is the paper's question at inference
-time: does pipelining + micro-batching beat one-request-at-a-time
-forward execution under real load?  The harness here answers it with a
+The serving question is the paper's question at inference time: does
+pipelining + micro-batching beat one-request-at-a-time forward
+execution under real load?  The harness here answers it with a
 **closed-loop** generator: ``concurrency`` client threads, each holding
 exactly one request in flight — submit, wait for the logits, submit the
 next.  Offered load therefore adapts to the server (the classic
@@ -13,11 +13,11 @@ Rejections (:class:`~repro.serve.batcher.Overloaded`) are counted and
 request, so a run completes exactly ``num_requests`` responses or fails
 loudly; silent drops are structurally impossible.
 
-The baseline (:class:`SequentialServer`) is the no-pipeline strawman the
-benchmark compares against: a lock around a single-request
-``model.forward``.  It is measured through the *same* closed-loop
-harness, so its p99 honestly includes the queueing delay sequential
-execution imposes on concurrent clients.
+The baseline (:class:`SequentialServer`) is the no-pipeline strawman
+``examples/serving_demo.py`` compares against: a lock around a
+single-request ``model.forward``.  It is measured through the *same*
+closed-loop harness, so its p99 honestly includes the queueing delay
+sequential execution imposes on concurrent clients.
 
 For the serving fleet, :func:`run_classed_loop` drives the same
 closed-loop discipline with a **deterministic SLO-class mix**: each
@@ -123,57 +123,6 @@ class SequentialServer:
             self._eval_guard = None
 
 
-def sequential_closed_loop(
-    model,
-    x_pool: np.ndarray,
-    num_requests: int,
-    concurrency: int,
-    label: str = "sequential",
-) -> "LoadGenResult":
-    """Closed-loop run against the :class:`SequentialServer` baseline
-    (construction, teardown and eval-mode restore handled here — the
-    shared harness of the serving experiment and benchmark)."""
-    seq = SequentialServer(model)
-    try:
-        return run_closed_loop(
-            seq.infer_one, x_pool, num_requests, concurrency=concurrency,
-            label=label,
-        )
-    finally:
-        seq.close()
-
-
-def pipelined_closed_loop(
-    session,
-    x_pool: np.ndarray,
-    num_requests: int,
-    concurrency: int,
-    max_batch: int,
-    max_wait: float,
-    max_queue: int | None = None,
-    label: str | None = None,
-) -> tuple["LoadGenResult", dict]:
-    """Closed-loop run against a :class:`~repro.serve.server.
-    PipelineServer` over ``session``; returns ``(result, stats
-    snapshot)``.  ``max_queue`` defaults to ``max(64, 4 * max_batch)``."""
-    from repro.serve.server import PipelineServer
-
-    server = PipelineServer(
-        session,
-        max_batch=max_batch,
-        max_wait=max_wait,
-        max_queue=max(64, 4 * max_batch) if max_queue is None else max_queue,
-    )
-    with server:
-        result = run_closed_loop(
-            server.infer_one, x_pool, num_requests,
-            concurrency=concurrency,
-            label=label or f"pipelined[{session.runtime}]",
-        )
-        snapshot = server.stats.snapshot()
-    return result, snapshot
-
-
 @dataclass
 class ClassedLoadResult:
     """Outcome of one mixed SLO-class closed-loop run."""
@@ -182,14 +131,6 @@ class ClassedLoadResult:
     per_class: "dict[str, LoadGenResult]"
     #: request_id -> class name, the run's deterministic assignment
     class_of: dict = field(default_factory=dict)
-
-    def as_rows(self) -> list[dict]:
-        rows = [dict(self.combined.as_row(), slo_class="all")]
-        for cls in sorted(self.per_class):
-            rows.append(
-                dict(self.per_class[cls].as_row(), slo_class=cls)
-            )
-        return rows
 
 
 def assign_classes(num_requests: int, mix: "dict[str, float]") -> dict:

@@ -46,8 +46,7 @@ def evaluate(
     The split streams through the model in vectorized ``(B, ...)``
     batches of ``batch_size`` samples — one forward op and one fused
     loss pass per batch, never a per-sample loop (the per-sample form
-    is ~the batch speedup slower; ``benchmarks/bench_eval_vectorized.py``
-    records the measured factor).  The per-batch reduction
+    is ~the batch speedup slower).  The per-batch reduction
     (``mean * len`` summed, divided by ``n``) is kept bit-identical to
     the historical implementation so curves pinned before the
     vectorization still match hex for hex.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,39 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _jittered(engine, max_sleep: float, seed: int):
+    """Randomize worker interleavings: shadow ``forward`` / ``backward``
+    on every ``engine.stages[s]`` with a seeded
+    ``time.sleep(uniform(0, max_sleep))`` before the real method
+    (deterministic schedule of sleeps, nondeterministic OS
+    interleaving), and return the engine.
+
+    Thread workers share the parent's stage objects and forked workers
+    inherit them, so the shadows are what the workers execute; under
+    ``spawn`` the stage is rebuilt in the worker and the shadow does not
+    travel.  The sleep falls *inside* the worker's ``busy_seconds``
+    window — no jittered test reads busy time.
+    """
+
+    def shadow(method, rng):
+        def slept(*args, **kwargs):
+            time.sleep(rng.uniform(0.0, max_sleep))
+            return method(*args, **kwargs)
+
+        return slept
+
+    for s, stage in enumerate(engine.stages):
+        rng = np.random.default_rng((seed * 1_000_003 + s) & 0xFFFFFFFF)
+        stage.forward = shadow(stage.forward, rng)
+        stage.backward = shadow(stage.backward, rng)
+    return engine
+
+
+@pytest.fixture
+def jittered():
+    return _jittered
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """The `python -m repro.experiments` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -68,3 +70,20 @@ class TestRuntimeFlag:
     def test_runtime_flag_rejected_by_other_experiments(self):
         with pytest.raises(ValueError):
             main(["fig02", "--runtime", "threaded"])
+
+
+class TestOptionSurface:
+    def test_help_lists_exactly_four_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options == {
+            "--help", "--scale", "--schedule", "--runtime", "--save"
+        }
+
+    def test_removed_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule_comparison", "--serve-backend", "process"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -170,9 +170,6 @@ class TestExperimentRegistry:
             "table1", "table2", "table3", "table4", "table6",
             "ablation_bn_vs_gn", "ablation_warmup",
             "ablation_gradient_shrinking", "schedule_comparison",
-            "runtime_comparison", "durable_training", "serving",
-            "serving_fleet",
-            "hybrid_parallelism",
         }
         assert set(EXPERIMENTS) == expected
         for exp_id, (fn, desc) in EXPERIMENTS.items():
@@ -192,6 +189,22 @@ class TestExperimentRegistry:
         for eid in ("fig02", "fig05", "fig16"):
             payload = run_experiment(eid)
             assert "meta" in payload
+
+    def test_schedule_comparison_pb_reaches_target_in_fewer_steps(self):
+        """The paper's §2 efficiency argument on the one systems
+        experiment: PB undercuts the shared loss target in fewer
+        pipeline steps than synchronous fill/drain."""
+        from repro.experiments import run_experiment
+
+        rows = {
+            r["schedule"]: r
+            for r in run_experiment("schedule_comparison")["rows"]
+        }
+        assert set(rows) == {"pb", "fill_drain", "gpipe", "1f1b"}
+        assert (
+            0 < rows["pb"]["steps_to_loss"]
+            < rows["fill_drain"]["steps_to_loss"]
+        )
 
     def test_scale_resolution(self):
         from repro.experiments import get_scale

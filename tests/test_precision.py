@@ -322,6 +322,24 @@ class TestReducedPrecisionParity:
                 "a trained weight left the bf16 grid"
             )
 
+    def test_float32_rings_are_smaller(self):
+        """Dtype-aware rings fall out of the one-time cast: every
+        boundary slot of a float32 pipeline holds half the payload of
+        its float64 twin (pure layout arithmetic, no process launch)."""
+        from repro.pipeline.transport import (
+            probe_boundary_layouts,
+            slot_layout,
+        )
+
+        def ring_bytes(precision: str) -> int:
+            engine = PipelineExecutor(FACTORY(), lr=LR, precision=precision)
+            probe = engine.precision.cast_array(np.zeros((16, 3, 8, 8)))
+            layouts = probe_boundary_layouts(engine.stages, probe)
+            return sum(slot_layout(specs)[1] for specs in layouts)
+
+        bytes64, bytes32 = ring_bytes("float64"), ring_bytes("float32")
+        assert 0 < bytes32 <= 0.6 * bytes64
+
 
 # -- rejection: serving-only modes and grid mismatches -----------------------
 

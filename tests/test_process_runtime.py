@@ -144,7 +144,9 @@ class TestLockstepBitExact:
         "mode,kw",
         [("pb", {}), ("gpipe", dict(update_size=4, micro_batch_size=2))],
     )
-    def test_lr_schedule_applied_at_barrier(self, mode, kw, jitter_seed):
+    def test_lr_schedule_applied_at_barrier(
+        self, mode, kw, jitter_seed, jittered
+    ):
         """LR ticks ride the step messages in tick order, so they land
         between the same two operations of every worker as in the
         simulator — whatever the worker timing."""
@@ -156,10 +158,12 @@ class TestLockstepBitExact:
             m1, lr=0.05, momentum=0.9, mode=mode, lr_schedule=sched, **kw
         )
         sim = sim_engine.train(X, Y)
-        runner = ProcessPipelineRunner(
-            m2, lr=0.05, momentum=0.9, mode=mode, lr_schedule=sched,
-            lockstep=True, stall_timeout=STALL, jitter=0.002,
-            jitter_seed=jitter_seed, **kw,
+        runner = jittered(
+            ProcessPipelineRunner(
+                m2, lr=0.05, momentum=0.9, mode=mode, lr_schedule=sched,
+                lockstep=True, stall_timeout=STALL, **kw,
+            ),
+            0.002, jitter_seed,
         )
         proc = runner.train(X, Y)
         assert _hex_losses(sim) == _hex_losses(proc)

@@ -75,16 +75,21 @@ class TestJitteredInterleavings:
 
     @pytest.mark.parametrize("jitter_seed", [1, 2, 3])
     @pytest.mark.parametrize("mode,kw", SCHEDULES + LR_SCHEDULES)
-    def test_lockstep_bit_exact_under_jitter(self, mode, kw, jitter_seed):
+    def test_lockstep_bit_exact_under_jitter(
+        self, mode, kw, jitter_seed, jittered
+    ):
         X, Y = _stream(12)
         m_sim = small_cnn(num_classes=4, widths=(4,), seed=11)
         m_thr = small_cnn(num_classes=4, widths=(4,), seed=11)
         sim = PipelineExecutor(
             m_sim, lr=0.05, momentum=0.9, mode=mode, **kw
         ).train(X, Y)
-        thr = ConcurrentPipelineRunner(
-            m_thr, lr=0.05, momentum=0.9, mode=mode, lockstep=True,
-            jitter=0.002, jitter_seed=jitter_seed, **kw,
+        thr = jittered(
+            ConcurrentPipelineRunner(
+                m_thr, lr=0.05, momentum=0.9, mode=mode, lockstep=True,
+                **kw,
+            ),
+            0.002, jitter_seed,
         ).train(X, Y)
         assert [float(a).hex() for a in sim.losses] == [
             float(b).hex() for b in thr.losses
@@ -94,13 +99,17 @@ class TestJitteredInterleavings:
 
     @pytest.mark.parametrize("jitter_seed", [1, 2, 3])
     @pytest.mark.parametrize("mode,kw", SCHEDULES)
-    def test_free_running_invariants_under_jitter(self, mode, kw, jitter_seed):
+    def test_free_running_invariants_under_jitter(
+        self, mode, kw, jitter_seed, jittered
+    ):
         n = 12
         X, Y = _stream(n)
         m = small_cnn(num_classes=4, widths=(4,), seed=11)
-        runner = ConcurrentPipelineRunner(
-            m, lr=0.05, momentum=0.9, mode=mode, lockstep=False,
-            jitter=0.002, jitter_seed=jitter_seed, **kw,
+        runner = jittered(
+            ConcurrentPipelineRunner(
+                m, lr=0.05, momentum=0.9, mode=mode, lockstep=False, **kw
+            ),
+            0.002, jitter_seed,
         )
         stats = runner.train(X, Y)
         # packet ordering: completions arrive in injection order (FIFO
@@ -109,9 +118,8 @@ class TestJitteredInterleavings:
         assert stats.samples == n
         assert np.all(np.isfinite(stats.losses))
         # conservation: every stage saw every packet exactly once
-        rt = stats.runtime
-        packets = rt.stages[0].forward_ops
-        for st in rt.stages:
+        packets = stats.stages[0].forward_ops
+        for st in stats.stages:
             assert st.forward_ops == packets
             assert st.backward_ops == packets
         assert stats.forward_samples == n * m.num_stages

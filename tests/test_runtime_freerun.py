@@ -56,15 +56,20 @@ def max_param_diff(m1, m2):
 class TestEq5Inequality:
     @pytest.mark.parametrize("jitter_seed", [0, 1, 2])
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
-    def test_forward_lag_bounded_by_pipeline_delay(self, mode, jitter_seed):
+    def test_forward_lag_bounded_by_pipeline_delay(
+        self, mode, jitter_seed, jittered
+    ):
         """max(0, i - 2(S-1-s)) <= v_fwd(i) <= i at every compute stage,
         under randomized worker interleavings."""
         n = 24
         X, Y = _stream(n)
         m = small_cnn(seed=5)
-        runner = ConcurrentPipelineRunner(
-            m, lr=0.01, momentum=0.9, mode=mode, lockstep=False,
-            record_versions=True, jitter=0.001, jitter_seed=jitter_seed,
+        runner = jittered(
+            ConcurrentPipelineRunner(
+                m, lr=0.01, momentum=0.9, mode=mode, lockstep=False,
+                record_versions=True,
+            ),
+            0.001, jitter_seed,
         )
         runner.train(X, Y)
         S = m.num_stages
@@ -181,14 +186,16 @@ class TestOccupancyAccounting:
 
 class TestSynchronousSchedulesStayExact:
     @pytest.mark.parametrize("jitter_seed", [0, 1])
-    def test_free_gpipe_equals_sequential_sgdm(self, jitter_seed):
+    def test_free_gpipe_equals_sequential_sgdm(self, jitter_seed, jittered):
         n, N, B = 16, 8, 4
         X, Y = _stream(n)
         m1, m2 = small_cnn(seed=5), small_cnn(seed=5)
-        ConcurrentPipelineRunner(
-            m1, lr=0.05, momentum=0.9, weight_decay=1e-4, mode="gpipe",
-            update_size=N, micro_batch_size=B, lockstep=False,
-            jitter=0.001, jitter_seed=jitter_seed,
+        jittered(
+            ConcurrentPipelineRunner(
+                m1, lr=0.05, momentum=0.9, weight_decay=1e-4, mode="gpipe",
+                update_size=N, micro_batch_size=B, lockstep=False,
+            ),
+            0.001, jitter_seed,
         ).train(X, Y)
         ref = SGDM(m2.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
         for b in range(n // N):

@@ -203,10 +203,10 @@ class TestRuntimeStatsLockstep:
         X, Y = _stream(6)
         m = small_cnn(num_classes=4, widths=(4,), seed=1)
         stats = PipelineExecutor(m, lr=0.01, mode="pb").train(X, Y)
-        assert stats.runtime is None
+        assert stats.backend == "sim"
 
 
-class TestEngineFacade:
+class TestEngineSurface:
     def test_trainer_threaded_lockstep_matches_sim(self, tiny_dataset):
         """PipelinedTrainer(runtime="threaded", lockstep=True) trains the
         same trajectory as runtime="sim"."""
