@@ -19,12 +19,11 @@ from repro.core import (
     DelayedSGDM,
     MitigationConfig,
     RandomDelay,
-    delayed_train_step,
 )
-from repro.data import SyntheticCifar, iterate_batches
+from repro.data import SyntheticCifar, iterate_steps
 from repro.models import small_cnn
 from repro.optim import HyperParams
-from repro.train.metrics import evaluate
+from repro.train import evaluate, train_step
 from repro.utils import format_table
 from repro.utils.rng import derive_seed, new_rng
 
@@ -41,14 +40,8 @@ def run(profile, mitigation, data, tag) -> float:
         delay=profile, mitigation=mitigation, consistent=True,
     )
     rng = new_rng(derive_seed(0, "asgd", tag))
-    steps = 0
-    while steps < STEPS:
-        for xb, yb in iterate_batches(data.x_train, data.y_train, BATCH,
-                                      rng=rng):
-            delayed_train_step(opt, model, xb, yb)
-            steps += 1
-            if steps >= STEPS:
-                break
+    for xb, yb in iterate_steps(data.x_train, data.y_train, BATCH, STEPS, rng):
+        train_step(opt, model, xb, yb)
     _, acc = evaluate(model, data.x_val, data.y_val)
     return acc
 

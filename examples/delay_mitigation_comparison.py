@@ -14,11 +14,11 @@ import warnings
 
 import numpy as np
 
-from repro.core import DelayedSGDM, MitigationConfig, delayed_train_step
-from repro.data import SyntheticCifar, iterate_batches
+from repro.core import DelayedSGDM, MitigationConfig
+from repro.data import SyntheticCifar, iterate_steps
 from repro.models import small_cnn
 from repro.optim import HyperParams
-from repro.train.metrics import evaluate
+from repro.train import evaluate, train_step
 from repro.utils import format_table
 from repro.utils.rng import derive_seed, new_rng
 
@@ -36,14 +36,8 @@ def run(mitigation: MitigationConfig, consistent: bool, delay: int, data) -> flo
         delay=delay, mitigation=mitigation, consistent=consistent,
     )
     rng = new_rng(derive_seed(0, "example", mitigation.name, consistent, delay))
-    steps = 0
-    while steps < STEPS:
-        for xb, yb in iterate_batches(data.x_train, data.y_train, BATCH,
-                                      rng=rng):
-            delayed_train_step(opt, model, xb, yb)
-            steps += 1
-            if steps >= STEPS:
-                break
+    for xb, yb in iterate_steps(data.x_train, data.y_train, BATCH, STEPS, rng):
+        train_step(opt, model, xb, yb)
     _, acc = evaluate(model, data.x_val, data.y_val)
     return acc
 

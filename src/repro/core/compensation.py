@@ -61,10 +61,3 @@ class SpikeConfig:
         if self.a is not None and self.b is not None:
             return float(self.a), float(self.b)
         return spike_coefficients(momentum, self.scale * delay)
-
-    @staticmethod
-    def nesterov() -> "SpikeConfig":
-        """GSC coefficients equal to Nesterov momentum (a=m requires the
-        momentum at resolve time, so this returns the D=1 default, which is
-        identical — see §3.5)."""
-        return SpikeConfig(scale=1.0)

@@ -11,8 +11,16 @@ Trains any model with *stale gradients* without constructing a pipeline:
    lazily, see :mod:`repro.tensor`); **consistent** runs (= weight
    stashing) keep the stale weights;
 4. the caller backprops;
-5. ``step()`` — applies the (possibly spike-compensated) update to the
-   master weights and pushes a history snapshot.
+5. ``step()`` — applies the update to the master weights and pushes a
+   history snapshot.
+
+The arithmetic is not here: the update is one
+:func:`~repro.optim.sgd.sgdm_update` per parameter (eq. 12, with the
+spike coefficients and gradient shrinking resolved from each parameter's
+delay) and the prediction one
+:meth:`~repro.core.prediction.PredictionConfig.predict` (eqs. 18-19).
+What this optimizer adds to :class:`~repro.optim.sgd.SGDM` is only the
+source of the delay — a history buffer.
 
 Delays come from a :class:`~repro.core.staleness.DelayProfile`: constant
 (controlled studies), per-parameter (emulating per-stage pipeline delays),
@@ -31,19 +39,16 @@ property-tested in ``tests/test_schedule_properties.py``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import numbers
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.history import ParamHistory
 from repro.core.mitigation import MitigationConfig
-from repro.core.prediction import (
-    predict_velocity_form,
-    predict_weight_diff_form,
-)
 from repro.core.staleness import ConstantDelay, DelayProfile
 from repro.nn.module import Module, Parameter
-from repro.tensor.tensor import Tensor, cross_entropy
+from repro.optim.sgd import _check_lr_momentum, sgdm_update
 
 
 class DelayedSGDM:
@@ -57,7 +62,8 @@ class DelayedSGDM:
         SGDM hyperparameters (eqs. 7-8); ``lr`` may be reassigned between
         steps by an LR schedule.
     delay:
-        Integer (constant) or a :class:`DelayProfile`.
+        Non-negative integer (constant; any :class:`numbers.Integral`, so
+        sweeps over ``np.arange`` work) or a :class:`DelayProfile`.
     mitigation:
         A :class:`MitigationConfig`; the default is plain delayed SGDM.
     consistent:
@@ -83,13 +89,14 @@ class DelayedSGDM:
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        _check_lr_momentum(lr, momentum)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.profile: DelayProfile = (
-            ConstantDelay(delay) if isinstance(delay, int) else delay
+            ConstantDelay(delay)
+            if isinstance(delay, numbers.Integral)
+            else delay
         )
         self.mitigation = mitigation or MitigationConfig.none()
         self.consistent = bool(consistent) or self.mitigation.weight_stashing
@@ -124,37 +131,34 @@ class DelayedSGDM:
         for p in self.params:
             pid = id(p)
             d = self.profile.delay_for(pid, self.t)
-            w_old, v_old = self._history[pid].get(d)
-            if pred.kind == "none":
-                p.data = w_old.copy()
-            elif pred.kind in ("lwp_v", "spectrain"):
-                horizon = pred.forward_horizon(d)
-                p.data = predict_velocity_form(w_old, v_old, self.lr, horizon)
-            elif pred.kind == "lwp_w":
-                horizon = pred.forward_horizon(d)
-                w_prev, _ = self._history[pid].get(d + 1)
-                p.data = predict_weight_diff_form(w_old, w_prev, horizon)
-            else:  # pragma: no cover - guarded by PredictionConfig
-                raise AssertionError(pred.kind)
+            hist = self._history[pid]
+            w_old, v_old = hist.get(d)
+            p.data = pred.predict(
+                w_old, v_old, hist.get(d + 1)[0], self.lr,
+                pred.forward_horizon(d),
+            )
 
     def prepare_backward(self) -> None:
         """Select the weights the backward pass will read."""
         if not self._loaded:
             raise RuntimeError("call load_forward_weights() before backward")
-        pred = self.mitigation.prediction
         if self.consistent:
             return  # keep the forward (stale/predicted) weights
+        pred = self.mitigation.prediction
+        # SpecTrain re-predicts at backward time from the current state;
+        # a zero horizon (every other kind) is the master weights as-is
+        horizon = pred.backward_horizon()
         for p in self.params:
             pid = id(p)
             master = self._master[pid]
-            if pred.kind == "spectrain":
-                # re-predict at backward time from the current state
-                horizon = pred.backward_horizon()
-                p.data = predict_velocity_form(
-                    master, self._velocity[pid], self.lr, horizon
+            p.data = (
+                pred.predict(
+                    master, self._velocity[pid],
+                    self._history[pid].get(1)[0], self.lr, horizon,
                 )
-            else:
-                p.data = master
+                if horizon
+                else master
+            )
 
     def step(self) -> None:
         """Apply the (compensated) update to master weights; advance time."""
@@ -164,23 +168,16 @@ class DelayedSGDM:
         for p in self.params:
             pid = id(p)
             master = self._master[pid]
-            d = self.profile.delay_for(pid, self.t)
             v = self._velocity[pid]
             if p.grad is not None:
-                g = p.grad.astype(master.dtype, copy=False)
-                if self.weight_decay:
-                    g = g + self.weight_decay * master
-                shrink = self.mitigation.shrink_factor(m, d)
-                if shrink != 1.0:
-                    g = g * shrink
-                v *= m
-                v += g
+                d = self.profile.delay_for(pid, self.t)
                 a, b = self.mitigation.spike_coefficients(m, d)
-                update = a * v if b == 0.0 else a * v + b * g
-                p.data = master - self.lr * update
-            else:
-                p.data = master
-            self._history[pid].push(p.data, v)
+                sgdm_update(
+                    master, v, p.grad, self.lr, m, self.weight_decay, a, b,
+                    shrink=self.mitigation.shrink_factor(m, d),
+                )
+            p.data = master
+            self._history[pid].push(master, v)
             p.grad = None
         self.t += 1
         self._loaded = False
@@ -192,21 +189,3 @@ class DelayedSGDM:
 
     def velocity(self, p: Parameter) -> np.ndarray:
         return self._velocity[id(p)]
-
-
-def delayed_train_step(
-    optimizer: DelayedSGDM,
-    model: Module,
-    x: np.ndarray | Tensor,
-    y: np.ndarray | Sequence[int],
-) -> float:
-    """One full simulator step on a (batched) sample; returns the loss."""
-    optimizer.begin_step()
-    optimizer.load_forward_weights()
-    logits = model(x if isinstance(x, Tensor) else Tensor(x))
-    loss = cross_entropy(logits, y)
-    optimizer.prepare_backward()
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
-    return float(loss.data)

@@ -42,7 +42,9 @@ class MitigationConfig:
         values used on each sample's forward.
     gradient_shrink_base:
         If set, scales each arriving gradient by ``base ** D`` (Zhuang et
-        al. 2019 gradient shrinking).  ``None`` disables.
+        al. 2019 gradient shrinking).  ``None`` disables.  Build it with
+        :meth:`gradient_shrinking`, which validates the base (and stores
+        "the momentum at resolve time" as a negative sentinel).
     name:
         Label used in printed tables.
     """
@@ -116,7 +118,11 @@ class MitigationConfig:
     @staticmethod
     def gradient_shrinking(base: float | None = None) -> "MitigationConfig":
         """Zhuang et al. baseline; ``base=None`` uses the momentum at
-        resolve time."""
+        resolve time, anything else must lie in ``(0, 1]``."""
+        if base is not None and not 0.0 < base <= 1.0:
+            raise ValueError(
+                f"gradient shrink base must be in (0, 1], got {base}"
+            )
         return MitigationConfig(
             gradient_shrink_base=base if base is not None else -1.0,
             name="PB+GradShrink",

@@ -96,10 +96,17 @@ class PredictionConfig:
             return 0.0
         return self.spectrain_offset if offset is None else offset
 
-    @property
-    def uses_velocity(self) -> bool:
-        return self.kind in ("lwp_v", "spectrain")
-
-    @property
-    def uses_weight_history(self) -> bool:
-        return self.kind == "lwp_w"
+    def predict(
+        self,
+        w: np.ndarray,
+        v: np.ndarray,
+        w_prev: np.ndarray,
+        lr: float,
+        horizon: float,
+    ) -> np.ndarray:
+        """``w`` advanced ``horizon`` steps, as a fresh array: eq. 19 from
+        ``(w, w_prev)`` for ``"lwp_w"``, eq. 18 from ``(w, v)`` for every
+        other kind (``"none"`` has horizon zero, i.e. a copy of ``w``)."""
+        if self.kind == "lwp_w":
+            return predict_weight_diff_form(w, w_prev, horizon)
+        return predict_velocity_form(w, v, lr, horizon)

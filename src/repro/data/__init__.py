@@ -17,6 +17,7 @@ from repro.data.augment import PadCropFlip
 from repro.data.loader import (
     ResumableSampleStream,
     iterate_batches,
+    iterate_steps,
     sample_stream,
     shard_positions,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "PadCropFlip",
     "ResumableSampleStream",
     "iterate_batches",
+    "iterate_steps",
     "sample_stream",
     "shard_positions",
 ]

@@ -1,5 +1,9 @@
 """Batch iteration and per-sample streams over datasets.
 
+:func:`iterate_batches` is one shuffled epoch of batches;
+:func:`iterate_steps` chains epochs up to an exact number of optimizer
+steps (the budget every flat experiment loop is written against).
+
 Two stream flavors feed the pipelined trainers:
 
 * :func:`sample_stream` — the eager helper: materializes every epoch of
@@ -16,6 +20,7 @@ Two stream flavors feed the pipelined trainers:
 from __future__ import annotations
 
 import copy
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -54,6 +59,34 @@ def iterate_batches(
                 raise ValueError("augmentation requires an rng")
             xb = augment(xb, rng)
         yield xb, yb
+
+
+def iterate_steps(
+    x: np.ndarray,
+    y: np.ndarray,
+    batch_size: int,
+    steps: int,
+    rng: np.random.Generator,
+    augment=None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield exactly ``steps`` full-size batches, reshuffling every epoch.
+
+    Chains :func:`iterate_batches` epochs (``drop_last``), so ``rng`` is
+    consumed exactly as by a hand-written epoch loop that stops after
+    ``steps`` batches: one permutation per *started* epoch plus the
+    augment's draws per yielded batch, nothing after the last batch.
+    """
+    if batch_size > x.shape[0]:
+        raise ValueError(
+            f"batch_size {batch_size} exceeds the {x.shape[0]} samples "
+            "of one epoch"
+        )
+    done = 0
+    while done < steps:
+        epoch = iterate_batches(x, y, batch_size, rng=rng, augment=augment)
+        for batch in islice(epoch, steps - done):
+            done += 1
+            yield batch
 
 
 def shard_positions(

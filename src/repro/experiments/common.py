@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.delayed_sgd import DelayedSGDM, delayed_train_step
+from repro.core.delayed_sgd import DelayedSGDM
 from repro.core.mitigation import MitigationConfig
-from repro.data.loader import ResumableSampleStream, iterate_batches
+from repro.data.loader import ResumableSampleStream, iterate_steps
 from repro.data.synthetic import Dataset, SyntheticCifar, SyntheticImageNet
 from repro.experiments.scale import Scale
 from repro.models.arch import StageGraphModel
@@ -33,8 +33,8 @@ from repro.models.resnet import preact_resnet50, preact_resnet_cifar
 from repro.models.vgg import build_vgg
 from repro.optim.sgd import SGDM
 from repro.pipeline.delays import pipeline_delay_profile
-from repro.tensor.tensor import Tensor, cross_entropy
 from repro.train.metrics import evaluate
+from repro.train.trainer import train_step
 from repro.utils.rng import derive_seed, new_rng
 
 
@@ -282,18 +282,13 @@ def run_pb_simulated(
     rng = new_rng(derive_seed(seed, "sim", model.name, mitigation.name))
     total = steps if steps is not None else scale.sim_steps
     sched = _warmup(hp.lr * lr_mult, total, warm_frac)
-    done = 0
-    while done < total:
-        for xb, yb in iterate_batches(
-            ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-        ):
-            opt.lr = sched(done)
-            delayed_train_step(opt, model, xb, yb)
-            done += 1
-            if done >= total:
-                break
+    for step, (xb, yb) in enumerate(
+        iterate_steps(ds.x_train, ds.y_train, scale.sim_batch, total, rng)
+    ):
+        opt.lr = sched(step)
+        train_step(opt, model, xb, yb)
     val_loss, val_acc = evaluate(model, ds.x_val, ds.y_val)
-    return {"val_acc": val_acc, "val_loss": val_loss, "steps": done}
+    return {"val_acc": val_acc, "val_loss": val_loss, "steps": total}
 
 
 def run_sgdm_baseline(
@@ -317,23 +312,18 @@ def run_sgdm_baseline(
     sched = _warmup(
         hp.lr * lr_mult, max(1, total // scale.sim_batch), warm_frac
     )
-    steps = 0
-    seen = 0
-    while seen < total:
-        for xb, yb in iterate_batches(
-            ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-        ):
-            opt.lr = sched(steps)
-            loss = cross_entropy(model(Tensor(xb)), yb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            steps += 1
-            seen += len(yb)
-            if seen >= total:
-                break
+    steps = -(-total // scale.sim_batch)
+    for step, (xb, yb) in enumerate(
+        iterate_steps(ds.x_train, ds.y_train, scale.sim_batch, steps, rng)
+    ):
+        opt.lr = sched(step)
+        train_step(opt, model, xb, yb)
     val_loss, val_acc = evaluate(model, ds.x_val, ds.y_val)
-    return {"val_acc": val_acc, "val_loss": val_loss, "samples": seen}
+    return {
+        "val_acc": val_acc,
+        "val_loss": val_loss,
+        "samples": steps * scale.sim_batch,
+    }
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.delayed_sgd import DelayedSGDM, delayed_train_step
+from repro.core.delayed_sgd import DelayedSGDM
 from repro.core.mitigation import MitigationConfig
-from repro.data.loader import iterate_batches
+from repro.data.loader import iterate_steps
 from repro.data.synthetic import SyntheticCifar
 from repro.experiments.scale import Scale, get_scale
 from repro.models.arch import StageDef, StageGraphModel
@@ -37,6 +37,7 @@ from repro.nn import (
 )
 from repro.optim.lr_schedule import ConstantSchedule, WarmupSchedule
 from repro.train.metrics import evaluate
+from repro.train.trainer import train_step
 from repro.utils.rng import derive_seed, new_rng
 
 
@@ -89,16 +90,13 @@ def _train_delayed(
         else ConstantSchedule(hp.lr)
     )
     rng = new_rng(derive_seed(seed, "ext", model.name, delay, warmup_frac))
-    done = 0
-    while done < scale.sim_steps:
-        for xb, yb in iterate_batches(
-            ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-        ):
-            opt.lr = sched(done)
-            delayed_train_step(opt, model, xb, yb)
-            done += 1
-            if done >= scale.sim_steps:
-                break
+    for step, (xb, yb) in enumerate(
+        iterate_steps(
+            ds.x_train, ds.y_train, scale.sim_batch, scale.sim_steps, rng
+        )
+    ):
+        opt.lr = sched(step)
+        train_step(opt, model, xb, yb)
     return evaluate(model, ds.x_val, ds.y_val)[1]
 
 

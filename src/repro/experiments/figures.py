@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.delayed_sgd import DelayedSGDM, delayed_train_step
+from repro.core.delayed_sgd import DelayedSGDM
 from repro.core.mitigation import MitigationConfig
-from repro.data.loader import iterate_batches
+from repro.data.loader import iterate_steps
 from repro.data.synthetic import SyntheticCifar
 from repro.experiments.common import (
     NETS,
@@ -50,8 +50,8 @@ from repro.quadratic.roots import (
     rate_grid,
     stability_mask,
 )
-from repro.tensor.tensor import Tensor, cross_entropy
 from repro.train.metrics import evaluate
+from repro.train.trainer import train_step
 from repro.utils.rng import derive_seed, new_rng
 
 
@@ -349,15 +349,10 @@ def fig10_inconsistency(scale: Scale | None = None) -> dict:
                 weight_decay=hp.weight_decay, delay=d, consistent=consistent,
             )
             rng = new_rng(derive_seed(0, "fig10", mode, d))
-            steps = 0
-            while steps < scale.sim_steps:
-                for xb, yb in iterate_batches(
-                    ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-                ):
-                    delayed_train_step(opt, model, xb, yb)
-                    steps += 1
-                    if steps >= scale.sim_steps:
-                        break
+            for xb, yb in iterate_steps(
+                ds.x_train, ds.y_train, scale.sim_batch, scale.sim_steps, rng
+            ):
+                train_step(opt, model, xb, yb)
             _, acc = evaluate(model, ds.x_val, ds.y_val)
             series[mode].append(acc)
     return {
@@ -401,16 +396,12 @@ def fig13_prediction_scale_nn(scale: Scale | None = None) -> dict:
             consistent=True,
         )
         rng = new_rng(derive_seed(0, "fig13", alpha))
-        steps = 0
-        train_losses = []
-        while steps < scale.sim_steps:
-            for xb, yb in iterate_batches(
-                ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-            ):
-                train_losses.append(delayed_train_step(opt, model, xb, yb))
-                steps += 1
-                if steps >= scale.sim_steps:
-                    break
+        train_losses = [
+            train_step(opt, model, xb, yb)
+            for xb, yb in iterate_steps(
+                ds.x_train, ds.y_train, scale.sim_batch, scale.sim_steps, rng
+            )
+        ]
         _, acc = evaluate(model, ds.x_val, ds.y_val)
         accs.append(acc)
         losses.append(float(np.mean(train_losses[-20:])))
@@ -465,15 +456,11 @@ def fig14_momentum_effects(scale: Scale | None = None) -> dict:
                     consistent=(consistency == "consistent"),
                 )
                 rng = new_rng(derive_seed(0, "fig14", consistency, name, m))
-                steps = 0
-                while steps < scale.sim_steps:
-                    for xb, yb in iterate_batches(
-                        ds.x_train, ds.y_train, scale.sim_batch, rng=rng
-                    ):
-                        delayed_train_step(opt, model, xb, yb)
-                        steps += 1
-                        if steps >= scale.sim_steps:
-                            break
+                for xb, yb in iterate_steps(
+                    ds.x_train, ds.y_train, scale.sim_batch,
+                    scale.sim_steps, rng,
+                ):
+                    train_step(opt, model, xb, yb)
                 _, acc = evaluate(model, ds.x_val, ds.y_val)
                 series[name].append(acc)
         out[consistency] = series
@@ -516,14 +503,8 @@ def fig16_executor_validation(scale: Scale | None = None) -> dict:
         m2.parameters(), lr=hp.lr, momentum=hp.momentum,
         weight_decay=hp.weight_decay,
     )
-    losses_ref = []
     for b in range(len(Y) // N):
-        xb, yb = X[b * N : (b + 1) * N], Y[b * N : (b + 1) * N]
-        loss = cross_entropy(m2(Tensor(xb)), yb)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses_ref.append(float(loss.data))
+        train_step(opt, m2, X[b * N : (b + 1) * N], Y[b * N : (b + 1) * N])
     max_diff = max(
         float(np.abs(a.data - b.data).max())
         for a, b in zip(m1.parameters(), m2.parameters())
@@ -563,18 +544,16 @@ def fig17_hparam_scaling(scale: Scale | None = None) -> dict:
                    weight_decay=ref.weight_decay)
         rng = new_rng(derive_seed(0, "fig17", tag))
         curve = []
-        seen = 0
-        while seen < total:
-            for xb, yb in iterate_batches(ds.x_train, ds.y_train, batch, rng=rng):
-                loss = cross_entropy(model(Tensor(xb)), yb)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                seen += len(yb)
-                if seen >= total:
-                    break
-            _, acc = evaluate(model, ds.x_val, ds.y_val)
-            curve.append((seen, acc))
+        steps = -(-total // batch)
+        per_epoch = ds.x_train.shape[0] // batch
+        for step, (xb, yb) in enumerate(
+            iterate_steps(ds.x_train, ds.y_train, batch, steps, rng), 1
+        ):
+            train_step(opt, model, xb, yb)
+            if step % per_epoch == 0 or step == steps:
+                # one curve point per epoch, and one at the end
+                _, acc = evaluate(model, ds.x_val, ds.y_val)
+                curve.append((step * batch, acc))
         return curve
 
     scaled = scale.reference.scaled_to(1)

@@ -1,13 +1,17 @@
-"""SGD with momentum in the paper's velocity form (eqs. 7-8).
+"""Eq. 12, once: the momentum-SGD update kernel and the plain optimizer.
 
     v_{t+1} = m * v_t + g_t
-    w_{t+1} = w_t - lr * v_{t+1}
+    w_{t+1} = w_t - lr * (a * v_{t+1} + b * g_t)          (eq. 12)
 
-No dampening; optional decoupled-from-loss L2 weight decay folded into the
-gradient (``g += wd * w``), matching the reference He et al. setup.  An
-optional Nesterov variant (update ``m*v_{t+1} + g_t``) is included because
-the paper's quadratic analysis compares against it — note Nesterov is
-exactly generalized spike compensation with ``a=m, b=1``.
+:func:`sgdm_update` is the only place in the repository that advances a
+velocity or moves a weight.  Plain SGDM (``a=1, b=0``, eqs. 7-8),
+Nesterov (``a=m, b=1``, §3.5) and Spike Compensation (eq. 14) are
+coefficient choices, and the three optimizers built on the kernel differ
+only in where the gradient's delay comes from: :class:`SGDM` has none,
+:class:`~repro.core.delayed_sgd.DelayedSGDM` replays a history buffer,
+:class:`~repro.pipeline.stage.PipelineStage` gets it from the pipeline.
+No dampening; L2 weight decay is folded into the gradient, matching the
+reference He et al. setup.
 
 Mixed precision (``precision=`` + optional ``loss_scaler=``): with a
 reduced-precision policy the optimizer keeps **float64 master copies**
@@ -32,6 +36,66 @@ from repro.precision.policy import PrecisionPolicy, resolve_precision
 from repro.precision.scaler import LossScaler
 
 
+def _check_lr_momentum(lr: float, momentum: float) -> None:
+    """The hyperparameter domain every optimizer on the kernel shares."""
+    if lr <= 0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+
+
+def sgdm_update(
+    w: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    lr: float,
+    momentum: float,
+    weight_decay: float = 0.0,
+    a: float = 1.0,
+    b: float = 0.0,
+    grad_scale: float = 1.0,
+    shrink: float = 1.0,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """Eq. 12 on one parameter, in place on ``w`` and ``v``.
+
+    The effective gradient is ``(g * grad_scale + weight_decay * w) *
+    shrink`` (loss-scale inverse or ``1/count`` of a flushed sum, the L2
+    fold, gradient shrinking); then ``v = momentum * v + g`` and
+    ``w -= lr * (a * v + b * g)``.  ``g`` is never written.  The
+    operations and their order are the textbook out-of-place ones —
+    multiplications by exactly 1 and additions of exactly 0 are skipped,
+    which changes no bit — so trajectories are bit-identical to the naive
+    form (pinned over the whole coefficient grid in
+    ``tests/test_optim.py``).
+
+    ``scratch`` is an optional pair of buffers shaped and typed like
+    ``w`` for the intermediates (effective gradient, update); a caller
+    that keeps one per parameter makes the steady-state update allocate
+    nothing, without it only the intermediates this call needs are
+    allocated.
+    """
+    g_buf, u = scratch if scratch is not None else (None, None)
+    g = g.astype(w.dtype, copy=False)
+    if grad_scale != 1.0:
+        g = g_buf = np.multiply(g, grad_scale, out=g_buf)
+    if weight_decay:
+        u = np.multiply(w, weight_decay, out=u)
+        g = g_buf = np.add(g, u, out=g_buf)
+    if shrink != 1.0:
+        g = g_buf = np.multiply(g, shrink, out=g_buf)
+    np.multiply(v, momentum, out=v)
+    np.add(v, g, out=v)
+    update = v
+    if a != 1.0:
+        update = u = np.multiply(v, a, out=u)
+    if b != 0.0:
+        g_buf = np.multiply(g, b, out=g_buf)
+        update = u = np.add(update, g_buf, out=u)
+    u = np.multiply(update, lr, out=u)
+    np.subtract(w, u, out=w)
+
+
 class SGDM:
     """Momentum SGD over a list of parameters."""
 
@@ -48,10 +112,7 @@ class SGDM:
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        _check_lr_momentum(lr, momentum)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
@@ -78,9 +139,12 @@ class SGDM:
             )
             for p in self.params
         }
-        #: per-parameter scratch buffers so ``step`` allocates nothing on
-        #: the hot path (lazily created, keyed by parameter and role)
-        self._scratch: dict[tuple[int, str], np.ndarray] = {}
+        #: per-parameter scratch pair for :func:`sgdm_update`, so ``step``
+        #: allocates nothing on the hot path
+        self._scratch = {
+            pid: (np.empty_like(v), np.empty_like(v))
+            for pid, v in self._velocity.items()
+        }
 
     def velocity(self, p: Parameter) -> np.ndarray:
         """The current velocity buffer for parameter ``p``."""
@@ -90,26 +154,13 @@ class SGDM:
         for p in self.params:
             p.grad = None
 
-    def _buf(self, p: Parameter, role: str) -> np.ndarray:
-        key = (id(p), role)
-        ref = (
-            self._master[id(p)] if self._master is not None else p.data
-        )
-        buf = self._scratch.get(key)
-        if buf is None or buf.shape != ref.shape or buf.dtype != ref.dtype:
-            buf = self._scratch[key] = np.empty_like(ref)
-        return buf
-
     def step(self) -> None:
         """Apply one update using accumulated ``.grad`` fields.
 
-        Fully in place: velocity, the weight-decay fold and the weight
-        update all write into preallocated buffers
-        (``np.multiply/add/subtract(..., out=...)``), so the steady-state
-        optimizer allocates nothing per step.  The operation order is the
-        textbook one — ``g + wd*w``, then ``v = m*v + g``, then
-        ``w -= lr*update`` — so results are bit-identical to the naive
-        out-of-place form (pinned in ``tests/test_optim.py``).
+        One :func:`sgdm_update` per parameter, in place on the weights
+        (or their float64 masters) and the velocity, through the
+        optimizer's own scratch buffers — the steady-state step
+        allocates nothing.
 
         With a :class:`~repro.precision.scaler.LossScaler` the gradient
         finiteness check runs **before** anything is mutated, so an
@@ -129,37 +180,18 @@ class SGDM:
             inv_scale = 1.0 / scaler.scale if scaler.scale != 0 else 1.0
             scaler.update(False)
         m = self.momentum
+        a, b = (m, 1.0) if self.nesterov else (1.0, 0.0)
         masters = self._master
         for p in self.params:
             if p.grad is None:
                 continue
-            if masters is not None:
-                w = masters[id(p)]
-                g = p.grad.astype(np.float64)
-                if scaler is not None:
-                    g *= inv_scale
-            else:
-                w = p.data
-                g = p.grad
-                if scaler is not None:
-                    g = g * inv_scale
-            if self.weight_decay:
-                g_eff = self._buf(p, "g")
-                np.multiply(w, self.weight_decay, out=g_eff)
-                np.add(g, g_eff, out=g_eff)  # g_eff = g + wd*w
-            else:
-                g_eff = g
-            v = self._velocity[id(p)]
-            np.multiply(v, m, out=v)
-            np.add(v, g_eff, out=v)
-            step_buf = self._buf(p, "u")
-            if self.nesterov:
-                np.multiply(v, m, out=step_buf)
-                np.add(step_buf, g_eff, out=step_buf)  # m*v_{t+1} + g
-                np.multiply(step_buf, self.lr, out=step_buf)
-            else:
-                np.multiply(v, self.lr, out=step_buf)
-            np.subtract(w, step_buf, out=w)
+            pid = id(p)
+            w = p.data if masters is None else masters[pid]
+            sgdm_update(
+                w, self._velocity[pid], p.grad, self.lr, m,
+                self.weight_decay, a, b, grad_scale=inv_scale,
+                scratch=self._scratch[pid],
+            )
             if masters is not None:
                 # project the float64 master back onto the storage grid
                 p.data = self.precision.quantize(w)

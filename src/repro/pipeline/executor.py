@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.mitigation import MitigationConfig
 from repro.models.arch import StageGraphModel
+from repro.optim.sgd import _check_lr_momentum
 from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
 from repro.pipeline.stage import PipelineStage
 from repro.precision.policy import PrecisionPolicy, resolve_precision
@@ -382,6 +383,7 @@ class PipelineExecutor:
         schedule: Schedule | None = None,
         precision: "PrecisionPolicy | str | None" = None,
     ):
+        _check_lr_momentum(lr, momentum)
         if schedule is None:
             schedule = make_schedule(
                 mode, update_size=update_size, micro_batch_size=micro_batch_size

@@ -6,16 +6,21 @@ as its gradient arrives (update size one), with its *own* delay
 ``D_s = 2(S-1-s)`` driving the mitigation:
 
 * **forward**: if weight prediction is on, parameters are loaded with
-  ``w - lr*T_s*v`` (velocity form) / the weight-difference form before the
-  sample's graph is built, then restored.  The graph captures activations
-  by value but reads weights lazily, so a later backward sees the weights
-  *current at backward time* — the genuine PB inconsistency.
+  the predicted weights
+  (:meth:`~repro.core.prediction.PredictionConfig.predict`, horizon from
+  ``D_s``) before the sample's graph is built, then restored.  The graph
+  captures activations by value but reads weights lazily, so a later
+  backward sees the weights *current at backward time* — the genuine PB
+  inconsistency.
 * **backward**: with weight stashing the stashed forward weights are
   reloaded around the backward pass; with SpecTrain the weights are
   re-predicted with the vertical-sync horizon (= stage index); otherwise
   the current weights are used as-is.
-* **update**: spike compensation modifies how the arriving gradient is
-  applied: ``w -= lr * (a v' + b g)`` with SC_D coefficients by default.
+* **update**: one :func:`~repro.optim.sgd.sgdm_update` per parameter —
+  the same eq.-12 kernel :class:`~repro.optim.sgd.SGDM` and
+  :class:`~repro.core.delayed_sgd.DelayedSGDM` step through; the stage
+  only supplies what the pipeline determines: the spike coefficients and
+  gradient shrinking for ``D_s``, and ``1/count`` for a flushed sum.
 
 Payloads travelling between stages are lists of raw arrays
 ``[main, skip_0, ..)``; gradients travel backwards with the mirrored
@@ -38,11 +43,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.mitigation import MitigationConfig
-from repro.core.prediction import (
-    predict_velocity_form,
-    predict_weight_diff_form,
-)
 from repro.models.arch import StageDef
+from repro.optim.sgd import sgdm_update
 from repro.pipeline.delays import stage_delay
 from repro.precision.policy import (
     PrecisionPolicy,
@@ -117,28 +119,19 @@ class PipelineStage:
 
     # -- weight loading helpers -------------------------------------------
 
-    def _predicted_forward_weights(self) -> list[np.ndarray] | None:
-        """Prediction per eq. 18/19 applied at forward time, or ``None``."""
-        pred = self.mitigation.prediction
-        if pred.kind == "none" or not self.params:
+    def _predict(self, horizon: float) -> list[np.ndarray] | None:
+        """Every parameter predicted ``horizon`` updates ahead (eq. 18/19),
+        or ``None`` when there is nothing to predict."""
+        if not horizon:
             return None
-        horizon = pred.forward_horizon(self.delay, offset=float(self.index))
-        out = []
-        for p in self.params:
-            pid = id(p)
-            if pred.kind == "lwp_w":
-                out.append(
-                    predict_weight_diff_form(
-                        p.data, self._prev_weights[pid], horizon
-                    )
-                )
-            else:  # lwp_v / spectrain use the velocity form
-                out.append(
-                    predict_velocity_form(
-                        p.data, self._velocity[pid], self.lr, horizon
-                    )
-                )
-        return out
+        pred = self.mitigation.prediction
+        return [
+            pred.predict(
+                p.data, self._velocity[id(p)], self._prev_weights[id(p)],
+                self.lr, horizon,
+            )
+            for p in self.params
+        ]
 
     def _backward_weights(
         self, entry: _StashEntry
@@ -149,16 +142,12 @@ class PipelineStage:
             return None
         if self.mitigation.weight_stashing or self.always_stash:
             return entry.stashed_weights
-        pred = self.mitigation.prediction
-        if pred.kind == "spectrain":
-            horizon = pred.backward_horizon(offset=float(self.index))
-            return [
-                predict_velocity_form(
-                    p.data, self._velocity[id(p)], self.lr, horizon
-                )
-                for p in self.params
-            ]
-        return None
+        # SpecTrain re-predicts to the vertical-sync step; zero otherwise
+        return self._predict(
+            self.mitigation.prediction.backward_horizon(
+                offset=float(self.index)
+            )
+        )
 
     # -- forward --------------------------------------------------------------
 
@@ -174,7 +163,13 @@ class PipelineStage:
             return [main] + payload[1:-1]
 
         # compute stage: optionally load predicted weights for the forward
-        predicted = self._predicted_forward_weights() if train else None
+        predicted = None
+        if train:
+            predicted = self._predict(
+                self.mitigation.prediction.forward_horizon(
+                    self.delay, offset=float(self.index)
+                )
+            )
         masters = [p.data for p in self.params]
         if predicted is not None:
             for p, w_hat in zip(self.params, predicted):
@@ -305,32 +300,26 @@ class PipelineStage:
                     self.updates_applied += 1
                     self._pending_grads = 0
                     return
+        if plain:
+            a, b, shrink = 1.0, 0.0, 1.0
+        else:
+            a, b = self.mitigation.spike_coefficients(m, self.delay)
+            shrink = self.mitigation.shrink_factor(m, self.delay)
         bf16 = self.precision.mode == "bf16"
         for p in self.params:
             if p.grad is None:
                 continue
             pid = id(p)
-            g = p.grad * scale if scale != 1.0 else p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if not plain:
-                shrink = self.mitigation.shrink_factor(m, self.delay)
-                if shrink != 1.0:
-                    g = g * shrink
-            v = self._velocity[pid]
-            v *= m
-            v += g
-            if plain:
-                a, b = 1.0, 0.0
-            else:
-                a, b = self.mitigation.spike_coefficients(m, self.delay)
-            self._prev_weights[pid] = p.data
-            update = a * v if b == 0.0 else a * v + b * g
-            new_w = p.data - self.lr * update
-            # bf16 stores weights on the bf16 grid: re-truncate after
-            # every update (compute stays float32 — classic "bf16
-            # storage, fp32 accumulate" mixed precision)
-            p.data = simulate_bf16(new_w) if bf16 else new_w
+            np.copyto(self._prev_weights[pid], p.data)
+            sgdm_update(
+                p.data, self._velocity[pid], p.grad, self.lr, m,
+                self.weight_decay, a, b, grad_scale=scale, shrink=shrink,
+            )
+            if bf16:
+                # bf16 stores weights on the bf16 grid: re-truncate after
+                # every update (compute stays float32 — classic "bf16
+                # storage, fp32 accumulate" mixed precision)
+                p.data = simulate_bf16(p.data)
             p.grad = None
         self.updates_applied += 1
         self._pending_grads = 0

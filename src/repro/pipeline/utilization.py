@@ -10,6 +10,14 @@ cost once, so utilization approaches one.
 from __future__ import annotations
 
 
+def _slots_over_steps(num_stages: int, slots: int, what: str) -> float:
+    """``x / (x + 2S - 2)``: ``x`` busy slots out of the ``x + 2S - 2``
+    steps one fill + drain of an ``S``-stage pipeline takes."""
+    if num_stages < 1 or slots < 1:
+        raise ValueError(f"need at least one stage and one {what}")
+    return slots / (slots + 2 * num_stages - 2)
+
+
 def utilization_upper_bound(num_stages: int, batch_size: int) -> float:
     """Eq. 1: ``N / (N + 2S)``."""
     if num_stages < 1 or batch_size < 1:
@@ -19,9 +27,7 @@ def utilization_upper_bound(num_stages: int, batch_size: int) -> float:
 
 def fill_drain_utilization(num_stages: int, batch_size: int) -> float:
     """Exact steady-state utilization of fill-and-drain mini-batch SGD."""
-    if num_stages < 1 or batch_size < 1:
-        raise ValueError("need at least one stage and one sample")
-    return batch_size / (batch_size + 2 * num_stages - 2)
+    return _slots_over_steps(num_stages, batch_size, "sample")
 
 
 def gpipe_utilization(num_stages: int, num_micro_batches: int) -> float:
@@ -32,18 +38,9 @@ def gpipe_utilization(num_stages: int, num_micro_batches: int) -> float:
     utilization is ``M / (M + 2S - 2)`` — independent of the per-packet
     width ``B`` because every slot carries ``B`` samples.
     """
-    if num_stages < 1 or num_micro_batches < 1:
-        raise ValueError("need at least one stage and one micro-batch")
-    return num_micro_batches / (num_micro_batches + 2 * num_stages - 2)
+    return _slots_over_steps(num_stages, num_micro_batches, "micro-batch")
 
 
 def pb_utilization(num_stages: int, total_samples: int) -> float:
     """Utilization of PB over a finite stream (one fill+drain total)."""
-    if num_stages < 1 or total_samples < 1:
-        raise ValueError("need at least one stage and one sample")
-    return total_samples / (total_samples + 2 * num_stages - 2)
-
-
-def pb_speedup(num_stages: int, batch_size: int) -> float:
-    """Steady-state throughput advantage of PB over fill-and-drain SGD."""
-    return 1.0 / fill_drain_utilization(num_stages, batch_size)
+    return _slots_over_steps(num_stages, total_samples, "sample")

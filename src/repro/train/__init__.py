@@ -1,7 +1,8 @@
-"""Training harness: batch trainer, pipelined trainer, metrics."""
+"""Training harness: the flat train step, batch trainer, pipelined
+trainer, metrics."""
 
 from repro.train.metrics import accuracy, evaluate, TrainingHistory
-from repro.train.trainer import Trainer
+from repro.train.trainer import Trainer, train_step
 from repro.train.pb_trainer import PipelinedTrainer
 
 __all__ = [
@@ -9,5 +10,6 @@ __all__ = [
     "evaluate",
     "TrainingHistory",
     "Trainer",
+    "train_step",
     "PipelinedTrainer",
 ]

@@ -1,23 +1,52 @@
-"""Batch trainer for plain and delay-simulated optimization.
+"""Batch training for plain and delay-simulated optimization.
 
-Drives either :class:`~repro.optim.sgd.SGDM` (reference runs) or
+:func:`train_step` is the one flat "forward → loss → backward → step"
+body, over either :class:`~repro.optim.sgd.SGDM` (reference runs) or
 :class:`~repro.core.delayed_sgd.DelayedSGDM` (Appendix-G.2 staleness
-studies) over a dataset with optional augmentation and LR scheduling.
+studies); :class:`Trainer` drives it over a dataset epoch by epoch with
+optional augmentation and LR scheduling, and the experiment loops drive
+it over :func:`~repro.data.loader.iterate_steps`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.delayed_sgd import DelayedSGDM
 from repro.data.loader import iterate_batches
 from repro.data.synthetic import Dataset
+from repro.nn.module import Module
 from repro.optim.sgd import SGDM
 from repro.tensor.tensor import Tensor, cross_entropy
 from repro.train.metrics import TrainingHistory, evaluate
 from repro.utils.rng import derive_seed, new_rng
+
+
+def train_step(
+    optimizer: SGDM | DelayedSGDM,
+    model: Module,
+    x: np.ndarray | Tensor,
+    y: np.ndarray | Sequence[int],
+) -> float:
+    """One full optimizer step on a (batched) sample; returns the loss.
+
+    The only place that knows the two optimizers' protocols differ: a
+    :class:`DelayedSGDM` loads stale (or predicted) weights before the
+    forward pass and picks the backward-pass weights after it.
+    """
+    delayed = isinstance(optimizer, DelayedSGDM)
+    if delayed:
+        optimizer.begin_step()
+        optimizer.load_forward_weights()
+    loss = cross_entropy(model(x if isinstance(x, Tensor) else Tensor(x)), y)
+    if delayed:
+        optimizer.prepare_backward()
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step()
+    return float(loss.data)
 
 
 class Trainer:
@@ -61,23 +90,10 @@ class Trainer:
     def _train_step(self, xb: np.ndarray, yb: np.ndarray) -> float:
         if self.lr_schedule is not None:
             self.optimizer.lr = self.lr_schedule(self.step_count)
-        if isinstance(self.optimizer, DelayedSGDM):
-            opt = self.optimizer
-            opt.begin_step()
-            opt.load_forward_weights()
-            loss = cross_entropy(self.model(Tensor(xb)), yb)
-            opt.prepare_backward()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        else:
-            loss = cross_entropy(self.model(Tensor(xb)), yb)
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
+        loss = train_step(self.optimizer, self.model, xb, yb)
         self.step_count += 1
         self.samples_seen += len(yb)
-        return float(loss.data)
+        return loss
 
     def train_epochs(
         self, epochs: int, eval_every: int = 1

@@ -9,18 +9,18 @@ from repro.core import (
     MitigationConfig,
     PerParamDelay,
     RandomDelay,
-    delayed_train_step,
 )
 from repro.core.history import ParamHistory
 from repro.models import small_cnn
 from repro.optim import SGDM
 from repro.tensor import Tensor, cross_entropy
+from repro.train import train_step
 
 
 def train_steps(model, opt, X, Y, steps, bs=4):
     for i in range(steps):
         s = (i * bs) % (len(Y) - bs)
-        delayed_train_step(opt, model, X[s : s + bs], Y[s : s + bs])
+        train_step(opt, model, X[s : s + bs], Y[s : s + bs])
 
 
 def max_param_diff(m1, m2):
@@ -47,7 +47,7 @@ class TestExactEquivalences:
             ref.zero_grad()
             loss.backward()
             ref.step()
-            delayed_train_step(dly, m2, xb, yb)
+            train_step(dly, m2, xb, yb)
         assert max_param_diff(m1, m2) < 1e-12
 
     def test_sc_at_zero_delay_equals_sgdm(self, data):
@@ -149,8 +149,8 @@ class TestExactEquivalences:
             m2, lr=0.05, momentum=0.9, delay=2, consistent=True,
             mitigation=MitigationConfig.gradient_shrinking(),
         )
-        delayed_train_step(o1, m1, X[:4], Y[:4])
-        delayed_train_step(o2, m2, X[:4], Y[:4])
+        train_step(o1, m1, X[:4], Y[:4])
+        train_step(o2, m2, X[:4], Y[:4])
         for w_init, p1, p2 in zip(w0, m1.parameters(), m2.parameters()):
             step1 = p1.data - w_init
             step2 = p2.data - w_init
@@ -254,6 +254,30 @@ class TestProtocol:
         with pytest.raises(ValueError):
             DelayedSGDM(m, lr=0.1, momentum=1.0, delay=0)
 
+    def test_lr_validation(self):
+        m = small_cnn(seed=0)
+        for lr in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="learning rate"):
+                DelayedSGDM(m, lr=lr, momentum=0.9, delay=1)
+
+    def test_numpy_integer_delay(self, data):
+        """Regression: ``delay=np.int64(2)`` (a sweep over ``np.arange``)
+        passed the constructor and died later on ``.max_delay``."""
+        X, Y = data
+        m1, m2 = small_cnn(seed=3), small_cnn(seed=3)
+        o1 = DelayedSGDM(m1, lr=0.05, momentum=0.9, delay=np.int64(2))
+        o2 = DelayedSGDM(m2, lr=0.05, momentum=0.9, delay=2)
+        assert isinstance(o1.profile, ConstantDelay)
+        assert o1.profile.max_delay() == 2
+        train_steps(m1, o1, X, Y, 4)
+        train_steps(m2, o2, X, Y, 4)
+        assert max_param_diff(m1, m2) == 0.0
+
+    @pytest.mark.parametrize("delay", [-1, np.int64(-3)])
+    def test_negative_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay"):
+            DelayedSGDM(small_cnn(seed=0), lr=0.1, delay=delay)
+
     def test_no_params_raises(self):
         with pytest.raises(ValueError):
             DelayedSGDM([], lr=0.1)
@@ -263,12 +287,12 @@ class TestProtocol:
         X, Y = data
         m = small_cnn(seed=3)
         opt = DelayedSGDM(m, lr=0.05, momentum=0.9, delay=3, consistent=True)
-        delayed_train_step(opt, m, X[:4], Y[:4])
+        train_step(opt, m, X[:4], Y[:4])
         p = m.parameters()[0]
         w_after = p.data.copy()
         # one more step: the forward weights differ, but after step() the
         # master is back in place and history's newest entry equals it
-        delayed_train_step(opt, m, X[4:8], Y[4:8])
+        train_step(opt, m, X[4:8], Y[4:8])
         hist_w, _ = opt._history[id(p)].get(0)
         np.testing.assert_array_equal(hist_w, p.data)
         assert not np.array_equal(w_after, p.data)

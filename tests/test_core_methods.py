@@ -126,6 +126,24 @@ class TestPrediction:
         assert cfg.forward_horizon(4, offset=5.0) == 9.0
         assert cfg.backward_horizon(offset=5.0) == 5.0
 
+    @pytest.mark.parametrize(
+        "kind", ["none", "lwp_v", "lwp_w", "spectrain"]
+    )
+    def test_predict_dispatches_on_kind(self, rng, kind):
+        """``predict`` is the one place that maps a kind to a form."""
+        w, v, wp = (rng.normal(size=4) for _ in range(3))
+        cfg = PredictionConfig(kind)
+        want = (
+            predict_weight_diff_form(w, wp, 3.0)
+            if kind == "lwp_w"
+            else predict_velocity_form(w, v, 0.1, 3.0)
+        )
+        got = cfg.predict(w, v, wp, 0.1, 3.0)
+        assert got.tobytes() == want.tobytes()
+        fresh = cfg.predict(w, v, wp, 0.1, 0.0)
+        np.testing.assert_array_equal(fresh, w)
+        assert fresh is not w
+
     def test_lwp_backward_horizon_zero(self):
         assert PredictionConfig("lwp_v").backward_horizon() == 0.0
 
@@ -160,6 +178,16 @@ class TestMitigationConfig:
         assert cfg.shrink_factor(0.9, 2) == pytest.approx(0.81)
         cfg2 = MitigationConfig.gradient_shrinking(base=0.5)
         assert cfg2.shrink_factor(0.9, 2) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("base", [-0.5, 0.0, 1.5])
+    def test_gradient_shrinking_rejects_base_outside_unit_interval(self, base):
+        """A negative base used to mean "use the momentum" silently; that
+        case is reachable through ``base=None`` only."""
+        with pytest.raises(ValueError, match="shrink base"):
+            MitigationConfig.gradient_shrinking(base=base)
+        assert MitigationConfig.gradient_shrinking(base=1.0).shrink_factor(
+            0.9, 3
+        ) == 1.0
 
     def test_shrink_disabled_returns_one(self):
         assert MitigationConfig.none().shrink_factor(0.9, 10) == 1.0

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import DelayedSGDM, MitigationConfig, delayed_train_step
+from repro.core import DelayedSGDM, MitigationConfig
 from repro.models import small_cnn
 from repro.pipeline import PipelineExecutor
 from repro.tensor import Tensor, cross_entropy
+from repro.train import train_step
 
 
 class TestSpectrainSimulator:
@@ -22,7 +23,7 @@ class TestSpectrainSimulator:
         p = m.parameters()[0]
         # a few steps to build velocity
         for i in range(4):
-            delayed_train_step(opt, m, X[i * 4 : (i + 1) * 4],
+            train_step(opt, m, X[i * 4 : (i + 1) * 4],
                                Y[i * 4 : (i + 1) * 4])
         opt.begin_step()
         master = p.data.copy()
@@ -48,7 +49,7 @@ class TestSpectrainSimulator:
         mit = MitigationConfig.spectrain(offset=0.0)
         opt = DelayedSGDM(m, lr=0.05, momentum=0.9, delay=2,
                           mitigation=mit, consistent=False)
-        delayed_train_step(opt, m, X[:4], Y[:4])
+        train_step(opt, m, X[:4], Y[:4])
         p = m.parameters()[0]
         opt.begin_step()
         master = p.data.copy()

@@ -9,6 +9,7 @@ from repro.data import (
     SyntheticCifar,
     SyntheticImageNet,
     iterate_batches,
+    iterate_steps,
     make_synthetic,
     sample_stream,
     shard_positions,
@@ -114,6 +115,42 @@ class TestLoader:
     def test_shuffle_requires_rng(self, rng):
         with pytest.raises(ValueError):
             next(iterate_batches(np.zeros((4, 1)), np.zeros(4), 2))
+
+    @pytest.mark.parametrize("steps", [0, 1, 5, 6, 7, 12, 13])
+    @pytest.mark.parametrize("augment", [None, PadCropFlip(pad=1)])
+    def test_iterate_steps_matches_the_hand_written_nest(self, steps, augment):
+        """``iterate_steps`` yields exactly ``steps`` batches and draws
+        from the rng exactly as the epoch nest every experiment used to
+        write out (kept here as the reference): same batches, and the
+        generator left in the same state — no permutation is drawn for
+        an epoch that is never started."""
+        x = np.random.default_rng(0).normal(size=(26, 3, 4, 4))
+        y = np.arange(26)
+
+        def nest(rng):
+            out, done = [], 0
+            while done < steps:
+                for xb, yb in iterate_batches(
+                    x, y, 4, rng=rng, augment=augment
+                ):
+                    out.append((xb, yb))
+                    done += 1
+                    if done >= steps:
+                        break
+            return out
+
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        want = nest(rng_a)
+        got = list(iterate_steps(x, y, 4, steps, rng_b, augment=augment))
+        assert len(got) == steps == len(want)
+        for (xa, ya), (xb, yb) in zip(want, got):
+            assert xa.tobytes() == xb.tobytes()
+            np.testing.assert_array_equal(ya, yb)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_iterate_steps_rejects_an_epoch_with_no_batch(self, rng):
+        with pytest.raises(ValueError, match="batch_size"):
+            next(iterate_steps(np.zeros((3, 1)), np.zeros(3), 4, 2, rng))
 
     def test_sample_stream_length_and_epochs(self, rng):
         x = rng.normal(size=(10, 2))

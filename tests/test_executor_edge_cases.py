@@ -275,6 +275,47 @@ class TestNumericalHygiene:
         assert all(s.in_flight == 0 for s in ex.stages)
 
 
+#: the four engines ``make_pipeline_engine`` can return
+ALL_ENGINES = [
+    pytest.param("sim", {}, id="sim"),
+    pytest.param("threaded", {}, id="threaded"),
+    pytest.param("process", {}, id="process"),
+    pytest.param(
+        "process", dict(replicas=2, model_factory=small_cnn), id="replicated"
+    ),
+]
+
+
+class TestHyperparameterValidation:
+    """``lr > 0`` and ``0 <= momentum < 1`` are checked once, next to the
+    update kernel, by every optimizer — engines included (they used to
+    construct and train with ``lr=-0.1, momentum=1.5``)."""
+
+    @pytest.mark.parametrize("runtime,kwargs", ALL_ENGINES)
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (dict(lr=-0.1), "learning rate"),
+            (dict(lr=0.0), "learning rate"),
+            (dict(lr=0.1, momentum=1.5), "momentum"),
+            (dict(lr=0.1, momentum=1.0), "momentum"),
+            (dict(lr=0.1, momentum=-0.1), "momentum"),
+        ],
+    )
+    def test_engines_reject_bad_lr_and_momentum(
+        self, runtime, kwargs, bad, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            make_pipeline_engine(runtime, small_cnn(seed=0), **bad, **kwargs)
+
+    @pytest.mark.parametrize("runtime,kwargs", ALL_ENGINES)
+    def test_engines_accept_the_boundary(self, runtime, kwargs):
+        engine = make_pipeline_engine(
+            runtime, small_cnn(seed=0), lr=1e-9, momentum=0.0, **kwargs
+        )
+        assert all(st.momentum == 0.0 for st in engine.stages)
+
+
 class TestReplicaStatsMerge:
     """Regression pins for per-replica stats aggregation: merging R
     replicas' records must sum *work* but never sum *capacity* — R

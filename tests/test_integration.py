@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import DelayedSGDM, MitigationConfig, delayed_train_step
+from repro.core import DelayedSGDM, MitigationConfig
 from repro.core.compensation import spike_coefficients
 from repro.data import iterate_batches
 from repro.models import resnet_tiny, small_cnn
 from repro.optim import HyperParams
 from repro.pipeline import PipelineExecutor, pipeline_delay_profile
 from repro.quadratic import ConvexQuadratic, run_delayed_quadratic
-from repro.train.metrics import evaluate
+from repro.train import evaluate, train_step
 from repro.utils.rng import new_rng
 
 REF = HyperParams(lr=0.5, momentum=0.9, batch_size=32, weight_decay=1e-4)
@@ -27,7 +27,7 @@ def train_sim(model, ds, delay, mitigation, steps=100, batch=16,
     done = 0
     while done < steps:
         for xb, yb in iterate_batches(ds.x_train, ds.y_train, batch, rng=rng):
-            delayed_train_step(opt, model, xb, yb)
+            train_step(opt, model, xb, yb)
             done += 1
             if done >= steps:
                 break
@@ -183,10 +183,12 @@ class TestExperimentRegistry:
             run_experiment("fig99")
 
     def test_fast_experiments_run(self):
-        """The pure-analysis experiments run end to end in-process."""
+        """The pure-analysis experiments and the flat-loop ones (a
+        ``for`` over ``iterate_steps`` calling ``train_step``) run end to
+        end in-process."""
         from repro.experiments import run_experiment
 
-        for eid in ("fig02", "fig05", "fig16"):
+        for eid in ("fig02", "fig05", "fig16", "fig10", "fig13", "fig17"):
             payload = run_experiment(eid)
             assert "meta" in payload
 

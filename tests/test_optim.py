@@ -1,5 +1,7 @@
 """SGDM update math, LR schedules, and the eq.-9 scaling rules."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Parameter
+from repro.core import DelayedSGDM, MitigationConfig, spike_coefficients
+from repro.models.arch import StageDef
+from repro.nn import Module, Parameter
 from repro.optim import (
     ConstantSchedule,
     HE_CIFAR_REFERENCE,
@@ -18,11 +22,178 @@ from repro.optim import (
     momentum_half_life_samples,
     per_sample_contribution,
     scale_for_batch_size,
+    sgdm_update,
 )
 from repro.optim.scaling import lr_for_momentum
+from repro.pipeline.stage import PipelineStage
+from repro.precision.scaler import LossScaler
 
 settings.register_profile("repro", deadline=None, max_examples=30)
 settings.load_profile("repro")
+
+
+LR, M, DELAY = 0.07, 0.9, 4
+SHAPES = [(4, 3), (8,), (2, 2, 2)]
+
+#: eq. 12's ``(a, b)`` by name, with the mitigation that resolves to the
+#: same pair at ``DELAY`` (for the engines that take a mitigation)
+COEFFS = {
+    "plain": ((1.0, 0.0), MitigationConfig.none()),
+    "sc_d": (spike_coefficients(M, DELAY), MitigationConfig.sc()),
+    "sc_2d": (spike_coefficients(M, 2 * DELAY), MitigationConfig.sc(scale=2)),
+    "nesterov": ((M, 1.0), MitigationConfig.gsc(M, 1.0)),
+}
+
+
+def naive_update(w, v, g, a, b, wd, shrink, grad_scale):
+    """Eq. 12 out of place, every operation written out in textbook
+    order — the reference each engine on the kernel must match byte for
+    byte.  Returns the new ``(w, v)``."""
+    g = g * grad_scale
+    g = g + wd * w
+    g = g * shrink
+    v = M * v + g
+    return w - LR * (a * v + b * g), v
+
+
+class _Bag(Module):
+    """A module that is nothing but its parameters."""
+
+    def __init__(self, params):
+        super().__init__()
+        for i, p in enumerate(params):
+            setattr(self, f"p{i}", p)
+
+
+def _mitigation(coeff, shrink):
+    """The mitigation resolving to ``COEFFS[coeff]`` and ``shrink``."""
+    return dataclasses.replace(
+        COEFFS[coeff][1], gradient_shrink_base=None if shrink == 1.0 else M
+    )
+
+
+def _stage(params, coeff, wd, shrink):
+    # stage 0 of 3 has delay D_s = 2(S-1-s) = DELAY
+    stage = PipelineStage(
+        0, StageDef("s", module=_Bag(params)), 3, lr=LR, momentum=M,
+        weight_decay=wd, mitigation=_mitigation(coeff, shrink),
+    )
+    assert stage.delay == DELAY
+    return stage
+
+
+def _load(params, grads):
+    for p, g in zip(params, grads):
+        p.grad = g
+
+
+# -- the engines: each returns (step(grads), velocity(i)) -------------------
+
+
+def _engine_kernel(params, coeff, wd, shrink, grad_scale, scratch=False):
+    vs = [np.zeros_like(p.data) for p in params]
+    bufs = [
+        (np.empty_like(p.data), np.empty_like(p.data)) if scratch else None
+        for p in params
+    ]
+
+    def step(grads):
+        for p, v, g, buf in zip(params, vs, grads, bufs):
+            sgdm_update(
+                p.data, v, g, LR, M, wd, *COEFFS[coeff][0],
+                grad_scale=grad_scale, shrink=shrink, scratch=buf,
+            )
+
+    return step, vs.__getitem__
+
+
+def _engine_kernel_scratch(params, coeff, wd, shrink, grad_scale):
+    return _engine_kernel(params, coeff, wd, shrink, grad_scale, scratch=True)
+
+
+def _engine_sgdm(params, coeff, wd, shrink, grad_scale):
+    opt = SGDM(
+        params, lr=LR, momentum=M, weight_decay=wd,
+        nesterov=coeff == "nesterov",
+        loss_scaler=(
+            None if grad_scale == 1.0 else LossScaler(1.0 / grad_scale)
+        ),
+    )
+
+    def step(grads):
+        _load(params, grads)
+        opt.step()
+
+    return step, lambda i: opt.velocity(params[i])
+
+
+def _engine_delayed(params, coeff, wd, shrink, grad_scale):
+    opt = DelayedSGDM(
+        params, lr=LR, momentum=M, weight_decay=wd, delay=DELAY,
+        mitigation=_mitigation(coeff, shrink),
+    )
+
+    def step(grads):
+        opt.begin_step()
+        opt.load_forward_weights()
+        opt.prepare_backward()
+        _load(params, grads)
+        opt.step()
+
+    return step, lambda i: opt.velocity(params[i])
+
+
+def _engine_stage_apply(params, coeff, wd, shrink, grad_scale):
+    stage = _stage(params, coeff, wd, shrink)
+
+    def step(grads):
+        _load(params, grads)
+        stage.apply_update()
+
+    return step, lambda i: stage.velocity(params[i])
+
+
+def _engine_stage_flush(params, coeff, wd, shrink, grad_scale):
+    # a flush is plain SGDM whatever the mitigation says
+    stage = _stage(params, "sc_d", wd, M**DELAY)
+
+    def step(grads):
+        _load(params, grads)
+        stage.flush_update(round(1.0 / grad_scale))
+
+    return step, lambda i: stage.velocity(params[i])
+
+
+def _eq12_cases():
+    """Every engine on the slice of the grid it can express: the kernel
+    takes all of it, allocating its intermediates or handed a scratch
+    pair; ``SGDM`` has no delay (no SC, no shrink) but has a loss scaler;
+    ``DelayedSGDM`` and ``apply_update`` have no gradient scale;
+    ``flush_update(8)`` is the plain rule on a sum of eight."""
+    full = dict(
+        coeff=list(COEFFS), wd=[0.0, 5e-4], shrink=[1.0, M**DELAY],
+        grad_scale=[1.0, 1 / 8], dtype=[np.float64, np.float32],
+    )
+    engines = {
+        _engine_kernel: {},
+        _engine_kernel_scratch: {},
+        _engine_sgdm: dict(coeff=["plain", "nesterov"], shrink=[1.0]),
+        _engine_delayed: dict(grad_scale=[1.0]),
+        _engine_stage_apply: dict(grad_scale=[1.0]),
+        _engine_stage_flush: dict(
+            coeff=["plain"], shrink=[1.0], grad_scale=[1 / 8]
+        ),
+    }
+    for engine, narrowed in engines.items():
+        axes = {**full, **narrowed}
+        for values in itertools.product(*axes.values()):
+            case = dict(zip(axes, values))
+            label = "-".join(
+                [engine.__name__[len("_engine_"):], case["coeff"]]
+                + [f"{k}={case[k]:.3g}" for k in ("wd", "shrink", "grad_scale")]
+                + [np.dtype(case["dtype"]).name]
+            )
+            yield pytest.param(engine, *values, id=label)
 
 
 class TestSGDM:
@@ -105,32 +276,58 @@ class TestSGDM:
         p.grad = np.ones((3, 4))
         opt.step()
 
-    @pytest.mark.parametrize("wd", [0.0, 0.37])
-    @pytest.mark.parametrize("nesterov", [False, True])
-    def test_inplace_step_bit_exact_vs_naive(self, rng, wd, nesterov):
-        """The in-place step (np.multiply/add/subtract with out=) keeps
-        the textbook operation order, so trajectories are bit-identical
-        to the naive out-of-place form."""
-        shapes = [(4, 3), (8,), (2, 2, 2)]
-        params = [Parameter(rng.normal(size=s)) for s in shapes]
+    @pytest.mark.parametrize(
+        "engine,coeff,wd,shrink,grad_scale,dtype", _eq12_cases()
+    )
+    def test_inplace_step_bit_exact_vs_naive(
+        self, rng, engine, coeff, wd, shrink, grad_scale, dtype
+    ):
+        """The in-place kernel (np.multiply/add/subtract with out=) keeps
+        the textbook operation order, so the kernel and the three
+        optimizers on it follow the naive out-of-place trajectory byte
+        for byte, over every coefficient choice the paper names."""
+        a, b = COEFFS[coeff][0]
+        params = [
+            Parameter(rng.normal(size=s).astype(dtype)) for s in SHAPES
+        ]
         naive = [p.data.copy() for p in params]
         naive_v = [np.zeros_like(p.data) for p in params]
-        opt = SGDM(params, lr=0.07, momentum=0.9, weight_decay=wd,
-                   nesterov=nesterov)
+        step, velocity = engine(params, coeff, wd, shrink, grad_scale)
         for _ in range(5):
-            grads = [rng.normal(size=s) for s in shapes]
-            for p, g in zip(params, grads):
-                p.grad = g.copy()
-            opt.step()
+            grads = [rng.normal(size=s).astype(dtype) for s in SHAPES]
+            sent = [g.copy() for g in grads]
+            step(sent)
+            for g, g_sent in zip(grads, sent):
+                assert g_sent.tobytes() == g.tobytes(), "gradient written"
             for i, g in enumerate(grads):
-                if wd:
-                    g = g + wd * naive[i]
-                naive_v[i] = 0.9 * naive_v[i] + g
-                update = 0.9 * naive_v[i] + g if nesterov else naive_v[i]
-                naive[i] = naive[i] - 0.07 * update
-        for p, w, v in zip(params, naive, naive_v):
-            assert np.array_equal(p.data, w), "weights drifted from naive"
-            assert np.array_equal(opt.velocity(p), v)
+                naive[i], naive_v[i] = naive_update(
+                    naive[i], naive_v[i], g, a, b, wd, shrink, grad_scale
+                )
+        for i, p in enumerate(params):
+            assert p.data.dtype == dtype and velocity(i).dtype == dtype
+            assert p.data.tobytes() == naive[i].tobytes(), "weights drifted"
+            assert velocity(i).tobytes() == naive_v[i].tobytes()
+
+    def test_delayed_step_respects_history_depth(self, rng):
+        """``DelayedSGDM`` on the kernel still reads its forward weights
+        ``DELAY`` updates back (the fill phase clamps to the oldest) and
+        keeps no more history than that needs."""
+        p = Parameter(rng.normal(size=(4, 3)))
+        opt = DelayedSGDM([p], lr=LR, momentum=M, delay=DELAY)
+        trail = [p.data.copy()]
+        v = np.zeros_like(p.data)
+        for t in range(DELAY + 4):
+            opt.begin_step()
+            opt.load_forward_weights()
+            assert p.data.tobytes() == trail[max(0, t - DELAY)].tobytes()
+            opt.prepare_backward()
+            g = rng.normal(size=(4, 3))
+            p.grad = g
+            opt.step()
+            w, v = naive_update(trail[-1], v, g, 1.0, 0.0, 0.0, 1.0, 1.0)
+            trail.append(w)
+            assert p.data.tobytes() == w.tobytes()
+            assert len(opt._history[id(p)]) == min(t + 2, DELAY + 2)
 
     def test_step_updates_weights_in_place(self, rng):
         """p.data is mutated, not rebound — callers holding the buffer
@@ -148,11 +345,37 @@ class TestSGDM:
         opt = SGDM([p], lr=0.1, momentum=0.9, weight_decay=1e-4)
         p.grad = rng.normal(size=(64, 64))
         opt.step()
-        scratch_ids = {k: id(v) for k, v in opt._scratch.items()}
+        buffers = [opt.velocity(p), *opt._scratch[id(p)]]
+        ids = [id(buf) for buf in buffers]
         for _ in range(3):
             p.grad = rng.normal(size=(64, 64))
             opt.step()
-        assert {k: id(v) for k, v in opt._scratch.items()} == scratch_ids
+        assert [id(b) for b in [opt.velocity(p), *opt._scratch[id(p)]]] == ids
+
+    def test_steady_state_stage_update_is_in_place(self, rng):
+        """The stage twin: ``apply_update`` writes into the same weight,
+        velocity and previous-weight buffers every time (a stage keeps no
+        scratch: measured, holding one cost more memory than it saved)."""
+        params = [Parameter(rng.normal(size=s)) for s in SHAPES]
+        stage = _stage(params, "sc_d", 5e-4, M**DELAY)
+
+        def buffers():
+            return [
+                buf
+                for p in params
+                for buf in (
+                    p.data, stage.velocity(p), stage._prev_weights[id(p)]
+                )
+            ]
+
+        ids = [id(buf) for buf in buffers()]
+        for _ in range(3):
+            before = [p.data.copy() for p in params]
+            _load(params, [rng.normal(size=s) for s in SHAPES])
+            stage.apply_update()
+            for p, w in zip(params, before):
+                assert stage._prev_weights[id(p)].tobytes() == w.tobytes()
+        assert [id(buf) for buf in buffers()] == ids
 
 
 class TestScalingRules:

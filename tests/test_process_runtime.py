@@ -429,7 +429,7 @@ class TestFailureAndEdgeCases:
         assert runner._procs == []
 
 
-class TestEngineFacade:
+class TestEngineSurface:
     def test_trainer_process_lockstep_matches_sim(self, tiny_dataset):
         from repro.train.pb_trainer import PipelinedTrainer
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.delayed_sgd import DelayedSGDM, delayed_train_step
+from repro.core.delayed_sgd import DelayedSGDM
 from repro.models import resnet_tiny, small_cnn
 from repro.optim import SGDM
 from repro.pipeline import (
@@ -30,6 +30,7 @@ from repro.pipeline import (
     pipeline_delay_profile,
 )
 from repro.tensor import Tensor, cross_entropy
+from repro.train import train_step
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def _run_flat_simulator(model, X, Y, consistent: bool):
         delay=profile, consistent=consistent,
     )
     return [
-        delayed_train_step(opt, model, X[i : i + 1], Y[i : i + 1])
+        train_step(opt, model, X[i : i + 1], Y[i : i + 1])
         for i in range(X.shape[0])
     ]
 
