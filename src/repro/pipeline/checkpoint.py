@@ -17,9 +17,10 @@ the resumed run computes the same losses and lands on hex-identical
 final weights as the uninterrupted run with the same checkpoint cadence.
 It contains
 
-* every stage's weights, velocity, previous weights (for the
-  weight-difference prediction form), update counter and learning rate
-  (:meth:`PipelineStage.state_dict` via the engine's ``state_dict``);
+* every stage's :meth:`PipelineStage.state_dict`, the one definition
+  of stage state (via the engine's ``state_dict``): weights, velocity,
+  previous weights, module buffers (BatchNorm running statistics),
+  update counter and learning rate;
 * the engine-level progress counter (``samples_completed``) that drives
   the LR schedule;
 * the schedule identity (name / update size / micro-batch), so a restore
@@ -72,6 +73,8 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.pipeline.stage import WEIGHT_ARRAYS, PipelineStage, load_stage_states
 
 #: File magic: identifies a checkpoint regardless of extension.
 CHECKPOINT_MAGIC = b"REPRO-CKPT"
@@ -199,73 +202,83 @@ def restore_checkpoint(ckpt: dict, engine=None, stream=None) -> dict:
     return ckpt
 
 
-def restore_inference_weights(ckpt, model) -> dict:
-    """Weights-only restore for serving: load a training checkpoint's
-    parameters into a freshly built model, **stripping optimizer state**.
-
-    ``ckpt`` is a checkpoint payload (from :func:`load_checkpoint` /
-    :func:`capture_checkpoint`) or a path to a checkpoint file; ``model``
-    a :class:`~repro.models.arch.StageGraphModel` built exactly like the
-    one that trained.  Only the per-stage parameter arrays are loaded —
-    velocity, previous weights, update counters and learning rates are
-    training concerns an inference session has no use for — and the
-    schedule tag is deliberately **ignored**: the schedule a model was
-    trained under does not change what its frozen weights compute, so a
-    PB-trained checkpoint serves identically to a GPipe-trained one.
-
-    Validation is all-then-load: stage count and every parameter
-    array's shape are checked against the model before anything is
-    mutated, so a mismatched checkpoint can never leave the model torn.
-    Returns the checkpoint's ``metadata`` dict for provenance display.
-    """
+def _weights_view(ckpt, dtype) -> tuple[dict, list[dict]]:
+    """The payload behind ``ckpt`` (a payload or a checkpoint path) and
+    its per-stage :data:`~repro.pipeline.stage.WEIGHT_ARRAYS` cast to
+    ``dtype``: what serving loads and what its fingerprint covers."""
     if isinstance(ckpt, (str, os.PathLike)):
         ckpt = load_checkpoint(os.fspath(ckpt))
     engine_state = ckpt.get("engine")
     if not isinstance(engine_state, dict) or "stages" not in engine_state:
         raise CheckpointError(
-            "checkpoint payload carries no engine state to restore "
-            "weights from"
+            "checkpoint payload carries no engine state to take weights from"
         )
-    stage_states = engine_state["stages"]
+    return ckpt, [
+        {
+            key: [np.asarray(a, dtype=dtype) for a in st.get(key, [])]
+            for key in WEIGHT_ARRAYS
+        }
+        for st in engine_state["stages"]
+    ]
+
+
+def restore_inference_weights(ckpt, model) -> dict:
+    """Weights-only restore for serving: load what a forward pass reads
+    — a training checkpoint's parameters and module buffers (BatchNorm
+    running statistics) — into a freshly built model, **stripping
+    optimizer state**.
+
+    ``ckpt`` is a checkpoint payload (from :func:`load_checkpoint` /
+    :func:`capture_checkpoint`) or a path to a checkpoint file; ``model``
+    a :class:`~repro.models.arch.StageGraphModel` built exactly like the
+    one that trained.  Velocity, previous weights, update counters and
+    learning rates are training concerns an inference session has no
+    use for, and the schedule tag is deliberately **ignored**: the
+    schedule a model was trained under does not change what its frozen
+    weights compute, so a PB-trained checkpoint serves identically to a
+    GPipe-trained one.
+
+    Validation is all-then-load and is the stages' own
+    (:meth:`PipelineStage.validate_state` on the weights-only view, the
+    arrays cast to the model's parameter dtype): nothing is mutated
+    until every stage accepts, so a mismatched checkpoint can never
+    leave the model torn, and one written before buffers were captured
+    is refused for a model that owns them.  Returns the checkpoint's
+    ``metadata`` dict for provenance display.
+    """
+    params = model.parameters()
+    ckpt, views = _weights_view(
+        ckpt, params[0].data.dtype if params else "float64"
+    )
     specs = model.stage_defs
-    if len(stage_states) != len(specs):
-        raise CheckpointError(
-            f"checkpoint has {len(stage_states)} stage payloads but the "
-            f"model has {len(specs)} stages"
-        )
-    plan: list[tuple] = []
-    for i, (spec, st) in enumerate(zip(specs, stage_states)):
-        params = list(spec.module.parameters()) if spec.module else []
-        arrays = st.get("params", [])
-        if len(arrays) != len(params):
-            raise CheckpointError(
-                f"stage {i}: checkpoint holds {len(arrays)} parameter "
-                f"arrays but the model binds {len(params)}"
-            )
-        for j, (p, arr) in enumerate(zip(params, arrays)):
-            if tuple(arr.shape) != tuple(p.data.shape):
-                raise CheckpointError(
-                    f"stage {i}: params[{j}] has shape "
-                    f"{tuple(arr.shape)}, model expects "
-                    f"{tuple(p.data.shape)}"
-                )
-            plan.append((p, arr))
-    for p, arr in plan:
-        p.data = arr.astype(p.data.dtype, copy=True)
-        p.grad = None
+    stages = [
+        PipelineStage(i, spec, len(specs), lr=0.0)
+        for i, spec in enumerate(specs)
+    ]
+    try:
+        load_stage_states(stages, views, WEIGHT_ARRAYS)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     return dict(ckpt.get("metadata", {}))
 
 
-def model_fingerprint(model) -> str:
-    """SHA-256 over every parameter's raw bytes — the hex-equality
-    fingerprint the resume-parity checks compare."""
+def _fingerprint(arrays) -> str:
     h = hashlib.sha256()
-    for p in model.parameters():
-        arr = np.ascontiguousarray(p.data)
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
         h.update(str(arr.dtype).encode())
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def model_fingerprint(model) -> str:
+    """SHA-256 over every parameter's, then every buffer's, raw bytes —
+    the hex-equality fingerprint the resume-parity checks compare."""
+    return _fingerprint(
+        [p.data for p in model.parameters()]
+        + [b for _, b in model.named_buffers()]
+    )
 
 
 def checkpoint_fingerprint(ckpt, dtype="float64") -> str:
@@ -276,27 +289,16 @@ def checkpoint_fingerprint(ckpt, dtype="float64") -> str:
     This is the fleet hot-swap verification handle: the router computes
     the expected fingerprint from the checkpoint once, then checks every
     reloaded replica's session fingerprint against it before letting the
-    replica rejoin — a replica serving the wrong weights can never
-    silently re-enter rotation.  ``dtype`` is the target model's
-    parameter dtype (the restore casts into it; ``float64`` for the
-    reference precision every training engine checkpoints in).
+    replica rejoin — a replica serving the wrong weights or running
+    statistics can never silently re-enter rotation.  ``dtype`` is the
+    target model's parameter dtype (the restore casts into it;
+    ``float64`` for the reference precision every training engine
+    checkpoints in).
     """
-    if isinstance(ckpt, (str, os.PathLike)):
-        ckpt = load_checkpoint(os.fspath(ckpt))
-    engine_state = ckpt.get("engine")
-    if not isinstance(engine_state, dict) or "stages" not in engine_state:
-        raise CheckpointError(
-            "checkpoint payload carries no engine state to fingerprint"
-        )
-    dtype = np.dtype(dtype)
-    h = hashlib.sha256()
-    for st in engine_state["stages"]:
-        for arr in st.get("params", []):
-            arr = np.ascontiguousarray(np.asarray(arr).astype(dtype))
-            h.update(str(arr.dtype).encode())
-            h.update(str(arr.shape).encode())
-            h.update(arr.tobytes())
-    return h.hexdigest()
+    _, views = _weights_view(ckpt, dtype)
+    return _fingerprint(
+        a for key in WEIGHT_ARRAYS for view in views for a in view[key]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.core.mitigation import MitigationConfig
 from repro.models.arch import StageGraphModel
 from repro.optim.sgd import _check_lr_momentum
 from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
-from repro.pipeline.stage import PipelineStage
+from repro.pipeline.stage import PipelineStage, load_stage_states
 from repro.precision.policy import PrecisionPolicy, resolve_precision
 
 
@@ -510,16 +510,7 @@ class PipelineExecutor:
                 f"engine state has {state['num_stages']} stages, this "
                 f"engine has {self.num_stages}"
             )
-        stage_states = state["stages"]
-        if len(stage_states) != len(self.stages):
-            raise ValueError(
-                f"engine state has {len(stage_states)} stage payloads "
-                f"for {len(self.stages)} stages"
-            )
-        for stage, st in zip(self.stages, stage_states):
-            stage.validate_state(st)
-        for stage, st in zip(self.stages, stage_states):
-            stage.load_state_dict(st)
+        load_stage_states(self.stages, state["stages"])
         self.samples_completed = int(state["samples_completed"])
 
     # -- training -----------------------------------------------------------

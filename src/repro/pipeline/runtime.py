@@ -77,6 +77,7 @@ from repro.pipeline.executor import (
     check_stages_drained,
 )
 from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
+from repro.pipeline.stage import STATE_ARRAYS, load_stage_states
 from repro.pipeline.transport import ShmRing, build_reduce_rings
 from repro.pipeline.worker import (
     LOCKSTEP_ACK_INTERVAL,
@@ -174,21 +175,19 @@ class _WorkerGroupEngine(PipelineExecutor):
                 # barrier and replay the batch
                 self.load_state_dict(snapshot)
 
-    def _train_attempt(
-        self, X: np.ndarray, Y: np.ndarray, trailing_flushes: int = 0
-    ) -> PipelineRunStats:
-        """One launch/drive/finalize cycle (crash recovery replays it
-        from a restored snapshot; a replica's driver thread calls it
-        with the zero-contribution ``trailing_flushes`` that keep its
-        workers in reduce rounds its shard holds no samples of — which
-        is also why an empty shard still launches workers)."""
-        n = X.shape[0]
-        self.schedule.reset(n)
+    def _train_attempt(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
+        """One launch/drive cycle (crash recovery replays it)."""
+        return self._drive(self._launch(X, Y), X)
+
+    def _launch(self, X: np.ndarray, Y: np.ndarray) -> WorkerGroup:
+        """Start this attempt's workers.  Apart from :meth:`_drive`
+        because a process host forks here: the replicated runner
+        launches every group before it starts a driver thread."""
+        self.schedule.reset(X.shape[0])
         #: completion order invariant: stage-0 backwards arrive FIFO
         self.completion_order: list[int] = []
-        losses = np.zeros(n)
         width = max(1, self.schedule.micro_batch)
-        group = self._group = WorkerGroup(
+        self._group = WorkerGroup(
             self.stages,
             np.zeros((width,) + X.shape[1:], dtype=X.dtype),
             processes=self._backend == "process",
@@ -204,6 +203,18 @@ class _WorkerGroupEngine(PipelineExecutor):
         )
         # workers start from the stage's lr; only a *change* is sent
         self._last_sent_lr = self.stages[0].lr
+        return self._group
+
+    def _drive(
+        self, group: WorkerGroup, X: np.ndarray, trailing_flushes: int = 0
+    ) -> PipelineRunStats:
+        """Inject the batch, finalize and tear the group down (a
+        replica's driver thread passes the zero-contribution
+        ``trailing_flushes`` that keep its workers in reduce rounds its
+        shard holds no samples of — which is also why an empty shard
+        still launches workers)."""
+        n = X.shape[0]
+        losses = np.zeros(n)
         time_steps, control = 0, None
         failed = True
         try:
@@ -211,8 +222,8 @@ class _WorkerGroupEngine(PipelineExecutor):
             # launch and the drain-time state collection are excluded
             t0 = time.perf_counter()
             if n:
-                drive = self._drive_lockstep if self.lockstep else self._drive_free
-                time_steps, control = drive(group, X)
+                run = self._drive_lockstep if self.lockstep else self._drive_free
+                time_steps, control = run(group, X)
             for _ in range(trailing_flushes):
                 self._flush_workers(group, 0)
             wall = time.perf_counter() - t0
@@ -609,6 +620,11 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     replica* with local sample indices, since each replica is an
     unmodified S-stage pipeline over its shard.
 
+    Module buffers are the exception under both kinds of schedule:
+    BatchNorm running statistics are *shard-local* (a replica
+    normalizes only the samples it saw), so they are exempt from the
+    replicas-agree check and merge as the rank-order mean.
+
     Contract deviations from the single-pipeline engines, documented:
 
     * ``model_factory`` is required (every replica rebuilds the model),
@@ -779,8 +795,7 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         # ship the master's drain-barrier state into every replica
         master_states = [st.state_dict() for st in self.stages]
         for rep in self.replica_runners:
-            for stage, st in zip(rep.stages, master_states):
-                stage.load_state_dict(st)
+            load_stage_states(rep.stages, master_states)
         reduce_rings: list[ShmRing] = []
         if self._sync:
             chain, result = build_reduce_rings(self.stages, R, slots=2)
@@ -803,14 +818,13 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         self._progress_bases = [
             rep.samples_completed for rep in self.replica_runners
         ]
+        parts = [(np.ascontiguousarray(X[pos]), Y[pos]) for pos in shards]
 
         def drive(r: int) -> None:
-            pos = shards[r]
+            rep = self.replica_runners[r]
             try:
-                part_stats[r] = self.replica_runners[r]._train_attempt(
-                    np.ascontiguousarray(X[pos]),
-                    Y[pos],
-                    trailing_flushes=missing[r],
+                part_stats[r] = rep._drive(
+                    rep._group, parts[r][0], trailing_flushes=missing[r]
                 )
             except BaseException as exc:
                 errors.append((r, exc))
@@ -823,6 +837,10 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             for r in range(R)
         ]
         try:
+            # fork before threads: no driver exists yet whose held lock
+            # a worker could inherit locked
+            for rep, part in zip(self.replica_runners, parts):
+                rep._launch(*part)
             for t in threads:
                 t.start()
             while any(t.is_alive() for t in threads):
@@ -854,12 +872,18 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
                     t.join(0.05)
         finally:
             for t in threads:
-                t.join()
+                if t.ident is not None:  # a launch failure starts none
+                    t.join()
+            for rep in self.replica_runners:
+                # still here: launched but never driven, because a later
+                # replica's launch failed
+                if rep._group is not None:
+                    rep._group.teardown(failed=True)
+                    rep._group = None
+                rep._reduce_plan = None
             for ring in reduce_rings:
                 ring.close()
                 ring.unlink()
-            for rep in self.replica_runners:
-                rep._reduce_plan = None
             self._progress_bases = None
         if errors:
             for _, exc in errors:
@@ -881,60 +905,51 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     # -- merging ------------------------------------------------------------
 
     def _merge_replicas(self, master_states: list[dict]) -> None:
-        """Fold the replicas' post-drive state into the master stages."""
-        if self._sync:
-            # the reduce already synchronized every update, so the
-            # replicas must agree bit for bit; adopt rank 0 after
-            # checking that invariant (a mismatch means the reduce plane
-            # is broken — fail loudly, never average it away)
-            ref_states = [
-                st.state_dict() for st in self.replica_runners[0].stages
-            ]
-            for r, rep in enumerate(self.replica_runners[1:], start=1):
-                for s, (stage, ref) in enumerate(
-                    zip(rep.stages, ref_states)
-                ):
-                    st = stage.state_dict()
-                    same = st["updates_applied"] == ref["updates_applied"]
-                    for key in ("params", "velocity", "prev_weights"):
-                        same = same and all(
-                            a.tobytes() == b.tobytes()
-                            for a, b in zip(st[key], ref[key])
-                        )
-                    if not same:
-                        raise RuntimeError(
-                            f"replica {r} diverged from replica 0 at "
-                            f"stage {s} despite synchronized updates — "
-                            "reduce plane violated its contract"
-                        )
-            for stage, st in zip(self.stages, ref_states):
-                stage.load_state_dict(st)
-            return
-        # asynchronous schedules: average per-replica weight deltas
-        # against the shipped base state (rank-order fold, deterministic)
+        """Fold the replicas' post-drive state into the master stages,
+        key by key: synchronous schedules adopt rank 0 after checking
+        the replicas agree bit for bit (the reduce synchronized every
+        update, so a mismatch means the reduce plane is broken — fail
+        loudly, never average it away), asynchronous ones average the
+        deltas against the shipped base state, and buffers take the
+        mean either way (class docstring)."""
         R = self.replicas
-        for stage, base in zip(self.stages, master_states):
+
+        def mean(per_rank) -> np.ndarray:
+            return sum(per_rank[1:], per_rank[0]) / R  # rank-order fold
+
+        merged_states = []
+        for s, base in enumerate(master_states):
             per_rep = [
-                rep.stages[stage.index].state_dict()
-                for rep in self.replica_runners
+                rep.stages[s].state_dict() for rep in self.replica_runners
             ]
-            merged: dict = {
-                "lr": base["lr"],
-                "updates_applied": base["updates_applied"]
-                + sum(
-                    p["updates_applied"] - base["updates_applied"]
-                    for p in per_rep
-                ),
-            }
-            for key in ("params", "velocity", "prev_weights"):
-                arrays = []
-                for k in range(len(base[key])):
-                    acc = per_rep[0][key][k] - base[key][k]
-                    for p in per_rep[1:]:
-                        acc = acc + (p[key][k] - base[key][k])
-                    arrays.append(base[key][k] + acc / R)
-                merged[key] = arrays
-            stage.load_state_dict(merged)
+            counts = [p["updates_applied"] for p in per_rep]
+            merged = dict(per_rep[0], lr=base["lr"])
+            if not self._sync:
+                merged["updates_applied"] = base["updates_applied"] + sum(
+                    c - base["updates_applied"] for c in counts
+                )
+            for key in STATE_ARRAYS:
+                # one tuple per array: that array on every rank
+                ranks = list(zip(*(p[key] for p in per_rep)))
+                if key == "buffers":
+                    merged[key] = [mean(arrs) for arrs in ranks]
+                elif not self._sync:
+                    merged[key] = [
+                        b + mean([a - b for a in arrs])
+                        for b, arrs in zip(base[key], ranks)
+                    ]
+                elif len(set(counts)) > 1 or any(
+                    a.tobytes() != arrs[0].tobytes()
+                    for arrs in ranks
+                    for a in arrs[1:]
+                ):
+                    raise RuntimeError(
+                        f"replicas diverged at stage {s} ({key}) despite "
+                        "synchronized updates — reduce plane violated "
+                        "its contract"
+                    )
+            merged_states.append(merged)
+        load_stage_states(self.stages, merged_states)
 
 
 def make_pipeline_engine(

@@ -53,29 +53,13 @@ is built by :func:`make_schedule` under the name ``"infer"`` and driven
 through the same per-step protocol by all three runtimes.
 
 The occupancy-grid *timing* models of these schedules live in
-:mod:`repro.pipeline.occupancy` (re-exported here for compatibility).
+:mod:`repro.pipeline.occupancy`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-# Re-exported for callers that predate the occupancy/schedule split.
-from repro.pipeline.occupancy import (  # noqa: F401
-    BOTH,
-    BWD,
-    FWD,
-    IDLE,
-    Occupancy,
-    fill_drain_occupancy,
-    gpipe_occupancy,
-    observed_stage_delays,
-    one_f_one_b_occupancy,
-    pb_occupancy,
-    render_occupancy,
-    schedule_utilization,
-)
 
 #: Canonical schedule names, in presentation order.
 SCHEDULE_NAMES = ("pb", "fill_drain", "gpipe", "1f1b")

@@ -37,7 +37,7 @@ and reload them around the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -52,6 +52,13 @@ from repro.precision.policy import (
     simulate_bf16,
 )
 from repro.tensor.tensor import Tensor, backward_multi
+
+
+#: The array-valued keys of :meth:`PipelineStage.state_dict`, declared
+#: once: every boundary stage state crosses iterates these.
+STATE_ARRAYS = ("params", "velocity", "prev_weights", "buffers")
+#: The weights-only view: what serving loads and the fingerprints hash.
+WEIGHT_ARRAYS = ("params", "buffers")
 
 
 @dataclass
@@ -343,10 +350,6 @@ class PipelineStage:
             p.grad = g
 
     @property
-    def pending_grads(self) -> int:
-        return self._pending_grads
-
-    @property
     def in_flight(self) -> int:
         """Number of samples between their F and B at this stage."""
         return len(self.stash)
@@ -354,72 +357,88 @@ class PipelineStage:
     def velocity(self, p) -> np.ndarray:
         return self._velocity[id(p)]
 
-    # -- state (process-runtime handoff) ----------------------------------
+    # -- state (the one definition of what a stage is at a drain barrier) --
+
+    def _live(self, key: str) -> list[np.ndarray]:
+        """The live arrays behind one :data:`STATE_ARRAYS` key (buffers
+        looked up per call: a module rebinds them on update)."""
+        if key == "params":
+            return [p.data for p in self.params]
+        if key == "buffers":
+            module = self.spec.module
+            return [b for _, b in module.named_buffers()] if module else []
+        held = self._velocity if key == "velocity" else self._prev_weights
+        return [held[id(p)] for p in self.params]
 
     def state_dict(self) -> dict:
         """Everything a reconstructed stage needs to continue training.
 
         Only run-boundary state is captured (weights, velocity, previous
-        weights for the weight-difference prediction form, update
-        counter): between :meth:`PipelineExecutor.train` calls the stash
-        is drained and no gradient is pending, which is exactly when the
-        process runtime ships stages across process boundaries.
+        weights for the weight-difference prediction form, the module's
+        buffers in ``named_buffers()`` order — BatchNorm running
+        statistics —, update counter, learning rate): between
+        :meth:`PipelineExecutor.train` calls the stash is drained and no
+        gradient is pending, which is exactly when stage state crosses a
+        process, checkpoint, serving or replica boundary — as this dict.
         """
         if self.stash:
             raise RuntimeError(
                 f"stage {self.index}: state_dict with {len(self.stash)} "
                 "stashed packets in flight — drain the pipeline first"
             )
-        return {
-            "params": [p.data.copy() for p in self.params],
-            "velocity": [self._velocity[id(p)].copy() for p in self.params],
-            "prev_weights": [
-                self._prev_weights[id(p)].copy() for p in self.params
-            ],
-            "updates_applied": int(self.updates_applied),
-            "lr": float(self.lr),
+        state: dict = {
+            key: [a.copy() for a in self._live(key)] for key in STATE_ARRAYS
         }
+        state["updates_applied"] = int(self.updates_applied)
+        state["lr"] = float(self.lr)
+        return state
 
-    def validate_state(self, state: dict) -> None:
-        """Check a :meth:`state_dict` payload against this stage's bound
-        parameters without touching anything — array counts and shapes.
+    def validate_state(self, state: dict, keys=STATE_ARRAYS) -> None:
+        """Check the ``keys`` arrays of a :meth:`state_dict` payload
+        against this stage without touching anything — counts, shapes
+        and dtypes.
 
         Split out of :meth:`load_state_dict` so multi-stage restores
-        (:meth:`PipelineExecutor.load_state_dict`) can validate *every*
-        stage before mutating *any* of them: a bad checkpoint then fails
-        atomically instead of leaving the engine half-loaded.
+        (:func:`load_stage_states`) can validate *every* stage before
+        mutating *any* of them: a bad checkpoint then fails atomically
+        instead of leaving the engine half-loaded.
 
         Dtypes are validated too: a float64 checkpoint loaded into a
         float32 stage (or vice versa) is refused with the expected
         precision mode named, instead of the silent up/down-cast that
-        would otherwise corrupt the parity contracts.
+        would otherwise corrupt the parity contracts.  A key the payload
+        lacks counts as empty: a payload written before buffers were
+        captured loads into a buffer-free stage and is refused — never
+        reset to initial statistics — by a stage that owns buffers.
         """
-        for key in ("params", "velocity", "prev_weights"):
-            arrays = state[key]
-            if len(arrays) != len(self.params):
+        for key in keys:
+            arrays = state.get(key, [])
+            live = self._live(key)
+            if len(arrays) != len(live):
                 raise ValueError(
                     f"stage {self.index}: state has {len(arrays)} {key} "
-                    f"arrays but the stage binds {len(self.params)} "
-                    "parameters"
+                    f"arrays but the stage binds {len(live)}"
                 )
-            for i, (p, arr) in enumerate(zip(self.params, arrays)):
-                if tuple(arr.shape) != tuple(p.data.shape):
+            for i, (mine, arr) in enumerate(zip(live, arrays)):
+                if tuple(arr.shape) != tuple(mine.shape):
                     raise ValueError(
                         f"stage {self.index}: {key}[{i}] has shape "
-                        f"{tuple(arr.shape)}, parameter expects "
-                        f"{tuple(p.data.shape)}"
+                        f"{tuple(arr.shape)}, the stage expects "
+                        f"{tuple(mine.shape)}"
                     )
-                if arr.dtype != p.data.dtype:
+                if arr.dtype != mine.dtype:
                     raise ValueError(
                         f"stage {self.index}: {key}[{i}] has dtype "
                         f"{arr.dtype} but this stage runs in precision "
                         f"mode {self.precision.mode!r} (expected "
-                        f"{p.data.dtype}) — refusing the silent cast; "
+                        f"{mine.dtype}) — refusing the silent cast; "
                         "save/load state in the matching precision mode"
                     )
 
-    def load_state_dict(self, state: dict) -> None:
-        """Load :meth:`state_dict` output into this stage's parameters.
+    def load_state_dict(self, state: dict, keys=STATE_ARRAYS) -> None:
+        """Load :meth:`state_dict` output into this stage: everything,
+        or only the ``keys`` arrays (:data:`WEIGHT_ARRAYS` for serving,
+        which leaves the update counter and learning rate alone too).
 
         Parameter arrays are rebound (copies), so a model sharing the
         ``Parameter`` objects sees the loaded weights immediately; shapes
@@ -429,20 +448,47 @@ class PipelineStage:
         drain-barrier snapshot, so whatever was in flight (e.g. when a
         crashed run is being restored) is stale by definition.
         """
-        self.validate_state(state)
-        for p, w, v, prev in zip(
-            self.params, state["params"], state["velocity"],
-            state["prev_weights"],
-        ):
-            p.data = w.astype(p.data.dtype, copy=True)
-            self._velocity[id(p)] = v.astype(p.data.dtype, copy=True)
-            self._prev_weights[id(p)] = prev.astype(p.data.dtype, copy=True)
-            p.grad = None
-        self.updates_applied = int(state["updates_applied"])
-        self.lr = float(state.get("lr", self.lr))
+        self.validate_state(state, keys)
+        for key in keys:
+            loaded = zip(self._live(key), state.get(key, []))
+            for i, (mine, arr) in enumerate(loaded):
+                if key == "params":
+                    self.params[i].data, self.params[i].grad = arr.copy(), None
+                else:
+                    np.copyto(mine, arr)  # stage- or module-owned: in place
+        if tuple(keys) == STATE_ARRAYS:
+            self.updates_applied = int(state["updates_applied"])
+            self.lr = float(state.get("lr", self.lr))
         self._pending_grads = 0
         self._grad_segments = []
         self.stash.clear()
+
+    def build_spec(self, model_factory: Callable[[], Any]) -> "StageBuildSpec":
+        """The recipe a ``spawn``-started worker rebuilds this stage
+        from (pair it with :meth:`state_dict`): every field but the
+        factory is this stage's attribute of the same name — precision
+        by mode name, so the rebuild lands on the same storage grid."""
+        config = {
+            f.name: getattr(self, f.name)
+            for f in fields(StageBuildSpec)
+            if f.name != "model_factory"
+        }
+        config["precision"] = self.precision.mode
+        return StageBuildSpec(model_factory, **config)
+
+
+def load_stage_states(stages, states, keys=STATE_ARRAYS) -> None:
+    """Load one :meth:`PipelineStage.state_dict` payload per stage,
+    validating *every* stage before mutating *any*."""
+    if len(states) != len(stages):
+        raise ValueError(
+            f"state has {len(states)} stage payloads for "
+            f"{len(stages)} stages"
+        )
+    for stage, state in zip(stages, states):
+        stage.validate_state(state, keys)
+    for stage, state in zip(stages, states):
+        stage.load_state_dict(state, keys)
 
 
 @dataclass(frozen=True)
@@ -474,8 +520,7 @@ class StageBuildSpec:
     def build(self) -> PipelineStage:
         model = self.model_factory()
         policy = resolve_precision(self.precision)
-        if not policy.is_reference:
-            policy.cast_model(model)
+        policy.cast_model(model)  # a no-op in the reference mode
         specs = model.stage_defs
         if not 0 <= self.index < len(specs):
             raise ValueError(

@@ -111,8 +111,9 @@ What a host decides
 
 Thread versus process changes only: the channel type, the control
 endpoint, whether stage state is shipped (processes inherit the stage
-under ``fork``, rebuild it under any other start method, and ship
-trained state back at finalize; threads operate on
+under ``fork``, rebuild it under any other start method from
+``stage.build_spec()`` plus ``stage.state_dict()``, and ship the
+trained ``state_dict()`` back at finalize; threads operate on
 the parent's own stage objects, so methods shadowed on those instances
 are the ones executed — a forked worker inherits the shadows with the
 stage, a rebuilt one does not; the stress tests' seeded-sleep helper
@@ -868,21 +869,7 @@ class WorkerGroup:
                     stall_timeout=self.stall_timeout,
                     stage=None if rebuild else stage,
                     build_spec=(
-                        StageBuildSpec(
-                            model_factory=model_factory,
-                            index=s,
-                            lr=stage.lr,
-                            momentum=stage.momentum,
-                            weight_decay=stage.weight_decay,
-                            mitigation=stage.mitigation,
-                            always_stash=stage.always_stash,
-                            record_versions=stage.record_versions,
-                            # rebuild on the stage's storage grid so the
-                            # shipped state passes the dtype validation
-                            precision=stage.precision.mode,
-                        )
-                        if rebuild
-                        else None
+                        stage.build_spec(model_factory) if rebuild else None
                     ),
                     stage_state=stage.state_dict() if rebuild else None,
                     labels=labels if stage.spec.kind == "loss" else None,

@@ -209,22 +209,10 @@ class PrecisionPolicy:
         for p in model.parameters():
             p.data = self.quantize(p.data)
             p.grad = None
-        named_buffers = getattr(model, "named_buffers", None)
-        if callable(named_buffers):
-            for name, buf in named_buffers():
-                arr = np.asarray(buf)
-                if np.issubdtype(arr.dtype, np.floating):
-                    model.set_buffer(name, arr.astype(self.compute_dtype))
-        else:
-            for module in _iter_modules(model):
-                for name, buf in list(
-                    getattr(module, "_buffers", {}).items()
-                ):
-                    arr = np.asarray(buf)
-                    if np.issubdtype(arr.dtype, np.floating):
-                        module._buffers[name] = arr.astype(
-                            self.compute_dtype
-                        )
+        for module in model.modules():
+            for name, buf in list(module._buffers.items()):
+                if np.issubdtype(buf.dtype, np.floating):
+                    module.set_buffer(name, buf.astype(self.compute_dtype))
         return model
 
     # -- plumbing -----------------------------------------------------------
@@ -242,19 +230,6 @@ class PrecisionPolicy:
 
     def __reduce__(self):
         return (PrecisionPolicy, (self.mode,))
-
-
-def _iter_modules(model: Any):
-    """Best-effort walk of a module tree (fallback buffer cast path)."""
-    seen = set()
-    stack = [model]
-    while stack:
-        m = stack.pop()
-        if id(m) in seen:
-            continue
-        seen.add(id(m))
-        yield m
-        stack.extend(getattr(m, "_modules", {}).values())
 
 
 def resolve_precision(

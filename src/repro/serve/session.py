@@ -163,8 +163,8 @@ class InferenceSession:
             )
             for i, spec in enumerate(specs)
         ]
-        #: SHA-256 over the frozen parameters at session creation — the
-        #: provenance handle serving stats and responses can surface
+        #: SHA-256 over the frozen parameters and buffers at session
+        #: creation — the provenance handle stats and responses surface
         self.fingerprint = model_fingerprint(model)
         self.metadata: dict = {}
 
@@ -194,8 +194,8 @@ class InferenceSession:
         **kwargs,
     ) -> "InferenceSession":
         """Serve a PR-4 checkpoint file: build a fresh model from
-        ``model_factory``, load **only** the parameter arrays from the
-        checkpoint (optimizer state stripped, schedule tag ignored —
+        ``model_factory``, load **only** the parameters and buffers from
+        the checkpoint (optimizer state stripped, schedule tag ignored —
         see :func:`repro.pipeline.checkpoint.restore_inference_weights`)
         and freeze them."""
         model = model_factory()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import signal
 import time
 
@@ -14,6 +15,26 @@ import pytest
 #: into a loud failure.  Override per test with
 #: ``@pytest.mark.concurrency(timeout=<seconds>)``.
 CONCURRENCY_TIMEOUT = 120
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed", type=int, default=None, metavar="SEED",
+        help="run the collected tests in a seeded random order "
+             "(order-dependence check; off by default)",
+    )
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        return f"test order shuffled: --shuffle-seed={seed}"
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.hookimpl(hookwrapper=True)

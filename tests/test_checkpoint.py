@@ -35,7 +35,12 @@ from repro.pipeline import (
     restore_checkpoint,
     save_checkpoint,
 )
-from repro.pipeline.checkpoint import CHECKPOINT_MAGIC
+from repro.pipeline.checkpoint import (
+    CHECKPOINT_MAGIC,
+    checkpoint_fingerprint,
+    restore_inference_weights,
+)
+from repro.pipeline.stage import STATE_ARRAYS
 from repro.utils.rng import new_rng
 
 from test_schedules_golden import (
@@ -47,6 +52,7 @@ from test_schedules_golden import (
     SEED,
     WEIGHT_DECAY,
 )
+from test_stage_state import BN_FACTORY, BN_SCHEDULE, bn_stream, buffers_hex
 
 STALL = 60.0
 
@@ -94,7 +100,7 @@ def _hex_state(state: dict) -> dict:
                 "lr": float(st["lr"]).hex(),
                 **{
                     key: [a.tobytes().hex() for a in st[key]]
-                    for key in ("params", "velocity", "prev_weights")
+                    for key in STATE_ARRAYS
                 },
             }
         )
@@ -221,6 +227,99 @@ class TestEngineRoundTrip:
         assert [l.hex() for l in s1.losses] == [l.hex() for l in s2.losses]
         assert model_fingerprint(m1) == model_fingerprint(m2)
         assert e1.samples_completed == e2.samples_completed
+
+
+def _bn_engine(engine_key: str, model):
+    kw = dict(lr=0.05, momentum=0.9, **BN_SCHEDULE)
+    if engine_key == "sim":
+        return PipelineExecutor(model, **kw)
+    if engine_key == "threaded":
+        return ConcurrentPipelineRunner(model, lockstep=True, **kw)
+    return ProcessPipelineRunner(
+        model, lockstep=True, stall_timeout=STALL, **kw
+    )
+
+
+def _without_buffers(ckpt: dict) -> dict:
+    """The payload as a pre-buffer (v1) build would have written it."""
+    engine = dict(ckpt["engine"])
+    engine["stages"] = [
+        {k: v for k, v in st.items() if k != "buffers"}
+        for st in engine["stages"]
+    ]
+    return dict(ckpt, engine=engine)
+
+
+class TestBuffersInCheckpoints:
+    @pytest.mark.concurrency
+    @pytest.mark.parametrize("engine_key", sorted(ENGINES))
+    def test_resume_keeps_running_statistics(self, tmp_path, engine_key):
+        """checkpoint → fresh engine → continue: BatchNorm statistics
+        (and everything else) hex-equal to the uninterrupted engine."""
+        X, Y = bn_stream(32)
+        m1, m2 = BN_FACTORY(), BN_FACTORY()
+        e1 = _bn_engine(engine_key, m1)
+        e1.train(X[:16], Y[:16])
+        path = str(tmp_path / "bn.ckpt")
+        save_checkpoint(path, capture_checkpoint(e1))
+        e2 = _bn_engine(engine_key, m2)
+        restore_checkpoint(load_checkpoint(path), engine=e2)
+        assert buffers_hex(m2) == buffers_hex(m1) != buffers_hex(BN_FACTORY())
+        assert _hex_state(e2.state_dict()) == _hex_state(e1.state_dict())
+        s1 = e1.train(X[16:], Y[16:])
+        s2 = e2.train(X[16:], Y[16:])
+        assert [l.hex() for l in s1.losses] == [l.hex() for l in s2.losses]
+        assert buffers_hex(m2) == buffers_hex(m1)
+        assert model_fingerprint(m1) == model_fingerprint(m2)
+
+    def test_fingerprints_cover_buffers(self):
+        model = BN_FACTORY()
+        engine = _bn_engine("sim", model)
+        engine.train(*bn_stream())
+        ckpt = capture_checkpoint(engine)
+        assert checkpoint_fingerprint(ckpt) == model_fingerprint(model)
+        ckpt["engine"]["stages"][0]["buffers"][1][0] += 1.0  # running var
+        assert checkpoint_fingerprint(ckpt) != model_fingerprint(model)
+
+    def test_buffer_free_fingerprints_are_what_they_were(self):
+        """Params hash first, so a model that owns no buffers keeps the
+        fingerprint it had before buffers were covered (pinned from the
+        commit before)."""
+        model = FACTORY()
+        assert model_fingerprint(model) == (
+            "d7e0b38ebc915ee062d238522f21753c154e6c8ad9dc3729c453844027d09fa5"
+        )
+        engine = PipelineExecutor(model, lr=0.05, momentum=0.9, mode="pb")
+        engine.train(*_stream(8))
+        trained = (
+            "89df610baa40f92d831d7da7ce729095b4de58de95646f0965d53da5300f0783"
+        )
+        assert model_fingerprint(model) == trained
+        assert checkpoint_fingerprint(capture_checkpoint(engine)) == trained
+
+    def test_v1_payload_loads_only_into_buffer_free_models(self):
+        """No silent reset: a payload without ``"buffers"`` restores a
+        ``small_cnn`` exactly as before, and is refused for the
+        BatchNorm model by both the resume and the serving restore."""
+        model, engine = _train_engine("sim", SCHEDULES["pb"], *_stream(8))
+        v1 = _without_buffers(capture_checkpoint(engine))
+        fresh = FACTORY()
+        restore_checkpoint(v1, engine=ENGINES["sim"](fresh, SCHEDULES["pb"]))
+        assert model_fingerprint(fresh) == model_fingerprint(model)
+        served = FACTORY()
+        restore_inference_weights(v1, served)
+        assert model_fingerprint(served) == model_fingerprint(model)
+
+        bn_engine = _bn_engine("sim", BN_FACTORY())
+        bn_engine.train(*bn_stream())
+        v1 = _without_buffers(capture_checkpoint(bn_engine))
+        target = BN_FACTORY()
+        before = model_fingerprint(target)
+        with pytest.raises(ValueError, match="0 buffers arrays"):
+            restore_checkpoint(v1, engine=_bn_engine("sim", target))
+        with pytest.raises(CheckpointError, match="0 buffers arrays"):
+            restore_inference_weights(v1, target)
+        assert model_fingerprint(target) == before  # untouched
 
 
 class TestRestoreValidation:

@@ -21,7 +21,7 @@ from repro.pipeline import (
     utilization_upper_bound,
     validate_stage_graph,
 )
-from repro.pipeline.schedule import fill_drain_occupancy, observed_stage_delays
+from repro.pipeline.occupancy import fill_drain_occupancy, observed_stage_delays
 
 
 class TestDelayLaw:

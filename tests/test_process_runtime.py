@@ -32,6 +32,7 @@ from repro.pipeline import (
     PipelineRuntimeError,
     ProcessPipelineRunner,
     make_pipeline_engine,
+    model_fingerprint,
 )
 from repro.tensor import Tensor, cross_entropy
 
@@ -51,6 +52,7 @@ from test_schedules_golden import (
     SEED,
     WEIGHT_DECAY,
 )
+from test_stage_state import BN_FACTORY, BN_SCHEDULE, bn_stream, buffers_hex
 
 pytestmark = pytest.mark.concurrency
 
@@ -369,6 +371,44 @@ class TestSpawnAndFactory:
             ProcessPipelineRunner(
                 small_cnn(seed=0), lr=0.01, start_method="spawn"
             )
+
+
+class TestBufferedStages:
+    """BatchNorm running statistics are stage state: they come back
+    from the workers with the weights, on every host."""
+
+    HOSTS = {
+        "threaded": dict(runtime="threaded"),
+        "fork": dict(runtime="process", stall_timeout=STALL),
+        "spawn": dict(
+            runtime="process", start_method="spawn",
+            model_factory=BN_FACTORY, stall_timeout=240.0,
+        ),
+    }
+
+    @pytest.mark.concurrency(timeout=300)
+    @pytest.mark.parametrize("host", sorted(HOSTS))
+    def test_running_stats_match_the_simulator(self, host):
+        """Lockstep ``train()`` twice (under ``spawn`` the second call
+        re-ships the first call's statistics to fresh workers): losses
+        and buffers hex-equal to the simulator after each."""
+        X, Y = bn_stream(32)
+        m_sim, m_run = BN_FACTORY(), BN_FACTORY()
+        common = dict(lr=0.05, momentum=0.9, **BN_SCHEDULE)
+        kw = dict(self.HOSTS[host])
+        sim = make_pipeline_engine("sim", m_sim, **common)
+        run = make_pipeline_engine(
+            kw.pop("runtime"), m_run, lockstep=True, **common, **kw
+        )
+        seen = [buffers_hex(BN_FACTORY())]
+        for lo in (0, 16):
+            a = sim.train(X[lo : lo + 16], Y[lo : lo + 16])
+            b = run.train(X[lo : lo + 16], Y[lo : lo + 16])
+            assert _hex_losses(a) == _hex_losses(b)
+            assert buffers_hex(m_run) == buffers_hex(m_sim)
+            assert buffers_hex(m_run) not in seen  # trained on, each call
+            seen.append(buffers_hex(m_run))
+        assert model_fingerprint(m_run) == model_fingerprint(m_sim)
 
 
 class TestFailureAndEdgeCases:

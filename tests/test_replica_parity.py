@@ -24,6 +24,8 @@ round entirely), engine-facade wiring, and constructor validation.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,11 @@ from repro.pipeline import (
     ReplicatedPipelineRunner,
     make_pipeline_engine,
 )
+from repro.pipeline import runtime as runtime_module
 from repro.utils.rng import new_rng
 
 from test_schedules_golden import LR, MOMENTUM, WEIGHT_DECAY
+from test_stage_state import BN_FACTORY, bn_stream, buffers_hex
 
 pytestmark = pytest.mark.concurrency
 
@@ -175,6 +179,76 @@ class TestReplicaParitySync:
         # busy fractions stay normalized against R * wall
         for s in range(rt.num_stages):
             assert 0.0 <= rt.busy_fraction(s) <= 1.0
+
+
+    def test_batchnorm_statistics_merge_outside_the_parity_check(self):
+        """BatchNorm running statistics are shard-local, so they are
+        exempt from the replicas-agree check and merge as the rank-order
+        mean; per-sample packets normalize sample by sample, so losses
+        and parameters stay hex-identical to one pipeline at ``R*U``."""
+        X, Y = bn_stream(16)
+        m_sim, m_rep = BN_FACTORY(), BN_FACTORY()
+        common = dict(lr=0.05, momentum=0.9, mode="fill_drain")
+        sim = PipelineExecutor(m_sim, update_size=8, **common).train(X, Y)
+        runner = ReplicatedPipelineRunner(
+            m_rep, replicas=2, model_factory=BN_FACTORY, update_size=4,
+            **common,
+        )
+        rep = runner.train(X, Y)
+        assert _hex_losses(sim) == _hex_losses(rep)
+        for a, b in zip(m_sim.parameters(), m_rep.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        merged = [b for _, b in m_rep.named_buffers()]
+        assert all(np.all(np.isfinite(b)) for b in merged)
+        assert all(
+            got != init
+            for got, init in zip(buffers_hex(m_rep), buffers_hex(BN_FACTORY()))
+        )
+        # the mean of the two replicas' statistics, folded in rank order
+        per_rank = [
+            [b for _, b in r.model.named_buffers()]
+            for r in runner.replica_runners
+        ]
+        for got, b0, b1 in zip(merged, *per_rank):
+            assert got.tobytes() == ((b0 + b1) / 2).tobytes()
+
+    def test_groups_launch_before_driver_threads(self, monkeypatch):
+        """Fork before threads: every replica's ``WorkerGroup`` (S
+        forks) is constructed on the calling thread, none on a
+        ``replica-driver-*`` thread where a sibling's held lock could be
+        inherited locked."""
+        launched_on: list[str] = []
+
+        class Recording(runtime_module.WorkerGroup):
+            def __init__(self, *args, **kwargs):
+                launched_on.append(threading.current_thread().name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "WorkerGroup", Recording)
+        _run_both(2, 3, "fill_drain", dict(update_size=2), n=12)
+        assert launched_on == [threading.current_thread().name] * 3
+
+    def test_launch_failure_tears_down_earlier_groups(self, monkeypatch):
+        """Replica 1's launch fails: replica 0's already-forked workers
+        are torn down, nothing is left running, the error propagates."""
+        real = runtime_module.WorkerGroup
+        built: list = []
+
+        def flaky(*args, **kwargs):
+            if built:
+                raise OSError("injected launch failure")
+            built.append(real(*args, **kwargs))
+            built.append(list(built[0].workers))
+            return built[0]
+
+        monkeypatch.setattr(runtime_module, "WorkerGroup", flaky)
+        with pytest.raises(OSError, match="injected launch failure"):
+            _run_both(2, 2, "fill_drain", dict(update_size=2), n=12)
+        assert built[1] and not any(w.is_alive() for w in built[1])
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("replica-driver-")
+        ]
 
 
 class TestReplicaStalenessAsync:

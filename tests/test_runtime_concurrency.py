@@ -233,9 +233,13 @@ class TestShutdown:
             m, lr=0.05, mode="pb", lockstep=False, stall_timeout=0.5
         )
         original = runner.stages[1].forward
+        stragglers: list[threading.Thread] = []
 
         def sleepy_forward(pid, payload, train=True):
-            time.sleep(3.0)
+            stragglers.append(threading.current_thread())
+            # outlasts the stall deadline plus teardown's join budget
+            # (0.5s each), so the run fails with the worker still stuck
+            time.sleep(2.0)
             return original(pid, payload, train)
 
         runner.stages[1].forward = sleepy_forward
@@ -244,3 +248,9 @@ class TestShutdown:
             runner.train(X, Y)
         # tripped by the stall timeout, not the test's SIGALRM ceiling
         assert time.monotonic() - t0 < 10.0
+        # a thread cannot be killed: the stuck worker outlives train().
+        # Wait it out here — the other tests' leak assertions read the
+        # process-global thread list, in whatever order they run
+        for t in stragglers:
+            t.join(10.0)
+        assert not _pipeline_threads()

@@ -30,11 +30,17 @@ from repro.pipeline import (
     make_schedule,
 )
 from repro.pipeline.checkpoint import (
+    CheckpointError,
     capture_checkpoint,
+    checkpoint_fingerprint,
     model_fingerprint,
     save_checkpoint,
 )
 from repro.serve import InferenceSession
+from repro.serve.fleet import ReplicaSpec
+from repro.serve.fleet import router as fleet_router
+
+from test_stage_state import BN_FACTORY, BN_SCHEDULE, bn_stream
 
 FACTORY = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
 SHAPE = (3, 8, 8)
@@ -336,3 +342,82 @@ class TestCheckpointServing:
 
         with pytest.raises(CheckpointError, match="engine"):
             restore_inference_weights({"metadata": {}}, FACTORY())
+
+
+class TestBufferedCheckpointServing:
+    """A BatchNorm model served from a checkpoint normalizes with the
+    *trained* running statistics — the restore loads them and the
+    hot-swap fingerprint covers them."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        model = BN_FACTORY()
+        engine = PipelineExecutor(model, lr=0.05, momentum=0.9, **BN_SCHEDULE)
+        engine.train(*bn_stream())
+        path = str(tmp_path / "bn.ckpt")
+        save_checkpoint(path, capture_checkpoint(engine))
+        return model, path
+
+    @pytest.mark.concurrency(timeout=300)
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(runtime="sim"),
+            dict(runtime="process"),
+            # spawn: the statistics reach the workers inside the shipped
+            # stage state, not by inheritance
+            dict(runtime="process", start_method="spawn",
+                 stall_timeout=240.0),
+        ],
+        ids=["sim", "fork", "spawn"],
+    )
+    def test_served_logits_equal_the_live_model(self, trained, kw):
+        model, path = trained
+        live = InferenceSession(
+            model, runtime="sim", micro_batch=4, sample_shape=SHAPE
+        )
+        restored = InferenceSession.from_checkpoint(
+            path, BN_FACTORY, micro_batch=4, sample_shape=SHAPE, **kw
+        )
+        assert restored.fingerprint == live.fingerprint
+        assert restored.fingerprint == checkpoint_fingerprint(path)
+        X = _requests(10)
+        assert _hex(restored.infer(X).outputs) == _hex(live.infer(X).outputs)
+
+    def test_tampered_running_var_fails_reload_verification(
+        self, trained, monkeypatch
+    ):
+        """A restore that lands one wrong running-variance element is
+        caught by ``reload(verify=True)``; the old generation keeps
+        serving."""
+        _, path = trained
+        replica = fleet_router.Replica(
+            "r0",
+            ReplicaSpec(model_factory=BN_FACTORY, sample_shape=SHAPE,
+                        micro_batch=4),
+            checkpoint=path,
+        )
+        try:
+            fp_before = replica.fingerprint
+            assert fp_before == checkpoint_fingerprint(path)
+            genuine = fleet_router.restore_inference_weights
+
+            def tampering_restore(ckpt, model):
+                meta = genuine(ckpt, model)
+                bn = model.stage_defs[0].module.m1
+                var = bn.running_var.copy()
+                var[0] += 1.0
+                bn.set_buffer("running_var", var)
+                return meta
+
+            monkeypatch.setattr(
+                fleet_router, "restore_inference_weights", tampering_restore
+            )
+            with pytest.raises(CheckpointError, match="fingerprint"):
+                replica.reload(path, verify=True)
+            assert replica.ready
+            assert replica.generation == 0
+            assert replica.fingerprint == fp_before
+            assert replica.submit(_requests(1)[0]).future.result(10.0) is not None
+        finally:
+            replica.stop()

@@ -18,9 +18,15 @@ import numpy as np
 import pytest
 
 from repro.core.mitigation import MitigationConfig
+from repro.experiments.extensions import _norm_cnn
 from repro.models.simple import small_cnn
 from repro.pipeline.executor import PipelineExecutor
-from repro.pipeline.stage import PipelineStage, StageBuildSpec
+from repro.pipeline.stage import (
+    STATE_ARRAYS,
+    WEIGHT_ARRAYS,
+    PipelineStage,
+    StageBuildSpec,
+)
 
 
 def _trained_stage(seed: int = 3, steps: int = 4):
@@ -171,3 +177,128 @@ class TestStateDictValidation:
         assert stage.mitigation is mit
         assert stage.always_stash
         assert stage.record_versions
+
+
+# ---------------------------------------------------------------------------
+# buffers: BatchNorm running statistics are stage state too
+# ---------------------------------------------------------------------------
+
+#: The 5-stage BatchNorm CNN of ``experiments/extensions.py`` (two BN
+#: layers, four buffers) — the model the other suites' buffer cases
+#: import from here.
+BN_FACTORY = partial(_norm_cnn, "bn", 4, 3)
+#: gpipe packets of 4, so the batch statistics are not degenerate
+BN_SCHEDULE = dict(mode="gpipe", update_size=8, micro_batch_size=4)
+
+
+def bn_stream(n: int = 16, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3, 8, 8)), rng.integers(0, 4, size=n)
+
+
+def buffers_hex(model) -> list[str]:
+    return [b.tobytes().hex() for _, b in model.named_buffers()]
+
+
+def _trained_bn_stage():
+    model = BN_FACTORY()
+    ex = PipelineExecutor(model, lr=0.05, momentum=0.9, **BN_SCHEDULE)
+    ex.train(*bn_stream())
+    return model, ex.stages[0]  # conv + BatchNorm + ReLU
+
+
+class TestBuffersInStageState:
+    def test_array_keys_are_declared_once(self):
+        assert STATE_ARRAYS == ("params", "velocity", "prev_weights", "buffers")
+        assert set(WEIGHT_ARRAYS) < set(STATE_ARRAYS)
+        stage = _trained_stage()
+        assert set(stage.state_dict()) == set(STATE_ARRAYS) | {
+            "updates_applied", "lr"
+        }
+
+    def test_state_dict_carries_buffers_in_traversal_order(self):
+        model, stage = _trained_bn_stage()
+        state = stage.state_dict()
+        named = list(stage.spec.module.named_buffers())
+        assert [n.rsplit(".", 1)[-1] for n, _ in named] == [
+            "running_mean", "running_var"
+        ]
+        assert [a.tobytes() for a in state["buffers"]] == [
+            b.tobytes() for _, b in named
+        ]
+        assert buffers_hex(model) != buffers_hex(BN_FACTORY())  # trained
+        # copies, not references
+        state["buffers"][0][...] = 7.0
+        assert not np.any(stage.spec.module.m1.running_mean == 7.0)
+
+    def test_roundtrip_loads_buffers_where_the_forward_reads_them(self):
+        _, stage = _trained_bn_stage()
+        fresh = stage.build_spec(BN_FACTORY).build()
+        fresh.load_state_dict(stage.state_dict())
+        bn = fresh.spec.module.m1
+        # the attribute the forward reads and the registry agree
+        assert bn.running_var is bn._buffers["running_var"]
+        assert [a.tobytes() for a in fresh.state_dict()["buffers"]] == [
+            a.tobytes() for a in stage.state_dict()["buffers"]
+        ]
+        x = np.random.default_rng(7).normal(size=(4, 3, 8, 8))
+        assert _fwd_bwd_hex(fresh, x) == _fwd_bwd_hex(stage, x)
+
+    def test_weights_only_view_leaves_optimizer_state_alone(self):
+        _, stage = _trained_bn_stage()
+        fresh = stage.build_spec(BN_FACTORY).build()
+        fresh.load_state_dict(stage.state_dict(), WEIGHT_ARRAYS)
+        got, want = fresh.state_dict(), stage.state_dict()
+        for key in WEIGHT_ARRAYS:
+            assert [a.tobytes() for a in got[key]] == [
+                a.tobytes() for a in want[key]
+            ]
+        assert got["updates_applied"] == 0
+        assert all(not v.any() for v in got["velocity"])
+
+    def test_payload_without_buffers_loads_only_where_none_are_owned(self):
+        """A v1 payload (written before buffers were captured) loads
+        unchanged into a buffer-free stage and is refused — not reset to
+        initial statistics — by a stage that owns buffers."""
+        plain = _trained_stage()
+        v1 = plain.state_dict()
+        del v1["buffers"]
+        plain.load_state_dict(v1)
+
+        _, stage = _trained_bn_stage()
+        before = stage.state_dict()
+        v1 = stage.state_dict()
+        del v1["buffers"]
+        with pytest.raises(ValueError, match="0 buffers arrays"):
+            stage.load_state_dict(v1)
+        after = stage.state_dict()
+        for key in STATE_ARRAYS:
+            assert [a.tobytes() for a in after[key]] == [
+                a.tobytes() for a in before[key]
+            ]
+
+    def test_wrong_buffer_shape_raises(self):
+        _, stage = _trained_bn_stage()
+        state = stage.state_dict()
+        state["buffers"][1] = np.ones(3)
+        with pytest.raises(ValueError, match=r"buffers\[1\] has shape"):
+            stage.validate_state(state)
+
+    def test_reduced_precision_casts_buffers_and_ships_them(self):
+        """``cast_model`` reaches buffers of nested modules (it used to
+        raise ``KeyError`` on their dotted names), so a float32 engine
+        carries float32 running statistics through ``state_dict``."""
+        model = BN_FACTORY()
+        ex = PipelineExecutor(
+            model, lr=0.05, momentum=0.9, precision="float32", **BN_SCHEDULE
+        )
+        ex.train(*bn_stream())
+        state = ex.stages[0].state_dict()
+        assert [a.dtype for a in state["buffers"]] == [np.float32] * 2
+        bn = model.stage_defs[0].module.m1
+        assert bn.running_mean is bn._buffers["running_mean"]
+        fresh = ex.stages[0].build_spec(BN_FACTORY).build()
+        fresh.load_state_dict(state)  # same grid: passes dtype validation
+        assert buffers_hex(fresh.spec.module) == [
+            a.tobytes().hex() for a in state["buffers"]
+        ]
