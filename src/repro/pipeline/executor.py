@@ -35,7 +35,7 @@ bit for bit (golden-tested in ``tests/test_schedules_golden.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,12 +120,34 @@ class StageCounters:
     forward_samples: int = 0
     backward_samples: int = 0
     busy_seconds: float = 0.0
+    #: a worker host's time blocked — idle, on a packet that has not
+    #: arrived, on a full channel — and its returns from those blocks
+    wait_seconds: float = 0.0
+    wakeups: int = 0
+    #: a process host's placement diagnostics, read at finalize: the
+    #: worker's context switches (``ru_nvcsw`` / ``ru_nivcsw``) and the
+    #: CPUs it may run on
+    voluntary_switches: int = 0
+    involuntary_switches: int = 0
+    cpus: tuple[int, ...] = ()
 
     @property
     def busy_steps(self) -> int:
         """Slot occupancy: one per packet transformation, the measured
         counterpart of one non-idle cell in an occupancy grid row."""
         return self.forward_ops + self.backward_ops
+
+    def add(self, other: "StageCounters") -> None:
+        """Fold in the same stage's counters from a concurrent replica:
+        work, waits and switches sum, CPU sets unite."""
+        for name in _SUMMED_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.cpus = tuple(sorted({*self.cpus, *other.cpus}))
+
+
+_SUMMED_COUNTERS = tuple(
+    f.name for f in fields(StageCounters) if f.name not in ("index", "cpus")
+)
 
 
 @dataclass
@@ -150,7 +172,9 @@ class PipelineRunStats:
     ``wall_seconds`` spans first injection to last completion and each
     stage's ``busy_seconds`` sums its time inside forward/backward
     transformations, so :meth:`idle_seconds` is measured (not modeled)
-    pipeline bubble time.  The simulator leaves both at zero.
+    pipeline bubble time; ``wait_seconds`` / ``wakeups`` are the part of
+    it the worker spent blocked, and how often it was woken.  The
+    simulator leaves them all at zero.
     """
 
     stages: list[StageCounters]
@@ -295,7 +319,8 @@ class PipelineRunStats:
         ``losses`` is the already-scattered global loss array (per-replica
         losses mapped back to their global stream positions).  The
         replicas ran concurrently over one window, so per-stage work
-        (ops, samples, busy seconds) is summed while ``time_steps`` and
+        (ops, samples, busy and wait seconds, wake-ups) is summed
+        (:meth:`StageCounters.add`) while ``time_steps`` and
         ``wall_seconds`` are the *max* — never the sum, which would
         double-count capacity and deflate utilization — and ``replicas``
         accumulates so every capacity scales by ``R``.
@@ -319,12 +344,7 @@ class PipelineRunStats:
         for s in range(first.num_stages):
             merged = StageCounters(index=s)
             for p in parts:
-                st = p.stages[s]
-                merged.forward_ops += st.forward_ops
-                merged.backward_ops += st.backward_ops
-                merged.forward_samples += st.forward_samples
-                merged.backward_samples += st.backward_samples
-                merged.busy_seconds += st.busy_seconds
+                merged.add(p.stages[s])
             stages.append(merged)
         return PipelineRunStats(
             stages=stages,

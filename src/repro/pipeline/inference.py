@@ -24,7 +24,9 @@ pipeline you push packets into and pull outputs out of:
 
 Both expose the same SPSC surface — ``submit`` (non-blocking, with
 explicit backpressure: ``False`` means "pipeline full, try later"),
-``poll`` (completed ``(pid, start, logits)`` triples) and ``close`` —
+``poll`` (completed ``(pid, start, logits)`` triples), ``wait`` (block
+until ``poll`` — or, with ``space=True``, ``submit`` — has something to
+do; nobody sleeps between tries) and ``close`` —
 so :func:`run_inference` can drive either through an
 :class:`~repro.pipeline.schedule.InferenceSchedule` unchanged, and the
 serving front-end (:mod:`repro.serve.server`) can keep one stream open
@@ -141,7 +143,7 @@ class SimInferenceStream:
             StageCounters(index=s) for s in range(len(stages))
         ]
         self._results: deque = deque()
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._eval_guard = eval_mode(self.stages)
         self._eval_guard.__enter__()
         self._closed = False
@@ -149,7 +151,7 @@ class SimInferenceStream:
     def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
         if self._closed:
             raise InferenceStreamError("stream is closed")
-        with self._lock:
+        with self._cond:
             if len(self._results) >= self.capacity:
                 return False
         payload = [np.asarray(x)]
@@ -160,15 +162,27 @@ class SimInferenceStream:
             counters.forward_ops += 1
             counters.forward_samples += x.shape[0]
             counters.busy_seconds += time.perf_counter() - t0
-        with self._lock:
+        with self._cond:
             self._results.append((pid, start, payload[0]))
+            self._cond.notify_all()
         return True
 
     def poll(self) -> list[tuple[int, int, np.ndarray]]:
-        with self._lock:
+        with self._cond:
             out = list(self._results)
             self._results.clear()
+            self._cond.notify_all()
         return out
+
+    def wait(self, timeout: float, space: bool = False) -> bool:
+        """Block until ``poll`` has a result (``space=True``: until
+        ``submit`` has room) or ``timeout`` passes; returns which."""
+        def ready() -> bool:
+            held = len(self._results)
+            return held < self.capacity if space else held > 0
+
+        with self._cond:
+            return self._cond.wait_for(ready, timeout)
 
     def close(self) -> None:
         if self._closed:
@@ -309,6 +323,19 @@ class PipelineInferenceStream:
             ring.release()
         return out
 
+    def wait(self, timeout: float, space: bool = False) -> bool:
+        """Block until ``poll`` has a result (``space=True``: until
+        ``submit`` has room), a worker aborts the group, or ``timeout``
+        passes; ``True`` only for the first.  The wait is the channel's:
+        a condition variable on a thread host, a doorbell on a process
+        host.  One waiter per direction, like the stream's two ends."""
+        if self._closed:
+            raise InferenceStreamError("stream is closed")
+        group = self._group
+        if space:
+            return group.channels[0].wait_writable(timeout, group.abort)
+        return group.channels[-1].wait_readable(timeout, group.abort)
+
     def close(self) -> None:
         if self._closed:
             return
@@ -416,7 +443,9 @@ def run_inference(
                 f"({completed}/{n} samples done)"
             )
         elif completed < n:
-            time.sleep(1e-5)
+            # everything unfinished is in flight and the output end was
+            # just emptied, so the next event is a result
+            stream.wait(min(stall_timeout, 0.05))
     return _record(
         schedule,
         stream.counters,

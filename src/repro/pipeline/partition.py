@@ -8,8 +8,6 @@ its data-flow structure as a ``networkx`` DAG for inspection and tests.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.models.arch import StageDef, StageGraphModel
 
 
@@ -53,6 +51,10 @@ def stage_flow_graph(model: StageGraphModel) -> "nx.DiGraph":
     pushing stage to its matching sum stage (and through the skip-path
     compute stage if one rides the connection).
     """
+    # imported here: this one function is networkx's only user, and a
+    # module-level import would load it into every worker process
+    import networkx as nx
+
     validate_stage_graph(model.stage_defs)
     g = nx.DiGraph()
     stack: list[int] = []  # indices of the stage that pushed each live skip

@@ -287,9 +287,10 @@ class _WorkerGroupEngine(PipelineExecutor):
         """Inject a packet into the stage-0 channel with bounded waiting.
 
         The parent runs up to an ack window ahead of the workers, so a
-        full injection channel is ordinary flow control; spin on
-        ``try_send`` with liveness checks so a dead or erroring worker
-        surfaces as :class:`PipelineRuntimeError`, not a transport stall.
+        full injection channel is ordinary flow control; block on the
+        channel's free-slot wait between ``try_send`` s, with liveness
+        checks so a dead or erroring worker surfaces as
+        :class:`PipelineRuntimeError`, not a transport stall.
         """
         ring = group.channels[0]
         deadline = time.monotonic() + self.stall_timeout
@@ -301,7 +302,7 @@ class _WorkerGroupEngine(PipelineExecutor):
                     f"stage-0 channel ({self.stall_timeout:.1f}s) — likely "
                     "deadlock or a dead worker"
                 )
-            time.sleep(0.0002)
+            ring.wait_writable(0.05, group.abort)
 
     def _drive_lockstep(self, group: WorkerGroup, X: np.ndarray):
         """Mirror of ``PipelineExecutor._run``'s control flow: the parent

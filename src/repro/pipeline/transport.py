@@ -65,9 +65,30 @@ fill (at most ``D_s`` backward packets can be outstanding toward stage
 ``s``) and hence that backward sends never block: the runtime's
 deadlock-freedom argument.
 
-Blocking waits are adaptive spin-then-sleep with a stall deadline and an
-abort check, so a dead peer turns into a loud :class:`TransportStall`
-instead of a hang.
+Doorbells
+---------
+
+Nothing polls.  Every ring carries two :class:`Doorbell` s — non-blocking
+pipes, one per direction — and a blocked side sleeps in ``select`` on
+its bell until the peer rings it:
+
+* **publish → ring**: :meth:`ShmRing.send` writes a byte to the *data*
+  bell after publishing ``head``; :meth:`ShmRing.release` writes one to
+  the *space* bell after publishing ``tail``;
+* **drain → re-check → block**: a waiter empties its bell, re-reads the
+  counter, and only then blocks.  A publish that lands after the
+  re-check rings after the drain, so its byte is still in the pipe when
+  ``select`` looks: no wake-up is lost.
+
+Each bell has exactly one waiter (the ring is SPSC) and holds no lock or
+semaphore, so a SIGKILLed peer cannot die holding it.  The bells travel
+with the ring through ``__reduce__`` on every start method; a ring
+attached from a bare descriptor has none and falls back to re-checking
+every :data:`WAIT_SAFETY_NET` seconds — the bounded timeout every block
+carries anyway.  Waits keep their stall deadline and abort check (the
+abort flag of a process group is itself a bell, see
+:class:`~repro.pipeline.worker._SharedAbort`), so a dead peer turns into
+a loud :class:`TransportStall` instead of a hang.
 """
 
 from __future__ import annotations
@@ -75,9 +96,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import platform
+import select
 import time
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
+from multiprocessing import reduction, resource_tracker, shared_memory
+from multiprocessing.context import get_spawning_popen
 from typing import Sequence
 
 import numpy as np
@@ -101,10 +124,10 @@ def _needs_fence() -> bool:
 
 #: Alignment for the slot header and each array region (cache line).
 _ALIGN = 64
-#: Spin iterations before the waiter starts sleeping.
-_SPIN = 200
-#: Sleep ceiling for the adaptive backoff (seconds).
-_MAX_SLEEP = 0.002
+#: Longest a waiter blocks before it re-checks by itself (seconds): the
+#: safety net under the bell protocol — what a bell-less ring falls back
+#: to — and the granularity of stall deadlines.
+WAIT_SAFETY_NET = 0.05
 
 
 class TransportError(RuntimeError):
@@ -121,6 +144,70 @@ class TransportAborted(TransportError):
 
 def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+class Doorbell:
+    """A wake-up line to one waiter: a non-blocking pipe (module
+    docstring, "Doorbells").  :meth:`ring` writes a byte, the waiter
+    blocks in ``select`` on the bell and :meth:`drain` s it before
+    re-checking what it waits for."""
+
+    def __init__(self, fds: tuple[int, int] | None = None):
+        if fds is None:
+            fds = os.pipe()
+            for fd in fds:
+                os.set_blocking(fd, False)
+        self._r, self._w = fds
+
+    def fileno(self) -> int:
+        return self._r
+
+    def ring(self) -> None:
+        try:
+            os.write(self._w, b"\0")
+        except OSError:
+            # a full pipe already holds a wake-up; a closed one has no
+            # waiter left to wake
+            pass
+
+    def drain(self) -> None:
+        try:
+            os.read(self._r, 1 << 16)  # a pipe's capacity: one read empties
+        except OSError:
+            pass  # nothing to read
+
+    def close(self) -> None:
+        for fd in (self._r, self._w):
+            if fd >= 0:
+                os.close(fd)
+        self._r = self._w = -1
+
+    def __reduce__(self):
+        # the fds ride the child's launch (spawn, forkserver) the way a
+        # Connection's does
+        return _rebuild_bell, tuple(
+            reduction.DupFd(fd) for fd in (self._r, self._w)
+        )
+
+
+def _rebuild_bell(r, w) -> Doorbell:
+    return Doorbell((r.detach(), w.detach()))
+
+
+def wait_on_bells(
+    ready, bells: Sequence[Doorbell], fds: Sequence, timeout: float
+) -> bool:
+    """One round of the waiter's half of the bell protocol: drain the
+    ``bells`` → re-check → block in ``select`` on ``fds`` (the bells plus
+    whatever else should end the block; anything with a ``fileno``) for
+    at most ``timeout`` seconds.  Returns whether ``ready()`` held at the
+    re-check; a ``False`` says nothing about now — the caller loops."""
+    for bell in bells:
+        bell.drain()
+    if ready():
+        return True
+    select.select(fds, [], [], timeout)
+    return False
 
 
 @dataclass(frozen=True)
@@ -218,13 +305,16 @@ class ShmRing:
     """
 
     def __init__(self, descriptor: RingDescriptor, shm: shared_memory.SharedMemory,
-                 owner: bool, fence=None):
+                 owner: bool, fence=None, bells=None):
         self.descriptor = descriptor
         self._shm = shm
         self._owner = owner
         #: None on TSO machines (lock-free); a multiprocessing.Lock on
         #: weakly-ordered ones (see _needs_fence)
         self._fence = fence
+        #: the consumer's and the producer's wake-up lines (``None`` on a
+        #: ring attached from a bare descriptor)
+        self.data_bell, self.space_bell = bells or (None, None)
         self.label = descriptor.label
         self.slots = descriptor.slots
         buf = shm.buf
@@ -281,14 +371,16 @@ class ShmRing:
         # children inherit it, spawn children unpickle it (same-context
         # pickling is the one combination multiprocessing allows)
         fence = mp.get_context("spawn").Lock() if _needs_fence() else None
-        ring = cls(desc, shm, owner=True, fence=fence)
+        ring = cls(desc, shm, owner=True, fence=fence,
+                   bells=(Doorbell(), Doorbell()))
         ring._head[0] = 0
         ring._tail[0] = 0
         ring._next = 0
         return ring
 
     @classmethod
-    def attach(cls, descriptor: RingDescriptor, fence=None) -> "ShmRing":
+    def attach(cls, descriptor: RingDescriptor, fence=None, bells=None
+               ) -> "ShmRing":
         # Python <=3.12 registers attached segments with the resource
         # tracker as if the attaching process owned them; the tracker's
         # cache is a *set*, so the duplicate registrations collapse and
@@ -305,36 +397,77 @@ class ShmRing:
             shm = shared_memory.SharedMemory(name=descriptor.shm_name)
         finally:
             resource_tracker.register = orig_register
-        return cls(descriptor, shm, owner=False, fence=fence)
+        return cls(descriptor, shm, owner=False, fence=fence, bells=bells)
 
     def __reduce__(self):
         # pickling a ring (spawn-start worker specs) yields an attach;
-        # the fence lock travels with it (multiprocessing pickles
-        # semaphores through Process args on any start method)
-        return (ShmRing.attach, (self.descriptor, self._fence))
+        # the fence lock and the bells travel with it (multiprocessing
+        # pickles semaphores and fds through Process args on any start
+        # method).  Pickled anywhere else there is no launch for the
+        # fds to ride, and the copy waits by the safety net alone.
+        bells = None
+        if get_spawning_popen() is not None and self.data_bell is not None:
+            bells = (self.data_bell, self.space_bell)
+        return (ShmRing.attach, (self.descriptor, self._fence, bells))
 
     # -- waiting ------------------------------------------------------------
 
-    def _wait(self, ready, timeout: float, what: str, abort=None) -> None:
-        """Adaptive spin-then-sleep until ``ready()`` or deadline/abort."""
+    def _block(self, ready, bell, timeout: float, abort=None) -> bool:
+        """Block on ``bell`` until ``ready()`` — ``True`` — or until the
+        abort flag or the deadline — ``False``."""
         deadline = time.monotonic() + timeout
-        spins = 0
-        sleep = 1e-5
-        while not ready():
-            spins += 1
-            if spins <= _SPIN:
-                continue
-            if abort is not None and abort.is_set():
-                raise TransportAborted(
-                    f"ring {self.label!r}: aborted while waiting for {what}"
-                )
-            if time.monotonic() >= deadline:
-                raise TransportStall(
-                    f"ring {self.label!r}: stalled waiting for {what} "
-                    f"({timeout:.1f}s) — likely a dead or deadlocked peer"
-                )
-            time.sleep(sleep)
-            sleep = min(sleep * 2.0, _MAX_SLEEP)
+        bells = [] if bell is None else [bell]
+        fds = bells + [abort] if hasattr(abort, "fileno") else bells
+        while True:
+            remaining = deadline - time.monotonic()
+            if wait_on_bells(
+                ready, bells, fds, max(0.0, min(remaining, WAIT_SAFETY_NET))
+            ):
+                return True
+            if remaining <= 0 or (abort is not None and abort.is_set()):
+                return False
+
+    def _wait(self, ready, bell, timeout: float, what: str, abort) -> None:
+        """:meth:`_block` that raises on abort or a passed deadline."""
+        if self._block(ready, bell, timeout, abort):
+            return
+        if abort is not None and abort.is_set():
+            raise TransportAborted(
+                f"ring {self.label!r}: aborted while waiting for {what}"
+            )
+        raise TransportStall(
+            f"ring {self.label!r}: stalled waiting for {what} "
+            f"({timeout:.1f}s) — likely a dead or deadlocked peer"
+        )
+
+    def wait_readable(self, timeout: float, abort=None) -> bool:
+        """Consumer side: block until a packet is available (``True``),
+        the abort flag is set or ``timeout`` passes."""
+        return self._block(self.poll, self.data_bell, timeout, abort)
+
+    def wait_writable(self, timeout: float, abort=None) -> bool:
+        """Producer side: block until a slot is free (``True``), the
+        abort flag is set or ``timeout`` passes."""
+        return self._block(
+            self._has_free_slot, self.space_bell, timeout, abort
+        )
+
+    def idle_wait(self, conn, abort, other: "ShmRing | None" = None):
+        """The consumer's idle wait, ``wait(ready)``: one bounded block
+        on everything that can hand this ring's consumer work — this
+        ring, the ``other`` ring it also consumes, its control endpoint
+        ``conn`` and the abort flag.  The caller loops on ``ready``."""
+        bells = [
+            ring.data_bell
+            for ring in (self, other)
+            if ring is not None and ring.data_bell is not None
+        ]
+        fds = [*bells, conn, abort]
+
+        def wait(ready) -> None:
+            wait_on_bells(ready, bells, fds, WAIT_SAFETY_NET)
+
+        return wait
 
     # -- producer side ------------------------------------------------------
 
@@ -348,6 +481,8 @@ class ShmRing:
             # poll() acquires the same lock
             with self._fence:
                 self._write_body(pid, start, size, payload)
+        if self.data_bell is not None:
+            self.data_bell.ring()  # publish -> ring
 
     def _write_body(self, pid: int, start: int, size: int,
                     payload: Sequence[np.ndarray]) -> None:
@@ -393,7 +528,11 @@ class ShmRing:
     def send(self, pid: int, start: int, size: int,
              payload: Sequence[np.ndarray], timeout: float, abort=None) -> None:
         """Blocking send with a stall deadline."""
-        self._wait(self._has_free_slot, timeout, "a free slot", abort)
+        if not self._has_free_slot():
+            self._wait(
+                self._has_free_slot, self.space_bell, timeout, "a free slot",
+                abort,
+            )
         self._write(pid, start, size, payload)
 
     # -- consumer side ------------------------------------------------------
@@ -417,7 +556,8 @@ class ShmRing:
 
     def recv(self, timeout: float, what: str = "a packet", abort=None):
         """Blocking :meth:`try_recv` with a stall deadline."""
-        self._wait(self.poll, timeout, what, abort)
+        if not self.poll():
+            self._wait(self.poll, self.data_bell, timeout, what, abort)
         return self.try_recv()
 
     def release(self) -> None:
@@ -433,6 +573,8 @@ class ShmRing:
             # fences the consumer's payload reads ahead of the free
             with self._fence:
                 self._tail[0] = tail + 1
+        if self.space_bell is not None:
+            self.space_bell.ring()  # publish -> ring
 
     @property
     def outstanding(self) -> int:
@@ -453,6 +595,9 @@ class ShmRing:
             self._shm.close()
         except Exception:  # pragma: no cover - idempotent teardown
             pass
+        for bell in (self.data_bell, self.space_bell):
+            if bell is not None:
+                bell.close()
 
     def unlink(self) -> None:
         if self._owner:

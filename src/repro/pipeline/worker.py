@@ -50,16 +50,21 @@ Channels
 
 Packets ``(pid, start, size, payload)`` move over channels with the
 :class:`~repro.pipeline.transport.ShmRing` surface — ``send`` /
-``try_send`` / ``recv`` / ``try_recv`` / ``poll`` / ``release`` — by duck
+``try_send`` / ``recv`` / ``try_recv`` / ``poll`` / ``release`` and the
+waits ``wait_readable`` / ``wait_writable`` / ``idle_wait`` — by duck
 typing.  A process host uses the shared-memory rings themselves
 (zero-copy views, no pickling on the hot path); a thread host uses
-:class:`LocalChannel`, a bounded deque passing references, whose
-condition variable is the *consumer's* wake-up: every inbound source of a
-thread-hosted worker (forward channel, backward channel, control
-endpoint, abort flag) notifies the same condition, so an idle worker
-blocks on it instead of polling.  Both hosts size channel ``s`` at
-``D_s + 1 + RING_SLACK`` slots (a flat count for serving), which
-guarantees backward sends never block.
+:class:`LocalChannel`, a bounded deque passing references.  Nobody
+polls on either: how to block is the channel's business.  A
+:class:`LocalChannel`'s condition variable is the *consumer's* wake-up —
+every inbound source of a thread-hosted worker (forward channel,
+backward channel, control endpoint, abort flag) notifies the same
+condition; a ring's doorbells (``transport.py``, "Doorbells") are pipe
+bytes its peer writes, and an idle process-hosted worker blocks in one
+``select`` over its inbound rings' bells, its control pipe and the abort
+flag's bell.  Both hosts size channel ``s`` at ``D_s + 1 + RING_SLACK``
+slots (a flat count for serving), which guarantees backward sends never
+block.
 
 Slot lifetime follows the autodiff engine's lazy reads (see
 ``transport.py``): a compute stage's forward slot is released only when
@@ -118,13 +123,16 @@ the parent's own stage objects, so methods shadowed on those instances
 are the ones executed — a forked worker inherits the shadows with the
 stage, a rebuilt one does not; the stress tests' seeded-sleep helper
 in ``tests/conftest.py`` and the benchmark's tracer rely on exactly
-this), how an idle worker waits (condition variable versus adaptive
-back-off), and how often lockstep acks.
+this), what an idle worker blocks on (the channel's condition variable
+versus its doorbells — the channel's choice, ``idle_wait``), and how
+often lockstep acks.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import resource
 import sys
 import threading
 import time
@@ -138,6 +146,7 @@ import numpy as np
 from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
+    Doorbell,
     ShmRing,
     TransportAborted,
     TransportError,
@@ -275,6 +284,31 @@ class LocalChannel:
             self._held -= 1
             self.cond.notify_all()
 
+    def wait_readable(self, timeout: float, abort) -> bool:
+        with self.cond:
+            self.cond.wait_for(lambda: self._items or abort.is_set(), timeout)
+            return bool(self._items)
+
+    def wait_writable(self, timeout: float, abort) -> bool:
+        with self.cond:
+            self.cond.wait_for(
+                lambda: self._has_free_slot() or abort.is_set(), timeout
+            )
+            return self._has_free_slot()
+
+    def idle_wait(self, conn, abort, other=None):
+        """The consumer's idle wait, ``wait(ready)``: every inbound
+        source of the consumer notifies ``cond``, so the arguments (the
+        :meth:`ShmRing.idle_wait` surface) need no wiring here.  The
+        timeout is a safety net, not a poll interval."""
+        cond = self.cond
+
+        def wait(ready) -> None:
+            with cond:
+                cond.wait_for(ready, 0.5)
+
+        return wait
+
     def close(self) -> None:
         """ShmRing teardown surface; nothing to unmap in-process."""
         self._items.clear()
@@ -332,23 +366,37 @@ class _LocalAbort(threading.Event):
             with cond:
                 cond.notify_all()
 
+    def close(self) -> None:
+        """:class:`_SharedAbort` teardown surface; nothing to free."""
+
 
 class _SharedAbort:
-    """Abort flag of a process-hosted group: one lock-free shared byte.
+    """Abort flag of a process-hosted group: one lock-free shared byte
+    plus a doorbell that, once rung, is never drained — so every
+    ``select`` that includes the flag (it has a ``fileno``) returns at
+    once, however many waiters there are.
 
     Not a ``multiprocessing.Event``: that guards its flag with a
-    semaphore, workers poll the flag constantly, and a worker SIGKILLed
+    semaphore, workers check the flag constantly, and a worker SIGKILLed
     inside ``is_set()`` would leave the semaphore held — hanging every
     sibling and the parent's crash recovery on their next check."""
 
     def __init__(self, ctx):
         self._flag = ctx.RawValue("b", 0)
+        self._bell = Doorbell()
 
     def set(self) -> None:
         self._flag.value = 1
+        self._bell.ring()
 
     def is_set(self) -> bool:
         return bool(self._flag.value)
+
+    def fileno(self) -> int:
+        return self._bell.fileno()
+
+    def close(self) -> None:
+        self._bell.close()
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +438,6 @@ class _WorkerSpec:
     bwd_in: Any  # None for the loss stage and in forward-only mode
     bwd_out: Any  # None for stage 0 and in forward-only mode
     abort: Any  # _SharedAbort | _LocalAbort
-    wake: threading.Condition | None  # thread host: the idle wait
     lockstep: bool
     forward_only: bool
     update_after_backward: bool
@@ -421,6 +468,9 @@ class StageWorker:
         self._pending_fwd: deque[int] = deque()
         self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
         self.in_flight = 0
+        self._idle_wait = spec.fwd_in.idle_wait(
+            spec.conn, spec.abort, spec.bwd_in
+        )
         self._reduce_round = 0  # packet ids on the reduce rings
         if spec.ship_state:
             # ship only THIS run's version trace back; the parent extends
@@ -433,6 +483,38 @@ class StageWorker:
             stage.collect_grad_segments = True
         if spec.forward_only and stage.spec.module is not None:
             stage.spec.module.eval()
+
+    # -- waiting ----------------------------------------------------------
+
+    # wait_seconds / wakeups accounting: everywhere the loop can block —
+    # the idle wait, a packet that has not arrived yet, a send into a
+    # full channel — goes through _blocked, so busy + wait is the
+    # worker's lifetime less its own bookkeeping.
+
+    def _blocked(self, block, *args):
+        t0 = time.perf_counter()
+        try:
+            return block(*args)
+        finally:
+            self.counters.wait_seconds += time.perf_counter() - t0
+            self.counters.wakeups += 1
+
+    def _send(self, channel, pid, start, size, payload) -> None:
+        spec = self.spec
+        if not channel.try_send(pid, start, size, payload):
+            self._blocked(
+                channel.send, pid, start, size, payload, spec.stall_timeout,
+                spec.abort,
+            )
+
+    def _recv(self, channel, what: str):
+        pkt = channel.try_recv()
+        if pkt is None:
+            spec = self.spec
+            pkt = self._blocked(
+                channel.recv, spec.stall_timeout, what, spec.abort
+            )
+        return pkt
 
     # -- packet transformations -------------------------------------------
 
@@ -465,7 +547,7 @@ class StageWorker:
             return completed
         # copy downstream *before* releasing anything the output may
         # alias (identity/sum stages pass views of the inbound slot)
-        spec.fwd_out.send(pid, start, size, out, spec.stall_timeout, spec.abort)
+        self._send(spec.fwd_out, pid, start, size, out)
         if self.defer_fwd_release:
             self._pending_fwd.append(pid)
         else:
@@ -487,9 +569,7 @@ class StageWorker:
         self.counters.backward_samples += size
         self.counters.busy_seconds += time.perf_counter() - t0
         if spec.bwd_out is not None:
-            spec.bwd_out.send(
-                pid, start, size, upstream, spec.stall_timeout, spec.abort
-            )
+            self._send(spec.bwd_out, pid, start, size, upstream)
         if not seeded:
             spec.bwd_in.release()  # gradients are consumed eagerly
             self.in_flight -= 1
@@ -519,15 +599,12 @@ class StageWorker:
         update, so replicas stay bit-for-bit in sync — and equal to one
         pipeline running the whole ``R*U`` batch.
         """
-        spec = self.spec
-        red = spec.reduce
+        red = self.spec.reduce
         params = self.stage.params
         segments = self.stage.pop_grad_segments()
         if red.chain_in is not None:
-            pkt = red.chain_in.recv(
-                spec.stall_timeout,
-                f"stage {self.s} reduce chain (rank {red.rank})",
-                spec.abort,
+            pkt = self._recv(
+                red.chain_in, f"stage {self.s} reduce chain (rank {red.rank})"
             )
             # cumulative sample count rides in the ``start`` meta slot
             upstream_count = int(pkt[1])
@@ -556,23 +633,17 @@ class StageWorker:
         self._reduce_round += 1
         if red.chain_out is not None:
             size = max((int(a.shape[0]) for a in acc), default=0)
-            red.chain_out.send(
-                pid, total, size, acc, spec.stall_timeout, spec.abort
-            )
+            self._send(red.chain_out, pid, total, size, acc)
             if red.chain_in is not None:
                 red.chain_in.release()  # the send copied the views out
-            pkt = red.result_in.recv(
-                spec.stall_timeout,
+            pkt = self._recv(
+                red.result_in,
                 f"stage {self.s} reduce result (rank {red.rank})",
-                spec.abort,
             )
             total = int(pkt[1])
             result = [np.array(a, copy=True) for a in pkt[3]]
             if red.result_out is not None:
-                red.result_out.send(
-                    pid, total, pkt[2], pkt[3], spec.stall_timeout,
-                    spec.abort,
-                )
+                self._send(red.result_out, pid, total, pkt[2], pkt[3])
             red.result_in.release()
         else:
             # last rank: its fold IS the global sum.  Copy before
@@ -581,9 +652,7 @@ class StageWorker:
             if red.chain_in is not None:
                 red.chain_in.release()
             size = max((int(a.shape[0]) for a in result), default=0)
-            red.result_out.send(
-                pid, total, size, result, spec.stall_timeout, spec.abort
-            )
+            self._send(red.result_out, pid, total, size, result)
         if params:
             self.stage.set_reduced_grads(result)
         self.stage.flush_update(total)
@@ -614,6 +683,13 @@ class StageWorker:
 
     def _finalize_payload(self) -> dict:
         ship = self.spec.ship_state
+        if not isinstance(self.spec.conn, LocalConn):
+            # a process worker is its process: placement diagnostics
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            self.counters.voluntary_switches = usage.ru_nvcsw
+            self.counters.involuntary_switches = usage.ru_nivcsw
+            if hasattr(os, "sched_getaffinity"):
+                self.counters.cpus = tuple(sorted(os.sched_getaffinity(0)))
         return {
             "counters": self.counters,
             "losses": self.losses,
@@ -634,9 +710,10 @@ class StageWorker:
         completed_since_ack = 0
         while True:
             # blocking command read that still honours the abort flag
-            while not spec.conn.poll(0.05):
+            while not spec.conn.poll():
                 if spec.abort.is_set():
                     return
+                self._blocked(self._idle_wait, self._has_command)
             cmd = spec.conn.recv()
             if cmd[0] != "step":
                 # standalone command (end-of-run flush delivery,
@@ -649,44 +726,26 @@ class StageWorker:
                 self._control(sub)
             if do_fwd:
                 completed_since_ack += self._forward(
-                    spec.fwd_in.recv(
-                        spec.stall_timeout, f"stage {self.s} fwd packet",
-                        spec.abort,
-                    )
+                    self._recv(spec.fwd_in, f"stage {self.s} fwd packet")
                 )
             if do_bwd:
                 completed_since_ack += self._backward(
-                    spec.bwd_in.recv(
-                        spec.stall_timeout, f"stage {self.s} bwd packet",
-                        spec.abort,
-                    )
+                    self._recv(spec.bwd_in, f"stage {self.s} bwd packet")
                 )
             if need_ack:
                 spec.conn.send(("ok", completed_since_ack))
                 completed_since_ack = 0
 
+    def _has_command(self) -> bool:
+        return self.spec.conn.poll() or self.spec.abort.is_set()
+
     def _has_work(self) -> bool:
         spec = self.spec
         return (
-            spec.conn.poll()
-            or spec.abort.is_set()
+            self._has_command()
             or (spec.bwd_in is not None and spec.bwd_in.poll())
             or (self.in_flight < self.cap and spec.fwd_in.poll())
         )
-
-    def _wait_for_work(self) -> None:
-        wake = self.spec.wake
-        if wake is not None:
-            # thread host: every inbound source notifies this condition
-            # (the timeout is a safety net, not a poll interval)
-            with wake:
-                wake.wait_for(self._has_work, 0.5)
-            return
-        # process host: nothing to block on across shared memory
-        sleep = 1e-5
-        while not self._has_work():
-            time.sleep(sleep)
-            sleep = min(sleep * 2.0, 2e-3)
 
     def _run_free(self) -> None:
         spec = self.spec
@@ -709,7 +768,7 @@ class StageWorker:
                 pkt = spec.fwd_in.try_recv()
                 completed = self._forward(pkt)
             else:
-                self._wait_for_work()
+                self._blocked(self._idle_wait, self._has_work)
                 continue
             if completed:
                 spec.conn.send(("done", pkt[1], int(completed)))
@@ -820,7 +879,6 @@ class WorkerGroup:
                 ctx = mp.get_context(method)
                 self.abort = _SharedAbort(ctx)
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
-                wakes = [None] * count
                 host = ctx.Process
                 fwd, bwd = _build_rings(
                     stages, probe, forward_only, slots,
@@ -861,7 +919,6 @@ class WorkerGroup:
                     bwd_in=bwd[s],
                     bwd_out=bwd[s - 1] if s > 0 else None,
                     abort=self.abort,
-                    wake=wakes[s],
                     lockstep=lockstep,
                     forward_only=forward_only,
                     update_after_backward=update_after_backward(s),
@@ -1049,6 +1106,8 @@ class WorkerGroup:
         for ring in self.rings:
             ring.close()
             ring.unlink()
+        if self.abort is not None:
+            self.abort.close()
         self.workers = []
         self.channels = []
         self.rings = []

@@ -9,7 +9,8 @@ op amortizes per-op overhead across ``B`` requests.  The
 
 ``max_batch``
     Cap on requests per packet (the pipeline's micro-batch width).  A
-    full batch dispatches immediately.
+    full batch dispatches without waiting for any deadline — at once on
+    an idle server, on the pacing clock (below) on a saturated one.
 ``max_wait``
     Deadline on the *oldest* queued request: when it has waited this
     long, whatever is queued dispatches as a partial packet.  ``0``
@@ -28,6 +29,22 @@ interactive one passes ``0`` and forces whatever is queued (including
 batch requests — they yield their slack) to dispatch with it
 immediately.  The flush point is therefore the *minimum* deadline over
 the queued requests, not the oldest request's age.
+
+**Pacing.**  A full packet is released no sooner than ``spacing =
+min(max_wait, FULL_PACKET_SPACING)`` after the previous packet.  Below
+saturation this changes nothing: only full packets are paced (a partial
+one leaves at its deadline, and its oldest request arrived after the
+previous release, so deadlines already space packets by ``max_wait`` or
+more), and a batcher that never waits on purpose (``max_wait = 0``) is
+never paced.  At saturation — a full
+packet always queued — it makes throughput ``max_batch / spacing``: set
+by a clock, not by how fast the host happens to schedule the dozen
+wake-ups a packet costs on its way through a process-hosted pipeline.
+With no sleep left anywhere in that path the unpaced rate follows the
+host's CPU speed one for one (10–20 % between identical runs on a shared
+2-CPU machine); paced, identical runs agree to about 1 %.  The price is
+peak throughput wherever the host could have gone faster than the clock;
+a partial packet whose deadline has come is never held back.
 
 Admission is **bounded and loud**: at most ``max_queue`` requests may be
 pending, and a submit beyond that raises :class:`Overloaded` — the
@@ -53,6 +70,11 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+#: Seconds between the packets of a saturated batcher (module docstring,
+#: "Pacing"): one default coalescing window.
+FULL_PACKET_SPACING = 0.002
 
 
 class Overloaded(RuntimeError):
@@ -98,6 +120,10 @@ class DynamicBatcher:
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.max_queue = int(max_queue)
+        #: a full packet goes no sooner than this after the previous
+        #: packet; a batcher that never waits on purpose is never paced
+        self.spacing = min(self.max_wait, FULL_PACKET_SPACING)
+        self._next_full = 0.0  # monotonic: earliest next full packet
         self._cond = threading.Condition()
         self._queue: list[PendingRequest] = []
         self._ids = itertools.count()
@@ -171,20 +197,25 @@ class DynamicBatcher:
             while True:
                 now = time.monotonic()
                 if self._queue:
-                    flush_at = min(r.t_deadline for r in self._queue)
-                    if (
-                        len(self._queue) >= self.max_batch
-                        or now >= flush_at
-                        or self._closed
-                    ):
+                    if len(self._queue) >= self.max_batch:
+                        ready_at = self._next_full  # paced, not deadlined
+                    else:
+                        ready_at = min(r.t_deadline for r in self._queue)
+                    if now >= ready_at or self._closed:
                         batch = self._queue[: self.max_batch]
                         del self._queue[: len(batch)]
                         for req in batch:
                             req.t_dispatch = now
+                        # keep the cadence while saturated (a late slot
+                        # does not push the next one), restart it after
+                        # a gap
+                        if not 0.0 <= now - self._next_full < self.spacing:
+                            self._next_full = now
+                        self._next_full += self.spacing
                         return batch
-                    # wake at whichever comes first: the earliest
-                    # queued deadline or the caller's timeout
-                    wait = min(flush_at - now, deadline - now)
+                    # wake at whichever comes first: the packet's
+                    # release or the caller's timeout
+                    wait = min(ready_at - now, deadline - now)
                 else:
                     if self._closed or now >= deadline:
                         return []

@@ -10,7 +10,7 @@
 
 Two daemon threads own the pipeline stream's two ends — the
 **dispatcher** pulls coalesced packets from the batcher and pushes them
-into the stream (spinning politely under backpressure), the
+into the stream (blocking on its free-slot wait under backpressure), the
 **collector** pulls finished logits out, slices them back into
 per-request rows, resolves the futures and records
 :class:`~repro.serve.stats.RequestTiming` entries.  The stream is SPSC
@@ -19,7 +19,8 @@ exactly the discipline the shared-memory rings require.
 
 Saturation behavior is explicit end to end: the batcher's bounded queue
 turns overload into :class:`~repro.serve.batcher.Overloaded` at
-``submit`` (HTTP 429 on the wire), the stream's bounded in-flight window
+``submit`` (HTTP 429 on the wire), its pacing clock sets the rate at which
+full packets enter the pipeline, the stream's bounded in-flight window
 turns pipeline congestion into dispatcher backpressure, and nothing
 anywhere grows without bound or drops silently — ``stop()`` drains
 every admitted request before tearing the stream down, failing leftover
@@ -186,7 +187,9 @@ class PipelineServer(HttpFrontDoor):
         self._ready_reason = "serving"
         self._stream = None
         self._pending: dict[int, list[PendingRequest]] = {}
-        self._pending_lock = threading.Lock()
+        #: guards ``_pending``; notified when it gains its first packet
+        #: (the collector's cue), when it empties (``stop``'s) and at stop
+        self._pending_lock = threading.Condition()
         self._packet_ids = iter(range(1 << 62))
         self._stop = threading.Event()
         self._dispatcher_done = threading.Event()
@@ -248,13 +251,13 @@ class PipelineServer(HttpFrontDoor):
         # the dispatcher exits once the batcher is drained; the
         # collector once every in-flight packet has come back
         self._dispatcher_done.wait(self.result_timeout)
-        deadline = time.monotonic() + self.result_timeout
-        while time.monotonic() < deadline and self._error is None:
-            with self._pending_lock:
-                if not self._pending:
-                    break
-            time.sleep(1e-4)
-        self._stop.set()
+        with self._pending_lock:
+            self._pending_lock.wait_for(
+                lambda: not self._pending or self._error is not None,
+                self.result_timeout,
+            )
+            self._stop.set()
+            self._pending_lock.notify_all()
         for t in self._threads:
             t.join(self.result_timeout)
         self._threads = []
@@ -380,14 +383,12 @@ class PipelineServer(HttpFrontDoor):
                 pid = next(self._packet_ids)
                 with self._pending_lock:
                     self._pending[pid] = batch
-                backoff = 1e-5
+                    self._pending_lock.notify_all()
                 while not self._stream.submit(pid, pid, X):
-                    # pipeline full: back off until the collector frees
-                    # a slot (bounded by stream capacity)
+                    # pipeline full: block until stage 0 frees a slot
                     if self._stop.is_set():
                         return
-                    time.sleep(backoff)
-                    backoff = min(backoff * 2.0, 1e-3)
+                    self._stream.wait(0.05, space=True)
         except BaseException as exc:
             self._error = exc
             self._fail_pending(exc)
@@ -396,24 +397,28 @@ class PipelineServer(HttpFrontDoor):
 
     def _collect_loop(self) -> None:
         batch: list[PendingRequest] | None = None
-        idle_sleep = 1e-5
         try:
             while not self._stop.is_set():
                 results = self._stream.poll()
                 if not results:
-                    # exponential idle backoff (same shape as the
-                    # process stage workers): an idle server must not
-                    # burn a core polling; the cap stays well under the
-                    # default coalescing deadline so loaded-path
-                    # latency is unaffected
-                    time.sleep(idle_sleep)
-                    idle_sleep = min(idle_sleep * 2.0, 1e-3)
+                    # block on the stream while packets are in flight,
+                    # on the dispatcher (or stop) while none are; the
+                    # timeouts only pace poll()'s worker health check
+                    with self._pending_lock:
+                        self._pending_lock.wait_for(
+                            lambda: self._pending or self._stop.is_set(),
+                            0.05,
+                        )
+                        busy = bool(self._pending)
+                    if busy:
+                        self._stream.wait(0.05)
                     continue
-                idle_sleep = 1e-5
                 t_now = time.monotonic()
                 for pid, _start, logits in results:
                     with self._pending_lock:
                         batch = self._pending.pop(pid, None)
+                        if not self._pending:
+                            self._pending_lock.notify_all()
                     if batch is None:  # pragma: no cover - protocol bug
                         raise InferenceStreamError(
                             f"result for unknown packet {pid}"
@@ -459,6 +464,7 @@ class PipelineServer(HttpFrontDoor):
         with self._pending_lock:
             leftovers = list(self._pending.values())
             self._pending.clear()
+            self._pending_lock.notify_all()
         for batch in leftovers:
             self._fail(batch, exc)
         while True:

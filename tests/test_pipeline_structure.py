@@ -145,7 +145,7 @@ class TestStageGraphValidation:
             validate_stage_graph(stages)
 
     def test_flow_graph_structure(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         m = resnet_tiny(blocks_per_group=1)
         g = stage_flow_graph(m)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import DynamicBatcher, Overloaded
+from repro.serve.batcher import FULL_PACKET_SPACING
 from repro.serve.stats import RequestTiming, ServingStats
 
 
@@ -60,6 +61,49 @@ class TestCoalescing:
         t0 = time.monotonic()
         assert b.next_batch(timeout=0.05) == []
         assert time.monotonic() - t0 < 1.0
+
+
+class TestPacing:
+    """Full packets of a saturated batcher leave on a clock."""
+
+    def _fill(self, b: DynamicBatcher, packets: int) -> None:
+        for i in range(packets * b.max_batch):
+            b.submit(_x(i))
+
+    def test_saturated_full_packets_are_spaced(self):
+        b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
+        assert b.spacing == FULL_PACKET_SPACING
+        self._fill(b, 6)
+        assert len(b.next_batch(timeout=0.0)) == 4  # idle: at once
+        assert b.next_batch(timeout=0.0) == []  # full, but not yet due
+        stamps = [time.monotonic()]
+        for _ in range(5):
+            assert len(b.next_batch(timeout=5.0)) == 4
+            stamps.append(time.monotonic())
+        # five gaps on the clock, whatever the host: never faster
+        assert stamps[-1] - stamps[0] >= 5 * b.spacing - 1e-4
+        assert b.pending == 0
+
+    def test_zero_wait_is_never_paced(self):
+        b = DynamicBatcher(max_batch=4, max_wait=0.0, max_queue=64)
+        assert b.spacing == 0.0
+        self._fill(b, 3)
+        for _ in range(3):
+            assert len(b.next_batch(timeout=0.0)) == 4
+
+    def test_deadline_flush_is_not_held_back(self):
+        b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
+        self._fill(b, 1)
+        assert len(b.next_batch(timeout=0.0)) == 4  # starts the clock
+        b.submit(_x(4), max_wait=0.0)  # partial, due now
+        assert [r.request_id for r in b.next_batch(timeout=0.0)] == [4]
+
+    def test_close_drains_unpaced(self):
+        b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
+        self._fill(b, 3)
+        b.close()
+        for _ in range(3):
+            assert len(b.next_batch(timeout=0.0)) == 4
 
 
 class TestBackpressure:
