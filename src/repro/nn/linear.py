@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor.tensor import Tensor, matmul
+from repro.tensor.tensor import Tensor, linear, matmul
 from repro.utils.rng import new_rng
 
 
@@ -30,10 +30,11 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        if self.bias is None:
+            return matmul(x, self.weight)
+        if x.ndim != 2:
+            return matmul(x, self.weight) + self.bias
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (

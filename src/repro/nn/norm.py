@@ -6,8 +6,11 @@ initial group *size* of two (channels per group).  ``BatchNorm2d`` is kept
 for the Appendix-B-style delay experiments and for the BN-vs-GN
 delay-tolerance comparison mentioned in the paper's discussion.
 
-Both are implemented as *composites* of autodiff primitives so their
-backward passes are correct by construction (and verified by grad-checks).
+``GroupNorm`` — on every stage's hot path at batch size one — is a single
+graph node (:func:`repro.tensor.ops_norm.group_norm`), pinned bit-for-bit
+against the composite of autodiff primitives it replaced
+(``tests/test_fused_kernels.py``).  ``BatchNorm2d`` stays such a composite,
+its backward correct by construction (and verified by grad-checks).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.tensor.ops_norm import group_norm
 from repro.tensor.tensor import Tensor, sqrt
 
 
@@ -54,15 +58,7 @@ class GroupNorm(Module):
         n, c, h, w = x.shape
         if c != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        grouped = x.reshape((n, self.num_groups, -1))
-        mu = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normalized = centered / sqrt(var + self.eps)
-        out = normalized.reshape((n, c, h, w))
-        if self.affine:
-            out = out * self.weight + self.bias
-        return out
+        return group_norm(x, self.num_groups, self.eps, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (

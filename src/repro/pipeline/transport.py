@@ -58,8 +58,9 @@ releases slots out-of-band, and capacity must cover the stage's maximum
 in-flight window: the process runtime sizes the ring into stage ``s`` as
 ``D_s + 1 + slack`` slots, where ``D_s + 1 = 2(S-1-s) + 1`` is the
 PipeDream in-flight cap that also enforces the paper's eq. 5 staleness
-ceiling.  Gradients are consumed eagerly (``_accumulate`` copies), so
-backward slots are released as soon as the stage's backward returns —
+ceiling.  Gradients are consumed eagerly (``backward_multi`` copies its
+seeds), so backward slots are released as soon as the stage's backward
+returns —
 but backward rings get the same sizing, which guarantees they can never
 fill (at most ``D_s`` backward packets can be outstanding toward stage
 ``s``) and hence that backward sends never block: the runtime's

@@ -10,6 +10,8 @@ Public surface:
   ``cross_entropy``.
 * :mod:`~repro.tensor.ops_conv` — ``conv2d``, ``max_pool2d``,
   ``avg_pool2d``.
+* :mod:`~repro.tensor.ops_norm` — ``group_norm``, one graph node per layer
+  (as is ``linear``), bit-identical to the chain of primitives it replaced.
 * :mod:`~repro.tensor.grad_check` — central-difference gradient checking
   used throughout the test suite.
 
@@ -21,6 +23,18 @@ forward-time activations (e.g. ReLU masks, im2col buffers, normalization
 statistics).  Mutating a parameter's ``.data`` between a forward and its
 backward therefore reproduces exactly the weight-inconsistency semantics of
 pipelined backpropagation without weight stashing (paper §2, Appendix G.2).
+
+Gradient ownership: the first gradient to reach a tensor is *adopted* — it
+becomes ``.grad`` without a copy, so several tensors may hold the same
+array (an ``add`` hands one to both operands).  That is safe because every
+later contribution is summed out-of-place (``t.grad = t.grad + g``) and
+nothing under ``src/repro`` writes a ``.grad`` in place.  Two edges keep
+the aliasing inside one backward walk: the root seed is copied (callers
+recycle it — a pipeline worker hands in views of a ring slot it releases
+as soon as the call returns), and a backward closure never hands a reused
+scratch buffer to the graph — whatever it passes on is freshly allocated
+or a compact view of something that is.  ``tests/test_fused_kernels.py``
+pins all three.
 """
 
 from repro.tensor.tensor import (
@@ -32,6 +46,7 @@ from repro.tensor.tensor import (
     mul,
     div,
     matmul,
+    linear,
     relu,
     exp,
     log,
@@ -52,6 +67,7 @@ from repro.tensor.ops_conv import (
     im2col,
     col2im,
 )
+from repro.tensor.ops_norm import group_norm
 from repro.tensor.grad_check import numerical_grad, check_gradients
 
 __all__ = [
@@ -63,6 +79,7 @@ __all__ = [
     "mul",
     "div",
     "matmul",
+    "linear",
     "relu",
     "exp",
     "log",
@@ -80,6 +97,7 @@ __all__ = [
     "avg_pool2d",
     "im2col",
     "col2im",
+    "group_norm",
     "numerical_grad",
     "check_gradients",
 ]

@@ -14,7 +14,13 @@ import threading
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _accumulate, _ensure_tensor, _result
+from repro.tensor.tensor import (
+    Tensor,
+    _accumulate,
+    _ensure_tensor,
+    _result,
+    zero_pad2d,
+)
 
 
 class _ScratchCache(threading.local):
@@ -139,10 +145,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ValueError("kernel larger than padded input")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    xp = zero_pad2d(x.data, padding) if padding else x.data
     padded_shape = xp.shape
     oh = (padded_shape[2] - kh) // stride + 1
     ow = (padded_shape[3] - kw) // stride + 1
@@ -162,12 +165,24 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def _bw(g: np.ndarray) -> None:
         go = g.reshape(n, oc, oh * ow)
-        # weight gradient: forward-captured activations x backward grads.
-        # The per-sample outer products land in a cached scratch (consumed
-        # by the .sum reduction below); only the reduced gw is retained.
-        gw_batch = _scratch.get("gw", (n, oc, cols.shape[1]), g.dtype)
-        np.matmul(go, cols.transpose(0, 2, 1), out=gw_batch)
-        _accumulate(weight, gw_batch.sum(axis=0).reshape(weight.shape))
+        # weight gradient: forward-captured activations x backward grads
+        if n == 1:
+            # one sample: its outer product *is* the gradient (a sum over
+            # one element is a copy), so the GEMM writes the retained array
+            gw = np.matmul(go[0], cols[0].T)
+        else:
+            # the per-sample outer products land in a cached scratch,
+            # consumed by the reduction; only the reduced gw is retained
+            gw_batch = _scratch.get("gw", (n, oc, cols.shape[1]), g.dtype)
+            np.matmul(go, cols.transpose(0, 2, 1), out=gw_batch)
+            gw = gw_batch.sum(axis=0)
+        _accumulate(weight, gw.reshape(weight.shape))
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if not x.requires_grad:
+            # nobody reads the input gradient (an image batch, a
+            # weights-only grad check): skip its GEMM, col2im and copy
+            return
         # input gradient: lazy read of the *current* weight value
         w2_now = weight.data.reshape(oc, -1)
         gcols = _scratch.get("gcols", (n, cols.shape[1], oh * ow), g.dtype)
@@ -184,8 +199,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             # be freshly allocated
             gx = col2im(gcols, padded_shape, kh, kw, stride)
         _accumulate(x, gx)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
 
     return _result(out, tuple(parents), _bw)
 

@@ -148,15 +148,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
-        if grad.shape != self.data.shape:
-            grad = np.broadcast_to(grad, self.data.shape).astype(self.data.dtype)
-
-        topo = _topological_order(self)
-        _accumulate(self, grad)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        backward_multi([(self, grad)])
 
     # -- operator sugar -----------------------------------------------------
 
@@ -250,8 +242,10 @@ def backward_multi(pairs: Sequence[tuple["Tensor", np.ndarray]]) -> None:
     for root, g in pairs:
         g = np.asarray(g, dtype=root.data.dtype)
         if g.shape != root.data.shape:
-            g = np.broadcast_to(g, root.data.shape).astype(root.data.dtype)
-        _accumulate(root, g)
+            g = np.broadcast_to(g, root.data.shape)
+        # the one copy of the walk: the caller keeps (or recycles) its
+        # seed array, and everything below adopts what it is handed
+        _accumulate(root, g.copy(order="K"))
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
@@ -275,26 +269,6 @@ def _collect_topo(root: Tensor, topo: list[Tensor], visited: set[int]) -> None:
                 stack.append((parent, False))
 
 
-def _topological_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over the graph (inputs before outputs)."""
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
-    return topo
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -303,7 +277,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
             f"gradient shape {g.shape} does not match tensor shape {t.data.shape}"
         )
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        # adopted, not copied: safe because accumulation below is
+        # out-of-place and nothing writes a .grad in place (see the
+        # package docstring, "gradient ownership")
+        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
         t.grad = t.grad + g
 
@@ -442,6 +419,38 @@ def matmul(a, b) -> Tensor:
     return _result(out_data, (a, b), _bw)
 
 
+def linear(x, weight, bias) -> Tensor:
+    """``x @ weight + bias`` for 2-D ``x`` as one graph node.
+
+    Same floating-point operations in the same order as ``matmul``
+    followed by ``add`` (the bias lands in place on the fresh product),
+    and the same accumulation order: bias, then input, then weight.
+    """
+    x, weight = _ensure_tensor(x), _ensure_tensor(weight)
+    bias = _ensure_tensor(bias)
+    if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
+        raise ValueError("linear expects 2-D input, 2-D weight and 1-D bias")
+    out_data = np.matmul(x.data, weight.data)
+    product_dtype = out_data.dtype
+    if bias.data.dtype == product_dtype:
+        out_data += bias.data
+    else:
+        out_data = out_data + bias.data
+
+    def _bw(g: np.ndarray) -> None:
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if g.dtype != product_dtype:
+            g = g.astype(product_dtype)
+        if x.requires_grad:
+            # lazy parent read: the weight as it is at backward time
+            _accumulate(x, np.matmul(g, weight.data.T))
+        if weight.requires_grad:
+            _accumulate(weight, np.matmul(x.data.T, g))
+
+    return _result(out_data, (x, weight, bias), _bw)
+
+
 # -- reductions ----------------------------------------------------------------
 
 
@@ -508,6 +517,15 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     return _result(out_data, (a,), _bw)
 
 
+def zero_pad2d(data: np.ndarray, pad: int) -> np.ndarray:
+    """``data`` (NCHW) inside a zeroed canvas ``pad`` wider on each
+    spatial side — ``np.pad``'s result without its per-call Python."""
+    n, c, h, w = data.shape
+    canvas = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=data.dtype)
+    canvas[:, :, pad:-pad, pad:-pad] = data
+    return canvas
+
+
 def pad2d(a, pad: int) -> Tensor:
     """Zero-pad the last two (spatial) dims of an NCHW tensor by ``pad``."""
     a = _ensure_tensor(a)
@@ -515,11 +533,13 @@ def pad2d(a, pad: int) -> Tensor:
         return a
     if a.ndim != 4:
         raise ValueError("pad2d expects an NCHW tensor")
-    width = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    out_data = np.pad(a.data, width)
+    out_data = zero_pad2d(a.data, pad)
 
     def _bw(g: np.ndarray) -> None:
-        _accumulate(a, g[:, :, pad:-pad, pad:-pad])
+        # compact copy, not the strided window: an adopted view would pin
+        # the whole padded gradient and change what downstream reductions
+        # see (their summation order follows the memory layout)
+        _accumulate(a, g[:, :, pad:-pad, pad:-pad].copy(order="K"))
 
     return _result(out_data, (a,), _bw)
 
