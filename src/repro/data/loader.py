@@ -266,23 +266,31 @@ class ResumableSampleStream:
         need = min(int(max_samples), self.remaining)
         if need <= 0:
             raise ValueError("stream is exhausted")
-        parts_x: list[np.ndarray] = []
-        parts_y: list[np.ndarray] = []
         n = self.samples_per_epoch
-        while need > 0:
+        xs = ys = None
+        filled = 0
+        while filled < need:
             self._materialize_epoch()
-            take = min(need, n - self.index)
-            parts_x.append(self._epoch_x[self.index : self.index + take])
-            parts_y.append(self._epoch_y[self.index : self.index + take])
+            take = min(need - filled, n - self.index)
+            part_x = self._epoch_x[self.index : self.index + take]
+            part_y = self._epoch_y[self.index : self.index + take]
+            if take == need:
+                xs, ys = part_x, part_y
+            else:
+                if xs is None:
+                    # one result filled epoch by epoch: collecting the
+                    # parts to concatenate them holds the chunk twice
+                    xs = np.empty((need, *part_x.shape[1:]), part_x.dtype)
+                    ys = np.empty((need, *part_y.shape[1:]), part_y.dtype)
+                xs[filled : filled + take] = part_x
+                ys[filled : filled + take] = part_y
+            filled += take
             self.index += take
-            need -= take
             if self.index >= n:
                 self.epoch += 1
                 self.index = 0
                 self._drop_epoch()
-        if len(parts_x) == 1:
-            return parts_x[0], parts_y[0]
-        return np.concatenate(parts_x), np.concatenate(parts_y)
+        return xs, ys
 
     # -- cursor (checkpoint/resume) -----------------------------------------
 

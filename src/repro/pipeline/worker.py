@@ -124,8 +124,51 @@ are the ones executed — a forked worker inherits the shadows with the
 stage, a rebuilt one does not; the stress tests' seeded-sleep helper
 in ``tests/conftest.py`` and the benchmark's tracer rely on exactly
 this), what an idle worker blocks on (the channel's condition variable
-versus its doorbells — the channel's choice, ``idle_wait``), and how
-often lockstep acks.
+versus its doorbells — the channel's choice, ``idle_wait``), how often
+lockstep acks — and what the worker runs *on*: a process host starts a
+process per launch (``fork`` hands each launch the parent's current
+state for free), a thread host does **not** start a thread per launch.
+
+Stage slot ``s`` of a thread-hosted group — ``pipeline-stage-s`` for
+training, ``infer-stage-s`` for serving — is leased an idle **host
+thread** for that slot name (:class:`_HostThread`; a new one only when
+every host of that name is busy) and gives it back when
+:func:`_worker_main` returns.  The reason is glibc's per-thread malloc
+arenas.  A new thread is handed whichever arena an exited thread left on
+the free list, so with a thread per ``train()`` call every arena hosts
+the widest stage sooner or later, grows to that stage's high-water mark
+and keeps it: after four benchmark passes of thread-hosted training on
+``pb_cnn_b1`` ``malloc_info`` showed six secondary arenas of 9.1–10.4 MB
+each, every byte of them free, own-process RSS 103 -> 142 -> 155 -> 160
+MiB and still creeping (flat under ``MALLOC_ARENA_MAX=1``) — and the
+process server forks from that heap.  A host thread keeps its arena, so
+an arena only ever holds one slot's working set (RSS is flat after the
+first pass), and a launch is a condition-variable notify instead of
+``clone`` + join.  The rules:
+
+* *Lifetime is the worker's, not the thread's.*  The worker still begins
+  at launch and ends at finalize / abort; :class:`_HostedWorker` gives
+  :class:`WorkerGroup` the ``start`` / ``join`` / ``is_alive`` / ``ident``
+  / ``name`` it used of ``threading.Thread``, and ``teardown`` still waits
+  for the worker with the stall deadline.
+* *Names.*  From lease until the worker ends the OS thread carries the
+  worker's name; idle it is ``idle-<slot>``.  "No ``pipeline-stage-*`` /
+  ``infer-stage-*`` thread after ``train()`` / ``close()`` / a failure"
+  keeps its literal meaning.
+* *Idle hosts* are daemon threads parked on a condition with no timeout
+  (zero wake-ups) and are never torn down; there are as many per slot
+  name as thread-hosted workers of that name were ever alive at once (a
+  fleet's two replicas lease two).
+* *A stuck worker* (``teardown``'s "a thread cannot be killed" branch)
+  keeps its host: a host is in the idle pool only while it is idle.
+* *Nothing of the previous tenant.*  A new thread got its creator's CPU
+  affinity and fresh thread-locals; a host takes the launcher's affinity
+  at every lease, :func:`_worker_main` begins with ``enable_grad()`` and
+  ends by emptying the thread's ``ops_conv`` scratch buffers (back into
+  *that* arena, which is the point).
+* *Fork.*  A child has none of its parent's threads:
+  ``os.register_at_fork`` empties the pool (and replaces its lock) there,
+  so a child that starts a thread-hosted group leases fresh hosts.
 """
 
 from __future__ import annotations
@@ -139,6 +182,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -156,6 +200,7 @@ from repro.pipeline.transport import (
     probe_boundary_layouts,
     ring_slots_for,
 )
+from repro.tensor.ops_conv import _scratch
 from repro.tensor.tensor import enable_grad
 
 #: Ticks between lockstep acks on a process host (a thread host acks
@@ -397,6 +442,103 @@ class _SharedAbort:
 
     def close(self) -> None:
         self._bell.close()
+
+
+# ---------------------------------------------------------------------------
+# host threads (thread host)
+# ---------------------------------------------------------------------------
+
+#: idle host threads by slot name (``pipeline-stage-3``, ``infer-stage-0``)
+_idle_hosts: dict[str, list["_HostThread"]] = {}
+_hosts_lock = threading.Lock()
+
+
+def _forget_hosts() -> None:
+    """A forked child has none of its parent's threads (and may have
+    inherited the lock held): start it with an empty pool."""
+    global _hosts_lock
+    _idle_hosts.clear()
+    _hosts_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_hosts)
+
+
+class _HostThread:
+    """A long-lived daemon thread that runs the thread-hosted workers of
+    one slot name, one at a time ("What a host decides" says why).  Idle
+    it is parked on ``_wake`` with no timeout under the name
+    ``idle-<slot>``; it is in ``_idle_hosts`` exactly while it is idle."""
+
+    def __init__(self, slot: str):
+        self.slot = slot
+        self._wake = threading.Condition(threading.Lock())
+        self._worker: _HostedWorker | None = None
+        self.thread = threading.Thread(
+            target=self._serve, name=f"idle-{slot}", daemon=True
+        )
+        self.thread.start()
+
+    @classmethod
+    def lease(cls, slot: str) -> "_HostThread":
+        with _hosts_lock:
+            idle = _idle_hosts.get(slot)
+            if idle:
+                return idle.pop()
+        return cls(slot)
+
+    def run(self, worker: "_HostedWorker") -> None:
+        self.thread.name = worker.name
+        with self._wake:
+            self._worker = worker
+            self._wake.notify()
+
+    def _serve(self) -> None:
+        while True:
+            with self._wake:
+                while self._worker is None:
+                    self._wake.wait()
+                worker, self._worker = self._worker, None
+            # what ``clone`` would have given a thread started now
+            if worker.cpus is not None:
+                os.sched_setaffinity(0, worker.cpus)
+            worker.target(*worker.args)  # _worker_main: never raises
+            # idle again *before* anyone joining the worker is released:
+            # "no thread carries a worker's name after teardown"
+            self.thread.name = f"idle-{self.slot}"
+            with _hosts_lock:
+                _idle_hosts.setdefault(self.slot, []).append(self)
+            worker.done.set()
+            del worker  # an idle host pins no run's stages or labels
+
+
+class _HostedWorker:
+    """One worker's lease of a host thread, with the ``threading.Thread``
+    surface :class:`WorkerGroup` uses.  The worker lives from
+    :meth:`start` until its target returns — the thread under it does
+    not end, so a stuck worker keeps its host and nobody else gets it."""
+
+    def __init__(self, target, args, name: str):
+        self.target = target
+        self.args = args
+        self.name = name
+        self.ident: int | None = None
+        self.cpus = None
+        self.done = threading.Event()
+
+    def start(self) -> None:
+        if hasattr(os, "sched_getaffinity"):
+            self.cpus = os.sched_getaffinity(0)
+        host = _HostThread.lease(self.name)
+        self.ident = host.thread.ident
+        host.run(self)
+
+    def join(self, timeout: float | None = None) -> None:
+        self.done.wait(timeout)
+
+    def is_alive(self) -> bool:
+        return self.ident is not None and not self.done.is_set()
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +919,8 @@ class StageWorker:
 def _worker_main(spec: _WorkerSpec) -> None:
     """The single entry point of a stage worker: thread target and
     process target alike (top-level for ``spawn``)."""
-    # a fork inherits the forking thread's grad mode
+    # a fork inherits the forking thread's grad mode, a host thread
+    # whatever its previous worker left
     enable_grad()
     try:
         stage = spec.stage
@@ -802,6 +945,9 @@ def _worker_main(spec: _WorkerSpec) -> None:
         except OSError:  # pragma: no cover - parent already gone
             pass
         spec.abort.set()
+    finally:
+        # a host thread outlives this worker: leave it no model's buffers
+        _scratch.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +1006,7 @@ class WorkerGroup:
         layout_cache: dict | None = None,
     ):
         self.stall_timeout = float(stall_timeout)
-        self.workers: list = []  # threading.Thread | Process
+        self.workers: list = []  # _HostedWorker | Process
         self.channels: list = []  # the forward channel into each stage
         self.rings: list = []  # every channel of the run
         self.abort = None
@@ -879,7 +1025,7 @@ class WorkerGroup:
                 ctx = mp.get_context(method)
                 self.abort = _SharedAbort(ctx)
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
-                host = ctx.Process
+                host = partial(ctx.Process, daemon=True)
                 fwd, bwd = _build_rings(
                     stages, probe, forward_only, slots,
                     {} if layout_cache is None else layout_cache,
@@ -904,7 +1050,7 @@ class WorkerGroup:
                     bwd[: S - 1] = [channel("bwd", s) for s in range(S - 1)]
                 self.abort = _LocalAbort(wakes + mine)
                 pipes = [_local_pipe(mine[s], wakes[s]) for s in range(count)]
-                host = threading.Thread
+                host = _HostedWorker
             self.channels = fwd
             self.rings = fwd + [b for b in bwd if b is not None]
             self._rx_buf = [deque() for _ in range(count)]
@@ -938,7 +1084,6 @@ class WorkerGroup:
                         target=_worker_main,
                         args=(spec,),
                         name=f"{name}-{s}",
-                        daemon=True,
                     )
                 )
             for w in self.workers:

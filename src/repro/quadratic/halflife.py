@@ -12,7 +12,7 @@ and optionally the momentum; the reported quantity is the error half-life
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.quadratic.polynomials import MethodSpec
 from repro.quadratic.roots import rate_grid
@@ -41,15 +41,8 @@ def _per_momentum_best_rate(rates: np.ndarray, window: int) -> np.ndarray:
             f"condition-number window ({window}) exceeds the eta*lambda grid "
             f"({rates.shape[1]} points); widen the grid"
         )
-    if window == 1:
-        return rates.min(axis=1)
-    # maximum_filter1d computes centered window maxima; valid positions are
-    # those where the full window fits inside the row.
-    maxes = maximum_filter1d(rates, size=window, axis=1, mode="nearest")
-    half = window // 2
-    lo = half
-    hi = rates.shape[1] - (window - 1 - half)
-    return maxes[:, lo:hi].min(axis=1)
+    # only the positions where the whole window fits inside the row
+    return sliding_window_view(rates, window, axis=1).max(-1).min(1)
 
 
 def min_half_life_over_window(

@@ -30,13 +30,14 @@ class _ScratchCache(threading.local):
     The convolution backward's two big temporaries — the column-gradient
     matrix and the padded input-gradient canvas — are consumed *within*
     one ``_bw`` call and never escape it, so each worker thread (one per
-    pipeline stage in the threaded runtime; one per process in the
-    process runtime) can reuse a single buffer per shape instead of
-    paying an allocation + page-fault sweep per packet.  Thread-locality
-    keeps concurrent stage workers from sharing (and corrupting) a
-    buffer; anything *returned* from a backward is still freshly
-    allocated, because gradients are retained by the autodiff graph and
-    shipped across stages.
+    stage slot's host thread in the threaded runtime, where the worker
+    empties it as it exits — ``pipeline/worker.py::_worker_main``; one
+    per process in the process runtime) can reuse a single buffer per
+    shape instead of paying an allocation + page-fault sweep per packet.
+    Thread-locality keeps concurrent stage workers from sharing (and
+    corrupting) a buffer; anything *returned* from a backward is still
+    freshly allocated, because gradients are retained by the autodiff
+    graph and shipped across stages.
     """
 
     #: cache ceiling per thread; heterogeneous workloads (many layer
@@ -54,11 +55,15 @@ class _ScratchCache(threading.local):
         if buf is None:
             buf = np.empty(shape, dtype=dtype)
             if self._bytes + buf.nbytes > self.MAX_BYTES:
-                self._buffers.clear()
-                self._bytes = 0
+                self.clear()
             self._buffers[key] = buf
             self._bytes += buf.nbytes
         return buf
+
+    def clear(self) -> None:
+        """Drop the calling thread's buffers."""
+        self._buffers.clear()
+        self._bytes = 0
 
 
 _scratch = _ScratchCache()

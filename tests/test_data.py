@@ -209,6 +209,34 @@ class TestResumableSampleStream:
             ys1, np.concatenate([p[1] for p in parts])
         )
 
+    @pytest.mark.parametrize("augment", [None, PadCropFlip(pad=1)])
+    def test_multi_epoch_chunk_equals_the_concatenation_it_replaced(
+        self, augment
+    ):
+        """A chunk crossing epoch boundaries is filled into one
+        preallocated result; it must equal the per-epoch parts joined,
+        ``x`` and ``y``, starting mid-epoch.  A chunk inside one epoch
+        stays a view."""
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(6, 3, 8, 8)), np.arange(6)
+        whole = ResumableSampleStream(
+            x, y, 3, np.random.default_rng(3), augment=augment
+        )
+        parts = ResumableSampleStream(
+            x, y, 3, np.random.default_rng(3), augment=augment
+        )
+        head = whole.next_chunk(4)
+        assert head[0].base is not None  # inside epoch 0: a view
+        np.testing.assert_array_equal(head[0], parts.next_chunk(4)[0])
+        xs, ys = whole.next_chunk(11)  # 2 of epoch 0, all of 1, 3 of 2
+        pieces = [parts.next_chunk(n) for n in (2, 6, 3)]
+        expect_x = np.concatenate([p[0] for p in pieces])
+        expect_y = np.concatenate([p[1] for p in pieces])
+        assert xs.dtype == expect_x.dtype and ys.dtype == expect_y.dtype
+        np.testing.assert_array_equal(xs, expect_x)
+        np.testing.assert_array_equal(ys, expect_y)
+        assert whole.position == parts.position == 15
+
     def test_cursor_positions(self):
         x, y = self._data()
         stream = ResumableSampleStream(x, y, 2, np.random.default_rng(0))
