@@ -62,8 +62,7 @@ control = got.control
 print(f"float32 process:  mean loss {got.mean_loss:.6f} "
       f"(max dev {dev:.2e}, tolerance rtol={policy.loss_rtol})")
 print(f"  control plane:  {control['msgs_per_step']:.2f} pipe msgs/step "
-      f"vs {control['baseline_msgs_per_step']} baseline "
-      f"(ack every {control['ack_interval']} steps)")
+      f"({control['protocol']}: {control['acks_received']} acks)")
 for p in engine32.model.parameters():
     assert p.data.dtype == np.float32
 

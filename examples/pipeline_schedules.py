@@ -140,12 +140,13 @@ def threaded_runtime() -> None:
     :class:`~repro.pipeline.runtime.ConcurrentPipelineRunner` — one
     worker thread per stage, packets through per-stage queues.
 
-    * **lockstep** (``lockstep=True``): a per-time-step barrier makes
-      the run bit-exact with the simulator for every schedule.  Use it
+    * **lockstep** (``lockstep=True``): every worker runs its stage's
+      column of the simulator's compiled plan, which makes the run
+      bit-exact with the simulator for every schedule.  Use it
       whenever reproducibility matters (goldens, regression tests,
       paper-number regeneration).
     * **free-running** (the default for ``--runtime threaded``): no
-      barrier; stages run the moment a packet arrives.  ``pb``/``1f1b``
+      plan; stages run the moment a packet arrives.  ``pb``/``1f1b``
       trajectories then depend on thread timing (staleness is still
       bounded by eq. 5 — never worse than the model), while
       ``fill_drain``/``gpipe`` stay exact because they only update on a

@@ -6,7 +6,9 @@
   per-stage optimizer state + activation/weight stash.
 * :mod:`~repro.pipeline.schedule` — the pluggable
   :class:`~repro.pipeline.schedule.Schedule` protocol and its four
-  implementations: ``pb`` (pipelined backpropagation), ``fill_drain``
+  implementations, compiled per run into a
+  :class:`~repro.pipeline.schedule.Plan` (the ops of every tick):
+  ``pb`` (pipelined backpropagation), ``fill_drain``
   (synchronous pipeline SGD), ``gpipe`` (micro-batched fill-and-drain,
   Huang et al. 2019) and ``1f1b`` (PipeDream one-forward-one-backward
   with weight stashing, Harlap et al. 2018).
@@ -30,8 +32,9 @@
   ``infer`` schedule's streams (the synchronous reference and the
   worker-group stream on either host) and the schedule-driven batch
   driver behind every engine's ``infer()`` and :mod:`repro.serve`.
-* :mod:`~repro.pipeline.occupancy` — occupancy-grid timing models for
-  Figures 1-2 and the schedule-comparison example.
+* :mod:`~repro.pipeline.occupancy` — occupancy grids rendered from a
+  schedule's compiled plan, for Figures 1-2 and the schedule-comparison
+  example.
 * :mod:`~repro.pipeline.utilization` — closed-form utilization (eq. 1,
   per-sample and per-micro-batch).
 * :mod:`~repro.pipeline.partition` — stage-graph validation and the
@@ -47,6 +50,7 @@ from repro.pipeline.delays import (
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.schedule import (
     SCHEDULE_NAMES,
+    Plan,
     Schedule,
     ScheduleState,
     PipelinedBackpropSchedule,
@@ -131,6 +135,7 @@ __all__ = [
     "PipelineStage",
     "StageBuildSpec",
     "SCHEDULE_NAMES",
+    "Plan",
     "Schedule",
     "ScheduleState",
     "PipelinedBackpropSchedule",

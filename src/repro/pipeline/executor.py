@@ -6,11 +6,11 @@ transformation; packets travel one stage per step; the last stage
 computes the loss and seeds the backward pass in the same step, so a
 packet occupies ``2S - 1`` steps (paper §2).
 
-The engine itself is schedule-agnostic.  *What* happens each step —
-whether to inject, how many samples travel together as one vectorized
-``(B, ...)`` packet, when a stage applies its gradient, whether stages
-stash forward weights for the backward pass — is decided by a
-:class:`~repro.pipeline.schedule.Schedule`:
+The engine itself is schedule-agnostic and owns no tick logic: it
+compiles the run's :class:`~repro.pipeline.schedule.Plan` with
+:meth:`Schedule.plan <repro.pipeline.schedule.Schedule.plan>` — where
+injection, update and flush timing are decided — and interprets it tick
+by tick.  The schedules it runs:
 
 * ``"pb"`` — pipelined backpropagation: continuous injection, each stage
   updates its weights the moment a gradient arrives (update size one).
@@ -43,7 +43,14 @@ import numpy as np
 from repro.core.mitigation import MitigationConfig
 from repro.models.arch import StageGraphModel
 from repro.optim.sgd import _check_lr_momentum
-from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
+from repro.pipeline.schedule import (
+    BWD,
+    FLUSH,
+    FWD,
+    Plan,
+    Schedule,
+    make_schedule,
+)
 from repro.pipeline.stage import PipelineStage, load_stage_states
 from repro.precision.policy import PrecisionPolicy, resolve_precision
 
@@ -90,16 +97,6 @@ def check_stages_drained(stages: Sequence["PipelineStage"]) -> None:
                 f"stage {st.index} finished with {len(st.stash)} stashed "
                 "packets — pipeline did not drain"
             )
-
-
-@dataclass
-class _Packet:
-    """A group of consecutive samples travelling the pipeline together."""
-
-    pid: int  # stash key; equals ``start`` (unique while in flight)
-    start: int  # first sample index
-    size: int  # number of samples
-    payload: list[np.ndarray]  # (B, ...) arrays: main + skip stack
 
 
 #: Seconds any single wait may block before a run is declared stalled.
@@ -197,10 +194,10 @@ class PipelineRunStats:
     #: scales by it; without the factor R perfectly busy replicas would
     #: report R× utilization.
     replicas: int = 1
-    #: control-plane traffic of a lockstep worker-hosted run: control
-    #: messages actually sent/received per time step under the batched
-    #: step protocol, next to the ``2 * num_stages`` an unbatched
-    #: protocol would use.  ``None`` otherwise.
+    #: control-plane traffic of a lockstep worker-hosted run, which
+    #: runs the plan (``protocol: "plan"``): the only messages are stage
+    #: 0's completion events (``msgs_per_step`` per tick, no acks).
+    #: ``None`` otherwise.
     control: dict | None = None
 
     @property
@@ -460,12 +457,6 @@ class PipelineExecutor:
         for st in self.stages:
             st.lr = float(lr)
 
-    def flush_stages(self, count: int) -> None:
-        """Apply the averaged update of ``count`` accumulated gradients on
-        every stage (called by synchronous schedules at batch boundaries)."""
-        for stage in self.stages:
-            stage.flush_update(count)
-
     # -- engine state (checkpoint/resume) -----------------------------------
 
     def state_dict(self) -> dict:
@@ -604,77 +595,59 @@ class PipelineExecutor:
             start_method=self.start_method,
         )
 
+    def _compile(self, num_samples: int) -> Plan:
+        """This run's plan, with the LR schedule (if any) evaluated on the
+        engine's running sample count."""
+        lr_at = None
+        if self.lr_schedule is not None:
+            base, schedule = self.samples_completed, self.lr_schedule
+            lr_at = lambda done: schedule(base + done)  # noqa: E731
+        return self.schedule.plan(num_samples, self.num_stages, lr_at)
+
     def _run(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
-        """Run one validated batch: here, the discrete-time loop."""
+        """Run one validated batch: here, interpret the plan tick by tick
+        (packets are keyed by ordinal; each is at one stage per tick)."""
         n = X.shape[0]
-        S = self.num_stages
-        sched = self.schedule
-        state = ScheduleState(num_samples=n)
-        sched.reset(n)
+        plan = self._compile(n)
+        stages = self.stages
+        S = len(stages)
+        update = [self.schedule.update_after_backward(s) for s in range(S)]
         losses = np.zeros(n)
         counters = [StageCounters(s) for s in range(S)]
-        fwd_in: dict[int, _Packet] = {}
-        bwd_in: dict[int, _Packet] = {}
-
-        while state.next_sample < n or fwd_in or bwd_in:
-            # inject one new packet if the first stage is free this step
-            if state.next_sample < n and 0 not in fwd_in:
-                size = min(sched.inject_size(state), n - state.next_sample)
-                if size > 0:
-                    i = state.next_sample
-                    fwd_in[0] = _Packet(i, i, size, [X[i : i + size]])
-                    state.next_sample += size
-
-            # forward sweep (uses arrivals from the previous step)
-            new_fwd: dict[int, _Packet] = {}
-            for s in range(S):
-                pkt = fwd_in.pop(s, None)
-                if pkt is None:
-                    continue
-                stage = self.stages[s]
-                if stage.spec.kind == "loss":
-                    lvec, glogits = softmax_xent_grad_batch(
-                        pkt.payload[0], Y[pkt.start : pkt.start + pkt.size]
-                    )
-                    losses[pkt.start : pkt.start + pkt.size] = lvec
-                    bwd_in[s] = _Packet(pkt.pid, pkt.start, pkt.size, [glogits])
-                else:
-                    new_fwd[s + 1] = _Packet(
-                        pkt.pid,
-                        pkt.start,
-                        pkt.size,
-                        stage.forward(pkt.pid, pkt.payload),
-                    )
-                counters[s].forward_ops += 1
-                counters[s].forward_samples += pkt.size
-
-            # backward sweep
-            new_bwd: dict[int, _Packet] = {}
-            for s in range(S - 1, -1, -1):
-                pkt = bwd_in.pop(s, None)
-                if pkt is None:
-                    continue
-                stage = self.stages[s]
-                upstream = stage.backward(pkt.pid, pkt.payload)
-                if sched.update_after_backward(s):
-                    stage.apply_update()
-                counters[s].backward_ops += 1
-                counters[s].backward_samples += pkt.size
-                if s > 0:
-                    new_bwd[s - 1] = _Packet(pkt.pid, pkt.start, pkt.size, upstream)
-                else:
-                    state.completed += pkt.size
-                    self.samples_completed += pkt.size
-
-            fwd_in = new_fwd
-            bwd_in = new_bwd
-            state.step += 1
-
-            # batch boundaries: synchronous schedules flush averaged updates
-            sched.end_step(self, state)
-
-            if self.lr_schedule is not None:
-                self.set_lr(self.lr_schedule(self.samples_completed))
-
-        check_stages_drained(self.stages)
-        return self._record(counters, state.step, losses)
+        acts: dict[int, list[np.ndarray]] = {}  # payload entering a forward
+        grads: dict[int, list[np.ndarray]] = {}  # ... and a backward
+        for tick in plan.ticks:
+            for kind, s, arg in tick:
+                if kind == FWD:
+                    start, size = plan.packets[arg]
+                    stage = stages[s]
+                    payload = acts.pop(arg) if s else [X[start : start + size]]
+                    if stage.spec.kind == "loss":
+                        lvec, glogits = softmax_xent_grad_batch(
+                            payload[0], Y[start : start + size]
+                        )
+                        losses[start : start + size] = lvec
+                        grads[arg] = [glogits]
+                    else:
+                        acts[arg] = stage.forward(start, payload)
+                    counters[s].forward_ops += 1
+                    counters[s].forward_samples += size
+                elif kind == BWD:
+                    start, size = plan.packets[arg]
+                    stage = stages[s]
+                    upstream = stage.backward(start, grads.pop(arg))
+                    if update[s]:
+                        stage.apply_update()
+                    counters[s].backward_ops += 1
+                    counters[s].backward_samples += size
+                    if s > 0:
+                        grads[arg] = upstream
+                    else:
+                        self.samples_completed += size
+                elif kind == FLUSH:
+                    for stage in stages:
+                        stage.flush_update(arg)
+                else:  # SET_LR
+                    self.set_lr(arg)
+        check_stages_drained(stages)
+        return self._record(counters, len(plan.ticks), losses)

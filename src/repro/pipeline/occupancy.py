@@ -9,9 +9,10 @@ side-by-side schedule comparison in ``examples/pipeline_schedules.py``.
 
 A "packet" is the unit that occupies one pipeline slot per step: a single
 sample for ``pb`` / ``fill_drain`` / ``1f1b``, a micro-batch for
-``gpipe``.  The numeric counterpart of every grid here is a
-:class:`~repro.pipeline.schedule.Schedule` driving the cycle-accurate
-:class:`~repro.pipeline.executor.PipelineExecutor`.
+``gpipe``.  Every grid is rendered from a schedule's compiled
+:class:`~repro.pipeline.schedule.Plan` (:meth:`Occupancy.from_plan`) —
+the same plan the simulator and lockstep workers execute — with packet
+ordinals as cell ids.
 """
 
 from __future__ import annotations
@@ -20,8 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pipeline.schedule import (
+    BWD,
+    FWD,
+    FillDrainSchedule,
+    OneFOneBSchedule,
+    PipelinedBackpropSchedule,
+    Plan,
+)
+
 #: Cell encoding: 0 idle, 1 forward only, 2 backward only, 3 both.
-IDLE, FWD, BWD, BOTH = 0, 1, 2, 3
+IDLE, BOTH = 0, FWD | BWD
 
 _CELL_CHARS = {IDLE: ".", FWD: "F", BWD: "B", BOTH: "X"}
 
@@ -42,23 +52,22 @@ class Occupancy:
     def time_steps(self) -> int:
         return self.grid.shape[1]
 
-
-def _empty(S: int, T: int) -> Occupancy:
-    return Occupancy(
-        grid=np.zeros((S, T), dtype=np.int8),
-        fwd_sample=np.full((S, T), -1, dtype=np.int64),
-        bwd_sample=np.full((S, T), -1, dtype=np.int64),
-    )
-
-
-def _mark_fwd(occ: Occupancy, s: int, t: int, sid: int) -> None:
-    occ.grid[s, t] |= FWD
-    occ.fwd_sample[s, t] = sid
-
-
-def _mark_bwd(occ: Occupancy, s: int, t: int, sid: int) -> None:
-    occ.grid[s, t] |= BWD
-    occ.bwd_sample[s, t] = sid
+    @classmethod
+    def from_plan(cls, plan: Plan) -> "Occupancy":
+        """The plan's forward/backward ops, one cell per (stage, tick)."""
+        S, T = plan.num_stages, len(plan.ticks)
+        occ = cls(
+            grid=np.zeros((S, T), dtype=np.int8),
+            fwd_sample=np.full((S, T), -1, dtype=np.int64),
+            bwd_sample=np.full((S, T), -1, dtype=np.int64),
+        )
+        for t, tick in enumerate(plan.ticks):
+            for kind, s, p in tick:
+                if kind & BOTH:  # FLUSH / SET_LR occupy no slot
+                    occ.grid[s, t] |= kind
+                    ids = occ.fwd_sample if kind == FWD else occ.bwd_sample
+                    ids[s, t] = p
+        return occ
 
 
 def pb_occupancy(num_stages: int, num_samples: int) -> Occupancy:
@@ -67,14 +76,9 @@ def pb_occupancy(num_stages: int, num_samples: int) -> Occupancy:
     Sample ``i``: ``F_s`` at ``t = i + s``; ``B_s`` at ``t = i + 2S-2-s``
     (the last stage does F and B of the same sample in one step).
     """
-    S = num_stages
-    T = num_samples + 2 * S - 2
-    occ = _empty(S, T)
-    for i in range(num_samples):
-        for s in range(S):
-            _mark_fwd(occ, s, i + s, i)
-            _mark_bwd(occ, s, i + 2 * S - 2 - s, i)
-    return occ
+    return Occupancy.from_plan(
+        PipelinedBackpropSchedule().plan(num_samples, num_stages)
+    )
 
 
 def fill_drain_occupancy(
@@ -82,18 +86,11 @@ def fill_drain_occupancy(
 ) -> Occupancy:
     """Fill-and-drain mini-batch SGD: each batch takes ``N + 2S - 2``
     steps; the next batch starts only after the previous drains."""
-    S = num_stages
-    span = batch_size + 2 * S - 2
-    T = span * num_batches
-    occ = _empty(S, T)
-    for b in range(num_batches):
-        t0 = b * span
-        for i in range(batch_size):
-            sid = b * batch_size + i
-            for s in range(S):
-                _mark_fwd(occ, s, t0 + i + s, sid)
-                _mark_bwd(occ, s, t0 + i + 2 * S - 2 - s, sid)
-    return occ
+    return Occupancy.from_plan(
+        FillDrainSchedule(batch_size).plan(
+            batch_size * num_batches, num_stages
+        )
+    )
 
 
 def gpipe_occupancy(
@@ -123,7 +120,9 @@ def one_f_one_b_occupancy(num_stages: int, num_samples: int) -> Occupancy:
     which timing grids cannot express — see
     :class:`~repro.pipeline.schedule.OneFOneBSchedule`.
     """
-    return pb_occupancy(num_stages, num_samples)
+    return Occupancy.from_plan(
+        OneFOneBSchedule().plan(num_samples, num_stages)
+    )
 
 
 def schedule_utilization(occ: Occupancy) -> float:

@@ -18,8 +18,9 @@ Every engine here *is* a :class:`PipelineExecutor` — same stages,
 schedule, optimizer state, ``state_dict``, ``train`` and ``infer`` —
 that overrides one step: how a validated batch is run.  This module is
 that step's parent side: ``train`` → ``_run`` (the crash-recovery
-restart loop) → ``_train_attempt`` (launch a group, drive it, collect
-state, tear it down) → ``_drive_lockstep`` | ``_drive_free``.
+restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan in
+lockstep, start the group) → ``_drive`` (inject, count completions,
+collect state, tear the group down).
 :class:`ConcurrentPipelineRunner` and :class:`ProcessPipelineRunner`
 differ only in which host the group uses (threads over the engine's own
 stage objects, or processes over shared-memory rings with crash
@@ -29,17 +30,22 @@ pipelines side by side with a cross-replica gradient reduction.
 Two execution modes
 -------------------
 
-**lockstep** (``lockstep=True``) follows ``PipelineExecutor._run``'s
-control flow tick by tick: the parent tracks packet *positions*
-(metadata only) while payloads hop worker to worker, tells each worker
-what to do this tick in one batched message, and runs the schedule's
-batch-boundary hook at the tick barrier.  A lockstep run is
-**bit-exact** with the simulator for every schedule — the contract
-pinned by ``tests/test_runtime_parity.py`` and
-``tests/test_process_runtime.py``.
+Both modes share one parent loop: inject packets into the stage-0
+channel as its capacity allows, and count stage 0's ``("done", start,
+size)`` events (progress-based stall detection, ``completion_order``).
 
-**free-running** (``lockstep=False``, the default) drops the barrier:
-stages proceed as soon as a packet arrives, which is the paper's actual
+**lockstep** (``lockstep=True``) compiles the schedule once per launch
+(:meth:`Schedule.plan <repro.pipeline.schedule.Schedule.plan>`) and
+ships each worker its own column, which it runs blocking on its
+channels — the same plan the simulator interprets, flushes and LR
+changes included, so the parent injects the plan's packets in order and
+does nothing at a batch boundary.  A lockstep run is **bit-exact** with
+the simulator for every schedule — the contract pinned by
+``tests/test_runtime_parity.py`` and ``tests/test_process_runtime.py``
+— without a per-tick barrier (:mod:`repro.pipeline.worker`, "The loop").
+
+**free-running** (``lockstep=False``, the default) has no plan: stages
+proceed as soon as a packet arrives, which is the paper's actual
 claim — fine-grained pipelining keeps all stages busy in *wall-clock*
 time.  Losses and final weights are no longer bit-reproducible for the
 asynchronous schedules (``pb``/``1f1b``), because how far a gradient has
@@ -47,7 +53,9 @@ travelled when a forward happens now depends on worker timing; what *is*
 guaranteed is the eq.-5 staleness ceiling (the workers' in-flight caps),
 packet FIFO ordering per stage, and exact schedule semantics for the
 synchronous schedules' updates (``fill_drain``/``gpipe`` still flush the
-averaged update only once the batch has fully drained).
+averaged update only once the batch has fully drained).  Here the
+parent runs the schedule's hooks live: injection gating, and at each
+completion the batch-boundary flush and the LR schedule.
 
 Every run returns the same record the simulator does
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
@@ -61,7 +69,6 @@ from __future__ import annotations
 
 import threading
 import time
-from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -76,11 +83,15 @@ from repro.pipeline.executor import (
     StageCounters,
     check_stages_drained,
 )
-from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
+from repro.pipeline.schedule import (
+    Plan,
+    Schedule,
+    ScheduleState,
+    make_schedule,
+)
 from repro.pipeline.stage import STATE_ARRAYS, load_stage_states
 from repro.pipeline.transport import ShmRing, build_reduce_rings
 from repro.pipeline.worker import (
-    LOCKSTEP_ACK_INTERVAL,
     PipelineRuntimeError,
     WorkerGroup,
     _ReduceSpec,
@@ -102,6 +113,8 @@ class _WorkerGroupEngine(PipelineExecutor):
     #: per-stage reduce slices, set by :class:`ReplicatedPipelineRunner`
     #: before a launch so flushes run the cross-replica reduction
     _reduce_plan: list[_ReduceSpec] | None = None
+    #: the lockstep plan of the ``train()`` call in progress
+    _plan: Plan | None = None
 
     def __init__(
         self,
@@ -183,7 +196,13 @@ class _WorkerGroupEngine(PipelineExecutor):
         """Start this attempt's workers.  Apart from :meth:`_drive`
         because a process host forks here: the replicated runner
         launches every group before it starts a driver thread."""
-        self.schedule.reset(X.shape[0])
+        n = X.shape[0]
+        if self.lockstep:
+            self._plan = self._compile(n)
+            columns = [self._plan.column(s) for s in range(self.num_stages)]
+        else:
+            self.schedule.reset(n)
+            self._plan = columns = None
         #: completion order invariant: stage-0 backwards arrive FIFO
         self.completion_order: list[int] = []
         width = max(1, self.schedule.micro_batch)
@@ -193,7 +212,7 @@ class _WorkerGroupEngine(PipelineExecutor):
             processes=self._backend == "process",
             name="pipeline-stage",
             stall_timeout=self.stall_timeout,
-            lockstep=self.lockstep,
+            plan=columns,
             update_after_backward=self.schedule.update_after_backward,
             labels=Y,
             reduce_plan=self._reduce_plan,
@@ -214,16 +233,14 @@ class _WorkerGroupEngine(PipelineExecutor):
         shard holds no samples of — which is also why an empty shard
         still launches workers)."""
         n = X.shape[0]
+        plan = self._plan
         losses = np.zeros(n)
-        time_steps, control = 0, None
         failed = True
         try:
             # wall_seconds spans first injection to last completion;
             # launch and the drain-time state collection are excluded
             t0 = time.perf_counter()
-            if n:
-                run = self._drive_lockstep if self.lockstep else self._drive_free
-                time_steps, control = run(group, X)
+            events = self._inject_and_count(group, X, plan)
             for _ in range(trailing_flushes):
                 self._flush_workers(group, 0)
             wall = time.perf_counter() - t0
@@ -231,8 +248,25 @@ class _WorkerGroupEngine(PipelineExecutor):
             failed = False
         finally:
             group.teardown(failed)
-            self._group = None
+            self._group = self._plan = None
         check_stages_drained(self.stages)
+        if plan is None:
+            # free-running has no global clock; report the modeled span
+            # (what lockstep/sim take) so utilization stays comparable
+            time_steps = self.schedule.drain_span(n, self.num_stages)
+            control = None
+        else:
+            time_steps = len(plan.ticks)
+            control = {
+                "protocol": "plan",
+                "time_steps": time_steps,
+                "num_stages": self.num_stages,
+                # the parent sends nothing while a plan runs: its only
+                # control traffic is stage 0's completion events
+                "msgs_received": events,
+                "acks_received": 0,
+                "msgs_per_step": events / time_steps if time_steps else 0.0,
+            }
         return self._record(
             counters, time_steps, losses, wall_seconds=wall, control=control
         )
@@ -255,206 +289,56 @@ class _WorkerGroupEngine(PipelineExecutor):
         return [payload["counters"] for payload in payloads]
 
     def _flush_workers(self, group: WorkerGroup, count: int) -> None:
-        """Standalone batch-boundary flush.  In free-running mode it is a
-        *barrier*: every worker acks before this returns, so injection of
-        the next batch cannot overtake the flush.  The pipeline is fully
-        drained at a synchronous schedule's batch boundary, so the round
-        trip costs one idle hop per batch."""
+        """Standalone batch-boundary flush, a *barrier*: every worker
+        acks before this returns, so injection of the next batch cannot
+        overtake the flush.  The pipeline is fully drained at a
+        synchronous schedule's batch boundary, so the round trip costs
+        one idle hop per batch."""
         group.broadcast(("flush", count))
-        if not self.lockstep:
-            for s in range(self.num_stages):
-                group.recv(s, "flushed")
+        for s in range(self.num_stages):
+            group.recv(s, "flushed")
 
-    def _apply_lr_schedule(self, group: WorkerGroup, pending=None) -> None:
-        """Send an LR-schedule change to the workers (who own ``stage.lr``
-        while they run) — broadcast, or queued per worker to ride its
-        next lockstep step message."""
+    def _apply_lr_schedule(self, group: WorkerGroup) -> None:
+        """Broadcast an LR-schedule change to the workers (who own
+        ``stage.lr`` while they run)."""
         if self.lr_schedule is None:
             return
         lr = float(self.lr_schedule(self.samples_completed))
-        if lr == self._last_sent_lr:
-            return
-        self._last_sent_lr = lr
-        if pending is None:
+        if lr != self._last_sent_lr:
+            self._last_sent_lr = lr
             group.broadcast(("set_lr", lr))
-        else:
-            for q in pending:
-                q.append(("set_lr", lr))
 
-    # -- lockstep driver ----------------------------------------------------
-
-    def _send_injection(self, group, pid, start, size, payload) -> None:
-        """Inject a packet into the stage-0 channel with bounded waiting.
-
-        The parent runs up to an ack window ahead of the workers, so a
-        full injection channel is ordinary flow control; block on the
-        channel's free-slot wait between ``try_send`` s, with liveness
-        checks so a dead or erroring worker surfaces as
-        :class:`PipelineRuntimeError`, not a transport stall.
-        """
-        ring = group.channels[0]
-        deadline = time.monotonic() + self.stall_timeout
-        while not ring.try_send(pid, start, size, payload):
-            group.check_errors()
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    "pipeline runtime stalled injecting into the "
-                    f"stage-0 channel ({self.stall_timeout:.1f}s) — likely "
-                    "deadlock or a dead worker"
-                )
-            ring.wait_writable(0.05, group.abort)
-
-    def _drive_lockstep(self, group: WorkerGroup, X: np.ndarray):
-        """Mirror of ``PipelineExecutor._run``'s control flow: the parent
-        tracks packet *positions* (metadata only) while the payloads hop
-        worker-to-worker through the channels (protocol notes in
-        :mod:`repro.pipeline.worker`).
-
-        Completions are computed parent-side from the packet metadata
-        (stage 0's backward size, plus the loss-stage forward when
-        ``S == 1``); workers ack only every ``ack_every`` ticks, and the
-        parent cross-checks the acked total against its metadata count
-        to catch protocol drift.  Batch-boundary flushes and LR changes
-        generated at a tick's barrier ride the *next* tick's step
-        messages.
-        """
-        n = X.shape[0]
-        S = self.num_stages
-        sched = self.schedule
-        state = ScheduleState(num_samples=n)
-        pending: list[list] = [[] for _ in range(S)]
-
-        def queue_flush(count: int) -> None:
-            for q in pending:
-                q.append(("flush", int(count)))
-
-        # stands in for the executor inside Schedule.end_step
-        boundary = SimpleNamespace(flush_stages=queue_flush)
-        fwd_meta: dict[int, tuple[int, int, int]] = {}
-        bwd_meta: dict[int, tuple[int, int, int]] = {}
-        ack_every = LOCKSTEP_ACK_INTERVAL if self._backend == "process" else 1
-        ticks_since_ack = 0
-        expect_completed = 0  # metadata completions since the last ack
-        sends = 0
-        acks = 0
-        while state.next_sample < n or fwd_meta or bwd_meta:
-            if group.abort.is_set():
-                # a worker posted an error and aborted the transport;
-                # surface it instead of streaming more commands
-                group.check_errors()
-                raise RuntimeError(  # pragma: no cover - err precedes abort
-                    "pipeline transport aborted without a worker error "
-                    "report"
-                )
-            if state.next_sample < n and 0 not in fwd_meta:
-                size = min(sched.inject_size(state), n - state.next_sample)
-                if size > 0:
-                    i = state.next_sample
-                    self._send_injection(group, i, i, size, [X[i : i + size]])
-                    fwd_meta[0] = (i, i, size)
-                    state.next_sample += size
-
-            ticks_since_ack += 1
-            need_ack = ticks_since_ack >= ack_every
-            for s in range(S):
-                do_fwd = s in fwd_meta
-                do_bwd = s in bwd_meta
-                if not (do_fwd or do_bwd or pending[s] or need_ack):
-                    continue  # idle worker: skip the message entirely
-                group.send(
-                    s, ("step", do_fwd, do_bwd, need_ack, tuple(pending[s]))
-                )
-                pending[s].clear()
-                sends += 1
-
-            # only stage 0's backward completes samples (plus the seeded
-            # backward the loss forward consumes when it *is* stage 0)
-            completed = bwd_meta[0][2] if 0 in bwd_meta else 0
-            if S == 1 and 0 in fwd_meta:
-                completed += fwd_meta[0][2]
-
-            new_fwd: dict[int, tuple[int, int, int]] = {}
-            new_bwd: dict[int, tuple[int, int, int]] = {}
-            for s, meta in fwd_meta.items():
-                if s == S - 1:
-                    # the loss stage consumed its own seeded backward this
-                    # step; its upstream gradient surfaces next step
-                    if S > 1:
-                        new_bwd[S - 2] = meta
-                else:
-                    new_fwd[s + 1] = meta
-            for s, meta in bwd_meta.items():
-                if s > 0:
-                    new_bwd[s - 1] = meta
-            fwd_meta, bwd_meta = new_fwd, new_bwd
-            state.completed += completed
-            self.samples_completed += completed
-            expect_completed += completed
-            state.step += 1
-
-            # batch boundaries + LR schedule at the barrier, as in the sim
-            sched.end_step(boundary, state)
-            self._apply_lr_schedule(group, pending)
-
-            if need_ack:
-                acked = sum(group.recv(s, "ok")[1] for s in range(S))
-                if acked != expect_completed:  # pragma: no cover - bug trap
-                    raise RuntimeError(
-                        "lockstep ack mismatch: workers completed "
-                        f"{acked} samples this window, metadata "
-                        f"predicted {expect_completed}"
-                    )
-                ticks_since_ack = 0
-                expect_completed = 0
-                acks += S
-
-        # commands generated at the final tick's barrier (e.g. the last
-        # batch flush) have no later step message to ride: deliver them
-        # standalone before finalize
-        for s in range(S):
-            for cmd in pending[s]:
-                group.send(s, cmd)
-                sends += 1
-
-        ticks = state.step
-        return ticks, {
-            "protocol": "batched-step",
-            "time_steps": ticks,
-            "num_stages": S,
-            "ack_interval": ack_every,
-            "pipe_msgs_sent": sends,
-            "acks_received": acks,
-            "round_trips_total": sends + acks,
-            "msgs_per_step": (sends + acks) / ticks if ticks else 0.0,
-            # an unbatched protocol: S step sends + S acks per tick
-            "baseline_msgs_per_step": 2 * S,
-        }
-
-    # -- free-running driver -------------------------------------------------
-
-    def _drive_free(self, group: WorkerGroup, X: np.ndarray):
-        """Inject as the schedule allows (channel backpressure permitting)
-        and react to stage 0's completion events; workers self-drive off
-        their channels with backward priority and the eq.-5 in-flight
-        caps."""
+    def _inject_and_count(
+        self, group: WorkerGroup, X: np.ndarray, plan: Plan | None
+    ) -> int:
+        """The one parent loop: inject packets as the stage-0 channel
+        takes them — the plan's, in order, or as the schedule allows —
+        and count stage 0's completion events until every sample is
+        done.  Free-running, each completion also runs the schedule's
+        batch boundary and the LR schedule; a plan has both in every
+        worker's column.  Returns the number of events received."""
         n = X.shape[0]
         sched = self.schedule
         state = ScheduleState(num_samples=n)
+        injected = events = 0
 
         def flush(count: int) -> None:
             self._flush_workers(group, count)
 
-        boundary = SimpleNamespace(flush_stages=flush)
         last_progress = time.monotonic()
         while state.completed < n:
             while state.next_sample < n:
-                size = min(sched.inject_size(state), n - state.next_sample)
                 i = state.next_sample
+                if plan is None:
+                    size = min(sched.inject_size(state), n - i)
+                else:
+                    size = plan.packets[injected][1]
                 if size <= 0 or not group.channels[0].try_send(
                     i, i, size, [X[i : i + size]]
                 ):
                     break  # schedule gate, or channel full: backpressure
                 state.next_sample += size
+                injected += 1
                 last_progress = time.monotonic()
 
             msg = group.recv(0, "done", wait=0.05)
@@ -471,18 +355,18 @@ class _WorkerGroupEngine(PipelineExecutor):
                     )
                 continue
             _, start, size = msg
+            events += 1
             self.completion_order.append(start)
             state.completed += size
             self.samples_completed += size
-            # batch boundaries: a synchronous schedule's batch only fully
-            # drains when every worker is idle (stage 0's backward is
-            # globally last), so flushing here is race-free
-            sched.end_step(boundary, state)
-            self._apply_lr_schedule(group)
+            if plan is None:
+                # a synchronous schedule's batch only fully drains when
+                # every worker is idle (stage 0's backward is globally
+                # last), so flushing here is race-free
+                sched.end_step(flush, state)
+                self._apply_lr_schedule(group)
             last_progress = time.monotonic()
-        # free-running has no global clock; report the modeled span (what
-        # lockstep/sim would take) so utilization stays comparable
-        return sched.drain_span(n, self.num_stages), None
+        return events
 
 
 class ConcurrentPipelineRunner(_WorkerGroupEngine):

@@ -1,9 +1,7 @@
-"""Pluggable pipeline schedules: the decision layer of the executor.
+"""Pluggable pipeline schedules, and the plan that compiles them.
 
-The cycle-accurate :class:`~repro.pipeline.executor.PipelineExecutor` is a
-discrete-time engine; *what* it does each step is decided by a
-:class:`Schedule`.  Once per time step the engine consults the schedule at
-three points:
+A :class:`Schedule` makes the decisions of the paper's discrete-time
+pipeline (§2, Fig. 2) at three points of every time step:
 
 * **inject** — :meth:`Schedule.inject_size` returns how many samples to
   inject as one packet at stage 0 this step (0 = hold injection, e.g.
@@ -21,6 +19,35 @@ Two more knobs are static per schedule: :attr:`Schedule.micro_batch` (the
 nominal packet size) and :attr:`Schedule.stash_weights` (PipeDream-style
 per-stage weight stashing: every stage reuses its forward-pass weights on
 the backward pass, making each sample's pass consistent).
+
+The plan
+--------
+
+Tick semantics live in one place, :meth:`Schedule.plan`.  It runs the
+hooks above on packet *metadata* only and applies the timing rule — a
+packet enters stage 0 when that stage's forward slot is free, moves one
+stage per tick, and the loss stage's forward seeds its backward in the
+same tick, so a packet occupies ``2S - 1`` ticks — to produce a
+:class:`Plan`: the ops of every tick.  Each op is ``(kind, stage, arg)``:
+
+``(FWD, s, p)`` / ``(BWD, s, p)``
+    stage ``s`` transforms packet ordinal ``p`` (``Plan.packets[p]`` is
+    its ``(start, size)``).  Within a tick forwards run in stage order,
+    then backwards in reverse stage order, as the paper draws them.
+``(FLUSH, -1, count)``
+    every stage applies the averaged update of ``count`` samples, after
+    the tick whose batch boundary produced it.
+``(SET_LR, -1, lr)``
+    every stage takes a new learning rate after the tick (only when the
+    engine passes its LR schedule).
+
+Every reader of tick semantics reads the plan: the simulator
+(:meth:`~repro.pipeline.executor.PipelineExecutor._run`) interprets it
+tick by tick, a lockstep worker runs its own stage's
+:meth:`Plan.column` blocking on its channels, and
+:meth:`~repro.pipeline.occupancy.Occupancy.from_plan` renders it as a
+grid.  Only free-running workers and forward-only serving drive the
+hooks live, since their order depends on the data.
 
 Four schedules reproduce the systems the paper positions itself against:
 
@@ -50,19 +77,21 @@ at the last compute stage as model outputs — no backward sweep, no
 weight updates, no stashing.  It is not part of :data:`SCHEDULE_NAMES`
 (that tuple enumerates the *training* schedules the paper compares) but
 is built by :func:`make_schedule` under the name ``"infer"`` and driven
-through the same per-step protocol by all three runtimes.
-
-The occupancy-grid *timing* models of these schedules live in
-:mod:`repro.pipeline.occupancy`.
+through the same per-step hooks by all three runtimes.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 #: Canonical schedule names, in presentation order.
 SCHEDULE_NAMES = ("pb", "fill_drain", "gpipe", "1f1b")
+
+#: Plan op kinds.  ``FWD`` and ``BWD`` double as the occupancy grid's
+#: cell bits (:mod:`repro.pipeline.occupancy`).
+FWD, BWD, FLUSH, SET_LR = 1, 2, 4, 8
 
 
 @dataclass
@@ -73,6 +102,28 @@ class ScheduleState:
     next_sample: int = 0  # next sample index to inject
     completed: int = 0  # samples whose backward fully drained
     step: int = 0  # time steps elapsed
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A schedule compiled for one run of ``num_samples`` samples over
+    ``num_stages`` stages (see the module docstring)."""
+
+    num_stages: int
+    #: ``(start, size)`` of every packet, in injection order
+    packets: list[tuple[int, int]]
+    #: the ``(kind, stage, arg)`` ops of every tick, in execution order
+    ticks: list[list[tuple]]
+
+    def column(self, stage: int) -> list[tuple]:
+        """Stage ``stage``'s ops in order, as ``(kind, arg)`` pairs: what
+        a lockstep worker runs."""
+        return [
+            (kind, arg)
+            for tick in self.ticks
+            for kind, s, arg in tick
+            if s == stage or s < 0
+        ]
 
 
 class Schedule(ABC):
@@ -105,16 +156,80 @@ class Schedule(ABC):
         """Apply the stage's gradient immediately after its backward?"""
         return False
 
-    def end_step(self, executor, state: ScheduleState) -> None:
+    def end_step(
+        self, flush: Callable[[int], None], state: ScheduleState
+    ) -> None:
         """Batch-boundary hook, called once per time step after both
-        sweeps (``executor`` grants access to ``flush_stages``)."""
+        sweeps; ``flush(count)`` applies the averaged update of ``count``
+        accumulated gradients on every stage."""
 
     def drain_span(self, num_samples: int, num_stages: int) -> int:
         """Pipeline steps until the ``num_samples``-th sample's backward
-        drains at stage 0.  Continuous-injection schedules pay the fill
-        cost once: ``k + 2S - 2``.  Schedules with batch boundaries must
-        override this to match their injection gating."""
+        drains at stage 0 (0 for an empty stream).  Continuous-injection
+        schedules pay the fill cost once: ``k + 2S - 2``.  Schedules with
+        batch boundaries must override this to match their injection
+        gating."""
+        if num_samples < 1:
+            return 0
         return num_samples + 2 * num_stages - 2
+
+    def plan(
+        self,
+        num_samples: int,
+        num_stages: int,
+        lr_at: Callable[[int], float] | None = None,
+    ) -> Plan:
+        """Compile one run (see the module docstring).  Resets the
+        schedule, then runs its hooks on metadata only.  ``lr_at(k)``,
+        when given, is the learning rate once ``k`` samples of this run
+        have completed; it is evaluated after every tick and emitted as
+        ``SET_LR`` on the first tick and whenever it changes."""
+        n, S = num_samples, num_stages
+        self.reset(n)
+        state = ScheduleState(num_samples=n)
+        packets: list[tuple[int, int]] = []
+        ticks: list[list[tuple]] = []
+        flushes: list[int] = []
+        fwd: dict[int, int] = {}  # stage -> packet it forwards this tick
+        bwd: dict[int, int] = {}  # stage -> packet it backwards this tick
+        lr = None
+        while state.next_sample < n or fwd or bwd:
+            # stage 0's forward slot is free every tick: inject if allowed
+            if state.next_sample < n:
+                size = min(self.inject_size(state), n - state.next_sample)
+                if size > 0:
+                    fwd[0] = len(packets)
+                    packets.append((state.next_sample, size))
+                    state.next_sample += size
+            ops = []
+            new_fwd: dict[int, int] = {}
+            new_bwd: dict[int, int] = {}
+            for s in sorted(fwd):
+                p = fwd[s]
+                ops.append((FWD, s, p))
+                if s == S - 1:
+                    bwd[s] = p  # the loss seeds its backward this tick
+                else:
+                    new_fwd[s + 1] = p
+            for s in sorted(bwd, reverse=True):
+                p = bwd[s]
+                ops.append((BWD, s, p))
+                if s > 0:
+                    new_bwd[s - 1] = p
+                else:
+                    state.completed += packets[p][1]
+            fwd, bwd = new_fwd, new_bwd
+            state.step += 1
+            self.end_step(flushes.append, state)
+            ops.extend((FLUSH, -1, count) for count in flushes)
+            flushes.clear()
+            if lr_at is not None:
+                now = float(lr_at(state.completed))
+                if now != lr:
+                    ops.append((SET_LR, -1, now))
+                    lr = now
+            ticks.append(ops)
+        return Plan(num_stages=S, packets=packets, ticks=ticks)
 
     def describe(self) -> str:
         return f"{self.name} (update_size={self.update_size}, " \
@@ -181,10 +296,12 @@ class FillDrainSchedule(Schedule):
     def inject_size(self, state: ScheduleState) -> int:
         return 1 if state.next_sample < self._batch_end(state) else 0
 
-    def end_step(self, executor, state: ScheduleState) -> None:
+    def end_step(
+        self, flush: Callable[[int], None], state: ScheduleState
+    ) -> None:
         batch_n = self._batch_end(state) - self._batch_start
         if batch_n and state.completed >= self._batch_start + batch_n:
-            executor.flush_stages(batch_n)
+            flush(batch_n)
             self._batch_start += batch_n
 
     def drain_span(self, num_samples: int, num_stages: int) -> int:

@@ -11,7 +11,7 @@ discrete-time simulator: :class:`StageWorker` is the loop,
 finalize and teardown.  :mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
 
-The transformations mirror the simulator's sweep bodies
+The transformations mirror the simulator's op bodies
 (``PipelineExecutor._run``): loss-stage seeding, ``update_after_backward``
 and the op/sample accounting must stay in sync with it.  The bit-exact
 parity goldens (``tests/test_runtime_parity.py``,
@@ -24,12 +24,23 @@ The loop
 A worker owns one :class:`~repro.pipeline.stage.PipelineStage` and runs
 one of two loops over it:
 
-* **lockstep** — block on the control endpoint; every ``("step", ...)``
-  message is one simulated time step: apply the coalesced control
-  commands, then at most one forward and one backward, forward first
-  (the simulator's forward sweep precedes its backward sweep).  Because
-  no two stages share mutable state within a step, the per-worker
-  operation order equals the simulator's and the run is bit-exact.
+* **lockstep** — run this stage's column of the schedule's compiled plan
+  (:meth:`Plan.column <repro.pipeline.schedule.Plan.column>`, shipped
+  once in the worker's spec): ``FWD`` and ``BWD`` block on the inbound
+  channel for the next packet, ``FLUSH`` and ``SET_LR`` apply in place,
+  and nothing crosses the control endpoint but stage 0's ``done``
+  events.  Numerics depend only on each stage's op order (no two stages
+  share mutable state) and channels are FIFO, so the run is bit-exact
+  with the simulator, which interprets the same plan.  When the column
+  ends the worker drops into the free-running loop below, where only
+  control arrives: finalize, and a replicated run's trailing flushes.
+
+  No barrier is needed.  A channel ``s+1`` slot is held only while its
+  packet is in flight at stage ``s`` (stage ``s+1`` releases it at its
+  backward, before stage ``s``'s), the plan keeps that count at ``<= D_s
+  + 1`` (eq. 5), and channel ``s+1`` has ``D_{s+1} + 1 + RING_SLACK =
+  D_s + 1`` slots, so a forward send never waits on anything that waits
+  on it; backward sends never block.
 * **free-running** — control first (a flush sent before the next
   batch's packets must apply before them; control writes precede the
   channel publishes) → **backward priority** (PipeDream's drain rule,
@@ -80,29 +91,22 @@ Only control crosses the control endpoint (an OS pipe per worker for
 processes, an in-process :class:`LocalConn` pair for threads).  Parent
 to worker:
 
-``("step", do_fwd, do_bwd, need_ack, cmds)``
-    lockstep only.  One write carries the whole tick for this worker;
-    ``cmds`` is a tuple of ``("flush", n)`` / ``("set_lr", lr)``
-    generated at the previous tick's barrier and applied *before* the
-    step work — exactly where a standalone broadcast would have landed
-    in the pipe.  The worker answers ``("ok", completed_since_last_ack)``
-    only when ``need_ack`` is set; the parent predicts completions from
-    packet metadata and asks for an ack every
-    :data:`LOCKSTEP_ACK_INTERVAL` ticks (process host) or every tick
-    (thread host) as a flow-control barrier and invariant check.  Idle
-    ticks are not sent at all.
+A lockstep worker's flushes and LR changes are in its column; the
+messages below are the free-running ones, plus what every worker does
+once its column has ended:
+
 ``("flush", count)``
     synchronous-schedule batch boundary (with a :class:`_ReduceSpec`,
-    one cross-replica reduce round).  In free-running mode the worker
-    answers ``("flushed",)`` so the next batch cannot overtake it.
+    one cross-replica reduce round).  The worker answers
+    ``("flushed",)`` so the next batch cannot overtake it.
 ``("set_lr", lr)``
     LR-schedule tick.  The parent never writes ``stage.lr`` itself
     while workers run: a thread-hosted worker shares the stage object.
 ``("finalize",)``
     answer ``("state", payload)`` and exit.
 
-Worker to parent: ``("ok", n)``, ``("done", start, size)`` (stage 0's
-free-running completions), ``("flushed",)``, ``("state", payload)`` and
+Worker to parent: ``("done", start, size)`` (stage 0's completions, in
+both modes), ``("flushed",)``, ``("state", payload)`` and
 ``("err", stage, text, exc)`` for any failure (``exc`` is the exception
 object itself on an in-process endpoint, ``None`` across a pipe).
 
@@ -124,8 +128,8 @@ are the ones executed — a forked worker inherits the shadows with the
 stage, a rebuilt one does not; the stress tests' seeded-sleep helper
 in ``tests/conftest.py`` and the benchmark's tracer rely on exactly
 this), what an idle worker blocks on (the channel's condition variable
-versus its doorbells — the channel's choice, ``idle_wait``), how often
-lockstep acks — and what the worker runs *on*: a process host starts a
+versus its doorbells — the channel's choice, ``idle_wait``) — and what
+the worker runs *on*: a process host starts a
 process per launch (``fork`` hands each launch the parent's current
 state for free), a thread host does **not** start a thread per launch.
 
@@ -188,6 +192,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
+from repro.pipeline.schedule import BWD, FLUSH, FWD
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
     Doorbell,
@@ -203,9 +208,6 @@ from repro.pipeline.transport import (
 from repro.tensor.ops_conv import _scratch
 from repro.tensor.tensor import enable_grad
 
-#: Ticks between lockstep acks on a process host (a thread host acks
-#: every tick).
-LOCKSTEP_ACK_INTERVAL = 16
 #: Extra channel slots beyond the per-stage in-flight cap ``D_s + 1``
 #: (see :func:`repro.pipeline.transport.ring_slots_for`).
 RING_SLACK = 2
@@ -580,7 +582,7 @@ class _WorkerSpec:
     bwd_in: Any  # None for the loss stage and in forward-only mode
     bwd_out: Any  # None for stage 0 and in forward-only mode
     abort: Any  # _SharedAbort | _LocalAbort
-    lockstep: bool
+    plan: list | None  # lockstep: this stage's Plan.column
     forward_only: bool
     update_after_backward: bool
     ship_state: bool  # process host: trained state returns at finalize
@@ -608,6 +610,8 @@ class StageWorker:
             stage.spec.kind == "compute" and not spec.forward_only
         )
         self._pending_fwd: deque[int] = deque()
+        #: the loss stage's own backward packet, seeded by its forward
+        self._seeded = None
         self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
         self.in_flight = 0
         self._idle_wait = spec.fwd_in.idle_wait(
@@ -664,8 +668,8 @@ class StageWorker:
     # timed — blocking sends (downstream backpressure) fall outside the
     # window, so busy fractions stay comparable across hosts.
 
-    def _forward(self, pkt) -> int:
-        """Transform one inbound forward packet; returns completions."""
+    def _forward(self, pkt) -> None:
+        """Transform one inbound forward packet."""
         pid, start, size, payload = pkt
         spec = self.spec
         t0 = time.perf_counter()
@@ -682,11 +686,11 @@ class StageWorker:
         self.counters.forward_samples += size
         self.counters.busy_seconds += time.perf_counter() - t0
         if self.is_loss:
-            # the loss stage consumes its own seeded backward in the same
-            # step, exactly as the simulator's forward sweep seeds bwd_in
-            completed = self._backward((pid, start, size, [out]), seeded=True)
+            # seeds this packet's backward, run next (the plan's BWD in
+            # the same tick); the gradient is a fresh array
+            self._seeded = (pid, start, size, [out])
             spec.fwd_in.release()
-            return completed
+            return
         # copy downstream *before* releasing anything the output may
         # alias (identity/sum stages pass views of the inbound slot)
         self._send(spec.fwd_out, pid, start, size, out)
@@ -696,13 +700,24 @@ class StageWorker:
             spec.fwd_in.release()
         if not spec.forward_only:
             self.in_flight += 1
-        return 0
 
-    def _backward(self, pkt, seeded: bool = False) -> int:
-        """Transform one backward packet; returns completions (only
-        stage 0 completes samples)."""
-        pid, start, size, grads = pkt
+    def _has_backward(self) -> bool:
+        bwd_in = self.spec.bwd_in
+        return self._seeded is not None or (
+            bwd_in is not None and bwd_in.poll()
+        )
+
+    def _backward(self) -> None:
+        """Transform the next backward packet — the loss stage's seeded
+        one, or the next on the backward channel — and report a
+        completion from stage 0."""
         spec = self.spec
+        seeded = self._seeded is not None
+        if seeded:
+            pkt, self._seeded = self._seeded, None
+        else:
+            pkt = self._recv(spec.bwd_in, f"stage {self.s} bwd packet")
+        pid, start, size, grads = pkt
         t0 = time.perf_counter()
         upstream = self.stage.backward(pid, grads)
         if spec.update_after_backward:
@@ -723,7 +738,8 @@ class StageWorker:
                         f"arrived before packet {expect}'s — FIFO violated"
                     )
                 spec.fwd_in.release()
-        return size if self.s == 0 else 0
+        if self.s == 0:
+            spec.conn.send(("done", start, size))
 
     # -- control ----------------------------------------------------------
 
@@ -799,21 +815,21 @@ class StageWorker:
             self.stage.set_reduced_grads(result)
         self.stage.flush_update(total)
 
+    def _flush(self, count: int) -> None:
+        if self.spec.reduce is not None:
+            self._reduce_flush(int(count))
+        else:
+            self.stage.flush_update(count)
+
     def _control(self, cmd) -> bool:
-        """Apply a non-step command; ``True`` when the worker should exit."""
+        """Apply a command; ``True`` when the worker should exit."""
         tag = cmd[0]
         if tag == "flush":
-            if self.spec.reduce is not None:
-                self._reduce_flush(int(cmd[1]))
-            else:
-                self.stage.flush_update(cmd[1])
-            if not self.spec.lockstep:
-                # free mode: the parent must not inject the next batch
-                # until every stage has flushed — a worker past its
-                # control poll could otherwise transform a fresh packet
-                # with un-flushed weights (lockstep needs no ack: the
-                # flush is ordered before the next step command)
-                self.spec.conn.send(("flushed",))
+            self._flush(cmd[1])
+            # the parent must not inject the next batch until every
+            # stage has flushed — a worker past its control poll could
+            # otherwise transform a fresh packet with un-flushed weights
+            self.spec.conn.send(("flushed",))
         elif tag == "set_lr":
             self.stage.lr = float(cmd[1])
         elif tag == "finalize":
@@ -842,50 +858,31 @@ class StageWorker:
     # -- event loops -------------------------------------------------------
 
     def run(self) -> None:
-        if self.spec.lockstep:
-            self._run_lockstep()
-        else:
-            self._run_free()
+        if self.spec.plan is not None:
+            self._run_plan()
+        self._run_free()
 
-    def _run_lockstep(self) -> None:
+    def _run_plan(self) -> None:
+        """Lockstep: this stage's column of the plan, in order."""
         spec = self.spec
-        completed_since_ack = 0
-        while True:
-            # blocking command read that still honours the abort flag
-            while not spec.conn.poll():
-                if spec.abort.is_set():
-                    return
-                self._blocked(self._idle_wait, self._has_command)
-            cmd = spec.conn.recv()
-            if cmd[0] != "step":
-                # standalone command (end-of-run flush delivery,
-                # replicated missing-round flushes, finalize)
-                if self._control(cmd):
-                    return
-                continue
-            _, do_fwd, do_bwd, need_ack, cmds = cmd
-            for sub in cmds:
-                self._control(sub)
-            if do_fwd:
-                completed_since_ack += self._forward(
+        for kind, arg in spec.plan:
+            if kind == FWD:
+                self._forward(
                     self._recv(spec.fwd_in, f"stage {self.s} fwd packet")
                 )
-            if do_bwd:
-                completed_since_ack += self._backward(
-                    self._recv(spec.bwd_in, f"stage {self.s} bwd packet")
-                )
-            if need_ack:
-                spec.conn.send(("ok", completed_since_ack))
-                completed_since_ack = 0
-
-    def _has_command(self) -> bool:
-        return self.spec.conn.poll() or self.spec.abort.is_set()
+            elif kind == BWD:
+                self._backward()
+            elif kind == FLUSH:
+                self._flush(arg)
+            else:  # SET_LR
+                self.stage.lr = arg
 
     def _has_work(self) -> bool:
         spec = self.spec
         return (
-            self._has_command()
-            or (spec.bwd_in is not None and spec.bwd_in.poll())
+            spec.conn.poll()
+            or spec.abort.is_set()
+            or self._has_backward()
             or (self.in_flight < self.cap and spec.fwd_in.poll())
         )
 
@@ -903,17 +900,12 @@ class StageWorker:
                     if cmd[0] == "finalize":
                         self._control(cmd)
                 return
-            if spec.bwd_in is not None and spec.bwd_in.poll():
-                pkt = spec.bwd_in.try_recv()
-                completed = self._backward(pkt)
+            if self._has_backward():
+                self._backward()
             elif self.in_flight < self.cap and spec.fwd_in.poll():
-                pkt = spec.fwd_in.try_recv()
-                completed = self._forward(pkt)
+                self._forward(spec.fwd_in.try_recv())
             else:
                 self._blocked(self._idle_wait, self._has_work)
-                continue
-            if completed:
-                spec.conn.send(("done", pkt[1], int(completed)))
 
 
 def _worker_main(spec: _WorkerSpec) -> None:
@@ -985,6 +977,8 @@ class WorkerGroup:
     for the parent to consume.  ``probe`` is a max-width input packet
     (shape and dtype size the rings); ``slots`` a flat per-channel
     capacity replacing the ``D_s + 1 + RING_SLACK`` training sizing.
+    ``plan`` makes a lockstep group: ``plan[s]`` is stage ``s``'s
+    :meth:`Plan.column <repro.pipeline.schedule.Plan.column>`.
     """
 
     def __init__(
@@ -995,7 +989,7 @@ class WorkerGroup:
         processes: bool,
         name: str,
         stall_timeout: float,
-        lockstep: bool = False,
+        plan: Sequence[list] | None = None,
         forward_only: bool = False,
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
@@ -1065,7 +1059,7 @@ class WorkerGroup:
                     bwd_in=bwd[s],
                     bwd_out=bwd[s - 1] if s > 0 else None,
                     abort=self.abort,
-                    lockstep=lockstep,
+                    plan=None if plan is None else plan[s],
                     forward_only=forward_only,
                     update_after_backward=update_after_backward(s),
                     ship_state=processes and not forward_only,

@@ -203,7 +203,7 @@ class TestKillThenResumeFromDisk:
     runner that finishes bit-exactly — with the crash being a real
     SIGKILL mid-segment, not a polite stop."""
 
-    def test_sigkill_resume_from_checkpoint_parity(self, tmp_path):
+    def test_sigkill_resume_from_checkpoint_parity(self, tmp_path, jittered):
         kw = SCHEDULES["pb"]
         every = 8
         n = 24
@@ -228,6 +228,11 @@ class TestKillThenResumeFromDisk:
         # — the "process died" scenario
         path = str(tmp_path / "crash.ckpt")
         m_dead, r_dead, s_dead = build()
+        # lockstep workers complete the rest of a segment within the
+        # killer's polling interval on a fast host: slow the doomed run
+        # (forked workers inherit the shadows) so the kill lands
+        # mid-segment, before finalize
+        jittered(r_dead, 0.005, seed=1)
         killer = _WorkerKiller(r_dead, stage_index=1,
                                after_samples=every + 2).start()
         with pytest.raises(PipelineRuntimeError):

@@ -529,12 +529,12 @@ class TestServingPrecision:
         assert stats["completed"] >= 1
 
 
-# -- control-plane stats (the batched lockstep protocol) ---------------------
+# -- control-plane stats (the plan-driven lockstep protocol) ----------------
 
 
 @pytest.mark.concurrency(timeout=300)
 class TestControlPlaneStats:
-    def test_process_lockstep_reports_reduced_round_trips(self):
+    def test_process_lockstep_runs_the_plan_without_acks(self):
         X, Y = _stream()
         runner = ProcessPipelineRunner(
             FACTORY(), lr=LR, momentum=MOMENTUM, mode="pb",
@@ -543,15 +543,17 @@ class TestControlPlaneStats:
         stats = runner.train(X, Y)
         control = stats.control
         assert control is not None
-        assert control["protocol"] == "batched-step"
-        S = control["num_stages"]
-        assert control["baseline_msgs_per_step"] == 2 * S
-        # the tentpole claim: far fewer pipe messages than the old
-        # 2 messages/worker/tick protocol (1 send + 1 ack)
-        assert control["msgs_per_step"] < control["baseline_msgs_per_step"]
-        assert control["msgs_per_step"] <= S + 1.0
-        assert control["acks_received"] < control["time_steps"] * S
-        assert control["ack_interval"] == 16  # the process-host constant
+        assert control["protocol"] == "plan"
+        assert control["time_steps"] == stats.time_steps
+        assert control["num_stages"] == stats.num_stages
+        # workers run their own columns: no per-tick message, no ack —
+        # the only control traffic is one completion event per packet
+        assert control["acks_received"] == 0
+        assert control["msgs_received"] == len(X)
+        assert control["msgs_per_step"] == len(X) / stats.time_steps
+        assert control["msgs_per_step"] <= 1.0
+        assert "ack_interval" not in control
+        assert "baseline_msgs_per_step" not in control
 
     def test_free_mode_has_no_control_stats(self):
         X, Y = _stream(8)

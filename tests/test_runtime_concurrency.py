@@ -250,7 +250,10 @@ class TestShutdown:
         assert time.monotonic() - t0 < 10.0
         # a thread cannot be killed: the stuck worker outlives train().
         # Wait it out here — the other tests' leak assertions read the
-        # process-global thread list, in whatever order they run
-        for t in stragglers:
-            t.join(10.0)
+        # process-global thread list, in whatever order they run.  Its
+        # host thread lives on (renamed idle), so wait for the name
+        assert stragglers
+        deadline = time.monotonic() + 10.0
+        while _pipeline_threads() and time.monotonic() < deadline:
+            time.sleep(0.02)
         assert not _pipeline_threads()
