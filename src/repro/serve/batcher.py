@@ -12,8 +12,15 @@ op amortizes per-op overhead across ``B`` requests.  The
     full batch dispatches without waiting for any deadline — at once on
     an idle server, on the pacing clock (below) on a saturated one.
 ``max_wait``
-    Deadline on the *oldest* queued request: when it has waited this
-    long, whatever is queued dispatches as a partial packet.  ``0``
+    The longest a request waits to coalesce *behind a packet in
+    flight*.  The batcher is **work-conserving** (Nagle's rule, RFC
+    896): it counts the packets it has handed out and not had back
+    (:meth:`DynamicBatcher.next_batch` adds one,
+    :meth:`DynamicBatcher.done` subtracts one), and a partial packet
+    leaves at whichever comes first — the moment nothing is in flight,
+    or the earliest deadline among its requests.  A lone request on an
+    idle server therefore never waits; under load, requests coalesce
+    for up to ``max_wait`` while the pipeline is busy anyway.  ``0``
     means the batcher never waits on purpose — but requests that have
     *already* queued up (e.g. while the pipeline was busy) still
     coalesce up to ``max_batch``; packet width is therefore always
@@ -24,18 +31,20 @@ op amortizes per-op overhead across ``B`` requests.  The
 
 ``max_wait`` is also overridable **per request** (``submit(x,
 max_wait=...)``), which is how the fleet's SLO classes price their
-coalescing slack: a batch-class request tolerates the full deadline, an
-interactive one passes ``0`` and forces whatever is queued (including
-batch requests — they yield their slack) to dispatch with it
-immediately.  The flush point is therefore the *minimum* deadline over
-the queued requests, not the oldest request's age.
+coalescing slack: a batch-class request tolerates the full deadline
+behind a packet in flight, an interactive one passes ``0`` and forces
+whatever is queued (including batch requests — they yield their slack)
+to dispatch with it immediately.  The flush point is therefore the
+*minimum* deadline over the queued requests, not the oldest request's
+age.
 
 **Pacing.**  A full packet is released no sooner than ``spacing =
 min(max_wait, FULL_PACKET_SPACING)`` after the previous packet.  Below
-saturation this changes nothing: only full packets are paced (a partial
-one leaves at its deadline, and its oldest request arrived after the
-previous release, so deadlines already space packets by ``max_wait`` or
-more), and a batcher that never waits on purpose (``max_wait = 0``) is
+saturation this costs little: only full packets are paced (a partial one
+leaves as soon as nothing is in flight or at its deadline), and a full
+packet whose oldest request arrived after the previous release is held
+no longer than that request's default deadline would have held it as a
+partial one; a batcher that never waits on purpose (``max_wait = 0``) is
 never paced.  At saturation — a full
 packet always queued — it makes throughput ``max_batch / spacing``: set
 by a clock, not by how fast the host happens to schedule the dozen
@@ -103,7 +112,8 @@ class PendingRequest:
 class DynamicBatcher:
     """Coalesce individual requests into micro-batch packets (module
     docstring).  One producer side (``submit``, any thread) and one
-    consumer side (``next_batch``, the server's dispatcher thread)."""
+    consumer side: ``next_batch`` (the server's dispatcher thread) and
+    one ``done`` per packet it returned, once that packet is back."""
 
     def __init__(
         self,
@@ -124,6 +134,7 @@ class DynamicBatcher:
         #: packet; a batcher that never waits on purpose is never paced
         self.spacing = min(self.max_wait, FULL_PACKET_SPACING)
         self._next_full = 0.0  # monotonic: earliest next full packet
+        self._in_flight = 0  # packets next_batch returned, not yet done()
         self._cond = threading.Condition()
         self._queue: list[PendingRequest] = []
         self._ids = itertools.count()
@@ -183,9 +194,11 @@ class DynamicBatcher:
     # -- consumer side ------------------------------------------------------
 
     def next_batch(self, timeout: float = 0.1) -> list[PendingRequest]:
-        """Block until a packet is ready (full batch, or some queued
-        request's coalescing deadline expired), then return it —
-        ``[]`` on timeout or when closed with nothing queued.
+        """Block until a packet is ready (full batch; partial with
+        nothing in flight or some queued request's coalescing deadline
+        expired), then return it — ``[]`` on timeout or when closed
+        with nothing queued.  A returned packet counts as in flight
+        until :meth:`done`.
 
         Dispatch order is FIFO: packets are consecutive admission-order
         slices, so request ids inside and across packets are monotone —
@@ -199,8 +212,10 @@ class DynamicBatcher:
                 if self._queue:
                     if len(self._queue) >= self.max_batch:
                         ready_at = self._next_full  # paced, not deadlined
-                    else:
+                    elif self._in_flight:
                         ready_at = min(r.t_deadline for r in self._queue)
+                    else:
+                        ready_at = now  # waiting would idle the pipeline
                     if now >= ready_at or self._closed:
                         batch = self._queue[: self.max_batch]
                         del self._queue[: len(batch)]
@@ -212,6 +227,7 @@ class DynamicBatcher:
                         if not 0.0 <= now - self._next_full < self.spacing:
                             self._next_full = now
                         self._next_full += self.spacing
+                        self._in_flight += 1
                         return batch
                     # wake at whichever comes first: the packet's
                     # release or the caller's timeout
@@ -224,6 +240,17 @@ class DynamicBatcher:
                     # not ready and the caller's timeout has expired
                     return []
                 self._cond.wait(wait)
+
+    def done(self) -> None:
+        """One packet returned by :meth:`next_batch` has come back out of
+        the pipeline.  When none is left in flight, a queued partial
+        packet is released at once instead of at its deadline."""
+        with self._cond:
+            if not self._in_flight:
+                raise RuntimeError("done() with no packet in flight")
+            self._in_flight -= 1
+            if not self._in_flight:
+                self._cond.notify_all()
 
     def set_draining(self, draining: bool = True) -> None:
         """Toggle the draining state: while draining, ``submit`` raises

@@ -9,14 +9,18 @@ The fleet serves two kinds of traffic with one queueing fabric:
     :class:`~repro.serve.batcher.Overloaded` the moment the measured
     queue wait approaches the deadline, and let the client retry or
     shed.  Interactive requests also carry ``max_wait = 0`` into the
-    :class:`~repro.serve.batcher.DynamicBatcher`: they never sit in the
-    coalescing window, they flush the next packet immediately.
+    :class:`~repro.serve.batcher.DynamicBatcher`.  That matters only
+    while a packet is in flight (an idle batcher releases any request
+    at once): then they never sit in the coalescing window, they flush
+    the next packet immediately.
 
 ``batch``
     Loose deadline, throughput-oriented.  Batch requests tolerate the
     batcher's full coalescing slack (wide packets amortize per-op
     overhead) and deep queues; they are only pushed back when the
-    aggregate queue capacity is genuinely exhausted.
+    aggregate queue capacity is genuinely exhausted.  The slack is only
+    ever spent behind a packet in flight — the batcher never holds a
+    request while the pipeline is idle.
 
 That ordering — *interactive gets Overloaded pushback before batch
 does* — is the admission pricing: each class is admitted only while the

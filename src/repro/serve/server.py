@@ -11,9 +11,14 @@
 Two daemon threads own the pipeline stream's two ends — the
 **dispatcher** pulls coalesced packets from the batcher and pushes them
 into the stream (blocking on its free-slot wait under backpressure), the
-**collector** pulls finished logits out, slices them back into
-per-request rows, resolves the futures and records
-:class:`~repro.serve.stats.RequestTiming` entries.  The stream is SPSC
+**collector** pulls finished logits out, hands each packet back to the
+batcher (:meth:`~repro.serve.batcher.DynamicBatcher.done`), slices the
+logits back into per-request rows, resolves the futures and records
+:class:`~repro.serve.stats.RequestTiming` entries.  That hand-back is
+what keeps the batcher work-conserving: a partial packet waits to
+coalesce only while another packet is in flight, so under light traffic
+a lone request enters the pipeline at once and its latency is pipeline
+time, not ``max_wait``.  The stream is SPSC
 by construction (one submitting thread, one polling thread), which is
 exactly the discipline the shared-memory rings require.
 
@@ -152,9 +157,9 @@ class PipelineServer(HttpFrontDoor):
     mixes before the dispatcher begins draining.
 
     SLO knobs: ``max_batch`` (packet width cap, default the session's
-    micro-batch), ``max_wait`` (coalescing deadline on the oldest
-    queued request), ``max_queue`` (admission bound — beyond it,
-    ``submit`` raises :class:`Overloaded`).
+    micro-batch), ``max_wait`` (the longest a request waits to
+    coalesce behind a packet in flight), ``max_queue`` (admission
+    bound — beyond it, ``submit`` raises :class:`Overloaded`).
     """
 
     def __init__(
@@ -423,6 +428,7 @@ class PipelineServer(HttpFrontDoor):
                         raise InferenceStreamError(
                             f"result for unknown packet {pid}"
                         )
+                    self.batcher.done()
                     if logits.shape[0] != len(batch):
                         raise InferenceStreamError(
                             f"packet {pid}: {logits.shape[0]} result rows "

@@ -564,7 +564,9 @@ def relu(a) -> Tensor:
     """Rectified linear unit (mask captured at forward time)."""
     a = _ensure_tensor(a)
     mask = a.data > 0  # forward capture: the activation mask
-    out_data = np.where(mask, a.data, 0.0)
+    # -0 and NaN map to +0, exactly as the mask selects them;
+    # np.maximum would propagate NaN
+    out_data = np.fmax(a.data, 0.0)
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(a, g * mask)

@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro.nn import Conv2d, GroupNorm, Linear
-from repro.tensor import Tensor, conv2d, no_grad, ops_conv
+from repro.tensor import Tensor, conv2d, no_grad, ops_conv, relu
 from repro.tensor.ops_norm import group_norm
 from repro.tensor.tensor import backward_multi, linear, matmul, sqrt, zero_pad2d
 
@@ -394,6 +394,36 @@ class TestOwnership:
             "p.grad = p.grad + g\n"
         )
         assert _in_place_grad_writes(ast.parse(bad)) == [1, 2, 3, 4]
+
+
+# -- relu: one fmax pass in place of the np.where select --------------------------
+
+
+class TestReluKernel:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 5e-324]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(8, 64, 16, 16), (1, 64, 16, 16), (16,)])
+    def test_forward_bits_equal_the_where_select(self, shape, dtype):
+        """+0, -0, +-inf and NaN (plus ordinary values and a denormal)
+        land bit for bit where ``np.where(a > 0, a, 0.0)`` put them: -0
+        and NaN become +0.  Checked contiguous and strided."""
+        rng = np.random.default_rng(61)
+        data = rng.choice(np.array(self.SPECIAL, dtype=dtype), size=shape)
+        data.reshape(-1)[: len(self.SPECIAL)] = self.SPECIAL  # each one once
+        for a in (data, data[..., ::2]):
+            want = np.where(a > 0, a, 0.0)
+            got = relu(Tensor(a)).data
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_backward_masks_by_the_forward_sign(self, dtype):
+        a = np.array(self.SPECIAL, dtype=dtype)
+        x = Tensor(a.copy(), requires_grad=True)
+        out = relu(x)
+        out.backward(np.full(a.shape, 3.0, dtype=dtype))
+        assert_same(x.grad, np.where(a > 0, 3.0, 0.0).astype(dtype))
 
 
 # -- conv2d: pad, one-sample weight gradient, unread input gradient ------------

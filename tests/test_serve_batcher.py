@@ -3,6 +3,8 @@ bounded admission, explicit backpressure, monotone ids."""
 
 from __future__ import annotations
 
+import queue
+import sys
 import threading
 import time
 
@@ -191,13 +193,125 @@ class TestPerRequestDeadlines:
 
     def test_long_override_defers_flush(self):
         """A request may also *grant* more slack than the batcher
-        default; alone in the queue it is not flushed early."""
+        default; alone in the queue behind a packet in flight it is not
+        flushed early."""
         b = DynamicBatcher(max_batch=8, max_wait=0.0, max_queue=64)
-        b.submit(_x(0), max_wait=60.0)
+        b.submit(_x(0))
+        assert len(b.next_batch(timeout=0.0)) == 1  # now in flight
+        b.submit(_x(1), max_wait=60.0)
         assert b.next_batch(timeout=0.05) == []  # still coalescing
-        b.submit(_x(1))  # default max_wait=0 => flush now
+        b.submit(_x(2))  # default max_wait=0 => flush now
         batch = b.next_batch(timeout=5.0)
-        assert [r.request_id for r in batch] == [0, 1]
+        assert [r.request_id for r in batch] == [1, 2]
+
+
+class TestWorkConserving:
+    """A partial packet waits to coalesce only while another packet is
+    in flight (Nagle's rule): ``next_batch`` hands a packet out,
+    ``done`` takes it back."""
+
+    def test_idle_batcher_releases_lone_request_at_once(self):
+        b = DynamicBatcher(max_batch=8, max_wait=60.0, max_queue=64)
+        b.submit(_x(0))
+        t0 = time.monotonic()
+        batch = b.next_batch(timeout=5.0)
+        assert time.monotonic() - t0 < 1.0  # did not wait for max_wait
+        assert [r.request_id for r in batch] == [0]
+
+    def test_done_releases_partial_packet_waiting_behind_one(self):
+        b = DynamicBatcher(max_batch=8, max_wait=60.0, max_queue=64)
+        b.submit(_x(0))
+        assert len(b.next_batch(timeout=0.0)) == 1  # in flight
+        b.submit(_x(1))
+        assert b.next_batch(timeout=0.05) == []  # coalescing behind it
+        t_done = []
+
+        def finish():
+            time.sleep(0.05)
+            t_done.append(time.monotonic())
+            b.done()
+
+        finisher = threading.Thread(target=finish)
+        finisher.start()
+        batch = b.next_batch(timeout=30.0)
+        t_out = time.monotonic()
+        finisher.join()
+        assert [r.request_id for r in batch] == [1]
+        assert t_out - t_done[0] < 0.5  # woken by done(), not the deadline
+
+    def test_partial_packet_leaves_at_deadline_without_done(self):
+        b = DynamicBatcher(max_batch=8, max_wait=0.05, max_queue=64)
+        b.submit(_x(0))
+        assert len(b.next_batch(timeout=0.0)) == 1  # in flight, never done
+        req = b.submit(_x(1))
+        batch = b.next_batch(timeout=5.0)
+        assert [r.request_id for r in batch] == [1]
+        assert req.t_dispatch >= req.t_deadline
+
+    def test_done_with_nothing_in_flight_raises(self):
+        b = DynamicBatcher(max_batch=8, max_wait=60.0, max_queue=64)
+        with pytest.raises(RuntimeError, match="no packet in flight"):
+            b.done()
+        b.submit(_x(0))
+        b.next_batch(timeout=0.0)
+        b.done()
+        with pytest.raises(RuntimeError, match="no packet in flight"):
+            b.done()  # one done() per packet, never more
+
+    def test_closed_loop_stress_no_lost_wakeup_or_update(self):
+        """Four closed-loop clients, a dispatcher and a finisher (more
+        threads than cores) race on the in-flight count under a short
+        switch interval.  The finisher resolves a packet's futures a
+        millisecond *before* its ``done()``, so the clients' next
+        requests queue behind a packet still in flight and nothing but
+        ``done()``'s wake-up releases them: a lost one stalls the loop
+        for the 60 s deadline, past the join timeout.  Every request
+        leaves exactly once and the count ends at zero."""
+        b = DynamicBatcher(max_batch=8, max_wait=60.0, max_queue=64)
+        clients, per_client = 4, 100
+        total = clients * per_client
+        handed_out: queue.Queue = queue.Queue()
+        dispatched: list[int] = []
+
+        def client():
+            for _ in range(per_client):
+                b.submit(_x(0)).future.result(20.0)
+
+        def dispatch():
+            while len(dispatched) < total:
+                batch = b.next_batch(timeout=60.0)
+                if batch:
+                    dispatched.extend(r.request_id for r in batch)
+                    handed_out.put(batch)
+            handed_out.put(None)
+
+        def finish():
+            while (batch := handed_out.get()) is not None:
+                for req in batch:
+                    req.future.set_result(None)
+                time.sleep(1e-3)  # let the clients queue up behind it
+                b.done()
+
+        threads = [
+            threading.Thread(target=client, daemon=True)
+            for _ in range(clients)
+        ] + [
+            threading.Thread(target=dispatch, daemon=True),
+            threading.Thread(target=finish, daemon=True),
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(20.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(dispatched) == list(range(total))
+        with pytest.raises(RuntimeError, match="no packet in flight"):
+            b.done()  # every packet handed back exactly once
 
 
 class TestDraining:

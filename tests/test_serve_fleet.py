@@ -365,22 +365,40 @@ class TestFleetRouter:
         empty one."""
         ck_a, _ = checkpoints
         # flush width (micro_batch) wider than the parked load so the
-        # parked requests stay queued (max_wait far away); the routed
-        # request still flushes fast via its class max_wait override
+        # parked requests stay queued behind a packet in flight (max_wait
+        # far away); the routed request still flushes fast via its class
+        # max_wait override
         spec = _spec(max_wait=60.0, micro_batch=8)
         with FleetRouter(spec, 2, checkpoint=ck_a) as router:
             names = sorted(router.replicas)
             loaded = router.replicas[names[0]]
-            # park requests in r0's batcher (max_wait keeps them queued)
-            for _ in range(3):
-                loaded.server.submit_request(
-                    _requests(1)[0], max_wait=60.0
-                )
-            assert loaded.load >= 3
+            batcher = loaded.server.batcher
+            # hold r0's first packet in flight: its collector blocks in
+            # done() until released, so the batcher keeps one packet out
+            handed_back, release = threading.Event(), threading.Event()
+            real_done = batcher.done
+
+            def held_done():
+                handed_back.set()
+                release.wait(10.0)
+                real_done()
+
+            batcher.done = held_done
+            first = loaded.server.submit_request(_requests(1)[0])
+            assert handed_back.wait(10.0)
+            parked = [
+                loaded.server.submit_request(_requests(1)[0], max_wait=60.0)
+                for _ in range(3)
+            ]
+            assert batcher.pending == 3 and loaded.load == 3
             fr = router.submit(_requests(1)[0], "batch")
             assert fr.replica == names[1]
             fr.future.result(10.0)
-            router.replicas[names[0]].server.batcher.close()
+            # the in-flight packet comes back: the parked ones leave at
+            # once, not at their 60 s deadline
+            release.set()
+            for req in [first] + parked:
+                req.future.result(10.0)
 
     def test_rolling_reload_under_live_traffic(self, checkpoints):
         """The tentpole invariant: during a rolling hot-swap every

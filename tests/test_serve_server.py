@@ -121,6 +121,18 @@ class TestServerBasics:
         with pytest.raises(RuntimeError, match="single-use"):
             server.start()
 
+    @pytest.mark.parametrize("runtime", ["sim", "threaded", "process"])
+    def test_lone_request_does_not_wait_for_max_wait(self, runtime):
+        """Work-conserving batcher, end to end: with nothing in flight a
+        lone request enters the pipeline at once, however far away its
+        coalescing deadline is."""
+        with PipelineServer(_session(runtime), max_wait=60.0) as server:
+            for _ in range(3):  # the collector's done() re-arms the rule
+                request = server.submit_request(_requests(1)[0])
+                assert request.future.result(5.0).shape == (10,)
+        waits = [t.queue_wait for t in server.stats.timings()]
+        assert len(waits) == 3 and max(waits) < 0.05
+
     def test_max_batch_cannot_exceed_session_width(self):
         with pytest.raises(ValueError, match="micro_batch"):
             PipelineServer(_session(micro_batch=4), max_batch=8)
