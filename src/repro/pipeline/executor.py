@@ -159,9 +159,11 @@ class PipelineRunStats:
     (:mod:`repro.pipeline.occupancy`); ``forward_samples`` /
     ``backward_samples`` count sample transformations, so a
     micro-batched op of ``B`` samples adds ``1`` to the former and ``B``
-    to the latter.  ``time_steps`` is the simulated (sim, lockstep) or
-    modeled (free-running, forward-only: ``Schedule.drain_span``) span
-    that utilization — the paper's eq. 1 — is judged against.
+    to the latter.  ``time_steps`` is the plan's tick count (any
+    training run; free-running workers have no global clock, so for
+    them it is the span the plan models) or, forward-only,
+    ``Schedule.drain_span``: the span utilization — the paper's eq. 1 —
+    is judged against.
 
     ``backend`` names the host that ran the stages (``"sim"``,
     ``"threaded"`` or ``"process"``) and ``mode`` how they were clocked
@@ -194,10 +196,11 @@ class PipelineRunStats:
     #: scales by it; without the factor R perfectly busy replicas would
     #: report R× utilization.
     replicas: int = 1
-    #: control-plane traffic of a lockstep worker-hosted run, which
-    #: runs the plan (``protocol: "plan"``): the only messages are stage
-    #: 0's completion events (``msgs_per_step`` per tick, no acks).
-    #: ``None`` otherwise.
+    #: control-plane traffic of a worker-hosted training run, lockstep
+    #: or free-running — both run the plan (``protocol: "plan"``): the
+    #: only messages are stage 0's completion events (``msgs_per_step``
+    #: per tick, no acks).  ``None`` for the simulator, forward-only
+    #: runs and merged replica records.
     control: dict | None = None
 
     @property

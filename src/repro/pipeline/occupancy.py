@@ -11,7 +11,7 @@ A "packet" is the unit that occupies one pipeline slot per step: a single
 sample for ``pb`` / ``fill_drain`` / ``1f1b``, a micro-batch for
 ``gpipe``.  Every grid is rendered from a schedule's compiled
 :class:`~repro.pipeline.schedule.Plan` (:meth:`Occupancy.from_plan`) —
-the same plan the simulator and lockstep workers execute — with packet
+the same plan the simulator and the stage workers execute — with packet
 ordinals as cell ids.
 """
 

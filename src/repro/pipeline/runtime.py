@@ -18,9 +18,9 @@ Every engine here *is* a :class:`PipelineExecutor` — same stages,
 schedule, optimizer state, ``state_dict``, ``train`` and ``infer`` —
 that overrides one step: how a validated batch is run.  This module is
 that step's parent side: ``train`` → ``_run`` (the crash-recovery
-restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan in
-lockstep, start the group) → ``_drive`` (inject, count completions,
-collect state, tear the group down).
+restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan,
+start the group) → ``_drive`` (inject, count completions, collect state,
+tear the group down).
 :class:`ConcurrentPipelineRunner` and :class:`ProcessPipelineRunner`
 differ only in which host the group uses (threads over the engine's own
 stage objects, or processes over shared-memory rings with crash
@@ -30,32 +30,34 @@ pipelines side by side with a cross-replica gradient reduction.
 Two execution modes
 -------------------
 
-Both modes share one parent loop: inject packets into the stage-0
-channel as its capacity allows, and count stage 0's ``("done", start,
-size)`` events (progress-based stall detection, ``completion_order``).
-
-**lockstep** (``lockstep=True``) compiles the schedule once per launch
+Both modes are one protocol.  Every launch compiles the schedule
 (:meth:`Schedule.plan <repro.pipeline.schedule.Schedule.plan>`) and
-ships each worker its own column, which it runs blocking on its
-channels — the same plan the simulator interprets, flushes and LR
-changes included, so the parent injects the plan's packets in order and
-does nothing at a batch boundary.  A lockstep run is **bit-exact** with
-the simulator for every schedule — the contract pinned by
-``tests/test_runtime_parity.py`` and ``tests/test_process_runtime.py``
-— without a per-tick barrier (:mod:`repro.pipeline.worker`, "The loop").
+ships each worker its own column — the same plan the simulator
+interprets, flushes and LR changes included.  The parent injects the
+plan's packets into the stage-0 channel in order, as its capacity
+allows, counts stage 0's ``("done", start, size)`` events
+(progress-based stall detection, ``completion_order``) and does nothing
+at a batch boundary; its one message to a worker is the final
+``("finalize",)``.  The modes differ only in how strictly a worker
+follows its column (:mod:`repro.pipeline.worker`, "The loop").
 
-**free-running** (``lockstep=False``, the default) has no plan: stages
-proceed as soon as a packet arrives, which is the paper's actual
+**lockstep** (``lockstep=True``) runs the column op by op, blocking on
+its channels.  A lockstep run is **bit-exact** with the simulator for
+every schedule — the contract pinned by ``tests/test_runtime_parity.py``
+and ``tests/test_process_runtime.py`` — without a per-tick barrier.
+
+**free-running** (``lockstep=False``, the default) runs the ops between
+two flushes as soon as packets arrive, which is the paper's actual
 claim — fine-grained pipelining keeps all stages busy in *wall-clock*
 time.  Losses and final weights are no longer bit-reproducible for the
 asynchronous schedules (``pb``/``1f1b``), because how far a gradient has
 travelled when a forward happens now depends on worker timing; what *is*
 guaranteed is the eq.-5 staleness ceiling (the workers' in-flight caps),
-packet FIFO ordering per stage, and exact schedule semantics for the
-synchronous schedules' updates (``fill_drain``/``gpipe`` still flush the
-averaged update only once the batch has fully drained).  Here the
-parent runs the schedule's hooks live: injection gating, and at each
-completion the batch-boundary flush and the LR schedule.
+packet FIFO ordering per stage, every op's learning rate (the one the
+simulator gives it), and exact schedule semantics for the synchronous
+schedules (``fill_drain``/``gpipe`` flush the averaged update between
+the same two batches at every stage, so their losses and weights equal
+the simulator's bit for bit).
 
 Every run returns the same record the simulator does
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
@@ -83,12 +85,7 @@ from repro.pipeline.executor import (
     StageCounters,
     check_stages_drained,
 )
-from repro.pipeline.schedule import (
-    Plan,
-    Schedule,
-    ScheduleState,
-    make_schedule,
-)
+from repro.pipeline.schedule import FLUSH, Plan, Schedule, make_schedule
 from repro.pipeline.stage import STATE_ARRAYS, load_stage_states
 from repro.pipeline.transport import ShmRing, build_reduce_rings
 from repro.pipeline.worker import (
@@ -113,7 +110,7 @@ class _WorkerGroupEngine(PipelineExecutor):
     #: per-stage reduce slices, set by :class:`ReplicatedPipelineRunner`
     #: before a launch so flushes run the cross-replica reduction
     _reduce_plan: list[_ReduceSpec] | None = None
-    #: the lockstep plan of the ``train()`` call in progress
+    #: the plan of the ``train()`` call in progress
     _plan: Plan | None = None
 
     def __init__(
@@ -192,17 +189,21 @@ class _WorkerGroupEngine(PipelineExecutor):
         """One launch/drive cycle (crash recovery replays it)."""
         return self._drive(self._launch(X, Y), X)
 
-    def _launch(self, X: np.ndarray, Y: np.ndarray) -> WorkerGroup:
-        """Start this attempt's workers.  Apart from :meth:`_drive`
-        because a process host forks here: the replicated runner
-        launches every group before it starts a driver thread."""
-        n = X.shape[0]
-        if self.lockstep:
-            self._plan = self._compile(n)
-            columns = [self._plan.column(s) for s in range(self.num_stages)]
-        else:
-            self.schedule.reset(n)
-            self._plan = columns = None
+    def _launch(
+        self, X: np.ndarray, Y: np.ndarray, empty_rounds: int = 0
+    ) -> WorkerGroup:
+        """Compile the plan and start this attempt's workers, each on
+        its stage's column.  Apart from :meth:`_drive` because a process
+        host forks here: the replicated runner launches every group
+        before it starts a driver thread, and passes the reduce rounds
+        a replica's shard holds no samples of — ``(FLUSH, 0)`` ops at
+        the end of every column, which is also why an empty shard still
+        launches workers."""
+        self._plan = self._compile(X.shape[0])
+        columns = [
+            self._plan.column(s) + [(FLUSH, 0)] * empty_rounds
+            for s in range(self.num_stages)
+        ]
         #: completion order invariant: stage-0 backwards arrive FIFO
         self.completion_order: list[int] = []
         width = max(1, self.schedule.micro_batch)
@@ -213,6 +214,7 @@ class _WorkerGroupEngine(PipelineExecutor):
             name="pipeline-stage",
             stall_timeout=self.stall_timeout,
             plan=columns,
+            lockstep=self.lockstep,
             update_after_backward=self.schedule.update_after_backward,
             labels=Y,
             reduce_plan=self._reduce_plan,
@@ -220,18 +222,10 @@ class _WorkerGroupEngine(PipelineExecutor):
             start_method=self.start_method,
             layout_cache=self._layout_cache,
         )
-        # workers start from the stage's lr; only a *change* is sent
-        self._last_sent_lr = self.stages[0].lr
         return self._group
 
-    def _drive(
-        self, group: WorkerGroup, X: np.ndarray, trailing_flushes: int = 0
-    ) -> PipelineRunStats:
-        """Inject the batch, finalize and tear the group down (a
-        replica's driver thread passes the zero-contribution
-        ``trailing_flushes`` that keep its workers in reduce rounds its
-        shard holds no samples of — which is also why an empty shard
-        still launches workers)."""
+    def _drive(self, group: WorkerGroup, X: np.ndarray) -> PipelineRunStats:
+        """Inject the batch, finalize and tear the group down."""
         n = X.shape[0]
         plan = self._plan
         losses = np.zeros(n)
@@ -241,8 +235,6 @@ class _WorkerGroupEngine(PipelineExecutor):
             # launch and the drain-time state collection are excluded
             t0 = time.perf_counter()
             events = self._inject_and_count(group, X, plan)
-            for _ in range(trailing_flushes):
-                self._flush_workers(group, 0)
             wall = time.perf_counter() - t0
             counters = self._finalize_workers(group, losses)
             failed = False
@@ -250,23 +242,19 @@ class _WorkerGroupEngine(PipelineExecutor):
             group.teardown(failed)
             self._group = self._plan = None
         check_stages_drained(self.stages)
-        if plan is None:
-            # free-running has no global clock; report the modeled span
-            # (what lockstep/sim take) so utilization stays comparable
-            time_steps = self.schedule.drain_span(n, self.num_stages)
-            control = None
-        else:
-            time_steps = len(plan.ticks)
-            control = {
-                "protocol": "plan",
-                "time_steps": time_steps,
-                "num_stages": self.num_stages,
-                # the parent sends nothing while a plan runs: its only
-                # control traffic is stage 0's completion events
-                "msgs_received": events,
-                "acks_received": 0,
-                "msgs_per_step": events / time_steps if time_steps else 0.0,
-            }
+        # free-running has no global clock: the plan's span is what
+        # lockstep and the simulator take, so utilization stays comparable
+        time_steps = len(plan.ticks)
+        control = {
+            "protocol": "plan",
+            "time_steps": time_steps,
+            "num_stages": self.num_stages,
+            # the parent sends nothing while a plan runs: its only
+            # control traffic is stage 0's completion events
+            "msgs_received": events,
+            "acks_received": 0,
+            "msgs_per_step": events / time_steps if time_steps else 0.0,
+        }
         return self._record(
             counters, time_steps, losses, wall_seconds=wall, control=control
         )
@@ -288,56 +276,25 @@ class _WorkerGroupEngine(PipelineExecutor):
                 np.copyto(losses, payload["losses"])
         return [payload["counters"] for payload in payloads]
 
-    def _flush_workers(self, group: WorkerGroup, count: int) -> None:
-        """Standalone batch-boundary flush, a *barrier*: every worker
-        acks before this returns, so injection of the next batch cannot
-        overtake the flush.  The pipeline is fully drained at a
-        synchronous schedule's batch boundary, so the round trip costs
-        one idle hop per batch."""
-        group.broadcast(("flush", count))
-        for s in range(self.num_stages):
-            group.recv(s, "flushed")
-
-    def _apply_lr_schedule(self, group: WorkerGroup) -> None:
-        """Broadcast an LR-schedule change to the workers (who own
-        ``stage.lr`` while they run)."""
-        if self.lr_schedule is None:
-            return
-        lr = float(self.lr_schedule(self.samples_completed))
-        if lr != self._last_sent_lr:
-            self._last_sent_lr = lr
-            group.broadcast(("set_lr", lr))
-
     def _inject_and_count(
-        self, group: WorkerGroup, X: np.ndarray, plan: Plan | None
+        self, group: WorkerGroup, X: np.ndarray, plan: Plan
     ) -> int:
-        """The one parent loop: inject packets as the stage-0 channel
-        takes them — the plan's, in order, or as the schedule allows —
-        and count stage 0's completion events until every sample is
-        done.  Free-running, each completion also runs the schedule's
-        batch boundary and the LR schedule; a plan has both in every
-        worker's column.  Returns the number of events received."""
+        """The one parent loop: inject the plan's packets in order as
+        the stage-0 channel takes them, and count stage 0's completion
+        events until every sample is done (batch boundaries and LR
+        changes are in every worker's column).  Returns the number of
+        events received."""
         n = X.shape[0]
-        sched = self.schedule
-        state = ScheduleState(num_samples=n)
-        injected = events = 0
-
-        def flush(count: int) -> None:
-            self._flush_workers(group, count)
-
+        packets = plan.packets
+        injected = completed = events = 0
         last_progress = time.monotonic()
-        while state.completed < n:
-            while state.next_sample < n:
-                i = state.next_sample
-                if plan is None:
-                    size = min(sched.inject_size(state), n - i)
-                else:
-                    size = plan.packets[injected][1]
-                if size <= 0 or not group.channels[0].try_send(
-                    i, i, size, [X[i : i + size]]
+        while completed < n:
+            while injected < len(packets):
+                start, size = packets[injected]
+                if not group.channels[0].try_send(
+                    start, start, size, [X[start : start + size]]
                 ):
-                    break  # schedule gate, or channel full: backpressure
-                state.next_sample += size
+                    break  # channel full: backpressure
                 injected += 1
                 last_progress = time.monotonic()
 
@@ -351,20 +308,14 @@ class _WorkerGroupEngine(PipelineExecutor):
                     raise RuntimeError(
                         f"pipeline runtime stalled: no completion for "
                         f"{self.stall_timeout:.1f}s "
-                        f"({state.completed}/{n} samples done)"
+                        f"({completed}/{n} samples done)"
                     )
                 continue
             _, start, size = msg
             events += 1
             self.completion_order.append(start)
-            state.completed += size
+            completed += size
             self.samples_completed += size
-            if plan is None:
-                # a synchronous schedule's batch only fully drains when
-                # every worker is idle (stage 0's backward is globally
-                # last), so flushing here is race-free
-                sched.end_step(flush, state)
-                self._apply_lr_schedule(group)
             last_progress = time.monotonic()
         return events
 
@@ -663,7 +614,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
 
     def _train_attempt(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
         n = X.shape[0]
-        self.schedule.reset(n)
         R = self.replicas
         block = self._block
         shards = [shard_positions(n, r, R, block=block) for r in range(R)]
@@ -708,9 +658,7 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         def drive(r: int) -> None:
             rep = self.replica_runners[r]
             try:
-                part_stats[r] = rep._drive(
-                    rep._group, parts[r][0], trailing_flushes=missing[r]
-                )
+                part_stats[r] = rep._drive(rep._group, parts[r][0])
             except BaseException as exc:
                 errors.append((r, exc))
 
@@ -724,8 +672,8 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         try:
             # fork before threads: no driver exists yet whose held lock
             # a worker could inherit locked
-            for rep, part in zip(self.replica_runners, parts):
-                rep._launch(*part)
+            for rep, part, empty in zip(self.replica_runners, parts, missing):
+                rep._launch(*part, empty_rounds=empty)
             for t in threads:
                 t.start()
             while any(t.is_alive() for t in threads):

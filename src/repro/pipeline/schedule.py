@@ -43,11 +43,12 @@ same tick, so a packet occupies ``2S - 1`` ticks — to produce a
 
 Every reader of tick semantics reads the plan: the simulator
 (:meth:`~repro.pipeline.executor.PipelineExecutor._run`) interprets it
-tick by tick, a lockstep worker runs its own stage's
-:meth:`Plan.column` blocking on its channels, and
+tick by tick, every stage worker runs its own stage's
+:meth:`Plan.column` (op by op in lockstep, flush to flush when
+free-running), and
 :meth:`~repro.pipeline.occupancy.Occupancy.from_plan` renders it as a
-grid.  Only free-running workers and forward-only serving drive the
-hooks live, since their order depends on the data.
+grid.  Only forward-only serving drives the hooks live, since its
+packets arrive with the requests.
 
 Four schedules reproduce the systems the paper positions itself against:
 
@@ -117,7 +118,7 @@ class Plan:
 
     def column(self, stage: int) -> list[tuple]:
         """Stage ``stage``'s ops in order, as ``(kind, arg)`` pairs: what
-        a lockstep worker runs."""
+        its worker runs."""
         return [
             (kind, arg)
             for tick in self.ticks

@@ -22,18 +22,29 @@ The loop
 --------
 
 A worker owns one :class:`~repro.pipeline.stage.PipelineStage` and runs
-one of two loops over it:
+one loop over it: its stage's column of the schedule's compiled plan
+(:meth:`Plan.column <repro.pipeline.schedule.Plan.column>`, shipped once
+in the worker's spec), walked in **segments**.  ``FWD`` and ``BWD`` ops
+make up a segment; a ``FLUSH`` ends it and is the only barrier, so a
+stage applies a batch's flush after its own last backward of that batch
+and before it forwards the next one.  Inside a segment the loop is
+PipeDream's: **backward priority** (the drain rule, and the
+deadlock-freedom argument: the oldest in-flight packet can always
+progress) → a forward only while fewer than ``D_s + 1 = 2(S-1-s) + 1``
+packets sit between their forward and backward here → idle wait — each
+op kind up to its count in the segment, which is also what the idle
+wait's predicate asks about (a next-batch packet the parent has already
+injected into stage 0's channel is not work yet).  ``SET_LR`` is not a
+barrier: every ``FWD`` / ``BWD`` / ``FLUSH`` runs under the learning
+rate of the last ``SET_LR`` before it in the column, and the stage keeps
+the column's last one.
 
-* **lockstep** — run this stage's column of the schedule's compiled plan
-  (:meth:`Plan.column <repro.pipeline.schedule.Plan.column>`, shipped
-  once in the worker's spec): ``FWD`` and ``BWD`` block on the inbound
-  channel for the next packet, ``FLUSH`` and ``SET_LR`` apply in place,
-  and nothing crosses the control endpoint but stage 0's ``done``
-  events.  Numerics depend only on each stage's op order (no two stages
+The two clocks differ only in how strictly a worker follows the column:
+
+* **lockstep** makes every op its own segment, so the column order is
+  exact.  Numerics depend only on each stage's op order (no two stages
   share mutable state) and channels are FIFO, so the run is bit-exact
-  with the simulator, which interprets the same plan.  When the column
-  ends the worker drops into the free-running loop below, where only
-  control arrives: finalize, and a replicated run's trailing flushes.
+  with the simulator, which interprets the same plan.
 
   No barrier is needed.  A channel ``s+1`` slot is held only while its
   packet is in flight at stage ``s`` (stage ``s+1`` releases it at its
@@ -41,19 +52,16 @@ one of two loops over it:
   + 1`` (eq. 5), and channel ``s+1`` has ``D_{s+1} + 1 + RING_SLACK =
   D_s + 1`` slots, so a forward send never waits on anything that waits
   on it; backward sends never block.
-* **free-running** — control first (a flush sent before the next
-  batch's packets must apply before them; control writes precede the
-  channel publishes) → **backward priority** (PipeDream's drain rule,
-  and the deadlock-freedom argument: the oldest in-flight packet can
-  always progress) → a forward only while fewer than ``D_s + 1 =
-  2(S-1-s) + 1`` packets sit between their forward and backward here →
-  idle wait.  The cap is PipeDream's in-flight bound; it also turns the
-  paper's eq. 5 into a guaranteed staleness ceiling: the forward of
-  sample ``i`` at stage ``s`` sees at least ``max(0, i - 2(S-1-s))``
-  updates applied.
+* **free-running** runs a segment's ops as they become possible.  The
+  cap is PipeDream's in-flight bound; it also turns the paper's eq. 5
+  into a guaranteed staleness ceiling: the forward of sample ``i`` at
+  stage ``s`` sees at least ``max(0, i - 2(S-1-s))`` updates applied.
+  The synchronous schedules stay exact, since a flush still lands
+  between the same two batches at every stage.
 
-``forward_only`` (serving) is the same free-running loop with the
-backward half gone: no loss slot (the parent consumes the last channel),
+When the column ends the worker waits for finalize.  ``forward_only``
+(serving) has an empty column and one open-ended forward segment that
+ends at finalize: no loss slot (the parent consumes the last channel),
 ``stage.forward(..., train=False)``, eager slot release, no cap.
 
 Channels
@@ -88,27 +96,17 @@ Control messages
 ----------------
 
 Only control crosses the control endpoint (an OS pipe per worker for
-processes, an in-process :class:`LocalConn` pair for threads).  Parent
-to worker:
+processes, an in-process :class:`LocalConn` pair for threads).  Flushes
+(with a :class:`_ReduceSpec`, cross-replica reduce rounds) and LR
+changes are column ops, so the parent sends a worker exactly one
+message: ``("finalize",)``, answered with ``("state", payload)`` before
+the worker exits.  The parent never writes ``stage.lr`` itself while
+workers run: a thread-hosted worker shares the stage object.
 
-A lockstep worker's flushes and LR changes are in its column; the
-messages below are the free-running ones, plus what every worker does
-once its column has ended:
-
-``("flush", count)``
-    synchronous-schedule batch boundary (with a :class:`_ReduceSpec`,
-    one cross-replica reduce round).  The worker answers
-    ``("flushed",)`` so the next batch cannot overtake it.
-``("set_lr", lr)``
-    LR-schedule tick.  The parent never writes ``stage.lr`` itself
-    while workers run: a thread-hosted worker shares the stage object.
-``("finalize",)``
-    answer ``("state", payload)`` and exit.
-
-Worker to parent: ``("done", start, size)`` (stage 0's completions, in
-both modes), ``("flushed",)``, ``("state", payload)`` and
-``("err", stage, text, exc)`` for any failure (``exc`` is the exception
-object itself on an in-process endpoint, ``None`` across a pipe).
+Worker to parent: ``("done", start, size)`` (stage 0's completions),
+``("state", payload)`` and ``("err", stage, text, exc)`` for any failure
+(``exc`` is the exception object itself on an in-process endpoint,
+``None`` across a pipe).
 
 A worker that observes the abort flag polls its control endpoint once
 more and honours a ``finalize`` found there: a stream's ``close()`` sends
@@ -192,7 +190,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
-from repro.pipeline.schedule import BWD, FLUSH, FWD
+from repro.pipeline.schedule import BWD, FLUSH, SET_LR
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
     Doorbell,
@@ -582,7 +580,8 @@ class _WorkerSpec:
     bwd_in: Any  # None for the loss stage and in forward-only mode
     bwd_out: Any  # None for stage 0 and in forward-only mode
     abort: Any  # _SharedAbort | _LocalAbort
-    plan: list | None  # lockstep: this stage's Plan.column
+    plan: list  # this stage's Plan.column (empty for forward-only)
+    lockstep: bool  # every op of the column its own segment
     forward_only: bool
     update_after_backward: bool
     ship_state: bool  # process host: trained state returns at finalize
@@ -614,6 +613,12 @@ class StageWorker:
         self._seeded = None
         self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
         self.in_flight = 0
+        #: the running segment: the learning rate of each forward and of
+        #: each backward it has left (module docstring, "The loop") ...
+        self._fwd: deque[float] = deque()
+        self._bwd: deque[float] = deque()
+        #: ... and whether it is the last, open-ended one
+        self._open = False
         self._idle_wait = spec.fwd_in.idle_wait(
             spec.conn, spec.abort, spec.bwd_in
         )
@@ -821,23 +826,11 @@ class StageWorker:
         else:
             self.stage.flush_update(count)
 
-    def _control(self, cmd) -> bool:
-        """Apply a command; ``True`` when the worker should exit."""
-        tag = cmd[0]
-        if tag == "flush":
-            self._flush(cmd[1])
-            # the parent must not inject the next batch until every
-            # stage has flushed — a worker past its control poll could
-            # otherwise transform a fresh packet with un-flushed weights
-            self.spec.conn.send(("flushed",))
-        elif tag == "set_lr":
-            self.stage.lr = float(cmd[1])
-        elif tag == "finalize":
-            self.spec.conn.send(("state", self._finalize_payload()))
-            return True
-        else:  # pragma: no cover - protocol bug
-            raise RuntimeError(f"stage {self.s}: unknown command {tag!r}")
-        return False
+    def _control(self, cmd) -> None:
+        """The parent's one message, finalize: answer this run's state."""
+        if cmd[0] != "finalize":  # pragma: no cover - protocol bug
+            raise RuntimeError(f"stage {self.s}: unknown command {cmd[0]!r}")
+        self.spec.conn.send(("state", self._finalize_payload()))
 
     def _finalize_payload(self) -> dict:
         ship = self.spec.ship_state
@@ -855,54 +848,70 @@ class StageWorker:
             "version_trace": list(self.stage.version_trace) if ship else (),
         }
 
-    # -- event loops -------------------------------------------------------
+    # -- the loop -----------------------------------------------------------
 
     def run(self) -> None:
-        if self.spec.plan is not None:
-            self._run_plan()
-        self._run_free()
-
-    def _run_plan(self) -> None:
-        """Lockstep: this stage's column of the plan, in order."""
+        """Walk the column in segments, then run the open-ended last one
+        until finalize (module docstring, "The loop")."""
         spec = self.spec
+        lr = self.stage.lr
         for kind, arg in spec.plan:
-            if kind == FWD:
-                self._forward(
-                    self._recv(spec.fwd_in, f"stage {self.s} fwd packet")
-                )
-            elif kind == BWD:
-                self._backward()
+            if kind == SET_LR:
+                lr = arg
             elif kind == FLUSH:
+                self._run_segment()
+                self.stage.lr = lr
                 self._flush(arg)
-            else:  # SET_LR
-                self.stage.lr = arg
+            else:
+                (self._bwd if kind == BWD else self._fwd).append(lr)
+                if spec.lockstep:
+                    self._run_segment()
+        self._run_segment()
+        self.stage.lr = lr
+        self._open = True
+        self._run_segment()
 
-    def _has_work(self) -> bool:
+    def _may_backward(self) -> bool:
+        return bool(self._bwd) and self._has_backward()
+
+    def _may_forward(self) -> bool:
         spec = self.spec
         return (
-            spec.conn.poll()
-            or spec.abort.is_set()
-            or self._has_backward()
-            or (self.in_flight < self.cap and spec.fwd_in.poll())
+            (bool(self._fwd) or spec.forward_only)
+            and self.in_flight < self.cap
+            and spec.fwd_in.poll()
         )
 
-    def _run_free(self) -> None:
+    def _has_work(self) -> bool:
+        """The idle wait's predicate: anything the running segment may
+        do, which a packet beyond its counts is not."""
         spec = self.spec
-        while True:
-            while spec.conn.poll():
-                if self._control(spec.conn.recv()):
+        return (
+            spec.abort.is_set()
+            or (self._open and spec.conn.poll())
+            or self._may_backward()
+            or self._may_forward()
+        )
+
+    def _run_segment(self) -> None:
+        """Backward priority, then a forward under the in-flight cap,
+        else idle wait — until the segment's counts are spent or, for the
+        open one, finalize arrives."""
+        spec = self.spec
+        while self._fwd or self._bwd or self._open:
+            if spec.abort.is_set() or (self._open and spec.conn.poll()):
+                # a stream's close() sends finalize before it sets abort:
+                # answer the finalize instead of dropping it
+                if self._open and spec.conn.poll():
+                    self._control(spec.conn.recv())
                     return
-            if spec.abort.is_set():
-                # whatever the parent sent before aborting is visible by
-                # now: answer a finalize instead of dropping it
-                while spec.conn.poll():
-                    cmd = spec.conn.recv()
-                    if cmd[0] == "finalize":
-                        self._control(cmd)
-                return
-            if self._has_backward():
+                raise TransportAborted(f"stage {self.s}: run aborted")
+            if self._may_backward():
+                self.stage.lr = self._bwd.popleft()
                 self._backward()
-            elif self.in_flight < self.cap and spec.fwd_in.poll():
+            elif self._may_forward():
+                if self._fwd:
+                    self.stage.lr = self._fwd.popleft()
                 self._forward(spec.fwd_in.try_recv())
             else:
                 self._blocked(self._idle_wait, self._has_work)
@@ -977,8 +986,9 @@ class WorkerGroup:
     for the parent to consume.  ``probe`` is a max-width input packet
     (shape and dtype size the rings); ``slots`` a flat per-channel
     capacity replacing the ``D_s + 1 + RING_SLACK`` training sizing.
-    ``plan`` makes a lockstep group: ``plan[s]`` is stage ``s``'s
-    :meth:`Plan.column <repro.pipeline.schedule.Plan.column>`.
+    ``plan[s]`` is stage ``s``'s :meth:`Plan.column
+    <repro.pipeline.schedule.Plan.column>`, run op by op when
+    ``lockstep``.
     """
 
     def __init__(
@@ -990,6 +1000,7 @@ class WorkerGroup:
         name: str,
         stall_timeout: float,
         plan: Sequence[list] | None = None,
+        lockstep: bool = False,
         forward_only: bool = False,
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
@@ -1059,7 +1070,8 @@ class WorkerGroup:
                     bwd_in=bwd[s],
                     bwd_out=bwd[s - 1] if s > 0 else None,
                     abort=self.abort,
-                    plan=None if plan is None else plan[s],
+                    plan=[] if plan is None else plan[s],
+                    lockstep=lockstep,
                     forward_only=forward_only,
                     update_after_backward=update_after_backward(s),
                     ship_state=processes and not forward_only,

@@ -529,7 +529,7 @@ class TestServingPrecision:
         assert stats["completed"] >= 1
 
 
-# -- control-plane stats (the plan-driven lockstep protocol) ----------------
+# -- control-plane stats (the one plan-driven protocol) ---------------------
 
 
 @pytest.mark.concurrency(timeout=300)
@@ -555,11 +555,17 @@ class TestControlPlaneStats:
         assert "ack_interval" not in control
         assert "baseline_msgs_per_step" not in control
 
-    def test_free_mode_has_no_control_stats(self):
+    def test_free_mode_runs_the_plan_without_acks(self):
+        """Free-running workers run their plan column too: the same
+        record, with the plan's tick count."""
         X, Y = _stream(8)
         runner = ProcessPipelineRunner(
             FACTORY(), lr=LR, mode="pb", lockstep=False,
             model_factory=FACTORY,
         )
         stats = runner.train(X, Y)
-        assert stats.control is None
+        control = stats.control
+        assert control["protocol"] == "plan"
+        assert control["time_steps"] == stats.time_steps
+        assert control["acks_received"] == 0
+        assert control["msgs_received"] == len(X)

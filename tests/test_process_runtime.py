@@ -149,9 +149,9 @@ class TestLockstepBitExact:
     def test_lr_schedule_applied_at_barrier(
         self, mode, kw, jitter_seed, jittered
     ):
-        """LR ticks ride the step messages in tick order, so they land
-        between the same two operations of every worker as in the
-        simulator — whatever the worker timing."""
+        """LR changes are ``SET_LR`` ops in every worker's column, so
+        they land between the same two operations of every worker as in
+        the simulator — whatever the worker timing."""
         X, Y = _stream(12)
         sched = lambda done: 0.05 / (1 + 0.1 * done)  # noqa: E731
         m1 = small_cnn(num_classes=4, widths=(4, 8), seed=3)

@@ -48,9 +48,9 @@ def _lr_decay(done: int) -> float:
 
 
 #: an LR tick between time steps: a thread-hosted worker shares
-#: ``stage.lr`` with the parent, so the change must reach it in step
-#: order (riding the step message) — never be applied parent-side while
-#: workers are still on an earlier tick
+#: ``stage.lr`` with the parent, so the change is a ``SET_LR`` op in
+#: every worker's column, in lockstep and free-running alike — never
+#: applied parent-side while workers are still on an earlier tick
 LR_SCHEDULES = [
     ("pb", dict(lr_schedule=_lr_decay)),
     ("gpipe", dict(update_size=4, micro_batch_size=2, lr_schedule=_lr_decay)),

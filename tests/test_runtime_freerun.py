@@ -19,6 +19,10 @@ guarantee — and what these tests pin — is:
   is empty — so their update math is identical to sequential mini-batch
   SGDM even free-running (only mid-flight loss *logging* could differ,
   and with batch-gated injection it does not).
+* **one protocol.**  Free-running workers run their plan column like
+  lockstep ones: an LR schedule governs from the first op, every op
+  runs under the simulator's learning rate, and the parent's only
+  message to a worker is ``("finalize",)`` — on both hosts.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ import pytest
 
 from repro.models.simple import small_cnn
 from repro.optim import SGDM
-from repro.pipeline import ConcurrentPipelineRunner
+from repro.pipeline import (
+    ConcurrentPipelineRunner,
+    PipelineExecutor,
+    make_pipeline_engine,
+)
+from repro.pipeline.worker import WorkerGroup
 from repro.pipeline.occupancy import (
     BWD,
     FWD,
@@ -261,3 +270,84 @@ class TestModeledTimeSteps:
                                           lockstep=False)
         stats = runner.train(X, Y)
         assert stats.time_steps == sched.drain_span(n, m.num_stages)
+
+
+def _lr_decay(done: int) -> float:
+    return 0.05 / (1 + 0.1 * done)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+#: (runtime, lockstep): the simulator and lockstep hosts are the
+#: reference the free-running hosts must agree with
+ENGINES = [
+    ("sim", True),
+    ("threaded", True),
+    ("process", True),
+    ("threaded", False),
+    ("process", False),
+]
+
+
+class TestLrScheduleFromFirstOp:
+    @pytest.mark.parametrize("runtime,lockstep", ENGINES)
+    @pytest.mark.parametrize("mode", ["pb", "1f1b"])
+    def test_zero_lr_schedule_moves_no_parameter(self, mode, runtime, lockstep):
+        """``lr_schedule`` is the learning rate of every update, the
+        first included: a schedule pinned at zero (no momentum, no
+        weight decay) leaves every parameter bit for bit where it was."""
+        X, Y = _stream(12)
+        m = small_cnn(widths=(4, 8), seed=5)
+        before = [p.data.copy() for p in m.parameters()]
+        make_pipeline_engine(
+            runtime, m, lr=0.05, momentum=0.0, mode=mode, lockstep=lockstep,
+            lr_schedule=lambda done: 0.0,
+        ).train(X, Y)
+        moved = [
+            name
+            for (name, p), old in zip(m.named_parameters(), before)
+            if not np.array_equal(p.data, old)
+        ]
+        assert moved == [], f"{len(moved)}/{len(before)} moved: {moved}"
+
+
+class TestOneProtocol:
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_free_gpipe_lr_schedule_runs_the_plan(self, runtime, monkeypatch):
+        """Free-running gpipe under an LR schedule: the parent sends only
+        finalize, counts one event per stage-0 packet and no ack, and
+        losses, weights and each stage's final LR are the simulator's."""
+        sent = []
+        for name in ("send", "broadcast"):
+
+            def spy(group, *args, _real=getattr(WorkerGroup, name)):
+                sent.append(args[-1])
+                return _real(group, *args)
+
+            monkeypatch.setattr(WorkerGroup, name, spy)
+        n = 12
+        X, Y = _stream(n)
+        kw = dict(
+            lr=0.05, momentum=0.9, mode="gpipe", update_size=4,
+            micro_batch_size=2, lr_schedule=_lr_decay,
+        )
+        m_sim, m_free = small_cnn(seed=5), small_cnn(seed=5)
+        sim_engine = PipelineExecutor(m_sim, **kw)
+        sim = sim_engine.train(X, Y)
+        free_engine = make_pipeline_engine(
+            runtime, m_free, lockstep=False, **kw
+        )
+        free = free_engine.train(X, Y)
+        assert sent and set(sent) == {("finalize",)}
+        assert free.control["protocol"] == "plan"
+        assert free.control["acks_received"] == 0
+        assert free.control["msgs_received"] == n // 2  # stage-0 packets
+        assert free.time_steps == sim.time_steps
+        assert _hex(free.losses) == _hex(sim.losses)
+        for a, b in zip(m_sim.parameters(), m_free.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert _hex(st.lr for st in free_engine.stages) == _hex(
+            st.lr for st in sim_engine.stages
+        )

@@ -134,9 +134,9 @@ class TestLockstepBitExact:
         assert sim.updates_per_stage == thr.updates_per_stage
 
     def test_lr_schedule_applied_at_barrier(self):
-        """A sample-dependent LR schedule stays bit-exact (it is applied
-        at the per-step barrier, exactly where the simulator applies
-        it)."""
+        """A sample-dependent LR schedule stays bit-exact: its changes
+        are ``SET_LR`` ops in every worker's column, between the same two
+        operations where the simulator applies them."""
         X, Y = _stream(12)
         sched = lambda done: 0.05 / (1 + 0.1 * done)  # noqa: E731
         m1 = small_cnn(num_classes=4, widths=(4, 8), seed=3)
