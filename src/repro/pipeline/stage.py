@@ -161,7 +161,11 @@ class PipelineStage:
     def forward(
         self, sample_id: int, payload: list[np.ndarray], train: bool = True
     ) -> list[np.ndarray]:
-        """Process one sample's forward transformation for this stage."""
+        """Process one sample's forward transformation for this stage.
+
+        Stage 0's input is data, not an activation, so it never requires
+        a gradient: its layers skip the input-gradient half of their
+        backward (no upstream stage would read it)."""
         spec = self.spec
         if spec.kind in ("identity", "loss"):
             return payload
@@ -181,27 +185,28 @@ class PipelineStage:
         if predicted is not None:
             for p, w_hat in zip(self.params, predicted):
                 p.data = w_hat
+        wants_gx = train and self.index > 0
         try:
             entry = _StashEntry(version_at_forward=self.updates_applied)
             if train and (self.mitigation.weight_stashing or self.always_stash):
                 entry.stashed_weights = [p.data.copy() for p in self.params]
             if spec.channel == -1:
-                x = Tensor(payload[-1], requires_grad=train)
+                x = Tensor(payload[-1], requires_grad=wants_gx)
                 y = spec.module(x)
                 out = payload[:-1] + [y.data]
                 entry.roots = {"x": x, "main": y}
             elif spec.push_skip == "input":
-                x = Tensor(payload[0], requires_grad=train)
+                x = Tensor(payload[0], requires_grad=wants_gx)
                 y = spec.module(x)
                 out = [y.data] + payload[1:] + [payload[0]]
                 entry.roots = {"x": x, "main": y}
             elif spec.push_skip == "preact":
-                x = Tensor(payload[0], requires_grad=train)
+                x = Tensor(payload[0], requires_grad=wants_gx)
                 y, preact = spec.module.forward_parts(x)
                 out = [y.data] + payload[1:] + [preact.data]
                 entry.roots = {"x": x, "main": y, "skip": preact}
             else:
-                x = Tensor(payload[0], requires_grad=train)
+                x = Tensor(payload[0], requires_grad=wants_gx)
                 y = spec.module(x)
                 out = [y.data] + payload[1:]
                 entry.roots = {"x": x, "main": y}
@@ -219,7 +224,8 @@ class PipelineStage:
         self, sample_id: int, grads: list[np.ndarray]
     ) -> list[np.ndarray]:
         """Process one sample's backward transformation; returns upstream
-        gradients mirroring this stage's forward *input* payload."""
+        gradients mirroring this stage's forward *input* payload.  At
+        stage 0 that input is data, so its gradient is ``None``."""
         spec = self.spec
         if spec.kind in ("identity", "loss"):
             return grads
@@ -239,8 +245,10 @@ class PipelineStage:
                 upstream = grads[:-1] + [entry.roots["x"].grad]
             elif spec.push_skip == "input":
                 backward_multi([(entry.roots["main"], grads[0])])
-                gx = entry.roots["x"].grad
-                gx = grads[-1] if gx is None else gx + grads[-1]
+                x = entry.roots["x"]
+                gx = x.grad
+                if x.requires_grad:
+                    gx = grads[-1] if gx is None else gx + grads[-1]
                 upstream = [gx] + grads[1:-1]
             elif spec.push_skip == "preact":
                 backward_multi(

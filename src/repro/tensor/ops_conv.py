@@ -5,12 +5,16 @@ The convolution forward lowers each padded input window into a column matrix
 batched matmul — the vectorized-NumPy idiom recommended by the project's
 performance guide.  The backward pass reads the weight tensor lazily (see
 :mod:`repro.tensor`) and reuses the captured column buffer for the weight
-gradient.
+gradient.  The input gradient is one GEMM into a cached column scratch and
+one :func:`col2im` call, which scatters the columns straight into the
+*unpadded* input layout (the padding's contributions are dropped on the
+way), so no padded canvas exists in the float64 backward.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +31,16 @@ class _ScratchCache(threading.local):
     """Thread-local pool of reusable backward work buffers, keyed by
     ``(role, shape, dtype)``.
 
-    The convolution backward's two big temporaries — the column-gradient
-    matrix and the padded input-gradient canvas — are consumed *within*
-    one ``_bw`` call and never escape it, so each worker thread (one per
-    stage slot's host thread in the threaded runtime, where the worker
-    empties it as it exits — ``pipeline/worker.py::_worker_main``; one
-    per process in the process runtime) can reuse a single buffer per
-    shape instead of paying an allocation + page-fault sweep per packet.
+    The convolution backward's big temporaries — the column-gradient
+    matrix and, for a batch, the per-sample weight-gradient products —
+    are consumed *within* one ``_bw`` call and never escape it, so each
+    worker thread (one per stage slot's host thread in the threaded
+    runtime, where the worker empties it as it exits —
+    ``pipeline/worker.py::_worker_main``; one per process in the process
+    runtime) can reuse a single buffer per shape instead of paying an
+    allocation + page-fault sweep per packet.  (The scatter index behind
+    :func:`col2im` is not scratch: it is read-only and shared across
+    threads.)
     Thread-locality keeps concurrent stage workers from sharing (and
     corrupting) a buffer; anything *returned* from a backward is still
     freshly allocated, because gradients are retained by the autodiff
@@ -88,42 +95,83 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return windows.reshape(n, c * kh * kw, oh * ow)
 
 
+@lru_cache(maxsize=32)
+def _scatter_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Where each of one sample's column entries lands in its unpadded
+    input: entry ``(c, i, j, y, x)``, in memory order, maps to the flat
+    position of pixel ``(c, i + y*stride - padding, j + x*stride -
+    padding)`` in ``(C, H, W)``, or to the trash bin ``C*H*W`` when that
+    pixel lies in the padding.  Read-only; ``c*kh*kw*oh*ow`` integers per
+    layer geometry, whatever the batch size."""
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    ys = np.arange(kh)[:, None] + stride * np.arange(oh) - padding  # (kh, oh)
+    xs = np.arange(kw)[:, None] + stride * np.arange(ow) - padding  # (kw, ow)
+    inside = (
+        ((ys >= 0) & (ys < h))[:, None, :, None]
+        & ((xs >= 0) & (xs < w))[None, :, None, :]
+    )  # (kh, kw, oh, ow)
+    pixel = ys[:, None, :, None] * w + xs[None, :, None, :]
+    planes = np.arange(c)[:, None, None, None, None] * (h * w)
+    index = np.where(inside, planes + pixel, c * h * w).astype(np.intp).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
     kh: int,
     kw: int,
     stride: int,
-    out: np.ndarray | None = None,
+    padding: int = 0,
 ) -> np.ndarray:
-    """Scatter-add column gradients back to the (padded) input layout.
+    """Scatter-add column gradients back to the unpadded input layout.
 
-    Inverse of :func:`im2col` in the adjoint sense.  Loops only over the
-    ``kh*kw`` kernel positions; each iteration is a vectorized slice-add.
-    ``out``, when given, is zeroed and scattered into instead of
-    allocating a fresh canvas (the conv backward reuses a cached scratch
-    buffer here) — the add order is unchanged, so results stay
-    bit-identical.
+    Inverse of :func:`im2col` in the adjoint sense: ``cols`` is laid out
+    ``(N, C*kh*kw, OH*OW)`` over the input padded by ``padding`` on each
+    side, and the result has the *unpadded* ``x_shape`` — contributions
+    landing in the padding are dropped.  The result is always a fresh
+    array (or a compact view of one).
+
+    Each input pixel sums its contributions in kernel-position order
+    ``(i, j)``, starting from +0.0 — the order of the reference loop of
+    ``kh*kw`` strided slice-adds.  float64 gets there in one
+    ``np.bincount`` per sample over a cached index
+    (:func:`_scatter_index`): bincount adds ``out[index[k]] += cols[k]``
+    in float64, in memory order, and memory order visits one pixel's
+    contributions in ``(i, j)`` order, so every sum is the loop's, bit
+    for bit (signed zeros, infinities and NaNs included).  Every other
+    dtype keeps the loop into a zeroed padded canvas: bincount sums in
+    float64, which would round float32 (and bf16-grid float32) data
+    differently.
     """
     n, c, h, w = x_shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    if out is None:
-        x = np.zeros(x_shape, dtype=cols.dtype)
-    else:
-        if out.shape != x_shape or out.dtype != cols.dtype:
-            raise ValueError(
-                f"col2im out buffer {out.shape}/{out.dtype} does not match "
-                f"{x_shape}/{cols.dtype}"
+    if cols.dtype == np.float64:
+        index = _scatter_index(c, h, w, kh, kw, stride, padding)
+        bins = c * h * w + 1
+        rows = cols.reshape(n, -1)
+        if n == 1:
+            flat = np.bincount(index, rows[0], bins)[:-1]
+        else:
+            flat = np.concatenate(
+                [np.bincount(index, row, bins)[:-1] for row in rows]
             )
-        x = out
-        x.fill(0.0)
+        return flat.reshape(x_shape)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     for i in range(kh):
         i_end = i + oh * stride
         for j in range(kw):
             j_end = j + ow * stride
             x[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
+    if padding:
+        return x[:, :, padding:-padding, padding:-padding].copy()
     return x
 
 
@@ -151,9 +199,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError("kernel larger than padded input")
 
     xp = zero_pad2d(x.data, padding) if padding else x.data
-    padded_shape = xp.shape
-    oh = (padded_shape[2] - kh) // stride + 1
-    ow = (padded_shape[3] - kw) // stride + 1
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
 
     cols = im2col(xp, kh, kw, stride)  # forward capture (activations)
     w2 = weight.data.reshape(oc, -1)
@@ -192,18 +239,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         w2_now = weight.data.reshape(oc, -1)
         gcols = _scratch.get("gcols", (n, cols.shape[1], oh * ow), g.dtype)
         np.matmul(w2_now.T, go, out=gcols)  # (N, C*KH*KW, OH*OW)
-        if padding:
-            # scatter into the cached padded canvas, then hand the graph a
-            # fresh exact-size interior copy: the old slice-view kept the
-            # whole canvas alive, this frees it for the next packet
-            canvas = _scratch.get("canvas", padded_shape, g.dtype)
-            col2im(gcols, padded_shape, kh, kw, stride, out=canvas)
-            gx = canvas[:, :, padding:-padding, padding:-padding].copy()
-        else:
-            # unpadded: the canvas *is* the retained gradient, so it must
-            # be freshly allocated
-            gx = col2im(gcols, padded_shape, kh, kw, stride)
-        _accumulate(x, gx)
+        # col2im crops the padding itself and returns a fresh array, which
+        # the graph adopts as is
+        _accumulate(x, col2im(gcols, x.shape, kh, kw, stride, padding))
 
     return _result(out, tuple(parents), _bw)
 

@@ -51,6 +51,23 @@ def composite_linear(x, weight, bias):
     return out
 
 
+def loop_col2im(cols, x_shape, kh, kw, stride, padding=0):
+    """col2im as ``kh*kw`` strided slice-adds into a zeroed padded canvas,
+    then the interior — the float64 path's form before the scatter."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        i_end = i + oh * stride
+        for j in range(kw):
+            j_end = j + ow * stride
+            x[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
+    return x[:, :, padding:hp - padding, padding:wp - padding]
+
+
 # -- harness --------------------------------------------------------------------
 
 
@@ -352,26 +369,40 @@ class TestOwnership:
             assert not np.shares_memory(t.grad, seed)
             assert_same(t.grad, want)
 
-    def test_no_scratch_buffer_escapes_a_conv_backward(self):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_no_scratch_buffer_escapes_a_conv_backward(self, padding, dtype):
         """Two packets through one layer: the second backward reuses the
-        cached column / canvas / per-sample buffers, and must not reach
-        anything the first one left behind."""
-        rng = np.random.default_rng(32)
+        cached column / per-sample buffers, and must not reach anything
+        the first one left behind — no retained gradient shares memory
+        with a scratch buffer."""
+        rng = np.random.default_rng(32 + padding)
+
+        def normal(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
         for n in (1, 2):
-            conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+            weight = Tensor(normal(4, 3, 3, 3), requires_grad=True)
+            bias = Tensor(normal(4), requires_grad=True)
             packets = []
             for _ in range(2):
-                x = Tensor(rng.normal(size=(n, 3, 6, 6)), requires_grad=True)
-                packets.append((x, conv(x)))
+                x = Tensor(normal(n, 3, 6, 6), requires_grad=True)
+                packets.append((x, conv2d(x, weight, bias, padding=padding)))
             (x1, y1), (x2, y2) = packets
-            y1.backward(rng.normal(size=y1.shape))
-            first = [x1.grad, conv.weight.grad, conv.bias.grad]
+            y1.backward(normal(*y1.shape))
+            first = [x1.grad, weight.grad, bias.grad]
             snapshot = [g.copy() for g in first]
-            conv.zero_grad()
-            y2.backward(rng.normal(size=y2.shape))
+            weight.grad = bias.grad = None
+            y2.backward(normal(*y2.shape))
             for g, want in zip(first, snapshot):
                 assert_same(g, want)
             assert not np.array_equal(x1.grad, x2.grad)
+            retained = first + [x2.grad, weight.grad, bias.grad]
+            scratch = list(ops_conv._scratch._buffers.values())
+            assert scratch  # the backward did go through the cache
+            for g in retained:
+                assert g.dtype == dtype
+                assert not any(np.shares_memory(g, b) for b in scratch)
 
     def test_nothing_in_src_writes_a_grad_in_place(self):
         """Adoption aliases gradients across tensors (an ``add`` hands
@@ -498,3 +529,80 @@ class TestConvShortcuts:
             assert (x.grad is not None) == wants
         for with_x, without_x in zip(*grads):
             assert_same(with_x, without_x)
+
+
+# -- col2im: one scatter that crops the padding ------------------------------------
+
+
+class TestCol2imScatter:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bits_equal_the_slice_add_loop(self, n, c, k, stride, padding, dtype):
+        """float64 (the bincount scatter) and float32 (the loop) both land
+        every column entry, specials included, bit for bit where the
+        padded slice-add loop and its crop put it.  6 x 7 planes: at
+        stride 2 some rows and columns receive nothing."""
+        h, w = 6, 7
+        oh = (h + 2 * padding - k) // stride + 1
+        ow = (w + 2 * padding - k) // stride + 1
+        rng = np.random.default_rng([n, c, k, stride, padding])
+        cols = rng.normal(size=(n, c * k * k, oh * ow)).astype(dtype)
+        flat = cols.reshape(-1)
+        where = rng.choice(flat.size, size=max(len(self.SPECIAL), flat.size // 10),
+                           replace=False)
+        flat[where] = rng.choice(np.array(self.SPECIAL, dtype=dtype), where.size)
+        flat[where[: len(self.SPECIAL)]] = self.SPECIAL  # each one at least once
+        planted = cols.copy()
+        with np.errstate(invalid="ignore"):
+            want = loop_col2im(cols, (n, c, h, w), k, k, stride, padding)
+            got = ops_conv.col2im(cols, (n, c, h, w), k, k, stride, padding)
+        assert got.shape == want.shape == (n, c, h, w)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert cols.tobytes() == planted.tobytes()  # the input is untouched
+        assert not np.shares_memory(got, cols)
+
+    def test_float64_index_is_cached_read_only_and_bounded(self):
+        index = ops_conv._scatter_index(3, 6, 7, 3, 3, 2, 1)
+        assert index is ops_conv._scatter_index(3, 6, 7, 3, 3, 2, 1)
+        assert not index.flags.writeable
+        # (c, kh, kw, oh, ow) of one sample, whatever the batch size
+        assert index.shape == (3 * 3 * 3 * 3 * 4,)
+        assert ops_conv._scatter_index.cache_info().maxsize is not None
+
+
+# -- stage 0: its input is data, so no input gradient ----------------------------
+
+
+class TestStageZeroInputGradient:
+    def test_only_stage_one_scatters_an_input_gradient(self, monkeypatch):
+        """A pb run over two conv stages: stage 1's conv builds the input
+        gradient stage 0 needs, stage 0's conv builds none."""
+        from repro.models.simple import small_cnn
+        from repro.pipeline.executor import PipelineExecutor
+
+        channels = []
+        col2im = ops_conv.col2im
+
+        def counted(cols, x_shape, *args):
+            channels.append(x_shape[1])
+            return col2im(cols, x_shape, *args)
+
+        monkeypatch.setattr(ops_conv, "col2im", counted)
+        model = small_cnn(num_classes=4, widths=(4, 8), seed=2)
+        ex = PipelineExecutor(model, lr=0.05, momentum=0.9, mode="pb")
+        rng = np.random.default_rng(3)
+        n = 6
+        ex.train(rng.normal(size=(n, 3, 8, 8)), rng.integers(0, 4, size=n))
+        assert channels == [4] * n  # stage 1's input: 4 channels, once each
+
+        stage0 = ex.stages[0]
+        out = stage0.forward(0, [rng.normal(size=(1, 3, 8, 8))])
+        assert stage0.backward(0, [np.ones_like(out[0])]) == [None]
+        assert all(p.grad is not None for p in stage0.params)

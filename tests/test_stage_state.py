@@ -46,7 +46,9 @@ def _fwd_bwd_hex(stage: PipelineStage, x: np.ndarray) -> list[str]:
     out = stage.forward(0, [x])
     upstream = stage.backward(0, [np.ones_like(out[0])])
     stage.apply_update()
-    arrays = [out[0], upstream[0]] + [p.data for p in stage.params]
+    # stage 0's input is data: its gradient comes back as None
+    returned = [a for a in out + upstream if a is not None]
+    arrays = returned + [p.data for p in stage.params]
     return [float(a.sum()).hex() + float(np.abs(a).sum()).hex()
             for a in arrays]
 
