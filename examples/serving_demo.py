@@ -110,5 +110,9 @@ with server:
         stats = json.loads(resp.read())
     print(f"HTTP /stats -> completed={stats['completed']} "
           f"rejected={stats['rejected']} "
-          f"p99={stats['latency_s']['p99'] * 1e3:.2f} ms")
+          f"p99={stats['latency_s']['p99'] * 1e3:.2f} ms "
+          f"groups={stats['groups']}")
 print("server drained and stopped cleanly")
+# which stages each worker ran (one worker per usable CPU), and the
+# probed per-stage forward costs the groups were cut from
+print(session.describe())

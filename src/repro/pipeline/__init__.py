@@ -15,8 +15,9 @@
 * :mod:`~repro.pipeline.executor` — the cycle-accurate, schedule-driven
   engine running any of the above over a
   :class:`~repro.models.arch.StageGraphModel`.
-* :mod:`~repro.pipeline.worker` — the one per-stage worker loop
-  (:class:`~repro.pipeline.worker.StageWorker`) and the one
+* :mod:`~repro.pipeline.worker` — the one worker loop
+  (:class:`~repro.pipeline.worker.StageWorker`: one stage when training,
+  a group of adjacent stages when serving) and the one
   :class:`~repro.pipeline.worker.WorkerGroup` that hosts it
   as threads or as processes over shared-memory rings; training and
   serving both run on it.
@@ -38,7 +39,9 @@
 * :mod:`~repro.pipeline.utilization` — closed-form utilization (eq. 1,
   per-sample and per-micro-batch).
 * :mod:`~repro.pipeline.partition` — stage-graph validation and the
-  Table-1 stage-count accounting.
+  min-max contiguous partition a serving stream groups its stages by.
+* :mod:`~repro.pipeline.costs` — the Appendix-A memory/communication
+  model and the measured per-stage forward cost it is cut from.
 """
 
 from repro.pipeline.delays import (
@@ -119,8 +122,9 @@ from repro.pipeline.utilization import (
     pb_utilization,
     utilization_upper_bound,
 )
-from repro.pipeline.partition import validate_stage_graph, stage_flow_graph
+from repro.pipeline.partition import contiguous_partition, validate_stage_graph
 from repro.pipeline.costs import (
+    probe_forward_costs,
     pipeline_cost_model,
     batch_parallel_activation_elements,
     data_parallel_comm_per_update,
@@ -190,7 +194,8 @@ __all__ = [
     "pb_utilization",
     "utilization_upper_bound",
     "validate_stage_graph",
-    "stage_flow_graph",
+    "contiguous_partition",
+    "probe_forward_costs",
     "pipeline_cost_model",
     "batch_parallel_activation_elements",
     "data_parallel_comm_per_update",

@@ -15,12 +15,13 @@ pipeline you push packets into and pull outputs out of:
 * :class:`SimInferenceStream` — synchronous in-process forward (the
   discrete-time engine's counterpart, and the reference the parity
   tests compare against);
-* :class:`PipelineInferenceStream` — one worker per compute stage, a
-  ``forward_only`` :class:`~repro.pipeline.worker.WorkerGroup` hosted as
-  threads or as processes (the worker loop, channels and control
-  protocol are described in :mod:`repro.pipeline.worker`).  ``submit``
-  is the first channel's ``try_send``, ``poll`` the last channel's
-  ``try_recv``.
+* :class:`PipelineInferenceStream` — a ``forward_only``
+  :class:`~repro.pipeline.worker.WorkerGroup` hosted as threads or as
+  processes (the worker loop, channels and control protocol are
+  described in :mod:`repro.pipeline.worker`), with one worker per
+  *group* of adjacent compute stages and never more workers than CPUs
+  (see "Stages per worker" below).  ``submit`` is the first channel's
+  ``try_send``, ``poll`` the last channel's ``try_recv``.
 
 Both expose the same SPSC surface — ``submit`` (non-blocking, with
 explicit backpressure: ``False`` means "pipeline full, try later"),
@@ -50,10 +51,33 @@ over the *same* micro-batch packets" (pinned in
 Streams hold modules in ``eval`` mode for their lifetime (BatchNorm uses
 running stats, Dropout passes through) and run every stage forward with
 ``train=False`` — no autodiff graph, no stash, nothing mutated.
+
+Stages per worker
+-----------------
+
+The paper's fine-grained stages exist for training, where the stage
+count sets the eq.-5 delays.  A forward-only stream has no staleness, so
+it may group stages however is fastest without changing an output bit,
+and every channel a packet crosses is a hand-off it pays on every
+request.  So a worker stream opens with one probe pass
+(:func:`~repro.pipeline.costs.probe_forward_costs`: the zero max-width
+packet the process host sizes its rings with, each stage's forward
+timed), then cuts the compute stages into ``k = min(compute stages,
+usable CPUs)`` contiguous groups whose costliest group is as cheap as
+possible (:func:`~repro.pipeline.partition.contiguous_partition`).
+Each worker runs its group under ``no_grad``: nothing reads an autodiff
+graph there, and building one made a worker that runs several conv
+stages re-fault its temporaries on every packet.  ``k`` counts
+the CPUs this process may run on at open time (:func:`usable_cpus`), so
+a stream opened under a one-CPU affinity runs every stage on one worker.
+The stream keeps both as ``costs`` (median seconds per compute stage)
+and ``groups`` (stage indices per worker); ``stats.stages`` stays one
+entry per stage.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -62,11 +86,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.pipeline.costs import probe_forward_costs
 from repro.pipeline.executor import (
     DEFAULT_STALL_TIMEOUT,
     PipelineRunStats,
     StageCounters,
 )
+from repro.pipeline.partition import contiguous_partition
 from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
 from repro.pipeline.stage import PipelineStage
 from repro.pipeline.worker import PipelineRuntimeError, WorkerGroup
@@ -80,6 +106,14 @@ DEFAULT_STREAM_CAPACITY = 8
 
 class InferenceStreamError(RuntimeError):
     """A stream worker died or the stream was misused."""
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on now: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextmanager
@@ -204,7 +238,7 @@ class SimInferenceStream:
 
 
 class PipelineInferenceStream:
-    """Persistent worker-per-stage forward-only pipeline.
+    """Persistent forward-only pipeline, one worker per group of stages.
 
     ``backend`` picks the host: ``"threaded"`` workers run the session's
     own stage objects over in-process channels; ``"process"`` workers run
@@ -212,7 +246,8 @@ class PipelineInferenceStream:
     shared memory and copied out exactly once, into the result the
     caller sees.  Workers stay alive across packets (and across serving
     requests), so launch cost is paid once per stream, not once per
-    batch.
+    batch.  ``groups`` and ``costs`` record how the stages were split
+    between workers, and why (module docstring, "Stages per worker").
 
     ``max_width`` fixes the packet width a ``submit`` may carry (the ring
     slot width); ``capacity`` sizes every channel, bounding the in-flight
@@ -241,6 +276,10 @@ class PipelineInferenceStream:
             StageCounters(index=s) for s in range(len(stages))
         ]
         self._group: WorkerGroup | None = None
+        #: median forward seconds of each compute stage on the probe
+        #: packet, and the stage indices each worker runs, cut from them
+        self.costs: list[float] = []
+        self.groups: list[tuple[int, ...]] = []
         self._error: PipelineRuntimeError | None = None
         self._closed = False
         #: health checks read the workers' control endpoints and may be
@@ -252,12 +291,14 @@ class PipelineInferenceStream:
         self._eval_guard = eval_mode(self.stages)
         self._eval_guard.__enter__()
         try:
+            probe = np.zeros(
+                (max(1, int(max_width)),) + tuple(sample_shape), dtype=dtype
+            )
+            layouts, self.costs = probe_forward_costs(self.stages, probe)
+            self.groups = contiguous_partition(self.costs, usable_cpus())
             self._group = WorkerGroup(
                 self.stages,
-                np.zeros(
-                    (max(1, int(max_width)),) + tuple(sample_shape),
-                    dtype=dtype,
-                ),
+                probe,
                 processes=backend == "process",
                 name="infer-stage",
                 stall_timeout=self.stall_timeout,
@@ -265,6 +306,8 @@ class PipelineInferenceStream:
                 slots=self.capacity,
                 model_factory=model_factory,
                 start_method=start_method,
+                groups=self.groups,
+                layouts=layouts,
             )
         except BaseException:
             # the eval guard must not leak eval-mode modules back to a
@@ -353,12 +396,13 @@ class PipelineInferenceStream:
                 # that sees the flag still answers the finalize sent
                 # before it, so the happy path collects every counter.
                 group.abort.set()
-                for s in range(len(self.stages) - 1):
+                for w, members in enumerate(self.groups):
                     try:
-                        payload = group.recv(s, "state")[1]
+                        payload = group.recv(w, "state")[1]
                     except RuntimeError:
                         continue  # worker gone without a reply
-                    self.counters[s] = payload["counters"]
+                    for s, counters in zip(members, payload["counters"]):
+                        self.counters[s] = counters
                 group.teardown(failed=False)
         self._eval_guard.__exit__(None, None, None)
 

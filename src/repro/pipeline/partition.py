@@ -1,12 +1,19 @@
-"""Stage-graph validation and flow-graph construction.
+"""Stage-graph validation and contiguous partitioning.
 
 The model builders in :mod:`repro.models` emit stage lists directly, so
-"partitioning" here means *validating* that a stage list is executable as a
-pipeline (balanced skip stack, unique names, terminal loss) and exposing
-its data-flow structure as a ``networkx`` DAG for inspection and tests.
+"partitioning" a model means *validating* that a stage list is executable
+as a pipeline (balanced skip stack, unique names, terminal loss).
+:func:`contiguous_partition` then cuts that list into fewer, coarser
+groups of adjacent stages by cost — PipeDream's DP over contiguous layer
+ranges and torchgpipe's balance-by-time — which is how a forward-only
+stream fits its stages onto the CPUs it has
+(:class:`~repro.pipeline.inference.PipelineInferenceStream`).
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 from repro.models.arch import StageDef, StageGraphModel
 
@@ -44,40 +51,50 @@ def validate_stage_graph(stages: list[StageDef]) -> None:
         raise ValueError(f"{depth} unconsumed skip connections")
 
 
-def stage_flow_graph(model: StageGraphModel) -> "nx.DiGraph":
-    """Data-flow DAG: nodes are stages, edges are payload channels.
+def contiguous_partition(
+    costs: Sequence[float], k: int
+) -> list[tuple[int, ...]]:
+    """Cut ``len(costs)`` stages into ``min(k, len(costs))`` contiguous,
+    non-empty groups whose costliest group is as cheap as possible.
 
-    Main-path edges connect consecutive stages; skip edges connect each
-    pushing stage to its matching sum stage (and through the skip-path
-    compute stage if one rides the connection).
+    Returns each group's stage indices, in order.  A group's cost is
+    ``sum(costs[i:j])``.  Among optimal cuts, each boundary is placed as
+    early as the optimum allows (first group first), so equal inputs
+    always give the same groups and equal costs put the larger groups
+    last.  Exact dynamic programme, ``O(k n^2)``.
     """
-    # imported here: this one function is networkx's only user, and a
-    # module-level import would load it into every worker process
-    import networkx as nx
+    n = len(costs)
+    if n == 0:
+        raise ValueError("nothing to partition")
+    if k < 1:
+        raise ValueError(f"need k >= 1 groups, got {k}")
+    if not all(math.isfinite(c) and c >= 0 for c in costs):
+        raise ValueError(f"costs must be finite and >= 0, got {list(costs)}")
+    k = min(k, n)
 
-    validate_stage_graph(model.stage_defs)
-    g = nx.DiGraph()
-    stack: list[int] = []  # indices of the stage that pushed each live skip
-    prev = None
-    for i, st in enumerate(model.stage_defs):
-        g.add_node(i, name=st.name, kind=st.kind)
-        if prev is not None:
-            g.add_edge(prev, i, channel="main")
-        if st.kind == "compute":
-            if st.push_skip:
-                stack.append(i)
-            if st.channel == -1:
-                # the downsample conv rides the most recent skip edge
-                src = stack[-1]
-                g.add_edge(src, i, channel="skip")
-                stack[-1] = i
-        elif st.kind == "sum":
-            src = stack.pop()
-            g.add_edge(src, i, channel="skip")
-        prev = i
-    if not nx.is_directed_acyclic_graph(g):  # pragma: no cover - by construction
-        raise ValueError("stage flow graph has a cycle")
-    return g
+    def span(i: int, j: int) -> float:
+        return sum(costs[i:j])
+
+    # best[g][i]: least worst-group cost of costs[i:] cut into g groups
+    best = [[math.inf] * (n + 1) for _ in range(k + 1)]
+    best[0][n] = 0.0
+    for g in range(1, k + 1):
+        for i in range(n - g, -1, -1):
+            best[g][i] = min(
+                max(span(i, j), best[g - 1][j])
+                for j in range(i + 1, n - g + 2)
+            )
+    groups = []
+    i = 0
+    for g in range(k, 0, -1):
+        j = next(
+            j
+            for j in range(i + 1, n - g + 2)
+            if max(span(i, j), best[g - 1][j]) == best[g][i]
+        )
+        groups.append(tuple(range(i, j)))
+        i = j
+    return groups
 
 
 def parameter_stage_summary(model: StageGraphModel) -> list[dict]:

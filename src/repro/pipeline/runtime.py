@@ -274,7 +274,7 @@ class _WorkerGroupEngine(PipelineExecutor):
             stage.version_trace.extend(payload["version_trace"])
             if payload["losses"] is not None:
                 np.copyto(losses, payload["losses"])
-        return [payload["counters"] for payload in payloads]
+        return [c for payload in payloads for c in payload["counters"]]
 
     def _inject_and_count(
         self, group: WorkerGroup, X: np.ndarray, plan: Plan

@@ -250,7 +250,7 @@ def slot_layout(arrays: Sequence[ArraySpec]) -> tuple[list[int], int]:
 
 
 def probe_boundary_layouts(
-    stages, x_packet: np.ndarray
+    stages, x_packet: np.ndarray, forward=None
 ) -> list[tuple[ArraySpec, ...]]:
     """Payload layout entering each stage, for a max-width input packet.
 
@@ -260,6 +260,10 @@ def probe_boundary_layouts(
     touched); layout ``b`` describes the forward ring *into* stage ``b``
     — and, because a stage's backward output mirrors its forward input,
     also the backward ring flowing back *out of* stage ``b``.
+
+    ``forward(s, stage, payload)``, when given, stands in for stage
+    ``s``'s forward call: :func:`repro.pipeline.costs.probe_forward_costs`
+    times the stages on this same pass through it.
     """
     modules = [st.spec.module for st in stages if st.spec.module is not None]
     prev_modes = [m.training for m in modules]
@@ -269,8 +273,12 @@ def probe_boundary_layouts(
         with no_grad():
             payload = [np.ascontiguousarray(x_packet)]
             layouts = [payload_specs(payload)]
-            for stage in stages[:-1]:  # the loss stage consumes, emits nothing
-                payload = stage.forward(-1, payload, train=False)
+            # the loss stage consumes, emits nothing
+            for s, stage in enumerate(stages[:-1]):
+                if forward is None:
+                    payload = stage.forward(-1, payload, train=False)
+                else:
+                    payload = forward(s, stage, payload)
                 layouts.append(payload_specs(payload))
     finally:
         for m, mode in zip(modules, prev_modes):
@@ -675,15 +683,18 @@ def build_pipeline_rings(
 
 
 def build_inference_rings(
-    stages, x_packet: np.ndarray, slots: int = 4, layouts=None
+    stages, x_packet: np.ndarray, slots: int = 4, layouts=None, heads=None
 ) -> list[ShmRing]:
     """Create the forward-only ring chain of a serving run.
 
     Inference needs **no backward slots**: gradients never flow, forward
     inputs are not re-read at backward time (there is no backward), so
     every slot is released as soon as its packet has been transformed
-    and forwarded.  Ring ``s`` flows into stage ``s``; the last ring —
-    into the loss slot — is consumed by the *parent*, which reads the
+    and forwarded.  Ring ``i`` flows into stage ``heads[i]`` — by
+    default every stage; a stream whose workers each run a group of
+    adjacent stages passes each group's first stage plus the loss slot,
+    so packets cross a ring only between groups.  The last ring — into
+    the loss slot — is consumed by the *parent*, which reads the
     final compute stage's output (the logits) straight out of shared
     memory.  Because the eq.-5 in-flight cap is a training-staleness
     concept, inference rings use a flat ``slots`` capacity instead of
@@ -705,7 +716,7 @@ def build_inference_rings(
         )
     created: list[ShmRing] = []
     try:
-        for s in range(len(stages)):
+        for s in range(len(stages)) if heads is None else heads:
             created.append(
                 ShmRing.create(
                     f"infer[{s - 1 if s else 'inject'}->{s}]",

@@ -7,8 +7,9 @@ take one gradient, update, pass both on.  PipeDream's worker model
 torchgpipe's forward-only reuse of it (Kim et al. 2020) are that loop
 again.  This module is the one place the loop is written outside the
 discrete-time simulator: :class:`StageWorker` is the loop,
-:class:`WorkerGroup` hosts one worker per stage and owns launch, health,
-finalize and teardown.  :mod:`repro.pipeline.runtime` (training) and
+:class:`WorkerGroup` hosts one worker per stage (forward-only: per group
+of adjacent stages) and owns launch, health, finalize and teardown.
+:mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
 
 The transformations mirror the simulator's op bodies
@@ -62,7 +63,19 @@ The two clocks differ only in how strictly a worker follows the column:
 When the column ends the worker waits for finalize.  ``forward_only``
 (serving) has an empty column and one open-ended forward segment that
 ends at finalize: no loss slot (the parent consumes the last channel),
-``stage.forward(..., train=False)``, eager slot release, no cap.
+``stage.forward(..., train=False)`` under ``no_grad`` (no autodiff
+graph), eager slot release, no cap.
+
+A forward-only worker may also host several adjacent stages, its
+*members* (:class:`WorkerGroup`'s ``groups``; a serving stream cuts
+them by measured cost, one group per CPU).  Inference has no staleness,
+so grouping cannot change an output bit: the worker runs each member's
+own ``forward`` in order on the packet, each member fills its own
+:class:`~repro.pipeline.executor.StageCounters`, an error names the
+member that raised, and channels exist only between groups — the
+payload between two members, skip arrays included, never leaves the
+worker.  Training workers host exactly one stage: the eq.-5 delays
+``D_s`` are per stage.
 
 Channels
 --------
@@ -131,8 +144,9 @@ the worker runs *on*: a process host starts a
 process per launch (``fork`` hands each launch the parent's current
 state for free), a thread host does **not** start a thread per launch.
 
-Stage slot ``s`` of a thread-hosted group — ``pipeline-stage-s`` for
-training, ``infer-stage-s`` for serving — is leased an idle **host
+Worker slot ``w`` of a thread-hosted group — ``pipeline-stage-w`` for
+training (where ``w`` is the stage), ``infer-stage-w`` for serving (the
+``w``-th group) — is leased an idle **host
 thread** for that slot name (:class:`_HostThread`; a new one only when
 every host of that name is busy) and gives it back when
 :func:`_worker_main` returns.  The reason is glibc's per-thread malloc
@@ -183,6 +197,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -191,7 +206,7 @@ import numpy as np
 
 from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
 from repro.pipeline.schedule import BWD, FLUSH, SET_LR
-from repro.pipeline.stage import PipelineStage, StageBuildSpec
+from repro.pipeline.stage import PipelineStage
 from repro.pipeline.transport import (
     Doorbell,
     ShmRing,
@@ -204,7 +219,7 @@ from repro.pipeline.transport import (
     ring_slots_for,
 )
 from repro.tensor.ops_conv import _scratch
-from repro.tensor.tensor import enable_grad
+from repro.tensor.tensor import enable_grad, no_grad
 
 #: Extra channel slots beyond the per-stage in-flight cap ``D_s + 1``
 #: (see :func:`repro.pipeline.transport.ring_slots_for`).
@@ -573,7 +588,7 @@ class _ReduceSpec:
 class _WorkerSpec:
     """Everything one stage worker needs, picklable under ``spawn``."""
 
-    index: int
+    members: tuple  # the stage indices it runs (several: forward-only)
     conn: Any  # Connection | LocalConn
     fwd_in: Any  # ShmRing | LocalChannel
     fwd_out: Any  # None for the loss stage
@@ -586,21 +601,29 @@ class _WorkerSpec:
     update_after_backward: bool
     ship_state: bool  # process host: trained state returns at finalize
     stall_timeout: float
-    stage: PipelineStage | None  # threads and fork: the object itself
-    build_spec: StageBuildSpec | None = None  # rebuild recipe ...
-    stage_state: dict | None = None  # ... and the weights to load into it
+    stages: list | None  # threads and fork: the member objects themselves
+    build_specs: list | None = None  # a rebuild recipe per member ...
+    stage_states: list | None = None  # ... and the weights to load into it
     labels: np.ndarray | None = None  # loss stage only
     reduce: _ReduceSpec | None = None  # replicated runs only
 
 
 class StageWorker:
-    """One stage's event loop (see the module docstring)."""
+    """One stage's event loop (see the module docstring); forward-only,
+    the loop of a group of adjacent stages."""
 
-    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
+    def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
         self.spec = spec
-        self.stage = stage
-        self.s = spec.index
-        self.counters = StageCounters(index=self.s)
+        stage = self.stage = stages[0]
+        self.s = spec.members[0]
+        #: each member stage with its own counters; the first member's
+        #: are also the worker's (waits, wake-ups, placement)
+        self.members = [
+            (st, StageCounters(index=s)) for s, st in zip(spec.members, stages)
+        ]
+        self.counters = self.members[0][1]
+        #: the member whose op runs now: an error names this stage
+        self.active = self.s
         self.is_loss = stage.spec.kind == "loss"
         self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
         #: compute stages re-read forward inputs lazily at backward time,
@@ -632,8 +655,10 @@ class StageWorker:
             # replicated sync runs fold per-packet gradient segments
             # across replicas instead of accumulating locally
             stage.collect_grad_segments = True
-        if spec.forward_only and stage.spec.module is not None:
-            stage.spec.module.eval()
+        if spec.forward_only:
+            for st in stages:
+                if st.spec.module is not None:
+                    st.spec.module.eval()
 
     # -- waiting ----------------------------------------------------------
 
@@ -674,28 +699,32 @@ class StageWorker:
     # window, so busy fractions stay comparable across hosts.
 
     def _forward(self, pkt) -> None:
-        """Transform one inbound forward packet."""
+        """Transform one inbound forward packet (through every member
+        stage in order: the payload between two members is a local)."""
         pid, start, size, payload = pkt
         spec = self.spec
-        t0 = time.perf_counter()
         if self.is_loss:
+            t0 = time.perf_counter()
             lvec, out = softmax_xent_grad_batch(
                 payload[0], spec.labels[start : start + size]
             )
             self.losses[start : start + size] = lvec
-        else:
-            out = self.stage.forward(
-                pid, payload, train=not spec.forward_only
-            )
-        self.counters.forward_ops += 1
-        self.counters.forward_samples += size
-        self.counters.busy_seconds += time.perf_counter() - t0
-        if self.is_loss:
+            self.counters.forward_ops += 1
+            self.counters.forward_samples += size
+            self.counters.busy_seconds += time.perf_counter() - t0
             # seeds this packet's backward, run next (the plan's BWD in
             # the same tick); the gradient is a fresh array
             self._seeded = (pid, start, size, [out])
             spec.fwd_in.release()
             return
+        out = payload
+        for stage, counters in self.members:
+            self.active = counters.index
+            t0 = time.perf_counter()
+            out = stage.forward(pid, out, train=not spec.forward_only)
+            counters.forward_ops += 1
+            counters.forward_samples += size
+            counters.busy_seconds += time.perf_counter() - t0
         # copy downstream *before* releasing anything the output may
         # alias (identity/sum stages pass views of the inbound slot)
         self._send(spec.fwd_out, pid, start, size, out)
@@ -842,7 +871,7 @@ class StageWorker:
             if hasattr(os, "sched_getaffinity"):
                 self.counters.cpus = tuple(sorted(os.sched_getaffinity(0)))
         return {
-            "counters": self.counters,
+            "counters": [counters for _, counters in self.members],
             "losses": self.losses,
             "state": self.stage.state_dict() if ship else None,
             "version_trace": list(self.stage.version_trace) if ship else (),
@@ -923,12 +952,21 @@ def _worker_main(spec: _WorkerSpec) -> None:
     # a fork inherits the forking thread's grad mode, a host thread
     # whatever its previous worker left
     enable_grad()
+    worker = None
     try:
-        stage = spec.stage
-        if stage is None:
-            stage = spec.build_spec.build()
-            stage.load_state_dict(spec.stage_state)
-        StageWorker(spec, stage).run()
+        stages = spec.stages
+        if stages is None:
+            stages = [build.build() for build in spec.build_specs]
+            for stage, state in zip(stages, spec.stage_states):
+                stage.load_state_dict(state)
+        worker = StageWorker(spec, stages)
+        # a forward-only worker builds no autodiff graph: nothing reads
+        # one, and its nodes would keep each layer's temporaries (im2col
+        # columns, ...) alive until the packet is sent on — a worker
+        # running several conv stages then re-faults its malloc arena's
+        # pages on every packet
+        with no_grad() if spec.forward_only else nullcontext():
+            worker.run()
     except TransportAborted:
         pass  # the parent is tearing the run down; exit quietly
     except BaseException as exc:
@@ -938,7 +976,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
             spec.conn.send(
                 (
                     "err",
-                    spec.index,
+                    spec.members[0] if worker is None else worker.active,
                     f"{exc!r}\n{traceback.format_exc()}",
                     cause,
                 )
@@ -956,37 +994,47 @@ def _worker_main(spec: _WorkerSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_rings(stages, probe, forward_only, slots, layout_cache):
+def _build_rings(stages, probe, forward_only, slots, heads, layouts,
+                 layout_cache):
     """The shared-memory rings of a process-hosted run: ``(fwd, bwd)``,
-    ``bwd`` all ``None`` for a forward-only run."""
-    # boundary layouts depend only on architecture + packet shape/dtype,
-    # so relaunches (per-segment drives, crash recovery) skip the dummy
-    # probe pass after the first
-    key = (probe.shape, str(probe.dtype))
-    layouts = layout_cache.get(key)
+    ``bwd`` all ``None`` for a forward-only run, whose ring ``i`` flows
+    into stage ``heads[i]``."""
     if layouts is None:
-        layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
+        # boundary layouts depend only on architecture + packet
+        # shape/dtype, so relaunches (per-segment drives, crash
+        # recovery) skip the dummy probe pass after the first
+        key = (probe.shape, str(probe.dtype))
+        layouts = layout_cache.get(key)
+        if layouts is None:
+            layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
     if forward_only:
         return (
-            build_inference_rings(stages, probe, slots, layouts),
-            [None] * len(stages),
+            build_inference_rings(stages, probe, slots, layouts, heads),
+            [None] * len(heads),
         )
     return build_pipeline_rings(stages, probe, RING_SLACK, layouts)
 
 
 class WorkerGroup:
-    """Host one :class:`StageWorker` per stage — as threads over the
-    parent's own stage objects, or as processes over shared-memory rings
-    — and own launch, message receipt with a deadline, error attribution,
-    the dead-worker watchdog and teardown.
+    """Host one :class:`StageWorker` per stage — or, forward-only, per
+    group of adjacent stages — as threads over the parent's own stage
+    objects, or as processes over shared-memory rings, and own launch,
+    message receipt with a deadline, error attribution, the dead-worker
+    watchdog and teardown.
 
     The constructor launches; a failure midway tears down whatever was
     created.  ``stages`` is the whole pipeline; a ``forward_only`` group
     hosts every stage but the final loss slot and leaves the last channel
-    for the parent to consume.  ``probe`` is a max-width input packet
-    (shape and dtype size the rings); ``slots`` a flat per-channel
-    capacity replacing the ``D_s + 1 + RING_SLACK`` training sizing.
-    ``plan[s]`` is stage ``s``'s :meth:`Plan.column
+    for the parent to consume.  Its ``groups`` (default: one per compute
+    stage) are the contiguous stage-index runs each worker forwards in
+    order; channels exist only between groups, so the ``i``-th channel
+    flows into worker ``i`` and the last into the loss slot.  Worker
+    ``w``'s messages and errors are addressed by ``w``; the errors it
+    raises name a stage.  ``probe`` is a max-width input packet (shape and
+    dtype size the rings; ``layouts``, when given, are its
+    :func:`~repro.pipeline.transport.probe_boundary_layouts`); ``slots``
+    a flat per-channel capacity replacing the ``D_s + 1 + RING_SLACK``
+    training sizing.  ``plan[s]`` is stage ``s``'s :meth:`Plan.column
     <repro.pipeline.schedule.Plan.column>`, run op by op when
     ``lockstep``.
     """
@@ -1008,17 +1056,24 @@ class WorkerGroup:
         reduce_plan: Sequence[_ReduceSpec] | None = None,
         model_factory=None,
         start_method: str | None = None,
+        groups: Sequence[Sequence[int]] | None = None,
+        layouts: list | None = None,
         layout_cache: dict | None = None,
     ):
         self.stall_timeout = float(stall_timeout)
         self.workers: list = []  # _HostedWorker | Process
-        self.channels: list = []  # the forward channel into each stage
+        self.channels: list = []  # the forward channel into each worker
         self.rings: list = []  # every channel of the run
         self.abort = None
         self._conns: list = []
         self._rx_buf: list[deque] = []
         S = len(stages)
-        count = S - 1 if forward_only else S
+        if groups is None:
+            groups = [(s,) for s in range(S - 1 if forward_only else S)]
+        self.groups = [tuple(g) for g in groups]
+        count = len(self.groups)
+        #: the stage each forward channel flows into
+        heads = [g[0] for g in self.groups] + ([S - 1] if forward_only else [])
         rebuild = False
         try:
             if processes:
@@ -1032,25 +1087,27 @@ class WorkerGroup:
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
                 host = partial(ctx.Process, daemon=True)
                 fwd, bwd = _build_rings(
-                    stages, probe, forward_only, slots,
+                    stages, probe, forward_only, slots, heads, layouts,
                     {} if layout_cache is None else layout_cache,
                 )
             else:
-                wakes = [threading.Condition() for _ in range(S)]
+                # a channel's condition is its consumer's wake-up
+                wakes = [threading.Condition() for _ in heads]
                 # the parent end of each control pipe has its own
                 # condition: waiting on one worker's reply is not woken
                 # by every other worker's
                 mine = [threading.Condition() for _ in range(count)]
 
-                def channel(kind: str, s: int) -> LocalChannel:
+                def channel(kind: str, i: int) -> LocalChannel:
+                    s = heads[i]
                     return LocalChannel(
-                        wakes[s],
+                        wakes[i],
                         slots or ring_slots_for(stages[s].delay, RING_SLACK),
                         f"{kind}[->{s}]",
                     )
 
-                fwd = [channel("fwd", s) for s in range(S)]
-                bwd = [None] * S
+                fwd = [channel("fwd", i) for i in range(len(heads))]
+                bwd = [None] * len(heads)
                 if not forward_only:
                     bwd[: S - 1] = [channel("bwd", s) for s in range(S - 1)]
                 self.abort = _LocalAbort(wakes + mine)
@@ -1059,37 +1116,42 @@ class WorkerGroup:
             self.channels = fwd
             self.rings = fwd + [b for b in bwd if b is not None]
             self._rx_buf = [deque() for _ in range(count)]
-            for s in range(count):
-                stage = stages[s]
-                parent_conn, child_conn = pipes[s]
+            # worker w owns fwd[w] (and, training, where w is its stage,
+            # bwd[w] from stage w + 1)
+            for w, members in enumerate(self.groups):
+                owned = [stages[s] for s in members]
+                parent_conn, child_conn = pipes[w]
                 spec = _WorkerSpec(
-                    index=s,
+                    members=members,
                     conn=child_conn,
-                    fwd_in=fwd[s],
-                    fwd_out=fwd[s + 1] if s + 1 < S else None,
-                    bwd_in=bwd[s],
-                    bwd_out=bwd[s - 1] if s > 0 else None,
+                    fwd_in=fwd[w],
+                    fwd_out=fwd[w + 1] if w + 1 < len(fwd) else None,
+                    bwd_in=bwd[w],
+                    bwd_out=bwd[w - 1] if w > 0 else None,
                     abort=self.abort,
-                    plan=[] if plan is None else plan[s],
+                    plan=[] if plan is None else plan[w],
                     lockstep=lockstep,
                     forward_only=forward_only,
-                    update_after_backward=update_after_backward(s),
+                    update_after_backward=update_after_backward(w),
                     ship_state=processes and not forward_only,
                     stall_timeout=self.stall_timeout,
-                    stage=None if rebuild else stage,
-                    build_spec=(
-                        stage.build_spec(model_factory) if rebuild else None
+                    stages=None if rebuild else owned,
+                    build_specs=(
+                        [st.build_spec(model_factory) for st in owned]
+                        if rebuild else None
                     ),
-                    stage_state=stage.state_dict() if rebuild else None,
-                    labels=labels if stage.spec.kind == "loss" else None,
-                    reduce=None if reduce_plan is None else reduce_plan[s],
+                    stage_states=(
+                        [st.state_dict() for st in owned] if rebuild else None
+                    ),
+                    labels=labels if owned[-1].spec.kind == "loss" else None,
+                    reduce=None if reduce_plan is None else reduce_plan[w],
                 )
                 self._conns.append(parent_conn)
                 self.workers.append(
                     host(
                         target=_worker_main,
                         args=(spec,),
-                        name=f"{name}-{s}",
+                        name=f"{name}-{w}",
                     )
                 )
             for w in self.workers:
@@ -1105,18 +1167,19 @@ class WorkerGroup:
 
     # -- messaging ----------------------------------------------------------
 
-    def send(self, s: int, msg) -> None:
+    def send(self, w: int, msg) -> None:
         try:
-            self._conns[s].send(msg)
+            self._conns[w].send(msg)
         except OSError as exc:
             self.check_errors()
             raise PipelineRuntimeError(
-                s, RuntimeError("worker control pipe is closed")
+                self.groups[w][0],
+                RuntimeError("worker control pipe is closed"),
             ) from exc
 
     def broadcast(self, msg) -> None:
-        for s in range(len(self._conns)):
-            self.send(s, msg)
+        for w in range(len(self._conns)):
+            self.send(w, msg)
 
     def _worker_error(self, msg) -> PipelineRuntimeError:
         _, stage_index, text, cause = msg
@@ -1162,11 +1225,11 @@ class WorkerGroup:
         *neighbors* blocked on rings with their own pipes silent.
         (Threads have no exit code; they report every failure as ``err``.)
         """
-        for s, w in enumerate(self.workers):
+        for members, w in zip(self.groups, self.workers):
             code = getattr(w, "exitcode", None)
             if code:
                 raise PipelineRuntimeError(
-                    s,
+                    members[0],
                     RuntimeError(
                         "worker process died without reporting an error "
                         f"(exitcode={code})"
@@ -1178,8 +1241,8 @@ class WorkerGroup:
         self._scan_for_err()
         self.check_dead()
 
-    def recv(self, s: int, expect: str | None = None, wait: float | None = None):
-        """One message from worker ``s``.
+    def recv(self, w: int, expect: str | None = None, wait: float | None = None):
+        """One message from worker ``w``.
 
         Blocks up to the stall deadline and raises when it passes — or,
         with ``wait``, up to ``wait`` seconds, returning ``None``.  While
@@ -1189,15 +1252,16 @@ class WorkerGroup:
         exiting — once ``send`` has returned, its message is visible to
         ``poll`` — so raising loses no messages.
         """
-        conn = self._conns[s]
-        buffered = self._rx_buf[s]
+        conn = self._conns[w]
+        buffered = self._rx_buf[w]
+        s = self.groups[w][0]  # the stage an error names
         patience = self.stall_timeout if wait is None else wait
         deadline = time.monotonic() + patience
         while not buffered and not conn.poll(min(patience, 0.05)):
-            self.check_errors()  # may stash worker s's messages
+            self.check_errors()  # may stash worker w's messages
             if buffered:
                 break
-            if not self.workers[s].is_alive() and not conn.poll(0):
+            if not self.workers[w].is_alive() and not conn.poll(0):
                 raise PipelineRuntimeError(
                     s, RuntimeError("worker exited without replying")
                 )

@@ -491,7 +491,9 @@ class PipelineServer(HttpFrontDoor):
           ``"class"`` SLO tag) -> ``{"request_id", "logits",
           "latency_ms"}`` (429 when overloaded, 400 on malformed
           input);
-        * ``GET /stats`` -> :meth:`ServingStats.snapshot`;
+        * ``GET /stats`` -> :meth:`ServingStats.snapshot`, the precision
+          mode and :meth:`InferenceSession.placement` (which stages each
+          worker runs, and their probed costs);
         * ``GET /healthz`` -> liveness + the weight fingerprint (shape
           unchanged since PR 5 — probes keyed on it keep working);
         * ``GET /readyz`` -> readiness: 200 while admitting, 503 with
@@ -529,6 +531,7 @@ class PipelineServer(HttpFrontDoor):
             return 200, {
                 **self.stats.snapshot(),
                 "precision": session.precision.mode,
+                **session.placement(),
             }
 
         return self._start_http(

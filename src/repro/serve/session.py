@@ -10,10 +10,16 @@ work through any of the three runtime backends:
 
 * ``runtime="sim"`` — synchronous in-process forward (one vectorized
   op per stage per packet);
-* ``runtime="threaded"`` — one worker thread per compute stage;
-* ``runtime="process"`` — one worker process per compute stage with
-  packets crossing stage boundaries through forward-only shared-memory
-  rings (no backward slots).
+* ``runtime="threaded"`` — worker threads;
+* ``runtime="process"`` — worker processes, with packets crossing
+  worker boundaries through forward-only shared-memory rings (no
+  backward slots).
+
+A worker of either host runs a group of adjacent stages: a stream cuts
+the compute stages into at most one group per usable CPU by their
+measured forward cost (:mod:`repro.pipeline.inference`, "Stages per
+worker").  :meth:`InferenceSession.describe` and :meth:`placement` (in
+the server's ``GET /stats``) report the last stream's decision.
 
 Two entry points:
 
@@ -167,6 +173,11 @@ class InferenceSession:
         #: creation — the provenance handle stats and responses surface
         self.fingerprint = model_fingerprint(model)
         self.metadata: dict = {}
+        #: the last worker stream's stage indices per worker, and the
+        #: per-stage forward seconds they were cut from (see
+        #: :mod:`repro.pipeline.inference`, "Stages per worker")
+        self.groups: list[tuple[int, ...]] | None = None
+        self.stage_costs: list[float] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -264,9 +275,11 @@ class InferenceSession:
     def open_stream(self):
         """Open a persistent forward-only stream on the session backend
         (used by :class:`repro.serve.server.PipelineServer`; close it
-        when done, or use it as a context manager)."""
+        when done, or use it as a context manager).  A worker stream's
+        grouping decision is kept as :attr:`groups` and
+        :attr:`stage_costs`."""
         shape = self._resolve_shape(None)
-        return open_inference_stream(
+        stream = open_inference_stream(
             self.stages,
             backend=self.runtime,
             max_width=self.micro_batch,
@@ -277,11 +290,35 @@ class InferenceSession:
             model_factory=self.model_factory,
             start_method=self.start_method,
         )
+        if self.runtime != "sim":
+            self.groups, self.stage_costs = stream.groups, stream.costs
+        return stream
+
+    def placement(self) -> dict:
+        """The last worker stream's grouping decision, JSON-ready:
+        ``groups`` (stage indices per worker) and ``stage_costs_us`` (each
+        compute stage's probed forward time they were cut from); both
+        ``None`` before a worker stream has opened, and on ``sim``."""
+        return {
+            "groups": None if self.groups is None else [
+                list(g) for g in self.groups
+            ],
+            "stage_costs_us": None if self.stage_costs is None else [
+                round(c * 1e6, 1) for c in self.stage_costs
+            ],
+        }
 
     def describe(self) -> str:
+        fused = ""
+        if self.groups is not None:
+            names = [st.spec.name for st in self.stages]
+            fused = ", groups=" + "".join(
+                "{" + ",".join(names[s] for s in g) + "}" for g in self.groups
+            ) + f", stage_costs_us={self.placement()['stage_costs_us']}"
         return (
             f"InferenceSession({self.model.name}, runtime={self.runtime}, "
-            f"stages={self.num_stages}, micro_batch={self.micro_batch}, "
+            f"stages={self.num_stages}{fused}, "
+            f"micro_batch={self.micro_batch}, "
             f"precision={self.precision.mode}, "
             f"fingerprint={self.fingerprint[:12]}...)"
         )

@@ -28,6 +28,7 @@ import pytest
 
 from repro.models.simple import small_cnn
 from repro.pipeline import ConcurrentPipelineRunner, PipelineRuntimeError
+from repro.pipeline import inference
 from repro.pipeline import worker as worker_module
 from repro.serve import InferenceSession
 from repro.tensor import grad_enabled, ops_conv
@@ -66,13 +67,25 @@ def _worker_threads() -> list[str]:
     ]
 
 
+@pytest.fixture(autouse=True)
+def one_worker_per_stage(monkeypatch):
+    """Serving streams here get a worker per compute stage, as training
+    does: a stream sized by the host's CPUs would cut a different number
+    of slots on every machine, and these tests pin the lease per slot."""
+    monkeypatch.setattr(inference, "usable_cpus", lambda: 1 << 10)
+
+
 def _record(stages, seen: dict, before=None) -> None:
     """Shadow every ``stage.forward`` (the ``conftest.py`` idiom: thread
     workers run the parent's stage objects) to note which OS thread runs
-    slot ``s`` and under which name."""
+    slot ``s`` and under which name.  Calls on the recording thread
+    itself — a stream's cost probe at open — are not a worker's."""
+    opener = threading.get_ident()
 
     def shadow(s, method):
         def recorded(*args, **kwargs):
+            if threading.get_ident() == opener:
+                return method(*args, **kwargs)
             seen.setdefault(s, set()).add(
                 (threading.get_ident(), threading.current_thread().name)
             )
@@ -310,28 +323,34 @@ class TestNothingLeftBehind:
         gc.collect()
         assert labels() is None
 
-    def test_grad_mode_is_enabled_for_the_next_tenant(self):
-        """A forward-only tenant leaves grad mode off on its hosts; the
-        next worker on them starts with it on."""
+    @pytest.mark.parametrize("tenant", ["serving", "training"])
+    def test_each_tenant_starts_in_its_own_grad_mode(self, tenant):
+        """A tenant that flips grad mode on its hosts hands the next
+        tenant nothing: a training worker runs with grad mode on, a
+        forward-only one with it off (it builds no autodiff graph)."""
 
-        def switch_off(s):
-            _GRAD.enabled = False  # this host thread's, and it stays off
+        def flip(s):
+            _GRAD.enabled = not _GRAD.enabled  # this host thread's
 
-        first, first_seen = _session(), {}
-        _record(first.stages, first_seen, before=switch_off)
-        with first.open_stream() as stream:
-            _serve(stream)
+        def tenant_run(before):
+            seen: dict = {}
+            if tenant == "serving":
+                session = _session()
+                _record(session.stages, seen, before=before)
+                with session.open_stream() as stream:
+                    _serve(stream)
+            else:
+                runner = _runner()
+                _record(runner.stages, seen, before=before)
+                runner.train(*_stream(6))
+            return seen
+
+        first_seen = tenant_run(flip)
         modes: dict = {}
-        nxt, next_seen = _session(), {}
-        _record(
-            nxt.stages, next_seen,
-            before=lambda s: modes.setdefault(s, grad_enabled()),
-        )
-        with nxt.open_stream() as stream:
-            _serve(stream)
+        next_seen = tenant_run(lambda s: modes.setdefault(s, grad_enabled()))
         # same hosts, so the mode the first tenant left was really there
         assert first_seen == next_seen
-        assert modes and all(modes.values())
+        assert modes and set(modes.values()) == {tenant == "training"}
 
 
 @pytest.mark.skipif(

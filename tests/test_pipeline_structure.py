@@ -17,7 +17,6 @@ from repro.pipeline import (
     schedule_utilization,
     stage_delay,
     stage_delay_table,
-    stage_flow_graph,
     utilization_upper_bound,
     validate_stage_graph,
 )
@@ -143,20 +142,3 @@ class TestStageGraphValidation:
         ]
         with pytest.raises(ValueError, match="empty skip stack"):
             validate_stage_graph(stages)
-
-    def test_flow_graph_structure(self):
-        nx = pytest.importorskip("networkx")
-
-        m = resnet_tiny(blocks_per_group=1)
-        g = stage_flow_graph(m)
-        assert g.number_of_nodes() == m.num_stages
-        assert nx.is_directed_acyclic_graph(g)
-        # skip edges exist (one per block + downsample routing)
-        skip_edges = [
-            e for e in g.edges(data=True) if e[2]["channel"] == "skip"
-        ]
-        assert len(skip_edges) >= 3
-        # every non-terminal node reaches the loss stage
-        loss = m.num_stages - 1
-        for node in g.nodes:
-            assert nx.has_path(g, node, loss)

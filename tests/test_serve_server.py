@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.models.simple import small_cnn
+from repro.pipeline.inference import usable_cpus
 from repro.serve import (
     InferenceSession,
     Overloaded,
@@ -213,6 +214,16 @@ class TestHttpEndpoint:
             ) as resp:
                 stats = json.loads(resp.read())
             assert stats["completed"] >= 1
+            # the grouping decision: every compute stage in exactly one
+            # worker, at most one worker per usable CPU, and the cost
+            # vector the groups were cut from
+            compute = session.num_stages - 1
+            assert [s for g in stats["groups"] for s in g] == list(
+                range(compute)
+            )
+            assert len(stats["groups"]) == min(compute, usable_cpus())
+            assert len(stats["stage_costs_us"]) == compute
+            assert all(c >= 0 for c in stats["stage_costs_us"])
             with urllib.request.urlopen(
                 f"http://{host}:{port}/healthz", timeout=10
             ) as resp:

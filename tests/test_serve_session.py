@@ -27,7 +27,10 @@ from repro.pipeline import (
     InferenceStreamError,
     PipelineExecutor,
     ProcessPipelineRunner,
+    contiguous_partition,
+    inference,
     make_schedule,
+    run_inference,
 )
 from repro.pipeline.checkpoint import (
     CheckpointError,
@@ -103,15 +106,23 @@ class TestServingParity:
             ops = [c.forward_ops for c in stats.stages[:-1]]
             assert ops == [7] * (session.num_stages - 1), f"run {run}: {ops}"
 
-    def test_threaded_worker_death_surfaces_and_closes_cleanly(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 8], ids=["k1", "k2", "kn"])
+    def test_threaded_worker_death_surfaces_and_closes_cleanly(
+        self, cpus, monkeypatch
+    ):
         """A stage raising on its third packet turns into an
         InferenceStreamError at the stream's ends, and the stream still
-        closes: no worker thread left, eval mode handed back."""
+        closes: no worker thread left, eval mode handed back — whichever
+        group the stage was fused into.  The fault is armed after
+        ``open_stream``: the cost probe forwards every stage too."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
         model = _trained_model()
         model.train(True)
         session = InferenceSession(
             model, runtime="threaded", micro_batch=2, sample_shape=SHAPE
         )
+        stream = session.open_stream()
+        assert len(stream.groups) == min(cpus, session.num_stages - 1)
         stage = session.stages[1]
         original, calls = stage.forward, {"n": 0}
 
@@ -122,7 +133,6 @@ class TestServingParity:
             return original(pid, payload, train)
 
         stage.forward = flaky_forward
-        stream = session.open_stream()
         X = _requests(2)
         deadline = time.monotonic() + 30.0
         with pytest.raises(InferenceStreamError, match="stage 1"):
@@ -141,6 +151,52 @@ class TestServingParity:
             if t.name.startswith("infer-stage-")
         ]
         assert model.training is True
+
+    @pytest.mark.parametrize("cpus", [1, 2, "n"], ids=["k1", "k2", "kn"])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(runtime="sim"),
+            dict(runtime="threaded"),
+            dict(runtime="process"),
+            dict(runtime="process", start_method="spawn",
+                 stall_timeout=240.0),
+        ],
+        ids=["sim", "threaded", "fork", "spawn"],
+    )
+    def test_grouped_stream_matches_offline_reference(
+        self, kw, cpus, monkeypatch
+    ):
+        """However many CPUs the stream sees — one worker for every
+        stage, two groups, or a worker per stage — served logits are
+        bit-exact with the reference and every member stage counts its
+        own forwards."""
+        model = _trained_model()
+        n = model.num_stages - 1
+        k = n if cpus == "n" else cpus
+        monkeypatch.setattr(inference, "usable_cpus", lambda: k)
+        session = InferenceSession(
+            model, micro_batch=3, sample_shape=SHAPE, model_factory=FACTORY,
+            **kw,
+        )
+        X = _requests(19)
+        stream = session.open_stream()
+        try:
+            stats = run_inference(
+                stream, InferenceSchedule(3), X, session.num_stages
+            )
+        finally:
+            stream.close()
+        assert _hex(stats.outputs) == _hex(
+            session.forward_reference(X, micro_batch=3)
+        )
+        assert [c.index for c in stream.counters] == list(range(n + 1))
+        assert [c.forward_ops for c in stream.counters[:-1]] == [7] * n
+        assert [c.forward_samples for c in stream.counters[:-1]] == [19] * n
+        if kw["runtime"] != "sim":
+            assert len(stream.groups) == k
+            assert [s for g in stream.groups for s in g] == list(range(n))
+            assert len(stream.costs) == n
 
     def test_all_backends_agree_bitwise(self):
         model = _trained_model()
@@ -197,6 +253,40 @@ class TestServingParity:
         with pytest.raises(Exception):
             session.open_stream()
         assert model.training is True
+
+
+@pytest.mark.concurrency
+class TestGroupingReport:
+    """The stream's grouping decision is visible: the groups, the cost
+    vector they were cut from, and both through the session."""
+
+    def test_worker_stream_reports_groups_and_costs(self, monkeypatch):
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        session = InferenceSession(
+            FACTORY(), runtime="threaded", micro_batch=2, sample_shape=SHAPE
+        )
+        assert "groups=" not in session.describe()
+        assert session.placement() == {"groups": None, "stage_costs_us": None}
+        with session.open_stream() as stream:
+            assert stream.groups == contiguous_partition(stream.costs, 2)
+        names = [st.spec.name for st in session.stages]
+        cut = "".join(
+            "{" + ",".join(names[s] for s in g) + "}" for g in stream.groups
+        )
+        assert f"groups={cut}" in session.describe()
+        placement = session.placement()
+        assert placement["groups"] == [list(g) for g in stream.groups]
+        assert placement["stage_costs_us"] == [
+            round(c * 1e6, 1) for c in stream.costs
+        ]
+
+    def test_sim_stream_has_no_workers_to_group(self):
+        session = InferenceSession(
+            FACTORY(), runtime="sim", micro_batch=2, sample_shape=SHAPE
+        )
+        with session.open_stream():
+            pass
+        assert session.placement() == {"groups": None, "stage_costs_us": None}
 
 
 @pytest.mark.concurrency

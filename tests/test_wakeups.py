@@ -342,7 +342,9 @@ class TestWaitCounters:
     def test_idle_stream_wakes_once_per_packet(self, backend):
         """One packet every 5 ms through an otherwise idle stream: a
         worker is woken for its packet and little else, and its time is
-        accounted for — busy or blocked."""
+        accounted for — busy in its member stages, or blocked.  A
+        worker's own counts (waits, wake-ups, placement) sit on its
+        first member's counters."""
         packets = 100
         X = _x(packets, seed=4)
         gc.collect()
@@ -369,10 +371,18 @@ class TestWaitCounters:
             stream.close()
         finally:
             gc.enable()
-        for c in stream.counters[:-1]:  # the loss slot has no worker
-            assert c.forward_ops == packets
+        # the loss slot has no worker
+        assert [s for g in stream.groups for s in g] == list(
+            range(len(stream.counters) - 1)
+        )
+        for members in stream.groups:
+            c = stream.counters[members[0]]
+            assert [stream.counters[s].forward_ops for s in members] == [
+                packets
+            ] * len(members)
             assert 0 < c.wakeups <= 2 * packets, c
-            assert c.busy_seconds + c.wait_seconds == pytest.approx(
+            busy = sum(stream.counters[s].busy_seconds for s in members)
+            assert busy + c.wait_seconds == pytest.approx(
                 lifetime, rel=0.10
             ), c
             if backend == "process":
