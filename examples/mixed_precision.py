@@ -6,8 +6,8 @@ Walks the :mod:`repro.precision` subsystem through one small workload:
    engine's behavior before precision existed);
 2. the same run in **float32** on the process runtime — float32 BLAS
    kernels, every shared-memory ring slot half the bytes, loss curve
-   inside the policy tolerance, control-plane pipe traffic printed
-   from the run record's ``control``;
+   inside the policy tolerance, the control plane (one reply per
+   worker) printed from the run record's ``control``;
 3. the same run in **bf16** (bf16-storage/fp32-compute emulation) with
    a :class:`~repro.precision.LossScaler` on a standalone ``SGDM`` to
    show the bit-neutral overflow skip;
@@ -61,8 +61,9 @@ assert np.allclose(got.losses, ref.losses,
 control = got.control
 print(f"float32 process:  mean loss {got.mean_loss:.6f} "
       f"(max dev {dev:.2e}, tolerance rtol={policy.loss_rtol})")
-print(f"  control plane:  {control['msgs_per_step']:.2f} pipe msgs/step "
-      f"({control['protocol']}: {control['acks_received']} acks)")
+print(f"  control plane:  {control['msgs_received']} replies, one per "
+      f"worker, and nothing sent ({control['protocol']}: "
+      f"{control['acks_received']} acks)")
 for p in engine32.model.parameters():
     assert p.data.dtype == np.float32
 

@@ -25,7 +25,7 @@ Quickstart::
     model = resnet_tiny(num_classes=data.num_classes)
     trainer = PipelinedTrainer(model, data,
                                mitigation=MitigationConfig.lwp_plus_sc())
-    trainer.train(num_samples=2000)
+    trainer.train_samples(2000)
 """
 
 from repro.version import __version__

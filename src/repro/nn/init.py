@@ -1,4 +1,4 @@
-"""Weight initialization schemes (He, Xavier, uniform-fan-in).
+"""Weight initialization schemes (He, uniform-fan-in).
 
 All initializers take an explicit ``numpy.random.Generator`` so model
 construction is reproducible from a single seed.
@@ -34,17 +34,6 @@ def he_normal(
     fan = fan_out if mode == "fan_out" else fan_in
     std = np.sqrt(2.0 / fan)
     return rng.normal(0.0, std, size=shape).astype(dtype or config.DEFAULT_DTYPE)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, dtype=None
-) -> np.ndarray:
-    """Glorot-uniform init."""
-    fan_in, fan_out = _fans(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(
-        dtype or config.DEFAULT_DTYPE
-    )
 
 
 def uniform_fan_in(

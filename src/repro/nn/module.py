@@ -8,6 +8,7 @@ the ``Parameter`` lists these containers expose.  ``state_dict`` /
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -162,6 +163,23 @@ class Module:
             else:
                 mod, b_name = own_buffers[name]
                 mod.set_buffer(b_name, arr.copy())
+
+
+@contextmanager
+def modules_eval_mode(modules: Iterable[Module]):
+    """Hold the given modules in eval mode (restore previous on exit) —
+    the one save/eval/restore implementation every caller shares (ring
+    layout probes, serving streams, offline references, the sequential
+    baseline)."""
+    modules = list(modules)
+    prev = [m.training for m in modules]
+    for m in modules:
+        m.eval()
+    try:
+        yield
+    finally:
+        for m, mode in zip(modules, prev):
+            m.train(mode)
 
 
 class Sequential(Module):

@@ -121,7 +121,7 @@ class StageCounters:
     #: arrived, on a full channel — and its returns from those blocks
     wait_seconds: float = 0.0
     wakeups: int = 0
-    #: a process host's placement diagnostics, read at finalize: the
+    #: a process host's placement diagnostics, read for its reply: the
     #: worker's context switches (``ru_nvcsw`` / ``ru_nivcsw``) and the
     #: CPUs it may run on
     voluntary_switches: int = 0
@@ -168,7 +168,8 @@ class PipelineRunStats:
     ``backend`` names the host that ran the stages (``"sim"``,
     ``"threaded"`` or ``"process"``) and ``mode`` how they were clocked
     (``"lockstep"`` or ``"free_running"``).  A worker host also measures:
-    ``wall_seconds`` spans first injection to last completion and each
+    ``wall_seconds`` is stage 0's own span, from its first forward to the
+    end of its last op, on its worker's clock, and each
     stage's ``busy_seconds`` sums its time inside forward/backward
     transformations, so :meth:`idle_seconds` is measured (not modeled)
     pipeline bubble time; ``wait_seconds`` / ``wakeups`` are the part of
@@ -198,9 +199,10 @@ class PipelineRunStats:
     replicas: int = 1
     #: control-plane traffic of a worker-hosted training run, lockstep
     #: or free-running — both run the plan (``protocol: "plan"``): the
-    #: only messages are stage 0's completion events (``msgs_per_step``
-    #: per tick, no acks).  ``None`` for the simulator, forward-only
-    #: runs and merged replica records.
+    #: parent sends nothing and receives one reply per worker
+    #: (``msgs_received`` is the stage count, ``msgs_per_step`` that over
+    #: the plan's ticks, no acks).  ``None`` for the simulator,
+    #: forward-only runs and merged replica records.
     control: dict | None = None
 
     @property

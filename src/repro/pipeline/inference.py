@@ -81,11 +81,11 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.nn.module import modules_eval_mode
 from repro.pipeline.costs import probe_forward_costs
 from repro.pipeline.executor import (
     DEFAULT_STALL_TIMEOUT,
@@ -114,22 +114,6 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@contextmanager
-def modules_eval_mode(modules):
-    """Hold the given modules in eval mode (restore previous on exit) —
-    the one save/eval/restore implementation every serving-side caller
-    shares (streams, offline references, the sequential baseline)."""
-    modules = list(modules)
-    prev = [m.training for m in modules]
-    for m in modules:
-        m.eval()
-    try:
-        yield
-    finally:
-        for m, mode in zip(modules, prev):
-            m.train(mode)
 
 
 def eval_mode(stages: Sequence[PipelineStage]):

@@ -19,8 +19,8 @@ schedule, optimizer state, ``state_dict``, ``train`` and ``infer`` —
 that overrides one step: how a validated batch is run.  This module is
 that step's parent side: ``train`` → ``_run`` (the crash-recovery
 restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan,
-start the group) → ``_drive`` (inject, count completions, collect state,
-tear the group down).
+start the group) → ``_drive`` (collect one reply per worker, tear the
+group down).
 :class:`ConcurrentPipelineRunner` and :class:`ProcessPipelineRunner`
 differ only in which host the group uses (threads over the engine's own
 stage objects, or processes over shared-memory rings with crash
@@ -33,12 +33,13 @@ Two execution modes
 Both modes are one protocol.  Every launch compiles the schedule
 (:meth:`Schedule.plan <repro.pipeline.schedule.Schedule.plan>`) and
 ships each worker its own column — the same plan the simulator
-interprets, flushes and LR changes included.  The parent injects the
-plan's packets into the stage-0 channel in order, as its capacity
-allows, counts stage 0's ``("done", start, size)`` events
-(progress-based stall detection, ``completion_order``) and does nothing
-at a batch boundary; its one message to a worker is the final
-``("finalize",)``.  The modes differ only in how strictly a worker
+interprets, flushes and LR changes included — and stage 0 the plan's
+packets, which it reads itself.  The parent is off the hot path: it
+sends nothing, writes no packet and waits for one ``("state", ...)``
+reply per worker, each sent when that worker's column ends.  Stall
+detection is progress-based without messages: the wait restarts its
+deadline whenever stage 0's completion count (shared state beside the
+abort flag) moves.  The modes differ only in how strictly a worker
 follows its column (:mod:`repro.pipeline.worker`, "The loop").
 
 **lockstep** (``lockstep=True``) runs the column op by op, blocking on
@@ -69,8 +70,6 @@ tying the measured runtime back to the paper's timing model.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -82,7 +81,6 @@ from repro.pipeline.executor import (
     DEFAULT_STALL_TIMEOUT,
     PipelineExecutor,
     PipelineRunStats,
-    StageCounters,
     check_stages_drained,
 )
 from repro.pipeline.schedule import FLUSH, Plan, Schedule, make_schedule
@@ -138,7 +136,6 @@ class _WorkerGroupEngine(PipelineExecutor):
         self.lockstep = bool(lockstep)
         self.stall_timeout = float(stall_timeout)
         self.restarts_used = 0
-        self.completion_order: list[int] = []
         self._layout_cache: dict[tuple, list] = {}
 
     @property
@@ -167,7 +164,6 @@ class _WorkerGroupEngine(PipelineExecutor):
         if X.shape[0] == 0:
             # nothing to launch workers for: the discrete-time loop's
             # zero-step run is the record of an empty stream
-            self.completion_order = []
             return super()._run(X, Y)
         X = np.ascontiguousarray(X)
         snapshot = self.state_dict() if self.max_restarts > 0 else None
@@ -187,25 +183,27 @@ class _WorkerGroupEngine(PipelineExecutor):
 
     def _train_attempt(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
         """One launch/drive cycle (crash recovery replays it)."""
-        return self._drive(self._launch(X, Y), X)
+        return self._drive(self._launch(X, Y))
 
     def _launch(
         self, X: np.ndarray, Y: np.ndarray, empty_rounds: int = 0
     ) -> WorkerGroup:
         """Compile the plan and start this attempt's workers, each on
-        its stage's column.  Apart from :meth:`_drive` because a process
-        host forks here: the replicated runner launches every group
-        before it starts a driver thread, and passes the reduce rounds
-        a replica's shard holds no samples of — ``(FLUSH, 0)`` ops at
-        the end of every column, which is also why an empty shard still
+        its stage's column, stage 0 with the plan's packets.  Apart from
+        :meth:`_drive` because the replicated runner launches every
+        group before it waits on any, and passes the reduce rounds a
+        replica's shard holds no samples of — ``(FLUSH, 0)`` ops at the
+        end of every column, which is also why an empty shard still
         launches workers."""
         self._plan = self._compile(X.shape[0])
         columns = [
             self._plan.column(s) + [(FLUSH, 0)] * empty_rounds
             for s in range(self.num_stages)
         ]
-        #: completion order invariant: stage-0 backwards arrive FIFO
-        self.completion_order: list[int] = []
+        inputs = [
+            (start, start, size, [X[start : start + size]])
+            for start, size in self._plan.packets
+        ]
         width = max(1, self.schedule.micro_batch)
         self._group = WorkerGroup(
             self.stages,
@@ -216,7 +214,7 @@ class _WorkerGroupEngine(PipelineExecutor):
             plan=columns,
             lockstep=self.lockstep,
             update_after_backward=self.schedule.update_after_backward,
-            labels=Y,
+            batch=(inputs, Y),
             reduce_plan=self._reduce_plan,
             model_factory=self.model_factory,
             start_method=self.start_method,
@@ -224,100 +222,47 @@ class _WorkerGroupEngine(PipelineExecutor):
         )
         return self._group
 
-    def _drive(self, group: WorkerGroup, X: np.ndarray) -> PipelineRunStats:
-        """Inject the batch, finalize and tear the group down."""
-        n = X.shape[0]
+    def _drive(self, group: WorkerGroup, watch=None) -> PipelineRunStats:
+        """Collect every worker's one reply — its measurements and, from
+        a process host, its trained state — and tear the group down.
+        ``watch`` replaces the group's own health check while waiting
+        (:meth:`WorkerGroup.recv`)."""
         plan = self._plan
-        losses = np.zeros(n)
+        S = self.num_stages
         failed = True
         try:
-            # wall_seconds spans first injection to last completion;
-            # launch and the drain-time state collection are excluded
-            t0 = time.perf_counter()
-            events = self._inject_and_count(group, X, plan)
-            wall = time.perf_counter() - t0
-            counters = self._finalize_workers(group, losses)
+            payloads = [group.recv(s, "state", watch)[1] for s in range(S)]
             failed = False
         finally:
             group.teardown(failed)
             self._group = self._plan = None
+        for stage, payload in zip(self.stages, payloads):
+            if payload["state"] is not None:
+                stage.load_state_dict(payload["state"])
+            stage.version_trace.extend(payload["version_trace"])
         check_stages_drained(self.stages)
+        losses = payloads[-1]["losses"]
+        self.samples_completed += losses.shape[0]
         # free-running has no global clock: the plan's span is what
         # lockstep and the simulator take, so utilization stays comparable
         time_steps = len(plan.ticks)
         control = {
             "protocol": "plan",
             "time_steps": time_steps,
-            "num_stages": self.num_stages,
+            "num_stages": S,
             # the parent sends nothing while a plan runs: its only
-            # control traffic is stage 0's completion events
-            "msgs_received": events,
+            # control traffic is each worker's one reply
+            "msgs_received": S,
             "acks_received": 0,
-            "msgs_per_step": events / time_steps if time_steps else 0.0,
+            "msgs_per_step": S / time_steps if time_steps else 0.0,
         }
         return self._record(
-            counters, time_steps, losses, wall_seconds=wall, control=control
+            [c for payload in payloads for c in payload["counters"]],
+            time_steps,
+            losses,
+            wall_seconds=payloads[0]["span"],
+            control=control,
         )
-
-    def _finalize_workers(
-        self, group: WorkerGroup, losses: np.ndarray
-    ) -> list[StageCounters]:
-        """Collect every worker's measurements (and, from a process host,
-        its trained state) into the parent's stages."""
-        group.broadcast(("finalize",))
-        payloads = [
-            group.recv(s, "state")[1] for s in range(self.num_stages)
-        ]
-        for stage, payload in zip(self.stages, payloads):
-            if payload["state"] is not None:
-                stage.load_state_dict(payload["state"])
-            stage.version_trace.extend(payload["version_trace"])
-            if payload["losses"] is not None:
-                np.copyto(losses, payload["losses"])
-        return [c for payload in payloads for c in payload["counters"]]
-
-    def _inject_and_count(
-        self, group: WorkerGroup, X: np.ndarray, plan: Plan
-    ) -> int:
-        """The one parent loop: inject the plan's packets in order as
-        the stage-0 channel takes them, and count stage 0's completion
-        events until every sample is done (batch boundaries and LR
-        changes are in every worker's column).  Returns the number of
-        events received."""
-        n = X.shape[0]
-        packets = plan.packets
-        injected = completed = events = 0
-        last_progress = time.monotonic()
-        while completed < n:
-            while injected < len(packets):
-                start, size = packets[injected]
-                if not group.channels[0].try_send(
-                    start, start, size, [X[start : start + size]]
-                ):
-                    break  # channel full: backpressure
-                injected += 1
-                last_progress = time.monotonic()
-
-            msg = group.recv(0, "done", wait=0.05)
-            if msg is None:
-                # liveness watchdog: an err report on another worker's
-                # endpoint, or a SIGKILLed worker everyone else is still
-                # blocked on, fails the drive promptly
-                group.check_errors()
-                if time.monotonic() - last_progress > self.stall_timeout:
-                    raise RuntimeError(
-                        f"pipeline runtime stalled: no completion for "
-                        f"{self.stall_timeout:.1f}s "
-                        f"({completed}/{n} samples done)"
-                    )
-                continue
-            _, start, size = msg
-            events += 1
-            self.completion_order.append(start)
-            completed += size
-            self.samples_completed += size
-            last_progress = time.monotonic()
-        return events
 
 
 class ConcurrentPipelineRunner(_WorkerGroupEngine):
@@ -487,13 +432,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     lives in this runner's own stages.
     """
 
-    #: ``samples_completed`` as of the last merge barrier ...
-    _merged_samples = 0
-    #: ... and the replicas' counts when the attempt in progress began:
-    #: the master count only advances at the merge barrier, so mid-drive
-    #: progress is the sum of the replicas' advances over these
-    _progress_bases: list[int] | None = None
-
     def __init__(
         self,
         model: StageGraphModel,
@@ -583,21 +521,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
                 )
             self.replica_runners.append(rep)
 
-    @property
-    def samples_completed(self) -> int:
-        done = self._merged_samples
-        bases = self._progress_bases
-        if bases is not None:
-            done += sum(
-                rep.samples_completed - base
-                for rep, base in zip(self.replica_runners, bases)
-            )
-        return done
-
-    @samples_completed.setter
-    def samples_completed(self, value: int) -> None:
-        self._merged_samples = int(value)
-
     # -- public entry -------------------------------------------------------
 
     def train(self, X: np.ndarray, Y: Sequence[int]) -> PipelineRunStats:
@@ -648,68 +571,26 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
                     )
                     for s in range(self.num_stages)
                 ]
-        part_stats: list[PipelineRunStats | None] = [None] * R
-        errors: list[tuple[int, BaseException]] = []
-        self._progress_bases = [
-            rep.samples_completed for rep in self.replica_runners
-        ]
         parts = [(np.ascontiguousarray(X[pos]), Y[pos]) for pos in shards]
+        groups: list[WorkerGroup] = []
 
-        def drive(r: int) -> None:
-            rep = self.replica_runners[r]
-            try:
-                part_stats[r] = rep._drive(rep._group, parts[r][0])
-            except BaseException as exc:
-                errors.append((r, exc))
+        def watch() -> None:
+            # the cross-replica watchdog: a worker that failed or died in
+            # any replica fails the wait, which may be on another replica
+            # blocked in a reduce the failed one will never join
+            for group in groups:
+                group.check_errors()
 
-        threads = [
-            threading.Thread(
-                target=drive, args=(r,), name=f"replica-driver-{r}",
-                daemon=True,
-            )
-            for r in range(R)
-        ]
         try:
-            # fork before threads: no driver exists yet whose held lock
-            # a worker could inherit locked
             for rep, part, empty in zip(self.replica_runners, parts, missing):
-                rep._launch(*part, empty_rounds=empty)
-            for t in threads:
-                t.start()
-            while any(t.is_alive() for t in threads):
-                groups = [
-                    (r, rep._group)
-                    for r, rep in enumerate(self.replica_runners)
-                    if rep._group is not None
-                ]
-                if not errors:
-                    # cross-replica liveness watchdog: a replica's own
-                    # drive can miss its worker's death window (e.g.
-                    # the kill lands between drive phases), leaving the
-                    # *other* replicas blocked in a reduce until their
-                    # stall timeout.  The group monitor scans every
-                    # replica's workers so any abnormal exit fails the
-                    # whole group promptly.
-                    try:
-                        for r, group in groups:
-                            group.check_dead()
-                    except PipelineRuntimeError as exc:
-                        errors.append((r, exc))
-                if errors:
-                    # one replica failed: abort the others so their
-                    # workers exit instead of stalling in a reduce no
-                    # peer will ever join
-                    for _, group in groups:
-                        group.abort.set()
-                for t in threads:
-                    t.join(0.05)
+                groups.append(rep._launch(*part, empty_rounds=empty))
+            part_stats = [
+                rep._drive(rep._group, watch) for rep in self.replica_runners
+            ]
         finally:
-            for t in threads:
-                if t.ident is not None:  # a launch failure starts none
-                    t.join()
             for rep in self.replica_runners:
-                # still here: launched but never driven, because a later
-                # replica's launch failed
+                # still here: never driven, because a launch or an
+                # earlier replica's drive failed
                 if rep._group is not None:
                     rep._group.teardown(failed=True)
                     rep._group = None
@@ -717,12 +598,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             for ring in reduce_rings:
                 ring.close()
                 ring.unlink()
-            self._progress_bases = None
-        if errors:
-            for _, exc in errors:
-                if isinstance(exc, PipelineRuntimeError):
-                    raise exc
-            raise errors[0][1]
         self._merge_replicas(master_states)
         losses = np.zeros(n)
         for pos, part in zip(shards, part_stats):

@@ -106,6 +106,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.nn.module import modules_eval_mode
 from repro.tensor.tensor import no_grad
 
 #: The lock-free publish protocol relies on total-store-order (stores
@@ -266,23 +267,16 @@ def probe_boundary_layouts(
     times the stages on this same pass through it.
     """
     modules = [st.spec.module for st in stages if st.spec.module is not None]
-    prev_modes = [m.training for m in modules]
-    for m in modules:
-        m.eval()
-    try:
-        with no_grad():
-            payload = [np.ascontiguousarray(x_packet)]
-            layouts = [payload_specs(payload)]
-            # the loss stage consumes, emits nothing
-            for s, stage in enumerate(stages[:-1]):
-                if forward is None:
-                    payload = stage.forward(-1, payload, train=False)
-                else:
-                    payload = forward(s, stage, payload)
-                layouts.append(payload_specs(payload))
-    finally:
-        for m, mode in zip(modules, prev_modes):
-            m.train(mode)
+    with modules_eval_mode(modules), no_grad():
+        payload = [np.ascontiguousarray(x_packet)]
+        layouts = [payload_specs(payload)]
+        # the loss stage consumes, emits nothing
+        for s, stage in enumerate(stages[:-1]):
+            if forward is None:
+                payload = stage.forward(-1, payload, train=False)
+            else:
+                payload = forward(s, stage, payload)
+            layouts.append(payload_specs(payload))
     return layouts
 
 
@@ -629,13 +623,13 @@ def ring_slots_for(delay: int, slack: int = 2) -> int:
 
 def build_pipeline_rings(
     stages, x_packet: np.ndarray, slack: int = 2, layouts=None
-) -> tuple[list[ShmRing], list[ShmRing | None]]:
-    """Create every ring of a linear pipeline run.
+) -> tuple[list[ShmRing], list[ShmRing]]:
+    """Create every ring of a linear pipeline training run.
 
-    Returns ``(fwd_rings, bwd_rings)``: ``fwd_rings[s]`` flows into stage
-    ``s`` (``fwd_rings[0]`` is the injection ring fed by the parent) and
-    ``bwd_rings[s]`` flows from stage ``s+1`` back into stage ``s``
-    (``None`` for the last stage, which seeds its own backward).
+    Returns ``(fwd_rings, bwd_rings)``, one pair per stage boundary:
+    ``fwd_rings[s]`` flows from stage ``s`` into stage ``s+1`` and
+    ``bwd_rings[s]`` from stage ``s+1`` back into stage ``s``.  No ring
+    flows into stage 0: it reads its packets from the batch itself.
 
     ``layouts`` accepts a precomputed :func:`probe_boundary_layouts`
     result; boundary layouts depend only on the architecture and the
@@ -651,26 +645,21 @@ def build_pipeline_rings(
         )
     created: list[ShmRing] = []
     try:
-        fwd = []
-        for s in range(len(stages)):
-            fwd.append(
+        for s in range(len(stages) - 1):
+            created.append(
                 ShmRing.create(
-                    f"fwd[{s - 1 if s else 'inject'}->{s}]",
-                    layouts[s],
-                    ring_slots_for(stages[s].delay, slack),
+                    f"fwd[{s}->{s + 1}]",
+                    layouts[s + 1],
+                    ring_slots_for(stages[s + 1].delay, slack),
                 )
             )
-            created.append(fwd[-1])
-        bwd: list[ShmRing | None] = []
-        for s in range(len(stages) - 1):
-            bwd.append(
+            created.append(
                 ShmRing.create(
                     f"bwd[{s + 1}->{s}]",
                     layouts[s + 1],
                     ring_slots_for(stages[s].delay, slack),
                 )
             )
-            created.append(bwd[-1])
     except BaseException:
         # a partial failure (e.g. /dev/shm exhaustion midway) must not
         # strand the segments already created
@@ -678,8 +667,7 @@ def build_pipeline_rings(
             ring.close()
             ring.unlink()
         raise
-    bwd.append(None)
-    return fwd, bwd
+    return created[0::2], created[1::2]
 
 
 def build_inference_rings(

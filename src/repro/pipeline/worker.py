@@ -8,7 +8,7 @@ torchgpipe's forward-only reuse of it (Kim et al. 2020) are that loop
 again.  This module is the one place the loop is written outside the
 discrete-time simulator: :class:`StageWorker` is the loop,
 :class:`WorkerGroup` hosts one worker per stage (forward-only: per group
-of adjacent stages) and owns launch, health, finalize and teardown.
+of adjacent stages) and owns launch, health, replies and teardown.
 :mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
 
@@ -34,8 +34,8 @@ deadlock-freedom argument: the oldest in-flight packet can always
 progress) → a forward only while fewer than ``D_s + 1 = 2(S-1-s) + 1``
 packets sit between their forward and backward here → idle wait — each
 op kind up to its count in the segment, which is also what the idle
-wait's predicate asks about (a next-batch packet the parent has already
-injected into stage 0's channel is not work yet).  ``SET_LR`` is not a
+wait's predicate asks about (a next-batch packet already waiting in a
+channel is not work yet).  ``SET_LR`` is not a
 barrier: every ``FWD`` / ``BWD`` / ``FLUSH`` runs under the learning
 rate of the last ``SET_LR`` before it in the column, and the stage keeps
 the column's last one.
@@ -60,11 +60,18 @@ The two clocks differ only in how strictly a worker follows the column:
   The synchronous schedules stay exact, since a flush still lands
   between the same two batches at every stage.
 
-When the column ends the worker waits for finalize.  ``forward_only``
-(serving) has an empty column and one open-ended forward segment that
-ends at finalize: no loss slot (the parent consumes the last channel),
-``stage.forward(..., train=False)`` under ``no_grad`` (no autodiff
-graph), eager slot release, no cap.
+Stage 0 of a training run has no inbound channel.  The batch rides in
+its spec, as the loss stage's labels do: ``inputs`` holds the plan's
+packets in order, and each ``FWD`` takes the next one.  Stage 0 also
+adds every sample its backwards complete to the group's completion
+count, a shared number next to the abort flag, which is all the parent
+watches for stall detection.
+
+When its column ends a training worker sends its one reply and returns.
+``forward_only`` (serving) has an empty column and one open-ended
+forward segment that ends at finalize: no loss slot (the parent
+consumes the last channel), ``stage.forward(..., train=False)`` under
+``no_grad`` (no autodiff graph), eager slot release, no cap.
 
 A forward-only worker may also host several adjacent stages, its
 *members* (:class:`WorkerGroup`'s ``groups``; a serving stream cuts
@@ -109,22 +116,25 @@ Control messages
 ----------------
 
 Only control crosses the control endpoint (an OS pipe per worker for
-processes, an in-process :class:`LocalConn` pair for threads).  Flushes
-(with a :class:`_ReduceSpec`, cross-replica reduce rounds) and LR
-changes are column ops, so the parent sends a worker exactly one
-message: ``("finalize",)``, answered with ``("state", payload)`` before
-the worker exits.  The parent never writes ``stage.lr`` itself while
-workers run: a thread-hosted worker shares the stage object.
+processes, an in-process :class:`LocalConn` pair for threads), and a
+worker sends exactly one message on it: ``("state", payload)`` — or
+``("err", stage, text, exc)`` for any failure (``exc`` is the exception
+object itself on an in-process endpoint, ``None`` across a pipe).
 
-Worker to parent: ``("done", start, size)`` (stage 0's completions),
-``("state", payload)`` and ``("err", stage, text, exc)`` for any failure
-(``exc`` is the exception object itself on an in-process endpoint,
-``None`` across a pipe).
+A training worker needs nothing from the parent.  Flushes (with a
+:class:`_ReduceSpec`, cross-replica reduce rounds) and LR changes are
+column ops, so the worker replies when its column ends, and the parent
+of a training run sends nothing at all.  It never writes ``stage.lr``
+itself while workers run: a thread-hosted worker shares the stage
+object.
 
-A worker that observes the abort flag polls its control endpoint once
-more and honours a ``finalize`` found there: a stream's ``close()`` sends
-``finalize`` *before* setting abort (abort is what unblocks a worker
-stuck in a ring send), so anything sent-before is visible by then.
+A forward-only worker's last segment is open-ended, so a stream sends
+each worker one message, ``("finalize",)``, and the reply answers it.  A
+forward-only worker that observes the abort flag polls its control
+endpoint once more and honours a ``finalize`` found there: a stream's
+``close()`` sends ``finalize`` *before* setting abort (abort is what
+unblocks a worker stuck in a ring send), so anything sent-before is
+visible by then.
 
 What a host decides
 -------------------
@@ -133,7 +143,7 @@ Thread versus process changes only: the channel type, the control
 endpoint, whether stage state is shipped (processes inherit the stage
 under ``fork``, rebuild it under any other start method from
 ``stage.build_spec()`` plus ``stage.state_dict()``, and ship the
-trained ``state_dict()`` back at finalize; threads operate on
+trained ``state_dict()`` back in their reply; threads operate on
 the parent's own stage objects, so methods shadowed on those instances
 are the ones executed — a forked worker inherits the shadows with the
 stage, a rebuilt one does not; the stress tests' seeded-sleep helper
@@ -163,7 +173,7 @@ first pass), and a launch is a condition-variable notify instead of
 ``clone`` + join.  The rules:
 
 * *Lifetime is the worker's, not the thread's.*  The worker still begins
-  at launch and ends at finalize / abort; :class:`_HostedWorker` gives
+  at launch and ends at its reply / abort; :class:`_HostedWorker` gives
   :class:`WorkerGroup` the ``start`` / ``join`` / ``is_alive`` / ``ident``
   / ``name`` it used of ``threading.Thread``, and ``teardown`` still waits
   for the worker with the stall deadline.
@@ -189,6 +199,7 @@ first pass), and a launch is a condition-variable notify instead of
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import resource
@@ -414,11 +425,13 @@ def _local_pipe(parent_cond, child_cond) -> tuple[LocalConn, LocalConn]:
 
 class _LocalAbort(threading.Event):
     """Abort flag of a thread-hosted group: setting it also wakes every
-    waiter, since they block on condition variables instead of polling."""
+    waiter, since they block on condition variables instead of polling.
+    It also carries the group's completion count (:class:`_SharedAbort`)."""
 
     def __init__(self, conds: Sequence[threading.Condition]):
         super().__init__()
         self._conds = conds
+        self.completed = ctypes.c_int64()
 
     def set(self) -> None:
         super().set()
@@ -439,10 +452,14 @@ class _SharedAbort:
     Not a ``multiprocessing.Event``: that guards its flag with a
     semaphore, workers check the flag constantly, and a worker SIGKILLed
     inside ``is_set()`` would leave the semaphore held — hanging every
-    sibling and the parent's crash recovery on their next check."""
+    sibling and the parent's crash recovery on their next check.
+
+    ``completed`` is the group's completion count, a lock-free shared
+    int64 with one writer: the samples whose backward stage 0 has run."""
 
     def __init__(self, ctx):
         self._flag = ctx.RawValue("b", 0)
+        self.completed = ctx.RawValue("q", 0)
         self._bell = Doorbell()
 
     def set(self) -> None:
@@ -590,7 +607,7 @@ class _WorkerSpec:
 
     members: tuple  # the stage indices it runs (several: forward-only)
     conn: Any  # Connection | LocalConn
-    fwd_in: Any  # ShmRing | LocalChannel
+    fwd_in: Any  # ShmRing | LocalChannel; None for stage 0 of a training run
     fwd_out: Any  # None for the loss stage
     bwd_in: Any  # None for the loss stage and in forward-only mode
     bwd_out: Any  # None for stage 0 and in forward-only mode
@@ -599,11 +616,11 @@ class _WorkerSpec:
     lockstep: bool  # every op of the column its own segment
     forward_only: bool
     update_after_backward: bool
-    ship_state: bool  # process host: trained state returns at finalize
     stall_timeout: float
     stages: list | None  # threads and fork: the member objects themselves
     build_specs: list | None = None  # a rebuild recipe per member ...
     stage_states: list | None = None  # ... and the weights to load into it
+    inputs: list | None = None  # stage 0 of a training run: its packets
     labels: np.ndarray | None = None  # loss stage only
     reduce: _ReduceSpec | None = None  # replicated runs only
 
@@ -626,12 +643,25 @@ class StageWorker:
         self.active = self.s
         self.is_loss = stage.spec.kind == "loss"
         self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
+        #: a process host's training worker returns its trained state
+        self.ship_state = not (
+            spec.forward_only or isinstance(spec.conn, LocalConn)
+        )
+        #: the next forward packet: from the channel or, at stage 0 of a
+        #: training run, the next of its own packets
+        self._next_fwd = (
+            deque(spec.inputs or ()).popleft if spec.fwd_in is None
+            else spec.fwd_in.try_recv
+        )
         #: compute stages re-read forward inputs lazily at backward time,
         #: so their inbound forward slot outlives the forward op
         self.defer_fwd_release = (
             stage.spec.kind == "compute" and not spec.forward_only
         )
+        #: packets forwarded, not yet backwarded: backwards run FIFO
         self._pending_fwd: deque[int] = deque()
+        #: perf_counter at this worker's first forward (its span's start)
+        self._t0: float | None = None
         #: the loss stage's own backward packet, seeded by its forward
         self._seeded = None
         self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
@@ -642,11 +672,13 @@ class StageWorker:
         self._bwd: deque[float] = deque()
         #: ... and whether it is the last, open-ended one
         self._open = False
-        self._idle_wait = spec.fwd_in.idle_wait(
-            spec.conn, spec.abort, spec.bwd_in
+        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
+        #: (a loss-only pipeline has no channel, and never waits)
+        self._idle_wait = inbound and inbound[0].idle_wait(
+            spec.conn, spec.abort, *inbound[1:]
         )
         self._reduce_round = 0  # packet ids on the reduce rings
-        if spec.ship_state:
+        if self.ship_state:
             # ship only THIS run's version trace back; the parent extends
             # its accumulated list.  A fork-inherited stage would
             # otherwise carry — and duplicate — prior runs' entries.
@@ -703,6 +735,8 @@ class StageWorker:
         stage in order: the payload between two members is a local)."""
         pid, start, size, payload = pkt
         spec = self.spec
+        if self._t0 is None:
+            self._t0 = time.perf_counter()
         if self.is_loss:
             t0 = time.perf_counter()
             lvec, out = softmax_xent_grad_batch(
@@ -715,7 +749,8 @@ class StageWorker:
             # seeds this packet's backward, run next (the plan's BWD in
             # the same tick); the gradient is a fresh array
             self._seeded = (pid, start, size, [out])
-            spec.fwd_in.release()
+            if spec.fwd_in is not None:
+                spec.fwd_in.release()
             return
         out = payload
         for stage, counters in self.members:
@@ -728,12 +763,11 @@ class StageWorker:
         # copy downstream *before* releasing anything the output may
         # alias (identity/sum stages pass views of the inbound slot)
         self._send(spec.fwd_out, pid, start, size, out)
-        if self.defer_fwd_release:
-            self._pending_fwd.append(pid)
-        else:
-            spec.fwd_in.release()
         if not spec.forward_only:
+            self._pending_fwd.append(pid)
             self.in_flight += 1
+        if spec.fwd_in is not None and not self.defer_fwd_release:
+            spec.fwd_in.release()
 
     def _has_backward(self) -> bool:
         bwd_in = self.spec.bwd_in
@@ -743,8 +777,8 @@ class StageWorker:
 
     def _backward(self) -> None:
         """Transform the next backward packet — the loss stage's seeded
-        one, or the next on the backward channel — and report a
-        completion from stage 0."""
+        one, or the next on the backward channel — and, at stage 0,
+        count its samples completed."""
         spec = self.spec
         seeded = self._seeded is not None
         if seeded:
@@ -764,16 +798,16 @@ class StageWorker:
         if not seeded:
             spec.bwd_in.release()  # gradients are consumed eagerly
             self.in_flight -= 1
-            if self.defer_fwd_release:
-                expect = self._pending_fwd.popleft()
-                if expect != pid:
-                    raise RuntimeError(
-                        f"stage {self.s}: backward for packet {pid} "
-                        f"arrived before packet {expect}'s — FIFO violated"
-                    )
+            expect = self._pending_fwd.popleft()
+            if expect != pid:
+                raise RuntimeError(
+                    f"stage {self.s}: backward for packet {pid} "
+                    f"arrived before packet {expect}'s — FIFO violated"
+                )
+            if spec.fwd_in is not None and self.defer_fwd_release:
                 spec.fwd_in.release()
         if self.s == 0:
-            spec.conn.send(("done", start, size))
+            spec.abort.completed.value += size
 
     # -- control ----------------------------------------------------------
 
@@ -855,14 +889,11 @@ class StageWorker:
         else:
             self.stage.flush_update(count)
 
-    def _control(self, cmd) -> None:
-        """The parent's one message, finalize: answer this run's state."""
-        if cmd[0] != "finalize":  # pragma: no cover - protocol bug
-            raise RuntimeError(f"stage {self.s}: unknown command {cmd[0]!r}")
-        self.spec.conn.send(("state", self._finalize_payload()))
-
-    def _finalize_payload(self) -> dict:
-        ship = self.spec.ship_state
+    def _reply(self) -> None:
+        """The worker's one message: this run's measurements and, from a
+        process host's training worker, its trained state."""
+        span = 0.0 if self._t0 is None else time.perf_counter() - self._t0
+        ship = self.ship_state
         if not isinstance(self.spec.conn, LocalConn):
             # a process worker is its process: placement diagnostics
             usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -870,18 +901,21 @@ class StageWorker:
             self.counters.involuntary_switches = usage.ru_nivcsw
             if hasattr(os, "sched_getaffinity"):
                 self.counters.cpus = tuple(sorted(os.sched_getaffinity(0)))
-        return {
+        payload = {
             "counters": [counters for _, counters in self.members],
             "losses": self.losses,
+            "span": span,
             "state": self.stage.state_dict() if ship else None,
             "version_trace": list(self.stage.version_trace) if ship else (),
         }
+        self.spec.conn.send(("state", payload))
 
     # -- the loop -----------------------------------------------------------
 
     def run(self) -> None:
-        """Walk the column in segments, then run the open-ended last one
-        until finalize (module docstring, "The loop")."""
+        """Walk the column in segments, then reply — forward-only, after
+        the open-ended last segment, at finalize (module docstring, "The
+        loop")."""
         spec = self.spec
         lr = self.stage.lr
         for kind, arg in spec.plan:
@@ -897,8 +931,10 @@ class StageWorker:
                     self._run_segment()
         self._run_segment()
         self.stage.lr = lr
-        self._open = True
-        self._run_segment()
+        if spec.forward_only:
+            self._open = True
+            self._run_segment()  # returns at finalize
+        self._reply()
 
     def _may_backward(self) -> bool:
         return bool(self._bwd) and self._has_backward()
@@ -908,7 +944,7 @@ class StageWorker:
         return (
             (bool(self._fwd) or spec.forward_only)
             and self.in_flight < self.cap
-            and spec.fwd_in.poll()
+            and (spec.fwd_in is None or spec.fwd_in.poll())
         )
 
     def _has_work(self) -> bool:
@@ -932,7 +968,7 @@ class StageWorker:
                 # a stream's close() sends finalize before it sets abort:
                 # answer the finalize instead of dropping it
                 if self._open and spec.conn.poll():
-                    self._control(spec.conn.recv())
+                    spec.conn.recv()  # finalize, a stream's one message
                     return
                 raise TransportAborted(f"stage {self.s}: run aborted")
             if self._may_backward():
@@ -941,7 +977,7 @@ class StageWorker:
             elif self._may_forward():
                 if self._fwd:
                     self.stage.lr = self._fwd.popleft()
-                self._forward(spec.fwd_in.try_recv())
+                self._forward(self._next_fwd())
             else:
                 self._blocked(self._idle_wait, self._has_work)
 
@@ -996,9 +1032,10 @@ def _worker_main(spec: _WorkerSpec) -> None:
 
 def _build_rings(stages, probe, forward_only, slots, heads, layouts,
                  layout_cache):
-    """The shared-memory rings of a process-hosted run: ``(fwd, bwd)``,
-    ``bwd`` all ``None`` for a forward-only run, whose ring ``i`` flows
-    into stage ``heads[i]``."""
+    """The shared-memory rings of a process-hosted run, by the worker
+    they flow into: ``(fwd, bwd)``, ``fwd[0]`` ``None`` for a training
+    run (stage 0 reads its own packets) and ``bwd`` all ``None`` for a
+    forward-only run, whose ring ``i`` flows into stage ``heads[i]``."""
     if layouts is None:
         # boundary layouts depend only on architecture + packet
         # shape/dtype, so relaunches (per-segment drives, crash
@@ -1012,7 +1049,8 @@ def _build_rings(stages, probe, forward_only, slots, heads, layouts,
             build_inference_rings(stages, probe, slots, layouts, heads),
             [None] * len(heads),
         )
-    return build_pipeline_rings(stages, probe, RING_SLACK, layouts)
+    fwd, bwd = build_pipeline_rings(stages, probe, RING_SLACK, layouts)
+    return [None] + fwd, bwd + [None]
 
 
 class WorkerGroup:
@@ -1036,7 +1074,9 @@ class WorkerGroup:
     a flat per-channel capacity replacing the ``D_s + 1 + RING_SLACK``
     training sizing.  ``plan[s]`` is stage ``s``'s :meth:`Plan.column
     <repro.pipeline.schedule.Plan.column>`, run op by op when
-    ``lockstep``.
+    ``lockstep``.  A training run's ``batch`` is ``(inputs, labels)``:
+    stage 0's packets ``(pid, start, size, [x])`` in plan order, which
+    it reads instead of a channel, and the loss stage's labels.
     """
 
     def __init__(
@@ -1052,7 +1092,7 @@ class WorkerGroup:
         forward_only: bool = False,
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
-        labels: np.ndarray | None = None,
+        batch: tuple[list, np.ndarray] | None = None,
         reduce_plan: Sequence[_ReduceSpec] | None = None,
         model_factory=None,
         start_method: str | None = None,
@@ -1062,7 +1102,9 @@ class WorkerGroup:
     ):
         self.stall_timeout = float(stall_timeout)
         self.workers: list = []  # _HostedWorker | Process
-        self.channels: list = []  # the forward channel into each worker
+        #: the forward channel into each worker (training: none into
+        #: stage 0) and, forward-only, the last one, into the parent
+        self.channels: list = []
         self.rings: list = []  # every channel of the run
         self.abort = None
         self._conns: list = []
@@ -1106,15 +1148,17 @@ class WorkerGroup:
                         f"{kind}[->{s}]",
                     )
 
-                fwd = [channel("fwd", i) for i in range(len(heads))]
-                bwd = [None] * len(heads)
-                if not forward_only:
-                    bwd[: S - 1] = [channel("bwd", s) for s in range(S - 1)]
+                if forward_only:
+                    fwd = [channel("fwd", i) for i in range(len(heads))]
+                    bwd = [None] * len(heads)
+                else:
+                    fwd = [None] + [channel("fwd", s) for s in range(1, S)]
+                    bwd = [channel("bwd", s) for s in range(S - 1)] + [None]
                 self.abort = _LocalAbort(wakes + mine)
                 pipes = [_local_pipe(mine[s], wakes[s]) for s in range(count)]
                 host = _HostedWorker
             self.channels = fwd
-            self.rings = fwd + [b for b in bwd if b is not None]
+            self.rings = [c for c in fwd + bwd if c is not None]
             self._rx_buf = [deque() for _ in range(count)]
             # worker w owns fwd[w] (and, training, where w is its stage,
             # bwd[w] from stage w + 1)
@@ -1133,7 +1177,6 @@ class WorkerGroup:
                     lockstep=lockstep,
                     forward_only=forward_only,
                     update_after_backward=update_after_backward(w),
-                    ship_state=processes and not forward_only,
                     stall_timeout=self.stall_timeout,
                     stages=None if rebuild else owned,
                     build_specs=(
@@ -1143,7 +1186,11 @@ class WorkerGroup:
                     stage_states=(
                         [st.state_dict() for st in owned] if rebuild else None
                     ),
-                    labels=labels if owned[-1].spec.kind == "loss" else None,
+                    inputs=batch[0] if batch and w == 0 else None,
+                    labels=(
+                        batch[1] if batch and owned[-1].spec.kind == "loss"
+                        else None
+                    ),
                     reduce=None if reduce_plan is None else reduce_plan[w],
                 )
                 self._conns.append(parent_conn)
@@ -1197,8 +1244,8 @@ class WorkerGroup:
         stall.  The root-cause ``err`` report is still sitting in the
         failed worker's endpoint; scanning every endpoint before raising
         a secondary error keeps the failure attributed to the right
-        stage.  Non-err messages (e.g. in-flight acks from healthy
-        workers) are stashed and replayed to later :meth:`recv` calls.
+        stage.  Other messages (healthy workers' state replies) are
+        stashed and replayed to later :meth:`recv` calls.
         """
         for s, conn in enumerate(self._conns):
             try:
@@ -1215,7 +1262,7 @@ class WorkerGroup:
         a monitor thread may call it while a driver owns the endpoints).
 
         Abnormal means a nonzero exit code: SIGKILL/OOM/segfault.  Every
-        legitimate worker path — finalize reply, stop, abort, even an
+        legitimate worker path — its reply, abort, even an
         internal error (reported as ``err`` first) — returns from
         :func:`_worker_main` and exits 0, so the exit code is the
         discriminator that works in every phase.  The check exists
@@ -1241,12 +1288,13 @@ class WorkerGroup:
         self._scan_for_err()
         self.check_dead()
 
-    def recv(self, w: int, expect: str | None = None, wait: float | None = None):
+    def recv(self, w: int, expect: str | None = None, watch=None):
         """One message from worker ``w``.
 
-        Blocks up to the stall deadline and raises when it passes — or,
-        with ``wait``, up to ``wait`` seconds, returning ``None``.  While
-        waiting, worker health is polled, so a dead or failed worker
+        Blocks until the stall deadline, which restarts whenever the
+        group's completion count moves, and raises when it passes.
+        Meanwhile worker health is polled every 50 ms — this group's, or
+        whatever ``watch()`` checks instead — so a dead or failed worker
         raises :class:`PipelineRuntimeError` instead of stalling out.  A
         worker that has exited with nothing buffered sent nothing before
         exiting — once ``send`` has returned, its message is visible to
@@ -1255,23 +1303,25 @@ class WorkerGroup:
         conn = self._conns[w]
         buffered = self._rx_buf[w]
         s = self.groups[w][0]  # the stage an error names
-        patience = self.stall_timeout if wait is None else wait
-        deadline = time.monotonic() + patience
-        while not buffered and not conn.poll(min(patience, 0.05)):
-            self.check_errors()  # may stash worker w's messages
+        progress = self.abort.completed.value
+        deadline = time.monotonic() + self.stall_timeout
+        while not buffered and not conn.poll(min(self.stall_timeout, 0.05)):
+            (watch or self.check_errors)()  # may stash worker w's messages
             if buffered:
                 break
             if not self.workers[w].is_alive() and not conn.poll(0):
                 raise PipelineRuntimeError(
                     s, RuntimeError("worker exited without replying")
                 )
-            if time.monotonic() >= deadline:
-                if wait is not None:
-                    return None
+            now = time.monotonic()
+            if self.abort.completed.value != progress:
+                progress = self.abort.completed.value
+                deadline = now + self.stall_timeout
+            elif now >= deadline:
                 raise RuntimeError(
                     f"pipeline runtime stalled waiting on stage {s} worker "
-                    f"({self.stall_timeout:.1f}s) — likely deadlock or a "
-                    "dead worker"
+                    f"({self.stall_timeout:.1f}s without progress) — likely "
+                    "deadlock or a dead worker"
                 )
         if buffered:
             msg = buffered.popleft()  # err is never stashed

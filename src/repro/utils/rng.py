@@ -8,8 +8,6 @@ from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -39,24 +37,3 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     ]
     seq = np.random.SeedSequence(material)
     return int(seq.generate_state(1)[0])
-
-
-def shuffled_indices(
-    rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """A random permutation of ``range(n)`` as an int64 array."""
-    return rng.permutation(n)
-
-
-def choice_no_replace(
-    rng: np.random.Generator, n: int, k: int
-) -> np.ndarray:
-    """Choose ``k`` distinct indices out of ``n``."""
-    if k > n:
-        raise ValueError(f"cannot choose {k} from {n} without replacement")
-    return rng.choice(n, size=k, replace=False)
-
-
-def rngs_for_runs(base_seed: int, runs: Sequence[int]) -> dict[int, np.random.Generator]:
-    """Map run-index -> generator, stable under reordering of ``runs``."""
-    return {r: new_rng(derive_seed(base_seed, "run", r)) for r in runs}

@@ -71,6 +71,15 @@ def _sim_golden(kw: dict, X, Y):
     return model_fingerprint(model), [float(l).hex() for l in stats.losses]
 
 
+def _progress(runner) -> int:
+    """Samples done so far: the engine's count, which advances when a
+    ``train()`` call returns, plus the completion count stage 0 of the
+    live worker group keeps in shared memory."""
+    group = runner._group
+    done = runner.samples_completed
+    return done if group is None else done + group.abort.completed.value
+
+
 class _WorkerKiller:
     """SIGKILLs one stage worker once the run has made some progress.
 
@@ -83,7 +92,7 @@ class _WorkerKiller:
     def __init__(self, runner, stage_index: int = 1, after_samples: int = 2):
         self.runner = runner
         self.stage_index = stage_index
-        self.base = runner.samples_completed
+        self.base = _progress(runner)
         self.after = after_samples
         self.fired = False
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -100,7 +109,7 @@ class _WorkerKiller:
         while time.monotonic() < deadline:
             procs = self.runner._procs
             if (
-                self.runner.samples_completed >= self.base + self.after
+                _progress(self.runner) >= self.base + self.after
                 and len(procs) > self.stage_index
                 and procs[self.stage_index].pid is not None
             ):
@@ -231,7 +240,7 @@ class TestKillThenResumeFromDisk:
         # lockstep workers complete the rest of a segment within the
         # killer's polling interval on a fast host: slow the doomed run
         # (forked workers inherit the shadows) so the kill lands
-        # mid-segment, before finalize
+        # mid-segment, before the workers reply
         jittered(r_dead, 0.005, seed=1)
         killer = _WorkerKiller(r_dead, stage_index=1,
                                after_samples=every + 2).start()

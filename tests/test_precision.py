@@ -547,10 +547,10 @@ class TestControlPlaneStats:
         assert control["time_steps"] == stats.time_steps
         assert control["num_stages"] == stats.num_stages
         # workers run their own columns: no per-tick message, no ack —
-        # the only control traffic is one completion event per packet
+        # the only control traffic is one reply per worker
         assert control["acks_received"] == 0
-        assert control["msgs_received"] == len(X)
-        assert control["msgs_per_step"] == len(X) / stats.time_steps
+        assert control["msgs_received"] == stats.num_stages
+        assert control["msgs_per_step"] == stats.num_stages / stats.time_steps
         assert control["msgs_per_step"] <= 1.0
         assert "ack_interval" not in control
         assert "baseline_msgs_per_step" not in control
@@ -568,4 +568,4 @@ class TestControlPlaneStats:
         assert control["protocol"] == "plan"
         assert control["time_steps"] == stats.time_steps
         assert control["acks_received"] == 0
-        assert control["msgs_received"] == len(X)
+        assert control["msgs_received"] == stats.num_stages

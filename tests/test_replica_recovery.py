@@ -94,13 +94,24 @@ class _ReplicaWorkerKiller:
     def join(self):
         self._thread.join(30.0)
 
+    def _progress(self) -> int:
+        """Samples done so far: the master's count, which advances when
+        a ``train()`` call returns, plus the completion counts stage 0
+        of every live replica group keeps in shared memory."""
+        done = self.runner.samples_completed
+        for rep in self.runner.replica_runners:
+            group = rep._group
+            if group is not None:
+                done += group.abort.completed.value
+        return done
+
     def _run(self):
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             rep = self.runner.replica_runners[self.replica_index]
             procs = list(rep._procs)
             if (
-                self.runner.samples_completed >= self.after
+                self._progress() >= self.after
                 and procs
                 and procs[self.stage_index].pid is not None
                 and procs[self.stage_index].is_alive()

@@ -112,9 +112,9 @@ class TestJitteredInterleavings:
             0.002, jitter_seed,
         )
         stats = runner.train(X, Y)
-        # packet ordering: completions arrive in injection order (FIFO
-        # through every queue), every sample's loss was recorded once
-        assert runner.completion_order == sorted(runner.completion_order)
+        # packet ordering: every worker raises if a backward arrives out
+        # of its forward order (stage 0 included), so completions are in
+        # plan order; every sample's loss was recorded once
         assert stats.samples == n
         assert np.all(np.isfinite(stats.losses))
         # conservation: every stage saw every packet exactly once

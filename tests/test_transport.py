@@ -276,14 +276,15 @@ class TestRingSizing:
         S = model.num_stages
         fwd, bwd = build_pipeline_rings(ex.stages, np.zeros((1, 3, 8, 8)))
         try:
-            assert len(fwd) == S
-            assert len(bwd) == S and bwd[-1] is None
-            for s in range(S):
-                assert fwd[s].slots == ring_slots_for(ex.stages[s].delay)
+            # one ring pair per stage boundary; none flows into stage 0
+            assert len(fwd) == len(bwd) == S - 1
             for s in range(S - 1):
+                assert fwd[s].slots == ring_slots_for(ex.stages[s + 1].delay)
                 assert bwd[s].slots == ring_slots_for(ex.stages[s].delay)
+                assert fwd[s].label == f"fwd[{s}->{s + 1}]"
+                assert bwd[s].label == f"bwd[{s + 1}->{s}]"
         finally:
-            for r in fwd + [b for b in bwd if b is not None]:
+            for r in fwd + bwd:
                 r.close()
                 r.unlink()
 

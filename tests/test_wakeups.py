@@ -38,6 +38,7 @@ from repro.pipeline import (
 from repro.pipeline import transport, worker
 from repro.pipeline.executor import PipelineRunStats, StageCounters
 from repro.pipeline.inference import open_inference_stream
+from repro.pipeline.schedule import BWD
 from repro.pipeline.transport import (
     ArraySpec,
     ShmRing,
@@ -252,15 +253,17 @@ def _x(n: int, seed: int = 0) -> np.ndarray:
 class TestParkedWorkers:
     @needs_proc
     def test_sigkill_of_a_parked_worker(self, slow_safety_net):
-        """Nothing is injected, so every worker sits in its idle wait.
-        Killing one must surface as that stage's error within the stall
-        timeout, release the siblings, leak nothing, and leave the
-        interpreter able to run the next pipeline."""
+        """Every worker's column is one backward that never comes, so
+        every worker sits in its idle wait.  Killing one must surface as
+        that stage's error within the stall timeout — while the parent
+        waits for stage 0's reply — release the siblings, leak nothing,
+        and leave the interpreter able to run the next pipeline."""
         fds, shm = _open_fds(), _shm_segments()
         stall = 5.0
         group = WorkerGroup(
             _stages(), np.zeros((1, FEATURES)), processes=True,
-            name="parked", stall_timeout=stall, labels=np.zeros(4, dtype=int),
+            name="parked", stall_timeout=stall, plan=[[(BWD, 0)]] * 4,
+            batch=([], np.zeros(4, dtype=int)),
         )
         procs = list(group.workers)
         try:
@@ -269,7 +272,7 @@ class TestParkedWorkers:
             os.kill(procs[1].pid, signal.SIGKILL)
             t0 = time.perf_counter()
             with pytest.raises(PipelineRuntimeError) as err:
-                group.recv(0, "done")
+                group.recv(0, "state")
             assert err.value.stage_index == 1
             assert time.perf_counter() - t0 < stall
         finally:
@@ -304,7 +307,7 @@ class TestParkedWorkers:
             WorkerGroup(
                 _stages(), np.zeros((1, FEATURES)), processes=True,
                 name="doomed", stall_timeout=5.0,
-                labels=np.zeros(4, dtype=int),
+                batch=([], np.zeros(4, dtype=int)),
             )
         built.clear()
         assert _open_fds() == fds
