@@ -11,8 +11,8 @@ Demonstrates the :mod:`repro.serve` subsystem end to end:
 3. stand up a :class:`~repro.serve.PipelineServer` (dynamic
    micro-batching: max-batch cap x coalescing deadline, bounded
    admission queue with explicit ``Overloaded`` backpressure) and
-   drive it with the closed-loop load generator, against the
-   sequential single-request baseline;
+   drive it with the one-thread closed-loop load generator (8 requests
+   in flight), against the sequential single-request baseline;
 4. hit the stdlib HTTP endpoint the way an external client would.
 
 Run with::
@@ -36,7 +36,7 @@ from repro.serve import (
     InferenceSession,
     PipelineServer,
     SequentialServer,
-    run_closed_loop,
+    closed_loop,
 )
 
 model_factory = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
@@ -68,28 +68,23 @@ print(f"parity: {out.shape[0]} serving outputs bit-exact with the "
       "offline batched forward (same packets)")
 
 # -- 3. closed-loop load: sequential baseline vs pipelined server ------------
-NUM_REQUESTS, CONCURRENCY = 300, 8
+NUM_REQUESTS, WINDOW = 300, 8
 
 seq = SequentialServer(model)
-seq_res = run_closed_loop(
-    seq.infer_one, ds.x_val, NUM_REQUESTS, concurrency=CONCURRENCY,
-    label="sequential",
-)
+seq_run = closed_loop(seq.submit, ds.x_val, NUM_REQUESTS, WINDOW)
 seq.close()
 
 server = PipelineServer(session, max_batch=8, max_wait=0.002, max_queue=64)
 with server:
-    pipe_res = run_closed_loop(
-        server.infer_one, ds.x_val, NUM_REQUESTS, concurrency=CONCURRENCY,
-        label="pipelined",
-    )
+    pipe_run = closed_loop(server.submit, ds.x_val, NUM_REQUESTS, WINDOW)
     snap = server.stats.snapshot()
 
-    for res in (seq_res, pipe_res):
-        row = res.as_row()
+    rows = [seq_run.row("sequential"), pipe_run.row("pipelined")]
+    for row in rows:
         print(f"  {row['label']:>10s}: {row['throughput_rps']:8.1f} rps, "
               f"p50 {row['p50_ms']:6.2f} ms, p99 {row['p99_ms']:6.2f} ms")
-    print(f"  speedup {pipe_res.throughput_rps / seq_res.throughput_rps:.2f}x"
+    seq_rps, pipe_rps = (row["throughput_rps"] for row in rows)
+    print(f"  speedup {pipe_rps / seq_rps:.2f}x"
           f" | mean batch {snap['mean_batch_size']:.1f}"
           f" | queue-wait p95 {snap['queue_wait_s']['p95'] * 1e3:.2f} ms")
 

@@ -36,7 +36,7 @@ from repro.models.simple import small_cnn
 from repro.pipeline import capture_checkpoint, save_checkpoint
 from repro.pipeline.checkpoint import checkpoint_fingerprint, load_checkpoint
 from repro.pipeline.runtime import make_pipeline_engine
-from repro.serve import run_classed_loop
+from repro.serve import assign_classes, closed_loop
 from repro.serve.fleet import FleetRouter, ReplicaSpec, rolling_reload
 
 model_factory = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
@@ -79,16 +79,15 @@ with FleetRouter(spec, num_replicas=3, checkpoint=ckpts["old"]) as router:
 
     swapper = threading.Thread(target=swap)
     swapper.start()
-    result = run_classed_loop(
-        lambda x, slo: router.submit(x, slo).future.result(60.0),
-        ds.x_val, 300, concurrency=8,
-        mix={"interactive": 0.7, "batch": 0.3},
-        label="fleet",
+    run = closed_loop(
+        lambda x, slo: router.submit(x, slo).future,
+        ds.x_val, 300, window=8,
+        classes=assign_classes(300, {"interactive": 0.7, "batch": 0.3}),
     )
     swapper.join()
 
-    for name, cls in sorted(result.per_class.items()):
-        row = cls.as_row()
+    for name in sorted(set(run.classes)):
+        row = run.row("fleet", only_class=name)
         print(f"  {name:>12s}: {row['requests']:4d} requests, "
               f"p50 {row['p50_ms']:6.2f} ms, p99 {row['p99_ms']:6.2f} ms")
 

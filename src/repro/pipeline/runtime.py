@@ -160,6 +160,12 @@ class _WorkerGroupEngine(PipelineExecutor):
         barrier) is restored, all workers respawn from it, and the
         partial batch replays — bit-identical to a crash-free run (see
         :class:`ProcessPipelineRunner`).
+
+        A call that fails for good drops every stage's in-flight
+        packets and unapplied gradients, so the next ``train()`` starts
+        from a drain barrier.  A thread-hosted call keeps the weight
+        updates its partial run applied (its workers update the
+        parent's stages in place); a process-hosted one keeps none.
         """
         if X.shape[0] == 0:
             # nothing to launch workers for: the discrete-time loop's
@@ -168,18 +174,23 @@ class _WorkerGroupEngine(PipelineExecutor):
         X = np.ascontiguousarray(X)
         snapshot = self.state_dict() if self.max_restarts > 0 else None
         attempt = 0
-        while True:
-            try:
-                return self._train_attempt(X, Y)
-            except PipelineRuntimeError:
-                if snapshot is None or attempt >= self.max_restarts:
-                    raise
-                attempt += 1
-                self.restarts_used += 1
-                # every worker (and its channels) is already gone — the
-                # attempt tore its group down; rewind to the entry drain
-                # barrier and replay the batch
-                self.load_state_dict(snapshot)
+        try:
+            while True:
+                try:
+                    return self._train_attempt(X, Y)
+                except PipelineRuntimeError:
+                    if snapshot is None or attempt >= self.max_restarts:
+                        raise
+                    attempt += 1
+                    self.restarts_used += 1
+                    # every worker (and its channels) is already gone —
+                    # the attempt tore its group down; rewind to the
+                    # entry drain barrier and replay the batch
+                    self.load_state_dict(snapshot)
+        except BaseException:
+            for stage in self.stages:
+                stage.drop_in_flight()
+            raise
 
     def _train_attempt(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
         """One launch/drive cycle (crash recovery replays it)."""

@@ -461,15 +461,25 @@ class PipelineStage:
             loaded = zip(self._live(key), state.get(key, []))
             for i, (mine, arr) in enumerate(loaded):
                 if key == "params":
-                    self.params[i].data, self.params[i].grad = arr.copy(), None
+                    self.params[i].data = arr.copy()
                 else:
                     np.copyto(mine, arr)  # stage- or module-owned: in place
         if tuple(keys) == STATE_ARRAYS:
             self.updates_applied = int(state["updates_applied"])
             self.lr = float(state.get("lr", self.lr))
+        self.drop_in_flight()
+
+    def drop_in_flight(self) -> None:
+        """Forget every packet between its forward and the update that
+        would consume it: the stash, the gradients accumulated toward
+        the next update (``p.grad``, replicated grad segments) and their
+        count.  What a drain barrier leaves behind; a load and a failed
+        ``train()`` both restore it."""
         self._pending_grads = 0
         self._grad_segments = []
         self.stash.clear()
+        for p in self.params:
+            p.grad = None
 
     def build_spec(self, model_factory: Callable[[], Any]) -> "StageBuildSpec":
         """The recipe a ``spawn``-started worker rebuilds this stage

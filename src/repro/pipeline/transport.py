@@ -102,7 +102,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import reduction, resource_tracker, shared_memory
 from multiprocessing.context import get_spawning_popen
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -621,6 +621,33 @@ def ring_slots_for(delay: int, slack: int = 2) -> int:
     return delay + 1 + max(0, int(slack))
 
 
+def _create_rings(specs: Iterable[tuple]) -> list[ShmRing]:
+    """Create one ring per ``(label, arrays, slots)`` spec, all or
+    nothing: a failure midway (e.g. ``/dev/shm`` exhaustion) closes and
+    unlinks the rings already created, then re-raises."""
+    created: list[ShmRing] = []
+    try:
+        for label, arrays, slots in specs:
+            created.append(ShmRing.create(label, arrays, slots))
+    except BaseException:
+        for ring in created:
+            ring.close()
+            ring.unlink()
+        raise
+    return created
+
+
+def _boundary_layouts(stages, x_packet: np.ndarray, layouts) -> list:
+    """``layouts`` as given (checked against ``stages``), else probed."""
+    if layouts is None:
+        return probe_boundary_layouts(stages, x_packet)
+    if len(layouts) != len(stages):
+        raise TransportError(
+            f"got {len(layouts)} boundary layouts for {len(stages)} stages"
+        )
+    return layouts
+
+
 def build_pipeline_rings(
     stages, x_packet: np.ndarray, slack: int = 2, layouts=None
 ) -> tuple[list[ShmRing], list[ShmRing]]:
@@ -637,36 +664,23 @@ def build_pipeline_rings(
     rings repeatedly (per-segment checkpointed drives, crash-recovery
     relaunches) can probe once and skip the dummy forward pass after.
     """
-    if layouts is None:
-        layouts = probe_boundary_layouts(stages, x_packet)
-    elif len(layouts) != len(stages):
-        raise TransportError(
-            f"got {len(layouts)} boundary layouts for {len(stages)} stages"
+    layouts = _boundary_layouts(stages, x_packet, layouts)
+    created = _create_rings(
+        spec
+        for s in range(len(stages) - 1)
+        for spec in (
+            (
+                f"fwd[{s}->{s + 1}]",
+                layouts[s + 1],
+                ring_slots_for(stages[s + 1].delay, slack),
+            ),
+            (
+                f"bwd[{s + 1}->{s}]",
+                layouts[s + 1],
+                ring_slots_for(stages[s].delay, slack),
+            ),
         )
-    created: list[ShmRing] = []
-    try:
-        for s in range(len(stages) - 1):
-            created.append(
-                ShmRing.create(
-                    f"fwd[{s}->{s + 1}]",
-                    layouts[s + 1],
-                    ring_slots_for(stages[s + 1].delay, slack),
-                )
-            )
-            created.append(
-                ShmRing.create(
-                    f"bwd[{s + 1}->{s}]",
-                    layouts[s + 1],
-                    ring_slots_for(stages[s].delay, slack),
-                )
-            )
-    except BaseException:
-        # a partial failure (e.g. /dev/shm exhaustion midway) must not
-        # strand the segments already created
-        for ring in created:
-            ring.close()
-            ring.unlink()
-        raise
+    )
     return created[0::2], created[1::2]
 
 
@@ -696,28 +710,11 @@ def build_inference_rings(
     """
     if slots < 1:
         raise TransportError(f"inference rings need >= 1 slot, got {slots}")
-    if layouts is None:
-        layouts = probe_boundary_layouts(stages, x_packet)
-    elif len(layouts) != len(stages):
-        raise TransportError(
-            f"got {len(layouts)} boundary layouts for {len(stages)} stages"
-        )
-    created: list[ShmRing] = []
-    try:
-        for s in range(len(stages)) if heads is None else heads:
-            created.append(
-                ShmRing.create(
-                    f"infer[{s - 1 if s else 'inject'}->{s}]",
-                    layouts[s],
-                    slots,
-                )
-            )
-    except BaseException:
-        for ring in created:
-            ring.close()
-            ring.unlink()
-        raise
-    return created
+    layouts = _boundary_layouts(stages, x_packet, layouts)
+    return _create_rings(
+        (f"infer[{s - 1 if s else 'inject'}->{s}]", layouts[s], slots)
+        for s in (range(len(stages)) if heads is None else heads)
+    )
 
 
 def build_reduce_rings(
@@ -743,29 +740,21 @@ def build_reduce_rings(
         raise TransportError(f"reduce rings need >= 2 replicas, got {replicas}")
     if slots < 1:
         raise TransportError(f"reduce rings need >= 1 slot, got {slots}")
-    created: list[ShmRing] = []
-    try:
-        chain: list[list[ShmRing]] = []
-        result: list[list[ShmRing]] = []
-        for s, stage in enumerate(stages):
-            arrays = tuple(
-                ArraySpec(tuple(p.data.shape), str(p.data.dtype))
-                for p in stage.params
-            )
-            chain.append([])
-            result.append([])
-            for r in range(replicas - 1):
-                chain[s].append(
-                    ShmRing.create(f"reduce[{s}][{r}->{r + 1}]", arrays, slots)
-                )
-                created.append(chain[s][-1])
-                result[s].append(
-                    ShmRing.create(f"result[{s}][{r + 1}->{r}]", arrays, slots)
-                )
-                created.append(result[s][-1])
-    except BaseException:
-        for ring in created:
-            ring.close()
-            ring.unlink()
-        raise
-    return chain, result
+    grads = [
+        tuple(ArraySpec(p.data.shape, str(p.data.dtype)) for p in st.params)
+        for st in stages
+    ]
+    hops = replicas - 1
+    created = _create_rings(
+        spec
+        for s in range(len(stages))
+        for r in range(hops)
+        for spec in (
+            (f"reduce[{s}][{r}->{r + 1}]", grads[s], slots),
+            (f"result[{s}][{r + 1}->{r}]", grads[s], slots),
+        )
+    )
+    per_stage = [
+        created[2 * hops * s : 2 * hops * (s + 1)] for s in range(len(stages))
+    ]
+    return [b[0::2] for b in per_stage], [b[1::2] for b in per_stage]

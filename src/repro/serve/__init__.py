@@ -20,7 +20,10 @@ this package is the same claim applied to serving (the ROADMAP's
   endpoint (``POST /infer`` / ``GET /stats`` / ``GET /healthz``);
 * :mod:`~repro.serve.stats` — :class:`ServingStats`: p50/p95/p99
   latency, queue wait vs pipeline time, drop-proof counters;
-* :mod:`~repro.serve.loadgen` — closed-loop load generator plus the
+* :mod:`~repro.serve.loadgen` — :func:`closed_loop`: one generator
+  thread keeps ``window`` requests in flight through any
+  ``submit -> Future`` (server, fleet or baseline), with Future
+  done-callbacks stamping completions into a :class:`LoadRun`; plus the
   sequential single-request baseline (:class:`SequentialServer`);
 * :mod:`~repro.serve.fleet` — multi-replica serving:
   :class:`~repro.serve.fleet.router.FleetRouter` (least-loaded
@@ -43,13 +46,10 @@ from repro.serve.fleet import (
     rolling_reload,
 )
 from repro.serve.loadgen import (
-    ClassedLoadResult,
-    LoadGenResult,
+    LoadRun,
     SequentialServer,
     assign_classes,
-    count_bad_outputs,
-    run_classed_loop,
-    run_closed_loop,
+    closed_loop,
 )
 from repro.serve.server import PipelineServer
 from repro.serve.session import SERVE_BACKENDS, InferenceSession
@@ -65,13 +65,10 @@ __all__ = [
     "SLOClass",
     "default_slo_classes",
     "rolling_reload",
-    "ClassedLoadResult",
-    "assign_classes",
-    "run_classed_loop",
-    "LoadGenResult",
+    "LoadRun",
     "SequentialServer",
-    "count_bad_outputs",
-    "run_closed_loop",
+    "assign_classes",
+    "closed_loop",
     "PipelineServer",
     "SERVE_BACKENDS",
     "InferenceSession",

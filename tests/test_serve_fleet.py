@@ -49,7 +49,7 @@ from repro.serve.fleet import (
     default_slo_classes,
     rolling_reload,
 )
-from repro.serve.loadgen import run_classed_loop
+from repro.serve.loadgen import assign_classes, closed_loop
 
 FACTORY = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
 SHAPE = (3, 8, 8)
@@ -673,13 +673,14 @@ class TestFleetSmoke:
 
             swapper = threading.Thread(target=mid_run_reload)
             swapper.start()
-            result = run_classed_loop(
-                lambda x, slo: router.submit(x, slo).future.result(60.0),
+            run = closed_loop(
+                lambda x, slo: router.submit(x, slo).future,
                 x_pool,
-                num_requests=120,
-                concurrency=4,
-                mix={"interactive": 0.7, "batch": 0.3},
-                label="fleet-smoke",
+                n=120,
+                window=4,
+                classes=assign_classes(
+                    120, {"interactive": 0.7, "batch": 0.3}
+                ),
             )
             swapper.join()
             sample()
@@ -687,7 +688,7 @@ class TestFleetSmoke:
 
             assert reload_done.is_set()
             # every client answered (closed loop: lost => raised)
-            assert len(result.combined.outputs) == 120
+            assert sorted(run.outputs) == list(range(120))
             assert snap["duplicates"] == 0
             assert snap["submitted"] == snap["resolved"]  # nothing dropped
             assert snap["failed"] == 0

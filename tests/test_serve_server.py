@@ -20,7 +20,7 @@ from repro.serve import (
     InferenceSession,
     Overloaded,
     PipelineServer,
-    run_closed_loop,
+    closed_loop,
 )
 
 FACTORY = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
@@ -176,16 +176,43 @@ class TestOverload:
         assert snap["rejected"] == rejected[0]
 
     def test_closed_loop_clients_retry_through_backpressure(self):
+        """A window wider than the admission queue must be refused, and
+        every refusal is retried: the loop's retries are exactly the
+        server's rejections, and all 60 answers arrive once each."""
         session = _session(runtime="threaded", micro_batch=4, capacity=2)
         server = PipelineServer(
             session, max_batch=4, max_wait=0.001, max_queue=8
         )
         with server:
-            result = run_closed_loop(
-                server.infer_one, _requests(8), num_requests=60,
-                concurrency=6, label="retry",
-            )
-        assert len(result.outputs) == 60  # zero dropped despite rejections
+            run = closed_loop(server.submit, _requests(8), n=60, window=32)
+            snap = server.stats.snapshot()
+        assert run.retries.sum() > 0
+        assert run.retries.sum() == snap["rejected"]
+        assert run.row("retry")["rejected_retries"] == snap["rejected"]
+        assert sorted(run.outputs) == list(range(60))
+        assert snap["completed"] == 60  # zero dropped, none twice
+
+    def test_load_side_is_one_thread(self):
+        """Eight requests in flight come from one generator thread (the
+        caller's): every submit runs on it and the load side starts no
+        thread of its own."""
+        with PipelineServer(_session(), max_wait=0.001) as server:
+            before = {t.ident for t in threading.enumerate()}
+            submitters, extra = set(), set()
+
+            def submit(x):
+                submitters.add(threading.get_ident())
+                extra.update(
+                    t.name
+                    for t in threading.enumerate()
+                    if t.ident not in before
+                )
+                return server.submit(x)
+
+            run = closed_loop(submit, _requests(8), n=64, window=8)
+        assert submitters == {threading.get_ident()}
+        assert extra == set()
+        assert run.window == 8 and sorted(run.outputs) == list(range(64))
 
 
 @pytest.mark.concurrency
@@ -259,14 +286,11 @@ class TestServingSmoke:
         )
         X = _requests(32, seed=9)
         with server:
-            result = run_closed_loop(
-                server.infer_one, X, num_requests=200, concurrency=8,
-                label="smoke",
-            )
+            run = closed_loop(server.submit, X, n=200, window=8)
             snap = server.stats.snapshot()
         # zero dropped: exactly one response per request
-        assert len(result.outputs) == 200
-        assert sorted(result.outputs) == list(range(200))
+        assert len(run.outputs) == 200
+        assert sorted(run.outputs) == list(range(200))
         # zero duplicated + monotone ids: the batcher assigned each
         # admitted request exactly one gap-free, increasing id
         ids = sorted(t.request_id for t in server.stats.timings())
@@ -276,5 +300,5 @@ class TestServingSmoke:
         # every response is the right math for its input
         ref = session.forward_reference(X, micro_batch=8)
         full = np.stack([ref[rid % 32] for rid in range(200)])
-        got = np.stack([result.outputs[rid] for rid in range(200)])
+        got = np.stack([run.outputs[rid] for rid in range(200)])
         assert np.allclose(got, full, rtol=1e-9, atol=1e-12)

@@ -13,7 +13,10 @@ tests pin:
 * **(c)** no channel flows into stage 0, the parent writes no packet and
   sends no message, and it receives exactly one reply per stage;
 * **(d)** under ``spawn`` the packets travel in the pickled spec, and
-  the run stays hex-equal to the simulator.
+  the run stays hex-equal to the simulator;
+* **(e)** a call that fails mid-batch leaves its engine at a drain
+  barrier (no stashed packet, no unapplied gradient), so the same
+  engine's next call trains.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ from repro.pipeline import (
 )
 from repro.pipeline import worker
 from repro.pipeline.transport import ShmRing
-from repro.pipeline.worker import LocalChannel, WorkerGroup
+from repro.pipeline.worker import (
+    LocalChannel,
+    PipelineRuntimeError,
+    WorkerGroup,
+)
 
 pytestmark = pytest.mark.concurrency
 
@@ -236,3 +243,42 @@ class TestSpawnShipsTheInputs:
         assert all(s.inputs is None for s in specs[1:])
         assert _hex(run.losses) == _hex(sim.losses)
         assert model_fingerprint(m_spawn) == model_fingerprint(m_sim)
+
+
+class TestFailedCall:
+    @pytest.mark.parametrize("runtime", HOSTS)
+    @pytest.mark.parametrize(
+        "schedule", [dict(mode="pb"), dict(mode="gpipe", update_size=4)]
+    )
+    def test_engine_trains_again_after_a_failed_call(self, runtime, schedule):
+        """(e) Stage 2's backward raises on its third call of an
+        8-sample run.  The thread host's workers ran on the parent's own
+        stages, so without a reset they would keep stashed packets (the
+        next call: "pipeline did not drain") and gpipe's accumulated
+        gradients (folded into the next flush)."""
+        engine = make_pipeline_engine(
+            runtime, small_cnn(widths=(4, 8)), lr=0.05, lockstep=True,
+            **schedule,
+        )
+        stage = engine.stages[2]
+        real_backward = stage.backward
+        calls = [0]
+
+        def backward(pid, grads):  # forked workers count their own calls
+            calls[0] += 1
+            if calls[0] == 3:
+                raise ValueError("injected backward failure")
+            return real_backward(pid, grads)
+
+        stage.backward = backward
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(8, 3, 16, 16)), rng.integers(0, 10, size=8)
+        with pytest.raises(PipelineRuntimeError) as err:
+            engine.train(X, Y)
+        assert err.value.stage_index == 2
+        del stage.backward
+        for st in engine.stages:
+            assert st.in_flight == 0
+            assert all(p.grad is None for p in st.params)
+        assert engine.train(X[:4], Y[:4]).samples == 4
+        assert all(st.in_flight == 0 for st in engine.stages)

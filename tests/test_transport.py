@@ -22,7 +22,9 @@ from repro.pipeline.transport import (
     ShmRing,
     TransportError,
     TransportStall,
+    build_inference_rings,
     build_pipeline_rings,
+    build_reduce_rings,
     payload_specs,
     probe_boundary_layouts,
     ring_slots_for,
@@ -287,6 +289,43 @@ class TestRingSizing:
             for r in fwd + bwd:
                 r.close()
                 r.unlink()
+
+
+class TestRingSetsAllOrNothing:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda st: build_pipeline_rings(st, np.zeros((1, 3, 8, 8))),
+            lambda st: build_inference_rings(st, np.zeros((1, 3, 8, 8))),
+            lambda st: build_reduce_rings(st, replicas=2),
+        ],
+        ids=["pipeline", "inference", "reduce"],
+    )
+    def test_failure_midway_unlinks_the_rings_built(self, build, monkeypatch):
+        """The third ring of a set fails to create (as on a full
+        ``/dev/shm``): the two already built are closed and unlinked,
+        and the error reaches the caller."""
+        ex = PipelineExecutor(
+            small_cnn(num_classes=4, widths=(4,), seed=0), lr=0.01, mode="pb"
+        )
+        real_create, real_unlink = ShmRing.create, ShmRing.unlink
+        made, unlinked = [], []
+
+        def create(*args, **kwargs):
+            if len(made) == 2:
+                raise OSError("no space left on /dev/shm")
+            made.append(real_create(*args, **kwargs))
+            return made[-1]
+
+        def unlink(ring):
+            unlinked.append(ring)
+            real_unlink(ring)
+
+        monkeypatch.setattr(ShmRing, "create", staticmethod(create))
+        monkeypatch.setattr(ShmRing, "unlink", unlink)
+        with pytest.raises(OSError, match="no space"):
+            build(ex.stages)
+        assert len(made) == 2 and unlinked == made
 
 
 class TestForwardOnlyStreaming:
