@@ -9,8 +9,10 @@ op amortizes per-op overhead across ``B`` requests.  The
 
 ``max_batch``
     Cap on requests per packet (the pipeline's micro-batch width).  A
-    full batch dispatches without waiting for any deadline — at once on
-    an idle server, on the pacing clock (below) on a saturated one.
+    full batch dispatches the moment it is full, on an idle server and
+    on a saturated one alike: a saturated server runs at the pipeline's
+    speed (the dispatcher blocks on the stream's bounded in-flight
+    window, not on a clock).
 ``max_wait``
     The longest a request waits to coalesce *behind a packet in
     flight*.  The batcher is **work-conserving** (Nagle's rule, RFC
@@ -38,23 +40,6 @@ to dispatch with it immediately.  The flush point is therefore the
 *minimum* deadline over the queued requests, not the oldest request's
 age.
 
-**Pacing.**  A full packet is released no sooner than ``spacing =
-min(max_wait, FULL_PACKET_SPACING)`` after the previous packet.  Below
-saturation this costs little: only full packets are paced (a partial one
-leaves as soon as nothing is in flight or at its deadline), and a full
-packet whose oldest request arrived after the previous release is held
-no longer than that request's default deadline would have held it as a
-partial one; a batcher that never waits on purpose (``max_wait = 0``) is
-never paced.  At saturation — a full
-packet always queued — it makes throughput ``max_batch / spacing``: set
-by a clock, not by how fast the host happens to schedule the dozen
-wake-ups a packet costs on its way through a process-hosted pipeline.
-With no sleep left anywhere in that path the unpaced rate follows the
-host's CPU speed one for one (10–20 % between identical runs on a shared
-2-CPU machine); paced, identical runs agree to about 1 %.  The price is
-peak throughput wherever the host could have gone faster than the clock;
-a partial packet whose deadline has come is never held back.
-
 Admission is **bounded and loud**: at most ``max_queue`` requests may be
 pending, and a submit beyond that raises :class:`Overloaded` — the
 explicit-backpressure contract (reject, never grow without bound, never
@@ -79,11 +64,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-#: Seconds between the packets of a saturated batcher (module docstring,
-#: "Pacing"): one default coalescing window.
-FULL_PACKET_SPACING = 0.002
 
 
 class Overloaded(RuntimeError):
@@ -130,10 +110,6 @@ class DynamicBatcher:
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.max_queue = int(max_queue)
-        #: a full packet goes no sooner than this after the previous
-        #: packet; a batcher that never waits on purpose is never paced
-        self.spacing = min(self.max_wait, FULL_PACKET_SPACING)
-        self._next_full = 0.0  # monotonic: earliest next full packet
         self._in_flight = 0  # packets next_batch returned, not yet done()
         self._cond = threading.Condition()
         self._queue: list[PendingRequest] = []
@@ -157,9 +133,13 @@ class DynamicBatcher:
         ``max_wait`` overrides the batcher-level coalescing deadline for
         this request only (``0`` = dispatch the next packet immediately,
         pulling any already-queued requests along); ``slo_class`` rides
-        on the :class:`PendingRequest` for per-class accounting."""
+        on the :class:`PendingRequest` for per-class accounting.
+
+        ``x`` is copied here: a caller may reuse its buffer the moment
+        ``submit`` returns."""
         if max_wait is not None and max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
+        x = np.array(x)
         with self._cond:
             if self._closed:
                 self.rejected += 1
@@ -176,7 +156,7 @@ class DynamicBatcher:
             wait = self.max_wait if max_wait is None else float(max_wait)
             req = PendingRequest(
                 request_id=next(self._ids),
-                x=np.asarray(x),
+                x=x,
                 t_submit=now,
                 t_deadline=now + wait,
                 slo_class=slo_class,
@@ -210,27 +190,20 @@ class DynamicBatcher:
             while True:
                 now = time.monotonic()
                 if self._queue:
-                    if len(self._queue) >= self.max_batch:
-                        ready_at = self._next_full  # paced, not deadlined
-                    elif self._in_flight:
+                    if len(self._queue) < self.max_batch and self._in_flight:
                         ready_at = min(r.t_deadline for r in self._queue)
                     else:
-                        ready_at = now  # waiting would idle the pipeline
+                        # full, or waiting would idle the pipeline
+                        ready_at = now
                     if now >= ready_at or self._closed:
                         batch = self._queue[: self.max_batch]
                         del self._queue[: len(batch)]
                         for req in batch:
                             req.t_dispatch = now
-                        # keep the cadence while saturated (a late slot
-                        # does not push the next one), restart it after
-                        # a gap
-                        if not 0.0 <= now - self._next_full < self.spacing:
-                            self._next_full = now
-                        self._next_full += self.spacing
                         self._in_flight += 1
                         return batch
                     # wake at whichever comes first: the packet's
-                    # release or the caller's timeout
+                    # deadline or the caller's timeout
                     wait = min(ready_at - now, deadline - now)
                 else:
                     if self._closed or now >= deadline:

@@ -37,7 +37,7 @@ class AutoscalePolicy:
     scale_out_wait_s: float = 0.05
     #: retire one replica after this long with zero outstanding work
     idle_grace_s: float = 2.0
-    #: minimum spacing between any two scaling actions
+    #: minimum interval between any two scaling actions
     cooldown_s: float = 1.0
 
     def __post_init__(self):

@@ -179,10 +179,11 @@ class SequentialServer:
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         with no_grad():
-            return self.model(Tensor(np.asarray(x)[None])).data[0]
+            return self.model(Tensor(x[None])).data[0]
 
     def submit(self, x: np.ndarray) -> Future:
-        return self._worker.submit(self._forward, x)
+        # copied now: the caller may reuse its buffer before the forward
+        return self._worker.submit(self._forward, np.array(x))
 
     def close(self) -> None:
         self._worker.shutdown()

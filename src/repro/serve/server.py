@@ -24,9 +24,10 @@ exactly the discipline the shared-memory rings require.
 
 Saturation behavior is explicit end to end: the batcher's bounded queue
 turns overload into :class:`~repro.serve.batcher.Overloaded` at
-``submit`` (HTTP 429 on the wire), its pacing clock sets the rate at which
-full packets enter the pipeline, the stream's bounded in-flight window
-turns pipeline congestion into dispatcher backpressure, and nothing
+``submit`` (HTTP 429 on the wire), a full packet enters the pipeline the
+moment it is full, the stream's bounded in-flight window turns pipeline
+congestion into dispatcher backpressure (so a saturated server runs at
+the pipeline's speed), and nothing
 anywhere grows without bound or drops silently — ``stop()`` drains
 every admitted request before tearing the stream down, failing leftover
 futures loudly if the pipeline died.
@@ -108,6 +109,8 @@ class HttpFrontDoor:
                     return
                 try:
                     length = int(self.headers.get("Content-Length", 0))
+                    if length < 0:  # read(-1) would wait for EOF
+                        raise ValueError(f"Content-Length {length}")
                     payload = json.loads(self.rfile.read(length) or b"{}")
                     x = np.asarray(payload["x"], dtype=dtype)
                     slo_class = payload.get("class")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -168,9 +169,12 @@ class ServingStats:
             _time.monotonic() - horizon_s if horizon_s is not None else None
         )
         with self._lock:
+            # newest first, and only the newest ``last``: the fleet
+            # router calls this per request, under the lock ``record``
+            # takes, so its cost must not grow with the window
             waits = [
                 t.queue_wait
-                for t in list(self._timings)[-last:]
+                for t in islice(reversed(self._timings), last)
                 if cutoff is None or t.t_done >= cutoff
             ]
         if not waits:

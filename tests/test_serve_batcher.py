@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.serve import DynamicBatcher, Overloaded
-from repro.serve.batcher import FULL_PACKET_SPACING
 from repro.serve.stats import RequestTiming, ServingStats
 
 
@@ -65,42 +64,39 @@ class TestCoalescing:
         assert time.monotonic() - t0 < 1.0
 
 
-class TestPacing:
-    """Full packets of a saturated batcher leave on a clock."""
+class TestSaturation:
+    """A full packet is ready the moment it is full: a saturated batcher
+    releases packets back to back, as fast as the consumer asks."""
 
     def _fill(self, b: DynamicBatcher, packets: int) -> None:
         for i in range(packets * b.max_batch):
             b.submit(_x(i))
 
-    def test_saturated_full_packets_are_spaced(self):
+    def test_full_packets_leave_back_to_back(self):
         b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
-        assert b.spacing == FULL_PACKET_SPACING
         self._fill(b, 6)
-        assert len(b.next_batch(timeout=0.0)) == 4  # idle: at once
-        assert b.next_batch(timeout=0.0) == []  # full, but not yet due
-        stamps = [time.monotonic()]
-        for _ in range(5):
-            assert len(b.next_batch(timeout=5.0)) == 4
-            stamps.append(time.monotonic())
-        # five gaps on the clock, whatever the host: never faster
-        assert stamps[-1] - stamps[0] >= 5 * b.spacing - 1e-4
+        ids = []
+        for _ in range(6):  # five of them with packets still in flight
+            batch = b.next_batch(timeout=0.0)
+            assert len(batch) == 4
+            ids.extend(r.request_id for r in batch)
+        assert ids == list(range(24))  # admission order
         assert b.pending == 0
 
-    def test_zero_wait_is_never_paced(self):
+    def test_zero_wait_drains_full_packets(self):
         b = DynamicBatcher(max_batch=4, max_wait=0.0, max_queue=64)
-        assert b.spacing == 0.0
         self._fill(b, 3)
         for _ in range(3):
             assert len(b.next_batch(timeout=0.0)) == 4
 
-    def test_deadline_flush_is_not_held_back(self):
+    def test_due_partial_packet_follows_a_full_one(self):
         b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
         self._fill(b, 1)
-        assert len(b.next_batch(timeout=0.0)) == 4  # starts the clock
+        assert len(b.next_batch(timeout=0.0)) == 4  # in flight
         b.submit(_x(4), max_wait=0.0)  # partial, due now
         assert [r.request_id for r in b.next_batch(timeout=0.0)] == [4]
 
-    def test_close_drains_unpaced(self):
+    def test_close_drains_full_packets(self):
         b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
         self._fill(b, 3)
         b.close()
@@ -156,6 +152,18 @@ class TestBackpressure:
         for t in threads:
             t.join()
         assert sorted(seen) == list(range(200))  # unique, gap-free
+
+    def test_submit_snapshots_the_request(self):
+        """A caller may reuse its buffer once ``submit`` returns: every
+        queued request keeps the values it was submitted with."""
+        b = DynamicBatcher(max_batch=4, max_wait=60.0, max_queue=64)
+        buf = np.zeros(2)
+        for i in range(4):
+            buf[:] = i
+            b.submit(buf)
+        buf[:] = -1.0
+        batch = b.next_batch(timeout=0.0)
+        assert [float(r.x[0]) for r in batch] == [0.0, 1.0, 2.0, 3.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -502,6 +510,32 @@ class TestServingStats:
         ) == pytest.approx(1.0)  # raw count window still sees it
         stats.record(self._timing(99, 0.04), time.monotonic())
         assert stats.recent_queue_wait_p95() == pytest.approx(0.01)
+
+    def test_recent_queue_wait_p95_reads_only_the_newest(self):
+        """On a full window whose oldest part the horizon expires, the
+        newest-``last`` read equals the whole-window copy it replaced."""
+        stats = ServingStats(window=1024)
+        rng = np.random.default_rng(3)
+        now = time.monotonic()
+        for i in range(3000):  # wraps the window almost three times
+            t = self._timing(i, float(rng.uniform(0.0, 0.1)))
+            # the window ends 524 stale readings, then 500 fresh ones
+            stats.record(t, now - 60.0 if i < 2500 else now)
+        assert len(stats.timings()) == 1024
+
+        def full_copy(last, horizon_s):
+            cutoff = time.monotonic() - horizon_s
+            waits = [
+                t.queue_wait
+                for t in stats.timings()[-last:]
+                if t.t_done >= cutoff
+            ]
+            return float(np.percentile(np.asarray(waits), 95.0))
+
+        for last in (1, 256, 1000, 5000):
+            for horizon_s in (2.0, 120.0):
+                got = stats.recent_queue_wait_p95(last, horizon_s)
+                assert got == full_copy(last, horizon_s)
 
     def test_timings_window_is_bounded(self):
         """A long-lived server keeps cumulative counters but only a

@@ -193,3 +193,29 @@ def test_sequential_server_answers_in_eval_mode():
         for i, out in run.outputs.items():
             want = model(Tensor(X[i % 6][None])).data[0]
             assert np.array_equal(out, want)
+
+
+@pytest.mark.concurrency
+def test_sequential_server_snapshots_each_request():
+    """Requests queued behind a busy worker keep their own values when
+    the caller reuses one buffer."""
+    model = small_cnn(num_classes=10, widths=(4, 8), seed=3)
+    X = np.random.default_rng(1).normal(size=(6, 3, 8, 8))
+    seq = SequentialServer(model)
+    gate = threading.Event()
+    try:
+        seq._worker.submit(gate.wait, 10.0)  # hold the one worker
+        buf = np.empty(X.shape[1:])
+        futures = []
+        for x in X:
+            buf[...] = x
+            futures.append(seq.submit(buf))
+        buf[...] = 0.0
+        gate.set()
+        got = [f.result(10.0) for f in futures]
+        with no_grad():
+            for x, out in zip(X, got):
+                assert np.array_equal(out, model(Tensor(x[None])).data[0])
+    finally:
+        gate.set()
+        seq.close()

@@ -6,6 +6,7 @@ duplicated responses, monotone request ids)."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -69,6 +70,23 @@ class TestServerBasics:
         assert _hex(got) == _hex(ref)
         sizes = [t.batch_size for t in server.stats.timings()]
         assert sizes == [4] * 12  # three full packets
+
+    def test_reused_buffer_does_not_alias_queued_requests(self):
+        """A caller that fills one buffer per request gets each frame's
+        own answer: admission snapshots the request."""
+        session = _session(runtime="threaded", micro_batch=4)
+        server = PipelineServer(session, max_batch=4, max_wait=0.5)
+        X = _requests(6)
+        buf = np.empty(SHAPE)
+        futures = []
+        for x in X:  # queued before start, so all six wait on buf
+            buf[...] = x
+            futures.append(server.submit(buf))
+        buf[...] = 0.0
+        with server:
+            got = np.stack([f.result(20.0) for f in futures])
+        ref = session.forward_reference(X, micro_batch=4)
+        assert _hex(got) == _hex(ref)
 
     def test_request_shape_validated(self):
         with PipelineServer(_session()) as server:
@@ -272,6 +290,19 @@ class TestHttpEndpoint:
                     f"http://{host}:{port}/nope", timeout=10
                 )
             assert err.value.code == 404
+
+    def test_negative_content_length_is_400(self):
+        """``rfile.read(-1)`` would block until the client hangs up; the
+        handler answers 400 instead (FleetRouter shares the handler)."""
+        with PipelineServer(_session()) as server:
+            host, port = server.serve_http()
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /infer HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                status = sock.recv(64).split(b"\r\n", 1)[0]
+        assert status.split()[1] == b"400"
 
 
 @pytest.mark.serve

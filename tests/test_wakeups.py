@@ -361,8 +361,8 @@ class TestWaitCounters:
             for k in range(packets):
                 while not stream.submit(k, k, X[k : k + 1]):
                     stream.wait(1.0, space=True)
-                # paced from now, not from a schedule: a host stall must
-                # not turn into a catch-up burst
+                # the next packet waits 5 ms from now, not from a
+                # schedule: a host stall must not turn into a burst
                 resume = time.perf_counter() + 0.005
                 while (left := resume - time.perf_counter()) > 0:
                     if stream.wait(left):
