@@ -106,8 +106,8 @@ with server:
     print(f"HTTP /stats -> completed={stats['completed']} "
           f"rejected={stats['rejected']} "
           f"p99={stats['latency_s']['p99'] * 1e3:.2f} ms "
-          f"groups={stats['groups']}")
+          f"lanes={stats['lanes']}")
 print("server drained and stopped cleanly")
-# which stages each worker ran (one worker per usable CPU), and the
-# probed per-stage forward costs the groups were cut from
+# one whole-model lane per usable CPU: each lane's CPU and the packets
+# dispatched to it
 print(session.describe())

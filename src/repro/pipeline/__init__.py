@@ -17,7 +17,7 @@
   :class:`~repro.models.arch.StageGraphModel`.
 * :mod:`~repro.pipeline.worker` — the one worker loop
   (:class:`~repro.pipeline.worker.StageWorker`: one stage when training,
-  a group of adjacent stages when serving) and the one
+  a lane of every compute stage when serving) and the one
   :class:`~repro.pipeline.worker.WorkerGroup` that hosts it
   as threads or as processes over shared-memory rings; training and
   serving both run on it.
@@ -31,17 +31,16 @@
   driver that snapshots on a fixed cadence.
 * :mod:`~repro.pipeline.inference` — forward-only serving: the
   ``infer`` schedule's streams (the synchronous reference and the
-  worker-group stream on either host) and the schedule-driven batch
+  one-lane-per-CPU worker stream on either host) and the schedule-driven batch
   driver behind every engine's ``infer()`` and :mod:`repro.serve`.
 * :mod:`~repro.pipeline.occupancy` — occupancy grids rendered from a
   schedule's compiled plan, for Figures 1-2 and the schedule-comparison
   example.
 * :mod:`~repro.pipeline.utilization` — closed-form utilization (eq. 1,
   per-sample and per-micro-batch).
-* :mod:`~repro.pipeline.partition` — stage-graph validation and the
-  min-max contiguous partition a serving stream groups its stages by.
+* :mod:`~repro.pipeline.partition` — stage-graph validation.
 * :mod:`~repro.pipeline.costs` — the Appendix-A memory/communication
-  model and the measured per-stage forward cost it is cut from.
+  model.
 """
 
 from repro.pipeline.delays import (
@@ -122,9 +121,8 @@ from repro.pipeline.utilization import (
     pb_utilization,
     utilization_upper_bound,
 )
-from repro.pipeline.partition import contiguous_partition, validate_stage_graph
+from repro.pipeline.partition import validate_stage_graph
 from repro.pipeline.costs import (
-    probe_forward_costs,
     pipeline_cost_model,
     batch_parallel_activation_elements,
     data_parallel_comm_per_update,
@@ -194,8 +192,6 @@ __all__ = [
     "pb_utilization",
     "utilization_upper_bound",
     "validate_stage_graph",
-    "contiguous_partition",
-    "probe_forward_costs",
     "pipeline_cost_model",
     "batch_parallel_activation_elements",
     "data_parallel_comm_per_update",

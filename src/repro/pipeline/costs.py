@@ -17,48 +17,16 @@ graph:
 * **Communication** — a pipeline worker exchanges activations and
   activation-gradients with its neighbours each step; a data-parallel
   worker exchanges *all* model gradients/parameters each update.
-
-Next to the model sits one measurement, :func:`probe_forward_costs`:
-each stage's forward time on the probe packet that sizes a stream's
-rings.  A serving stream cuts its stages into per-CPU groups by it
-(:func:`repro.pipeline.partition.contiguous_partition`).
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.models.arch import StageGraphModel
 from repro.pipeline.delays import stage_delay
-from repro.pipeline.transport import ArraySpec, probe_boundary_layouts
-
-#: forwards of the probe packet timed per stage; the median of the three
-#: drops a first call's one-off costs (scratch buffers, BLAS warm-up)
-PROBE_REPEATS = 3
-
-
-def probe_forward_costs(
-    stages, x_packet: np.ndarray
-) -> tuple[list[tuple[ArraySpec, ...]], list[float]]:
-    """The boundary layouts of :func:`probe_boundary_layouts` plus each
-    compute stage's median forward seconds, from that one probe pass:
-    every stage forwards the packet :data:`PROBE_REPEATS` times and
-    hands the last output on."""
-    seconds: list[list[float]] = [[] for _ in stages[:-1]]
-
-    def timed(s, stage, payload):
-        for _ in range(PROBE_REPEATS):
-            t0 = time.perf_counter()
-            out = stage.forward(-1, payload, train=False)
-            seconds[s].append(time.perf_counter() - t0)
-        return out
-
-    layouts = probe_boundary_layouts(stages, x_packet, forward=timed)
-    return layouts, [statistics.median(t) for t in seconds]
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ pipeline you push packets into and pull outputs out of:
 * :class:`SimInferenceStream` — synchronous in-process forward (the
   discrete-time engine's counterpart, and the reference the parity
   tests compare against);
-* :class:`PipelineInferenceStream` — a ``forward_only``
+* :class:`PipelineInferenceStream` — a forward-only
   :class:`~repro.pipeline.worker.WorkerGroup` hosted as threads or as
   processes (the worker loop, channels and control protocol are
-  described in :mod:`repro.pipeline.worker`), with one worker per
-  *group* of adjacent compute stages and never more workers than CPUs
-  (see "Stages per worker" below).  ``submit`` is the first channel's
-  ``try_send``, ``poll`` the last channel's ``try_recv``.
+  described in :mod:`repro.pipeline.worker`): one *lane* per usable
+  CPU, each lane running the whole model (see "Lanes" below).
+  ``submit`` is a ``try_send`` into the least loaded lane with room,
+  ``poll`` drains every lane's out channel.
 
 Both expose the same SPSC surface — ``submit`` (non-blocking, with
 explicit backpressure: ``False`` means "pipeline full, try later"),
@@ -52,27 +52,38 @@ Streams hold modules in ``eval`` mode for their lifetime (BatchNorm uses
 running stats, Dropout passes through) and run every stage forward with
 ``train=False`` — no autodiff graph, no stash, nothing mutated.
 
-Stages per worker
------------------
+Lanes
+-----
 
 The paper's fine-grained stages exist for training, where the stage
-count sets the eq.-5 delays.  A forward-only stream has no staleness, so
-it may group stages however is fastest without changing an output bit,
-and every channel a packet crosses is a hand-off it pays on every
-request.  So a worker stream opens with one probe pass
-(:func:`~repro.pipeline.costs.probe_forward_costs`: the zero max-width
-packet the process host sizes its rings with, each stage's forward
-timed), then cuts the compute stages into ``k = min(compute stages,
-usable CPUs)`` contiguous groups whose costliest group is as cheap as
-possible (:func:`~repro.pipeline.partition.contiguous_partition`).
-Each worker runs its group under ``no_grad``: nothing reads an autodiff
-graph there, and building one made a worker that runs several conv
-stages re-fault its temporaries on every packet.  ``k`` counts
-the CPUs this process may run on at open time (:func:`usable_cpus`), so
-a stream opened under a one-CPU affinity runs every stage on one worker.
-The stream keeps both as ``costs`` (median seconds per compute stage)
-and ``groups`` (stage indices per worker); ``stats.stages`` stays one
-entry per stage.
+count sets the eq.-5 delays.  A forward-only stream has no delays: a
+stage cut only decides load balance and how many hand-offs a request
+pays, and a cut's rate is bounded by its costliest group — one heavy
+stage leaves the other CPUs idle.  With no weight updates, copies of a
+stage need no gradient sync (PipeDream replicates a stage when that
+beats cutting it), so a stream replicates the *whole* model instead: it
+opens ``k = usable_cpus()`` **lanes**, each one worker that runs every
+compute stage in order under ``no_grad`` (nothing reads an autodiff
+graph there, and building one made a worker running several conv stages
+re-fault its temporaries on every packet), between its own in and out
+channel.  Every model is then balanced exactly — the rate is bounded by
+the total cost over ``k`` — and a request crosses no worker-to-worker
+hop.  ``k`` counts the CPUs this process may run on at open time
+(:func:`usable_cpus`), so a stream opened under a one-CPU affinity is
+one lane.
+
+Lane ``w`` is pinned to the ``w``-th CPU of the affinity mask taken at
+open (``cpus``), so no two lanes share a CPU while another sits idle;
+unpinned, that is the kernel's choice, made next to the server's own
+threads, and the closed-loop rate moves with it.
+``submit`` puts a packet on the lane with the fewest outstanding
+packets that has a free slot, so packets may finish out of order across
+lanes — results are keyed by ``pid`` and ``start``.  The stream stays
+SPSC per channel: the submitting thread is the only producer of every
+in channel, the polling thread the only consumer of every out channel,
+and each keeps its own per-lane count (``sent`` / ``done``), so the
+dispatch needs no lock.  ``stats.stages`` stays one entry per stage,
+summed over the lanes; ``lane_counters`` keeps each lane's own.
 """
 
 from __future__ import annotations
@@ -86,21 +97,21 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.nn.module import modules_eval_mode
-from repro.pipeline.costs import probe_forward_costs
 from repro.pipeline.executor import (
     DEFAULT_STALL_TIMEOUT,
     PipelineRunStats,
     StageCounters,
 )
-from repro.pipeline.partition import contiguous_partition
 from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
 from repro.pipeline.stage import PipelineStage
+from repro.pipeline.transport import probe_boundary_layouts
 from repro.pipeline.worker import PipelineRuntimeError, WorkerGroup
 
 #: Default ceiling for any single wait inside a stream or driver.
 DEFAULT_INFER_TIMEOUT = DEFAULT_STALL_TIMEOUT
 #: Default maximum packets in flight inside one stream (backpressure
-#: threshold: the slot count of every channel of a worker stream).
+#: threshold: the slot count of every channel of a worker stream, so a
+#: worker stream holds up to this many per lane and direction).
 DEFAULT_STREAM_CAPACITY = 8
 
 
@@ -114,6 +125,16 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def lane_cpus(k: int) -> list[int | None]:
+    """The CPU of each of ``k`` lanes: the affinity mask's CPUs in
+    order, round robin; ``None`` (unpinned) where the platform has no
+    mask."""
+    if not hasattr(os, "sched_getaffinity"):
+        return [None] * k
+    mask = sorted(os.sched_getaffinity(0))
+    return [mask[w % len(mask)] for w in range(k)]
 
 
 def eval_mode(stages: Sequence[PipelineStage]):
@@ -222,20 +243,20 @@ class SimInferenceStream:
 
 
 class PipelineInferenceStream:
-    """Persistent forward-only pipeline, one worker per group of stages.
+    """Persistent forward-only pipeline, one whole-model lane per CPU.
 
-    ``backend`` picks the host: ``"threaded"`` workers run the session's
-    own stage objects over in-process channels; ``"process"`` workers run
+    ``backend`` picks the host: ``"threaded"`` lanes run the session's
+    own stage objects over in-process channels; ``"process"`` lanes run
     over shared-memory rings, the final compute stage's output landing in
     shared memory and copied out exactly once, into the result the
-    caller sees.  Workers stay alive across packets (and across serving
+    caller sees.  Lanes stay alive across packets (and across serving
     requests), so launch cost is paid once per stream, not once per
-    batch.  ``groups`` and ``costs`` record how the stages were split
-    between workers, and why (module docstring, "Stages per worker").
+    batch.  ``cpus`` records where each lane runs and :meth:`placement`
+    what each was given (module docstring, "Lanes").
 
     ``max_width`` fixes the packet width a ``submit`` may carry (the ring
     slot width); ``capacity`` sizes every channel, bounding the in-flight
-    window — a full injection channel is the backpressure signal
+    window — every lane's in channel full is the backpressure signal
     (``submit`` returns ``False``).
     """
 
@@ -259,11 +280,16 @@ class PipelineInferenceStream:
         self.counters = [
             StageCounters(index=s) for s in range(len(stages))
         ]
+        #: each lane's own per-stage counters, from its reply at close
+        #: (``[]`` for a lane that died without one)
+        self.lane_counters: list[list[StageCounters]] = []
         self._group: WorkerGroup | None = None
-        #: median forward seconds of each compute stage on the probe
-        #: packet, and the stage indices each worker runs, cut from them
-        self.costs: list[float] = []
-        self.groups: list[tuple[int, ...]] = []
+        #: the CPU each lane is pinned to
+        self.cpus = lane_cpus(usable_cpus())
+        #: packets put on / taken off each lane: one writer each, the
+        #: submitting and the polling thread
+        self._sent = [0] * len(self.cpus)
+        self._done = [0] * len(self.cpus)
         self._error: PipelineRuntimeError | None = None
         self._closed = False
         #: health checks read the workers' control endpoints and may be
@@ -278,19 +304,19 @@ class PipelineInferenceStream:
             probe = np.zeros(
                 (max(1, int(max_width)),) + tuple(sample_shape), dtype=dtype
             )
-            layouts, self.costs = probe_forward_costs(self.stages, probe)
-            self.groups = contiguous_partition(self.costs, usable_cpus())
+            # the process rings need the layouts; on either host the
+            # pass rejects a bad sample_shape here, not in a lane
+            layouts = probe_boundary_layouts(self.stages, probe)
             self._group = WorkerGroup(
                 self.stages,
                 probe,
                 processes=backend == "process",
                 name="infer-stage",
                 stall_timeout=self.stall_timeout,
-                forward_only=True,
+                lanes=self.cpus,
                 slots=self.capacity,
                 model_factory=model_factory,
                 start_method=start_method,
-                groups=self.groups,
                 layouts=layouts,
             )
         except BaseException:
@@ -299,13 +325,21 @@ class PipelineInferenceStream:
             self.close()
             raise
 
+    def placement(self) -> list[dict]:
+        """Each lane's pinned CPU and the packets dispatched to it so
+        far, JSON-ready."""
+        return [
+            {"cpu": cpu, "packets": sent}
+            for cpu, sent in zip(self.cpus, self._sent)
+        ]
+
     # -- SPSC surface -------------------------------------------------------
 
     def _raise_if_failed(self) -> None:
         if self._error is None:
             # a worker that reports an error also sets the abort flag, so
             # that is checked on every call; the full scan (an endpoint
-            # poll and an exit-code read per stage, which is what catches
+            # poll and an exit-code read per lane, which is what catches
             # a silently killed worker) is rate-limited — submit/poll sit
             # on the serving hot path
             now = time.monotonic()
@@ -331,37 +365,37 @@ class PipelineInferenceStream:
             raise InferenceStreamError("stream is closed")
         self._raise_if_failed()
         x = np.ascontiguousarray(x)
-        return self._group.channels[0].try_send(pid, start, x.shape[0], [x])
+        sent, done = self._sent, self._done
+        for w in sorted(range(len(sent)), key=lambda w: sent[w] - done[w]):
+            if self._group.lanes[w][0].try_send(pid, start, x.shape[0], [x]):
+                sent[w] += 1
+                return True
+        return False
 
     def poll(self) -> list[tuple[int, int, np.ndarray]]:
         if self._closed:
             raise InferenceStreamError("stream is closed")
         self._raise_if_failed()
         out = []
-        ring = self._group.channels[-1]
-        while True:
-            pkt = ring.try_recv()
-            if pkt is None:
-                break
-            pid, start, size, views = pkt
-            # one copy (out of shared memory, on a process host), then
-            # free the slot
-            out.append((pid, start, np.array(views[0][:size], copy=True)))
-            ring.release()
+        for w, (_, ring) in enumerate(self._group.lanes):
+            while (pkt := ring.try_recv()) is not None:
+                pid, start, size, views = pkt
+                # one copy (out of shared memory, on a process host),
+                # then free the slot
+                out.append((pid, start, np.array(views[0][:size], copy=True)))
+                ring.release()
+                self._done[w] += 1
         return out
 
     def wait(self, timeout: float, space: bool = False) -> bool:
         """Block until ``poll`` has a result (``space=True``: until
         ``submit`` has room), a worker aborts the group, or ``timeout``
-        passes; ``True`` only for the first.  The wait is the channel's:
-        a condition variable on a thread host, a doorbell on a process
-        host.  One waiter per direction, like the stream's two ends."""
+        passes; ``True`` only for the first.  One wait over every lane
+        (:meth:`WorkerGroup.wait_lanes`); one waiter per direction, like
+        the stream's two ends."""
         if self._closed:
             raise InferenceStreamError("stream is closed")
-        group = self._group
-        if space:
-            return group.channels[0].wait_writable(timeout, group.abort)
-        return group.channels[-1].wait_readable(timeout, group.abort)
+        return self._group.wait_lanes(timeout, space)
 
     def close(self) -> None:
         if self._closed:
@@ -380,13 +414,14 @@ class PipelineInferenceStream:
                 # that sees the flag still answers the finalize sent
                 # before it, so the happy path collects every counter.
                 group.abort.set()
-                for w, members in enumerate(self.groups):
+                for w in range(len(group.workers)):
                     try:
-                        payload = group.recv(w, "state")[1]
+                        lane = group.recv(w, "state")[1]["counters"]
                     except RuntimeError:
-                        continue  # worker gone without a reply
-                    for s, counters in zip(members, payload["counters"]):
-                        self.counters[s] = counters
+                        lane = []  # worker gone without a reply
+                    self.lane_counters.append(lane)
+                    for counters in lane:
+                        self.counters[counters.index].add(counters)
                 group.teardown(failed=False)
         self._eval_guard.__exit__(None, None, None)
 

@@ -212,6 +212,25 @@ def wait_on_bells(
     return False
 
 
+def block_on_bells(
+    ready, bells: Sequence[Doorbell], timeout: float, abort=None
+) -> bool:
+    """Block on ``bells`` until ``ready()`` — ``True`` — or until the
+    abort flag or the deadline — ``False``.  A waiter on several rings
+    (a stream's parent over every lane) passes all their bells: one
+    ``select`` wakes on whichever peer rings first."""
+    deadline = time.monotonic() + timeout
+    fds = [*bells, abort] if hasattr(abort, "fileno") else list(bells)
+    while True:
+        remaining = deadline - time.monotonic()
+        if wait_on_bells(
+            ready, bells, fds, max(0.0, min(remaining, WAIT_SAFETY_NET))
+        ):
+            return True
+        if remaining <= 0 or (abort is not None and abort.is_set()):
+            return False
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Shape/dtype of one slot array; leading dim is the max batch width."""
@@ -251,7 +270,7 @@ def slot_layout(arrays: Sequence[ArraySpec]) -> tuple[list[int], int]:
 
 
 def probe_boundary_layouts(
-    stages, x_packet: np.ndarray, forward=None
+    stages, x_packet: np.ndarray
 ) -> list[tuple[ArraySpec, ...]]:
     """Payload layout entering each stage, for a max-width input packet.
 
@@ -261,21 +280,14 @@ def probe_boundary_layouts(
     touched); layout ``b`` describes the forward ring *into* stage ``b``
     — and, because a stage's backward output mirrors its forward input,
     also the backward ring flowing back *out of* stage ``b``.
-
-    ``forward(s, stage, payload)``, when given, stands in for stage
-    ``s``'s forward call: :func:`repro.pipeline.costs.probe_forward_costs`
-    times the stages on this same pass through it.
     """
     modules = [st.spec.module for st in stages if st.spec.module is not None]
     with modules_eval_mode(modules), no_grad():
         payload = [np.ascontiguousarray(x_packet)]
         layouts = [payload_specs(payload)]
         # the loss stage consumes, emits nothing
-        for s, stage in enumerate(stages[:-1]):
-            if forward is None:
-                payload = stage.forward(-1, payload, train=False)
-            else:
-                payload = forward(s, stage, payload)
+        for stage in stages[:-1]:
+            payload = stage.forward(-1, payload, train=False)
             layouts.append(payload_specs(payload))
     return layouts
 
@@ -415,24 +427,11 @@ class ShmRing:
 
     # -- waiting ------------------------------------------------------------
 
-    def _block(self, ready, bell, timeout: float, abort=None) -> bool:
-        """Block on ``bell`` until ``ready()`` — ``True`` — or until the
-        abort flag or the deadline — ``False``."""
-        deadline = time.monotonic() + timeout
-        bells = [] if bell is None else [bell]
-        fds = bells + [abort] if hasattr(abort, "fileno") else bells
-        while True:
-            remaining = deadline - time.monotonic()
-            if wait_on_bells(
-                ready, bells, fds, max(0.0, min(remaining, WAIT_SAFETY_NET))
-            ):
-                return True
-            if remaining <= 0 or (abort is not None and abort.is_set()):
-                return False
-
     def _wait(self, ready, bell, timeout: float, what: str, abort) -> None:
-        """:meth:`_block` that raises on abort or a passed deadline."""
-        if self._block(ready, bell, timeout, abort):
+        """:func:`block_on_bells` on ``bell`` that raises on abort or a
+        passed deadline."""
+        bells = [] if bell is None else [bell]
+        if block_on_bells(ready, bells, timeout, abort):
             return
         if abort is not None and abort.is_set():
             raise TransportAborted(
@@ -441,18 +440,6 @@ class ShmRing:
         raise TransportStall(
             f"ring {self.label!r}: stalled waiting for {what} "
             f"({timeout:.1f}s) — likely a dead or deadlocked peer"
-        )
-
-    def wait_readable(self, timeout: float, abort=None) -> bool:
-        """Consumer side: block until a packet is available (``True``),
-        the abort flag is set or ``timeout`` passes."""
-        return self._block(self.poll, self.data_bell, timeout, abort)
-
-    def wait_writable(self, timeout: float, abort=None) -> bool:
-        """Producer side: block until a slot is free (``True``), the
-        abort flag is set or ``timeout`` passes."""
-        return self._block(
-            self._has_free_slot, self.space_bell, timeout, abort
         )
 
     def idle_wait(self, conn, abort, other: "ShmRing | None" = None):
@@ -514,7 +501,7 @@ class ShmRing:
         # publish: data writes above precede this store (SPSC contract)
         self._head[0] = int(self._head[0]) + 1
 
-    def _has_free_slot(self) -> bool:
+    def has_free_slot(self) -> bool:
         if self._fence is None:
             return int(self._head[0]) - int(self._tail[0]) < self.slots
         with self._fence:  # pairs with the consumer's fenced release()
@@ -523,7 +510,7 @@ class ShmRing:
     def try_send(self, pid: int, start: int, size: int,
                  payload: Sequence[np.ndarray]) -> bool:
         """Non-blocking send; ``False`` when the ring is full."""
-        if not self._has_free_slot():
+        if not self.has_free_slot():
             return False
         self._write(pid, start, size, payload)
         return True
@@ -531,9 +518,9 @@ class ShmRing:
     def send(self, pid: int, start: int, size: int,
              payload: Sequence[np.ndarray], timeout: float, abort=None) -> None:
         """Blocking send with a stall deadline."""
-        if not self._has_free_slot():
+        if not self.has_free_slot():
             self._wait(
-                self._has_free_slot, self.space_bell, timeout, "a free slot",
+                self.has_free_slot, self.space_bell, timeout, "a free slot",
                 abort,
             )
         self._write(pid, start, size, payload)
@@ -685,25 +672,23 @@ def build_pipeline_rings(
 
 
 def build_inference_rings(
-    stages, x_packet: np.ndarray, slots: int = 4, layouts=None, heads=None
-) -> list[ShmRing]:
-    """Create the forward-only ring chain of a serving run.
+    stages, x_packet: np.ndarray, slots: int = 4, layouts=None, lanes: int = 1
+) -> list[tuple[ShmRing, ShmRing]]:
+    """Create the rings of a forward-only serving run: an ``(in, out)``
+    pair per lane.
 
-    Inference needs **no backward slots**: gradients never flow, forward
-    inputs are not re-read at backward time (there is no backward), so
-    every slot is released as soon as its packet has been transformed
-    and forwarded.  Ring ``i`` flows into stage ``heads[i]`` — by
-    default every stage; a stream whose workers each run a group of
-    adjacent stages passes each group's first stage plus the loss slot,
-    so packets cross a ring only between groups.  The last ring — into
-    the loss slot — is consumed by the *parent*, which reads the
-    final compute stage's output (the logits) straight out of shared
-    memory.  Because the eq.-5 in-flight cap is a training-staleness
-    concept, inference rings use a flat ``slots`` capacity instead of
-    ``D_s + 1 + slack``: the chain is acyclic and the parent always
-    drains the last ring, so a full ring is plain backpressure (the
-    producer blocks or the injector's ``try_send`` returns ``False``),
-    never deadlock.
+    A lane is one worker that runs every compute stage in order
+    (:mod:`repro.pipeline.inference`, "Lanes"), so packets cross a ring
+    only on the way in — the input layout — and on the way out — the
+    final compute stage's output, the logits, which the *parent* reads
+    straight out of shared memory.  Inference needs **no backward
+    slots**: gradients never flow and nothing re-reads a forward input,
+    so every slot is released as soon as its packet has been transformed
+    and forwarded.  Because the eq.-5 in-flight cap is a
+    training-staleness concept, the rings use a flat ``slots`` capacity
+    instead of ``D_s + 1 + slack``: the parent always drains every out
+    ring, so a full ring is plain backpressure (the lane blocks or the
+    parent's ``try_send`` returns ``False``), never deadlock.
 
     ``layouts`` accepts a precomputed :func:`probe_boundary_layouts`
     result, exactly as in :func:`build_pipeline_rings`.
@@ -711,10 +696,15 @@ def build_inference_rings(
     if slots < 1:
         raise TransportError(f"inference rings need >= 1 slot, got {slots}")
     layouts = _boundary_layouts(stages, x_packet, layouts)
-    return _create_rings(
-        (f"infer[{s - 1 if s else 'inject'}->{s}]", layouts[s], slots)
-        for s in (range(len(stages)) if heads is None else heads)
+    created = _create_rings(
+        spec
+        for w in range(lanes)
+        for spec in (
+            (f"infer[inject->lane{w}]", layouts[0], slots),
+            (f"infer[lane{w}->out]", layouts[-1], slots),
+        )
     )
+    return list(zip(created[0::2], created[1::2]))
 
 
 def build_reduce_rings(

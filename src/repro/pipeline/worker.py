@@ -7,8 +7,9 @@ take one gradient, update, pass both on.  PipeDream's worker model
 torchgpipe's forward-only reuse of it (Kim et al. 2020) are that loop
 again.  This module is the one place the loop is written outside the
 discrete-time simulator: :class:`StageWorker` is the loop,
-:class:`WorkerGroup` hosts one worker per stage (forward-only: per group
-of adjacent stages) and owns launch, health, replies and teardown.
+:class:`WorkerGroup` hosts one worker per stage (forward-only: one
+*lane* per CPU, each running every compute stage) and owns launch,
+health, replies and teardown.
 :mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
 
@@ -73,26 +74,26 @@ forward segment that ends at finalize: no loss slot (the parent
 consumes the last channel), ``stage.forward(..., train=False)`` under
 ``no_grad`` (no autodiff graph), eager slot release, no cap.
 
-A forward-only worker may also host several adjacent stages, its
-*members* (:class:`WorkerGroup`'s ``groups``; a serving stream cuts
-them by measured cost, one group per CPU).  Inference has no staleness,
-so grouping cannot change an output bit: the worker runs each member's
-own ``forward`` in order on the packet, each member fills its own
-:class:`~repro.pipeline.executor.StageCounters`, an error names the
-member that raised, and channels exist only between groups — the
-payload between two members, skip arrays included, never leaves the
-worker.  Training workers host exactly one stage: the eq.-5 delays
-``D_s`` are per stage.
+A forward-only worker is a *lane*: it hosts every compute stage, its
+*members*, and runs each member's own ``forward`` in order on the
+packet, between its own in channel and its own out channel.  Inference
+has no staleness, so where a stage runs cannot change an output bit:
+each member fills its own :class:`~repro.pipeline.executor.StageCounters`,
+an error names the member that raised, and the payload between two
+members, skip arrays included, never leaves the worker.  A lane is
+pinned to one CPU (``cpus`` in its spec, applied by
+:func:`_worker_main` on either host).  Training workers host exactly
+one stage: the eq.-5 delays ``D_s`` are per stage.
 
 Channels
 --------
 
 Packets ``(pid, start, size, payload)`` move over channels with the
 :class:`~repro.pipeline.transport.ShmRing` surface — ``send`` /
-``try_send`` / ``recv`` / ``try_recv`` / ``poll`` / ``release`` and the
-waits ``wait_readable`` / ``wait_writable`` / ``idle_wait`` — by duck
-typing.  A process host uses the shared-memory rings themselves
-(zero-copy views, no pickling on the hot path); a thread host uses
+``try_send`` / ``recv`` / ``try_recv`` / ``poll`` / ``release`` /
+``has_free_slot`` and the consumer's ``idle_wait`` — by duck typing.  A
+process host uses the shared-memory rings themselves (zero-copy views,
+no pickling on the hot path); a thread host uses
 :class:`LocalChannel`, a bounded deque passing references.  Nobody
 polls on either: how to block is the channel's business.  A
 :class:`LocalChannel`'s condition variable is the *consumer's* wake-up —
@@ -103,7 +104,10 @@ bytes its peer writes, and an idle process-hosted worker blocks in one
 ``select`` over its inbound rings' bells, its control pipe and the abort
 flag's bell.  Both hosts size channel ``s`` at ``D_s + 1 + RING_SLACK``
 slots (a flat count for serving), which guarantees backward sends never
-block.
+block.  A serving stream's parent waits on every lane at once
+(:meth:`WorkerGroup.wait_lanes`): one ``select`` over the lanes' bells,
+or one condition that every lane's out channel (and, for free slots,
+every in channel's ``release``) notifies.
 
 Slot lifetime follows the autodiff engine's lazy reads (see
 ``transport.py``): a compute stage's forward slot is released only when
@@ -156,7 +160,7 @@ state for free), a thread host does **not** start a thread per launch.
 
 Worker slot ``w`` of a thread-hosted group — ``pipeline-stage-w`` for
 training (where ``w`` is the stage), ``infer-stage-w`` for serving (the
-``w``-th group) — is leased an idle **host
+``w``-th lane) — is leased an idle **host
 thread** for that slot name (:class:`_HostThread`; a new one only when
 every host of that name is busy) and gives it back when
 :func:`_worker_main` returns.  The reason is glibc's per-thread malloc
@@ -189,9 +193,10 @@ first pass), and a launch is a condition-variable notify instead of
   keeps its host: a host is in the idle pool only while it is idle.
 * *Nothing of the previous tenant.*  A new thread got its creator's CPU
   affinity and fresh thread-locals; a host takes the launcher's affinity
-  at every lease, :func:`_worker_main` begins with ``enable_grad()`` and
-  ends by emptying the thread's ``ops_conv`` scratch buffers (back into
-  *that* arena, which is the point).
+  at every lease (a lane then narrows it to its CPU), :func:`_worker_main`
+  begins with ``enable_grad()`` and ends by emptying the thread's
+  ``ops_conv`` scratch buffers (back into *that* arena, which is the
+  point).
 * *Fork.*  A child has none of its parent's threads:
   ``os.register_at_fork`` empties the pool (and replaces its lock) there,
   so a child that starts a thread-hosted group leases fresh hosts.
@@ -224,6 +229,7 @@ from repro.pipeline.transport import (
     TransportAborted,
     TransportError,
     TransportStall,
+    block_on_bells,
     build_inference_rings,
     build_pipeline_rings,
     probe_boundary_layouts,
@@ -289,11 +295,16 @@ class LocalChannel:
     occupied from ``send`` until the consumer's ``release``, exactly like
     a ring slot.  ``cond`` is the consumer's wake-up condition (shared
     with its other inbound sources); a producer blocked in ``send`` waits
-    on it too and is woken by ``release``.
+    on it too and is woken by ``release``.  ``space``, when given, is
+    notified by ``release`` as well: the wake-up of a producer that
+    waits on several channels at once (a stream's parent, over its
+    lanes).
     """
 
-    def __init__(self, cond: threading.Condition, slots: int, label: str):
+    def __init__(self, cond: threading.Condition, slots: int, label: str,
+                 space: threading.Condition | None = None):
         self.cond = cond
+        self.space = space
         self.slots = slots
         self.label = label
         self._items: deque = deque()
@@ -302,12 +313,12 @@ class LocalChannel:
     def poll(self) -> bool:
         return bool(self._items)
 
-    def _has_free_slot(self) -> bool:
+    def has_free_slot(self) -> bool:
         return len(self._items) + self._held < self.slots
 
     def try_send(self, pid, start, size, payload) -> bool:
         with self.cond:
-            if not self._has_free_slot():
+            if not self.has_free_slot():
                 return False
             self._items.append((pid, start, size, payload))
             self.cond.notify_all()
@@ -333,8 +344,8 @@ class LocalChannel:
 
     def send(self, pid, start, size, payload, timeout: float, abort) -> None:
         with self.cond:
-            if not self._has_free_slot():
-                self._wait(self._has_free_slot, timeout, "a free slot", abort)
+            if not self.has_free_slot():
+                self._wait(self.has_free_slot, timeout, "a free slot", abort)
             self._items.append((pid, start, size, payload))
             self.cond.notify_all()
 
@@ -354,18 +365,9 @@ class LocalChannel:
                 )
             self._held -= 1
             self.cond.notify_all()
-
-    def wait_readable(self, timeout: float, abort) -> bool:
-        with self.cond:
-            self.cond.wait_for(lambda: self._items or abort.is_set(), timeout)
-            return bool(self._items)
-
-    def wait_writable(self, timeout: float, abort) -> bool:
-        with self.cond:
-            self.cond.wait_for(
-                lambda: self._has_free_slot() or abort.is_set(), timeout
-            )
-            return self._has_free_slot()
+        if self.space is not None:
+            with self.space:
+                self.space.notify_all()
 
     def idle_wait(self, conn, abort, other=None):
         """The consumer's idle wait, ``wait(ready)``: every inbound
@@ -605,7 +607,7 @@ class _ReduceSpec:
 class _WorkerSpec:
     """Everything one stage worker needs, picklable under ``spawn``."""
 
-    members: tuple  # the stage indices it runs (several: forward-only)
+    members: tuple  # the stage indices it runs (a lane: every compute one)
     conn: Any  # Connection | LocalConn
     fwd_in: Any  # ShmRing | LocalChannel; None for stage 0 of a training run
     fwd_out: Any  # None for the loss stage
@@ -623,11 +625,12 @@ class _WorkerSpec:
     inputs: list | None = None  # stage 0 of a training run: its packets
     labels: np.ndarray | None = None  # loss stage only
     reduce: _ReduceSpec | None = None  # replicated runs only
+    cpus: tuple | None = None  # a lane: the CPU it runs on
 
 
 class StageWorker:
     """One stage's event loop (see the module docstring); forward-only,
-    the loop of a group of adjacent stages."""
+    a lane's loop over every compute stage."""
 
     def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
         self.spec = spec
@@ -990,6 +993,8 @@ def _worker_main(spec: _WorkerSpec) -> None:
     enable_grad()
     worker = None
     try:
+        if spec.cpus is not None:
+            os.sched_setaffinity(0, spec.cpus)  # this thread or process
         stages = spec.stages
         if stages is None:
             stages = [build.build() for build in spec.build_specs]
@@ -1030,12 +1035,23 @@ def _worker_main(spec: _WorkerSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_rings(stages, probe, forward_only, slots, heads, layouts,
-                 layout_cache):
-    """The shared-memory rings of a process-hosted run, by the worker
-    they flow into: ``(fwd, bwd)``, ``fwd[0]`` ``None`` for a training
-    run (stage 0 reads its own packets) and ``bwd`` all ``None`` for a
-    forward-only run, whose ring ``i`` flows into stage ``heads[i]``."""
+def _chain(fwd: list, bwd: list) -> list[tuple]:
+    """Each training worker's ``(fwd_in, fwd_out, bwd_in, bwd_out)``:
+    worker ``s`` reads ``fwd[s]`` / ``bwd[s]`` and writes ``fwd[s + 1]``
+    / ``bwd[s - 1]``."""
+    S = len(fwd)
+    return [
+        (fwd[s], fwd[s + 1] if s + 1 < S else None, bwd[s],
+         bwd[s - 1] if s else None)
+        for s in range(S)
+    ]
+
+
+def _build_rings(stages, probe, lanes, slots, layouts, layout_cache):
+    """The shared-memory rings of a process-hosted run, as each worker's
+    ``(fwd_in, fwd_out, bwd_in, bwd_out)``: no ring into stage 0 of a
+    training run (it reads its own packets), and a lane's two rings
+    forward-only."""
     if layouts is None:
         # boundary layouts depend only on architecture + packet
         # shape/dtype, so relaunches (per-segment drives, crash
@@ -1044,29 +1060,30 @@ def _build_rings(stages, probe, forward_only, slots, heads, layouts,
         layouts = layout_cache.get(key)
         if layouts is None:
             layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
-    if forward_only:
-        return (
-            build_inference_rings(stages, probe, slots, layouts, heads),
-            [None] * len(heads),
-        )
+    if lanes is not None:
+        return [
+            (ring_in, ring_out, None, None)
+            for ring_in, ring_out in build_inference_rings(
+                stages, probe, slots, layouts, len(lanes)
+            )
+        ]
     fwd, bwd = build_pipeline_rings(stages, probe, RING_SLACK, layouts)
-    return [None] + fwd, bwd + [None]
+    return _chain([None] + fwd, bwd + [None])
 
 
 class WorkerGroup:
-    """Host one :class:`StageWorker` per stage — or, forward-only, per
-    group of adjacent stages — as threads over the parent's own stage
+    """Host one :class:`StageWorker` per stage — or, forward-only, one
+    lane per entry of ``lanes`` — as threads over the parent's own stage
     objects, or as processes over shared-memory rings, and own launch,
     message receipt with a deadline, error attribution, the dead-worker
     watchdog and teardown.
 
     The constructor launches; a failure midway tears down whatever was
-    created.  ``stages`` is the whole pipeline; a ``forward_only`` group
-    hosts every stage but the final loss slot and leaves the last channel
-    for the parent to consume.  Its ``groups`` (default: one per compute
-    stage) are the contiguous stage-index runs each worker forwards in
-    order; channels exist only between groups, so the ``i``-th channel
-    flows into worker ``i`` and the last into the loss slot.  Worker
+    created.  ``stages`` is the whole pipeline.  ``lanes`` makes the group
+    forward-only: lane ``w`` runs every stage but the final loss slot, in
+    order, between its own in and out channel (``self.lanes[w]``; the
+    parent feeds every in channel and consumes every out channel), on
+    CPU ``lanes[w]`` (``None``: wherever the launcher may run).  Worker
     ``w``'s messages and errors are addressed by ``w``; the errors it
     raises name a stage.  ``probe`` is a max-width input packet (shape and
     dtype size the rings; ``layouts``, when given, are its
@@ -1089,33 +1106,35 @@ class WorkerGroup:
         stall_timeout: float,
         plan: Sequence[list] | None = None,
         lockstep: bool = False,
-        forward_only: bool = False,
+        lanes: Sequence[int | None] | None = None,
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
         batch: tuple[list, np.ndarray] | None = None,
         reduce_plan: Sequence[_ReduceSpec] | None = None,
         model_factory=None,
         start_method: str | None = None,
-        groups: Sequence[Sequence[int]] | None = None,
         layouts: list | None = None,
         layout_cache: dict | None = None,
     ):
         self.stall_timeout = float(stall_timeout)
         self.workers: list = []  # _HostedWorker | Process
-        #: the forward channel into each worker (training: none into
-        #: stage 0) and, forward-only, the last one, into the parent
-        self.channels: list = []
+        #: forward-only: each lane's (in, out) channel
+        self.lanes: list[tuple] = []
         self.rings: list = []  # every channel of the run
         self.abort = None
         self._conns: list = []
         self._rx_buf: list[deque] = []
+        #: a thread host's parent-side wake-ups: (out channels, in
+        #: channels' free slots); a process host waits on bells instead
+        self._lane_conds: tuple | None = None
         S = len(stages)
-        if groups is None:
-            groups = [(s,) for s in range(S - 1 if forward_only else S)]
-        self.groups = [tuple(g) for g in groups]
-        count = len(self.groups)
-        #: the stage each forward channel flows into
-        heads = [g[0] for g in self.groups] + ([S - 1] if forward_only else [])
+        forward_only = lanes is not None
+        #: the stage indices each worker runs
+        self.members = (
+            [tuple(range(S - 1))] * len(lanes) if forward_only
+            else [(s,) for s in range(S)]
+        )
+        count = len(self.members)
         rebuild = False
         try:
             if processes:
@@ -1128,50 +1147,69 @@ class WorkerGroup:
                 self.abort = _SharedAbort(ctx)
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
                 host = partial(ctx.Process, daemon=True)
-                fwd, bwd = _build_rings(
-                    stages, probe, forward_only, slots, heads, layouts,
+                wiring = _build_rings(
+                    stages, probe, lanes, slots, layouts,
                     {} if layout_cache is None else layout_cache,
                 )
             else:
                 # a channel's condition is its consumer's wake-up
-                wakes = [threading.Condition() for _ in heads]
+                wakes = [threading.Condition() for _ in range(count)]
                 # the parent end of each control pipe has its own
                 # condition: waiting on one worker's reply is not woken
                 # by every other worker's
                 mine = [threading.Condition() for _ in range(count)]
-
-                def channel(kind: str, i: int) -> LocalChannel:
-                    s = heads[i]
-                    return LocalChannel(
-                        wakes[i],
-                        slots or ring_slots_for(stages[s].delay, RING_SLACK),
-                        f"{kind}[->{s}]",
-                    )
-
                 if forward_only:
-                    fwd = [channel("fwd", i) for i in range(len(heads))]
-                    bwd = [None] * len(heads)
+                    self._lane_conds = (
+                        threading.Condition(), threading.Condition()
+                    )
+                    out_cond, space_cond = self._lane_conds
+                    wiring = [
+                        (
+                            LocalChannel(
+                                wakes[w], slots, f"infer[->lane{w}]",
+                                space=space_cond,
+                            ),
+                            LocalChannel(out_cond, slots, f"infer[lane{w}->]"),
+                            None, None,
+                        )
+                        for w in range(count)
+                    ]
                 else:
-                    fwd = [None] + [channel("fwd", s) for s in range(1, S)]
-                    bwd = [channel("bwd", s) for s in range(S - 1)] + [None]
-                self.abort = _LocalAbort(wakes + mine)
-                pipes = [_local_pipe(mine[s], wakes[s]) for s in range(count)]
+                    def channel(kind: str, s: int) -> LocalChannel:
+                        return LocalChannel(
+                            wakes[s],
+                            ring_slots_for(stages[s].delay, RING_SLACK),
+                            f"{kind}[->{s}]",
+                        )
+
+                    wiring = _chain(
+                        [None] + [channel("fwd", s) for s in range(1, S)],
+                        [channel("bwd", s) for s in range(S - 1)] + [None],
+                    )
+                self.abort = _LocalAbort(
+                    wakes + mine + list(self._lane_conds or ())
+                )
+                pipes = [_local_pipe(mine[w], wakes[w]) for w in range(count)]
                 host = _HostedWorker
-            self.channels = fwd
-            self.rings = [c for c in fwd + bwd if c is not None]
+            if forward_only:
+                self.lanes = [wired[:2] for wired in wiring]
+                self.rings = [c for lane in self.lanes for c in lane]
+            else:  # every channel flows into some worker
+                self.rings = [
+                    c for wired in wiring for c in wired[::2] if c is not None
+                ]
             self._rx_buf = [deque() for _ in range(count)]
-            # worker w owns fwd[w] (and, training, where w is its stage,
-            # bwd[w] from stage w + 1)
-            for w, members in enumerate(self.groups):
+            for w, members in enumerate(self.members):
                 owned = [stages[s] for s in members]
                 parent_conn, child_conn = pipes[w]
+                fwd_in, fwd_out, bwd_in, bwd_out = wiring[w]
                 spec = _WorkerSpec(
                     members=members,
                     conn=child_conn,
-                    fwd_in=fwd[w],
-                    fwd_out=fwd[w + 1] if w + 1 < len(fwd) else None,
-                    bwd_in=bwd[w],
-                    bwd_out=bwd[w - 1] if w > 0 else None,
+                    fwd_in=fwd_in,
+                    fwd_out=fwd_out,
+                    bwd_in=bwd_in,
+                    bwd_out=bwd_out,
                     abort=self.abort,
                     plan=[] if plan is None else plan[w],
                     lockstep=lockstep,
@@ -1192,6 +1230,10 @@ class WorkerGroup:
                         else None
                     ),
                     reduce=None if reduce_plan is None else reduce_plan[w],
+                    cpus=(
+                        None if not forward_only or lanes[w] is None
+                        else (lanes[w],)
+                    ),
                 )
                 self._conns.append(parent_conn)
                 self.workers.append(
@@ -1212,6 +1254,29 @@ class WorkerGroup:
             self.teardown(failed=True)
             raise
 
+    def wait_lanes(self, timeout: float, space: bool = False) -> bool:
+        """The parent's one wait over every lane: until some lane's out
+        channel has a packet (``space=True``: some lane's in channel has
+        a free slot) — ``True`` — or the abort flag or ``timeout`` —
+        ``False``.  A process host blocks in one ``select`` over the
+        lanes' bells, a thread host on the condition those channels
+        notify."""
+        if space:
+            ready = lambda: any(ins.has_free_slot() for ins, _ in self.lanes)
+        else:
+            ready = lambda: any(out.poll() for _, out in self.lanes)
+        abort = self.abort
+        if self._lane_conds is None:  # the parent created every ring
+            bells = [
+                ins.space_bell if space else out.data_bell
+                for ins, out in self.lanes
+            ]
+            return block_on_bells(ready, bells, timeout, abort)
+        cond = self._lane_conds[space]
+        with cond:
+            cond.wait_for(lambda: ready() or abort.is_set(), timeout)
+            return ready()
+
     # -- messaging ----------------------------------------------------------
 
     def send(self, w: int, msg) -> None:
@@ -1220,7 +1285,7 @@ class WorkerGroup:
         except OSError as exc:
             self.check_errors()
             raise PipelineRuntimeError(
-                self.groups[w][0],
+                self.members[w][0],
                 RuntimeError("worker control pipe is closed"),
             ) from exc
 
@@ -1272,7 +1337,7 @@ class WorkerGroup:
         *neighbors* blocked on rings with their own pipes silent.
         (Threads have no exit code; they report every failure as ``err``.)
         """
-        for members, w in zip(self.groups, self.workers):
+        for members, w in zip(self.members, self.workers):
             code = getattr(w, "exitcode", None)
             if code:
                 raise PipelineRuntimeError(
@@ -1302,7 +1367,7 @@ class WorkerGroup:
         """
         conn = self._conns[w]
         buffered = self._rx_buf[w]
-        s = self.groups[w][0]  # the stage an error names
+        s = self.members[w][0]  # the stage an error names
         progress = self.abort.completed.value
         deadline = time.monotonic() + self.stall_timeout
         while not buffered and not conn.poll(min(self.stall_timeout, 0.05)):
@@ -1374,7 +1439,7 @@ class WorkerGroup:
         if self.abort is not None:
             self.abort.close()
         self.workers = []
-        self.channels = []
+        self.lanes = []
         self.rings = []
         self._conns = []
         self._rx_buf = []

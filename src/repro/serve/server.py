@@ -80,11 +80,15 @@ class HttpFrontDoor:
         seconds for the logits, and maps :class:`Overloaded` to 429, a
         ``ValueError`` to 400 and anything else to 500.  Each ``GET``
         path in ``get_routes`` replies with the ``(status, payload)`` its
-        builder returns; every other path is a 404.
+        builder returns; every other path is a 404.  A connection's
+        socket reads and writes time out after ``result_timeout`` too: a
+        client that stalls mid-request is disconnected instead of
+        holding its handler thread forever.
         """
 
         class Handler(BaseHTTPRequestHandler):
             server_version = version
+            timeout = result_timeout
 
             def log_message(self, *args) -> None:  # quiet by default
                 pass
@@ -495,8 +499,8 @@ class PipelineServer(HttpFrontDoor):
           "latency_ms"}`` (429 when overloaded, 400 on malformed
           input);
         * ``GET /stats`` -> :meth:`ServingStats.snapshot`, the precision
-          mode and :meth:`InferenceSession.placement` (which stages each
-          worker runs, and their probed costs);
+          mode and :meth:`InferenceSession.placement` (each lane's CPU
+          and the packets dispatched to it);
         * ``GET /healthz`` -> liveness + the weight fingerprint (shape
           unchanged since PR 5 — probes keyed on it keep working);
         * ``GET /readyz`` -> readiness: 200 while admitting, 503 with

@@ -15,11 +15,10 @@ work through any of the three runtime backends:
   worker boundaries through forward-only shared-memory rings (no
   backward slots).
 
-A worker of either host runs a group of adjacent stages: a stream cuts
-the compute stages into at most one group per usable CPU by their
-measured forward cost (:mod:`repro.pipeline.inference`, "Stages per
-worker").  :meth:`InferenceSession.describe` and :meth:`placement` (in
-the server's ``GET /stats``) report the last stream's decision.
+A worker stream of either host runs one whole-model lane per usable CPU,
+each pinned to its CPU (:mod:`repro.pipeline.inference`, "Lanes").
+:meth:`InferenceSession.describe` and :meth:`placement` (in the server's
+``GET /stats``) report the last stream's lanes.
 
 Two entry points:
 
@@ -173,11 +172,8 @@ class InferenceSession:
         #: creation — the provenance handle stats and responses surface
         self.fingerprint = model_fingerprint(model)
         self.metadata: dict = {}
-        #: the last worker stream's stage indices per worker, and the
-        #: per-stage forward seconds they were cut from (see
-        #: :mod:`repro.pipeline.inference`, "Stages per worker")
-        self.groups: list[tuple[int, ...]] | None = None
-        self.stage_costs: list[float] | None = None
+        #: the last worker stream opened (its lanes are :meth:`placement`)
+        self._stream = None
 
     # -- constructors -------------------------------------------------------
 
@@ -276,8 +272,7 @@ class InferenceSession:
         """Open a persistent forward-only stream on the session backend
         (used by :class:`repro.serve.server.PipelineServer`; close it
         when done, or use it as a context manager).  A worker stream's
-        grouping decision is kept as :attr:`groups` and
-        :attr:`stage_costs`."""
+        lanes are reported by :meth:`placement`."""
         shape = self._resolve_shape(None)
         stream = open_inference_stream(
             self.stages,
@@ -291,33 +286,24 @@ class InferenceSession:
             start_method=self.start_method,
         )
         if self.runtime != "sim":
-            self.groups, self.stage_costs = stream.groups, stream.costs
+            self._stream = stream
         return stream
 
     def placement(self) -> dict:
-        """The last worker stream's grouping decision, JSON-ready:
-        ``groups`` (stage indices per worker) and ``stage_costs_us`` (each
-        compute stage's probed forward time they were cut from); both
-        ``None`` before a worker stream has opened, and on ``sim``."""
-        return {
-            "groups": None if self.groups is None else [
-                list(g) for g in self.groups
-            ],
-            "stage_costs_us": None if self.stage_costs is None else [
-                round(c * 1e6, 1) for c in self.stage_costs
-            ],
-        }
+        """The last worker stream's lanes, JSON-ready: ``lanes`` lists
+        each lane's pinned ``cpu`` and the ``packets`` dispatched to it so
+        far — ``None`` before a worker stream has opened, and on
+        ``sim``."""
+        stream = self._stream
+        return {"lanes": None if stream is None else stream.placement()}
 
     def describe(self) -> str:
-        fused = ""
-        if self.groups is not None:
-            names = [st.spec.name for st in self.stages]
-            fused = ", groups=" + "".join(
-                "{" + ",".join(names[s] for s in g) + "}" for g in self.groups
-            ) + f", stage_costs_us={self.placement()['stage_costs_us']}"
+        lanes = ""
+        if self._stream is not None:
+            lanes = f", lanes={self._stream.placement()}"
         return (
             f"InferenceSession({self.model.name}, runtime={self.runtime}, "
-            f"stages={self.num_stages}{fused}, "
+            f"stages={self.num_stages}{lanes}, "
             f"micro_batch={self.micro_batch}, "
             f"precision={self.precision.mode}, "
             f"fingerprint={self.fingerprint[:12]}...)"

@@ -1,16 +1,13 @@
 """Appendix-A cost model: activation memory, parameters, communication."""
 
-import numpy as np
 import pytest
 
 from repro.models import resnet_tiny, small_cnn
 from repro.pipeline.costs import (
-    PROBE_REPEATS,
     batch_parallel_activation_elements,
     data_parallel_comm_per_update,
     pipeline_comm_per_step,
     pipeline_cost_model,
-    probe_forward_costs,
 )
 
 
@@ -95,46 +92,3 @@ class TestComparisons:
         # for this conv net, any single stage's activation traffic per
         # step is far below a full-model gradient exchange
         assert max(per_step) < dp
-
-
-class TestProbeForwardCosts:
-    """The serving streams' cost vector: measured on the layout probe's
-    own pass, with nothing about the model changed."""
-
-    def test_one_pass_gives_the_layouts_and_a_cost_per_compute_stage(self):
-        from repro.pipeline import PipelineExecutor, probe_boundary_layouts
-
-        stages = PipelineExecutor(small_cnn(widths=(4, 8)), lr=0.01).stages
-        x = np.zeros((2, 3, 8, 8))
-        calls = []
-
-        def counted(forward):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return forward(*args, **kwargs)
-
-            return wrapper
-
-        for st in stages:
-            st.forward = counted(st.forward)
-        layouts, costs = probe_forward_costs(stages, x)
-        assert len(calls) == PROBE_REPEATS * (len(stages) - 1)
-        for st in stages:
-            del st.forward
-        assert layouts == probe_boundary_layouts(stages, x)
-        assert len(costs) == len(stages) - 1
-        assert all(c > 0 for c in costs)
-
-    def test_modes_and_buffers_untouched(self):
-        from repro.pipeline import PipelineExecutor
-        from repro.pipeline.checkpoint import model_fingerprint
-
-        from test_stage_state import BN_FACTORY
-
-        model = BN_FACTORY()
-        model.train(True)
-        before = model_fingerprint(model)
-        stages = PipelineExecutor(model, lr=0.01).stages
-        probe_forward_costs(stages, np.ones((2, 3, 8, 8)))
-        assert model.training is True
-        assert model_fingerprint(model) == before

@@ -51,6 +51,8 @@ from repro.serve.fleet import (
 )
 from repro.serve.loadgen import assign_classes, closed_loop
 
+from test_serve_server import assert_stalled_bodies_are_cut
+
 FACTORY = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
 SHAPE = (3, 8, 8)
 
@@ -587,6 +589,15 @@ class TestFleetHTTP:
                 f"{base}/infer", {"x": x.tolist(), "class": "bulk"}
             )
             assert code == 400 and "unknown SLO class" in body["error"]
+
+    def test_stalled_request_body_frees_its_handler(self, checkpoints):
+        """The router answers through the server's handler, so a
+        client that under-sends its body is cut off the same way."""
+        ck_a, _ = checkpoints
+        spec = _spec(result_timeout=1.0)
+        with FleetRouter(spec, 1, checkpoint=ck_a) as router:
+            host, port = router.serve_http()
+            assert_stalled_bodies_are_cut(host, port, 1.0)
 
     def test_readyz_degrades_with_the_fleet(self, checkpoints):
         ck_a, _ = checkpoints

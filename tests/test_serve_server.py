@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from functools import partial
@@ -41,6 +42,36 @@ def _session(runtime: str = "threaded", micro_batch: int = 4, **kw):
         model_factory=FACTORY,
         **kw,
     )
+
+
+def assert_stalled_bodies_are_cut(
+    host: str, port: int, result_timeout: float, clients: int = 5
+) -> None:
+    """``clients`` connections each promise a 100-byte body and send 9
+    bytes of it: every one is disconnected — EOF or a 4xx — within about
+    ``result_timeout + 1`` s, and the handler threads they held end."""
+    before = threading.active_count()
+    socks = []
+    try:
+        for _ in range(clients):
+            sock = socket.create_connection((host, port), timeout=10)
+            sock.sendall(
+                b"POST /infer HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"x": [1,'
+            )
+            socks.append(sock)
+        deadline = time.monotonic() + result_timeout + 1.0
+        for sock in socks:
+            sock.settimeout(max(0.1, deadline - time.monotonic()))
+            reply = sock.recv(64)  # a handler that never gives up: timeout
+            assert reply == b"" or reply.split()[1].startswith(b"4"), reply
+    finally:
+        for sock in socks:
+            sock.close()
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before
 
 
 def _hex(a: np.ndarray) -> list[str]:
@@ -259,16 +290,11 @@ class TestHttpEndpoint:
             ) as resp:
                 stats = json.loads(resp.read())
             assert stats["completed"] >= 1
-            # the grouping decision: every compute stage in exactly one
-            # worker, at most one worker per usable CPU, and the cost
-            # vector the groups were cut from
-            compute = session.num_stages - 1
-            assert [s for g in stats["groups"] for s in g] == list(
-                range(compute)
-            )
-            assert len(stats["groups"]) == min(compute, usable_cpus())
-            assert len(stats["stage_costs_us"]) == compute
-            assert all(c >= 0 for c in stats["stage_costs_us"])
+            # the lanes: one per usable CPU, each request's packet on one
+            lanes = stats["lanes"]
+            assert len(lanes) == usable_cpus()
+            assert sum(lane["packets"] for lane in lanes) == 1
+            assert all(isinstance(lane["cpu"], int) for lane in lanes)
             with urllib.request.urlopen(
                 f"http://{host}:{port}/healthz", timeout=10
             ) as resp:
@@ -303,6 +329,14 @@ class TestHttpEndpoint:
                 )
                 status = sock.recv(64).split(b"\r\n", 1)[0]
         assert status.split()[1] == b"400"
+
+    def test_stalled_request_body_frees_its_handler(self):
+        """A client that sends less body than its ``Content-Length``
+        cannot hold a handler thread past ``result_timeout``: the
+        connection's reads time out and the handler closes it."""
+        with PipelineServer(_session("sim"), result_timeout=1.0) as server:
+            host, port = server.serve_http()
+            assert_stalled_bodies_are_cut(host, port, 1.0)
 
 
 @pytest.mark.serve

@@ -13,6 +13,7 @@ checkpoint restore, and the engine-level ``infer()`` surface.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from functools import partial
@@ -27,7 +28,6 @@ from repro.pipeline import (
     InferenceStreamError,
     PipelineExecutor,
     ProcessPipelineRunner,
-    contiguous_partition,
     inference,
     make_schedule,
     run_inference,
@@ -111,10 +111,11 @@ class TestServingParity:
         self, cpus, monkeypatch
     ):
         """A stage raising on its third packet turns into an
-        InferenceStreamError at the stream's ends, and the stream still
-        closes: no worker thread left, eval mode handed back — whichever
-        group the stage was fused into.  The fault is armed after
-        ``open_stream``: the cost probe forwards every stage too."""
+        InferenceStreamError naming that stage at the stream's ends, and
+        the stream still closes: no worker thread left, eval mode handed
+        back — however many lanes run the stage.  The fault is armed
+        after ``open_stream``: the layout probe forwards every stage
+        too."""
         monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
         model = _trained_model()
         model.train(True)
@@ -122,7 +123,7 @@ class TestServingParity:
             model, runtime="threaded", micro_batch=2, sample_shape=SHAPE
         )
         stream = session.open_stream()
-        assert len(stream.groups) == min(cpus, session.num_stages - 1)
+        assert len(stream.cpus) == cpus
         stage = session.stages[1]
         original, calls = stage.forward, {"n": 0}
 
@@ -164,13 +165,13 @@ class TestServingParity:
         ],
         ids=["sim", "threaded", "fork", "spawn"],
     )
-    def test_grouped_stream_matches_offline_reference(
+    def test_lane_stream_matches_offline_reference(
         self, kw, cpus, monkeypatch
     ):
-        """However many CPUs the stream sees — one worker for every
-        stage, two groups, or a worker per stage — served logits are
-        bit-exact with the reference and every member stage counts its
-        own forwards."""
+        """However many lanes the stream runs — one, two, or one per
+        compute stage — served logits are bit-exact with the reference,
+        and every stage's forwards, summed over the lanes, are the
+        packets and samples sent."""
         model = _trained_model()
         n = model.num_stages - 1
         k = n if cpus == "n" else cpus
@@ -194,9 +195,15 @@ class TestServingParity:
         assert [c.forward_ops for c in stream.counters[:-1]] == [7] * n
         assert [c.forward_samples for c in stream.counters[:-1]] == [19] * n
         if kw["runtime"] != "sim":
-            assert len(stream.groups) == k
-            assert [s for g in stream.groups for s in g] == list(range(n))
-            assert len(stream.costs) == n
+            assert len(stream.cpus) == len(stream.lane_counters) == k
+            placement = stream.placement()
+            assert sum(lane["packets"] for lane in placement) == 7
+            # a lane runs every compute stage on each of its packets
+            for lane, counters in zip(placement, stream.lane_counters):
+                assert [c.index for c in counters] == list(range(n))
+                assert [c.forward_ops for c in counters] == (
+                    [lane["packets"]] * n
+                )
 
     def test_all_backends_agree_bitwise(self):
         model = _trained_model()
@@ -256,37 +263,125 @@ class TestServingParity:
 
 
 @pytest.mark.concurrency
-class TestGroupingReport:
-    """The stream's grouping decision is visible: the groups, the cost
-    vector they were cut from, and both through the session."""
+class TestLanes:
+    """Where the lanes run and what each was given: pinned one CPU per
+    lane, every lane used under load, and both visible through the
+    session."""
 
-    def test_worker_stream_reports_groups_and_costs(self, monkeypatch):
+    @pytest.mark.skipif(
+        inference.usable_cpus() < 2, reason="needs two CPUs to pin two lanes"
+    )
+    def test_process_lanes_run_on_distinct_pinned_cpus(self):
+        session = InferenceSession(
+            _trained_model(), runtime="process", micro_batch=3,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        with session.open_stream() as stream:
+            run_inference(
+                stream, InferenceSchedule(3), _requests(19), session.num_stages
+            )
+        # each lane's own counts sit on its first member's counters
+        pins = [counters[0].cpus for counters in stream.lane_counters]
+        assert len(pins) == inference.usable_cpus()
+        assert pins == [(cpu,) for cpu in stream.cpus]
+        assert len(set(pins)) == len(pins)
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_saturated_stream_puts_packets_on_every_lane(
+        self, runtime, monkeypatch
+    ):
+        """Packets submitted faster than they are polled spread over
+        both lanes (the least loaded one with room takes each), and
+        ``submit`` refuses only when every lane is full."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        session = InferenceSession(
+            _trained_model(), runtime=runtime, micro_batch=2, capacity=2,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        X = _requests(2)
+        with session.open_stream() as stream:
+            pid = 0
+            while stream.submit(pid, pid, X):
+                pid += 1
+            packets = [lane["packets"] for lane in stream.placement()]
+            assert all(packets), packets
+            assert sum(packets) == pid
+            got = 0
+            while got < pid:
+                stream.wait(10.0)
+                got += len(stream.poll())
+            assert stream.wait(10.0, space=True)
+
+    def test_worker_stream_reports_its_lanes(self, monkeypatch):
         monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
         session = InferenceSession(
             FACTORY(), runtime="threaded", micro_batch=2, sample_shape=SHAPE
         )
-        assert "groups=" not in session.describe()
-        assert session.placement() == {"groups": None, "stage_costs_us": None}
+        assert "lanes=" not in session.describe()
+        assert session.placement() == {"lanes": None}
         with session.open_stream() as stream:
-            assert stream.groups == contiguous_partition(stream.costs, 2)
-        names = [st.spec.name for st in session.stages]
-        cut = "".join(
-            "{" + ",".join(names[s] for s in g) + "}" for g in stream.groups
-        )
-        assert f"groups={cut}" in session.describe()
-        placement = session.placement()
-        assert placement["groups"] == [list(g) for g in stream.groups]
-        assert placement["stage_costs_us"] == [
-            round(c * 1e6, 1) for c in stream.costs
-        ]
+            assert session.placement() == {
+                "lanes": [
+                    {"cpu": cpu, "packets": 0}
+                    for cpu in inference.lane_cpus(2)
+                ]
+            }
+            run_inference(
+                stream, InferenceSchedule(2), _requests(9), session.num_stages
+            )
+        lanes = session.placement()["lanes"]
+        assert lanes == stream.placement()
+        assert sum(lane["packets"] for lane in lanes) == 5
+        assert f"lanes={lanes}" in session.describe()
 
-    def test_sim_stream_has_no_workers_to_group(self):
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_two_ends_on_two_threads_lose_no_packet(
+        self, runtime, monkeypatch
+    ):
+        """The server's shape, stressed: one thread submits, another
+        polls, over more lanes than cores, with thread switches forced
+        often.  Each end keeps its own per-lane counts, so every packet
+        is dispatched, counted and returned exactly once."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 4)
+        session = InferenceSession(
+            _trained_model(), runtime=runtime, micro_batch=1, capacity=2,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        n, X = 300, _requests(1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with session.open_stream() as stream:
+
+                def feed():
+                    for pid in range(n):
+                        while not stream.submit(pid, pid, X):
+                            stream.wait(10.0, space=True)
+
+                feeder = threading.Thread(target=feed)
+                feeder.start()
+                got = []
+                deadline = time.monotonic() + 60.0
+                while len(got) < n and time.monotonic() < deadline:
+                    stream.wait(1.0)
+                    got += [pid for pid, _, _ in stream.poll()]
+                feeder.join(10.0)
+                assert not feeder.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(got) == list(range(n))
+        assert sum(lane["packets"] for lane in stream.placement()) == n
+        assert [c.forward_ops for c in stream.counters[:-1]] == (
+            [n] * (session.num_stages - 1)
+        )
+
+    def test_sim_stream_has_no_lanes(self):
         session = InferenceSession(
             FACTORY(), runtime="sim", micro_batch=2, sample_shape=SHAPE
         )
         with session.open_stream():
             pass
-        assert session.placement() == {"groups": None, "stage_costs_us": None}
+        assert session.placement() == {"lanes": None}
 
 
 @pytest.mark.concurrency

@@ -296,7 +296,9 @@ class TestRingSetsAllOrNothing:
         "build",
         [
             lambda st: build_pipeline_rings(st, np.zeros((1, 3, 8, 8))),
-            lambda st: build_inference_rings(st, np.zeros((1, 3, 8, 8))),
+            lambda st: build_inference_rings(
+                st, np.zeros((1, 3, 8, 8)), lanes=2
+            ),
             lambda st: build_reduce_rings(st, replicas=2),
         ],
         ids=["pipeline", "inference", "reduce"],
@@ -410,16 +412,22 @@ class TestForwardOnlyStreaming:
 
         model = small_cnn(num_classes=4, widths=(4,), seed=0)
         ex = PipelineExecutor(model, lr=0.01, mode="pb")
-        S = model.num_stages
-        rings = build_inference_rings(
-            ex.stages, np.zeros((2, 3, 8, 8)), slots=5
-        )
+        x = np.zeros((2, 3, 8, 8))
+        layouts = probe_boundary_layouts(ex.stages, x)
+        lanes = build_inference_rings(ex.stages, x, slots=5, lanes=3)
+        rings = [r for lane in lanes for r in lane]
         try:
-            # one forward ring per stage, no backward rings at all; the
-            # last ring (into the loss slot) is the parent's result ring
-            assert len(rings) == S
+            # an (in, out) pair per lane, no backward rings at all: a
+            # lane takes the input layout and hands the parent the final
+            # compute stage's output (the layout into the loss slot)
+            assert len(lanes) == 3
             assert all(r.slots == 5 for r in rings)
-            assert rings[0].label.startswith("infer[inject")
+            assert len({r.descriptor.shm_name for r in rings}) == 6
+            for w, (ring_in, ring_out) in enumerate(lanes):
+                assert ring_in.descriptor.arrays == layouts[0]
+                assert ring_out.descriptor.arrays == layouts[-1]
+                assert ring_in.label == f"infer[inject->lane{w}]"
+                assert ring_out.label == f"infer[lane{w}->out]"
         finally:
             for r in rings:
                 r.close()

@@ -35,7 +35,7 @@ from repro.pipeline import (
     PipelineRuntimeError,
     ProcessPipelineRunner,
 )
-from repro.pipeline import transport, worker
+from repro.pipeline import inference, transport, worker
 from repro.pipeline.executor import PipelineRunStats, StageCounters
 from repro.pipeline.inference import open_inference_stream
 from repro.pipeline.schedule import BWD
@@ -342,14 +342,16 @@ class TestParkedWorkers:
 
 class TestWaitCounters:
     @pytest.mark.parametrize("backend", ["threaded", "process"])
-    def test_idle_stream_wakes_once_per_packet(self, backend):
-        """One packet every 5 ms through an otherwise idle stream: a
-        worker is woken for its packet and little else, and its time is
-        accounted for — busy in its member stages, or blocked.  A
-        worker's own counts (waits, wake-ups, placement) sit on its
-        first member's counters."""
+    def test_idle_stream_wakes_once_per_packet(self, backend, monkeypatch):
+        """Two packets every 5 ms through an otherwise idle two-lane
+        stream (the second finds the first's lane busy and takes the
+        other): a lane is woken for its packets and little else, and its
+        time is accounted for — busy in its stages, or blocked.  A lane's
+        own counts (waits, wake-ups, placement) sit on its first
+        stage's counters."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
         packets = 100
-        X = _x(packets, seed=4)
+        X = _x(2 * packets, seed=4)
         gc.collect()
         gc.disable()  # a collection pause is neither busy nor blocked
         try:
@@ -358,41 +360,75 @@ class TestWaitCounters:
             )
             t0 = time.perf_counter()
             got = 0
-            for k in range(packets):
-                while not stream.submit(k, k, X[k : k + 1]):
-                    stream.wait(1.0, space=True)
-                # the next packet waits 5 ms from now, not from a
+            for k in range(0, 2 * packets, 2):
+                for i in (k, k + 1):
+                    while not stream.submit(i, i, X[i : i + 1]):
+                        stream.wait(1.0, space=True)
+                # the next pair waits 5 ms from now, not from a
                 # schedule: a host stall must not turn into a burst
                 resume = time.perf_counter() + 0.005
                 while (left := resume - time.perf_counter()) > 0:
                     if stream.wait(left):
                         got += len(stream.poll())
-            while got < packets:
+            while got < 2 * packets:
                 stream.wait(1.0)
                 got += len(stream.poll())
             lifetime = time.perf_counter() - t0
             stream.close()
         finally:
             gc.enable()
-        # the loss slot has no worker
-        assert [s for g in stream.groups for s in g] == list(
-            range(len(stream.counters) - 1)
-        )
-        for members in stream.groups:
-            c = stream.counters[members[0]]
-            assert [stream.counters[s].forward_ops for s in members] == [
-                packets
-            ] * len(members)
-            assert 0 < c.wakeups <= 2 * packets, c
-            busy = sum(stream.counters[s].busy_seconds for s in members)
+        # the loss slot has no worker: a lane runs every other stage
+        n = len(stream.counters) - 1
+        placement = stream.placement()
+        assert sum(lane["packets"] for lane in placement) == 2 * packets
+        for lane, counters in zip(placement, stream.lane_counters):
+            c, sent = counters[0], lane["packets"]
+            assert [m.forward_ops for m in counters] == [sent] * n
+            assert 0 < c.wakeups <= 2 * sent, (sent, c)
+            busy = sum(m.busy_seconds for m in counters)
             assert busy + c.wait_seconds == pytest.approx(
                 lifetime, rel=0.10
             ), c
             if backend == "process":
-                assert c.voluntary_switches >= packets // 2
-                assert set(c.cpus) <= os.sched_getaffinity(0)
+                assert c.voluntary_switches >= sent // 2
+                assert c.cpus == (lane["cpu"],)
             else:
                 assert (c.voluntary_switches, c.cpus) == (0, ())
+
+    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    def test_one_wait_covers_every_lane(
+        self, backend, monkeypatch, slow_safety_net
+    ):
+        """The parent's wait spans every lane: a result that lands on
+        the second lane while the parent is already blocked ends the
+        wait at once, not on a timeout or the safety net."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        stages = _stages()
+        forward = stages[0].forward
+
+        def slow_second_packet(pid, payload, train=True):
+            if pid == 1:
+                time.sleep(0.3)
+            return forward(pid, payload, train)
+
+        # before the open: a forked lane inherits the shadow
+        stages[0].forward = slow_second_packet
+        stream = open_inference_stream(
+            stages, backend=backend, sample_shape=(FEATURES,)
+        )
+        got = []
+        try:
+            t0 = time.perf_counter()
+            assert stream.submit(0, 0, _x(1)) and stream.submit(1, 1, _x(1))
+            assert [lane["packets"] for lane in stream.placement()] == [1, 1]
+            while len(got) < 2:
+                assert stream.wait(5.0)
+                got += stream.poll()
+            elapsed = time.perf_counter() - t0
+        finally:
+            stream.close()
+        assert sorted(pid for pid, _, _ in got) == [0, 1]
+        assert elapsed < 2.0, f"the second lane's result took {elapsed:.2f}s"
 
     def test_training_workers_account_their_waits(self):
         X, Y = _x(16, seed=7), np.arange(16) % 4
