@@ -13,6 +13,7 @@ checkpoint restore, and the engine-level ``infer()`` surface.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -382,6 +383,237 @@ class TestLanes:
         with session.open_stream():
             pass
         assert session.placement() == {"lanes": None}
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_every_lane_runs_on_its_pinned_cpu(self, runtime, monkeypatch):
+        """Lane ``w`` runs on ``cpus[w]``, the mask's CPUs round robin —
+        also with more lanes than CPUs, so any host checks it."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        session = InferenceSession(
+            _trained_model(), runtime=runtime, micro_batch=2, capacity=1,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        seen: dict[str, set] = {}
+        stream = session.open_stream()
+        stage = session.stages[0]
+        original = stage.forward
+
+        def recorded(pid, payload, train=True):
+            seen.setdefault(threading.current_thread().name, set()).add(
+                frozenset(os.sched_getaffinity(0))
+            )
+            return original(pid, payload, train)
+
+        # thread lanes run the parent's stage objects; process lanes
+        # forked before this and report their pin in their counters
+        stage.forward = recorded
+        try:
+            with stream:
+                run_inference(
+                    stream, InferenceSchedule(2), _requests(12),
+                    session.num_stages,
+                )
+        finally:
+            del stage.forward
+        assert stream.cpus == inference.lane_cpus(3)
+        assert all(lane["packets"] for lane in stream.placement())
+        if runtime == "threaded":
+            assert seen == {
+                f"infer-stage-{w}": {frozenset({cpu})}
+                for w, cpu in enumerate(stream.cpus)
+            }
+        else:
+            assert not seen
+            assert [counters[0].cpus for counters in stream.lane_counters] == [
+                (cpu,) for cpu in stream.cpus
+            ]
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_lanes_leave_batchnorm_buffers_and_mode_alone(
+        self, runtime, monkeypatch
+    ):
+        """A model still in training serves through two lanes in eval
+        mode: its running statistics are read, never updated, and its
+        mode is handed back at close."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        model = BN_FACTORY()
+        model.train(True)
+        before = model_fingerprint(model)
+        session = InferenceSession(
+            model, runtime=runtime, micro_batch=4, sample_shape=(3, 8, 8),
+            model_factory=BN_FACTORY,
+        )
+        X = bn_stream(n=18, seed=3)[0]
+        outputs = session.infer(X).outputs
+        assert model.training is True
+        assert model_fingerprint(model) == before
+        assert _hex(outputs) == _hex(session.forward_reference(X))
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_closed_stream_refuses_every_end(self, runtime, monkeypatch):
+        """Once closed, every end of a lane stream raises, and closing
+        again changes nothing: each lane's counters are summed once."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        session = InferenceSession(
+            _trained_model(), runtime=runtime, micro_batch=2,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        stream = session.open_stream()
+        run_inference(
+            stream, InferenceSchedule(2), _requests(6), session.num_stages
+        )
+        stream.close()
+        ops = [c.forward_ops for c in stream.counters]
+        stream.close()
+        assert [c.forward_ops for c in stream.counters] == ops
+        assert ops[:-1] == [3] * (session.num_stages - 1)
+        X = _requests(2)
+        with pytest.raises(InferenceStreamError, match="closed"):
+            stream.submit(0, 0, X)
+        with pytest.raises(InferenceStreamError, match="closed"):
+            stream.poll()
+        with pytest.raises(InferenceStreamError, match="closed"):
+            stream.wait(0.01)
+        with pytest.raises(InferenceStreamError, match="closed"):
+            stream.wait(0.01, space=True)
+
+
+@pytest.mark.concurrency
+class TestLaneDispatch:
+    """``submit``'s choice of lane on a two-lane thread stream, made
+    observable by holding chosen packets inside stage 0's forward: the
+    least loaded lane with a free slot takes each packet, and only a
+    stream whose every lane is full refuses one."""
+
+    @pytest.fixture
+    def gated(self, monkeypatch):
+        """An open two-lane stream whose stage 0 holds every packet
+        ``hold(pid)`` selects until ``gate`` is set; ``entered`` counts
+        the packets being held."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        session = InferenceSession(
+            _trained_model(), runtime="threaded", micro_batch=2, capacity=2,
+            sample_shape=SHAPE,
+        )
+        stream = session.open_stream()
+        stage = session.stages[0]
+        original = stage.forward
+        ctl = dict(
+            gate=threading.Event(),
+            entered=threading.Semaphore(0),
+            hold=lambda pid: True,
+        )
+
+        def held(pid, payload, train=True):
+            if ctl["hold"](pid):
+                ctl["entered"].release()
+                ctl["gate"].wait(30.0)
+            return original(pid, payload, train)
+
+        stage.forward = held
+        try:
+            yield session, stream, ctl
+        finally:
+            ctl["gate"].set()
+            stream.close()
+            del stage.forward
+
+    @staticmethod
+    def _collect(stream, n: int) -> dict:
+        got = {}
+        deadline = time.monotonic() + 30.0
+        while len(got) < n and time.monotonic() < deadline:
+            stream.wait(1.0)
+            got.update((pid, out) for pid, _, out in stream.poll())
+        assert len(got) == n
+        return got
+
+    def test_packets_alternate_while_nothing_returns(self, gated):
+        session, stream, ctl = gated
+        X = _requests(2)
+        # every in channel starts with `capacity` free slots
+        for pid in range(2 * stream.capacity):
+            assert stream.submit(pid, pid, X)
+            assert [lane["packets"] for lane in stream.placement()] == [
+                pid // 2 + 1, (pid + 1) // 2
+            ]
+        ctl["gate"].set()
+        got = self._collect(stream, 2 * stream.capacity)
+        want = _hex(session.forward_reference(X))
+        assert all(_hex(out) == want for out in got.values())
+
+    def test_least_loaded_lane_takes_the_packet(self, gated):
+        """Lane 0 still holds packet 0 when packet 1 has come back from
+        lane 1, so packet 2 goes to lane 1 — by outstanding packets, not
+        round robin — and packet 3 to lane 0 on the tie."""
+        session, stream, ctl = gated
+        ctl["hold"] = lambda pid: pid == 0
+        X = _requests(2)
+        assert stream.submit(0, 0, X)
+        assert stream.submit(1, 1, X)
+        assert ctl["entered"].acquire(timeout=10.0)
+        assert list(self._collect(stream, 1)) == [1]
+        assert stream.submit(2, 2, X)
+        assert [lane["packets"] for lane in stream.placement()] == [1, 2]
+        assert stream.submit(3, 3, X)
+        assert [lane["packets"] for lane in stream.placement()] == [2, 2]
+        ctl["gate"].set()
+        got = self._collect(stream, 3)
+        assert sorted(got) == [0, 2, 3]
+        want = _hex(session.forward_reference(X))
+        assert all(_hex(out) == want for out in got.values())
+
+    def test_refused_only_when_every_lane_is_full(self, gated):
+        session, stream, ctl = gated
+        X = _requests(2)
+        assert stream.submit(0, 0, X)
+        assert stream.submit(1, 1, X)
+        # both lanes hold a packet inside stage 0: nothing moves now
+        for _ in range(2):
+            assert ctl["entered"].acquire(timeout=10.0)
+        pid = 2
+        while stream.submit(pid, pid, X):
+            pid += 1
+        assert not any(ins.has_free_slot() for ins, _ in stream._group.lanes)
+        packets = [lane["packets"] for lane in stream.placement()]
+        assert packets[0] == packets[1] and sum(packets) == pid
+        assert not stream.wait(0.05, space=True)
+        ctl["gate"].set()
+        assert stream.wait(10.0, space=True)
+        assert sorted(self._collect(stream, pid)) == list(range(pid))
+
+
+class TestLaneCpus:
+    """How many lanes a stream opens and where each runs, from the
+    affinity mask alone."""
+
+    def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7},
+                            raising=False)
+        assert inference.usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, want", [(6, 6), (None, 1)])
+    def test_usable_cpus_without_a_mask_counts_the_machine(
+        self, count, want, monkeypatch
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert inference.usable_cpus() == want
+
+    def test_lanes_take_the_mask_in_cpu_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 2, 5},
+                            raising=False)
+        assert inference.lane_cpus(3) == [2, 5, 7]
+        assert inference.lane_cpus(1) == [2]
+
+    def test_more_lanes_than_cpus_wrap_round_robin(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3},
+                            raising=False)
+        assert inference.lane_cpus(5) == [1, 3, 1, 3, 1]
+
+    def test_lanes_are_unpinned_without_a_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert inference.lane_cpus(2) == [None, None]
 
 
 @pytest.mark.concurrency
