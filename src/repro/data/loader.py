@@ -180,33 +180,6 @@ class ResumableSampleStream:
         self._epoch_y: np.ndarray | None = None
         self._epoch_rng_state: dict | None = None
 
-    # -- sharding -----------------------------------------------------------
-
-    def shard(
-        self, rank: int, world: int, block: int = 1
-    ) -> "_ShardedSampleStream":
-        """A stream over this stream's ``rank``-th block-cyclic shard.
-
-        The shard draws the *same* per-epoch permutation (and
-        augmentation) as the unsharded stream — each shard deep-copies
-        the rng so all ``world`` shards of one parent agree on every
-        epoch's sample order — and then keeps only the positions
-        :func:`shard_positions` assigns to ``rank``.  Together the
-        shards are disjoint and cover the stream exactly.
-
-        Must be called before any sample is consumed (the shard starts
-        its own cursor at position 0).
-        """
-        if self.position != 0:
-            raise ValueError(
-                "shard() must be called on an unconsumed stream "
-                f"(position {self.position})"
-            )
-        return _ShardedSampleStream(
-            self.x, self.y, self.epochs, copy.deepcopy(self.rng),
-            rank, world, block=block, augment=self.augment,
-        )
-
     # -- cursor arithmetic --------------------------------------------------
 
     @property
@@ -317,11 +290,6 @@ class ResumableSampleStream:
         :meth:`next_chunk` regenerates the in-progress epoch from the
         restored rng state and continues at ``index``.
         """
-        if "shard" in state and not isinstance(self, _ShardedSampleStream):
-            raise ValueError(
-                "cursor was captured over a sharded stream; load it into "
-                "the matching stream.shard(rank, world) instead"
-            )
         if int(state["samples_per_epoch"]) != self.samples_per_epoch:
             raise ValueError(
                 f"cursor was captured over {state['samples_per_epoch']} "
@@ -339,83 +307,3 @@ class ResumableSampleStream:
         self.index = index
         self.rng.bit_generator.state = copy.deepcopy(state["rng_state"])
         self._drop_epoch()
-
-
-class _ShardedSampleStream(ResumableSampleStream):
-    """One block-cyclic shard of a :class:`ResumableSampleStream`.
-
-    Each epoch the *full* dataset is permuted (and augmented) with the
-    same rng consumption as the unsharded stream, then sliced down to
-    this rank's :func:`shard_positions` — so sibling shards partition
-    every epoch's sample sequence exactly, and ``samples_per_epoch`` /
-    the resume cursor count in shard-local samples.
-    """
-
-    def __init__(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int,
-        rng: np.random.Generator,
-        rank: int,
-        world: int,
-        block: int = 1,
-        augment=None,
-    ):
-        super().__init__(x, y, epochs, rng, augment=augment)
-        self._positions = shard_positions(x.shape[0], rank, world, block)
-        if self._positions.size == 0:
-            raise ValueError(
-                f"shard {rank}/{world} (block {block}) is empty for "
-                f"{x.shape[0]} samples/epoch"
-            )
-        self.rank = int(rank)
-        self.world = int(world)
-        self.block = int(block)
-
-    @property
-    def samples_per_epoch(self) -> int:
-        return int(self._positions.size)
-
-    def _materialize_epoch(self) -> None:
-        if self._epoch_x is not None:
-            return
-        self._epoch_rng_state = copy.deepcopy(self.rng.bit_generator.state)
-        # permute/augment the FULL epoch (identical rng consumption to
-        # the unsharded stream and to every sibling shard), then slice
-        idx = self.rng.permutation(self.x.shape[0])
-        xb = self.x[idx]
-        if self.augment is not None:
-            xb = self.augment(xb, self.rng)
-        self._epoch_x = xb[self._positions]
-        self._epoch_y = self.y[idx][self._positions]
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["shard"] = {
-            "rank": self.rank,
-            "world": self.world,
-            "block": self.block,
-            "dataset_size": int(self.x.shape[0]),
-        }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        sh = state.get("shard")
-        if sh is None:
-            raise ValueError(
-                "cursor was captured over an unsharded stream; load it "
-                "into the parent ResumableSampleStream instead"
-            )
-        mine = {
-            "rank": self.rank,
-            "world": self.world,
-            "block": self.block,
-            "dataset_size": int(self.x.shape[0]),
-        }
-        theirs = {k: int(v) for k, v in sh.items()}
-        if theirs != mine:
-            raise ValueError(
-                f"cursor belongs to shard {theirs}, this stream is {mine}"
-            )
-        super().load_state_dict(state)

@@ -15,12 +15,12 @@
 * :mod:`~repro.pipeline.executor` — the cycle-accurate, schedule-driven
   engine running any of the above over a
   :class:`~repro.models.arch.StageGraphModel`.
-* :mod:`~repro.pipeline.worker` — the one worker loop
-  (:class:`~repro.pipeline.worker.StageWorker`: one stage when training,
-  a lane of every compute stage when serving) and the one
-  :class:`~repro.pipeline.worker.WorkerGroup` that hosts it
-  as threads or as processes over shared-memory rings; training and
-  serving both run on it.
+* :mod:`~repro.pipeline.worker` — the one stage loop
+  (:class:`~repro.pipeline.worker.StageWorker`, one training stage), the
+  serving lane's forward loop (:class:`~repro.pipeline.worker.Lane`,
+  every compute stage) and the one
+  :class:`~repro.pipeline.worker.WorkerGroup` that hosts either as
+  threads or as processes over shared-memory rings.
 * :mod:`~repro.pipeline.runtime` — the concurrent training engines
   driving a worker group through the same schedules.  Lockstep mode is
   bit-exact with the executor; free-running mode measures real

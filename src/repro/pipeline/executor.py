@@ -53,6 +53,7 @@ from repro.pipeline.schedule import (
 )
 from repro.pipeline.stage import PipelineStage, load_stage_states
 from repro.precision.policy import PrecisionPolicy, resolve_precision
+from repro.tensor.tensor import log_softmax_array
 
 
 def softmax_xent_grad_batch(
@@ -65,27 +66,13 @@ def softmax_xent_grad_batch(
     gradients are averaged into updates).
     """
     B = logits.shape[0]
-    z = logits.reshape(B, -1)
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = log_softmax_array(logits.reshape(B, -1), axis=1)
     rows = np.arange(B)
     labels = np.asarray(labels, dtype=np.int64).reshape(B)
     losses = -log_probs[rows, labels]
     grad = np.exp(log_probs)
     grad[rows, labels] -= 1.0
     return losses, grad.reshape(logits.shape)
-
-
-def softmax_xent_grad(
-    logits: np.ndarray, label: int
-) -> tuple[float, np.ndarray]:
-    """Fused CE loss and dL/dlogits for a single sample ``(1, K)``."""
-    losses, grad = softmax_xent_grad_batch(
-        logits.reshape(1, -1), np.array([int(label)])
-    )
-    return float(losses[0]), grad.reshape(logits.shape)
 
 
 def check_stages_drained(stages: Sequence["PipelineStage"]) -> None:

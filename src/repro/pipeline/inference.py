@@ -17,7 +17,7 @@ pipeline you push packets into and pull outputs out of:
   tests compare against);
 * :class:`PipelineInferenceStream` — a forward-only
   :class:`~repro.pipeline.worker.WorkerGroup` hosted as threads or as
-  processes (the worker loop, channels and control protocol are
+  processes (the lane loop, channels and control protocol are
   described in :mod:`repro.pipeline.worker`): one *lane* per usable
   CPU, each lane running the whole model (see "Lanes" below).
   ``submit`` is a ``try_send`` into the least loaded lane with room,
@@ -62,7 +62,8 @@ pays, and a cut's rate is bounded by its costliest group — one heavy
 stage leaves the other CPUs idle.  With no weight updates, copies of a
 stage need no gradient sync (PipeDream replicates a stage when that
 beats cutting it), so a stream replicates the *whole* model instead: it
-opens ``k = usable_cpus()`` **lanes**, each one worker that runs every
+opens ``k = usable_cpus()`` **lanes**, each one worker
+(:class:`~repro.pipeline.worker.Lane`) that runs every
 compute stage in order under ``no_grad`` (nothing reads an autodiff
 graph there, and building one made a worker running several conv stages
 re-fault its temporaries on every packet), between its own in and out

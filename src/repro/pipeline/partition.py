@@ -7,7 +7,7 @@ as a pipeline (balanced skip stack, unique names, terminal loss).
 
 from __future__ import annotations
 
-from repro.models.arch import StageDef, StageGraphModel
+from repro.models.arch import StageDef
 
 
 def validate_stage_graph(stages: list[StageDef]) -> None:
@@ -41,24 +41,3 @@ def validate_stage_graph(stages: list[StageDef]) -> None:
             depth -= 1
     if depth != 0:
         raise ValueError(f"{depth} unconsumed skip connections")
-
-
-def parameter_stage_summary(model: StageGraphModel) -> list[dict]:
-    """Per-stage summary rows used by docs/examples."""
-    rows = []
-    for i, st in enumerate(model.stage_defs):
-        n_params = (
-            sum(p.size for p in st.module.parameters()) if st.module else 0
-        )
-        rows.append(
-            {
-                "stage": i,
-                "name": st.name,
-                "kind": st.kind,
-                "params": n_params,
-                "skip": "push" if st.push_skip else (
-                    "pop" if st.kind == "sum" else ""
-                ),
-            }
-        )
-    return rows

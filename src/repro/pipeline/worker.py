@@ -3,13 +3,12 @@
 The paper's argument is that fine-grained pipelined backpropagation
 makes every stage run the *same* tiny loop forever: take one activation,
 take one gradient, update, pass both on.  PipeDream's worker model
-(Harlap et al. 2018: backward priority plus an in-flight cap) and
-torchgpipe's forward-only reuse of it (Kim et al. 2020) are that loop
-again.  This module is the one place the loop is written outside the
-discrete-time simulator: :class:`StageWorker` is the loop,
-:class:`WorkerGroup` hosts one worker per stage (forward-only: one
-*lane* per CPU, each running every compute stage) and owns launch,
-health, replies and teardown.
+(Harlap et al. 2018: backward priority plus an in-flight cap) is that
+loop again.  This module is the one place the loop is written outside
+the discrete-time simulator: :class:`StageWorker` is the loop,
+:class:`Lane` the serving stream's forward-only worker, and
+:class:`WorkerGroup` hosts one worker per stage (serving: one lane per
+CPU) and owns launch, health, replies and teardown.
 :mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
 
@@ -68,22 +67,23 @@ adds every sample its backwards complete to the group's completion
 count, a shared number next to the abort flag, which is all the parent
 watches for stall detection.
 
-When its column ends a training worker sends its one reply and returns.
-``forward_only`` (serving) has an empty column and one open-ended
-forward segment that ends at finalize: no loss slot (the parent
-consumes the last channel), ``stage.forward(..., train=False)`` under
-``no_grad`` (no autodiff graph), eager slot release, no cap.
+When its column ends a worker sends its one reply and returns.
 
-A forward-only worker is a *lane*: it hosts every compute stage, its
-*members*, and runs each member's own ``forward`` in order on the
-packet, between its own in channel and its own out channel.  Inference
-has no staleness, so where a stage runs cannot change an output bit:
-each member fills its own :class:`~repro.pipeline.executor.StageCounters`,
-an error names the member that raised, and the payload between two
-members, skip arrays included, never leaves the worker.  A lane is
-pinned to one CPU (``cpus`` in its spec, applied by
-:func:`_worker_main` on either host).  Training workers host exactly
-one stage: the eq.-5 delays ``D_s`` are per stage.
+The lane
+--------
+
+A serving stream has no plan, no backward, no cap and no flush, so it
+does not run this loop.  A :class:`Lane` hosts every compute stage and
+repeats, until finalize: take a packet from its in channel, run each
+stage's ``forward(..., train=False)`` in order under ``no_grad`` (no
+autodiff graph), send the result on its out channel, release the slot.
+Inference has no staleness, so where a stage runs cannot change an
+output bit: each stage keeps its own
+:class:`~repro.pipeline.executor.StageCounters`, an error names the
+stage that raised, and the payload between two stages, skip arrays
+included, never leaves the lane.  A lane is pinned to one CPU (``cpus``
+in its spec, applied by :func:`_worker_main` on either host).  Lanes
+are not fused training stages: the eq.-5 delays ``D_s`` are per stage.
 
 Channels
 --------
@@ -132,13 +132,12 @@ of a training run sends nothing at all.  It never writes ``stage.lr``
 itself while workers run: a thread-hosted worker shares the stage
 object.
 
-A forward-only worker's last segment is open-ended, so a stream sends
-each worker one message, ``("finalize",)``, and the reply answers it.  A
-forward-only worker that observes the abort flag polls its control
-endpoint once more and honours a ``finalize`` found there: a stream's
-``close()`` sends ``finalize`` *before* setting abort (abort is what
-unblocks a worker stuck in a ring send), so anything sent-before is
-visible by then.
+A lane runs until told to stop, so a stream sends each lane one
+message, ``("finalize",)``, and the reply answers it.  A lane reads its
+control endpoint before the abort flag and honours a ``finalize`` found
+there: a stream's ``close()`` sends ``finalize`` *before* setting abort
+(abort is what unblocks a lane stuck in a ring send), so anything
+sent-before is seen first.
 
 What a host decides
 -------------------
@@ -213,7 +212,6 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -605,99 +603,40 @@ class _ReduceSpec:
 
 @dataclass
 class _WorkerSpec:
-    """Everything one stage worker needs, picklable under ``spawn``."""
+    """Everything one worker needs, picklable under ``spawn``: a training
+    stage's, or — with no ``plan`` — a serving lane's."""
 
-    members: tuple  # the stage indices it runs (a lane: every compute one)
     conn: Any  # Connection | LocalConn
     fwd_in: Any  # ShmRing | LocalChannel; None for stage 0 of a training run
     fwd_out: Any  # None for the loss stage
-    bwd_in: Any  # None for the loss stage and in forward-only mode
-    bwd_out: Any  # None for stage 0 and in forward-only mode
     abort: Any  # _SharedAbort | _LocalAbort
-    plan: list  # this stage's Plan.column (empty for forward-only)
-    lockstep: bool  # every op of the column its own segment
-    forward_only: bool
-    update_after_backward: bool
     stall_timeout: float
-    stages: list | None  # threads and fork: the member objects themselves
-    build_specs: list | None = None  # a rebuild recipe per member ...
+    stages: list | None  # threads and fork: the stage objects themselves
+    build_specs: list | None = None  # a rebuild recipe per stage ...
     stage_states: list | None = None  # ... and the weights to load into it
+    plan: list | None = None  # this stage's Plan.column; None: a lane
+    lockstep: bool = False  # every op of the column its own segment
+    update_after_backward: bool = False
+    bwd_in: Any = None  # None for the loss stage
+    bwd_out: Any = None  # None for stage 0
     inputs: list | None = None  # stage 0 of a training run: its packets
     labels: np.ndarray | None = None  # loss stage only
     reduce: _ReduceSpec | None = None  # replicated runs only
     cpus: tuple | None = None  # a lane: the CPU it runs on
 
 
-class StageWorker:
-    """One stage's event loop (see the module docstring); forward-only,
-    a lane's loop over every compute stage."""
+class _Worker:
+    """What a training stage's loop and a serving lane's share: blocking
+    with accounting, sending, and the one reply."""
 
-    def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
+    def __init__(self, spec: _WorkerSpec, counters: StageCounters):
         self.spec = spec
-        stage = self.stage = stages[0]
-        self.s = spec.members[0]
-        #: each member stage with its own counters; the first member's
-        #: are also the worker's (waits, wake-ups, placement)
-        self.members = [
-            (st, StageCounters(index=s)) for s, st in zip(spec.members, stages)
-        ]
-        self.counters = self.members[0][1]
-        #: the member whose op runs now: an error names this stage
-        self.active = self.s
-        self.is_loss = stage.spec.kind == "loss"
-        self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
-        #: a process host's training worker returns its trained state
-        self.ship_state = not (
-            spec.forward_only or isinstance(spec.conn, LocalConn)
-        )
-        #: the next forward packet: from the channel or, at stage 0 of a
-        #: training run, the next of its own packets
-        self._next_fwd = (
-            deque(spec.inputs or ()).popleft if spec.fwd_in is None
-            else spec.fwd_in.try_recv
-        )
-        #: compute stages re-read forward inputs lazily at backward time,
-        #: so their inbound forward slot outlives the forward op
-        self.defer_fwd_release = (
-            stage.spec.kind == "compute" and not spec.forward_only
-        )
-        #: packets forwarded, not yet backwarded: backwards run FIFO
-        self._pending_fwd: deque[int] = deque()
+        #: the worker's own counters: waits, wake-ups, placement
+        self.counters = counters
         #: perf_counter at this worker's first forward (its span's start)
         self._t0: float | None = None
-        #: the loss stage's own backward packet, seeded by its forward
-        self._seeded = None
-        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
-        self.in_flight = 0
-        #: the running segment: the learning rate of each forward and of
-        #: each backward it has left (module docstring, "The loop") ...
-        self._fwd: deque[float] = deque()
-        self._bwd: deque[float] = deque()
-        #: ... and whether it is the last, open-ended one
-        self._open = False
-        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
-        #: (a loss-only pipeline has no channel, and never waits)
-        self._idle_wait = inbound and inbound[0].idle_wait(
-            spec.conn, spec.abort, *inbound[1:]
-        )
-        self._reduce_round = 0  # packet ids on the reduce rings
-        if self.ship_state:
-            # ship only THIS run's version trace back; the parent extends
-            # its accumulated list.  A fork-inherited stage would
-            # otherwise carry — and duplicate — prior runs' entries.
-            stage.version_trace = []
-        if spec.reduce is not None:
-            # replicated sync runs fold per-packet gradient segments
-            # across replicas instead of accumulating locally
-            stage.collect_grad_segments = True
-        if spec.forward_only:
-            for st in stages:
-                if st.spec.module is not None:
-                    st.spec.module.eval()
 
-    # -- waiting ----------------------------------------------------------
-
-    # wait_seconds / wakeups accounting: everywhere the loop can block —
+    # wait_seconds / wakeups accounting: everywhere a loop can block —
     # the idle wait, a packet that has not arrived yet, a send into a
     # full channel — goes through _blocked, so busy + wait is the
     # worker's lifetime less its own bookkeeping.
@@ -718,6 +657,67 @@ class StageWorker:
                 spec.abort,
             )
 
+    def _reply(self, counters: list, **payload) -> None:
+        """The worker's one message: this run's measurements, plus
+        whatever ``payload`` the parent's driver reads."""
+        span = 0.0 if self._t0 is None else time.perf_counter() - self._t0
+        if not isinstance(self.spec.conn, LocalConn):
+            # a process worker is its process: placement diagnostics
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            self.counters.voluntary_switches = usage.ru_nvcsw
+            self.counters.involuntary_switches = usage.ru_nivcsw
+            if hasattr(os, "sched_getaffinity"):
+                self.counters.cpus = tuple(sorted(os.sched_getaffinity(0)))
+        payload.update(counters=counters, span=span)
+        self.spec.conn.send(("state", payload))
+
+
+class StageWorker(_Worker):
+    """One training stage's event loop (module docstring, "The loop")."""
+
+    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
+        super().__init__(spec, StageCounters(index=stage.index))
+        self.stage = stage
+        self.s = stage.index
+        self.is_loss = stage.spec.kind == "loss"
+        self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
+        #: a process host's worker returns its trained state
+        self.ship_state = not isinstance(spec.conn, LocalConn)
+        #: the next forward packet: from the channel or, at stage 0, the
+        #: next of its own packets
+        self._next_fwd = (
+            deque(spec.inputs or ()).popleft if spec.fwd_in is None
+            else spec.fwd_in.try_recv
+        )
+        #: compute stages re-read forward inputs lazily at backward time,
+        #: so their inbound forward slot outlives the forward op
+        self.defer_fwd_release = stage.spec.kind == "compute"
+        #: packets forwarded, not yet backwarded: backwards run FIFO
+        self._pending_fwd: deque[int] = deque()
+        #: the loss stage's own backward packet, seeded by its forward
+        self._seeded = None
+        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
+        self.in_flight = 0
+        #: the running segment: the learning rate of each forward and of
+        #: each backward it has left (module docstring, "The loop")
+        self._fwd: deque[float] = deque()
+        self._bwd: deque[float] = deque()
+        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
+        #: (a loss-only pipeline has no channel, and never waits)
+        self._idle_wait = inbound and inbound[0].idle_wait(
+            spec.conn, spec.abort, *inbound[1:]
+        )
+        self._reduce_round = 0  # packet ids on the reduce rings
+        if self.ship_state:
+            # ship only THIS run's version trace back; the parent extends
+            # its accumulated list.  A fork-inherited stage would
+            # otherwise carry — and duplicate — prior runs' entries.
+            stage.version_trace = []
+        if spec.reduce is not None:
+            # replicated sync runs fold per-packet gradient segments
+            # across replicas instead of accumulating locally
+            stage.collect_grad_segments = True
+
     def _recv(self, channel, what: str):
         pkt = channel.try_recv()
         if pkt is None:
@@ -734,39 +734,30 @@ class StageWorker:
     # window, so busy fractions stay comparable across hosts.
 
     def _forward(self, pkt) -> None:
-        """Transform one inbound forward packet (through every member
-        stage in order: the payload between two members is a local)."""
+        """Transform one inbound forward packet."""
         pid, start, size, payload = pkt
         spec = self.spec
         if self._t0 is None:
             self._t0 = time.perf_counter()
+        t0 = time.perf_counter()
         if self.is_loss:
-            t0 = time.perf_counter()
             lvec, out = softmax_xent_grad_batch(
                 payload[0], spec.labels[start : start + size]
             )
             self.losses[start : start + size] = lvec
-            self.counters.forward_ops += 1
-            self.counters.forward_samples += size
-            self.counters.busy_seconds += time.perf_counter() - t0
+        else:
+            out = self.stage.forward(pid, payload)
+        self.counters.forward_ops += 1
+        self.counters.forward_samples += size
+        self.counters.busy_seconds += time.perf_counter() - t0
+        if self.is_loss:
             # seeds this packet's backward, run next (the plan's BWD in
             # the same tick); the gradient is a fresh array
             self._seeded = (pid, start, size, [out])
-            if spec.fwd_in is not None:
-                spec.fwd_in.release()
-            return
-        out = payload
-        for stage, counters in self.members:
-            self.active = counters.index
-            t0 = time.perf_counter()
-            out = stage.forward(pid, out, train=not spec.forward_only)
-            counters.forward_ops += 1
-            counters.forward_samples += size
-            counters.busy_seconds += time.perf_counter() - t0
-        # copy downstream *before* releasing anything the output may
-        # alias (identity/sum stages pass views of the inbound slot)
-        self._send(spec.fwd_out, pid, start, size, out)
-        if not spec.forward_only:
+        else:
+            # copy downstream *before* releasing anything the output may
+            # alias (identity/sum stages pass views of the inbound slot)
+            self._send(spec.fwd_out, pid, start, size, out)
             self._pending_fwd.append(pid)
             self.in_flight += 1
         if spec.fwd_in is not None and not self.defer_fwd_release:
@@ -892,102 +883,126 @@ class StageWorker:
         else:
             self.stage.flush_update(count)
 
-    def _reply(self) -> None:
-        """The worker's one message: this run's measurements and, from a
-        process host's training worker, its trained state."""
-        span = 0.0 if self._t0 is None else time.perf_counter() - self._t0
-        ship = self.ship_state
-        if not isinstance(self.spec.conn, LocalConn):
-            # a process worker is its process: placement diagnostics
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            self.counters.voluntary_switches = usage.ru_nvcsw
-            self.counters.involuntary_switches = usage.ru_nivcsw
-            if hasattr(os, "sched_getaffinity"):
-                self.counters.cpus = tuple(sorted(os.sched_getaffinity(0)))
-        payload = {
-            "counters": [counters for _, counters in self.members],
-            "losses": self.losses,
-            "span": span,
-            "state": self.stage.state_dict() if ship else None,
-            "version_trace": list(self.stage.version_trace) if ship else (),
-        }
-        self.spec.conn.send(("state", payload))
-
     # -- the loop -----------------------------------------------------------
 
     def run(self) -> None:
-        """Walk the column in segments, then reply — forward-only, after
-        the open-ended last segment, at finalize (module docstring, "The
-        loop")."""
+        """Walk the column in segments, then reply (module docstring,
+        "The loop")."""
         spec = self.spec
-        lr = self.stage.lr
+        stage = self.stage
+        lr = stage.lr
         for kind, arg in spec.plan:
             if kind == SET_LR:
                 lr = arg
             elif kind == FLUSH:
                 self._run_segment()
-                self.stage.lr = lr
+                stage.lr = lr
                 self._flush(arg)
             else:
                 (self._bwd if kind == BWD else self._fwd).append(lr)
                 if spec.lockstep:
                     self._run_segment()
         self._run_segment()
-        self.stage.lr = lr
-        if spec.forward_only:
-            self._open = True
-            self._run_segment()  # returns at finalize
-        self._reply()
+        stage.lr = lr
+        ship = self.ship_state
+        self._reply(
+            [self.counters],
+            losses=self.losses,
+            state=stage.state_dict() if ship else None,
+            version_trace=list(stage.version_trace) if ship else (),
+        )
 
     def _may_backward(self) -> bool:
         return bool(self._bwd) and self._has_backward()
 
     def _may_forward(self) -> bool:
-        spec = self.spec
-        return (
-            (bool(self._fwd) or spec.forward_only)
-            and self.in_flight < self.cap
-            and (spec.fwd_in is None or spec.fwd_in.poll())
+        fwd_in = self.spec.fwd_in
+        return bool(self._fwd) and self.in_flight < self.cap and (
+            fwd_in is None or fwd_in.poll()
         )
 
     def _has_work(self) -> bool:
         """The idle wait's predicate: anything the running segment may
         do, which a packet beyond its counts is not."""
-        spec = self.spec
-        return (
-            spec.abort.is_set()
-            or (self._open and spec.conn.poll())
-            or self._may_backward()
-            or self._may_forward()
-        )
+        abort = self.spec.abort
+        return abort.is_set() or self._may_backward() or self._may_forward()
 
     def _run_segment(self) -> None:
         """Backward priority, then a forward under the in-flight cap,
-        else idle wait — until the segment's counts are spent or, for the
-        open one, finalize arrives."""
-        spec = self.spec
-        while self._fwd or self._bwd or self._open:
-            if spec.abort.is_set() or (self._open and spec.conn.poll()):
-                # a stream's close() sends finalize before it sets abort:
-                # answer the finalize instead of dropping it
-                if self._open and spec.conn.poll():
-                    spec.conn.recv()  # finalize, a stream's one message
-                    return
+        else idle wait — until the segment's counts are spent."""
+        abort = self.spec.abort
+        while self._fwd or self._bwd:
+            if abort.is_set():
                 raise TransportAborted(f"stage {self.s}: run aborted")
             if self._may_backward():
                 self.stage.lr = self._bwd.popleft()
                 self._backward()
             elif self._may_forward():
-                if self._fwd:
-                    self.stage.lr = self._fwd.popleft()
+                self.stage.lr = self._fwd.popleft()
                 self._forward(self._next_fwd())
             else:
                 self._blocked(self._idle_wait, self._has_work)
 
 
+class Lane(_Worker):
+    """A serving lane's loop: every compute stage's forward on each
+    packet, until finalize (module docstring, "The lane")."""
+
+    def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
+        #: each stage with its own counters; the first stage's are also
+        #: the lane's (waits, wake-ups, placement)
+        self.stages = [(st, StageCounters(index=st.index)) for st in stages]
+        super().__init__(spec, self.stages[0][1])
+        #: the stage whose forward runs now: an error names this stage
+        self.active = stages[0].index
+        self._idle_wait = spec.fwd_in.idle_wait(spec.conn, spec.abort)
+        for st in stages:
+            if st.spec.module is not None:
+                st.spec.module.eval()
+
+    def _has_work(self) -> bool:
+        spec = self.spec
+        return spec.abort.is_set() or spec.conn.poll() or spec.fwd_in.poll()
+
+    def run(self) -> None:
+        """Forward packets until finalize, then reply.  No autodiff
+        graph: its nodes would keep each layer's temporaries (im2col
+        columns, ...) alive until the packet is sent on, and a lane of
+        several conv stages re-faults its arena's pages every packet."""
+        spec = self.spec
+        with no_grad():
+            # a stream's close() sends finalize before it sets abort:
+            # answer the finalize instead of dropping it
+            while not spec.conn.poll():
+                if spec.abort.is_set():
+                    raise TransportAborted("serving lane: run aborted")
+                pkt = spec.fwd_in.try_recv()
+                if pkt is None:
+                    self._blocked(self._idle_wait, self._has_work)
+                    continue
+                pid, start, size, out = pkt
+                if self._t0 is None:
+                    self._t0 = time.perf_counter()
+                # the payload between two stages is a local
+                for stage, counters in self.stages:
+                    self.active = counters.index
+                    t0 = time.perf_counter()
+                    out = stage.forward(pid, out, train=False)
+                    counters.forward_ops += 1
+                    counters.forward_samples += size
+                    counters.busy_seconds += time.perf_counter() - t0
+                # copy downstream *before* releasing the slot the output
+                # may alias (identity/sum stages pass views of the slot)
+                self._send(spec.fwd_out, pid, start, size, out)
+                spec.fwd_in.release()
+        spec.conn.recv()  # finalize, a stream's one message
+        self._reply([counters for _, counters in self.stages])
+
+
 def _worker_main(spec: _WorkerSpec) -> None:
-    """The single entry point of a stage worker: thread target and
-    process target alike (top-level for ``spawn``)."""
+    """The single entry point of a worker — a training stage's, or a
+    lane's when its spec has no plan: thread target and process target
+    alike (top-level for ``spawn``)."""
     # a fork inherits the forking thread's grad mode, a host thread
     # whatever its previous worker left
     enable_grad()
@@ -1000,27 +1015,22 @@ def _worker_main(spec: _WorkerSpec) -> None:
             stages = [build.build() for build in spec.build_specs]
             for stage, state in zip(stages, spec.stage_states):
                 stage.load_state_dict(state)
-        worker = StageWorker(spec, stages)
-        # a forward-only worker builds no autodiff graph: nothing reads
-        # one, and its nodes would keep each layer's temporaries (im2col
-        # columns, ...) alive until the packet is sent on — a worker
-        # running several conv stages then re-faults its malloc arena's
-        # pages on every packet
-        with no_grad() if spec.forward_only else nullcontext():
-            worker.run()
+        if spec.plan is None:
+            worker = Lane(spec, stages)
+        else:
+            worker = StageWorker(spec, *stages)
+        worker.run()
     except TransportAborted:
         pass  # the parent is tearing the run down; exit quietly
     except BaseException as exc:
         # an exception object only crosses an in-process endpoint
         cause = exc if isinstance(spec.conn, LocalConn) else None
+        where = (spec.stages or spec.build_specs)[0].index
+        if isinstance(worker, Lane):
+            where = worker.active
         try:
             spec.conn.send(
-                (
-                    "err",
-                    spec.members[0] if worker is None else worker.active,
-                    f"{exc!r}\n{traceback.format_exc()}",
-                    cause,
-                )
+                ("err", where, f"{exc!r}\n{traceback.format_exc()}", cause)
             )
         except OSError:  # pragma: no cover - parent already gone
             pass
@@ -1048,10 +1058,9 @@ def _chain(fwd: list, bwd: list) -> list[tuple]:
 
 
 def _build_rings(stages, probe, lanes, slots, layouts, layout_cache):
-    """The shared-memory rings of a process-hosted run, as each worker's
-    ``(fwd_in, fwd_out, bwd_in, bwd_out)``: no ring into stage 0 of a
-    training run (it reads its own packets), and a lane's two rings
-    forward-only."""
+    """The shared-memory rings of a process-hosted run: each training
+    worker's ``(fwd_in, fwd_out, bwd_in, bwd_out)`` — no ring into stage
+    0, which reads its own packets — or each lane's ``(in, out)``."""
     if layouts is None:
         # boundary layouts depend only on architecture + packet
         # shape/dtype, so relaunches (per-segment drives, crash
@@ -1061,35 +1070,29 @@ def _build_rings(stages, probe, lanes, slots, layouts, layout_cache):
         if layouts is None:
             layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
     if lanes is not None:
-        return [
-            (ring_in, ring_out, None, None)
-            for ring_in, ring_out in build_inference_rings(
-                stages, probe, slots, layouts, len(lanes)
-            )
-        ]
+        return build_inference_rings(stages, probe, slots, layouts, len(lanes))
     fwd, bwd = build_pipeline_rings(stages, probe, RING_SLACK, layouts)
     return _chain([None] + fwd, bwd + [None])
 
 
 class WorkerGroup:
-    """Host one :class:`StageWorker` per stage — or, forward-only, one
-    lane per entry of ``lanes`` — as threads over the parent's own stage
+    """Host one :class:`StageWorker` per stage — or one :class:`Lane`
+    per entry of ``lanes`` — as threads over the parent's own stage
     objects, or as processes over shared-memory rings, and own launch,
     message receipt with a deadline, error attribution, the dead-worker
     watchdog and teardown.
 
     The constructor launches; a failure midway tears down whatever was
-    created.  ``stages`` is the whole pipeline.  ``lanes`` makes the group
-    forward-only: lane ``w`` runs every stage but the final loss slot, in
-    order, between its own in and out channel (``self.lanes[w]``; the
-    parent feeds every in channel and consumes every out channel), on
-    CPU ``lanes[w]`` (``None``: wherever the launcher may run).  Worker
-    ``w``'s messages and errors are addressed by ``w``; the errors it
-    raises name a stage.  ``probe`` is a max-width input packet (shape and
-    dtype size the rings; ``layouts``, when given, are its
-    :func:`~repro.pipeline.transport.probe_boundary_layouts`); ``slots``
-    a flat per-channel capacity replacing the ``D_s + 1 + RING_SLACK``
-    training sizing.  ``plan[s]`` is stage ``s``'s :meth:`Plan.column
+    created.  ``stages`` is the whole pipeline.  Lane ``w`` runs every
+    stage but the final loss slot between its own in and out channel
+    (``self.lanes[w]``: the parent feeds every in channel and consumes
+    every out channel), on CPU ``lanes[w]`` (``None``: wherever the
+    launcher may run); ``slots`` is each lane channel's capacity.
+    Worker ``w``'s messages and errors are addressed by ``w``; the
+    errors it raises name a stage.  ``probe`` is a max-width input
+    packet (shape and dtype size the rings; ``layouts``, when given, are
+    its :func:`~repro.pipeline.transport.probe_boundary_layouts`).
+    ``plan[s]`` is stage ``s``'s :meth:`Plan.column
     <repro.pipeline.schedule.Plan.column>`, run op by op when
     ``lockstep``.  A training run's ``batch`` is ``(inputs, labels)``:
     stage 0's packets ``(pid, start, size, [x])`` in plan order, which
@@ -1129,12 +1132,9 @@ class WorkerGroup:
         self._lane_conds: tuple | None = None
         S = len(stages)
         forward_only = lanes is not None
-        #: the stage indices each worker runs
-        self.members = (
-            [tuple(range(S - 1))] * len(lanes) if forward_only
-            else [(s,) for s in range(S)]
-        )
-        count = len(self.members)
+        count = len(lanes) if forward_only else S
+        #: the stage worker ``w``'s errors name: a lane's first, or its own
+        self._stage = [0] * count if forward_only else list(range(S))
         rebuild = False
         try:
             if processes:
@@ -1170,7 +1170,6 @@ class WorkerGroup:
                                 space=space_cond,
                             ),
                             LocalChannel(out_cond, slots, f"infer[lane{w}->]"),
-                            None, None,
                         )
                         for w in range(count)
                     ]
@@ -1192,29 +1191,38 @@ class WorkerGroup:
                 pipes = [_local_pipe(mine[w], wakes[w]) for w in range(count)]
                 host = _HostedWorker
             if forward_only:
-                self.lanes = [wired[:2] for wired in wiring]
-                self.rings = [c for lane in self.lanes for c in lane]
+                self.lanes = wiring
+                self.rings = [c for lane in wiring for c in lane]
             else:  # every channel flows into some worker
                 self.rings = [
                     c for wired in wiring for c in wired[::2] if c is not None
                 ]
             self._rx_buf = [deque() for _ in range(count)]
-            for w, members in enumerate(self.members):
-                owned = [stages[s] for s in members]
+            for w in range(count):
                 parent_conn, child_conn = pipes[w]
-                fwd_in, fwd_out, bwd_in, bwd_out = wiring[w]
+                if forward_only:
+                    owned = list(stages[:-1])
+                    role = dict(
+                        fwd_in=wiring[w][0], fwd_out=wiring[w][1],
+                        cpus=None if lanes[w] is None else (lanes[w],),
+                    )
+                else:
+                    owned = [stages[w]]
+                    fwd_in, fwd_out, bwd_in, bwd_out = wiring[w]
+                    role = dict(
+                        fwd_in=fwd_in, fwd_out=fwd_out,
+                        bwd_in=bwd_in, bwd_out=bwd_out,
+                        plan=[] if plan is None else plan[w],
+                        lockstep=lockstep,
+                        update_after_backward=update_after_backward(w),
+                        inputs=batch[0] if batch and w == 0 else None,
+                        # the loss stage is the last (validate_stage_graph)
+                        labels=batch[1] if batch and w == S - 1 else None,
+                        reduce=None if reduce_plan is None else reduce_plan[w],
+                    )
                 spec = _WorkerSpec(
-                    members=members,
                     conn=child_conn,
-                    fwd_in=fwd_in,
-                    fwd_out=fwd_out,
-                    bwd_in=bwd_in,
-                    bwd_out=bwd_out,
                     abort=self.abort,
-                    plan=[] if plan is None else plan[w],
-                    lockstep=lockstep,
-                    forward_only=forward_only,
-                    update_after_backward=update_after_backward(w),
                     stall_timeout=self.stall_timeout,
                     stages=None if rebuild else owned,
                     build_specs=(
@@ -1224,16 +1232,7 @@ class WorkerGroup:
                     stage_states=(
                         [st.state_dict() for st in owned] if rebuild else None
                     ),
-                    inputs=batch[0] if batch and w == 0 else None,
-                    labels=(
-                        batch[1] if batch and owned[-1].spec.kind == "loss"
-                        else None
-                    ),
-                    reduce=None if reduce_plan is None else reduce_plan[w],
-                    cpus=(
-                        None if not forward_only or lanes[w] is None
-                        else (lanes[w],)
-                    ),
+                    **role,
                 )
                 self._conns.append(parent_conn)
                 self.workers.append(
@@ -1285,8 +1284,7 @@ class WorkerGroup:
         except OSError as exc:
             self.check_errors()
             raise PipelineRuntimeError(
-                self.members[w][0],
-                RuntimeError("worker control pipe is closed"),
+                self._stage[w], RuntimeError("worker control pipe is closed")
             ) from exc
 
     def broadcast(self, msg) -> None:
@@ -1337,11 +1335,11 @@ class WorkerGroup:
         *neighbors* blocked on rings with their own pipes silent.
         (Threads have no exit code; they report every failure as ``err``.)
         """
-        for members, w in zip(self.members, self.workers):
-            code = getattr(w, "exitcode", None)
+        for w, worker in enumerate(self.workers):
+            code = getattr(worker, "exitcode", None)
             if code:
                 raise PipelineRuntimeError(
-                    members[0],
+                    self._stage[w],
                     RuntimeError(
                         "worker process died without reporting an error "
                         f"(exitcode={code})"
@@ -1367,7 +1365,7 @@ class WorkerGroup:
         """
         conn = self._conns[w]
         buffered = self._rx_buf[w]
-        s = self.members[w][0]  # the stage an error names
+        s = self._stage[w]
         progress = self.abort.completed.value
         deadline = time.monotonic() + self.stall_timeout
         while not buffered and not conn.poll(min(self.stall_timeout, 0.05)):

@@ -637,14 +637,21 @@ def sigmoid(a) -> Tensor:
 # -- classification heads ------------------------------------------------------
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    a = _ensure_tensor(a)
-    z = a.data
+def log_softmax_array(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax of a NumPy array along ``axis``: max-shift, then
+    log-sum-exp.  The one kernel under :func:`log_softmax`,
+    :func:`cross_entropy`, ``train.metrics.batch_nll`` and the pipeline's
+    loss stage, so all four agree bit for bit."""
     zmax = z.max(axis=axis, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    return shifted - lse
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    """Numerically stable log-softmax along ``axis``."""
+    a = _ensure_tensor(a)
+    out_data = log_softmax_array(a.data, axis)
     probs = np.exp(out_data)  # forward capture
 
     def _bw(g: np.ndarray) -> None:
@@ -683,10 +690,7 @@ def cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
     n = z.shape[0]
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = log_softmax_array(z, axis=1)
     nll = -log_probs[np.arange(n), labels]
     out_val = nll.mean() if reduction == "mean" else nll.sum()
     probs = np.exp(log_probs)  # forward capture

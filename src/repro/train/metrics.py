@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import Tensor, log_softmax_array, no_grad
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -19,19 +19,16 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def batch_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample softmax cross-entropy of an ``(N, K)`` logit array.
 
-    One fused, allocation-light NumPy pass — the op sequence is kept
-    identical to :func:`repro.tensor.tensor.cross_entropy` (max-shift,
-    log-sum-exp, gather) so its values are bit-equal to what the
-    Tensor-based loss computes on the same logits; the evaluation loop
-    below relies on that to stay bit-exact with its pre-vectorization
-    form (pinned in ``tests/test_train.py``).
+    One NumPy pass over the kernel :func:`repro.tensor.tensor.cross_entropy`
+    runs (:func:`~repro.tensor.tensor.log_softmax_array`, then a
+    gather), so its values are bit-equal to what the Tensor-based loss
+    computes on the same logits; the evaluation loop below relies on
+    that to stay bit-exact with its pre-vectorization form (pinned in
+    ``tests/test_train.py``).
     """
     z = np.asarray(logits)
     labels = np.asarray(labels).astype(np.int64).reshape(-1)
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = log_softmax_array(z, axis=1)
     return -log_probs[np.arange(z.shape[0]), labels]
 
 

@@ -371,130 +371,3 @@ class TestShardPositions:
             shard_positions(10, -1, 2)
         with pytest.raises(ValueError, match="block"):
             shard_positions(10, 0, 2, block=0)
-
-
-class TestShardedSampleStream:
-    """ResumableSampleStream.shard(): disjoint shard streams that agree
-    on every epoch's permutation and resume mid-epoch bit-exactly."""
-
-    def _data(self, n=10, d=2, seed=0):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(n, d)), np.arange(n)
-
-    def test_shards_partition_the_stream(self):
-        """Every epoch, the shards' sequences interleave back into
-        exactly the unsharded stream (same permutation, same order)."""
-        x, y = self._data()
-        epochs, world, block = 3, 2, 2
-        full = ResumableSampleStream(x, y, epochs, np.random.default_rng(5))
-        parent = ResumableSampleStream(x, y, epochs, np.random.default_rng(5))
-        shards = [parent.shard(r, world, block=block) for r in range(world)]
-
-        f_xs, f_ys = full.next_chunk(full.total_samples)
-        n = x.shape[0]
-        for e in range(epochs):
-            rebuilt_x = np.empty((n, x.shape[1]))
-            rebuilt_y = np.empty(n, dtype=y.dtype)
-            for r, s in enumerate(shards):
-                pos = shard_positions(n, r, world, block)
-                sx, sy = s.next_chunk(s.samples_per_epoch)
-                rebuilt_x[pos] = sx
-                rebuilt_y[pos] = sy
-            np.testing.assert_array_equal(
-                rebuilt_x, f_xs[e * n:(e + 1) * n]
-            )
-            np.testing.assert_array_equal(
-                rebuilt_y, f_ys[e * n:(e + 1) * n]
-            )
-        assert all(s.exhausted for s in shards)
-
-    def test_shard_sizes_and_cursor_count_local_samples(self):
-        x, y = self._data(n=10)
-        parent = ResumableSampleStream(x, y, 2, np.random.default_rng(5))
-        s0 = parent.shard(0, 2, block=2)
-        s1 = parent.shard(1, 2, block=2)
-        assert s0.samples_per_epoch == 6
-        assert s1.samples_per_epoch == 4
-        assert s0.total_samples == 12
-        s0.next_chunk(7)
-        assert (s0.epoch, s0.index, s0.position) == (1, 1, 7)
-
-    def test_mid_epoch_shard_resume_is_bit_exact(self):
-        """The replicated DurableRun contract: a fresh shard stream
-        restored from a mid-epoch cursor replays the identical
-        remainder of the shard's sequence."""
-        x, y = self._data()
-        parent = ResumableSampleStream(x, y, 3, np.random.default_rng(5))
-        s1 = parent.shard(1, 2, block=2)
-        s1.next_chunk(5)  # mid-epoch (4 per epoch for this shard)
-        cursor = s1.state_dict()
-        rest1 = s1.next_chunk(s1.remaining)
-
-        parent2 = ResumableSampleStream(x, y, 3, np.random.default_rng(999))
-        s2 = parent2.shard(1, 2, block=2)
-        s2.load_state_dict(cursor)
-        assert (s2.epoch, s2.index, s2.position) == (1, 1, 5)
-        rest2 = s2.next_chunk(s2.remaining)
-        np.testing.assert_array_equal(rest1[0], rest2[0])
-        np.testing.assert_array_equal(rest1[1], rest2[1])
-
-    def test_cursor_shard_identity_is_checked(self):
-        x, y = self._data()
-
-        def shard(rank, world, block, seed=5):
-            parent = ResumableSampleStream(
-                x, y, 2, np.random.default_rng(seed)
-            )
-            return parent.shard(rank, world, block=block)
-
-        cursor = shard(0, 2, 2).state_dict()
-        with pytest.raises(ValueError, match="shard"):
-            shard(1, 2, 2).load_state_dict(cursor)
-        with pytest.raises(ValueError, match="shard"):
-            shard(0, 2, 1).load_state_dict(cursor)
-        # an unsharded cursor cannot restore a shard...
-        plain = ResumableSampleStream(x, y, 2, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="unsharded"):
-            shard(0, 2, 2).load_state_dict(plain.state_dict())
-        # ...and a shard cursor carries the shard key, so the plain
-        # stream's strict loader refuses it too
-        with pytest.raises(ValueError):
-            plain.load_state_dict(cursor)
-
-    def test_shard_guards(self):
-        x, y = self._data(n=4)
-        parent = ResumableSampleStream(x, y, 1, np.random.default_rng(0))
-        # empty shard: rank 1 of world 2 with block 4 owns nothing of 4
-        with pytest.raises(ValueError, match="empty"):
-            parent.shard(1, 2, block=4)
-        with pytest.raises(ValueError, match="rank"):
-            parent.shard(2, 2)
-        consumed = ResumableSampleStream(x, y, 1, np.random.default_rng(0))
-        consumed.next_chunk(1)
-        with pytest.raises(ValueError, match="unconsumed"):
-            consumed.shard(0, 2)
-
-    def test_shard_with_augmentation_matches_unsharded(self):
-        """Augmentation consumes the rng after the permutation; shards
-        replay the full-epoch augmentation so their samples are bit-
-        identical to the unsharded stream's at the same positions."""
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 3, 8, 8))
-        y = np.arange(6)
-        aug = PadCropFlip(pad=1)
-        full = ResumableSampleStream(
-            x, y, 2, np.random.default_rng(3), augment=aug
-        )
-        parent = ResumableSampleStream(
-            x, y, 2, np.random.default_rng(3), augment=aug
-        )
-        f_xs, f_ys = full.next_chunk(12)
-        for r in range(2):
-            s = parent.shard(r, 2, block=1)
-            sx, sy = s.next_chunk(s.total_samples)
-            pos = shard_positions(6, r, 2, 1)
-            want = np.concatenate([f_xs[pos], f_xs[pos + 6]])
-            np.testing.assert_array_equal(sx, want)
-            np.testing.assert_array_equal(
-                sy, np.concatenate([f_ys[pos], f_ys[pos + 6]])
-            )

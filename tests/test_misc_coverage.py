@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import resnet_tiny, small_cnn
-from repro.pipeline.partition import parameter_stage_summary
+from repro.models import small_cnn
 from repro.tensor import Tensor
 
 
@@ -34,16 +33,6 @@ class TestTensorMisc:
 
 
 class TestStageSummaries:
-    def test_parameter_stage_summary_rows(self):
-        m = resnet_tiny(widths=(4, 8, 8), blocks_per_group=1)
-        rows = parameter_stage_summary(m)
-        assert len(rows) == m.num_stages
-        # skip annotations present
-        skips = {r["skip"] for r in rows}
-        assert "push" in skips and "pop" in skips
-        # loss stage is parameter-free
-        assert rows[-1]["params"] == 0
-
     def test_describe_includes_param_counts(self):
         m = small_cnn(widths=(4, 8))
         text = m.describe()

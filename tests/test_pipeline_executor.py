@@ -7,8 +7,9 @@ from repro.core import MitigationConfig
 from repro.models import resnet_tiny, small_cnn, vgg_tiny
 from repro.optim import SGDM
 from repro.pipeline import PipelineExecutor
-from repro.pipeline.executor import softmax_xent_grad
-from repro.tensor import Tensor, cross_entropy
+from repro.pipeline.executor import softmax_xent_grad_batch
+from repro.tensor import Tensor, cross_entropy, log_softmax
+from repro.train.metrics import batch_nll
 
 
 @pytest.fixture
@@ -27,12 +28,35 @@ class TestLossStage:
     def test_softmax_xent_grad_matches_autodiff(self, rng):
         z = rng.normal(size=(1, 7))
         label = 4
-        loss, grad = softmax_xent_grad(z, label)
+        losses, grad = softmax_xent_grad_batch(z, np.array([label]))
         t = Tensor(z, requires_grad=True)
         ref = cross_entropy(t, [label])
         ref.backward()
-        assert loss == pytest.approx(float(ref.data), abs=1e-12)
+        assert losses[0] == pytest.approx(float(ref.data), abs=1e-12)
         np.testing.assert_allclose(grad, t.grad, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_log_softmax_caller_is_bit_equal(self, rng, dtype):
+        """``log_softmax``, ``cross_entropy``, ``batch_nll`` and the loss
+        stage run one kernel, so each agrees with the others — and with
+        the max-shift, log-sum-exp op order written out here — bit for
+        bit."""
+        z = (rng.normal(size=(9, 6)) * 30).astype(dtype)
+        y = rng.integers(0, 6, size=9)
+        shifted = z - z.max(axis=1, keepdims=True)
+        ref = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        rows = np.arange(9)
+        nll = -ref[rows, y]
+
+        assert log_softmax(Tensor(z)).data.tobytes() == ref.tobytes()
+        assert batch_nll(z, y).tobytes() == nll.tobytes()
+        losses, grad = softmax_xent_grad_batch(z, y)
+        assert losses.tobytes() == nll.tobytes()
+        t = Tensor(z, requires_grad=True)
+        total = cross_entropy(t, y, reduction="sum")
+        assert total.data.tobytes() == nll.sum().tobytes()
+        total.backward()
+        assert t.grad.tobytes() == grad.tobytes()
 
 
 class TestFillDrainEquivalence:

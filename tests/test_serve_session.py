@@ -13,6 +13,7 @@ checkpoint restore, and the engine-level ``infer()`` surface.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
@@ -92,13 +93,14 @@ class TestServingParity:
             assert c.forward_ops == packets
             assert c.forward_samples == 19
 
-    def test_close_collects_every_counter_every_time(self):
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_close_collects_every_counter_every_time(self, runtime):
         """``close()`` sends finalize and then sets the abort flag; a
         worker that sees the flag first must still answer the finalize
         sent before it (a lost reply showed up as ``forward_ops == 0``
         about every other run)."""
         session = InferenceSession(
-            _trained_model(), runtime="process", micro_batch=3,
+            _trained_model(), runtime=runtime, micro_batch=3,
             sample_shape=SHAPE, model_factory=FACTORY,
         )
         X = _requests(19)
@@ -153,6 +155,90 @@ class TestServingParity:
             if t.name.startswith("infer-stage-")
         ]
         assert model.training is True
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["k1", "k2"])
+    def test_process_worker_death_surfaces_and_closes_cleanly(
+        self, cpus, monkeypatch
+    ):
+        """The process-host twin of the threaded test above.  A forked
+        lane inherits the stage, shadow included, so the fault is armed
+        before ``open_stream``: the parent's layout probe is its first
+        call, and every lane raises on its own second packet."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+        model = _trained_model()
+        model.train(True)
+        session = InferenceSession(
+            model, runtime="process", micro_batch=2, sample_shape=SHAPE
+        )
+        stage = session.stages[1]
+        original, calls = stage.forward, {"n": 0}
+
+        def flaky_forward(pid, payload, train=True):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise ValueError("injected stage failure")
+            return original(pid, payload, train)
+
+        stage.forward = flaky_forward
+        stream = session.open_stream()
+        assert len(stream.cpus) == cpus
+        assert calls["n"] == 1  # the layout probe, in this process
+        X = _requests(2)
+        deadline = time.monotonic() + 60.0
+        with pytest.raises(InferenceStreamError, match="stage 1"):
+            pid = 0
+            while time.monotonic() < deadline:
+                pid += stream.submit(pid, pid, X)
+                stream.poll()
+        with pytest.raises(InferenceStreamError):
+            stream.submit(99, 99, X)
+        with pytest.raises(InferenceStreamError):
+            stream.poll()
+        stream.close()
+        assert not [
+            p.name for p in multiprocessing.active_children()
+            if p.name.startswith("infer-stage-")
+        ]
+        assert model.training is True
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_close_with_queued_packets_returns_every_lane(
+        self, runtime, monkeypatch
+    ):
+        """``close()`` while every lane's in channel still holds
+        packets: each lane answers the finalize after the packet in
+        hand, leaves the rest, and its counters come back."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
+        session = InferenceSession(
+            _trained_model(), runtime=runtime, micro_batch=2, capacity=4,
+            sample_shape=SHAPE, model_factory=FACTORY,
+        )
+        stage = session.stages[0]
+        original = stage.forward
+
+        def slow_forward(pid, payload, train=True):
+            time.sleep(0.25)
+            return original(pid, payload, train)
+
+        stage.forward = slow_forward  # before open: forked lanes too
+        X = _requests(2)
+        stream = session.open_stream()
+        pid = 0
+        while stream.submit(pid, pid, X):
+            pid += 1
+        assert pid == 2 * 4  # every lane's in channel is full
+        stream.close()
+        lanes = stream.lane_counters
+        assert len(lanes) == 2
+        compute = session.num_stages - 1
+        assert all(
+            [c.index for c in lane] == list(range(compute)) for lane in lanes
+        )
+        done = [lane[0].forward_ops for lane in lanes]
+        assert sum(done) < pid, done  # packets were left in the channels
+        assert [c.forward_ops for c in stream.counters[:compute]] == (
+            [sum(done)] * compute
+        )
 
     @pytest.mark.parametrize("cpus", [1, 2, "n"], ids=["k1", "k2", "kn"])
     @pytest.mark.parametrize(
