@@ -29,10 +29,11 @@
   checkpoints capturing every stage's state plus the data-stream cursor
   at drain barriers, bit-exact resume, and the :class:`DurableRun`
   driver that snapshots on a fixed cadence.
-* :mod:`~repro.pipeline.inference` — forward-only serving: the
-  ``infer`` schedule's streams (the synchronous reference and the
-  one-lane-per-CPU worker stream on either host) and the schedule-driven batch
-  driver behind every engine's ``infer()`` and :mod:`repro.serve`.
+* :mod:`~repro.pipeline.inference` — forward-only serving: its streams
+  (the synchronous reference and the one-lane-per-CPU worker stream on
+  either host), the packet width that is all a forward-only run needs
+  (:class:`~repro.pipeline.inference.InferenceSchedule`, not a
+  schedule) and the batch driver behind :mod:`repro.serve`.
 * :mod:`~repro.pipeline.occupancy` — occupancy grids rendered from a
   schedule's compiled plan, for Figures 1-2 and the schedule-comparison
   example.
@@ -58,7 +59,6 @@ from repro.pipeline.schedule import (
     PipelinedBackpropSchedule,
     FillDrainSchedule,
     GPipeSchedule,
-    InferenceSchedule,
     OneFOneBSchedule,
     make_schedule,
 )
@@ -68,10 +68,10 @@ from repro.pipeline.executor import (
     StageCounters,
 )
 from repro.pipeline.inference import (
+    InferenceSchedule,
     InferenceStreamError,
     PipelineInferenceStream,
     SimInferenceStream,
-    infer_batch,
     open_inference_stream,
     run_inference,
 )
@@ -151,7 +151,6 @@ __all__ = [
     "InferenceStreamError",
     "PipelineInferenceStream",
     "SimInferenceStream",
-    "infer_batch",
     "open_inference_stream",
     "run_inference",
     "CHECKPOINT_VERSION",

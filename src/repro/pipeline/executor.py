@@ -149,8 +149,9 @@ class PipelineRunStats:
     to the latter.  ``time_steps`` is the plan's tick count (any
     training run; free-running workers have no global clock, so for
     them it is the span the plan models) or, forward-only,
-    ``Schedule.drain_span``: the span utilization — the paper's eq. 1 —
-    is judged against.
+    :meth:`InferenceSchedule.drain_span
+    <repro.pipeline.inference.InferenceSchedule.drain_span>`: the span
+    utilization — the paper's eq. 1 — is judged against.
 
     ``backend`` names the host that ran the stages (``"sim"``,
     ``"threaded"`` or ``"process"``) and ``mode`` how they were clocked
@@ -364,17 +365,15 @@ class PipelineExecutor:
     This class is the engine surface of every runtime: the worker-hosted
     engines of :mod:`repro.pipeline.runtime` subclass it and override
     only how a validated batch is run (:meth:`_run`) and the attributes
-    below, which the run record and :meth:`infer` key on.
+    below, which the run record keys on.  It trains; to serve its
+    weights, open :meth:`InferenceSession.from_engine
+    <repro.serve.session.InferenceSession.from_engine>` on it.
     """
 
     #: the host that runs the stages: ``"sim"`` is this class's own loop
     _backend = "sim"
     #: the simulator is the tick-by-tick reference by construction
     lockstep = True
-    stall_timeout = DEFAULT_STALL_TIMEOUT
-    #: process-host settings (``None`` where stages are never rebuilt)
-    model_factory: Callable[[], StageGraphModel] | None = None
-    start_method: str | None = None
     replicas = 1
 
     def __init__(
@@ -520,11 +519,6 @@ class PipelineExecutor:
 
     def train(self, X: np.ndarray, Y: Sequence[int]) -> PipelineRunStats:
         """Stream all samples through the pipeline (training mode)."""
-        if self.schedule.forward_only:
-            raise ValueError(
-                f"schedule {self.schedule.name!r} is forward-only; use "
-                "infer() (or repro.serve) instead of train()"
-            )
         X = self.precision.cast_array(X)
         Y = np.asarray(Y)
         if X.shape[0] != Y.shape[0]:
@@ -548,43 +542,6 @@ class PipelineExecutor:
             mode=self.runtime_mode,
             replicas=self.replicas,
             **measured,
-        )
-
-    # -- inference -----------------------------------------------------------
-
-    def infer(
-        self,
-        X: np.ndarray,
-        micro_batch_size: int = 1,
-        schedule: Schedule | None = None,
-        stall_timeout: float | None = None,
-    ) -> PipelineRunStats:
-        """Forward-only inference over the pipeline (serving mode).
-
-        Drives an :class:`~repro.pipeline.schedule.InferenceSchedule`
-        (or any ``forward_only`` schedule passed via ``schedule``)
-        through the same stages ``train`` uses, on this engine's own
-        host, with modules held in eval mode and no autodiff graph — see
-        :mod:`repro.pipeline.inference`.  The record's ``outputs`` are
-        the last compute stage's logits, in input order, bit-exact
-        across all three backends for the same packet decomposition: no
-        updates means no staleness, so worker timing cannot change a
-        single bit.
-        """
-        from repro.pipeline.inference import infer_batch
-
-        return infer_batch(
-            self.stages,
-            self.precision.cast_array(X),
-            schedule=schedule,
-            micro_batch_size=micro_batch_size,
-            backend=self._backend,
-            stall_timeout=(
-                self.stall_timeout if stall_timeout is None
-                else stall_timeout
-            ),
-            model_factory=self.model_factory,
-            start_method=self.start_method,
         )
 
     def _compile(self, num_samples: int) -> Plan:

@@ -28,12 +28,13 @@ explicit backpressure: ``False`` means "pipeline full, try later"),
 ``poll`` (completed ``(pid, start, logits)`` triples), ``wait`` (block
 until ``poll`` — or, with ``space=True``, ``submit`` — has something to
 do; nobody sleeps between tries) and ``close`` —
-so :func:`run_inference` can drive either through an
-:class:`~repro.pipeline.schedule.InferenceSchedule` unchanged, and the
-serving front-end (:mod:`repro.serve.server`) can keep one stream open
-across requests.  A driven batch returns the engines' one run record
+so :func:`run_inference` can drive either in packets of one
+:class:`InferenceSchedule` width, and the serving front-end
+(:mod:`repro.serve.server`) can keep one stream open across requests.
+A driven batch returns the engines' one run record
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there)
-with ``outputs`` in place of ``losses``.
+with ``outputs`` in place of ``losses``.  Batch inference has one
+entry point, :meth:`repro.serve.session.InferenceSession.infer`.
 
 Determinism contract
 --------------------
@@ -103,7 +104,6 @@ from repro.pipeline.executor import (
     PipelineRunStats,
     StageCounters,
 )
-from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
 from repro.pipeline.stage import PipelineStage
 from repro.pipeline.transport import probe_boundary_layouts
 from repro.pipeline.worker import PipelineRuntimeError, WorkerGroup
@@ -118,6 +118,36 @@ DEFAULT_STREAM_CAPACITY = 8
 
 class InferenceStreamError(RuntimeError):
     """A stream worker died or the stream was misused."""
+
+
+class InferenceSchedule:
+    """``infer`` — the packet width of a forward-only run.
+
+    Not a :class:`~repro.pipeline.schedule.Schedule`: with no backward
+    sweep there is no delay, update or stash to decide, so a batch is
+    cut into consecutive packets of ``micro_batch`` samples (the last
+    one shorter) and submitted as fast as the stream takes them.  A
+    packet occupies ``S - 1`` hops (it is consumed at the loss slot), so
+    ``P`` packets drain in ``P + S - 1`` steps — half of training's
+    ``2S - 2`` fill cost.
+    """
+
+    name = "infer"
+
+    def __init__(self, micro_batch_size: int = 1):
+        if micro_batch_size < 1:
+            raise ValueError(
+                f"infer needs micro_batch_size >= 1, got {micro_batch_size}"
+            )
+        self.micro_batch = int(micro_batch_size)
+
+    def drain_span(self, num_samples: int, num_stages: int) -> int:
+        """Modeled steps until the last of ``num_samples`` samples leaves
+        a ``num_stages``-stage pipeline (0 for an empty batch)."""
+        if num_samples < 1:
+            return 0
+        packets = -(-num_samples // self.micro_batch)
+        return packets + num_stages - 1
 
 
 def usable_cpus() -> int:
@@ -174,7 +204,6 @@ class SimInferenceStream:
         self,
         stages: Sequence[PipelineStage],
         capacity: int = DEFAULT_STREAM_CAPACITY,
-        **_unused: Any,
     ):
         _check_inference_stages(stages)
         self.stages = list(stages)
@@ -208,6 +237,8 @@ class SimInferenceStream:
         return True
 
     def poll(self) -> list[tuple[int, int, np.ndarray]]:
+        if self._closed:
+            raise InferenceStreamError("stream is closed")
         with self._cond:
             out = list(self._results)
             self._results.clear()
@@ -217,6 +248,9 @@ class SimInferenceStream:
     def wait(self, timeout: float, space: bool = False) -> bool:
         """Block until ``poll`` has a result (``space=True``: until
         ``submit`` has room) or ``timeout`` passes; returns which."""
+        if self._closed:
+            raise InferenceStreamError("stream is closed")
+
         def ready() -> bool:
             held = len(self._results)
             return held < self.capacity if space else held > 0
@@ -435,23 +469,22 @@ class PipelineInferenceStream:
 
 
 # ---------------------------------------------------------------------------
-# the schedule-driven batch driver
+# the batch driver
 # ---------------------------------------------------------------------------
 
 
 def run_inference(
     stream,
-    schedule: Schedule,
+    schedule: InferenceSchedule,
     X: np.ndarray,
     num_stages: int,
     stall_timeout: float = DEFAULT_INFER_TIMEOUT,
 ) -> PipelineRunStats:
     """Drive one batch of samples through an open inference stream.
 
-    The :class:`~repro.pipeline.schedule.Schedule` protocol decides
-    packet widths exactly as it does for training (``inject_size`` per
-    opportunity); the stream's ``submit`` backpressure gates injection
-    the way ring/in-flight caps gate the training runtimes.  Outputs are
+    Submits ``X`` in consecutive packets of ``schedule.micro_batch``
+    samples; the stream's ``submit`` backpressure gates submission the
+    way ring/in-flight caps gate the training runtimes.  Outputs are
     assembled in input order, with dropped or duplicated packets turned
     into loud errors — the serving correctness contract starts here.
 
@@ -460,15 +493,10 @@ def run_inference(
     ``num_stages`` predates the record carrying its stage list and is
     kept for its callers; it equals ``len(stream.counters)``.
     """
-    if not getattr(schedule, "forward_only", False):
-        raise ValueError(
-            f"run_inference needs a forward-only schedule, got "
-            f"{schedule.name!r}"
-        )
     X = np.asarray(X)
     n = X.shape[0]
-    schedule.reset(n)
-    state = ScheduleState(num_samples=n)
+    width = schedule.micro_batch
+    sent = 0  # samples submitted
     outputs: np.ndarray | None = None
     received = np.zeros(n, dtype=bool)
     completed = 0
@@ -476,14 +504,9 @@ def run_inference(
     last_progress = time.monotonic()
     while completed < n:
         progressed = False
-        while state.next_sample < n:
-            size = min(schedule.inject_size(state), n - state.next_sample)
-            if size <= 0:
-                break
-            i = state.next_sample
-            if not stream.submit(i, i, X[i : i + size]):
-                break  # stream full: backpressure
-            state.next_sample += size
+        # submit until the batch is in or the stream is full (backpressure)
+        while sent < n and stream.submit(sent, sent, X[sent : sent + width]):
+            sent += width
             progressed = True
         for pid, start, logits in stream.poll():
             size = logits.shape[0]
@@ -510,7 +533,7 @@ def run_inference(
             # everything unfinished is in flight and the output end was
             # just emptied, so the next event is a result
             stream.wait(min(stall_timeout, 0.05))
-    return _record(
+    return forward_record(
         schedule,
         stream.counters,
         np.zeros(0) if outputs is None else outputs,
@@ -519,16 +542,15 @@ def run_inference(
     )
 
 
-def _record(
-    schedule: Schedule,
+def forward_record(
+    schedule: InferenceSchedule,
     counters: Sequence[StageCounters],
     outputs: np.ndarray,
     backend: str,
     wall_seconds: float = 0.0,
 ) -> PipelineRunStats:
     """The record of a forward-only run: ``time_steps`` is the modeled
-    span (``P + S - 1`` for ``P`` packets — forward-only pays half of
-    training's fill cost)."""
+    span (:meth:`InferenceSchedule.drain_span`)."""
     return PipelineRunStats(
         stages=list(counters),
         time_steps=schedule.drain_span(outputs.shape[0], len(counters)),
@@ -539,52 +561,6 @@ def _record(
         backend=backend,
         mode="free_running",
     )
-
-
-def infer_batch(
-    stages: Sequence[PipelineStage],
-    X: np.ndarray,
-    schedule: Schedule | None = None,
-    micro_batch_size: int = 1,
-    backend: str = "sim",
-    stall_timeout: float = DEFAULT_INFER_TIMEOUT,
-    **stream_kwargs: Any,
-) -> PipelineRunStats:
-    """One-shot batch inference: open a stream, drive the batch, close.
-
-    Every engine's ``infer()`` is a thin wrapper over this; the serving
-    front-end keeps a stream open instead (see
-    :meth:`repro.serve.session.InferenceSession.open_stream`).
-    """
-    X = np.asarray(X)
-    if schedule is None:
-        schedule = InferenceSchedule(micro_batch_size)
-    if not getattr(schedule, "forward_only", False):
-        raise ValueError(
-            f"infer needs a forward-only schedule, got {schedule.name!r}"
-        )
-    if X.shape[0] == 0:
-        # nothing to launch workers for
-        idle = [StageCounters(s) for s in range(len(stages))]
-        return _record(schedule, idle, np.zeros(0), backend)
-    stream = open_inference_stream(
-        stages,
-        backend=backend,
-        max_width=schedule.micro_batch,
-        sample_shape=X.shape[1:],
-        dtype=X.dtype,
-        stall_timeout=stall_timeout,
-        **stream_kwargs,
-    )
-    with stream:
-        stats = run_inference(
-            stream, schedule, X, len(stages), stall_timeout=stall_timeout
-        )
-    # per-stage counters after close(): a worker stream only learns its
-    # workers' counts from their finalize replies during teardown, so
-    # the snapshot taken inside run_inference would be all zeros
-    stats.stages = list(stream.counters)
-    return stats
 
 
 def open_inference_stream(
@@ -599,11 +575,11 @@ def open_inference_stream(
 ):
     """Open a persistent forward-only stream on the requested backend
     (``sim`` / ``threaded`` / ``process`` — the engine names of
-    :func:`repro.pipeline.runtime.make_pipeline_engine`)."""
+    :func:`repro.pipeline.runtime.make_pipeline_engine`).  The
+    synchronous ``sim`` stream takes only the stages and ``capacity``;
+    ``stream_kwargs`` go to a worker stream."""
     if backend == "sim":
-        return SimInferenceStream(
-            stages, capacity=capacity, stall_timeout=stall_timeout
-        )
+        return SimInferenceStream(stages, capacity=capacity)
     if backend in ("threaded", "process"):
         return PipelineInferenceStream(
             stages,

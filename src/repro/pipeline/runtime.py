@@ -15,8 +15,8 @@ injection gating, per-gradient vs averaged updates and weight stashing
 are the schedule's decisions in every engine.
 
 Every engine here *is* a :class:`PipelineExecutor` — same stages,
-schedule, optimizer state, ``state_dict``, ``train`` and ``infer`` —
-that overrides one step: how a validated batch is run.  This module is
+schedule, optimizer state, ``state_dict`` and ``train`` — that
+overrides one step: how a validated batch is run.  This module is
 that step's parent side: ``train`` → ``_run`` (the crash-recovery
 restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan,
 start the group) → ``_drive`` (collect one reply per worker, tear the
@@ -103,6 +103,9 @@ class _WorkerGroupEngine(PipelineExecutor):
 
     _backend = "threaded"
     max_restarts = 0
+    #: process-host settings (``None`` where stages are never rebuilt)
+    model_factory: Callable[[], StageGraphModel] | None = None
+    start_method: str | None = None
     #: the live worker group of the ``train()`` call in progress
     _group: WorkerGroup | None = None
     #: per-stage reduce slices, set by :class:`ReplicatedPipelineRunner`
@@ -483,11 +486,6 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             )
         self.replicas = int(replicas)
         rep_schedule = make_schedule(mode, update_size, micro_batch_size)
-        if rep_schedule.forward_only:
-            raise ValueError(
-                f"schedule {rep_schedule.name!r} is forward-only; "
-                "replication applies to training"
-            )
         #: synchronous schedules reduce gradients at every update
         #: barrier; asynchronous ones run independent replicas merged
         #: at the train() drain barrier

@@ -47,8 +47,7 @@ tick by tick, every stage worker runs its own stage's
 :meth:`Plan.column` (op by op in lockstep, flush to flush when
 free-running), and
 :meth:`~repro.pipeline.occupancy.Occupancy.from_plan` renders it as a
-grid.  Only forward-only serving drives the hooks live, since its
-packets arrive with the requests.
+grid.
 
 Four schedules reproduce the systems the paper positions itself against:
 
@@ -71,14 +70,9 @@ Four schedules reproduce the systems the paper positions itself against:
     stashes its forward weights so forward and backward of a sample see
     the same (stale) weights — zero inconsistency, staleness unchanged.
 
-A fifth schedule, ``infer`` (:class:`InferenceSchedule`), is the
-**forward-only** serving discipline used by :mod:`repro.serve`: packets
-of up to ``micro_batch`` samples are injected continuously and drained
-at the last compute stage as model outputs — no backward sweep, no
-weight updates, no stashing.  It is not part of :data:`SCHEDULE_NAMES`
-(that tuple enumerates the *training* schedules the paper compares) but
-is built by :func:`make_schedule` under the name ``"infer"`` and driven
-through the same per-step hooks by all three runtimes.
+A forward-only run is not a schedule: with no backward sweep there is
+no delay, update or stash to decide, so serving keeps only a packet
+width (:class:`~repro.pipeline.inference.InferenceSchedule`).
 """
 
 from __future__ import annotations
@@ -141,10 +135,6 @@ class Schedule(ABC):
     #: Samples averaged per weight update (1 for the per-gradient
     #: schedules); hyperparameter scaling (eq. 9) keys off this.
     update_size: int = 1
-    #: Forward-only schedules (inference/serving) have no backward sweep
-    #: and no weight updates; engines route them through ``infer()`` and
-    #: refuse them in ``train()``.
-    forward_only: bool = False
 
     def reset(self, num_samples: int) -> None:
         """Start a fresh run of ``num_samples`` samples."""
@@ -359,59 +349,14 @@ class GPipeSchedule(FillDrainSchedule):
         )
 
 
-class InferenceSchedule(Schedule):
-    """``infer`` — forward-only continuous injection for serving.
-
-    Packets of up to ``micro_batch`` samples are injected whenever stage
-    0 is free and travel the pipeline forward only: the last compute
-    stage's output (the logits) *is* the result, captured by the engine
-    instead of seeding a backward pass.  With no backward sweep there is
-    no weight staleness, no update, and no stash — every engine
-    (discrete-time, threaded, process) therefore produces bit-identical
-    outputs for the same packet decomposition regardless of worker
-    timing.  A packet occupies ``S - 1`` hops (it is consumed at the
-    loss slot), so a stream of ``P`` packets drains in ``P + S - 1``
-    steps — the fill cost is half of training's ``2S - 2``.
-    """
-
-    name = "infer"
-    forward_only = True
-
-    def __init__(self, micro_batch_size: int = 1):
-        if micro_batch_size < 1:
-            raise ValueError(
-                f"infer needs micro_batch_size >= 1, got {micro_batch_size}"
-            )
-        self.micro_batch = int(micro_batch_size)
-
-    def inject_size(self, state: ScheduleState) -> int:
-        return max(
-            0, min(self.micro_batch, state.num_samples - state.next_sample)
-        )
-
-    def update_after_backward(self, stage_index: int) -> bool:
-        raise RuntimeError(
-            "inference schedule has no backward phase — drive it through "
-            "an engine's infer(), not train()"
-        )
-
-    def drain_span(self, num_samples: int, num_stages: int) -> int:
-        if num_samples < 1:
-            return 0
-        packets = -(-num_samples // self.micro_batch)
-        return packets + num_stages - 1
-
-
 def make_schedule(
     mode: str, update_size: int = 1, micro_batch_size: int = 1
 ) -> Schedule:
-    """Build a schedule by name (``pb``/``fill_drain``/``gpipe``/``1f1b``,
-    plus the forward-only ``infer``).
+    """Build a schedule by name (``pb``/``fill_drain``/``gpipe``/``1f1b``).
 
-    ``update_size`` applies to the synchronous schedules; for ``gpipe``
-    and ``infer``, ``micro_batch_size`` sets the packet width (for
-    ``gpipe``, an ``update_size`` of 1 means "one micro-batch per
-    update").
+    ``update_size`` applies to the synchronous schedules; for ``gpipe``,
+    ``micro_batch_size`` sets the packet width (and an ``update_size``
+    of 1 means "one micro-batch per update").
     """
     if mode == "pb":
         return PipelinedBackpropSchedule()
@@ -421,8 +366,4 @@ def make_schedule(
         return FillDrainSchedule(update_size)
     if mode == "gpipe":
         return GPipeSchedule(update_size, micro_batch_size)
-    if mode == "infer":
-        return InferenceSchedule(micro_batch_size)
-    raise ValueError(
-        f"mode must be one of {SCHEDULE_NAMES + ('infer',)}, got {mode!r}"
-    )
+    raise ValueError(f"mode must be one of {SCHEDULE_NAMES}, got {mode!r}")

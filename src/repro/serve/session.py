@@ -22,10 +22,12 @@ each pinned to its CPU (:mod:`repro.pipeline.inference`, "Lanes").
 
 Two entry points:
 
-* :meth:`infer` — batch mode: split ``X`` into micro-batch packets per
-  the :class:`~repro.pipeline.schedule.InferenceSchedule` and return
-  the logits (the offline path, used by parity tests and the
-  sequential baseline of the serving benchmark);
+* :meth:`infer` — batch mode: split ``X`` into packets of one
+  :class:`~repro.pipeline.inference.InferenceSchedule` width, drive them
+  through a stream opened for the call and return the logits (the
+  offline path, used by parity tests and the sequential baseline of the
+  serving benchmark; the only batch entry point — a training engine
+  serves through :meth:`InferenceSession.from_engine`);
 * :meth:`open_stream` — serving mode: a persistent stream the
   front-end (:class:`repro.serve.server.PipelineServer`) keeps open
   across requests, pushing dynamically-coalesced packets in and
@@ -50,15 +52,16 @@ from repro.pipeline.checkpoint import (
     model_fingerprint,
     restore_inference_weights,
 )
-from repro.pipeline.executor import PipelineRunStats
+from repro.pipeline.executor import PipelineRunStats, StageCounters
 from repro.pipeline.inference import (
     DEFAULT_INFER_TIMEOUT,
     DEFAULT_STREAM_CAPACITY,
-    infer_batch,
+    InferenceSchedule,
+    forward_record,
     modules_eval_mode,
     open_inference_stream,
+    run_inference,
 )
-from repro.pipeline.schedule import InferenceSchedule
 from repro.pipeline.stage import PipelineStage
 from repro.precision import resolve_precision
 from repro.tensor.tensor import Tensor, no_grad
@@ -187,10 +190,14 @@ class InferenceSession:
         then, and the sim/threaded backends hold the shared modules in
         eval mode while a stream is open — so training the engine while
         a stream is open is unsupported (alternate, or snapshot to a
-        checkpoint and serve via :meth:`from_checkpoint`)."""
+        checkpoint and serve via :meth:`from_checkpoint`).
+
+        ``model_factory`` and ``precision`` default to the engine's own,
+        so the session computes in the dtype the engine trains in."""
         kwargs.setdefault(
             "model_factory", getattr(engine, "model_factory", None)
         )
+        kwargs.setdefault("precision", engine.precision)
         return cls(engine.model, **kwargs)
 
     @classmethod
@@ -235,20 +242,25 @@ class InferenceSession:
         self, X: np.ndarray, micro_batch: int | None = None
     ) -> PipelineRunStats:
         """Run one batch through the pipeline, micro-batched at
-        ``micro_batch`` (defaulting to the session width)."""
+        ``micro_batch`` (defaulting to the session width): open a stream
+        for the batch, drive it, close it."""
         X = self.precision.cast_array(X)
         self._resolve_shape(X)
-        width = self.micro_batch if micro_batch is None else int(micro_batch)
-        return infer_batch(
-            self.stages,
-            X,
-            schedule=InferenceSchedule(width),
-            backend=self.runtime,
-            stall_timeout=self.stall_timeout,
-            capacity=self.capacity,
-            model_factory=self.model_factory,
-            start_method=self.start_method,
+        schedule = InferenceSchedule(
+            self.micro_batch if micro_batch is None else int(micro_batch)
         )
+        if X.shape[0] == 0:
+            # nothing to launch workers for
+            idle = [StageCounters(s) for s in range(self.num_stages)]
+            return forward_record(schedule, idle, np.zeros(0), self.runtime)
+        with self._open(schedule.micro_batch, X.shape[1:], X.dtype) as stream:
+            stats = run_inference(
+                stream, schedule, X, self.num_stages, self.stall_timeout
+            )
+        # a worker stream learns its workers' counts from their finalize
+        # replies at close, so take the counters after it
+        stats.stages = list(stream.counters)
+        return stats
 
     def forward_reference(
         self, X: np.ndarray, micro_batch: int | None = None
@@ -273,21 +285,25 @@ class InferenceSession:
         (used by :class:`repro.serve.server.PipelineServer`; close it
         when done, or use it as a context manager).  A worker stream's
         lanes are reported by :meth:`placement`."""
-        shape = self._resolve_shape(None)
-        stream = open_inference_stream(
+        stream = self._open(
+            self.micro_batch, self._resolve_shape(None), self.dtype
+        )
+        if self.runtime != "sim":
+            self._stream = stream
+        return stream
+
+    def _open(self, width: int, sample_shape: tuple, dtype):
+        return open_inference_stream(
             self.stages,
             backend=self.runtime,
-            max_width=self.micro_batch,
-            sample_shape=shape,
-            dtype=self.dtype,
+            max_width=width,
+            sample_shape=sample_shape,
+            dtype=dtype,
             capacity=self.capacity,
             stall_timeout=self.stall_timeout,
             model_factory=self.model_factory,
             start_method=self.start_method,
         )
-        if self.runtime != "sim":
-            self._stream = stream
-        return stream
 
     def placement(self) -> dict:
         """The last worker stream's lanes, JSON-ready: ``lanes`` lists

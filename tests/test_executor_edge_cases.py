@@ -18,6 +18,7 @@ from repro.pipeline import (
     pb_occupancy,
 )
 from repro.pipeline.occupancy import BWD, FWD
+from repro.serve import InferenceSession
 from repro.tensor import Tensor, cross_entropy
 
 #: Every schedule with its canonical kwargs (micro-batched gpipe wider
@@ -227,15 +228,19 @@ class TestZeroStreamStats:
 
     @pytest.mark.parametrize("runtime", ["sim", "threaded", "process"])
     def test_infer_returns_the_samePipelineRunStats(self, rng, runtime):
-        """``train`` and ``infer`` answer with one record type on every
-        backend; a forward-only run carries outputs and per-stage
+        """``train`` and serving the trained engine
+        (``InferenceSession.from_engine``) answer with one record type on
+        every backend; a forward-only run carries outputs and per-stage
         counters, and no losses."""
         X = rng.normal(size=(6, 3, 8, 8))
         Y = rng.integers(0, 10, size=6)
         m = small_cnn(seed=7)
         engine = make_pipeline_engine(runtime, m, 0.01)
         trained = engine.train(X, Y)
-        stats = engine.infer(X, micro_batch_size=4)
+        session = InferenceSession.from_engine(
+            engine, runtime=runtime, micro_batch=4
+        )
+        stats = session.infer(X)
         assert type(trained) is type(stats) is PipelineRunStats
         assert engine.last_runtime_stats is trained
         assert stats.losses is None and trained.outputs is None

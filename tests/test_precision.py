@@ -469,6 +469,48 @@ class TestServingPrecision:
         assert np.asarray(got).dtype == np.float32
         assert _hex(got) == _hex(ref)
 
+    @pytest.mark.parametrize("mode", ["float32", "bf16"])
+    def test_from_engine_serves_in_the_engine_precision(self, mode):
+        """A session on a reduced-precision engine computes in the
+        engine's dtype, hex-equal to ``forward_reference`` of a session
+        built with that precision; serving leaves the engine's next
+        ``train()`` hex-identical to an engine that never served."""
+        from repro.serve import InferenceSession
+
+        X, Y = _stream()
+        engines = [
+            PipelineExecutor(
+                FACTORY(), lr=LR, momentum=MOMENTUM, precision=mode
+            )
+            for _ in range(2)
+        ]
+        for engine in engines:
+            engine.train(X, Y)
+        served, never_served = engines
+        dtype = served.precision.compute_dtype
+        session = InferenceSession.from_engine(
+            served, runtime="sim", micro_batch=4
+        )
+        assert session.dtype == dtype
+        Xq = np.random.default_rng(8).normal(size=(6, 3, 8, 8))
+        got = session.infer(Xq).outputs
+        assert got.dtype == dtype
+        twin = FACTORY()
+        for p, q in zip(twin.parameters(), served.model.parameters()):
+            p.data = q.data.copy()
+        ref = InferenceSession(
+            twin, micro_batch=4, precision=mode
+        ).forward_reference(Xq)
+        assert _hex(got) == _hex(ref)
+        X2, Y2 = X[::-1].copy(), Y[::-1].copy()
+        after = served.train(X2, Y2)
+        control = never_served.train(X2, Y2)
+        assert _hex(after.losses) == _hex(control.losses)
+        for p, q in zip(
+            served.model.parameters(), never_served.model.parameters()
+        ):
+            assert _hex(p.data) == _hex(q.data)
+
     def test_from_checkpoint_casts_once_at_load(self, tmp_path):
         from repro.pipeline.checkpoint import (
             capture_checkpoint,

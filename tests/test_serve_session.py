@@ -7,8 +7,9 @@ differently for different GEMM widths, the offline reference is the
 batched forward over the *same micro-batch packets* the pipeline
 executes (``InferenceSession.forward_reference``); these tests pin that
 equality at hex level per backend, pin the backends against each
-other, and cover the forward-only schedule's guards, the inference-only
-checkpoint restore, and the engine-level ``infer()`` surface.
+other, and cover the forward-only packet width, the inference-only
+checkpoint restore, and a training engine served through
+``InferenceSession.from_engine``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.pipeline import (
     InferenceStreamError,
     PipelineExecutor,
     ProcessPipelineRunner,
+    Schedule,
     inference,
     make_schedule,
     run_inference,
@@ -535,7 +537,7 @@ class TestLanes:
         assert model_fingerprint(model) == before
         assert _hex(outputs) == _hex(session.forward_reference(X))
 
-    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    @pytest.mark.parametrize("runtime", ["sim", "threaded", "process"])
     def test_closed_stream_refuses_every_end(self, runtime, monkeypatch):
         """Once closed, every end of a lane stream raises, and closing
         again changes nothing: each lane's counters are summed once."""
@@ -704,74 +706,93 @@ class TestLaneCpus:
 
 @pytest.mark.concurrency
 class TestEngineInfer:
-    """The engine-level infer() surface: all three runtimes drive the
-    InferenceSchedule through the unchanged Schedule protocol."""
+    """A training engine serves through the one door,
+    ``InferenceSession.from_engine(engine, runtime=<its host>)``: the
+    engine's own shared weights, on the same host, bit for bit."""
 
     def test_engines_match_bitwise(self):
         X = _requests(17)
         m1 = _trained_model()
-        ex = PipelineExecutor(m1, lr=0.01)
-        ref = ex.infer(X, micro_batch_size=4).outputs
         state = [p.data.copy() for p in m1.parameters()]
-
-        m2 = FACTORY()
-        for p, w in zip(m2.parameters(), state):
-            p.data = w.copy()
-        thr = ConcurrentPipelineRunner(m2, lr=0.01)
-        assert _hex(thr.infer(X, micro_batch_size=4).outputs) == _hex(ref)
-
-        m3 = FACTORY()
-        for p, w in zip(m3.parameters(), state):
-            p.data = w.copy()
-        proc = ProcessPipelineRunner(m3, lr=0.01, model_factory=FACTORY)
-        assert _hex(proc.infer(X, micro_batch_size=4).outputs) == _hex(ref)
+        m2, m3 = FACTORY(), FACTORY()
+        for model in (m2, m3):
+            for p, w in zip(model.parameters(), state):
+                p.data = w.copy()
+        engines = {
+            "sim": PipelineExecutor(m1, lr=0.01),
+            "threaded": ConcurrentPipelineRunner(m2, lr=0.01),
+            "process": ProcessPipelineRunner(
+                m3, lr=0.01, model_factory=FACTORY
+            ),
+        }
+        outs = {}
+        for runtime, engine in engines.items():
+            session = InferenceSession.from_engine(
+                engine, runtime=runtime, micro_batch=4
+            )
+            stats = session.infer(X)
+            assert stats.backend == runtime
+            outs[runtime] = _hex(stats.outputs)
+        assert outs["threaded"] == outs["sim"]
+        assert outs["process"] == outs["sim"]
+        assert outs["sim"] == _hex(session.forward_reference(X))
 
     def test_train_between_infers(self):
-        """Serving sees the engine's latest drained weights."""
+        """Serving sees the engine's latest drained weights: every
+        ``infer`` opens its stream on them."""
         model = FACTORY()
         ex = PipelineExecutor(model, lr=0.02, momentum=0.9, mode="pb")
-        X = _requests(12, seed=1)
-        Y = np.random.default_rng(2).integers(0, 10, size=12)
-        out_before = ex.infer(X, micro_batch_size=4).outputs
-        ex.train(X, Y)
-        out_after = ex.infer(X, micro_batch_size=4).outputs
-        assert _hex(out_before) != _hex(out_after)
         session = InferenceSession.from_engine(
             ex, runtime="sim", micro_batch=4, sample_shape=SHAPE
         )
-        assert _hex(session.infer(X).outputs) == _hex(out_after)
+        X = _requests(12, seed=1)
+        Y = np.random.default_rng(2).integers(0, 10, size=12)
+        out_before = session.infer(X).outputs
+        ex.train(X, Y)
+        out_after = session.infer(X).outputs
+        assert _hex(out_before) != _hex(out_after)
+        fresh = InferenceSession.from_engine(ex, runtime="sim", micro_batch=4)
+        assert _hex(fresh.infer(X).outputs) == _hex(out_after)
 
     def test_empty_batch(self):
-        ex = PipelineExecutor(FACTORY(), lr=0.01)
-        stats = ex.infer(np.zeros((0,) + SHAPE), micro_batch_size=4)
-        assert stats.samples == 0 and stats.time_steps == 0
+        """An empty batch launches nothing on any host: an idle record."""
+        for runtime, engine_cls, kwargs in (
+            ("sim", PipelineExecutor, {}),
+            ("threaded", ConcurrentPipelineRunner, {}),
+            ("process", ProcessPipelineRunner, {"model_factory": FACTORY}),
+        ):
+            engine = engine_cls(FACTORY(), lr=0.01, **kwargs)
+            session = InferenceSession.from_engine(
+                engine, runtime=runtime, micro_batch=4
+            )
+            stats = session.infer(np.zeros((0,) + SHAPE))
+            assert stats.samples == 0 and stats.time_steps == 0
+            assert stats.backend == runtime
+            assert all(c.busy_steps == 0 for c in stats.stages)
 
 
 class TestScheduleGuards:
-    def test_train_refuses_forward_only_schedule(self):
-        for engine_cls, kwargs in (
-            (PipelineExecutor, {}),
-            (ConcurrentPipelineRunner, {}),
-            (ProcessPipelineRunner, {"model_factory": FACTORY}),
-        ):
-            engine = engine_cls(
-                FACTORY(), lr=0.01, schedule=InferenceSchedule(4), **kwargs
-            )
-            with pytest.raises(ValueError, match="forward-only"):
-                engine.train(_requests(4), np.zeros(4, dtype=np.int64))
+    def test_make_schedule_has_no_infer(self):
+        """A forward-only run is a packet width, not a training
+        schedule: ``make_schedule`` knows only the four the paper
+        compares."""
+        with pytest.raises(ValueError, match="mode must be one of"):
+            make_schedule("infer", micro_batch_size=3)
 
-    def test_infer_refuses_training_schedule(self):
-        ex = PipelineExecutor(FACTORY(), lr=0.01)
-        with pytest.raises(ValueError, match="forward-only"):
-            ex.infer(_requests(4), schedule=make_schedule("pb"))
+    def test_sim_stream_takes_only_stages_and_capacity(self):
+        """The synchronous stream has no worker to time out: a worker
+        stream's option is refused, not silently dropped."""
+        stages = InferenceSession(_trained_model()).stages
+        with pytest.raises(TypeError, match="stall_timeout"):
+            inference.SimInferenceStream(stages, stall_timeout=1.0)
+        with inference.SimInferenceStream(stages, capacity=2) as stream:
+            assert stream.capacity == 2
 
-    def test_inference_schedule_has_no_backward(self):
-        with pytest.raises(RuntimeError, match="no backward"):
-            InferenceSchedule(2).update_after_backward(0)
-
-    def test_make_schedule_builds_infer(self):
-        sched = make_schedule("infer", micro_batch_size=3)
-        assert sched.forward_only and sched.micro_batch == 3
+    def test_inference_schedule_is_a_width(self):
+        sched = InferenceSchedule(3)
+        assert not isinstance(sched, Schedule)
+        assert (sched.name, sched.micro_batch) == ("infer", 3)
+        assert InferenceSchedule is inference.InferenceSchedule
 
     def test_drain_span_forward_only(self):
         # P packets over S stages: P + S - 1 steps (half the training
