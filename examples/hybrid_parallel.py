@@ -8,9 +8,9 @@ contract from ``tests/test_replica_parity.py`` live:
 2. ``R`` process-runtime pipeline replicas at per-replica update size
    ``U`` — disjoint block-cyclic shards, gradients chain-reduced across
    replicas at every barrier.  Bit-identical to (1);
-3. the same replicated run through ``PipelinedTrainer(...,
-   replicas=R)``, which applies the paper's eq.-9 hyperparameter
-   scaling to the *effective* update size ``R*U`` automatically.
+3. a replicated training run whose hyperparameters are the paper's
+   eq.-9 scaling of a reference batch to the engine's *effective*
+   update size ``runner.update_size == R*U``.
 
 Run:  PYTHONPATH=src python examples/hybrid_parallel.py
 """
@@ -21,11 +21,17 @@ from functools import partial
 
 import numpy as np
 
-from repro.data import SyntheticCifar
+from repro.data import ResumableSampleStream, SyntheticCifar
 from repro.models import small_cnn
-from repro.pipeline import PipelineExecutor, ReplicatedPipelineRunner
-from repro.train import PipelinedTrainer
+from repro.optim import HE_CIFAR_REFERENCE
+from repro.pipeline import (
+    PipelineExecutor,
+    ReplicatedPipelineRunner,
+    make_pipeline_engine,
+)
+from repro.train import evaluate
 from repro.utils import format_table
+from repro.utils.rng import derive_seed, new_rng
 
 REPLICAS = 2
 UPDATE = 4          # per-replica update size; global update = REPLICAS*UPDATE
@@ -81,19 +87,25 @@ def main() -> None:
     print(f"final weights bit-identical:     {weights_equal}")
     assert losses_equal and weights_equal, "replica parity violated"
 
-    # 3. the trainer front-end: eq. 9 keys off the effective R*U update
-    trainer = PipelinedTrainer(
-        factory(), data, mode="fill_drain", update_size=UPDATE,
-        runtime="process", replicas=REPLICAS, seed=0,
-        model_factory=factory,
+    # 3. eq. 9 keys off the engine: synchronous replicas reduce into one
+    #    update of R*U samples, so that is the size the reference scales to
+    assert runner.update_size == REPLICAS * UPDATE
+    hp = HE_CIFAR_REFERENCE.scaled_to(runner.update_size)
+    model = factory()
+    engine = make_pipeline_engine(
+        "process", model, lr=hp.lr, momentum=hp.momentum,
+        weight_decay=hp.weight_decay, mode="fill_drain", update_size=UPDATE,
+        replicas=REPLICAS, model_factory=factory,
     )
-    print(f"\nPipelinedTrainer(replicas={REPLICAS}): eq.-9 scaled "
-          f"lr={trainer.hyperparams.lr:.4g} for effective update "
-          f"{REPLICAS * UPDATE} (engine update_size="
-          f"{trainer.executor.update_size})")
-    history = trainer.train_epochs(epochs=1)
-    print(f"one epoch through {REPLICAS} replicas: "
-          f"val_acc={history.final_val_acc:.3f}")
+    print(f"\n{REPLICAS} replicas at update {UPDATE}: eq.-9 scaled "
+          f"lr={hp.lr:.4g} for effective update {runner.update_size} "
+          f"(engine update_size={engine.update_size})")
+    stream = ResumableSampleStream(
+        data.x_train, data.y_train, 1, new_rng(derive_seed(0, "pb_trainer"))
+    )
+    engine.train(*stream.next_chunk(stream.samples_per_epoch))
+    _, val_acc = evaluate(model, data.x_val, data.y_val)
+    print(f"one epoch through {REPLICAS} replicas: val_acc={val_acc:.3f}")
     print("\n(pb/1f1b replicas skip the reduce and average weight deltas "
           "at the drain barrier instead — see README 'Hybrid "
           "parallelism'.)")

@@ -135,8 +135,9 @@ def delay_structure() -> None:
 def threaded_runtime() -> None:
     """The concurrent runtime: same schedules, real worker threads.
 
-    ``--runtime threaded`` (on the experiments CLI and the trainer)
-    swaps the discrete-time simulator for
+    ``--runtime threaded`` on the experiments CLI (in code,
+    ``make_pipeline_engine("threaded", ...)``) swaps the discrete-time
+    simulator for
     :class:`~repro.pipeline.runtime.ConcurrentPipelineRunner` — one
     worker thread per stage, packets through per-stage queues.
 

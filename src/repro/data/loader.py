@@ -4,13 +4,13 @@
 :func:`iterate_steps` chains epochs up to an exact number of optimizer
 steps (the budget every flat experiment loop is written against).
 
-Two stream flavors feed the pipelined trainers:
+Two stream flavors feed the pipeline engines' ``train()``:
 
 * :func:`sample_stream` — the eager helper: materializes every epoch of
   a multi-epoch run up front (O(epochs·N) memory).  Kept for tests and
   small experiment sweeps, where a few hundred samples are cheaper to
   concatenate than to manage.
-* :class:`ResumableSampleStream` — the lazy equivalent the trainers
+* :class:`ResumableSampleStream` — the lazy equivalent pipelined runs
   consume: one epoch in memory at a time (O(N)), identical sample
   sequence for the same seed (equivalence-tested), and a serializable
   cursor ``(epoch, index, rng state)`` so a checkpointed run resumes on
@@ -121,7 +121,7 @@ def sample_stream(
     """Concatenate ``epochs`` shuffled (augmented) passes into one stream.
 
     The eager helper: materializes the full multi-epoch sequence up
-    front, which caps run length by RAM.  The trainers use
+    front, which caps run length by RAM.  Pipelined runs use
     :class:`ResumableSampleStream` instead (same sequence, one epoch in
     memory, resumable); this stays as the reference implementation the
     lazy stream is equivalence-tested against, and as a convenience for

@@ -1,9 +1,11 @@
 """Learning-rate schedules.
 
-Schedules are callables ``step -> lr`` driven by the trainer; ``step`` is
-counted in optimizer updates.  ``StepSchedule`` reproduces the He et al.
-milestone decay; ``WarmupSchedule`` implements the linear warmup the paper
-discusses as a delay-stabilization aid (§5).
+Schedules are callables ``step -> lr``: a flat experiment loop sets
+``opt.lr = schedule(step)`` once per optimizer update, and a pipeline
+engine's ``lr_schedule=`` is evaluated on its running sample count.
+``StepSchedule`` reproduces the He et al. milestone decay;
+``WarmupSchedule`` implements the linear warmup the paper discusses as
+a delay-stabilization aid (§5).
 """
 
 from __future__ import annotations

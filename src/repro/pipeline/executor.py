@@ -294,9 +294,12 @@ class PipelineRunStats:
     @property
     def mean_loss(self) -> float:
         """Mean per-sample loss; NaN (not a crash, not 0.0) for the
-        empty stream, so downstream aggregation can't mistake a run
-        that never saw data for a perfectly-converged one."""
-        return float(self.losses.mean()) if self.losses.size else float("nan")
+        empty stream and for a forward-only run, which has no losses,
+        so downstream aggregation can't mistake a run that computed no
+        loss for a perfectly-converged one."""
+        if self.losses is None or not self.losses.size:
+            return float("nan")
+        return float(self.losses.mean())
 
     @staticmethod
     def merge_replicas(

@@ -687,8 +687,10 @@ def make_pipeline_engine(
     data-parallel pipeline copies with cross-replica gradient reduction
     at update barriers.  The concurrent engines are free-running unless
     ``lockstep=True``.  Every engine is a :class:`PipelineExecutor`, so
-    callers like :class:`~repro.train.pb_trainer.PipelinedTrainer`
-    switch engines without touching their training loops.
+    callers like :func:`~repro.experiments.common.run_pb_executor`
+    switch engines without touching their training loops, and every
+    engine's ``update_size`` is the one eq. 9 scales a reference to
+    (``R*U`` for synchronous replicas).
     """
     replicas = int(kwargs.pop("replicas", 1) or 1)
     if replicas > 1:

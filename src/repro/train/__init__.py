@@ -1,15 +1,14 @@
-"""Training harness: the flat train step, batch trainer, pipelined
-trainer, metrics."""
+"""Training harness: the flat train step and the evaluation metrics.
 
-from repro.train.metrics import accuracy, evaluate, TrainingHistory
-from repro.train.trainer import Trainer, train_step
-from repro.train.pb_trainer import PipelinedTrainer
+Pipelined runs drive an engine directly
+(:func:`repro.pipeline.make_pipeline_engine`; see ``examples/quickstart.py``).
+"""
+
+from repro.train.metrics import accuracy, evaluate
+from repro.train.trainer import train_step
 
 __all__ = [
     "accuracy",
     "evaluate",
-    "TrainingHistory",
-    "Trainer",
     "train_step",
-    "PipelinedTrainer",
 ]

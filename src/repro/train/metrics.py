@@ -1,12 +1,10 @@
-"""Evaluation metrics and training-curve records."""
+"""Evaluation metrics: accuracy, per-sample loss, split evaluation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, modules_eval_mode
 from repro.tensor.tensor import Tensor, log_softmax_array, no_grad
 
 
@@ -54,63 +52,17 @@ def evaluate(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    was_training = getattr(model, "training", True)
     n = x.shape[0]
     if n == 0:
         return float("nan"), float("nan")
-    model.eval()
     losses = []
     correct = 0
-    with no_grad():
+    with modules_eval_mode([model]), no_grad():
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
             logits = model(Tensor(xb)).data
             losses.append(float(batch_nll(logits, yb).mean()) * len(yb))
             correct += int((logits.argmax(axis=1) == yb).sum())
-    model.train(was_training)
     return float(np.sum(losses) / n), correct / n
 
-
-@dataclass
-class TrainingHistory:
-    """Per-evaluation-point curves for one training run."""
-
-    label: str = "run"
-    samples_seen: list[int] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_acc: list[float] = field(default_factory=list)
-
-    def record(
-        self,
-        samples: int,
-        train_loss: float,
-        val_loss: float,
-        val_acc: float,
-    ) -> None:
-        self.samples_seen.append(int(samples))
-        self.train_loss.append(float(train_loss))
-        self.val_loss.append(float(val_loss))
-        self.val_acc.append(float(val_acc))
-
-    @property
-    def final_val_acc(self) -> float:
-        return self.val_acc[-1] if self.val_acc else float("nan")
-
-    @property
-    def best_val_acc(self) -> float:
-        return max(self.val_acc) if self.val_acc else float("nan")
-
-    @property
-    def final_train_loss(self) -> float:
-        return self.train_loss[-1] if self.train_loss else float("nan")
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "samples_seen": list(self.samples_seen),
-            "train_loss": list(self.train_loss),
-            "val_loss": list(self.val_loss),
-            "val_acc": list(self.val_acc),
-        }

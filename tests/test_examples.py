@@ -1,10 +1,11 @@
-"""The system examples are the demos of record: each must keep running.
+"""Every script in ``examples/`` is a demo of record: each must keep running.
 
-Every script asserts its own parity lines (lockstep bit-exactness,
-checkpoint resume, replica parity, serving correctness, fleet
-exactly-once), so exit code 0 is the whole check.  Each runs in a
-subprocess from a temp directory: nothing is written into the tree, and
-the timeout turns a hung worker into a failure.
+The list is the directory itself, so a new or edited script cannot
+skip the check.  The system scripts assert their own parity lines
+(lockstep bit-exactness, checkpoint resume, replica parity, serving
+correctness, fleet exactly-once), so exit code 0 is the whole check.
+Each runs in a subprocess from a temp directory: nothing is written
+into the tree, and the timeout turns a hung worker into a failure.
 """
 
 import os
@@ -15,19 +16,11 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted(p.name for p in (REPO / "examples").glob("*.py"))
 
 
-@pytest.mark.parametrize(
-    "script",
-    [
-        "pipeline_schedules.py",
-        "durable_training.py",
-        "hybrid_parallel.py",
-        "serving_demo.py",
-        "serving_fleet.py",
-    ],
-)
-def test_system_example_runs(script, tmp_path):
+@pytest.mark.parametrize("script", EXAMPLES)
+def test_example_runs(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(REPO / "examples" / script)],
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},

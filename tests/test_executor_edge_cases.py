@@ -231,7 +231,7 @@ class TestZeroStreamStats:
         """``train`` and serving the trained engine
         (``InferenceSession.from_engine``) answer with one record type on
         every backend; a forward-only run carries outputs and per-stage
-        counters, and no losses."""
+        counters, and no losses (so its ``mean_loss`` is NaN)."""
         X = rng.normal(size=(6, 3, 8, 8))
         Y = rng.integers(0, 10, size=6)
         m = small_cnn(seed=7)
@@ -244,6 +244,7 @@ class TestZeroStreamStats:
         assert type(trained) is type(stats) is PipelineRunStats
         assert engine.last_runtime_stats is trained
         assert stats.losses is None and trained.outputs is None
+        assert np.isnan(stats.mean_loss)  # no losses: NaN, not a crash
         assert stats.backend == trained.backend == runtime
         assert stats.outputs.shape == (6, 10) and stats.samples == 6
         assert stats.num_stages == m.num_stages

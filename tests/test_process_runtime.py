@@ -471,22 +471,6 @@ class TestFailureAndEdgeCases:
 
 
 class TestEngineSurface:
-    def test_trainer_process_lockstep_matches_sim(self, tiny_dataset):
-        from repro.train.pb_trainer import PipelinedTrainer
-
-        hist = {}
-        for runtime in ("sim", "process"):
-            model = small_cnn(
-                num_classes=tiny_dataset.num_classes, widths=(4, 8), seed=9
-            )
-            tr = PipelinedTrainer(
-                model, tiny_dataset, mode="pb", seed=4,
-                runtime=runtime, lockstep=True,
-            )
-            tr.train_samples(24)
-            hist[runtime] = [float(p.data.sum()) for p in model.parameters()]
-        assert hist["sim"] == hist["process"]
-
     def test_make_pipeline_engine_builds_process_runner(self):
         engine = make_pipeline_engine(
             "process", small_cnn(seed=0), lr=0.1, lockstep=True

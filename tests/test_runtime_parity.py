@@ -207,26 +207,6 @@ class TestRuntimeStatsLockstep:
 
 
 class TestEngineSurface:
-    def test_trainer_threaded_lockstep_matches_sim(self, tiny_dataset):
-        """PipelinedTrainer(runtime="threaded", lockstep=True) trains the
-        same trajectory as runtime="sim"."""
-        from repro.train.pb_trainer import PipelinedTrainer
-
-        hist = {}
-        for runtime in ("sim", "threaded"):
-            model = small_cnn(
-                num_classes=tiny_dataset.num_classes, widths=(4, 8), seed=9
-            )
-            tr = PipelinedTrainer(
-                model, tiny_dataset, mode="pb", seed=4,
-                runtime=runtime, lockstep=True,
-            )
-            tr.train_samples(24)
-            hist[runtime] = [
-                float(p.data.sum()) for p in model.parameters()
-            ]
-        assert hist["sim"] == hist["threaded"]
-
     def test_make_pipeline_engine_rejects_unknown(self):
         from repro.pipeline import make_pipeline_engine
 

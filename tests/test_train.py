@@ -1,13 +1,23 @@
-"""Trainers, evaluation, history records."""
+"""Evaluation metrics, the flat train step, and the engine training recipe.
+
+The flat loop is the one the experiment runners write out
+(``train_step`` over ``iterate_steps``, ``opt.lr`` set per step); the
+engine recipe is the quickstart's (eq. 9 at ``engine.update_size``,
+chunks from a ``ResumableSampleStream``, ``engine.train``, ``evaluate``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import DelayedSGDM, MitigationConfig
-from repro.data import PadCropFlip
+from repro.data import PadCropFlip, ResumableSampleStream
+from repro.data.loader import iterate_steps, sample_stream
 from repro.models import small_cnn
-from repro.optim import SGDM, HE_CIFAR_REFERENCE, StepSchedule
-from repro.train import PipelinedTrainer, Trainer, TrainingHistory, accuracy, evaluate
+from repro.optim import SGDM, HE_CIFAR_REFERENCE
+from repro.pipeline import make_pipeline_engine
+from repro.tensor import Tensor, cross_entropy, no_grad
+from repro.train import accuracy, evaluate, train_step
+from repro.utils.rng import new_rng
 
 
 class TestMetrics:
@@ -20,6 +30,16 @@ class TestMetrics:
         m = small_cnn(num_classes=4, seed=0)
         m.train()
         evaluate(m, tiny_dataset.x_val, tiny_dataset.y_val)
+        assert m.training
+
+    def test_failed_evaluate_restores_training_mode(self, tiny_dataset):
+        """Regression: a forward that raises (a 5-channel batch into a
+        3-channel model) used to leave the model in eval mode."""
+        m = small_cnn(num_classes=4, seed=0)
+        m.train()
+        x = np.zeros((2, 5, 8, 8))
+        with pytest.raises(ValueError):
+            evaluate(m, x, np.zeros(2, dtype=np.int64))
         assert m.training
 
     def test_evaluate_matches_manual(self, tiny_dataset):
@@ -101,146 +121,165 @@ class TestMetrics:
         evaluate(m, np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=np.int64))
         assert m.training
 
-    def test_history_properties(self):
-        h = TrainingHistory(label="x")
-        h.record(10, 1.0, 1.2, 0.5)
-        h.record(20, 0.8, 1.0, 0.7)
-        assert h.final_val_acc == 0.7
-        assert h.best_val_acc == 0.7
-        assert h.final_train_loss == 0.8
-        assert h.as_dict()["samples_seen"] == [10, 20]
+
+def _flat_run(ds, opt_for, epochs, seed, batch_size=16, augment=None):
+    """``train_step`` over ``iterate_steps``: the experiments' flat loop."""
+    m = small_cnn(num_classes=ds.num_classes, seed=0)
+    opt = opt_for(m)
+    steps = epochs * (ds.x_train.shape[0] // batch_size)
+    losses = [
+        train_step(opt, m, xb, yb)
+        for xb, yb in iterate_steps(
+            ds.x_train, ds.y_train, batch_size, steps, new_rng(seed),
+            augment=augment,
+        )
+    ]
+    return m, losses
 
 
-class TestTrainer:
+def _sgdm(m):
+    return SGDM(m.parameters(), lr=0.05, momentum=0.9)
+
+
+class TestTrainStep:
     def test_learns_above_chance(self, tiny_dataset):
         m = small_cnn(num_classes=4, widths=(8, 16), seed=0)
-        opt = SGDM(m.parameters(), lr=0.05, momentum=0.9)
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0)
-        hist = tr.train_epochs(8)
-        assert hist.final_val_acc > 0.4  # chance = 0.25
+        opt = _sgdm(m)
+        for xb, yb in iterate_steps(
+            tiny_dataset.x_train, tiny_dataset.y_train, 16, 8 * 12,
+            new_rng(0),
+        ):
+            train_step(opt, m, xb, yb)
+        _, acc = evaluate(m, tiny_dataset.x_val, tiny_dataset.y_val)
+        assert acc > 0.4  # chance = 0.25
 
-    def test_delayed_optimizer_supported(self, tiny_dataset):
+    def test_returns_the_loss_before_the_update(self, tiny_dataset):
         m = small_cnn(num_classes=4, seed=0)
-        opt = DelayedSGDM(m, lr=0.05, momentum=0.9, delay=2,
-                          mitigation=MitigationConfig.sc(), consistent=True)
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0)
-        hist = tr.train_epochs(2)
-        assert len(hist.val_acc) == 2
-        assert np.isfinite(hist.final_train_loss)
+        opt = _sgdm(m)
+        xb, yb = tiny_dataset.x_train[:8], tiny_dataset.y_train[:8]
+        with no_grad():
+            expected = float(cross_entropy(m(Tensor(xb)), yb).data)
+        before = [p.data.copy() for p in m.parameters()]
+        assert train_step(opt, m, xb, yb) == expected
+        assert any(
+            not np.array_equal(b, p.data)
+            for b, p in zip(before, m.parameters())
+        )
 
-    def test_lr_schedule_applied(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        opt = SGDM(m.parameters(), lr=1.0)
-        sched = StepSchedule(0.5, milestones=[0])  # 0.05 from step 0... 0.5*0.1
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0,
-                     lr_schedule=sched)
-        tr.train_epochs(1)
-        assert opt.lr == pytest.approx(0.05)
+    def test_delayed_optimizer_trains(self, tiny_dataset):
+        def opt_for(m):
+            return DelayedSGDM(
+                m, lr=0.05, momentum=0.9, delay=2,
+                mitigation=MitigationConfig.sc(), consistent=True,
+            )
 
-    def test_augmentation_path(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        opt = SGDM(m.parameters(), lr=0.05, momentum=0.9)
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0,
-                     augment=PadCropFlip(pad=1))
-        hist = tr.train_epochs(1)
-        assert np.isfinite(hist.final_train_loss)
+        _, losses = _flat_run(tiny_dataset, opt_for, epochs=2, seed=0)
+        assert len(losses) == 2 * 12
+        assert np.all(np.isfinite(losses))
+
+    def test_augmented_batches_train(self, tiny_dataset):
+        _, plain = _flat_run(tiny_dataset, _sgdm, epochs=1, seed=0)
+        _, augmented = _flat_run(
+            tiny_dataset, _sgdm, epochs=1, seed=0, augment=PadCropFlip(pad=1)
+        )
+        assert np.all(np.isfinite(augmented))
+        assert augmented != plain  # the augment reached the batches
 
     def test_reproducible_runs(self, tiny_dataset):
-        accs = []
-        for _ in range(2):
-            m = small_cnn(num_classes=4, seed=0)
-            opt = SGDM(m.parameters(), lr=0.05, momentum=0.9)
-            tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=11)
-            accs.append(tr.train_epochs(2).final_val_acc)
-        assert accs[0] == accs[1]
+        runs = [
+            _flat_run(tiny_dataset, _sgdm, epochs=2, seed=11)
+            for _ in range(2)
+        ]
+        (m1, l1), (m2, l2) = runs
+        assert l1 == l2
+        for p1, p2 in zip(m1.parameters(), m2.parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)
 
-    @pytest.mark.parametrize("eval_every", [0, -1])
-    def test_eval_every_zero_raises_not_modulo_crash(
-        self, tiny_dataset, eval_every
-    ):
-        """Regression: ``train_epochs(eval_every=0)`` used to die with
-        ZeroDivisionError at the ``(epoch + 1) % eval_every`` check;
-        now it is rejected up front with a clear message."""
+    def test_per_step_lr_takes_effect(self, tiny_dataset):
+        """The experiment loops schedule by assigning ``opt.lr`` before
+        each step; a zero learning rate from the second step on leaves
+        the weights where the first step put them."""
         m = small_cnn(num_classes=4, seed=0)
-        opt = SGDM(m.parameters(), lr=0.05)
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0)
-        with pytest.raises(ValueError, match="eval_every"):
-            tr.train_epochs(1, eval_every=eval_every)
+        opt = _sgdm(m)
+        after_first = None
+        for step, (xb, yb) in enumerate(
+            iterate_steps(
+                tiny_dataset.x_train, tiny_dataset.y_train, 16, 4, new_rng(0)
+            )
+        ):
+            opt.lr = 0.05 if step == 0 else 0.0
+            train_step(opt, m, xb, yb)
+            if step == 0:
+                after_first = [p.data.copy() for p in m.parameters()]
+        assert opt.lr == 0.0
+        for a, p in zip(after_first, m.parameters()):
+            np.testing.assert_array_equal(a, p.data)
 
-    def test_eval_every_larger_than_epochs_evaluates_once(
+
+class TestEngineRecipe:
+    @pytest.mark.parametrize(
+        "mode, kwargs, update_size",
+        [
+            ("pb", {}, 1),
+            ("1f1b", {}, 1),
+            ("fill_drain", {"update_size": 32}, 32),
+            ("gpipe", {"update_size": 8, "micro_batch_size": 4}, 8),
+        ],
+    )
+    def test_reference_scales_to_engine_update_size(
+        self, mode, kwargs, update_size
+    ):
+        engine = make_pipeline_engine(
+            "sim", small_cnn(num_classes=4, seed=0), lr=0.1, mode=mode,
+            **kwargs,
+        )
+        assert engine.update_size == update_size
+        hp = HE_CIFAR_REFERENCE.scaled_to(engine.update_size)
+        assert hp.batch_size == update_size
+        assert hp.momentum == pytest.approx(0.9 ** (update_size / 128))
+
+    def test_stream_chunks_reach_the_engine_in_eager_order(
         self, tiny_dataset
     ):
-        m = small_cnn(num_classes=4, seed=0)
-        opt = SGDM(m.parameters(), lr=0.05)
-        tr = Trainer(m, opt, tiny_dataset, batch_size=16, seed=0)
-        hist = tr.train_epochs(2, eval_every=100)
-        assert len(hist.val_acc) == 1  # the always-on final evaluation
-
-
-class TestPipelinedTrainer:
-    def test_scales_hyperparams_to_batch_one(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, seed=0)
-        assert pt.hyperparams.batch_size == 1
-        assert pt.hyperparams.momentum == pytest.approx(0.9 ** (1 / 128))
-
-    def test_trains_and_records(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(
-            m, tiny_dataset, mitigation=MitigationConfig.lwp_plus_sc(), seed=0
+        """Epoch-sized chunks of the lazy stream hand the engine the
+        same samples, in the same order, as the eager helper."""
+        engine = make_pipeline_engine(
+            "sim", small_cnn(num_classes=4, seed=0), lr=0.01, mode="pb"
         )
-        hist = pt.train_epochs(1)
-        assert len(hist.val_acc) == 1
-        assert hist.label == "PB+LWPv_D+SC_D"
-
-    def test_train_samples_partial_epoch(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, seed=0)
-        hist = pt.train_samples(50)
-        assert hist.samples_seen == [50]
-
-    def test_eval_every_zero_raises(self, tiny_dataset):
-        """Same regression pin as the batch trainer: the pipelined
-        trainer validates eval_every instead of modulo-crashing."""
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, seed=0)
-        with pytest.raises(ValueError, match="eval_every"):
-            pt.train_epochs(1, eval_every=0)
-
-    def test_train_samples_rejects_nonpositive(self, tiny_dataset):
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, seed=0)
-        with pytest.raises(ValueError, match="num_samples"):
-            pt.train_samples(0)
-
-    def test_multi_epoch_stream_is_lazy(self, tiny_dataset):
-        """The trainers consume the resumable lazy stream: sequences
-        match the eager helper for the same trainer seed."""
-        from repro.data.loader import sample_stream
-        from repro.utils.rng import derive_seed, new_rng
-
-        m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, seed=4)
-        captured = {}
-        orig_train = pt.executor.train
+        fed = []
+        train = engine.train
 
         def spy(xs, ys):
-            captured.setdefault("chunks", []).append((xs, ys))
-            return orig_train(xs, ys)
+            fed.append((xs.copy(), ys.copy()))
+            return train(xs, ys)
 
-        pt.executor.train = spy
-        pt.train_epochs(2)
-        rng = new_rng(derive_seed(4, "pb_trainer"))
-        e_xs, e_ys = sample_stream(
-            tiny_dataset.x_train, tiny_dataset.y_train, 2, rng
+        engine.train = spy
+        stream = ResumableSampleStream(
+            tiny_dataset.x_train, tiny_dataset.y_train, 2, new_rng(4)
         )
-        got_xs = np.concatenate([c[0] for c in captured["chunks"]])
-        got_ys = np.concatenate([c[1] for c in captured["chunks"]])
-        np.testing.assert_array_equal(e_xs, got_xs)
-        np.testing.assert_array_equal(e_ys, got_ys)
+        for _ in range(2):
+            engine.train(*stream.next_chunk(stream.samples_per_epoch))
+        e_xs, e_ys = sample_stream(
+            tiny_dataset.x_train, tiny_dataset.y_train, 2, new_rng(4)
+        )
+        np.testing.assert_array_equal(np.concatenate([f[0] for f in fed]), e_xs)
+        np.testing.assert_array_equal(np.concatenate([f[1] for f in fed]), e_ys)
 
-    def test_fill_drain_mode_uses_reference_scaling(self, tiny_dataset):
+    def test_mitigated_engine_trains_and_evaluates(self, tiny_dataset):
         m = small_cnn(num_classes=4, seed=0)
-        pt = PipelinedTrainer(m, tiny_dataset, mode="fill_drain",
-                              update_size=32, seed=0)
-        assert pt.hyperparams.batch_size == 32
+        hp = HE_CIFAR_REFERENCE.scaled_to(1)
+        engine = make_pipeline_engine(
+            "sim", m, lr=hp.lr, momentum=hp.momentum,
+            weight_decay=hp.weight_decay,
+            mitigation=MitigationConfig.lwp_plus_sc(), mode="pb",
+        )
+        before = [p.data.copy() for p in m.parameters()]
+        stats = engine.train(tiny_dataset.x_train, tiny_dataset.y_train)
+        assert stats.samples == tiny_dataset.x_train.shape[0]
+        assert np.isfinite(stats.mean_loss)
+        assert any(
+            not np.array_equal(b, p.data)
+            for b, p in zip(before, m.parameters())
+        )
+        loss, acc = evaluate(m, tiny_dataset.x_val, tiny_dataset.y_val)
+        assert np.isfinite(loss) and 0.0 <= acc <= 1.0
