@@ -14,6 +14,8 @@ Run:  python examples/pipeline_schedules.py
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.models import build_model, small_cnn, PAPER_STAGE_COUNTS
@@ -33,6 +35,7 @@ from repro.pipeline import (
     stage_delay_table,
     utilization_upper_bound,
 )
+from repro.pipeline import runtime
 from repro.utils import format_table
 
 
@@ -132,27 +135,44 @@ def delay_structure() -> None:
     print(format_table(rows[:5] + rows[-5:]))
 
 
+def _hex(losses) -> list[str]:
+    return [float(v).hex() for v in losses]
+
+
+@contextlib.contextmanager
+def _usable_cpus(k: int):
+    """Launches in this block see ``k`` usable CPUs."""
+    real = runtime.usable_cpus
+    runtime.usable_cpus = lambda: k
+    try:
+        yield
+    finally:
+        runtime.usable_cpus = real
+
+
 def threaded_runtime() -> None:
     """The concurrent runtime: same schedules, real worker threads.
 
     ``--runtime threaded`` on the experiments CLI (in code,
     ``make_pipeline_engine("threaded", ...)``) swaps the discrete-time
     simulator for
-    :class:`~repro.pipeline.runtime.ConcurrentPipelineRunner` — one
-    worker thread per stage, packets through per-stage queues.
+    :class:`~repro.pipeline.runtime.ConcurrentPipelineRunner` — worker
+    threads, packets through in-process channels.
 
-    * **lockstep** (``lockstep=True``): every worker runs its stage's
-      column of the simulator's compiled plan, which makes the run
-      bit-exact with the simulator for every schedule.  Use it
-      whenever reproducibility matters (goldens, regression tests,
-      paper-number regeneration).
-    * **free-running** (the default for ``--runtime threaded``): no
-      plan; stages run the moment a packet arrives.  ``pb``/``1f1b``
-      trajectories then depend on thread timing (staleness is still
-      bounded by eq. 5 — never worse than the model), while
-      ``fill_drain``/``gpipe`` stay exact because they only update on a
-      fully drained pipeline.  Use it to *measure* busy/idle wall-clock
-      per stage rather than model it.
+    * **lockstep** (``lockstep=True``): the stages are cut into one
+      contiguous group per usable CPU, and every worker runs its
+      group's ops of the simulator's compiled plan in order, which
+      makes the run bit-exact with the simulator for every schedule
+      and every cut.  Use it whenever reproducibility matters
+      (goldens, regression tests, paper-number regeneration).
+      ``fill_drain``/``gpipe`` always run this way: they only update on
+      a fully drained pipeline, so no timing could change them.
+    * **free-running** (the default for ``--runtime threaded``): one
+      worker per stage, each op run the moment its packet arrives.
+      ``pb``/``1f1b`` trajectories then depend on thread timing
+      (staleness is still bounded by eq. 5 — never worse than the
+      model).  Use it to *measure* busy/idle wall-clock per stage
+      rather than model it.
     """
     print("=" * 64)
     print("Concurrent runtime — lockstep parity, then measured busy time")
@@ -173,7 +193,23 @@ def threaded_runtime() -> None:
     print(
         "\nlockstep vs simulator (pb): losses bit-identical ="
         f" {bool(np.array_equal(sim.losses, lock.losses))}"
+        f" (groups {lock.control['groups']})"
     )
+    # the group count K follows the CPUs a launch may use; pretend the
+    # host has K of them to see that the cut cannot change a bit
+    S = sim_model.num_stages
+    for k in (1, 2, S):
+        with _usable_cpus(k):
+            grouped = ConcurrentPipelineRunner(
+                small_cnn(num_classes=10, widths=(4, 8), seed=42), lr=0.02,
+                momentum=0.9, mode="pb", lockstep=True,
+            ).train(X, Y)
+        same = _hex(grouped.losses) == _hex(sim.losses)
+        assert same, f"K={k}: lockstep losses drifted from the simulator"
+        print(
+            f"lockstep at K={k} groups {grouped.control['groups']}: loss hex"
+            f" matches the simulator = {same}"
+        )
 
     free_model = small_cnn(num_classes=10, widths=(4, 8), seed=42)
     runner = ConcurrentPipelineRunner(

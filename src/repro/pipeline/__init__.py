@@ -14,12 +14,14 @@
   with weight stashing, Harlap et al. 2018).
 * :mod:`~repro.pipeline.executor` — the cycle-accurate, schedule-driven
   engine running any of the above over a
-  :class:`~repro.models.arch.StageGraphModel`.
-* :mod:`~repro.pipeline.worker` — the one stage loop
-  (:class:`~repro.pipeline.worker.StageWorker`, one training stage), the
-  serving lane's forward loop (:class:`~repro.pipeline.worker.Lane`,
-  every compute stage) and the one
-  :class:`~repro.pipeline.worker.WorkerGroup` that hosts either as
+  :class:`~repro.models.arch.StageGraphModel`, and the one set of op
+  bodies (:class:`~repro.pipeline.executor.StageOps`) every host runs.
+* :mod:`~repro.pipeline.worker` — the training workers
+  (:class:`~repro.pipeline.worker.StageWorker`, a contiguous stage group
+  in plan order; :class:`~repro.pipeline.worker.FreeStageWorker`, one
+  free-running stage), the serving lane's forward loop
+  (:class:`~repro.pipeline.worker.Lane`, every compute stage) and the
+  one :class:`~repro.pipeline.worker.WorkerGroup` that hosts them as
   threads or as processes over shared-memory rings.
 * :mod:`~repro.pipeline.runtime` — the concurrent training engines
   driving a worker group through the same schedules.  Lockstep mode is
@@ -39,7 +41,8 @@
   example.
 * :mod:`~repro.pipeline.utilization` — closed-form utilization (eq. 1,
   per-sample and per-micro-batch).
-* :mod:`~repro.pipeline.partition` — stage-graph validation.
+* :mod:`~repro.pipeline.partition` — stage-graph validation and the
+  contiguous cut a training run groups its stages by.
 * :mod:`~repro.pipeline.costs` — the Appendix-A memory/communication
   model.
 """
@@ -121,7 +124,7 @@ from repro.pipeline.utilization import (
     pb_utilization,
     utilization_upper_bound,
 )
-from repro.pipeline.partition import validate_stage_graph
+from repro.pipeline.partition import contiguous_partition, validate_stage_graph
 from repro.pipeline.costs import (
     pipeline_cost_model,
     batch_parallel_activation_elements,
@@ -190,6 +193,7 @@ __all__ = [
     "gpipe_utilization",
     "pb_utilization",
     "utilization_upper_bound",
+    "contiguous_partition",
     "validate_stage_graph",
     "pipeline_cost_model",
     "batch_parallel_activation_elements",

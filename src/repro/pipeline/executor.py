@@ -36,6 +36,7 @@ bit for bit (golden-tested in ``tests/test_schedules_golden.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.pipeline.schedule import (
     BWD,
     FLUSH,
     FWD,
+    SET_LR,
     Plan,
     Schedule,
     make_schedule,
@@ -108,6 +110,9 @@ class StageCounters:
     #: arrived, on a full channel — and its returns from those blocks
     wait_seconds: float = 0.0
     wakeups: int = 0
+    #: ... and its time handing packets on without blocking: taking one
+    #: that is there, a send into a channel with room, a slot release
+    handoff_seconds: float = 0.0
     #: a process host's placement diagnostics, read for its reply: the
     #: worker's context switches (``ru_nvcsw`` / ``ru_nivcsw``) and the
     #: CPUs it may run on
@@ -161,7 +166,8 @@ class PipelineRunStats:
     stage's ``busy_seconds`` sums its time inside forward/backward
     transformations, so :meth:`idle_seconds` is measured (not modeled)
     pipeline bubble time; ``wait_seconds`` / ``wakeups`` are the part of
-    it the worker spent blocked, and how often it was woken.  The
+    it the worker spent blocked, and how often it was woken, and
+    ``handoff_seconds`` the part it spent passing packets on.  The
     simulator leaves them all at zero.
     """
 
@@ -557,49 +563,121 @@ class PipelineExecutor:
         return self.schedule.plan(num_samples, self.num_stages, lr_at)
 
     def _run(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
-        """Run one validated batch: here, interpret the plan tick by tick
-        (packets are keyed by ordinal; each is at one stage per tick)."""
-        n = X.shape[0]
-        plan = self._compile(n)
-        stages = self.stages
-        S = len(stages)
+        """Run one validated batch: here, every op of the plan in order,
+        over the whole stage range (packets are keyed by ordinal; each
+        is at one stage per tick)."""
+        plan = self._compile(X.shape[0])
+        S = self.num_stages
         update = [self.schedule.update_after_backward(s) for s in range(S)]
-        losses = np.zeros(n)
-        counters = [StageCounters(s) for s in range(S)]
-        acts: dict[int, list[np.ndarray]] = {}  # payload entering a forward
-        grads: dict[int, list[np.ndarray]] = {}  # ... and a backward
-        for tick in plan.ticks:
-            for kind, s, arg in tick:
-                if kind == FWD:
-                    start, size = plan.packets[arg]
-                    stage = stages[s]
-                    payload = acts.pop(arg) if s else [X[start : start + size]]
-                    if stage.spec.kind == "loss":
-                        lvec, glogits = softmax_xent_grad_batch(
-                            payload[0], Y[start : start + size]
-                        )
-                        losses[start : start + size] = lvec
-                        grads[arg] = [glogits]
-                    else:
-                        acts[arg] = stage.forward(start, payload)
-                    counters[s].forward_ops += 1
-                    counters[s].forward_samples += size
-                elif kind == BWD:
-                    start, size = plan.packets[arg]
-                    stage = stages[s]
-                    upstream = stage.backward(start, grads.pop(arg))
-                    if update[s]:
-                        stage.apply_update()
-                    counters[s].backward_ops += 1
-                    counters[s].backward_samples += size
-                    if s > 0:
-                        grads[arg] = upstream
-                    else:
-                        self.samples_completed += size
-                elif kind == FLUSH:
-                    for stage in stages:
-                        stage.flush_update(arg)
-                else:  # SET_LR
-                    self.set_lr(arg)
-        check_stages_drained(stages)
-        return self._record(counters, len(plan.ticks), losses)
+
+        def complete(p: int, start: int, size: int, upstream) -> None:
+            self.samples_completed += size
+
+        # data into stage 0, completions out of it
+        edges = SimpleNamespace(
+            fwd_in=lambda p, start, size: [X[start : start + size]],
+            bwd_out=complete,
+        )
+        ops = StageOps(self.stages, plan.packets, Y, edges, update)
+        ops.run(plan.ops(0, S - 1))
+        check_stages_drained(self.stages)
+        return self._record(ops.counters, len(plan.ticks), ops.losses)
+
+
+class StageOps:
+    """The op bodies — ``FWD`` / ``BWD`` / ``FLUSH`` / ``SET_LR`` — over
+    the contiguous stages ``stages`` (``a..b``), written once for the
+    simulator (every stage), a stage-group worker and a free-running
+    one-stage worker.  Inside the range packets pass through ``acts`` /
+    ``grads``, keyed by packet ordinal (``packets[p]`` is its ``(start,
+    size)``); ``edges`` supplies the rest: ``fwd_in`` into ``a`` (data at
+    stage 0), ``fwd_out`` of ``b``, ``bwd_in`` into ``b`` (unless the
+    loss stage seeds it) and ``bwd_out`` of ``a`` (at stage 0, the
+    packet's completion).  ``clock`` times the transformations into
+    ``busy_seconds``; the simulator's leaves them at zero."""
+
+    def __init__(self, stages, packets, labels, edges, update, clock=None):
+        self.stages = list(stages)
+        self.lo, self.hi = self.stages[0].index, self.stages[-1].index
+        self.packets = packets
+        self.labels = labels
+        self.edges = edges
+        self.update = list(update)  # apply each stage's gradient at once?
+        self.clock = clock or (lambda: 0.0)
+        self.counters = [StageCounters(st.index) for st in self.stages]
+        loss = self.stages[-1].spec.kind == "loss"
+        self.losses = np.zeros(len(labels)) if loss else None
+        self.grad_edge = None if loss else self.hi  # where bwd_in enters
+        self.acts: dict[int, list] = {}  # payload entering a forward
+        self.grads: dict[int, list] = {}  # ... and a backward
+        #: the stage whose op runs now: an error names this stage
+        self.active = self.lo
+        self._step = {
+            FWD: self.forward, BWD: self.backward,
+            FLUSH: self.flush, SET_LR: self.set_lr,
+        }
+
+    def run(self, ops) -> None:
+        """Run ``(kind, stage, arg)`` ops in order."""
+        step = self._step
+        for kind, s, arg in ops:
+            step[kind](s, arg)
+
+    def forward(self, s: int, p: int) -> None:
+        self.active = s
+        start, size = self.packets[p]
+        k = s - self.lo
+        stage = self.stages[k]
+        payload = self.edges.fwd_in(p, start, size) if k == 0 else (
+            self.acts.pop(p)
+        )
+        t0 = self.clock()
+        if stage.spec.kind == "loss":
+            lvec, glogits = softmax_xent_grad_batch(
+                payload[0], self.labels[start : start + size]
+            )
+            self.losses[start : start + size] = lvec
+            out = None
+        else:
+            out = stage.forward(start, payload)
+        c = self.counters[k]
+        c.forward_ops += 1
+        c.forward_samples += size
+        c.busy_seconds += self.clock() - t0
+        if out is None:
+            # the loss seeds this packet's backward (the plan's BWD in
+            # the same tick); the gradient is a fresh array
+            self.grads[p] = [glogits]
+        elif s == self.hi:
+            self.edges.fwd_out(p, start, size, out)
+        else:
+            self.acts[p] = out
+
+    def backward(self, s: int, p: int) -> None:
+        self.active = s
+        start, size = self.packets[p]
+        k = s - self.lo
+        stage = self.stages[k]
+        grads = self.edges.bwd_in(p, start, size) if s == self.grad_edge else (
+            self.grads.pop(p)
+        )
+        t0 = self.clock()
+        upstream = stage.backward(start, grads)
+        if self.update[k]:
+            stage.apply_update()
+        c = self.counters[k]
+        c.backward_ops += 1
+        c.backward_samples += size
+        c.busy_seconds += self.clock() - t0
+        if k:
+            self.grads[p] = upstream
+        else:
+            self.edges.bwd_out(p, start, size, upstream)
+
+    def flush(self, _s: int, count: int) -> None:
+        for stage in self.stages:
+            stage.flush_update(count)
+
+    def set_lr(self, _s: int, lr: float) -> None:
+        for stage in self.stages:
+            stage.lr = lr

@@ -5,11 +5,11 @@ The executor is a discrete-time *simulation*: one Python loop plays every
 stage's forward and backward sweep sequentially, so its utilization
 numbers are modeled, never measured.  The engines here execute the same
 pipeline the way PipeDream (Harlap et al. 2018) and torchgpipe (Kim et
-al. 2020) actually run one — **one worker per stage**, each transforming
-a ``(B, ...)`` micro-batch the moment it has one — by driving a
-:class:`~repro.pipeline.worker.WorkerGroup` (the per-stage loop, its
-channels and its control protocol are described once, in
-:mod:`repro.pipeline.worker`).  The
+al. 2020) actually run one — **one worker per contiguous group of
+stages**, each transforming a ``(B, ...)`` micro-batch the moment it
+has one — by driving a :class:`~repro.pipeline.worker.WorkerGroup` (the
+worker loops, their channels and their control protocol are described
+once, in :mod:`repro.pipeline.worker`).  The
 :class:`~repro.pipeline.schedule.Schedule` protocol is reused unchanged:
 injection gating, per-gradient vs averaged updates and weight stashing
 are the schedule's decisions in every engine.
@@ -19,8 +19,8 @@ schedule, optimizer state, ``state_dict`` and ``train`` — that
 overrides one step: how a validated batch is run.  This module is
 that step's parent side: ``train`` → ``_run`` (the crash-recovery
 restart loop) → ``_train_attempt`` → ``_launch`` (compile the plan,
-start the group) → ``_drive`` (collect one reply per worker, tear the
-group down).
+cut the groups, start them) → ``_drive`` (collect one reply per worker,
+tear the group down).
 :class:`ConcurrentPipelineRunner` and :class:`ProcessPipelineRunner`
 differ only in which host the group uses (threads over the engine's own
 stage objects, or processes over shared-memory rings with crash
@@ -32,40 +32,56 @@ Two execution modes
 
 Both modes are one protocol.  Every launch compiles the schedule
 (:meth:`Schedule.plan <repro.pipeline.schedule.Schedule.plan>`) and
-ships each worker its own column — the same plan the simulator
-interprets, flushes and LR changes included — and stage 0 the plan's
+ships each worker its own ops — the same plan the simulator runs,
+flushes and LR changes included — and stage 0's worker the plan's
 packets, which it reads itself.  The parent is off the hot path: it
 sends nothing, writes no packet and waits for one ``("state", ...)``
-reply per worker, each sent when that worker's column ends.  Stall
+reply per worker, each sent when that worker's ops end.  Stall
 detection is progress-based without messages: the wait restarts its
-deadline whenever stage 0's completion count (shared state beside the
-abort flag) moves.  The modes differ only in how strictly a worker
-follows its column (:mod:`repro.pipeline.worker`, "The loop").
+deadline whenever stage 0's completion count or, hosting a group, its
+worker's step count (shared state beside the abort flag) moves.  The
+modes differ only in how strictly a worker follows its ops
+(:mod:`repro.pipeline.worker`, "The loop").
 
-**lockstep** (``lockstep=True``) runs the column op by op, blocking on
-its channels.  A lockstep run is **bit-exact** with the simulator for
-every schedule — the contract pinned by ``tests/test_runtime_parity.py``
-and ``tests/test_process_runtime.py`` — without a per-tick barrier.
+**lockstep** (``lockstep=True``) runs stage groups in plan order,
+blocking only on their boundary channels: **bit-exact** with the
+simulator for every schedule and every cut, without a per-tick barrier
+(``tests/test_runtime_parity.py``, ``tests/test_process_runtime.py``,
+``tests/test_stage_groups.py``).
 
-**free-running** (``lockstep=False``, the default) runs the ops between
-two flushes as soon as packets arrive, which is the paper's actual
-claim — fine-grained pipelining keeps all stages busy in *wall-clock*
-time.  Losses and final weights are no longer bit-reproducible for the
-asynchronous schedules (``pb``/``1f1b``), because how far a gradient has
-travelled when a forward happens now depends on worker timing; what *is*
-guaranteed is the eq.-5 staleness ceiling (the workers' in-flight caps),
-packet FIFO ordering per stage, every op's learning rate (the one the
-simulator gives it), and exact schedule semantics for the synchronous
-schedules (``fill_drain``/``gpipe`` flush the averaged update between
-the same two batches at every stage, so their losses and weights equal
-the simulator's bit for bit).
+**free-running** (``lockstep=False``, the default) runs ``pb`` and
+``1f1b`` one stage per worker, each op as soon as its packet arrives —
+the paper's claim that fine-grained pipelining keeps every stage busy
+in *wall-clock* time.  Losses and weights then depend on worker timing;
+what is guaranteed is the eq.-5 staleness ceiling (the in-flight caps),
+per-stage FIFO order and every op's learning rate.  ``fill_drain`` and
+``gpipe`` change weights only at flushes, so no timing can move one of
+their bits: they always run as stage groups, recorded as lockstep.
+
+Stage groups
+------------
+
+A grouped launch cuts the stages into ``K = min(S, usable CPUs)``
+contiguous groups of about equal work
+(:func:`~repro.pipeline.partition.contiguous_partition` over each
+stage's parameters times its output positions, read off the boundary
+layouts of one dummy forward), the CPUs read at launch under the
+caller's affinity mask as serving lanes read them
+(:func:`~repro.pipeline.inference.usable_cpus`), one worker per group
+pinned to one CPU.  On one CPU that is the whole plan in one worker,
+with no channel.  Groups cannot change a bit, so nothing configures
+them; ``control["groups"]`` reports the cut and no checkpoint keeps it.
+A replica of :class:`ReplicatedPipelineRunner` keeps one stage per
+worker, unpinned: its reduce chain is per stage, and the replicas share
+the CPUs.
 
 Every run returns the same record the simulator does
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
 here with measured per-stage busy/idle wall-clock time next to the
 per-stage op counts; the op counts equal the modeled occupancy-grid
 totals of :mod:`repro.pipeline.occupancy` row by row (property-tested),
-tying the measured runtime back to the paper's timing model.
+tying the measured runtime back to the paper's timing model.  A
+worker's waits and wake-ups sit on its group's first stage.
 """
 
 from __future__ import annotations
@@ -83,9 +99,15 @@ from repro.pipeline.executor import (
     PipelineRunStats,
     check_stages_drained,
 )
+from repro.pipeline.inference import lane_cpus, usable_cpus
+from repro.pipeline.partition import contiguous_partition
 from repro.pipeline.schedule import FLUSH, Plan, Schedule, make_schedule
 from repro.pipeline.stage import STATE_ARRAYS, load_stage_states
-from repro.pipeline.transport import ShmRing, build_reduce_rings
+from repro.pipeline.transport import (
+    ShmRing,
+    build_reduce_rings,
+    probe_boundary_layouts,
+)
 from repro.pipeline.worker import (
     PipelineRuntimeError,
     WorkerGroup,
@@ -113,6 +135,10 @@ class _WorkerGroupEngine(PipelineExecutor):
     _reduce_plan: list[_ReduceSpec] | None = None
     #: the plan of the ``train()`` call in progress
     _plan: Plan | None = None
+    #: set by :class:`ReplicatedPipelineRunner` on its replicas: one
+    #: stage per worker, left unpinned, since the R replicas share the
+    #: CPUs
+    _replica = False
 
     def __init__(
         self,
@@ -140,6 +166,40 @@ class _WorkerGroupEngine(PipelineExecutor):
         self.stall_timeout = float(stall_timeout)
         self.restarts_used = 0
         self._layout_cache: dict[tuple, list] = {}
+        #: contiguous_partition's cut per (group count, layouts)
+        self._cuts: dict[tuple, list[tuple[int, ...]]] = {}
+
+    @property
+    def _grouped(self) -> bool:
+        """Whether a launch runs stage groups (module docstring, "Stage
+        groups"): every lockstep run and every run of a synchronous
+        schedule — except a synchronous replica's, whose reduce chain is
+        per stage."""
+        return self._reduce_plan is None and (
+            self.lockstep or not self.schedule.update_after_backward(0)
+        )
+
+    @property
+    def runtime_mode(self) -> str:
+        return "lockstep" if self.lockstep or self._grouped else "free_running"
+
+    def _groups(self, layouts) -> list[tuple[int, ...]]:
+        """This launch's cut: ``min(S, usable CPUs)`` contiguous groups,
+        the CPUs read under the caller's affinity mask now (a replica:
+        one stage each).  A stage costs its parameter count times its
+        output positions, read off the ring ``layouts``: a conv's work
+        grows with both."""
+        S = self.num_stages
+        k = S if self._replica else min(S, usable_cpus())
+        key = (k, tuple(layouts))
+        if key not in self._cuts:
+            outputs = layouts[1:] + [()]  # the loss stage emits none
+            self._cuts[key] = contiguous_partition([
+                sum(p.size for p in st.params)
+                * max((int(np.prod(a.shape[2:])) for a in out), default=1)
+                for st, out in zip(self.stages, outputs)
+            ], k)
+        return self._cuts[key]
 
     @property
     def _procs(self) -> list:
@@ -203,36 +263,63 @@ class _WorkerGroupEngine(PipelineExecutor):
         self, X: np.ndarray, Y: np.ndarray, empty_rounds: int = 0
     ) -> WorkerGroup:
         """Compile the plan and start this attempt's workers, each on
-        its stage's column, stage 0 with the plan's packets.  Apart from
-        :meth:`_drive` because the replicated runner launches every
-        group before it waits on any, and passes the reduce rounds a
-        replica's shard holds no samples of — ``(FLUSH, 0)`` ops at the
-        end of every column, which is also why an empty shard still
-        launches workers."""
-        self._plan = self._compile(X.shape[0])
-        columns = [
-            self._plan.column(s) + [(FLUSH, 0)] * empty_rounds
-            for s in range(self.num_stages)
-        ]
+        its group's ops (or, free-running, its stage's column), stage
+        0's with the plan's packets.  Apart from :meth:`_drive` because
+        the replicated runner launches every group before it waits on
+        any, and passes the reduce rounds a replica's shard holds no
+        samples of — ``(FLUSH, 0)`` ops at the end of every column,
+        which is also why an empty shard still launches workers."""
+        self._plan = plan = self._compile(X.shape[0])
+        width = max(1, self.schedule.micro_batch)
+        probe = np.zeros((width,) + X.shape[1:], dtype=X.dtype)
+        layouts = None
+        if self._backend == "process" or self._grouped:
+            # boundary layouts depend only on architecture + packet
+            # shape/dtype, so relaunches (per-segment drives, crash
+            # recovery) skip the dummy probe pass after the first
+            key = (probe.shape, str(probe.dtype))
+            if key not in self._layout_cache:
+                try:
+                    self._layout_cache[key] = probe_boundary_layouts(
+                        self.stages, probe
+                    )
+                except Exception as exc:
+                    # the probe is each stage's first forward: one that
+                    # raises fails the launch as its worker would
+                    s = getattr(exc, "stage_index", None)
+                    if s is None:
+                        raise
+                    raise PipelineRuntimeError(s, exc) from exc
+            layouts = self._layout_cache[key]
+        groups = cpus = None
+        if self._grouped:
+            groups = self._groups(layouts)
+            cpus = None if self._replica else lane_cpus(len(groups))
+            ops = [plan.ops(g[0], g[-1]) for g in groups]
+        else:
+            ops = [
+                plan.column(s) + [(FLUSH, 0)] * empty_rounds
+                for s in range(self.num_stages)
+            ]
         inputs = [
             (start, start, size, [X[start : start + size]])
             for start, size in self._plan.packets
         ]
-        width = max(1, self.schedule.micro_batch)
         self._group = WorkerGroup(
             self.stages,
-            np.zeros((width,) + X.shape[1:], dtype=X.dtype),
+            probe,
             processes=self._backend == "process",
             name="pipeline-stage",
             stall_timeout=self.stall_timeout,
-            plan=columns,
-            lockstep=self.lockstep,
+            plan=ops,
+            groups=groups,
+            cpus=cpus,
             update_after_backward=self.schedule.update_after_backward,
             batch=(inputs, Y),
             reduce_plan=self._reduce_plan,
             model_factory=self.model_factory,
             start_method=self.start_method,
-            layout_cache=self._layout_cache,
+            layouts=layouts,
         )
         return self._group
 
@@ -243,32 +330,42 @@ class _WorkerGroupEngine(PipelineExecutor):
         (:meth:`WorkerGroup.recv`)."""
         plan = self._plan
         S = self.num_stages
+        groups = group.groups
         failed = True
         try:
-            payloads = [group.recv(s, "state", watch)[1] for s in range(S)]
+            payloads = [
+                group.recv(w, "state", watch)[1] for w in range(len(groups))
+            ]
             failed = False
         finally:
             group.teardown(failed)
             self._group = self._plan = None
-        for stage, payload in zip(self.stages, payloads):
-            if payload["state"] is not None:
-                stage.load_state_dict(payload["state"])
-            stage.version_trace.extend(payload["version_trace"])
+        for members, payload in zip(groups, payloads):
+            if payload["states"] is None:  # threads trained these stages
+                continue
+            for s, state, trace in zip(
+                members, payload["states"], payload["version_traces"]
+            ):
+                self.stages[s].load_state_dict(state)
+                self.stages[s].version_trace.extend(trace)
         check_stages_drained(self.stages)
         losses = payloads[-1]["losses"]
         self.samples_completed += losses.shape[0]
         # free-running has no global clock: the plan's span is what
         # lockstep and the simulator take, so utilization stays comparable
         time_steps = len(plan.ticks)
+        K = len(groups)
         control = {
             "protocol": "plan",
             "time_steps": time_steps,
             "num_stages": S,
+            #: each worker's stages
+            "groups": list(groups),
             # the parent sends nothing while a plan runs: its only
             # control traffic is each worker's one reply
-            "msgs_received": S,
+            "msgs_received": K,
             "acks_received": 0,
-            "msgs_per_step": S / time_steps if time_steps else 0.0,
+            "msgs_per_step": K / time_steps if time_steps else 0.0,
         }
         return self._record(
             [c for payload in payloads for c in payload["counters"]],
@@ -281,7 +378,7 @@ class _WorkerGroupEngine(PipelineExecutor):
 
 class ConcurrentPipelineRunner(_WorkerGroupEngine):
     """Execute a :class:`StageGraphModel` pipeline with one worker thread
-    per stage (see module docstring for the design).
+    per stage group (see module docstring for the design).
 
     The constructor is :class:`PipelineExecutor`'s, plus:
 
@@ -306,7 +403,7 @@ class ConcurrentPipelineRunner(_WorkerGroupEngine):
 
 class ProcessPipelineRunner(_WorkerGroupEngine):
     """Execute a :class:`StageGraphModel` pipeline with one worker
-    *process* per stage and shared-memory packet transport.
+    *process* per stage group and shared-memory packet transport.
 
     The threaded runner shares one interpreter, so NumPy dispatch
     serializes on the GIL; here every stage is an OS process and
@@ -522,6 +619,7 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
                 max_restarts=0,  # recovery is coordinated at this level
                 precision=precision,
             )
+            rep._replica = True
             if rep.num_stages != self.num_stages:
                 raise ValueError(
                     "model_factory builds a "
@@ -679,10 +777,11 @@ def make_pipeline_engine(
     """Build the requested pipeline engine behind one switch.
 
     ``runtime="sim"`` returns the discrete-time :class:`PipelineExecutor`;
-    ``runtime="threaded"`` a :class:`ConcurrentPipelineRunner` (one worker
-    thread per stage); ``runtime="process"`` a
-    :class:`ProcessPipelineRunner` (one worker process per stage,
-    shared-memory transport).  ``replicas=R`` with ``R > 1`` (process
+    ``runtime="threaded"`` a :class:`ConcurrentPipelineRunner` (worker
+    threads); ``runtime="process"`` a :class:`ProcessPipelineRunner`
+    (worker processes, shared-memory transport) — one worker per stage
+    group, or per stage when free-running ``pb`` / ``1f1b`` (module
+    docstring).  ``replicas=R`` with ``R > 1`` (process
     runtime only) returns a :class:`ReplicatedPipelineRunner`: R
     data-parallel pipeline copies with cross-replica gradient reduction
     at update barriers.  The concurrent engines are free-running unless

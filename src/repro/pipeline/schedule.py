@@ -42,10 +42,10 @@ same tick, so a packet occupies ``2S - 1`` ticks — to produce a
     engine passes its LR schedule).
 
 Every reader of tick semantics reads the plan: the simulator
-(:meth:`~repro.pipeline.executor.PipelineExecutor._run`) interprets it
-tick by tick, every stage worker runs its own stage's
-:meth:`Plan.column` (op by op in lockstep, flush to flush when
-free-running), and
+(:meth:`~repro.pipeline.executor.PipelineExecutor._run`) runs every op
+in order, a worker hosting stages ``a..b`` runs :meth:`Plan.ops`
+``(a, b)`` in order, a free-running worker of one stage runs its
+:meth:`Plan.column` flush to flush, and
 :meth:`~repro.pipeline.occupancy.Occupancy.from_plan` renders it as a
 grid.
 
@@ -110,15 +110,19 @@ class Plan:
     #: the ``(kind, stage, arg)`` ops of every tick, in execution order
     ticks: list[list[tuple]]
 
+    def ops(self, lo: int, hi: int) -> list[tuple]:
+        """The ``(kind, stage, arg)`` ops of stages ``lo..hi`` and every
+        stage-wide op, in execution order: what a worker hosting that
+        contiguous range runs (all of them: what the simulator runs)."""
+        return [
+            op for tick in self.ticks for op in tick
+            if lo <= op[1] <= hi or op[1] < 0
+        ]
+
     def column(self, stage: int) -> list[tuple]:
         """Stage ``stage``'s ops in order, as ``(kind, arg)`` pairs: what
-        its worker runs."""
-        return [
-            (kind, arg)
-            for tick in self.ticks
-            for kind, s, arg in tick
-            if s == stage or s < 0
-        ]
+        a free-running worker of that one stage runs."""
+        return [(kind, arg) for kind, _, arg in self.ops(stage, stage)]
 
 
 class Schedule(ABC):

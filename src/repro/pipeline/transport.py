@@ -279,7 +279,8 @@ def probe_boundary_layouts(
     mode (so BatchNorm running stats and Dropout RNG streams are not
     touched); layout ``b`` describes the forward ring *into* stage ``b``
     — and, because a stage's backward output mirrors its forward input,
-    also the backward ring flowing back *out of* stage ``b``.
+    also the backward ring flowing back *out of* stage ``b``.  An
+    exception a stage raises leaves with that stage's ``stage_index``.
     """
     modules = [st.spec.module for st in stages if st.spec.module is not None]
     with modules_eval_mode(modules), no_grad():
@@ -287,7 +288,11 @@ def probe_boundary_layouts(
         layouts = [payload_specs(payload)]
         # the loss stage consumes, emits nothing
         for stage in stages[:-1]:
-            payload = stage.forward(-1, payload, train=False)
+            try:
+                payload = stage.forward(-1, payload, train=False)
+            except Exception as exc:
+                exc.stage_index = stage.index
+                raise
             layouts.append(payload_specs(payload))
     return layouts
 
@@ -608,6 +613,15 @@ def ring_slots_for(delay: int, slack: int = 2) -> int:
     return delay + 1 + max(0, int(slack))
 
 
+def group_slots(stages, group, slack: int = 2) -> int:
+    """Slots for each channel into a worker hosting the contiguous
+    stages ``group``, on either host: :func:`ring_slots_for` its first
+    stage, ``D_a + 1 + slack``, which covers every packet the group
+    holds a boundary slot for (:mod:`repro.pipeline.worker`, "The
+    loop")."""
+    return ring_slots_for(stages[group[0]].delay, slack)
+
+
 def _create_rings(specs: Iterable[tuple]) -> list[ShmRing]:
     """Create one ring per ``(label, arrays, slots)`` spec, all or
     nothing: a failure midway (e.g. ``/dev/shm`` exhaustion) closes and
@@ -636,14 +650,16 @@ def _boundary_layouts(stages, x_packet: np.ndarray, layouts) -> list:
 
 
 def build_pipeline_rings(
-    stages, x_packet: np.ndarray, slack: int = 2, layouts=None
+    stages, x_packet: np.ndarray, slack: int = 2, layouts=None, groups=None
 ) -> tuple[list[ShmRing], list[ShmRing]]:
     """Create every ring of a linear pipeline training run.
 
-    Returns ``(fwd_rings, bwd_rings)``, one pair per stage boundary:
-    ``fwd_rings[s]`` flows from stage ``s`` into stage ``s+1`` and
-    ``bwd_rings[s]`` from stage ``s+1`` back into stage ``s``.  No ring
-    flows into stage 0: it reads its packets from the batch itself.
+    Returns ``(fwd_rings, bwd_rings)``, one pair per boundary between
+    two workers: ``fwd_rings[w]`` flows from worker ``w`` into worker
+    ``w+1`` and ``bwd_rings[w]`` back.  ``groups`` lists each worker's
+    contiguous stage indices (default: one stage each); both rings into
+    a worker get its :func:`group_slots`.  No ring flows into stage 0: it
+    reads its packets from the batch itself.
 
     ``layouts`` accepts a precomputed :func:`probe_boundary_layouts`
     result; boundary layouts depend only on the architecture and the
@@ -652,19 +668,22 @@ def build_pipeline_rings(
     relaunches) can probe once and skip the dummy forward pass after.
     """
     layouts = _boundary_layouts(stages, x_packet, layouts)
+    if groups is None:
+        groups = [(s,) for s in range(len(stages))]
     created = _create_rings(
         spec
-        for s in range(len(stages) - 1)
+        for left, right in zip(groups, groups[1:])
+        for b, a in ((left[-1], right[0]),)
         for spec in (
             (
-                f"fwd[{s}->{s + 1}]",
-                layouts[s + 1],
-                ring_slots_for(stages[s + 1].delay, slack),
+                f"fwd[{b}->{a}]",
+                layouts[a],
+                group_slots(stages, right, slack),
             ),
             (
-                f"bwd[{s + 1}->{s}]",
-                layouts[s + 1],
-                ring_slots_for(stages[s].delay, slack),
+                f"bwd[{a}->{b}]",
+                layouts[a],
+                group_slots(stages, left, slack),
             ),
         )
     )

@@ -1,73 +1,94 @@
-"""One pipeline stage loop, hosted as a thread or as a process.
+"""The pipeline's worker loops, hosted as threads or as processes.
 
 The paper's argument is that fine-grained pipelined backpropagation
 makes every stage run the *same* tiny loop forever: take one activation,
 take one gradient, update, pass both on.  PipeDream's worker model
 (Harlap et al. 2018: backward priority plus an in-flight cap) is that
-loop again.  This module is the one place the loop is written outside
-the discrete-time simulator: :class:`StageWorker` is the loop,
-:class:`Lane` the serving stream's forward-only worker, and
-:class:`WorkerGroup` hosts one worker per stage (serving: one lane per
-CPU) and owns launch, health, replies and teardown.
+loop again, and PipeDream and torchgpipe give each device a contiguous
+block of layers.  Here :class:`StageWorker` runs a contiguous group of
+training stages in plan order, :class:`FreeStageWorker` one free-running
+stage, :class:`Lane` the serving stream's forward-only loop, and
+:class:`WorkerGroup` hosts them (one per group or stage; serving, one
+lane per CPU) and owns launch, health, replies and teardown.
 :mod:`repro.pipeline.runtime` (training) and
 :mod:`repro.pipeline.inference` (serving) are the parent-side drivers.
-
-The transformations mirror the simulator's op bodies
-(``PipelineExecutor._run``): loss-stage seeding, ``update_after_backward``
-and the op/sample accounting must stay in sync with it.  The bit-exact
-parity goldens (``tests/test_runtime_parity.py``,
-``tests/test_process_runtime.py``) pin that equivalence — any unsynced
-change to either side fails them at hex level.
+A training worker runs the simulator's own op bodies
+(:class:`~repro.pipeline.executor.StageOps`) and supplies only its
+group's edges.
 
 The loop
 --------
 
-A worker owns one :class:`~repro.pipeline.stage.PipelineStage` and runs
-one loop over it: its stage's column of the schedule's compiled plan
-(:meth:`Plan.column <repro.pipeline.schedule.Plan.column>`, shipped once
-in the worker's spec), walked in **segments**.  ``FWD`` and ``BWD`` ops
-make up a segment; a ``FLUSH`` ends it and is the only barrier, so a
-stage applies a batch's flush after its own last backward of that batch
-and before it forwards the next one.  Inside a segment the loop is
-PipeDream's: **backward priority** (the drain rule, and the
+A training worker hosts a contiguous run of stages ``a..b`` (a *group*;
+:mod:`repro.pipeline.runtime`, "Stage groups", says how many) and runs
+one of two loops over it.
+
+**In plan order** — every lockstep run and every run of a synchronous
+schedule.  The worker runs :meth:`Plan.ops
+<repro.pipeline.schedule.Plan.ops>` ``(a, b)``, shipped once in its
+spec: the plan's ticks restricted to its stages, in tick order and in
+order within a tick, ``FLUSH`` and ``SET_LR`` applied to all its stages
+where they fall.  Inside the group activations and gradients pass
+through ``StageOps``' dicts exactly as in the simulator, so the loss
+stage's same-tick ``FWD`` → ``BWD`` seeding holds by construction; only
+``a``'s inbound and ``b``'s outbound edges are channels.  Numerics
+depend only on each stage's op order (no two stages share mutable
+state) and channels are FIFO, so the run is bit-exact with the
+simulator whatever the cut; ``S`` groups of one stage are a worker per
+stage in lockstep.
+
+It cannot deadlock.  Every op waits only on ops of earlier ticks:
+``FWD s`` of a packet on its ``FWD s-1`` one tick before, ``BWD s`` on
+its ``BWD s+1`` one tick before (the loss stage's ``BWD`` on its own
+``FWD``, same tick, same worker).  Take the pending op with the
+smallest tick over all workers: everything it waits on has run, because
+each worker runs in tick order and none has a pending op at an earlier
+tick.  So it can run, provided no send blocks — and none does, by the
+channel sizes.  Both channels into group ``a..b`` have ``D_a + 1 +
+RING_SLACK`` slots (``D_s = 2(S-1-s)``, ``RING_SLACK = 2``), and the
+group holds a boundary slot from its receipt until that packet's
+``BWD a`` ("Channels").  At most one packet enters per tick, and the
+packet injected at tick ``i`` runs ``FWD s`` at tick ``i + s`` and
+``BWD s`` at ``i + 2(S-1) - s``.  Then:
+
+* *Forward into* ``a``.  When group ``g-1`` sends a packet (its ``FWD
+  a-1`` at tick ``u``) it has run its backwards of ticks ``<= u - 1``,
+  so group ``g`` has run — and released the slot of — every packet
+  whose ``BWD a`` is at tick ``<= u - 2``.  A held slot's packet has
+  ``FWD a`` in ``[u - 1 - D_a, u + 1]``: at most ``D_a + 3`` packets,
+  the one being sent included.  (Group ``g`` frees a slot right after
+  its gradient send, straight-line code that waits on nothing the
+  sender holds.)
+* *Backward into* ``b``.  When group ``g+1`` sends a packet's gradient,
+  group ``g`` has forwarded it at ``b``.  If group ``g``'s next op is
+  at tick ``t``, a held slot's packet has ``FWD b <= t`` and ``BWD a =
+  FWD b + D_b + (b - a) >= t``: at most ``D_b + (b - a) + 1 <= D_a +
+  1`` packets, since ``D_a = D_b + 2(b - a)``.
+
+**Free-running** — ``pb`` and ``1f1b`` unless lockstep, one stage per
+worker.  A :class:`FreeStageWorker` walks its stage's :meth:`Plan.column
+<repro.pipeline.schedule.Plan.column>` in **segments**: ``FWD`` and
+``BWD`` ops make up a segment, and a ``FLUSH`` ends it, the only
+barrier.  Inside a segment each op runs as soon as it is possible, by
+PipeDream's rule: **backward priority** (the drain rule, and the
 deadlock-freedom argument: the oldest in-flight packet can always
 progress) → a forward only while fewer than ``D_s + 1 = 2(S-1-s) + 1``
-packets sit between their forward and backward here → idle wait — each
-op kind up to its count in the segment, which is also what the idle
-wait's predicate asks about (a next-batch packet already waiting in a
-channel is not work yet).  ``SET_LR`` is not a
-barrier: every ``FWD`` / ``BWD`` / ``FLUSH`` runs under the learning
-rate of the last ``SET_LR`` before it in the column, and the stage keeps
-the column's last one.
+packets sit between their forward and backward here → idle wait, each
+op kind up to its count in the segment (a next-batch packet already in
+a channel is not work yet).  Every op runs under the learning rate of
+the last ``SET_LR`` before it in the column, and the stage keeps the
+column's last one.  The cap turns the paper's eq. 5 into a guaranteed
+staleness ceiling: the forward of sample ``i`` at stage ``s`` sees at
+least ``max(0, i - 2(S-1-s))`` updates applied.
 
-The two clocks differ only in how strictly a worker follows the column:
+Stage 0's group has no inbound channel.  The batch rides in its spec,
+as the loss stage's labels do: ``inputs`` holds the plan's packets, and
+``FWD`` of packet ``p`` takes the ``p``-th.  Stage 0 also adds every
+sample its backwards complete to the group's completion count, a shared
+number next to the abort flag, and, hosting a group, every op it runs
+to a step count beside it: all the parent watches for stall detection.
 
-* **lockstep** makes every op its own segment, so the column order is
-  exact.  Numerics depend only on each stage's op order (no two stages
-  share mutable state) and channels are FIFO, so the run is bit-exact
-  with the simulator, which interprets the same plan.
-
-  No barrier is needed.  A channel ``s+1`` slot is held only while its
-  packet is in flight at stage ``s`` (stage ``s+1`` releases it at its
-  backward, before stage ``s``'s), the plan keeps that count at ``<= D_s
-  + 1`` (eq. 5), and channel ``s+1`` has ``D_{s+1} + 1 + RING_SLACK =
-  D_s + 1`` slots, so a forward send never waits on anything that waits
-  on it; backward sends never block.
-* **free-running** runs a segment's ops as they become possible.  The
-  cap is PipeDream's in-flight bound; it also turns the paper's eq. 5
-  into a guaranteed staleness ceiling: the forward of sample ``i`` at
-  stage ``s`` sees at least ``max(0, i - 2(S-1-s))`` updates applied.
-  The synchronous schedules stay exact, since a flush still lands
-  between the same two batches at every stage.
-
-Stage 0 of a training run has no inbound channel.  The batch rides in
-its spec, as the loss stage's labels do: ``inputs`` holds the plan's
-packets in order, and each ``FWD`` takes the next one.  Stage 0 also
-adds every sample its backwards complete to the group's completion
-count, a shared number next to the abort flag, which is all the parent
-watches for stall detection.
-
-When its column ends a worker sends its one reply and returns.
+When its ops end a worker sends its one reply and returns.
 
 The lane
 --------
@@ -102,19 +123,23 @@ backward channel, control endpoint, abort flag) notifies the same
 condition; a ring's doorbells (``transport.py``, "Doorbells") are pipe
 bytes its peer writes, and an idle process-hosted worker blocks in one
 ``select`` over its inbound rings' bells, its control pipe and the abort
-flag's bell.  Both hosts size channel ``s`` at ``D_s + 1 + RING_SLACK``
-slots (a flat count for serving), which guarantees backward sends never
-block.  A serving stream's parent waits on every lane at once
+flag's bell.  Both hosts size each channel into a training group at
+its first stage's ``D_a + 1 + RING_SLACK`` slots
+(:func:`~repro.pipeline.transport.group_slots`; a flat count for
+serving), which is what keeps every send from blocking ("The loop").
+A serving stream's parent waits on every lane at once
 (:meth:`WorkerGroup.wait_lanes`): one ``select`` over the lanes' bells,
 or one condition that every lane's out channel (and, for free slots,
 every in channel's ``release``) notifies.
 
 Slot lifetime follows the autodiff engine's lazy reads (see
-``transport.py``): a compute stage's forward slot is released only when
-that packet's backward has run (FIFO, checked); every other slot is
-released as soon as its packet has been transformed and its output
-copied downstream — *after* the copy, because identity/sum stages pass
-views of the inbound slot through.
+``transport.py``): a training worker holds both of a packet's inbound
+slots — forward into ``a``, backward into ``b`` — until the packet
+leaves the group at ``a``'s backward, because a compute stage re-reads
+its forward input then and identity/sum stages pass views of either slot
+through; it frees them *after* its send upstream (FIFO, checked: each
+packet must be the one the plan has next).  A lane releases its slot as
+soon as the packet's output is copied out.
 
 Control messages
 ----------------
@@ -157,9 +182,9 @@ the worker runs *on*: a process host starts a
 process per launch (``fork`` hands each launch the parent's current
 state for free), a thread host does **not** start a thread per launch.
 
-Worker slot ``w`` of a thread-hosted group — ``pipeline-stage-w`` for
-training (where ``w`` is the stage), ``infer-stage-w`` for serving (the
-``w``-th lane) — is leased an idle **host
+Worker slot ``w`` of a thread-hosted group — ``pipeline-stage-a`` for
+training (where ``a`` is the first stage of its group),
+``infer-stage-w`` for serving (the ``w``-th lane) — is leased an idle **host
 thread** for that slot name (:class:`_HostThread`; a new one only when
 every host of that name is busy) and gives it back when
 :func:`_worker_main` returns.  The reason is glibc's per-thread malloc
@@ -218,7 +243,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.pipeline.executor import StageCounters, softmax_xent_grad_batch
+from repro.pipeline.executor import StageCounters, StageOps
 from repro.pipeline.schedule import BWD, FLUSH, SET_LR
 from repro.pipeline.stage import PipelineStage
 from repro.pipeline.transport import (
@@ -230,8 +255,7 @@ from repro.pipeline.transport import (
     block_on_bells,
     build_inference_rings,
     build_pipeline_rings,
-    probe_boundary_layouts,
-    ring_slots_for,
+    group_slots,
 )
 from repro.tensor.ops_conv import _scratch
 from repro.tensor.tensor import enable_grad, no_grad
@@ -426,12 +450,13 @@ def _local_pipe(parent_cond, child_cond) -> tuple[LocalConn, LocalConn]:
 class _LocalAbort(threading.Event):
     """Abort flag of a thread-hosted group: setting it also wakes every
     waiter, since they block on condition variables instead of polling.
-    It also carries the group's completion count (:class:`_SharedAbort`)."""
+    It also carries the group's progress counts (:class:`_SharedAbort`)."""
 
     def __init__(self, conds: Sequence[threading.Condition]):
         super().__init__()
         self._conds = conds
         self.completed = ctypes.c_int64()
+        self.steps = ctypes.c_int64()
 
     def set(self) -> None:
         super().set()
@@ -455,11 +480,15 @@ class _SharedAbort:
     sibling and the parent's crash recovery on their next check.
 
     ``completed`` is the group's completion count, a lock-free shared
-    int64 with one writer: the samples whose backward stage 0 has run."""
+    int64 with one writer: the samples whose backward stage 0 has run.
+    ``steps``, written by the same worker when it hosts a stage group,
+    counts the ops it has run: one group may run a whole fill between
+    two completions."""
 
     def __init__(self, ctx):
         self._flag = ctx.RawValue("b", 0)
         self.completed = ctx.RawValue("q", 0)
+        self.steps = ctx.RawValue("q", 0)
         self._bell = Doorbell()
 
     def set(self) -> None:
@@ -604,25 +633,28 @@ class _ReduceSpec:
 @dataclass
 class _WorkerSpec:
     """Everything one worker needs, picklable under ``spawn``: a training
-    stage's, or — with no ``plan`` — a serving lane's."""
+    group's, or — with no ``plan`` — a serving lane's."""
 
     conn: Any  # Connection | LocalConn
     fwd_in: Any  # ShmRing | LocalChannel; None for stage 0 of a training run
-    fwd_out: Any  # None for the loss stage
+    fwd_out: Any  # None for the loss stage's group
     abort: Any  # _SharedAbort | _LocalAbort
     stall_timeout: float
     stages: list | None  # threads and fork: the stage objects themselves
     build_specs: list | None = None  # a rebuild recipe per stage ...
     stage_states: list | None = None  # ... and the weights to load into it
-    plan: list | None = None  # this stage's Plan.column; None: a lane
-    lockstep: bool = False  # every op of the column its own segment
-    update_after_backward: bool = False
-    bwd_in: Any = None  # None for the loss stage
-    bwd_out: Any = None  # None for stage 0
-    inputs: list | None = None  # stage 0 of a training run: its packets
-    labels: np.ndarray | None = None  # loss stage only
+    #: the group's Plan.ops, or a free-running stage's Plan.column;
+    #: None: a lane
+    plan: list | None = None
+    free_running: bool = False  # one stage, its column in segments
+    update_after_backward: tuple = ()  # per stage of the group
+    packets: list | None = None  # the plan's (start, size) per packet
+    bwd_in: Any = None  # None for the loss stage's group
+    bwd_out: Any = None  # None for stage 0's group
+    inputs: list | None = None  # stage 0's group: its packets
+    labels: np.ndarray | None = None  # the loss stage's group only
     reduce: _ReduceSpec | None = None  # replicated runs only
-    cpus: tuple | None = None  # a lane: the CPU it runs on
+    cpus: tuple | None = None  # the CPUs it runs on (None: the launcher's)
 
 
 class _Worker:
@@ -638,8 +670,12 @@ class _Worker:
 
     # wait_seconds / wakeups accounting: everywhere a loop can block —
     # the idle wait, a packet that has not arrived yet, a send into a
-    # full channel — goes through _blocked, so busy + wait is the
-    # worker's lifetime less its own bookkeeping.
+    # full channel — goes through _blocked.  Every packet hand-off that
+    # does not block — taking a packet that is there, a send into a
+    # channel with room, a slot release — goes through _handoff: each
+    # may wake a peer, and a worker that has just woken one may sit
+    # descheduled right there.  busy + wait + hand-off is the worker's
+    # lifetime less its bookkeeping (control checks, loop overhead).
 
     def _blocked(self, block, *args):
         t0 = time.perf_counter()
@@ -649,9 +685,16 @@ class _Worker:
             self.counters.wait_seconds += time.perf_counter() - t0
             self.counters.wakeups += 1
 
+    def _handoff(self, step, *args):
+        t0 = time.perf_counter()
+        try:
+            return step(*args)
+        finally:
+            self.counters.handoff_seconds += time.perf_counter() - t0
+
     def _send(self, channel, pid, start, size, payload) -> None:
         spec = self.spec
-        if not channel.try_send(pid, start, size, payload):
+        if not self._handoff(channel.try_send, pid, start, size, payload):
             self._blocked(
                 channel.send, pid, start, size, payload, spec.stall_timeout,
                 spec.abort,
@@ -673,53 +716,36 @@ class _Worker:
 
 
 class StageWorker(_Worker):
-    """One training stage's event loop (module docstring, "The loop")."""
+    """A training worker: the contiguous stages ``a..b`` of its spec,
+    their plan ops run in order (module docstring, "The loop").  The
+    op bodies are :class:`~repro.pipeline.executor.StageOps`', the
+    simulator's own; this worker is their ``edges``: the channel into
+    ``a`` (stage 0: its own packets) and the one out of ``b`` forward,
+    the channel into ``b`` and the one out of ``a`` backward."""
 
-    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
-        super().__init__(spec, StageCounters(index=stage.index))
-        self.stage = stage
-        self.s = stage.index
-        self.is_loss = stage.spec.kind == "loss"
-        self.losses = np.zeros(len(spec.labels)) if self.is_loss else None
+    def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
+        self.stages = list(stages)
+        self.ops = StageOps(
+            stages, spec.packets, spec.labels, self,
+            spec.update_after_backward, clock=time.perf_counter,
+        )
+        super().__init__(spec, self.ops.counters[0])
         #: a process host's worker returns its trained state
         self.ship_state = not isinstance(spec.conn, LocalConn)
-        #: the next forward packet: from the channel or, at stage 0, the
-        #: next of its own packets
-        self._next_fwd = (
-            deque(spec.inputs or ()).popleft if spec.fwd_in is None
-            else spec.fwd_in.try_recv
-        )
-        #: compute stages re-read forward inputs lazily at backward time,
-        #: so their inbound forward slot outlives the forward op
-        self.defer_fwd_release = stage.spec.kind == "compute"
-        #: packets forwarded, not yet backwarded: backwards run FIFO
-        self._pending_fwd: deque[int] = deque()
-        #: the loss stage's own backward packet, seeded by its forward
-        self._seeded = None
-        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
-        self.in_flight = 0
-        #: the running segment: the learning rate of each forward and of
-        #: each backward it has left (module docstring, "The loop")
-        self._fwd: deque[float] = deque()
-        self._bwd: deque[float] = deque()
-        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
-        #: (a loss-only pipeline has no channel, and never waits)
-        self._idle_wait = inbound and inbound[0].idle_wait(
-            spec.conn, spec.abort, *inbound[1:]
-        )
-        self._reduce_round = 0  # packet ids on the reduce rings
         if self.ship_state:
             # ship only THIS run's version trace back; the parent extends
             # its accumulated list.  A fork-inherited stage would
             # otherwise carry — and duplicate — prior runs' entries.
-            stage.version_trace = []
-        if spec.reduce is not None:
-            # replicated sync runs fold per-packet gradient segments
-            # across replicas instead of accumulating locally
-            stage.collect_grad_segments = True
+            for stage in stages:
+                stage.version_trace = []
+
+    @property
+    def active(self) -> int:
+        """The stage whose op runs now: an error names it."""
+        return self.ops.active
 
     def _recv(self, channel, what: str):
-        pkt = channel.try_recv()
+        pkt = self._handoff(channel.try_recv)
         if pkt is None:
             spec = self.spec
             pkt = self._blocked(
@@ -727,81 +753,103 @@ class StageWorker(_Worker):
             )
         return pkt
 
-    # -- packet transformations -------------------------------------------
+    def _take(self, channel, start: int, what: str) -> list:
+        """The payload of the next packet on ``channel``, which must be
+        the one the plan has next (channels are FIFO)."""
+        s = self.active
+        pid, _, _, payload = self._recv(channel, f"stage {s} {what} packet")
+        if pid != start:
+            raise RuntimeError(
+                f"stage {s}: {what} packet {pid} arrived where the plan "
+                f"has packet {start} — FIFO violated"
+            )
+        return payload
 
-    # busy_seconds accounting: only the transformations themselves are
-    # timed — blocking sends (downstream backpressure) fall outside the
-    # window, so busy fractions stay comparable across hosts.
+    # -- the edges (StageOps) ---------------------------------------------
 
-    def _forward(self, pkt) -> None:
-        """Transform one inbound forward packet."""
-        pid, start, size, payload = pkt
-        spec = self.spec
+    def fwd_in(self, p: int, start: int, size: int) -> list:
         if self._t0 is None:
             self._t0 = time.perf_counter()
-        t0 = time.perf_counter()
-        if self.is_loss:
-            lvec, out = softmax_xent_grad_batch(
-                payload[0], spec.labels[start : start + size]
-            )
-            self.losses[start : start + size] = lvec
-        else:
-            out = self.stage.forward(pid, payload)
-        self.counters.forward_ops += 1
-        self.counters.forward_samples += size
-        self.counters.busy_seconds += time.perf_counter() - t0
-        if self.is_loss:
-            # seeds this packet's backward, run next (the plan's BWD in
-            # the same tick); the gradient is a fresh array
-            self._seeded = (pid, start, size, [out])
-        else:
-            # copy downstream *before* releasing anything the output may
-            # alias (identity/sum stages pass views of the inbound slot)
-            self._send(spec.fwd_out, pid, start, size, out)
-            self._pending_fwd.append(pid)
-            self.in_flight += 1
-        if spec.fwd_in is not None and not self.defer_fwd_release:
-            spec.fwd_in.release()
+        spec = self.spec
+        if spec.fwd_in is None:
+            return spec.inputs[p][3]
+        return self._take(spec.fwd_in, start, "fwd")
 
-    def _has_backward(self) -> bool:
-        bwd_in = self.spec.bwd_in
-        return self._seeded is not None or (
-            bwd_in is not None and bwd_in.poll()
+    def fwd_out(self, p: int, start: int, size: int, out: list) -> None:
+        self._send(self.spec.fwd_out, start, start, size, out)
+
+    def bwd_in(self, p: int, start: int, size: int) -> list:
+        return self._take(self.spec.bwd_in, start, "bwd")
+
+    def bwd_out(self, p: int, start: int, size: int, upstream) -> None:
+        """The packet leaves the group: count it complete (stage 0) or
+        send its gradient on, then free the slots it held here — after
+        the send, since identity and sum stages pass views of them
+        through (module docstring, "Channels")."""
+        spec = self.spec
+        if spec.bwd_out is None:
+            spec.abort.completed.value += size
+        else:
+            self._send(spec.bwd_out, start, start, size, upstream)
+        if spec.bwd_in is not None:
+            self._handoff(spec.bwd_in.release)
+        if spec.fwd_in is not None:
+            self._handoff(spec.fwd_in.release)
+
+    # -- the loop -----------------------------------------------------------
+
+    def run(self) -> None:
+        """Run the group's ops in plan order, then reply."""
+        abort, plan = self.spec.abort, self.spec.plan
+        steps = abort.steps if self.ops.lo == 0 else None
+
+        def ops():
+            for op in plan:
+                if abort.is_set():
+                    raise TransportAborted(f"stage {self.active}: run aborted")
+                yield op
+                if steps is not None:
+                    steps.value += 1
+
+        self.ops.run(ops())
+        self._finish()
+
+    def _finish(self) -> None:
+        ship = self.ship_state
+        self._reply(
+            self.ops.counters,
+            losses=self.ops.losses,
+            states=[st.state_dict() for st in self.stages] if ship else None,
+            version_traces=(
+                [list(st.version_trace) for st in self.stages]
+                if ship else None
+            ),
         )
 
-    def _backward(self) -> None:
-        """Transform the next backward packet — the loss stage's seeded
-        one, or the next on the backward channel — and, at stage 0,
-        count its samples completed."""
-        spec = self.spec
-        seeded = self._seeded is not None
-        if seeded:
-            pkt, self._seeded = self._seeded, None
-        else:
-            pkt = self._recv(spec.bwd_in, f"stage {self.s} bwd packet")
-        pid, start, size, grads = pkt
-        t0 = time.perf_counter()
-        upstream = self.stage.backward(pid, grads)
-        if spec.update_after_backward:
-            self.stage.apply_update()
-        self.counters.backward_ops += 1
-        self.counters.backward_samples += size
-        self.counters.busy_seconds += time.perf_counter() - t0
-        if spec.bwd_out is not None:
-            self._send(spec.bwd_out, pid, start, size, upstream)
-        if not seeded:
-            spec.bwd_in.release()  # gradients are consumed eagerly
-            self.in_flight -= 1
-            expect = self._pending_fwd.popleft()
-            if expect != pid:
-                raise RuntimeError(
-                    f"stage {self.s}: backward for packet {pid} "
-                    f"arrived before packet {expect}'s — FIFO violated"
-                )
-            if spec.fwd_in is not None and self.defer_fwd_release:
-                spec.fwd_in.release()
-        if self.s == 0:
-            spec.abort.completed.value += size
+
+class FreeStageWorker(StageWorker):
+    """One stage, free-running: its column walked in segments (module
+    docstring, "The loop"), the same op bodies run as packets arrive."""
+
+    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
+        super().__init__(spec, [stage])
+        self.stage = stage
+        self.s = stage.index
+        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
+        #: the running segment: the learning rate and packet of each
+        #: forward and of each backward it has left
+        self._fwd: deque[tuple] = deque()
+        self._bwd: deque[tuple] = deque()
+        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
+        #: (a loss-only pipeline has no channel, and never waits)
+        self._idle_wait = inbound and inbound[0].idle_wait(
+            spec.conn, spec.abort, *inbound[1:]
+        )
+        self._reduce_round = 0  # packet ids on the reduce rings
+        if spec.reduce is not None:
+            # replicated sync runs fold per-packet gradient segments
+            # across replicas instead of accumulating locally
+            stage.collect_grad_segments = True
 
     # -- control ----------------------------------------------------------
 
@@ -855,7 +903,8 @@ class StageWorker(_Worker):
             size = max((int(a.shape[0]) for a in acc), default=0)
             self._send(red.chain_out, pid, total, size, acc)
             if red.chain_in is not None:
-                red.chain_in.release()  # the send copied the views out
+                # the send copied the views out
+                self._handoff(red.chain_in.release)
             pkt = self._recv(
                 red.result_in,
                 f"stage {self.s} reduce result (rank {red.rank})",
@@ -864,13 +913,13 @@ class StageWorker(_Worker):
             result = [np.array(a, copy=True) for a in pkt[3]]
             if red.result_out is not None:
                 self._send(red.result_out, pid, total, pkt[2], pkt[3])
-            red.result_in.release()
+            self._handoff(red.result_in.release)
         else:
             # last rank: its fold IS the global sum.  Copy before
             # releasing the inbound slot the views may alias.
             result = [np.array(a, copy=True) for a in acc]
             if red.chain_in is not None:
-                red.chain_in.release()
+                self._handoff(red.chain_in.release)
             size = max((int(a.shape[0]) for a in result), default=0)
             self._send(red.result_out, pid, total, size, result)
         if params:
@@ -888,10 +937,9 @@ class StageWorker(_Worker):
     def run(self) -> None:
         """Walk the column in segments, then reply (module docstring,
         "The loop")."""
-        spec = self.spec
         stage = self.stage
         lr = stage.lr
-        for kind, arg in spec.plan:
+        for kind, arg in self.spec.plan:
             if kind == SET_LR:
                 lr = arg
             elif kind == FLUSH:
@@ -899,26 +947,25 @@ class StageWorker(_Worker):
                 stage.lr = lr
                 self._flush(arg)
             else:
-                (self._bwd if kind == BWD else self._fwd).append(lr)
-                if spec.lockstep:
-                    self._run_segment()
+                (self._bwd if kind == BWD else self._fwd).append((lr, arg))
         self._run_segment()
         stage.lr = lr
-        ship = self.ship_state
-        self._reply(
-            [self.counters],
-            losses=self.losses,
-            state=stage.state_dict() if ship else None,
-            version_trace=list(stage.version_trace) if ship else (),
-        )
+        self._finish()
 
     def _may_backward(self) -> bool:
-        return bool(self._bwd) and self._has_backward()
+        bwd_in = self.spec.bwd_in
+        # the loss stage's backward is the one its forward seeded
+        return bool(self._bwd) and bool(
+            self.ops.grads or (bwd_in is not None and bwd_in.poll())
+        )
 
     def _may_forward(self) -> bool:
         fwd_in = self.spec.fwd_in
-        return bool(self._fwd) and self.in_flight < self.cap and (
-            fwd_in is None or fwd_in.poll()
+        c = self.counters
+        return (
+            bool(self._fwd)
+            and c.forward_ops - c.backward_ops < self.cap
+            and (fwd_in is None or fwd_in.poll())
         )
 
     def _has_work(self) -> bool:
@@ -935,11 +982,11 @@ class StageWorker(_Worker):
             if abort.is_set():
                 raise TransportAborted(f"stage {self.s}: run aborted")
             if self._may_backward():
-                self.stage.lr = self._bwd.popleft()
-                self._backward()
+                self.stage.lr, p = self._bwd.popleft()
+                self.ops.backward(self.s, p)
             elif self._may_forward():
-                self.stage.lr = self._fwd.popleft()
-                self._forward(self._next_fwd())
+                self.stage.lr, p = self._fwd.popleft()
+                self.ops.forward(self.s, p)
             else:
                 self._blocked(self._idle_wait, self._has_work)
 
@@ -976,7 +1023,7 @@ class Lane(_Worker):
             while not spec.conn.poll():
                 if spec.abort.is_set():
                     raise TransportAborted("serving lane: run aborted")
-                pkt = spec.fwd_in.try_recv()
+                pkt = self._handoff(spec.fwd_in.try_recv)
                 if pkt is None:
                     self._blocked(self._idle_wait, self._has_work)
                     continue
@@ -994,7 +1041,7 @@ class Lane(_Worker):
                 # copy downstream *before* releasing the slot the output
                 # may alias (identity/sum stages pass views of the slot)
                 self._send(spec.fwd_out, pid, start, size, out)
-                spec.fwd_in.release()
+                self._handoff(spec.fwd_in.release)
         spec.conn.recv()  # finalize, a stream's one message
         self._reply([counters for _, counters in self.stages])
 
@@ -1017,8 +1064,10 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 stage.load_state_dict(state)
         if spec.plan is None:
             worker = Lane(spec, stages)
+        elif spec.free_running:
+            worker = FreeStageWorker(spec, *stages)
         else:
-            worker = StageWorker(spec, *stages)
+            worker = StageWorker(spec, stages)
         worker.run()
     except TransportAborted:
         pass  # the parent is tearing the run down; exit quietly
@@ -1026,7 +1075,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
         # an exception object only crosses an in-process endpoint
         cause = exc if isinstance(spec.conn, LocalConn) else None
         where = (spec.stages or spec.build_specs)[0].index
-        if isinstance(worker, Lane):
+        if worker is not None:
             where = worker.active
         try:
             spec.conn.send(
@@ -1047,40 +1096,33 @@ def _worker_main(spec: _WorkerSpec) -> None:
 
 def _chain(fwd: list, bwd: list) -> list[tuple]:
     """Each training worker's ``(fwd_in, fwd_out, bwd_in, bwd_out)``:
-    worker ``s`` reads ``fwd[s]`` / ``bwd[s]`` and writes ``fwd[s + 1]``
-    / ``bwd[s - 1]``."""
-    S = len(fwd)
+    worker ``w`` reads ``fwd[w]`` / ``bwd[w]`` and writes ``fwd[w + 1]``
+    / ``bwd[w - 1]``."""
+    K = len(fwd)
     return [
-        (fwd[s], fwd[s + 1] if s + 1 < S else None, bwd[s],
-         bwd[s - 1] if s else None)
-        for s in range(S)
+        (fwd[w], fwd[w + 1] if w + 1 < K else None, bwd[w],
+         bwd[w - 1] if w else None)
+        for w in range(K)
     ]
 
 
-def _build_rings(stages, probe, lanes, slots, layouts, layout_cache):
+def _build_rings(stages, probe, lanes, slots, layouts, groups):
     """The shared-memory rings of a process-hosted run: each training
-    worker's ``(fwd_in, fwd_out, bwd_in, bwd_out)`` — no ring into stage
+    group's ``(fwd_in, fwd_out, bwd_in, bwd_out)`` — no ring into stage
     0, which reads its own packets — or each lane's ``(in, out)``."""
-    if layouts is None:
-        # boundary layouts depend only on architecture + packet
-        # shape/dtype, so relaunches (per-segment drives, crash
-        # recovery) skip the dummy probe pass after the first
-        key = (probe.shape, str(probe.dtype))
-        layouts = layout_cache.get(key)
-        if layouts is None:
-            layouts = layout_cache[key] = probe_boundary_layouts(stages, probe)
     if lanes is not None:
         return build_inference_rings(stages, probe, slots, layouts, len(lanes))
-    fwd, bwd = build_pipeline_rings(stages, probe, RING_SLACK, layouts)
+    fwd, bwd = build_pipeline_rings(stages, probe, RING_SLACK, layouts, groups)
     return _chain([None] + fwd, bwd + [None])
 
 
 class WorkerGroup:
-    """Host one :class:`StageWorker` per stage — or one :class:`Lane`
-    per entry of ``lanes`` — as threads over the parent's own stage
-    objects, or as processes over shared-memory rings, and own launch,
-    message receipt with a deadline, error attribution, the dead-worker
-    watchdog and teardown.
+    """Host one :class:`StageWorker` per entry of ``groups`` — one
+    :class:`FreeStageWorker` per stage without them, or one
+    :class:`Lane` per entry of ``lanes`` — as threads over the parent's
+    own stage objects, or as processes over shared-memory rings, and own
+    launch, message receipt with a deadline, error attribution, the
+    dead-worker watchdog and teardown.
 
     The constructor launches; a failure midway tears down whatever was
     created.  ``stages`` is the whole pipeline.  Lane ``w`` runs every
@@ -1092,11 +1134,15 @@ class WorkerGroup:
     errors it raises name a stage.  ``probe`` is a max-width input
     packet (shape and dtype size the rings; ``layouts``, when given, are
     its :func:`~repro.pipeline.transport.probe_boundary_layouts`).
+    ``groups[w]`` is training worker ``w``'s contiguous stage indices
+    and ``plan[w]`` its :meth:`Plan.ops
+    <repro.pipeline.schedule.Plan.ops>`, run in order on CPU ``cpus[w]``
+    (``None``: wherever the launcher may run); without ``groups``,
     ``plan[s]`` is stage ``s``'s :meth:`Plan.column
-    <repro.pipeline.schedule.Plan.column>`, run op by op when
-    ``lockstep``.  A training run's ``batch`` is ``(inputs, labels)``:
-    stage 0's packets ``(pid, start, size, [x])`` in plan order, which
-    it reads instead of a channel, and the loss stage's labels.
+    <repro.pipeline.schedule.Plan.column>`, run free.  A training run's
+    ``batch`` is ``(inputs, labels)``: stage 0's packets ``(pid, start,
+    size, [x])`` in plan order, which it reads instead of a channel, and
+    the loss stage's labels.
     """
 
     def __init__(
@@ -1108,7 +1154,8 @@ class WorkerGroup:
         name: str,
         stall_timeout: float,
         plan: Sequence[list] | None = None,
-        lockstep: bool = False,
+        groups: Sequence[tuple[int, ...]] | None = None,
+        cpus: Sequence[int | None] | None = None,
         lanes: Sequence[int | None] | None = None,
         slots: int | None = None,
         update_after_backward: Callable[[int], bool] = lambda s: False,
@@ -1117,7 +1164,6 @@ class WorkerGroup:
         model_factory=None,
         start_method: str | None = None,
         layouts: list | None = None,
-        layout_cache: dict | None = None,
     ):
         self.stall_timeout = float(stall_timeout)
         self.workers: list = []  # _HostedWorker | Process
@@ -1132,9 +1178,16 @@ class WorkerGroup:
         self._lane_conds: tuple | None = None
         S = len(stages)
         forward_only = lanes is not None
-        count = len(lanes) if forward_only else S
-        #: the stage worker ``w``'s errors name: a lane's first, or its own
-        self._stage = [0] * count if forward_only else list(range(S))
+        free = groups is None
+        #: each training worker's stages
+        self.groups = [] if forward_only else [
+            tuple(g) for g in (groups or [(s,) for s in range(S)])
+        ]
+        count = len(lanes) if forward_only else len(self.groups)
+        #: the stage worker ``w``'s errors name: a lane's or group's first
+        self._stage = [0] * count if forward_only else [
+            g[0] for g in self.groups
+        ]
         rebuild = False
         try:
             if processes:
@@ -1148,8 +1201,7 @@ class WorkerGroup:
                 pipes = [ctx.Pipe(duplex=True) for _ in range(count)]
                 host = partial(ctx.Process, daemon=True)
                 wiring = _build_rings(
-                    stages, probe, lanes, slots, layouts,
-                    {} if layout_cache is None else layout_cache,
+                    stages, probe, lanes, slots, layouts, self.groups
                 )
             else:
                 # a channel's condition is its consumer's wake-up
@@ -1174,16 +1226,23 @@ class WorkerGroup:
                         for w in range(count)
                     ]
                 else:
-                    def channel(kind: str, s: int) -> LocalChannel:
+                    def channel(kind: str, w: int, s: int) -> LocalChannel:
+                        # into worker w at its stage s
                         return LocalChannel(
-                            wakes[s],
-                            ring_slots_for(stages[s].delay, RING_SLACK),
+                            wakes[w],
+                            group_slots(stages, self.groups[w], RING_SLACK),
                             f"{kind}[->{s}]",
                         )
 
                     wiring = _chain(
-                        [None] + [channel("fwd", s) for s in range(1, S)],
-                        [channel("bwd", s) for s in range(S - 1)] + [None],
+                        [None] + [
+                            channel("fwd", w, self.groups[w][0])
+                            for w in range(1, count)
+                        ],
+                        [
+                            channel("bwd", w, self.groups[w][-1])
+                            for w in range(count - 1)
+                        ] + [None],
                     )
                 self.abort = _LocalAbort(
                     wakes + mine + list(self._lane_conds or ())
@@ -1198,6 +1257,7 @@ class WorkerGroup:
                     c for wired in wiring for c in wired[::2] if c is not None
                 ]
             self._rx_buf = [deque() for _ in range(count)]
+            packets = [(p[1], p[2]) for p in batch[0]] if batch else []
             for w in range(count):
                 parent_conn, child_conn = pipes[w]
                 if forward_only:
@@ -1207,18 +1267,24 @@ class WorkerGroup:
                         cpus=None if lanes[w] is None else (lanes[w],),
                     )
                 else:
-                    owned = [stages[w]]
+                    group = self.groups[w]
+                    owned = [stages[s] for s in group]
                     fwd_in, fwd_out, bwd_in, bwd_out = wiring[w]
+                    cpu = None if cpus is None else cpus[w]
                     role = dict(
                         fwd_in=fwd_in, fwd_out=fwd_out,
                         bwd_in=bwd_in, bwd_out=bwd_out,
                         plan=[] if plan is None else plan[w],
-                        lockstep=lockstep,
-                        update_after_backward=update_after_backward(w),
+                        free_running=free,
+                        update_after_backward=tuple(
+                            update_after_backward(s) for s in group
+                        ),
+                        packets=packets,
                         inputs=batch[0] if batch and w == 0 else None,
                         # the loss stage is the last (validate_stage_graph)
-                        labels=batch[1] if batch and w == S - 1 else None,
+                        labels=batch[1] if batch and w == count - 1 else None,
                         reduce=None if reduce_plan is None else reduce_plan[w],
+                        cpus=None if cpu is None else (cpu,),
                     )
                 spec = _WorkerSpec(
                     conn=child_conn,
@@ -1239,7 +1305,9 @@ class WorkerGroup:
                     host(
                         target=_worker_main,
                         args=(spec,),
-                        name=f"{name}-{w}",
+                        # a training worker's slot is named after its
+                        # first stage
+                        name=f"{name}-{w if forward_only else self._stage[w]}",
                     )
                 )
             for w in self.workers:
@@ -1355,7 +1423,8 @@ class WorkerGroup:
         """One message from worker ``w``.
 
         Blocks until the stall deadline, which restarts whenever the
-        group's completion count moves, and raises when it passes.
+        group's completion count or step count moves, and raises when it
+        passes.
         Meanwhile worker health is polled every 50 ms — this group's, or
         whatever ``watch()`` checks instead — so a dead or failed worker
         raises :class:`PipelineRuntimeError` instead of stalling out.  A
@@ -1366,7 +1435,8 @@ class WorkerGroup:
         conn = self._conns[w]
         buffered = self._rx_buf[w]
         s = self._stage[w]
-        progress = self.abort.completed.value
+        abort = self.abort
+        progress = abort.completed.value + abort.steps.value
         deadline = time.monotonic() + self.stall_timeout
         while not buffered and not conn.poll(min(self.stall_timeout, 0.05)):
             (watch or self.check_errors)()  # may stash worker w's messages
@@ -1377,8 +1447,9 @@ class WorkerGroup:
                     s, RuntimeError("worker exited without replying")
                 )
             now = time.monotonic()
-            if self.abort.completed.value != progress:
-                progress = self.abort.completed.value
+            moved = abort.completed.value + abort.steps.value
+            if moved != progress:
+                progress = moved
                 deadline = now + self.stall_timeout
             elif now >= deadline:
                 raise RuntimeError(

@@ -81,7 +81,8 @@ def _progress(runner) -> int:
 
 
 class _WorkerKiller:
-    """SIGKILLs one stage worker once the run has made some progress.
+    """SIGKILLs the worker hosting one stage once the run has made some
+    progress.
 
     Waits until the runner has completed a couple of samples (so the
     kill lands mid-drive, with packets in flight) and then kills the
@@ -107,14 +108,18 @@ class _WorkerKiller:
     def _run(self):
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            procs = self.runner._procs
+            group = self.runner._group
+            hosts = [] if group is None else [
+                proc for proc, stages in zip(group.workers, group.groups)
+                if self.stage_index in stages
+            ]
             if (
                 _progress(self.runner) >= self.base + self.after
-                and len(procs) > self.stage_index
-                and procs[self.stage_index].pid is not None
+                and hosts
+                and hosts[0].pid is not None
             ):
                 try:
-                    os.kill(procs[self.stage_index].pid, signal.SIGKILL)
+                    os.kill(hosts[0].pid, signal.SIGKILL)
                     self.fired = True
                 except ProcessLookupError:  # pragma: no cover - raced exit
                     pass

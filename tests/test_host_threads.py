@@ -29,6 +29,7 @@ import pytest
 from repro.models.simple import small_cnn
 from repro.pipeline import ConcurrentPipelineRunner, PipelineRuntimeError
 from repro.pipeline import inference
+from repro.pipeline import runtime as runtime_module
 from repro.pipeline import worker as worker_module
 from repro.serve import InferenceSession
 from repro.tensor import grad_enabled, ops_conv
@@ -121,6 +122,57 @@ def _wait_until(predicate, seconds: float = 10.0) -> bool:
             return False
         time.sleep(0.01)
     return True
+
+
+class TestDispatchRule:
+    """Which launches run stage groups: a synchronous schedule is cut
+    into one group per usable CPU, each leasing one host named after its
+    first stage; free-running ``pb`` keeps one host per stage."""
+
+    @staticmethod
+    def _leases(monkeypatch) -> list[str]:
+        leased: list[str] = []
+        real = worker_module._HostThread.lease.__func__
+
+        def lease(cls, slot):
+            leased.append(slot)
+            return real(cls, slot)
+
+        monkeypatch.setattr(
+            worker_module._HostThread, "lease", classmethod(lease)
+        )
+        return leased
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gpipe_leases_one_host_per_cpu(self, monkeypatch, cpus):
+        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: cpus)
+        leased = self._leases(monkeypatch)
+        runner = ConcurrentPipelineRunner(
+            small_cnn(num_classes=4, seed=7), lr=0.05, mode="gpipe",
+            update_size=4, micro_batch_size=2, stall_timeout=30,
+        )
+        seen: dict = {}
+        _record(runner.stages, seen)
+        stats = runner.train(*_stream(8))
+        groups = stats.control["groups"]
+        assert len(groups) == cpus
+        assert [s for g in groups for s in g] == list(range(runner.num_stages))
+        assert leased == [f"pipeline-stage-{g[0]}" for g in groups]
+        # every stage ran on its group's host, under the group's name
+        for g in groups:
+            runs = set().union(*(seen.get(s, set()) for s in g))
+            assert {name for _, name in runs} == {f"pipeline-stage-{g[0]}"}
+        assert not _worker_threads()
+
+    def test_free_running_pb_leases_one_host_per_stage(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: 1)
+        leased = self._leases(monkeypatch)
+        runner = _runner()
+        stats = runner.train(*_stream(6))
+        S = runner.num_stages
+        assert leased == [f"pipeline-stage-{s}" for s in range(S)]
+        assert stats.control["groups"] == [(s,) for s in range(S)]
+        assert stats.mode == "free_running"
 
 
 class TestOneHostPerSlot:

@@ -27,6 +27,7 @@ from repro.pipeline import (
     pb_occupancy,
     stage_delay,
 )
+from repro.pipeline import runtime as runtime_module
 from repro.pipeline.occupancy import Occupancy
 from repro.pipeline.schedule import BWD, FLUSH, FWD, SET_LR
 
@@ -213,7 +214,7 @@ class TestOccupancyFromPlan:
 
 
 @pytest.mark.concurrency(timeout=120)
-def test_lockstep_stage0_runs_ahead_of_a_slow_last_stage():
+def test_lockstep_stage0_runs_ahead_of_a_slow_last_stage(monkeypatch):
     """Thread-hosted lockstep workers run their columns with no per-tick
     barrier: while the last stage sleeps in its first backward, stage 0
     forwards packets whose ticks come after it.  The result stays
@@ -228,6 +229,8 @@ def test_lockstep_stage0_runs_ahead_of_a_slow_last_stage():
         small_cnn(num_classes=4, seed=3), lockstep=True, **kw
     )
     S = runner.num_stages
+    # one stage per worker on any host: a single group could not run ahead
+    monkeypatch.setattr(runtime_module, "usable_cpus", lambda: S)
     first, last = runner.stages[0], runner.stages[S - 1]
     forward, backward = first.forward, last.backward
     fwd_done: dict[int, float] = {}

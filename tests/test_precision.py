@@ -591,8 +591,10 @@ class TestControlPlaneStats:
         # workers run their own columns: no per-tick message, no ack —
         # the only control traffic is one reply per worker
         assert control["acks_received"] == 0
-        assert control["msgs_received"] == stats.num_stages
-        assert control["msgs_per_step"] == stats.num_stages / stats.time_steps
+        # a lockstep run hosts stage groups: one reply per group
+        K = len(control["groups"])
+        assert control["msgs_received"] == K
+        assert control["msgs_per_step"] == K / stats.time_steps
         assert control["msgs_per_step"] <= 1.0
         assert "ack_interval" not in control
         assert "baseline_msgs_per_step" not in control

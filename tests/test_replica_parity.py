@@ -24,6 +24,7 @@ round entirely), engine-facade wiring, and constructor validation.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -158,6 +159,7 @@ class TestReplicaParitySync:
         sim, rep, m_sim, m_rep, _ = _run_both(
             2, 2, "fill_drain", dict(update_size=2), n=12, lockstep=True
         )
+        assert rep.mode == "lockstep"
         assert _hex_losses(sim) == _hex_losses(rep)
         assert _weight_fingerprint(m_sim) == _weight_fingerprint(m_rep)
 
@@ -292,6 +294,10 @@ class TestReplicaStalenessAsync:
                 model_factory=factory, lockstep=True,
             )
             stats = runner.train(*_stream(9))
+            # a replica is neither cut into stage groups nor pinned: one
+            # worker per stage, each on the caller's CPUs
+            mask = tuple(sorted(os.sched_getaffinity(0)))
+            assert [st.cpus for st in stats.stages] == [mask] * 4
             return _hex_losses(stats), _weight_fingerprint(m)
 
         losses_a, fp_a = run()

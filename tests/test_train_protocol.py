@@ -38,6 +38,7 @@ from repro.pipeline import (
     make_pipeline_engine,
     model_fingerprint,
 )
+from repro.pipeline import runtime as runtime_module
 from repro.pipeline import worker
 from repro.pipeline.transport import ShmRing
 from repro.pipeline.worker import (
@@ -155,7 +156,8 @@ class TestNoParentOnTheHotPath:
     ):
         """(c) The launch builds no channel into stage 0; the parent
         writes no packet, sends no control message and receives exactly
-        ``num_stages`` replies."""
+        one reply per worker — here two stage groups, on any host."""
+        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: 2)
         me = (os.getpid(), threading.get_ident())
         labels: list[str] = []
         parent_writes: list[str] = []
@@ -200,14 +202,15 @@ class TestNoParentOnTheHotPath:
             micro_batch_size=2, lockstep=False,
         )
         stats = engine.train(*_stream(12))
-        S = engine.num_stages
+        # a synchronous schedule runs stage groups: one worker per group
+        K = len(stats.control["groups"])
         assert labels, "no channel was built"
         assert not [l for l in labels if re.match(r"fwd\[.*->0\]$", l)]
         assert parent_writes == []
         assert sent == []
-        assert len(received) == S
-        assert stats.control["msgs_received"] == S
-        assert stats.control["msgs_per_step"] == S / stats.time_steps
+        assert len(received) == K
+        assert stats.control["msgs_received"] == K
+        assert stats.control["msgs_per_step"] == K / stats.time_steps
         assert stats.wall_seconds > 0.0
 
 

@@ -35,7 +35,7 @@ from repro.pipeline import (
     PipelineRuntimeError,
     ProcessPipelineRunner,
 )
-from repro.pipeline import inference, transport, worker
+from repro.pipeline import inference, runtime, transport, worker
 from repro.pipeline.executor import PipelineRunStats, StageCounters
 from repro.pipeline.inference import open_inference_stream
 from repro.pipeline.schedule import BWD
@@ -346,7 +346,8 @@ class TestWaitCounters:
         """Two packets every 5 ms through an otherwise idle two-lane
         stream (the second finds the first's lane busy and takes the
         other): a lane is woken for its packets and little else, and its
-        time is accounted for — busy in its stages, or blocked.  A lane's
+        time is accounted for — busy in its stages, blocked, or handing
+        packets on.  A lane's
         own counts (waits, wake-ups, placement) sit on its first
         stage's counters."""
         monkeypatch.setattr(inference, "usable_cpus", lambda: 2)
@@ -386,7 +387,7 @@ class TestWaitCounters:
             assert [m.forward_ops for m in counters] == [sent] * n
             assert 0 < c.wakeups <= 2 * sent, (sent, c)
             busy = sum(m.busy_seconds for m in counters)
-            assert busy + c.wait_seconds == pytest.approx(
+            assert busy + c.wait_seconds + c.handoff_seconds == pytest.approx(
                 lifetime, rel=0.10
             ), c
             if backend == "process":
@@ -430,15 +431,21 @@ class TestWaitCounters:
         assert sorted(pid for pid, _, _ in got) == [0, 1]
         assert elapsed < 2.0, f"the second lane's result took {elapsed:.2f}s"
 
-    def test_training_workers_account_their_waits(self):
+    def test_training_workers_account_their_waits(self, monkeypatch):
+        # two stage groups on any host: one group alone never waits
+        monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
         X, Y = _x(16, seed=7), np.arange(16) % 4
         for lockstep in (True, False):
             stats = ProcessPipelineRunner(
                 _model(), lr=0.05, lockstep=lockstep, stall_timeout=30.0
             ).train(X, Y)
-            for c in stats.stages:
+            # a worker's waits sit on its first stage's counters
+            for group in stats.control["groups"]:
+                c = stats.stages[group[0]]
+                busy = sum(stats.stages[s].busy_seconds for s in group)
                 assert c.wakeups > 0 and c.wait_seconds > 0.0
-                assert c.busy_seconds + c.wait_seconds <= stats.wall_seconds + 1.0
+                spent = busy + c.wait_seconds + c.handoff_seconds
+                assert spent <= stats.wall_seconds + 1.0
 
     def test_replica_merge_sums_waits(self):
         def part(wait, wakeups, cpus):
