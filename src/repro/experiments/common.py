@@ -204,9 +204,10 @@ def run_pb_executor(
     ``"sim"`` is the discrete-time executor, ``"threaded"`` the
     concurrent thread-per-stage runtime and ``"process"`` the
     process-per-stage runtime with shared-memory transport (both
-    free-running unless ``lockstep``).  Extra ``engine_kwargs`` reach the
-    engine constructor — pass ``model_factory=`` for the process backend
-    on spawn-default (non-Linux) platforms.
+    free-running unless ``lockstep`` or short of a CPU per stage).
+    Extra ``engine_kwargs`` reach the engine constructor — pass
+    ``model_factory=`` for the process backend on spawn-default
+    (non-Linux) platforms.
     """
     from repro.pipeline.runtime import make_pipeline_engine
     from repro.pipeline.schedule import make_schedule

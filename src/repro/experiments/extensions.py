@@ -194,8 +194,9 @@ def schedule_comparison(
     validation accuracy.  ``schedule`` restricts the comparison to a
     single schedule (the CLI ``--schedule`` flag); ``runtime`` picks the
     engine (``sim``, ``threaded`` or ``process``, the CLI ``--runtime``
-    flag — the concurrent engines run free-running here, so pb/1f1b
-    numbers vary with worker timing; lockstep parity is pinned in
+    flag — the concurrent engines run free-running here, so with a CPU
+    per stage pb/1f1b numbers vary with worker timing; short of one, and
+    in lockstep, they are the simulator's, pinned in
     ``tests/test_runtime_parity.py``).
     """
     from repro.data.loader import sample_stream

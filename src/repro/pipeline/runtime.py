@@ -54,23 +54,31 @@ simulator for every schedule and every cut, without a per-tick barrier
 the paper's claim that fine-grained pipelining keeps every stage busy
 in *wall-clock* time.  Losses and weights then depend on worker timing;
 what is guaranteed is the eq.-5 staleness ceiling (the in-flight caps),
-per-stage FIFO order and every op's learning rate.  ``fill_drain`` and
-``gpipe`` change weights only at flushes, so no timing can move one of
-their bits: they always run as stage groups, recorded as lockstep.
+per-stage FIFO order and every op's learning rate.  That claim assumes
+a processor per stage: with fewer usable CPUs than stages the workers
+would share cores, and the OS scheduler, not the paper's ``D_s``, would
+pick each update's delay, so such a run is cut into stage groups in plan
+order instead, recorded as lockstep.  ``fill_drain`` and ``gpipe``
+change weights only at flushes, so no timing can move one of their bits:
+they always run as stage groups, recorded as lockstep.
 
 Stage groups
 ------------
 
+Every lockstep run, every run of a synchronous schedule and every
+free-running request with fewer usable CPUs than stages is grouped.
 A grouped launch cuts the stages into ``K = min(S, usable CPUs)``
 contiguous groups of about equal work
 (:func:`~repro.pipeline.partition.contiguous_partition` over each
 stage's parameters times its output positions, read off the boundary
-layouts of one dummy forward), the CPUs read at launch under the
-caller's affinity mask as serving lanes read them
-(:func:`~repro.pipeline.inference.usable_cpus`), one worker per group
-pinned to one CPU.  On one CPU that is the whole plan in one worker,
-with no channel.  Groups cannot change a bit, so nothing configures
-them; ``control["groups"]`` reports the cut and no checkpoint keeps it.
+layouts of one dummy forward), one worker per group pinned to one CPU.
+The CPUs are read once per ``train()`` call, under the caller's
+affinity mask as serving lanes read them
+(:func:`~repro.pipeline.inference.usable_cpus`), so the dispatch, the
+cut and the recorded mode agree.  On one CPU that is the whole plan in
+one worker, with no channel.  Groups cannot change a bit, so nothing
+configures them; ``control["groups"]`` reports the cut and no
+checkpoint keeps it.
 A replica of :class:`ReplicatedPipelineRunner` keeps one stage per
 worker, unpinned: its reduce chain is per stage, and the replicas share
 the CPUs.
@@ -137,8 +145,13 @@ class _WorkerGroupEngine(PipelineExecutor):
     _plan: Plan | None = None
     #: set by :class:`ReplicatedPipelineRunner` on its replicas: one
     #: stage per worker, left unpinned, since the R replicas share the
-    #: CPUs
+    #: CPUs; and on the runner itself, so that the record of an empty
+    #: stream, which launches nothing, follows its replicas' rule
     _replica = False
+    #: the usable CPUs read at the entry of the ``train()`` call in
+    #: progress (or the last one); before a first call, ``_grouped``
+    #: and ``runtime_mode`` do not say what a launch will run
+    _cpus = 0
 
     def __init__(
         self,
@@ -172,11 +185,14 @@ class _WorkerGroupEngine(PipelineExecutor):
     @property
     def _grouped(self) -> bool:
         """Whether a launch runs stage groups (module docstring, "Stage
-        groups"): every lockstep run and every run of a synchronous
-        schedule — except a synchronous replica's, whose reduce chain is
+        groups"): every lockstep run, every run of a synchronous schedule
+        and, outside a replica, every run with fewer usable CPUs than
+        stages — except a synchronous replica's, whose reduce chain is
         per stage."""
         return self._reduce_plan is None and (
-            self.lockstep or not self.schedule.update_after_backward(0)
+            self.lockstep
+            or not self.schedule.update_after_backward(0)
+            or (not self._replica and self._cpus < self.num_stages)
         )
 
     @property
@@ -184,13 +200,12 @@ class _WorkerGroupEngine(PipelineExecutor):
         return "lockstep" if self.lockstep or self._grouped else "free_running"
 
     def _groups(self, layouts) -> list[tuple[int, ...]]:
-        """This launch's cut: ``min(S, usable CPUs)`` contiguous groups,
-        the CPUs read under the caller's affinity mask now (a replica:
-        one stage each).  A stage costs its parameter count times its
-        output positions, read off the ring ``layouts``: a conv's work
-        grows with both."""
+        """This launch's cut: ``min(S, usable CPUs)`` contiguous groups
+        (a replica: one stage each).  A stage costs its parameter count
+        times its output positions, read off the ring ``layouts``: a
+        conv's work grows with both."""
         S = self.num_stages
-        k = S if self._replica else min(S, usable_cpus())
+        k = S if self._replica else min(S, self._cpus)
         key = (k, tuple(layouts))
         if key not in self._cuts:
             outputs = layouts[1:] + [()]  # the loss stage emits none
@@ -230,6 +245,9 @@ class _WorkerGroupEngine(PipelineExecutor):
         updates its partial run applied (its workers update the
         parent's stages in place); a process-hosted one keeps none.
         """
+        # the CPUs under the caller's affinity mask, read once: the
+        # layout probe, the cut and the recorded mode all follow it
+        self._cpus = usable_cpus()
         if X.shape[0] == 0:
             # nothing to launch workers for: the discrete-time loop's
             # zero-step run is the record of an empty stream
@@ -543,6 +561,8 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     lives in this runner's own stages.
     """
 
+    _replica = True  # an empty stream's record: see the base class
+
     def __init__(
         self,
         model: StageGraphModel,
@@ -780,12 +800,13 @@ def make_pipeline_engine(
     ``runtime="threaded"`` a :class:`ConcurrentPipelineRunner` (worker
     threads); ``runtime="process"`` a :class:`ProcessPipelineRunner`
     (worker processes, shared-memory transport) — one worker per stage
-    group, or per stage when free-running ``pb`` / ``1f1b`` (module
-    docstring).  ``replicas=R`` with ``R > 1`` (process
-    runtime only) returns a :class:`ReplicatedPipelineRunner`: R
-    data-parallel pipeline copies with cross-replica gradient reduction
-    at update barriers.  The concurrent engines are free-running unless
-    ``lockstep=True``.  Every engine is a :class:`PipelineExecutor`, so
+    group, or per stage when free-running ``pb`` / ``1f1b`` has a usable
+    CPU per stage (module docstring).  ``replicas=R`` with ``R > 1``
+    (process runtime only) returns a :class:`ReplicatedPipelineRunner`:
+    R data-parallel pipeline copies with cross-replica gradient
+    reduction at update barriers.  The concurrent engines are
+    free-running unless ``lockstep=True`` or a launch has fewer usable
+    CPUs than stages.  Every engine is a :class:`PipelineExecutor`, so
     callers like :func:`~repro.experiments.common.run_pb_executor`
     switch engines without touching their training loops, and every
     engine's ``update_size`` is the one eq. 9 scales a reference to

@@ -23,19 +23,19 @@ A training worker hosts a contiguous run of stages ``a..b`` (a *group*;
 :mod:`repro.pipeline.runtime`, "Stage groups", says how many) and runs
 one of two loops over it.
 
-**In plan order** — every lockstep run and every run of a synchronous
-schedule.  The worker runs :meth:`Plan.ops
-<repro.pipeline.schedule.Plan.ops>` ``(a, b)``, shipped once in its
-spec: the plan's ticks restricted to its stages, in tick order and in
-order within a tick, ``FLUSH`` and ``SET_LR`` applied to all its stages
-where they fall.  Inside the group activations and gradients pass
-through ``StageOps``' dicts exactly as in the simulator, so the loss
-stage's same-tick ``FWD`` → ``BWD`` seeding holds by construction; only
-``a``'s inbound and ``b``'s outbound edges are channels.  Numerics
-depend only on each stage's op order (no two stages share mutable
-state) and channels are FIFO, so the run is bit-exact with the
-simulator whatever the cut; ``S`` groups of one stage are a worker per
-stage in lockstep.
+**In plan order** — every lockstep run, every run of a synchronous
+schedule and every ``pb`` / ``1f1b`` run short of a CPU per stage.
+The worker runs :meth:`Plan.ops <repro.pipeline.schedule.Plan.ops>`
+``(a, b)``, shipped once in its spec: the plan's ticks restricted to
+its stages, in tick order and in order within a tick, ``FLUSH`` and
+``SET_LR`` applied to all its stages where they fall.  Inside the
+group activations and gradients pass through ``StageOps``' dicts
+exactly as in the simulator, so the loss stage's same-tick ``FWD`` →
+``BWD`` seeding holds by construction; only ``a``'s inbound and
+``b``'s outbound edges are channels.  Numerics depend only on each
+stage's op order (no two stages share mutable state) and channels are
+FIFO, so the run is bit-exact with the simulator whatever the cut;
+``S`` groups of one stage are a worker per stage in lockstep.
 
 It cannot deadlock.  Every op waits only on ops of earlier ticks:
 ``FWD s`` of a packet on its ``FWD s-1`` one tick before, ``BWD s`` on
@@ -66,8 +66,11 @@ packet injected at tick ``i`` runs ``FWD s`` at tick ``i + s`` and
   1`` packets, since ``D_a = D_b + 2(b - a)``.
 
 **Free-running** — ``pb`` and ``1f1b`` unless lockstep, one stage per
-worker.  A :class:`FreeStageWorker` walks its stage's :meth:`Plan.column
-<repro.pipeline.schedule.Plan.column>` in **segments**: ``FWD`` and
+worker, when the launch has a usable CPU for every stage (on fewer,
+the workers would share cores and the OS scheduler would set the
+delays the cap only bounds).  A :class:`FreeStageWorker` walks its
+stage's :meth:`Plan.column <repro.pipeline.schedule.Plan.column>` in
+**segments**: ``FWD`` and
 ``BWD`` ops make up a segment, and a ``FLUSH`` ends it, the only
 barrier.  Inside a segment each op runs as soon as it is possible, by
 PipeDream's rule: **backward priority** (the drain rule, and the
@@ -159,8 +162,10 @@ object.
 
 A lane runs until told to stop, so a stream sends each lane one
 message, ``("finalize",)``, and the reply answers it.  A lane reads its
-control endpoint before the abort flag and honours a ``finalize`` found
-there: a stream's ``close()`` sends ``finalize`` *before* setting abort
+control endpoint only where it would block (no packet waiting) and
+before it honours the abort flag — not once per packet, which on a
+process host builds a selector per call — and honours a ``finalize``
+found there: a stream's ``close()`` sends ``finalize`` *before* setting abort
 (abort is what unblocks a lane stuck in a ring send), so anything
 sent-before is seen first.
 
@@ -1018,13 +1023,19 @@ class Lane(_Worker):
         several conv stages re-faults its arena's pages every packet."""
         spec = self.spec
         with no_grad():
-            # a stream's close() sends finalize before it sets abort:
-            # answer the finalize instead of dropping it
-            while not spec.conn.poll():
+            # the control endpoint is read only where the loop would
+            # block and before the abort flag is honoured: a stream's
+            # close() sends finalize before it sets abort, so answer the
+            # finalize instead of dropping it
+            while True:
                 if spec.abort.is_set():
+                    if spec.conn.poll():
+                        break
                     raise TransportAborted("serving lane: run aborted")
                 pkt = self._handoff(spec.fwd_in.try_recv)
                 if pkt is None:
+                    if spec.conn.poll():
+                        break
                     self._blocked(self._idle_wait, self._has_work)
                     continue
                 pid, start, size, out = pkt

@@ -62,16 +62,21 @@ def empirical_rate(trace: np.ndarray, tail: int = 100) -> float:
     """Asymptotic per-step decay rate fitted on the trace's tail.
 
     Fits ``log |w_t|`` linearly over the last ``tail`` steps; returns
-    ``exp(slope)``.  Returns ``inf`` if the trace diverged.
+    ``exp(slope)``.  Returns ``inf`` if the trace diverged, ``0.0`` if
+    it left the float64 normal range before the tail.
     """
     trace = np.asarray(trace, dtype=float)
     mags = np.abs(trace)
     if not np.all(np.isfinite(mags)) or mags[-1] > 1e12:
         return float("inf")
     seg = mags[-tail:]
-    seg = np.where(seg < 1e-300, 1e-300, seg)
     x = np.arange(seg.size, dtype=float)
-    slope = np.polyfit(x, np.log(seg), 1)[0]
+    # past the normal range a decaying trace is subnormals and zeros,
+    # which no longer shrink geometrically: fit the normal samples only
+    normal = seg > np.finfo(float).tiny
+    if normal.sum() < 2:
+        return 0.0
+    slope = np.polyfit(x[normal], np.log(seg[normal]), 1)[0]
     return float(np.exp(slope))
 
 

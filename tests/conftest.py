@@ -94,6 +94,17 @@ def jittered():
 
 
 @pytest.fixture
+def cpu_per_stage(monkeypatch):
+    """Every training launch sees a usable CPU per stage, on any host:
+    free-running ``pb`` / ``1f1b`` keeps one worker per stage, which it
+    runs only with that many (``repro.pipeline.runtime``, "Stage
+    groups"), and a grouped launch is ``S`` groups of one stage."""
+    from repro.pipeline import runtime
+
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 1 << 10)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

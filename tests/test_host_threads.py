@@ -73,10 +73,10 @@ LANES = 2
 
 
 @pytest.fixture(autouse=True)
-def fixed_lanes(monkeypatch):
-    """Serving streams here run a fixed number of lanes: a stream sized
-    by the host's CPUs would lease a different number of slots on every
-    machine, and these tests pin the lease per slot."""
+def fixed_slots(monkeypatch, cpu_per_stage):
+    """Serving streams here run a fixed number of lanes, and free-running
+    ``pb`` one worker per stage: slots sized by the host's CPUs would
+    differ on every machine, and these tests pin the lease per slot."""
     monkeypatch.setattr(inference, "usable_cpus", lambda: LANES)
 
 
@@ -125,9 +125,10 @@ def _wait_until(predicate, seconds: float = 10.0) -> bool:
 
 
 class TestDispatchRule:
-    """Which launches run stage groups: a synchronous schedule is cut
-    into one group per usable CPU, each leasing one host named after its
-    first stage; free-running ``pb`` keeps one host per stage."""
+    """Which launches run stage groups: a synchronous schedule, and
+    free-running ``pb`` short of a CPU per stage, is cut into one group
+    per usable CPU, each leasing one host named after its first stage;
+    free-running ``pb`` with a CPU per stage keeps one host per stage."""
 
     @staticmethod
     def _leases(monkeypatch) -> list[str]:
@@ -164,15 +165,20 @@ class TestDispatchRule:
             assert {name for _, name in runs} == {f"pipeline-stage-{g[0]}"}
         assert not _worker_threads()
 
-    def test_free_running_pb_leases_one_host_per_stage(self, monkeypatch):
-        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: 1)
+    def test_free_running_pb_needs_a_cpu_per_stage(self, monkeypatch):
+        """Short of a CPU per stage, free-running ``pb`` is one group
+        per CPU too; with one per stage it keeps one host per stage."""
         leased = self._leases(monkeypatch)
         runner = _runner()
-        stats = runner.train(*_stream(6))
         S = runner.num_stages
-        assert leased == [f"pipeline-stage-{s}" for s in range(S)]
-        assert stats.control["groups"] == [(s,) for s in range(S)]
-        assert stats.mode == "free_running"
+        for cpus in (1, 2, S):
+            monkeypatch.setattr(runtime_module, "usable_cpus", lambda: cpus)
+            del leased[:]
+            stats = runner.train(*_stream(6))
+            groups = stats.control["groups"]
+            assert leased == [f"pipeline-stage-{g[0]}" for g in groups]
+            assert len(groups) == cpus
+            assert stats.mode == ("free_running" if cpus == S else "lockstep")
 
 
 class TestOneHostPerSlot:
@@ -453,7 +459,10 @@ _PRELUDE = """
     import numpy as np
     from repro.models.simple import small_cnn
     from repro.pipeline import ConcurrentPipelineRunner
-    from repro.pipeline import worker
+    from repro.pipeline import runtime, worker
+
+    # one host thread per stage: free-running pb needs a CPU per stage
+    runtime.usable_cpus = lambda: 1 << 10
 
     def runner(widths=(8, 16)):
         return ConcurrentPipelineRunner(

@@ -599,7 +599,7 @@ class TestControlPlaneStats:
         assert "ack_interval" not in control
         assert "baseline_msgs_per_step" not in control
 
-    def test_free_mode_runs_the_plan_without_acks(self):
+    def test_free_mode_runs_the_plan_without_acks(self, cpu_per_stage):
         """Free-running workers run their plan column too: the same
         record, with the plan's tick count."""
         X, Y = _stream(8)

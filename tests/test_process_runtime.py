@@ -201,6 +201,7 @@ class TestGoldenRePin:
         assert wabs == golden["weight_abs_sum"]
 
 
+@pytest.mark.usefixtures("cpu_per_stage")  # free-running needs one each
 class TestFreeRunning:
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
     def test_eq5_staleness_ceiling(self, mode):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.compensation import spike_coefficients
@@ -46,12 +46,25 @@ class TestRecurrenceVsRoots:
         st.floats(0.0, 0.95),
         st.integers(0, 6),
     )
+    # decays past the float64 normal range inside the fitted tail
+    @example(el=0.048828125, m=0.5625, D=1)
     def test_gdm_random_configs(self, el, m, D):
         root = dominant_root(characteristic_coefficients(el, m, D))
         trace = simulate_recurrence(el, m, D, steps=3000)
         emp = empirical_rate(trace, tail=500)
         if root < 0.999:  # conclusive convergence only
             assert emp == pytest.approx(root, abs=1e-2)
+
+    def test_fit_ignores_a_tail_past_the_normal_range(self):
+        """This trace reaches 1e-320 about 190 steps before its end; the
+        subnormals and zeros there are not geometric and must not flatten
+        the fit (they read 0.846 against the double root's 0.782)."""
+        el, m, D = 0.048828125, 0.5625, 1
+        trace = simulate_recurrence(el, m, D, steps=3000)
+        assert np.abs(trace[-1]) < np.finfo(float).tiny
+        root = dominant_root(characteristic_coefficients(el, m, D))
+        assert empirical_rate(trace, tail=500) == pytest.approx(root, abs=1e-2)
+        assert empirical_rate(np.zeros(600), tail=500) == 0.0
 
     def test_unstable_config_diverges(self):
         """Large eta*lambda with delay and momentum must blow up, matching

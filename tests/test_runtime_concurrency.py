@@ -100,7 +100,7 @@ class TestJitteredInterleavings:
     @pytest.mark.parametrize("jitter_seed", [1, 2, 3])
     @pytest.mark.parametrize("mode,kw", SCHEDULES)
     def test_free_running_invariants_under_jitter(
-        self, mode, kw, jitter_seed, jittered
+        self, mode, kw, jitter_seed, jittered, cpu_per_stage
     ):
         n = 12
         X, Y = _stream(n)

@@ -49,6 +49,10 @@ from repro.tensor import Tensor, cross_entropy
 
 pytestmark = pytest.mark.concurrency
 
+#: free-running ``pb`` / ``1f1b`` needs a usable CPU per stage; tests of
+#: grouped runs (synchronous schedules, lockstep) keep the host's own
+free_running = pytest.mark.usefixtures("cpu_per_stage")
+
 
 def _stream(n: int, seed: int = 3):
     rng = np.random.default_rng(seed)
@@ -62,6 +66,7 @@ def max_param_diff(m1, m2):
     )
 
 
+@free_running
 class TestEq5Inequality:
     @pytest.mark.parametrize("jitter_seed", [0, 1, 2])
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
@@ -118,6 +123,7 @@ class TestEq5Inequality:
 
 
 class TestOccupancyAccounting:
+    @free_running
     def test_pb_busy_steps_match_occupancy_rows(self):
         n = 20
         X, Y = _stream(n)
@@ -171,6 +177,7 @@ class TestOccupancyAccounting:
                 np.count_nonzero(occ.grid[s] & BWD)
             )
 
+    @free_running
     def test_runtime_stats_shape(self):
         n = 10
         X, Y = _stream(n)
@@ -255,6 +262,7 @@ class TestSynchronousSchedulesStayExact:
         assert np.array_equal(sim.losses, free.losses)
 
 
+@free_running
 class TestModeledTimeSteps:
     def test_free_running_reports_drain_span(self):
         """Free-running has no global clock; ``time_steps`` reports the
@@ -294,10 +302,14 @@ ENGINES = [
 class TestLrScheduleFromFirstOp:
     @pytest.mark.parametrize("runtime,lockstep", ENGINES)
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
-    def test_zero_lr_schedule_moves_no_parameter(self, mode, runtime, lockstep):
+    def test_zero_lr_schedule_moves_no_parameter(
+        self, request, mode, runtime, lockstep
+    ):
         """``lr_schedule`` is the learning rate of every update, the
         first included: a schedule pinned at zero (no momentum, no
         weight decay) leaves every parameter bit for bit where it was."""
+        if not lockstep:
+            request.getfixturevalue("cpu_per_stage")
         X, Y = _stream(12)
         m = small_cnn(widths=(4, 8), seed=5)
         before = [p.data.copy() for p in m.parameters()]

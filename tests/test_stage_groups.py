@@ -3,9 +3,10 @@ simulator, bit for bit.
 
 A grouped launch cuts the stages into ``K = min(S, usable CPUs)``
 contiguous groups, one worker each (``repro.pipeline.runtime``, "Stage
-groups").  Every lockstep run and every run of a synchronous schedule is
-grouped, so for each schedule × host × ``K ∈ {1, 2, S}`` — ``K`` steered
-by patching ``runtime.usable_cpus`` — the losses, every stage's weights,
+groups").  Every lockstep run, every run of a synchronous schedule and
+every free-running ``pb`` / ``1f1b`` request short of a CPU per stage is
+grouped, so for each schedule × host × ``K`` — steered by patching
+``runtime.usable_cpus`` — the losses, every stage's weights,
 velocity, previous weights and BatchNorm buffers, its update count and
 its ``version_trace`` must equal the simulator's to the bit.  A deep
 residual net cut inside its skip connections checks the boundary slots
@@ -110,21 +111,47 @@ class TestLockstepGroups:
         assert run == sim
 
 
-class TestSynchronousSchedulesAreGrouped:
+#: free-running requests that run stage groups: synchronous schedules at
+#: any width, and pb / 1f1b short of a CPU per stage
+FREE_GROUPED = [
+    (label, width) for label in ("fill_drain", "gpipe") for width in WIDTHS
+] + [(label, width) for label in ("pb", "1f1b") for width in (1, 2)]
+
+
+class TestFreeRunningRequestsAreGrouped:
+    """``fill_drain`` and ``gpipe`` always run stage groups, since no
+    timing could move one of their bits; ``pb`` and ``1f1b`` when short
+    of a usable CPU per stage, which the paper's free-running pipeline
+    assumes — with ``S`` they keep one free-running worker per stage."""
+
     @pytest.mark.parametrize(
         "lr_schedule", [None, _decay], ids=["flat", "decay"]
     )
-    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("runtime", HOSTS)
-    @pytest.mark.parametrize("label", ["fill_drain", "gpipe"])
+    @pytest.mark.parametrize("label,width", FREE_GROUPED)
     def test_free_running_is_hex_equal_too(
-        self, monkeypatch, label, runtime, width, lr_schedule
+        self, monkeypatch, label, width, runtime, lr_schedule
     ):
         kw = dict(SCHEDULES[label], lr_schedule=lr_schedule)
         sim, run = _pair(
             monkeypatch, BN_FACTORY, runtime, width, False, kw, 11
         )
         assert run == sim
+
+    @pytest.mark.parametrize("runtime", HOSTS)
+    @pytest.mark.parametrize("label", ["pb", "1f1b"])
+    def test_a_cpu_per_stage_stays_free_running(
+        self, monkeypatch, label, runtime
+    ):
+        S = BN_FACTORY().num_stages
+        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: S)
+        stats = make_pipeline_engine(
+            runtime, BN_FACTORY(), lr=LR, momentum=0.9, stall_timeout=60.0,
+            **SCHEDULES[label],
+        ).train(*_stream(11))
+        assert stats.mode == "free_running"
+        assert stats.control["groups"] == [(s,) for s in range(S)]
+        assert stats.control["msgs_received"] == S
 
 
 class TestDeepCuts:

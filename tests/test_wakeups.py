@@ -431,11 +431,71 @@ class TestWaitCounters:
         assert sorted(pid for pid, _, _ in got) == [0, 1]
         assert elapsed < 2.0, f"the second lane's result took {elapsed:.2f}s"
 
+    def test_lane_reads_its_control_endpoint_only_when_idle(
+        self, monkeypatch
+    ):
+        """A lane reads its control endpoint where it would block and
+        before it honours abort, not once per packet (on a process host
+        each read builds a selector): ``n`` packets queued behind a
+        gated first one are served with no read between them.  Closed
+        with packets still queued, the stream still gets the lane's
+        counters back."""
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 1)
+        n = 16
+        started = [0]  # forwards begun when the lane read its endpoint
+        reads: list[int] = []
+        poll = worker.LocalConn.poll
+
+        def counted(conn, *args, **kwargs):
+            if threading.current_thread().name.startswith("infer-stage-"):
+                reads.append(started[0])
+            return poll(conn, *args, **kwargs)
+
+        monkeypatch.setattr(worker.LocalConn, "poll", counted)
+        stages = _stages()
+        stream = open_inference_stream(
+            stages, backend="threaded", sample_shape=(FEATURES,),
+            capacity=2 * n,
+        )
+        gate, entered = threading.Event(), threading.Event()
+        forward = stages[0].forward
+
+        def gated(pid, payload, train=True):
+            started[0] += 1
+            entered.set()
+            gate.wait(10.0)
+            return forward(pid, payload, train)
+
+        # armed after the open, whose layout probe calls forward too
+        stages[0].forward = gated
+        X = _x(2 * n)
+        try:
+            for i in range(n):
+                assert stream.submit(i, i, X[i : i + 1])
+            gate.set()
+            got = []
+            while len(got) < n:
+                assert stream.wait(5.0)
+                got += stream.poll()
+            assert reads and not [r for r in reads if 0 < r < n], reads
+            # now close with packets queued behind a gated one
+            gate.clear()
+            entered.clear()
+            for i in range(n, 2 * n):
+                assert stream.submit(i, i, X[i : i + 1])
+            assert entered.wait(5.0)
+            threading.Timer(0.2, gate.set).start()
+        finally:
+            stream.close()
+        (lane,) = stream.lane_counters
+        assert n < lane[0].forward_ops < 2 * n, lane[0]
+
     def test_training_workers_account_their_waits(self, monkeypatch):
-        # two stage groups on any host: one group alone never waits
-        monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
         X, Y = _x(16, seed=7), np.arange(16) % 4
-        for lockstep in (True, False):
+        # lockstep: two stage groups on any host (one group alone never
+        # waits); free-running: one worker per stage, a CPU each
+        for lockstep, cpus in ((True, 2), (False, _model().num_stages)):
+            monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
             stats = ProcessPipelineRunner(
                 _model(), lr=0.05, lockstep=lockstep, stall_timeout=30.0
             ).train(X, Y)
