@@ -24,7 +24,7 @@ from repro.models.resnet import (
     resnet50_tiny,
 )
 from repro.models.vgg import vgg11, vgg13, vgg16, vgg_tiny
-from repro.models.simple import SmallCNN, small_cnn, mlp
+from repro.models.simple import small_cnn, mlp
 from repro.models.registry import build_model, MODEL_BUILDERS, PAPER_STAGE_COUNTS
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "vgg13",
     "vgg16",
     "vgg_tiny",
-    "SmallCNN",
     "small_cnn",
     "mlp",
     "build_model",

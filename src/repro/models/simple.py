@@ -50,14 +50,6 @@ def small_cnn(
     return StageGraphModel(stages, name="small_cnn")
 
 
-class SmallCNN(StageGraphModel):
-    """Class form of :func:`small_cnn` for isinstance-style use."""
-
-    def __init__(self, num_classes: int = 10, in_channels: int = 3, seed: int = 0):
-        built = small_cnn(num_classes=num_classes, in_channels=in_channels, seed=seed)
-        super().__init__(built.stage_defs, name="small_cnn")
-
-
 def mlp(
     in_features: int,
     num_classes: int,

@@ -10,7 +10,7 @@ from repro.nn.module import Module, Parameter, Sequential, ModuleList
 from repro.nn.linear import Linear, Flatten
 from repro.nn.conv import Conv2d
 from repro.nn.norm import GroupNorm, BatchNorm2d, group_norm_for
-from repro.nn.activation import ReLU, Tanh, Sigmoid, Identity
+from repro.nn.activation import ReLU
 from repro.nn.pooling import MaxPool2d, AvgPool2d, GlobalAvgPool
 from repro.nn.dropout import Dropout
 from repro.nn.loss import CrossEntropyLoss, MSELoss
@@ -28,9 +28,6 @@ __all__ = [
     "BatchNorm2d",
     "group_norm_for",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Identity",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.nn.module import Module
-from repro.tensor.tensor import Tensor, relu, sigmoid, tanh
+from repro.tensor.tensor import Tensor, relu
 
 
 class ReLU(Module):
@@ -11,20 +11,3 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return relu(x)
 
-
-class Tanh(Module):
-    """Hyperbolic tangent layer."""
-    def forward(self, x: Tensor) -> Tensor:
-        return tanh(x)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid layer."""
-    def forward(self, x: Tensor) -> Tensor:
-        return sigmoid(x)
-
-
-class Identity(Module):
-    """Pass-through layer (placeholder stage)."""
-    def forward(self, x: Tensor) -> Tensor:
-        return x

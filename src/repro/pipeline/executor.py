@@ -194,7 +194,7 @@ class PipelineRunStats:
     #: control-plane traffic of a worker-hosted training run, lockstep
     #: or free-running — both run the plan (``protocol: "plan"``): the
     #: parent sends nothing and receives one reply per worker
-    #: (``msgs_received`` is the stage count, ``msgs_per_step`` that over
+    #: (``msgs_received`` is the worker count, ``msgs_per_step`` that over
     #: the plan's ticks, no acks).  ``None`` for the simulator,
     #: forward-only runs and merged replica records.
     control: dict | None = None
@@ -594,15 +594,20 @@ class StageOps:
     stage 0), ``fwd_out`` of ``b``, ``bwd_in`` into ``b`` (unless the
     loss stage seeds it) and ``bwd_out`` of ``a`` (at stage 0, the
     packet's completion).  ``clock`` times the transformations into
-    ``busy_seconds``; the simulator's leaves them at zero."""
+    ``busy_seconds``; the simulator's leaves them at zero.  ``reduce``
+    holds each stage's cross-replica reduce slice, or ``None``: a
+    ``FLUSH`` hands a stage with a slice to ``edges.reduce``, the
+    worker's reduce round, instead of applying its own update."""
 
-    def __init__(self, stages, packets, labels, edges, update, clock=None):
+    def __init__(self, stages, packets, labels, edges, update, clock=None,
+                 reduce=()):
         self.stages = list(stages)
         self.lo, self.hi = self.stages[0].index, self.stages[-1].index
         self.packets = packets
         self.labels = labels
         self.edges = edges
         self.update = list(update)  # apply each stage's gradient at once?
+        self.reduce = list(reduce) or [None] * len(self.stages)
         self.clock = clock or (lambda: 0.0)
         self.counters = [StageCounters(st.index) for st in self.stages]
         loss = self.stages[-1].spec.kind == "loss"
@@ -675,8 +680,12 @@ class StageOps:
             self.edges.bwd_out(p, start, size, upstream)
 
     def flush(self, _s: int, count: int) -> None:
-        for stage in self.stages:
-            stage.flush_update(count)
+        for stage, red in zip(self.stages, self.reduce):
+            self.active = stage.index
+            if red is None:
+                stage.flush_update(count)
+            else:
+                self.edges.reduce(stage, red, count)
 
     def set_lr(self, _s: int, lr: float) -> None:
         for stage in self.stages:

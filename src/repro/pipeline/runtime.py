@@ -38,8 +38,8 @@ packets, which it reads itself.  The parent is off the hot path: it
 sends nothing, writes no packet and waits for one ``("state", ...)``
 reply per worker, each sent when that worker's ops end.  Stall
 detection is progress-based without messages: the wait restarts its
-deadline whenever stage 0's completion count or, hosting a group, its
-worker's step count (shared state beside the abort flag) moves.  The
+deadline whenever stage 0's completion count or its worker's step
+count (shared state beside the abort flag) moves.  The
 modes differ only in how strictly a worker follows its ops
 (:mod:`repro.pipeline.worker`, "The loop").
 
@@ -60,7 +60,9 @@ would share cores, and the OS scheduler, not the paper's ``D_s``, would
 pick each update's delay, so such a run is cut into stage groups in plan
 order instead, recorded as lockstep.  ``fill_drain`` and ``gpipe``
 change weights only at flushes, so no timing can move one of their bits:
-they always run as stage groups, recorded as lockstep.
+they always run as stage groups in plan order, recorded as lockstep —
+replicas of :class:`ReplicatedPipelineRunner` too, whose flushes are
+the cross-replica reduce rounds.
 
 Stage groups
 ------------
@@ -79,9 +81,10 @@ cut and the recorded mode agree.  On one CPU that is the whole plan in
 one worker, with no channel.  Groups cannot change a bit, so nothing
 configures them; ``control["groups"]`` reports the cut and no
 checkpoint keeps it.
-A replica of :class:`ReplicatedPipelineRunner` keeps one stage per
-worker, unpinned: its reduce chain is per stage, and the replicas share
-the CPUs.
+A replica of :class:`ReplicatedPipelineRunner` is cut into ``S``
+groups of one stage, unpinned (the replicas share the CPUs): a
+synchronous or lockstep replica runs them in plan order, a
+free-running one keeps one free stage per worker.
 
 Every run returns the same record the simulator does
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
@@ -143,14 +146,16 @@ class _WorkerGroupEngine(PipelineExecutor):
     _reduce_plan: list[_ReduceSpec] | None = None
     #: the plan of the ``train()`` call in progress
     _plan: Plan | None = None
-    #: set by :class:`ReplicatedPipelineRunner` on its replicas: one
+    #: set on each replica of a :class:`ReplicatedPipelineRunner` (one
     #: stage per worker, left unpinned, since the R replicas share the
-    #: CPUs; and on the runner itself, so that the record of an empty
-    #: stream, which launches nothing, follows its replicas' rule
+    #: CPUs) and on that runner, the master, too: the record of an
+    #: empty stream, which launches nothing, then follows its replicas'
+    #: rule
     _replica = False
     #: the usable CPUs read at the entry of the ``train()`` call in
-    #: progress (or the last one); before a first call, ``_grouped``
-    #: and ``runtime_mode`` do not say what a launch will run
+    #: progress (or the last one).  It means nothing before a first
+    #: call, so neither do ``_grouped`` and ``runtime_mode`` of a
+    #: single pipeline running ``pb`` / ``1f1b`` free
     _cpus = 0
 
     def __init__(
@@ -187,9 +192,8 @@ class _WorkerGroupEngine(PipelineExecutor):
         """Whether a launch runs stage groups (module docstring, "Stage
         groups"): every lockstep run, every run of a synchronous schedule
         and, outside a replica, every run with fewer usable CPUs than
-        stages — except a synchronous replica's, whose reduce chain is
-        per stage."""
-        return self._reduce_plan is None and (
+        stages."""
+        return (
             self.lockstep
             or not self.schedule.update_after_backward(0)
             or (not self._replica and self._cpus < self.num_stages)
@@ -197,7 +201,7 @@ class _WorkerGroupEngine(PipelineExecutor):
 
     @property
     def runtime_mode(self) -> str:
-        return "lockstep" if self.lockstep or self._grouped else "free_running"
+        return "lockstep" if self._grouped else "free_running"
 
     def _groups(self, layouts) -> list[tuple[int, ...]]:
         """This launch's cut: ``min(S, usable CPUs)`` contiguous groups
@@ -281,11 +285,11 @@ class _WorkerGroupEngine(PipelineExecutor):
         self, X: np.ndarray, Y: np.ndarray, empty_rounds: int = 0
     ) -> WorkerGroup:
         """Compile the plan and start this attempt's workers, each on
-        its group's ops (or, free-running, its stage's column), stage
-        0's with the plan's packets.  Apart from :meth:`_drive` because
-        the replicated runner launches every group before it waits on
-        any, and passes the reduce rounds a replica's shard holds no
-        samples of — ``(FLUSH, 0)`` ops at the end of every column,
+        its group's ops (free-running: its stage's), stage 0's with the
+        plan's packets.  Apart from :meth:`_drive` because the
+        replicated runner launches every group before it waits on any,
+        and passes the reduce rounds a replica's shard holds no samples
+        of — ``(FLUSH, -1, 0)`` ops at the end of every group's ops,
         which is also why an empty shard still launches workers."""
         self._plan = plan = self._compile(X.shape[0])
         width = max(1, self.schedule.micro_batch)
@@ -313,12 +317,10 @@ class _WorkerGroupEngine(PipelineExecutor):
         if self._grouped:
             groups = self._groups(layouts)
             cpus = None if self._replica else lane_cpus(len(groups))
-            ops = [plan.ops(g[0], g[-1]) for g in groups]
-        else:
-            ops = [
-                plan.column(s) + [(FLUSH, 0)] * empty_rounds
-                for s in range(self.num_stages)
-            ]
+        ops = [
+            plan.ops(g[0], g[-1]) + [(FLUSH, -1, 0)] * empty_rounds
+            for g in groups or [(s,) for s in range(self.num_stages)]
+        ]
         inputs = [
             (start, start, size, [X[start : start + size]])
             for start, size in self._plan.packets
@@ -424,7 +426,7 @@ class ProcessPipelineRunner(_WorkerGroupEngine):
     *process* per stage group and shared-memory packet transport.
 
     The threaded runner shares one interpreter, so NumPy dispatch
-    serializes on the GIL; here every stage is an OS process and
+    serializes on the GIL; here every stage group is an OS process and
     activations/gradients move through the shared-memory rings of
     :mod:`repro.pipeline.transport`.  Same constructor as
     :class:`ConcurrentPipelineRunner`, plus:
@@ -504,7 +506,7 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     Narayanan et al. 2021).
 
     Each replica is a full :class:`ProcessPipelineRunner` (one worker
-    process per stage) consuming a disjoint **block-cyclic shard** of the
+    process per stage, unpinned) consuming a disjoint **block-cyclic shard** of the
     sample stream: sample ``i`` belongs to replica ``(i // U) % R`` where
     ``U`` is the per-replica update size (see
     :func:`repro.data.loader.shard_positions`).  That layout makes each
@@ -512,8 +514,9 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     the stream, which is what lets the reduction reproduce a single
     pipeline's gradient math bit for bit.
 
-    Synchronous schedules (``fill_drain``/``gpipe``) reduce gradients at
-    every update barrier over a shared-memory **chain reduce plane**
+    Synchronous schedules (``fill_drain``/``gpipe``) run each replica's
+    stages in plan order, and reduce gradients at every update barrier
+    — the plan's ``FLUSH`` — over a shared-memory **chain reduce plane**
     (:func:`~repro.pipeline.transport.build_reduce_rings`): per-packet
     gradient segments fold across replicas in stream order, so the
     global sum — and therefore every update — is hex-identical to one

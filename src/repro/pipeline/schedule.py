@@ -44,8 +44,9 @@ same tick, so a packet occupies ``2S - 1`` ticks — to produce a
 Every reader of tick semantics reads the plan: the simulator
 (:meth:`~repro.pipeline.executor.PipelineExecutor._run`) runs every op
 in order, a worker hosting stages ``a..b`` runs :meth:`Plan.ops`
-``(a, b)`` in order, a free-running worker of one stage runs its
-:meth:`Plan.column` flush to flush, and
+``(a, b)`` in order, a free-running worker of one stage ``s`` runs
+``Plan.ops(s, s)`` in PipeDream's order (a per-gradient plan has no
+``FLUSH``), and
 :meth:`~repro.pipeline.occupancy.Occupancy.from_plan` renders it as a
 grid.
 
@@ -113,16 +114,12 @@ class Plan:
     def ops(self, lo: int, hi: int) -> list[tuple]:
         """The ``(kind, stage, arg)`` ops of stages ``lo..hi`` and every
         stage-wide op, in execution order: what a worker hosting that
-        contiguous range runs (all of them: what the simulator runs)."""
+        contiguous range runs (all of them: what the simulator runs; one
+        stage: what a free-running worker reorders)."""
         return [
             op for tick in self.ticks for op in tick
             if lo <= op[1] <= hi or op[1] < 0
         ]
-
-    def column(self, stage: int) -> list[tuple]:
-        """Stage ``stage``'s ops in order, as ``(kind, arg)`` pairs: what
-        a free-running worker of that one stage runs."""
-        return [(kind, arg) for kind, _, arg in self.ops(stage, stage)]
 
 
 class Schedule(ABC):

@@ -20,15 +20,17 @@ The loop
 --------
 
 A training worker hosts a contiguous run of stages ``a..b`` (a *group*;
-:mod:`repro.pipeline.runtime`, "Stage groups", says how many) and runs
-one of two loops over it.
+:mod:`repro.pipeline.runtime`, "Stage groups", says how many) and is
+shipped :meth:`Plan.ops <repro.pipeline.schedule.Plan.ops>` ``(a, b)``
+once in its spec: the plan's ticks restricted to its stages, in tick
+order and in order within a tick, ``FLUSH`` and ``SET_LR`` applied to
+all its stages where they fall.  It has one loop: run those ops through
+:class:`~repro.pipeline.executor.StageOps` in the worker's order until
+they end or the abort flag is set.  The order is one of two.
 
 **In plan order** — every lockstep run, every run of a synchronous
-schedule and every ``pb`` / ``1f1b`` run short of a CPU per stage.
-The worker runs :meth:`Plan.ops <repro.pipeline.schedule.Plan.ops>`
-``(a, b)``, shipped once in its spec: the plan's ticks restricted to
-its stages, in tick order and in order within a tick, ``FLUSH`` and
-``SET_LR`` applied to all its stages where they fall.  Inside the
+schedule (replicas included) and every ``pb`` / ``1f1b`` run short of
+a CPU per stage: :class:`StageWorker` runs the ops as shipped.  Inside the
 group activations and gradients pass through ``StageOps``' dicts
 exactly as in the simulator, so the loss stage's same-tick ``FWD`` →
 ``BWD`` seeding holds by construction; only ``a``'s inbound and
@@ -36,6 +38,12 @@ exactly as in the simulator, so the loss stage's same-tick ``FWD`` →
 stage's op order (no two stages share mutable state) and channels are
 FIFO, so the run is bit-exact with the simulator whatever the cut;
 ``S`` groups of one stage are a worker per stage in lockstep.
+
+A ``FLUSH`` applies each stage's averaged update, in stage order; in a
+replica of a synchronous schedule it is instead each stage's
+cross-replica reduce round (:meth:`StageWorker.reduce`: chain in, fold
+in stream order, chain out, the sum back), and a replica whose shard
+misses a global batch joins its round with a ``(FLUSH, -1, 0)`` op.
 
 It cannot deadlock.  Every op waits only on ops of earlier ticks:
 ``FWD s`` of a packet on its ``FWD s-1`` one tick before, ``BWD s`` on
@@ -64,32 +72,34 @@ packet injected at tick ``i`` runs ``FWD s`` at tick ``i + s`` and
   at tick ``t``, a held slot's packet has ``FWD b <= t`` and ``BWD a =
   FWD b + D_b + (b - a) >= t``: at most ``D_b + (b - a) + 1 <= D_a +
   1`` packets, since ``D_a = D_b + 2(b - a)``.
+* *Reduce rounds.*  A synchronous schedule's ``FLUSH`` comes after the
+  tick in which the batch's last sample drained, and injection is held
+  until then, so a worker blocked in a reduce round holds no ring slot,
+  and its peers' rounds (the same stage on the other replicas) depend
+  only on their own replicas' earlier ticks.
 
 **Free-running** — ``pb`` and ``1f1b`` unless lockstep, one stage per
 worker, when the launch has a usable CPU for every stage (on fewer,
 the workers would share cores and the OS scheduler would set the
-delays the cap only bounds).  A :class:`FreeStageWorker` walks its
-stage's :meth:`Plan.column <repro.pipeline.schedule.Plan.column>` in
-**segments**: ``FWD`` and
-``BWD`` ops make up a segment, and a ``FLUSH`` ends it, the only
-barrier.  Inside a segment each op runs as soon as it is possible, by
-PipeDream's rule: **backward priority** (the drain rule, and the
-deadlock-freedom argument: the oldest in-flight packet can always
-progress) → a forward only while fewer than ``D_s + 1 = 2(S-1-s) + 1``
-packets sit between their forward and backward here → idle wait, each
-op kind up to its count in the segment (a next-batch packet already in
-a channel is not work yet).  Every op runs under the learning rate of
-the last ``SET_LR`` before it in the column, and the stage keeps the
-column's last one.  The cap turns the paper's eq. 5 into a guaranteed
-staleness ceiling: the forward of sample ``i`` at stage ``s`` sees at
-least ``max(0, i - 2(S-1-s))`` updates applied.
+delays the cap only bounds).  A :class:`FreeStageWorker` runs its
+stage's ops ``Plan.ops(s, s)`` — per-gradient updates, so no
+``FLUSH`` (one is a plan bug, and raises) — each as soon as it is
+possible, by PipeDream's rule: **backward priority** (the drain rule,
+and the deadlock-freedom argument: the oldest in-flight packet can
+always progress) → a forward only while fewer than ``D_s + 1 =
+2(S-1-s) + 1`` packets sit between their forward and backward here →
+idle wait.  Every op runs under the learning rate of the last
+``SET_LR`` before it in the plan, and the stage keeps the plan's last
+one.  The cap turns the paper's eq. 5 into a guaranteed staleness
+ceiling: the forward of sample ``i`` at stage ``s`` sees at least
+``max(0, i - 2(S-1-s))`` updates applied.
 
 Stage 0's group has no inbound channel.  The batch rides in its spec,
 as the loss stage's labels do: ``inputs`` holds the plan's packets, and
 ``FWD`` of packet ``p`` takes the ``p``-th.  Stage 0 also adds every
 sample its backwards complete to the group's completion count, a shared
-number next to the abort flag, and, hosting a group, every op it runs
-to a step count beside it: all the parent watches for stall detection.
+number next to the abort flag, and every op it runs to a step count
+beside it: all the parent watches for stall detection.
 
 When its ops end a worker sends its one reply and returns.
 
@@ -154,9 +164,9 @@ worker sends exactly one message on it: ``("state", payload)`` — or
 object itself on an in-process endpoint, ``None`` across a pipe).
 
 A training worker needs nothing from the parent.  Flushes (with a
-:class:`_ReduceSpec`, cross-replica reduce rounds) and LR changes are
-column ops, so the worker replies when its column ends, and the parent
-of a training run sends nothing at all.  It never writes ``stage.lr``
+:class:`_ReduceSpec` per stage, cross-replica reduce rounds) and LR
+changes are plan ops, so the worker replies when its ops end, and the
+parent of a training run sends nothing at all.  It never writes ``stage.lr``
 itself while workers run: a thread-hosted worker shares the stage
 object.
 
@@ -249,7 +259,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.pipeline.executor import StageCounters, StageOps
-from repro.pipeline.schedule import BWD, FLUSH, SET_LR
+from repro.pipeline.schedule import BWD, FWD, SET_LR
 from repro.pipeline.stage import PipelineStage
 from repro.pipeline.transport import (
     Doorbell,
@@ -648,17 +658,19 @@ class _WorkerSpec:
     stages: list | None  # threads and fork: the stage objects themselves
     build_specs: list | None = None  # a rebuild recipe per stage ...
     stage_states: list | None = None  # ... and the weights to load into it
-    #: the group's Plan.ops, or a free-running stage's Plan.column;
+    #: the group's Plan.ops (a free-running stage's: Plan.ops(s, s));
     #: None: a lane
     plan: list | None = None
-    free_running: bool = False  # one stage, its column in segments
+    free_running: bool = False  # one stage, its ops in PipeDream's order
     update_after_backward: tuple = ()  # per stage of the group
     packets: list | None = None  # the plan's (start, size) per packet
     bwd_in: Any = None  # None for the loss stage's group
     bwd_out: Any = None  # None for stage 0's group
     inputs: list | None = None  # stage 0's group: its packets
     labels: np.ndarray | None = None  # the loss stage's group only
-    reduce: _ReduceSpec | None = None  # replicated runs only
+    #: per stage of the group: its _ReduceSpec (replicated synchronous
+    #: runs), or None
+    reduce: tuple = ()
     cpus: tuple | None = None  # the CPUs it runs on (None: the launcher's)
 
 
@@ -726,13 +738,15 @@ class StageWorker(_Worker):
     op bodies are :class:`~repro.pipeline.executor.StageOps`', the
     simulator's own; this worker is their ``edges``: the channel into
     ``a`` (stage 0: its own packets) and the one out of ``b`` forward,
-    the channel into ``b`` and the one out of ``a`` backward."""
+    the channel into ``b`` and the one out of ``a`` backward, and a
+    ``FLUSH``'s cross-replica reduce round."""
 
     def __init__(self, spec: _WorkerSpec, stages: Sequence[PipelineStage]):
         self.stages = list(stages)
         self.ops = StageOps(
             stages, spec.packets, spec.labels, self,
             spec.update_after_backward, clock=time.perf_counter,
+            reduce=spec.reduce,
         )
         super().__init__(spec, self.ops.counters[0])
         #: a process host's worker returns its trained state
@@ -743,6 +757,13 @@ class StageWorker(_Worker):
             # otherwise carry — and duplicate — prior runs' entries.
             for stage in stages:
                 stage.version_trace = []
+        #: each reducing stage's rounds so far (packet ids on its rings)
+        self._rounds: dict[int, int] = {}
+        for stage, red in zip(stages, spec.reduce):
+            if red is not None:
+                # replicated sync runs fold per-packet gradient segments
+                # across replicas instead of accumulating locally
+                stage.collect_grad_segments = True
 
     @property
     def active(self) -> int:
@@ -801,83 +822,29 @@ class StageWorker(_Worker):
         if spec.fwd_in is not None:
             self._handoff(spec.fwd_in.release)
 
-    # -- the loop -----------------------------------------------------------
-
-    def run(self) -> None:
-        """Run the group's ops in plan order, then reply."""
-        abort, plan = self.spec.abort, self.spec.plan
-        steps = abort.steps if self.ops.lo == 0 else None
-
-        def ops():
-            for op in plan:
-                if abort.is_set():
-                    raise TransportAborted(f"stage {self.active}: run aborted")
-                yield op
-                if steps is not None:
-                    steps.value += 1
-
-        self.ops.run(ops())
-        self._finish()
-
-    def _finish(self) -> None:
-        ship = self.ship_state
-        self._reply(
-            self.ops.counters,
-            losses=self.ops.losses,
-            states=[st.state_dict() for st in self.stages] if ship else None,
-            version_traces=(
-                [list(st.version_trace) for st in self.stages]
-                if ship else None
-            ),
-        )
-
-
-class FreeStageWorker(StageWorker):
-    """One stage, free-running: its column walked in segments (module
-    docstring, "The loop"), the same op bodies run as packets arrive."""
-
-    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
-        super().__init__(spec, [stage])
-        self.stage = stage
-        self.s = stage.index
-        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
-        #: the running segment: the learning rate and packet of each
-        #: forward and of each backward it has left
-        self._fwd: deque[tuple] = deque()
-        self._bwd: deque[tuple] = deque()
-        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
-        #: (a loss-only pipeline has no channel, and never waits)
-        self._idle_wait = inbound and inbound[0].idle_wait(
-            spec.conn, spec.abort, *inbound[1:]
-        )
-        self._reduce_round = 0  # packet ids on the reduce rings
-        if spec.reduce is not None:
-            # replicated sync runs fold per-packet gradient segments
-            # across replicas instead of accumulating locally
-            stage.collect_grad_segments = True
-
-    # -- control ----------------------------------------------------------
-
-    def _reduce_flush(self, local_count: int) -> None:
+    def reduce(
+        self, stage: PipelineStage, red: _ReduceSpec, local_count: int
+    ) -> None:
         """One cross-replica reduce round ending in a synchronized update.
 
-        Every replica's stage worker (same stage, ranks ``0..R-1``)
-        enters this once per global batch — replicas whose shard holds no
-        samples for the batch enter with ``local_count == 0`` and empty
-        segments, keeping the chain aligned.  Rank ``r`` receives ranks
-        ``0..r-1``'s partial sums, folds its own per-packet gradients on
-        top *in stream order*, and forwards; the last rank's fold is the
-        global sum, which travels back down the result chain.  Everyone
-        then installs the identical sum and applies the identical mean
-        update, so replicas stay bit-for-bit in sync — and equal to one
-        pipeline running the whole ``R*U`` batch.
+        Every replica's worker of ``stage`` (same stage, ranks
+        ``0..R-1``) enters this once per global batch — replicas whose
+        shard holds no samples for the batch enter with ``local_count ==
+        0`` and empty segments, keeping the chain aligned.  Rank ``r``
+        receives ranks ``0..r-1``'s partial sums, folds its own
+        per-packet gradients on top *in stream order*, and forwards; the
+        last rank's fold is the global sum, which travels back down the
+        result chain.  Everyone then installs the identical sum and
+        applies the identical mean update, so replicas stay bit-for-bit
+        in sync — and equal to one pipeline running the whole ``R*U``
+        batch.
         """
-        red = self.spec.reduce
-        params = self.stage.params
-        segments = self.stage.pop_grad_segments()
+        s = stage.index
+        params = stage.params
+        segments = stage.pop_grad_segments()
         if red.chain_in is not None:
             pkt = self._recv(
-                red.chain_in, f"stage {self.s} reduce chain (rank {red.rank})"
+                red.chain_in, f"stage {s} reduce chain (rank {red.rank})"
             )
             # cumulative sample count rides in the ``start`` meta slot
             upstream_count = int(pkt[1])
@@ -893,17 +860,16 @@ class FreeStageWorker(StageWorker):
                 # pipeline's per-packet gradient accumulation
                 a = g if a is None else a + g
             acc[k] = a
+        pid = self._rounds.get(s, 0)
         if params and any(a is None for a in acc):
             # only reachable when rank 0 flushes a batch it saw no
             # samples of — the block-cyclic shard gives rank 0 the
             # earliest samples of every batch, so this is a plan bug
             raise RuntimeError(
-                f"stage {self.s} rank {red.rank}: reduce round "
-                f"{self._reduce_round} has no gradient to contribute or "
-                "forward"
+                f"stage {s} rank {red.rank}: reduce round {pid} has no "
+                "gradient to contribute or forward"
             )
-        pid = self._reduce_round
-        self._reduce_round += 1
+        self._rounds[s] = pid + 1
         if red.chain_out is not None:
             size = max((int(a.shape[0]) for a in acc), default=0)
             self._send(red.chain_out, pid, total, size, acc)
@@ -911,8 +877,7 @@ class FreeStageWorker(StageWorker):
                 # the send copied the views out
                 self._handoff(red.chain_in.release)
             pkt = self._recv(
-                red.result_in,
-                f"stage {self.s} reduce result (rank {red.rank})",
+                red.result_in, f"stage {s} reduce result (rank {red.rank})"
             )
             total = int(pkt[1])
             result = [np.array(a, copy=True) for a in pkt[3]]
@@ -928,34 +893,89 @@ class FreeStageWorker(StageWorker):
             size = max((int(a.shape[0]) for a in result), default=0)
             self._send(red.result_out, pid, total, size, result)
         if params:
-            self.stage.set_reduced_grads(result)
-        self.stage.flush_update(total)
-
-    def _flush(self, count: int) -> None:
-        if self.spec.reduce is not None:
-            self._reduce_flush(int(count))
-        else:
-            self.stage.flush_update(count)
+            stage.set_reduced_grads(result)
+        stage.flush_update(total)
 
     # -- the loop -----------------------------------------------------------
 
     def run(self) -> None:
-        """Walk the column in segments, then reply (module docstring,
-        "The loop")."""
-        stage = self.stage
-        lr = stage.lr
-        for kind, arg in self.spec.plan:
+        """Run the ops of :meth:`_order`, then reply."""
+        abort = self.spec.abort
+        steps = abort.steps if self.ops.lo == 0 else None
+
+        def ops():
+            for op in self._order():
+                if abort.is_set():
+                    raise TransportAborted(f"stage {self.active}: run aborted")
+                yield op
+                if steps is not None:
+                    steps.value += 1
+
+        self.ops.run(ops())
+        ship = self.ship_state
+        self._reply(
+            self.ops.counters,
+            losses=self.ops.losses,
+            states=[st.state_dict() for st in self.stages] if ship else None,
+            version_traces=(
+                [list(st.version_trace) for st in self.stages]
+                if ship else None
+            ),
+        )
+
+    def _order(self):
+        """The group's ops: plan order."""
+        return self.spec.plan
+
+
+class FreeStageWorker(StageWorker):
+    """One stage, free-running: the same plan ops and op bodies, run in
+    PipeDream's order as packets arrive (module docstring, "The
+    loop")."""
+
+    def __init__(self, spec: _WorkerSpec, stage: PipelineStage):
+        super().__init__(spec, [stage])
+        self.stage = stage
+        self.s = stage.index
+        self.cap = stage.delay + 1  # PipeDream in-flight bound (eq. 5)
+        #: the learning rate and op of each forward and of each backward
+        #: left to run
+        self._fwd: deque[tuple] = deque()
+        self._bwd: deque[tuple] = deque()
+        inbound = [c for c in (spec.fwd_in, spec.bwd_in) if c is not None]
+        #: (a loss-only pipeline has no channel, and never waits)
+        self._idle_wait = inbound and inbound[0].idle_wait(
+            spec.conn, spec.abort, *inbound[1:]
+        )
+
+    def _order(self):
+        """Backward priority, then a forward under the in-flight cap,
+        else idle wait — until every op has run, each under the learning
+        rate of the last ``SET_LR`` before it in the plan; the stage
+        keeps the plan's last one."""
+        lr = self.stage.lr
+        for op in self.spec.plan:
+            kind, _, arg = op
             if kind == SET_LR:
                 lr = arg
-            elif kind == FLUSH:
-                self._run_segment()
-                stage.lr = lr
-                self._flush(arg)
+            elif kind in (FWD, BWD):
+                (self._bwd if kind == BWD else self._fwd).append((lr, op))
             else:
-                (self._bwd if kind == BWD else self._fwd).append((lr, arg))
-        self._run_segment()
-        stage.lr = lr
-        self._finish()
+                # a per-gradient plan has no FLUSH (test_plan.py)
+                raise RuntimeError(f"stage {self.s}: free-running op {op}")
+        abort = self.spec.abort
+        while self._fwd or self._bwd:
+            if self._may_backward():
+                self.stage.lr, op = self._bwd.popleft()
+            elif self._may_forward():
+                self.stage.lr, op = self._fwd.popleft()
+            else:
+                if abort.is_set():
+                    raise TransportAborted(f"stage {self.s}: run aborted")
+                self._blocked(self._idle_wait, self._has_work)
+                continue
+            yield op
+        self.stage.lr = lr
 
     def _may_backward(self) -> bool:
         bwd_in = self.spec.bwd_in
@@ -974,26 +994,9 @@ class FreeStageWorker(StageWorker):
         )
 
     def _has_work(self) -> bool:
-        """The idle wait's predicate: anything the running segment may
-        do, which a packet beyond its counts is not."""
+        """The idle wait's predicate: any op the rule may run next."""
         abort = self.spec.abort
         return abort.is_set() or self._may_backward() or self._may_forward()
-
-    def _run_segment(self) -> None:
-        """Backward priority, then a forward under the in-flight cap,
-        else idle wait — until the segment's counts are spent."""
-        abort = self.spec.abort
-        while self._fwd or self._bwd:
-            if abort.is_set():
-                raise TransportAborted(f"stage {self.s}: run aborted")
-            if self._may_backward():
-                self.stage.lr, p = self._bwd.popleft()
-                self.ops.backward(self.s, p)
-            elif self._may_forward():
-                self.stage.lr, p = self._fwd.popleft()
-                self.ops.forward(self.s, p)
-            else:
-                self._blocked(self._idle_wait, self._has_work)
 
 
 class Lane(_Worker):
@@ -1129,7 +1132,7 @@ def _build_rings(stages, probe, lanes, slots, layouts, groups):
 
 class WorkerGroup:
     """Host one :class:`StageWorker` per entry of ``groups`` — one
-    :class:`FreeStageWorker` per stage without them, or one
+    :class:`FreeStageWorker` per stage without them — or one
     :class:`Lane` per entry of ``lanes`` — as threads over the parent's
     own stage objects, or as processes over shared-memory rings, and own
     launch, message receipt with a deadline, error attribution, the
@@ -1149,8 +1152,9 @@ class WorkerGroup:
     and ``plan[w]`` its :meth:`Plan.ops
     <repro.pipeline.schedule.Plan.ops>`, run in order on CPU ``cpus[w]``
     (``None``: wherever the launcher may run); without ``groups``,
-    ``plan[s]`` is stage ``s``'s :meth:`Plan.column
-    <repro.pipeline.schedule.Plan.column>`, run free.  A training run's
+    ``plan[s]`` is stage ``s``'s ``Plan.ops(s, s)``, run free.
+    ``reduce_plan[s]``, when given, is stage ``s``'s
+    :class:`_ReduceSpec`, which its ``FLUSH`` ops reduce over.  A training run's
     ``batch`` is ``(inputs, labels)``: stage 0's packets ``(pid, start,
     size, [x])`` in plan order, which it reads instead of a channel, and
     the loss stage's labels.
@@ -1294,7 +1298,9 @@ class WorkerGroup:
                         inputs=batch[0] if batch and w == 0 else None,
                         # the loss stage is the last (validate_stage_graph)
                         labels=batch[1] if batch and w == count - 1 else None,
-                        reduce=None if reduce_plan is None else reduce_plan[w],
+                        reduce=() if reduce_plan is None else tuple(
+                            reduce_plan[s] for s in group
+                        ),
                         cpus=None if cpu is None else (cpu,),
                     )
                 spec = _WorkerSpec(

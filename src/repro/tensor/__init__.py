@@ -51,8 +51,6 @@ from repro.tensor.tensor import (
     exp,
     log,
     sqrt,
-    tanh,
-    sigmoid,
     reshape,
     transpose,
     pad2d,
@@ -84,8 +82,6 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "tanh",
-    "sigmoid",
     "reshape",
     "transpose",
     "pad2d",

@@ -610,30 +610,6 @@ def sqrt(a) -> Tensor:
     return _result(out_data, (a,), _bw)
 
 
-def tanh(a) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    a = _ensure_tensor(a)
-    out_data = np.tanh(a.data)
-    captured = out_data
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - captured * captured))
-
-    return _result(out_data, (a,), _bw)
-
-
-def sigmoid(a) -> Tensor:
-    """Elementwise logistic sigmoid."""
-    a = _ensure_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    captured = out_data
-
-    def _bw(g: np.ndarray) -> None:
-        _accumulate(a, g * captured * (1.0 - captured))
-
-    return _result(out_data, (a,), _bw)
-
-
 # -- classification heads ------------------------------------------------------
 
 

@@ -114,9 +114,9 @@ class TestPlanInvariants:
         _, plan = _plan(mode, kw, n, S)
         order = list(range(len(plan.packets)))
         for s in range(S):
-            column = plan.column(s)
-            assert [p for k, p in column if k == FWD] == order
-            assert [p for k, p in column if k == BWD] == order
+            column = plan.ops(s, s)
+            assert [p for k, _, p in column if k == FWD] == order
+            assert [p for k, _, p in column if k == BWD] == order
 
     def test_in_flight_within_eq5_bound(self, mode, kw, n, S):
         """At every tick, packets forwarded but not yet backwarded at
@@ -172,7 +172,7 @@ def test_set_lr_on_first_tick_and_on_change():
     # sample k completes at tick k + 2S - 2 = k + 4
     assert lrs == [(0, 0.1), (6, 0.05)]
     for s in range(3):
-        assert [a for k, a in plan.column(s) if k == SET_LR] == [0.1, 0.05]
+        assert [a for k, _, a in plan.ops(s, s) if k == SET_LR] == [0.1, 0.05]
 
 
 # -- occupancy: rendered from the plan, equal to the closed forms ------------

@@ -39,6 +39,7 @@ from repro.pipeline import (
     make_pipeline_engine,
 )
 from repro.pipeline import runtime as runtime_module
+from repro.pipeline import worker as worker_module
 from repro.utils.rng import new_rng
 
 from test_schedules_golden import LR, MOMENTUM, WEIGHT_DECAY
@@ -162,6 +163,47 @@ class TestReplicaParitySync:
         assert rep.mode == "lockstep"
         assert _hex_losses(sim) == _hex_losses(rep)
         assert _weight_fingerprint(m_sim) == _weight_fingerprint(m_rep)
+
+    @pytest.mark.parametrize("mode,kw,lockstep", [
+        ("gpipe", dict(update_size=4, micro_batch_size=2), False),
+        ("fill_drain", dict(update_size=2), True),
+    ])
+    def test_sync_replicas_run_in_plan_order(
+        self, monkeypatch, mode, kw, lockstep
+    ):
+        """No timing can move a synchronous replica's bit, so its stages
+        run in plan order, its flushes being the reduce rounds: no worker
+        is a free-running one (forked workers inherit the patched
+        class), the empty stream's record, a full run's and the engine
+        all say lockstep, and the run is bit-exact with the simulator at
+        ``R*U``."""
+
+        class NoFree(worker_module.FreeStageWorker):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a sync replica ran a free worker")
+
+        monkeypatch.setattr(worker_module, "FreeStageWorker", NoFree)
+        X, Y = _stream(8)
+        factory = MODELS[4]
+        m_sim, m_rep = factory(seed=2024), factory(seed=2024)
+        common = dict(
+            lr=LR, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY, mode=mode
+        )
+        engine = make_pipeline_engine(
+            "process", m_rep, replicas=2, model_factory=factory,
+            lockstep=lockstep, **common, **kw,
+        )
+        empty = engine.train(X[:0], Y[:0])
+        rep = engine.train(X, Y)
+        assert empty.mode == "lockstep"
+        assert rep.mode == "lockstep"
+        assert engine.runtime_mode == "lockstep"
+        sim = PipelineExecutor(
+            m_sim, **common, **dict(kw, update_size=2 * kw["update_size"])
+        ).train(X, Y)
+        assert _hex_losses(sim) == _hex_losses(rep)
+        assert _weight_fingerprint(m_sim) == _weight_fingerprint(m_rep)
+        assert sim.updates_per_stage == rep.updates_per_stage
 
     def test_runtime_stats_merge_replicas(self):
         """Merged run records carry the replica count and per-stage op

@@ -19,7 +19,7 @@ guarantee — and what these tests pin — is:
   is empty — so their update math is identical to sequential mini-batch
   SGDM even free-running (only mid-flight loss *logging* could differ,
   and with batch-gated injection it does not).
-* **one protocol.**  Free-running workers run their plan column like
+* **one protocol.**  Free-running workers run their stage's plan ops like
   lockstep ones: an LR schedule governs from the first op, every op
   runs under the simulator's learning rate, and the parent sends a
   training worker nothing — on both hosts.

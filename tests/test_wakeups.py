@@ -253,7 +253,7 @@ def _x(n: int, seed: int = 0) -> np.ndarray:
 class TestParkedWorkers:
     @needs_proc
     def test_sigkill_of_a_parked_worker(self, slow_safety_net):
-        """Every worker's column is one backward that never comes, so
+        """Every worker's ops are one backward that never comes, so
         every worker sits in its idle wait.  Killing one must surface as
         that stage's error within the stall timeout — while the parent
         waits for stage 0's reply — release the siblings, leak nothing,
@@ -262,7 +262,8 @@ class TestParkedWorkers:
         stall = 5.0
         group = WorkerGroup(
             _stages(), np.zeros((1, FEATURES)), processes=True,
-            name="parked", stall_timeout=stall, plan=[[(BWD, 0)]] * 4,
+            name="parked", stall_timeout=stall,
+            plan=[[(BWD, s, 0)] for s in range(4)],
             batch=([], np.zeros(4, dtype=int)),
         )
         procs = list(group.workers)
