@@ -1,4 +1,4 @@
-"""Synthetic datasets, augmentation, and batching.
+"""Synthetic datasets and batching.
 
 CIFAR-10/ImageNet are not available offline, so the experiments run on
 seeded synthetic image-classification tasks with the same interface (see
@@ -13,7 +13,6 @@ from repro.data.synthetic import (
     SyntheticCifar,
     SyntheticImageNet,
 )
-from repro.data.augment import PadCropFlip
 from repro.data.loader import (
     ResumableSampleStream,
     iterate_batches,
@@ -27,7 +26,6 @@ __all__ = [
     "make_synthetic",
     "SyntheticCifar",
     "SyntheticImageNet",
-    "PadCropFlip",
     "ResumableSampleStream",
     "iterate_batches",
     "iterate_steps",

@@ -31,13 +31,11 @@ def iterate_batches(
     y: np.ndarray,
     batch_size: int,
     rng: np.random.Generator | None = None,
-    augment=None,
     shuffle: bool = True,
     drop_last: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(xb, yb)`` batches for one epoch.
 
-    ``augment`` is an optional callable ``(batch, rng) -> batch``.
     ``drop_last`` keeps update sizes constant (important when comparing
     against scaled hyperparameters).
     """
@@ -52,13 +50,7 @@ def iterate_batches(
     stop = n - (n % batch_size) if drop_last else n
     for start in range(0, stop, batch_size):
         take = idx[start : start + batch_size]
-        xb = x[take]
-        yb = y[take]
-        if augment is not None:
-            if rng is None:
-                raise ValueError("augmentation requires an rng")
-            xb = augment(xb, rng)
-        yield xb, yb
+        yield x[take], y[take]
 
 
 def iterate_steps(
@@ -67,14 +59,13 @@ def iterate_steps(
     batch_size: int,
     steps: int,
     rng: np.random.Generator,
-    augment=None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield exactly ``steps`` full-size batches, reshuffling every epoch.
 
     Chains :func:`iterate_batches` epochs (``drop_last``), so ``rng`` is
     consumed exactly as by a hand-written epoch loop that stops after
-    ``steps`` batches: one permutation per *started* epoch plus the
-    augment's draws per yielded batch, nothing after the last batch.
+    ``steps`` batches: one permutation per *started* epoch, nothing
+    after the last batch.
     """
     if batch_size > x.shape[0]:
         raise ValueError(
@@ -83,7 +74,7 @@ def iterate_steps(
         )
     done = 0
     while done < steps:
-        epoch = iterate_batches(x, y, batch_size, rng=rng, augment=augment)
+        epoch = iterate_batches(x, y, batch_size, rng=rng)
         for batch in islice(epoch, steps - done):
             done += 1
             yield batch
@@ -116,9 +107,8 @@ def sample_stream(
     y: np.ndarray,
     epochs: int,
     rng: np.random.Generator,
-    augment=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``epochs`` shuffled (augmented) passes into one stream.
+    """Concatenate ``epochs`` shuffled passes into one stream.
 
     The eager helper: materializes the full multi-epoch sequence up
     front, which caps run length by RAM.  Pipelined runs use
@@ -130,10 +120,7 @@ def sample_stream(
     xs, ys = [], []
     for _ in range(int(epochs)):
         idx = rng.permutation(x.shape[0])
-        xb = x[idx]
-        if augment is not None:
-            xb = augment(xb, rng)
-        xs.append(xb)
+        xs.append(x[idx])
         ys.append(y[idx])
     return np.concatenate(xs), np.concatenate(ys)
 
@@ -142,13 +129,13 @@ class ResumableSampleStream:
     """Lazy multi-epoch sample stream with a serializable cursor.
 
     Produces exactly the sequence :func:`sample_stream` would (same
-    ``rng`` consumption order: one permutation draw, then the augment's
-    draws, per epoch) but materializes only the *current* epoch, so a
+    ``rng`` consumption order: one permutation draw per epoch) but
+    materializes only the *current* epoch, so a
     run's length is bounded by patience, not memory.
 
     The cursor is ``(epoch, index, rng_state)`` where ``rng_state`` is
     the generator state **at the current epoch's start** — restoring it
-    regenerates the epoch's permutation and augmentation bit-exactly and
+    regenerates the epoch's permutation bit-exactly and
     skips to ``index``, so a resumed run continues mid-epoch on the very
     next sample the uninterrupted run would have consumed.  The
     checkpoint subsystem (:mod:`repro.pipeline.checkpoint`) persists this
@@ -161,7 +148,6 @@ class ResumableSampleStream:
         y: np.ndarray,
         epochs: int,
         rng: np.random.Generator,
-        augment=None,
     ):
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y length mismatch")
@@ -173,7 +159,6 @@ class ResumableSampleStream:
         self.y = y
         self.epochs = int(epochs)
         self.rng = rng
-        self.augment = augment
         self.epoch = 0  # current epoch (== epochs when exhausted)
         self.index = 0  # next sample within the current epoch
         self._epoch_x: np.ndarray | None = None
@@ -206,7 +191,7 @@ class ResumableSampleStream:
     # -- epoch materialization ----------------------------------------------
 
     def _materialize_epoch(self) -> None:
-        """Shuffle (and augment) the current epoch; one epoch in memory.
+        """Shuffle the current epoch; one epoch in memory.
 
         Consumes the rng exactly as :func:`sample_stream` does for this
         epoch.  The pre-permutation rng state is *not* kept here — a
@@ -217,10 +202,7 @@ class ResumableSampleStream:
             return
         self._epoch_rng_state = copy.deepcopy(self.rng.bit_generator.state)
         idx = self.rng.permutation(self.samples_per_epoch)
-        xb = self.x[idx]
-        if self.augment is not None:
-            xb = self.augment(xb, self.rng)
-        self._epoch_x = xb
+        self._epoch_x = self.x[idx]
         self._epoch_y = self.y[idx]
 
     def _drop_epoch(self) -> None:

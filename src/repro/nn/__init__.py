@@ -3,7 +3,7 @@
 Torch-like ``Module``/``Parameter`` system with the layers the paper's
 models need: ``Conv2d``, ``Linear``, ``GroupNorm`` (the paper's batch-free
 normalizer), ``BatchNorm2d`` (for the BN-vs-GN delay-tolerance extension
-experiments), ReLU/pooling/dropout, and loss modules.
+experiments), ReLU/pooling/dropout.
 """
 
 from repro.nn.module import Module, Parameter, Sequential, ModuleList
@@ -13,7 +13,6 @@ from repro.nn.norm import GroupNorm, BatchNorm2d, group_norm_for
 from repro.nn.activation import ReLU
 from repro.nn.pooling import MaxPool2d, AvgPool2d, GlobalAvgPool
 from repro.nn.dropout import Dropout
-from repro.nn.loss import CrossEntropyLoss, MSELoss
 from repro.nn import init
 
 __all__ = [
@@ -32,7 +31,5 @@ __all__ = [
     "AvgPool2d",
     "GlobalAvgPool",
     "Dropout",
-    "CrossEntropyLoss",
-    "MSELoss",
     "init",
 ]

@@ -15,8 +15,6 @@ from repro.optim.scaling import (
     HE_CIFAR_REFERENCE,
     HE_IMAGENET_REFERENCE,
     scale_for_batch_size,
-    momentum_half_life_samples,
-    per_sample_contribution,
 )
 from repro.optim.lr_schedule import (
     ConstantSchedule,
@@ -31,8 +29,6 @@ __all__ = [
     "HE_CIFAR_REFERENCE",
     "HE_IMAGENET_REFERENCE",
     "scale_for_batch_size",
-    "momentum_half_life_samples",
-    "per_sample_contribution",
     "ConstantSchedule",
     "StepSchedule",
     "WarmupSchedule",

@@ -92,23 +92,3 @@ def lr_for_momentum(
         * lr_ref
     )
 
-
-def momentum_half_life_samples(momentum: float, batch_size: int) -> float:
-    """Half-life of the momentum decay measured in *samples*.
-
-    Invariant under eq. 9 scaling (property-tested).
-    """
-    import math
-
-    if momentum <= 0.0:
-        return 0.0
-    return batch_size * math.log(0.5) / math.log(momentum)
-
-
-def per_sample_contribution(lr: float, momentum: float, batch_size: int) -> float:
-    """Total long-run contribution of one sample's gradient to the weights.
-
-    A unit gradient contributes ``lr * 1/(1-m)`` over time, shared by the
-    ``batch_size`` samples in the update.  Invariant under eq. 9 scaling.
-    """
-    return lr / ((1.0 - momentum) * batch_size)

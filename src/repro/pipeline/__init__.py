@@ -50,7 +50,6 @@
 from repro.pipeline.delays import (
     stage_delay,
     pipeline_delay_profile,
-    max_pipeline_delay,
     stage_delay_table,
 )
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
@@ -116,11 +115,9 @@ from repro.pipeline.occupancy import (
     one_f_one_b_occupancy,
     render_occupancy,
     schedule_utilization,
-    observed_stage_delays,
 )
 from repro.pipeline.utilization import (
     fill_drain_utilization,
-    gpipe_utilization,
     pb_utilization,
     utilization_upper_bound,
 )
@@ -135,7 +132,6 @@ from repro.pipeline.costs import (
 __all__ = [
     "stage_delay",
     "pipeline_delay_profile",
-    "max_pipeline_delay",
     "stage_delay_table",
     "PipelineStage",
     "StageBuildSpec",
@@ -188,9 +184,7 @@ __all__ = [
     "one_f_one_b_occupancy",
     "render_occupancy",
     "schedule_utilization",
-    "observed_stage_delays",
     "fill_drain_utilization",
-    "gpipe_utilization",
     "pb_utilization",
     "utilization_upper_bound",
     "contiguous_partition",

@@ -30,7 +30,7 @@ It contains
   :class:`~repro.data.loader.ResumableSampleStream`, so the resumed run
   consumes the *same* sample sequence the uninterrupted run would have —
   including mid-epoch positions, because the RNG state pinned at epoch
-  start regenerates the epoch's permutation and augmentation exactly.
+  start regenerates the epoch's permutation exactly.
 
 Safe points
 -----------

@@ -25,11 +25,6 @@ def stage_delay(index: int, num_stages: int) -> int:
     return 2 * (num_stages - 1 - index)
 
 
-def max_pipeline_delay(model: StageGraphModel) -> int:
-    """The first stage's delay, ``2(S-1)``."""
-    return stage_delay(0, model.num_stages)
-
-
 def pipeline_delay_profile(
     model: StageGraphModel, sim_batch_size: int = 1
 ) -> PerParamDelay:

@@ -146,12 +146,3 @@ def render_occupancy(occ: Occupancy, max_cols: int = 120) -> str:
         lines.append(f"... ({occ.time_steps - cols} more steps)")
     return "\n".join(lines)
 
-
-def observed_stage_delays(occ: Occupancy) -> list[int]:
-    """Per-stage F->B distance of sample 0 (equals ``2(S-1-s)``)."""
-    delays = []
-    for s in range(occ.num_stages):
-        t_f = int(np.argmax(occ.fwd_sample[s] == 0))
-        t_b = int(np.argmax(occ.bwd_sample[s] == 0))
-        delays.append(t_b - t_f)
-    return delays

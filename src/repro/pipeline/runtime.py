@@ -60,31 +60,33 @@ would share cores, and the OS scheduler, not the paper's ``D_s``, would
 pick each update's delay, so such a run is cut into stage groups in plan
 order instead, recorded as lockstep.  ``fill_drain`` and ``gpipe``
 change weights only at flushes, so no timing can move one of their bits:
-they always run as stage groups in plan order, recorded as lockstep —
-replicas of :class:`ReplicatedPipelineRunner` too, whose flushes are
-the cross-replica reduce rounds.
+they always run as stage groups in plan order, recorded as lockstep.
+A replica of :class:`ReplicatedPipelineRunner` follows the same rule
+on its own share of the CPUs; its flushes are the cross-replica reduce
+rounds.
 
 Stage groups
 ------------
 
+A pipeline runs on its share of the usable CPUs.  They are read once
+per ``train()`` call, under the caller's affinity mask as serving lanes
+read them (:func:`~repro.pipeline.inference.usable_cpus`,
+:func:`~repro.pipeline.inference.lane_cpus`), so the dispatch, the cut
+and the recorded mode agree.  A single pipeline's share is all of them;
+the ``R`` replicas of a :class:`ReplicatedPipelineRunner` take equal,
+disjoint slices (:func:`cpu_shares`), as PipeDream places each replica
+on workers of its own.
+
 Every lockstep run, every run of a synchronous schedule and every
-free-running request with fewer usable CPUs than stages is grouped.
-A grouped launch cuts the stages into ``K = min(S, usable CPUs)``
-contiguous groups of about equal work
+free-running request with fewer CPUs in its share than stages is
+grouped.  A grouped launch cuts the stages into ``K = min(S, CPUs in
+the share)`` contiguous groups of about equal work
 (:func:`~repro.pipeline.partition.contiguous_partition` over each
 stage's parameters times its output positions, read off the boundary
-layouts of one dummy forward), one worker per group pinned to one CPU.
-The CPUs are read once per ``train()`` call, under the caller's
-affinity mask as serving lanes read them
-(:func:`~repro.pipeline.inference.usable_cpus`), so the dispatch, the
-cut and the recorded mode agree.  On one CPU that is the whole plan in
-one worker, with no channel.  Groups cannot change a bit, so nothing
-configures them; ``control["groups"]`` reports the cut and no
-checkpoint keeps it.
-A replica of :class:`ReplicatedPipelineRunner` is cut into ``S``
-groups of one stage, unpinned (the replicas share the CPUs): a
-synchronous or lockstep replica runs them in plan order, a
-free-running one keeps one free stage per worker.
+layouts of one dummy forward), one worker per group pinned to one CPU
+of the share.  On one CPU that is the whole plan in one worker, with no
+channel.  Groups cannot change a bit, so nothing configures them;
+``control["groups"]`` reports the cut and no checkpoint keeps it.
 
 Every run returns the same record the simulator does
 (:class:`~repro.pipeline.executor.PipelineRunStats`, described there),
@@ -101,7 +103,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.mitigation import MitigationConfig
 from repro.data.loader import shard_positions
 from repro.models.arch import StageGraphModel
 from repro.pipeline.executor import (
@@ -127,6 +128,19 @@ from repro.pipeline.worker import (
 )
 
 
+def cpu_shares(
+    cpus: Sequence[int | None], replicas: int
+) -> list[list[int | None]]:
+    """Each of ``replicas`` pipelines' CPUs: equal, disjoint slices of
+    ``cpus``, ``max(1, len(cpus) // replicas)`` each, taken round robin
+    when the pipelines outnumber the CPUs."""
+    k = max(1, len(cpus) // replicas)
+    return [
+        [cpus[(r * k + i) % len(cpus)] for i in range(k)]
+        for r in range(replicas)
+    ]
+
+
 class _WorkerGroupEngine(PipelineExecutor):
     """A :class:`PipelineExecutor` whose batches run on a
     :class:`~repro.pipeline.worker.WorkerGroup` instead of the
@@ -146,40 +160,24 @@ class _WorkerGroupEngine(PipelineExecutor):
     _reduce_plan: list[_ReduceSpec] | None = None
     #: the plan of the ``train()`` call in progress
     _plan: Plan | None = None
-    #: set on each replica of a :class:`ReplicatedPipelineRunner` (one
-    #: stage per worker, left unpinned, since the R replicas share the
-    #: CPUs) and on that runner, the master, too: the record of an
-    #: empty stream, which launches nothing, then follows its replicas'
-    #: rule
-    _replica = False
-    #: the usable CPUs read at the entry of the ``train()`` call in
-    #: progress (or the last one).  It means nothing before a first
-    #: call, so neither do ``_grouped`` and ``runtime_mode`` of a
-    #: single pipeline running ``pb`` / ``1f1b`` free
-    _cpus = 0
+    #: the usable CPUs, one entry each, read at the entry of the
+    #: ``train()`` call in progress (or the last one); a replica of a
+    #: :class:`ReplicatedPipelineRunner` holds its own share of them.
+    #: They mean nothing before a first call (one CPU, unpinned), so
+    #: neither do ``_grouped`` and ``runtime_mode`` of a run of ``pb`` /
+    #: ``1f1b``
+    _cpus: Sequence[int | None] = (None,)
 
     def __init__(
         self,
         model: StageGraphModel,
         lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        mitigation: MitigationConfig | None = None,
-        mode: str = "pb",
-        update_size: int = 1,
-        micro_batch_size: int = 1,
-        lr_schedule: Callable[[int], float] | None = None,
-        record_versions: bool = False,
-        schedule: Schedule | None = None,
+        *,
         lockstep: bool = False,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-        precision: "str | None" = None,
+        **kwargs: Any,
     ):
-        super().__init__(
-            model, lr, momentum, weight_decay, mitigation, mode, update_size,
-            micro_batch_size, lr_schedule, record_versions, schedule,
-            precision,
-        )
+        super().__init__(model, lr, **kwargs)
         self.lockstep = bool(lockstep)
         self.stall_timeout = float(stall_timeout)
         self.restarts_used = 0
@@ -191,12 +189,14 @@ class _WorkerGroupEngine(PipelineExecutor):
     def _grouped(self) -> bool:
         """Whether a launch runs stage groups (module docstring, "Stage
         groups"): every lockstep run, every run of a synchronous schedule
-        and, outside a replica, every run with fewer usable CPUs than
-        stages."""
+        and every run with fewer CPUs in a pipeline's share than stages.
+        An engine of ``R`` replicas reads one replica's share, so the
+        record of an empty stream, which launches nothing, says what its
+        replicas would run."""
         return (
             self.lockstep
             or not self.schedule.update_after_backward(0)
-            or (not self._replica and self._cpus < self.num_stages)
+            or len(cpu_shares(self._cpus, self.replicas)[0]) < self.num_stages
         )
 
     @property
@@ -204,12 +204,11 @@ class _WorkerGroupEngine(PipelineExecutor):
         return "lockstep" if self._grouped else "free_running"
 
     def _groups(self, layouts) -> list[tuple[int, ...]]:
-        """This launch's cut: ``min(S, usable CPUs)`` contiguous groups
-        (a replica: one stage each).  A stage costs its parameter count
-        times its output positions, read off the ring ``layouts``: a
-        conv's work grows with both."""
+        """This launch's cut: ``min(S, len(_cpus))`` contiguous groups.
+        A stage costs its parameter count times its output positions,
+        read off the ring ``layouts``: a conv's work grows with both."""
         S = self.num_stages
-        k = S if self._replica else min(S, self._cpus)
+        k = min(S, len(self._cpus))
         key = (k, tuple(layouts))
         if key not in self._cuts:
             outputs = layouts[1:] + [()]  # the loss stage emits none
@@ -251,7 +250,7 @@ class _WorkerGroupEngine(PipelineExecutor):
         """
         # the CPUs under the caller's affinity mask, read once: the
         # layout probe, the cut and the recorded mode all follow it
-        self._cpus = usable_cpus()
+        self._cpus = lane_cpus(usable_cpus())
         if X.shape[0] == 0:
             # nothing to launch workers for: the discrete-time loop's
             # zero-step run is the record of an empty stream
@@ -316,7 +315,7 @@ class _WorkerGroupEngine(PipelineExecutor):
         groups = cpus = None
         if self._grouped:
             groups = self._groups(layouts)
-            cpus = None if self._replica else lane_cpus(len(groups))
+            cpus = self._cpus[: len(groups)]
         ops = [
             plan.ops(g[0], g[-1]) + [(FLUSH, -1, 0)] * empty_rounds
             for g in groups or [(s,) for s in range(self.num_stages)]
@@ -472,27 +471,13 @@ class ProcessPipelineRunner(_WorkerGroupEngine):
         self,
         model: StageGraphModel,
         lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        mitigation: MitigationConfig | None = None,
-        mode: str = "pb",
-        update_size: int = 1,
-        micro_batch_size: int = 1,
-        lr_schedule: Callable[[int], float] | None = None,
-        record_versions: bool = False,
-        schedule: Schedule | None = None,
-        lockstep: bool = False,
-        stall_timeout: float = DEFAULT_STALL_TIMEOUT,
+        *,
         model_factory: Callable[[], StageGraphModel] | None = None,
         start_method: str | None = None,
         max_restarts: int = 0,
-        precision: "str | None" = None,
+        **kwargs: Any,
     ):
-        super().__init__(
-            model, lr, momentum, weight_decay, mitigation, mode, update_size,
-            micro_batch_size, lr_schedule, record_versions, schedule,
-            lockstep, stall_timeout, precision,
-        )
+        super().__init__(model, lr, **kwargs)
         self.model_factory = model_factory
         self.start_method = resolve_start_method(start_method, model_factory)
         if max_restarts < 0:
@@ -505,14 +490,14 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     pipeline over the process runtime (PipeDream-2BW-style replication,
     Narayanan et al. 2021).
 
-    Each replica is a full :class:`ProcessPipelineRunner` (one worker
-    process per stage, unpinned) consuming a disjoint **block-cyclic shard** of the
-    sample stream: sample ``i`` belongs to replica ``(i // U) % R`` where
-    ``U`` is the per-replica update size (see
-    :func:`repro.data.loader.shard_positions`).  That layout makes each
-    replica's contribution to global batch ``k`` a contiguous slice of
-    the stream, which is what lets the reduction reproduce a single
-    pipeline's gradient math bit for bit.
+    Each replica is a full :class:`ProcessPipelineRunner` on its own
+    share of the CPUs (module docstring, "Stage groups") consuming a
+    disjoint **block-cyclic shard** of the sample stream: sample ``i``
+    belongs to replica ``(i // U) % R`` where ``U`` is the per-replica
+    update size (see :func:`repro.data.loader.shard_positions`).  That
+    layout makes each replica's contribution to global batch ``k`` a
+    contiguous slice of the stream, which is what lets the reduction
+    reproduce a single pipeline's gradient math bit for bit.
 
     Synchronous schedules (``fill_drain``/``gpipe``) run each replica's
     stages in plan order, and reduce gradients at every update barrier
@@ -531,7 +516,8 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     averaging per-replica weight deltas (folded in rank order, so the
     merge is deterministic).  The eq.-5 staleness ceiling holds *per
     replica* with local sample indices, since each replica is an
-    unmodified S-stage pipeline over its shard.
+    unmodified S-stage pipeline over its shard: free-running when its
+    share has a CPU per stage, else in plan order at the full ``D_s``.
 
     Module buffers are the exception under both kinds of schedule:
     BatchNorm running statistics are *shard-local* (a replica
@@ -564,28 +550,18 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
     lives in this runner's own stages.
     """
 
-    _replica = True  # an empty stream's record: see the base class
-
     def __init__(
         self,
         model: StageGraphModel,
         lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        mitigation: MitigationConfig | None = None,
+        *,
+        replicas: int = 2,
         mode: str = "pb",
         update_size: int = 1,
         micro_batch_size: int = 1,
-        lr_schedule: Callable[[int], float] | None = None,
-        record_versions: bool = False,
         schedule: Schedule | None = None,
-        lockstep: bool = False,
-        stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         model_factory: Callable[[], StageGraphModel] | None = None,
-        start_method: str | None = None,
-        max_restarts: int = 0,
-        replicas: int = 2,
-        precision: "str | None" = None,
+        **kwargs: Any,
     ):
         if replicas < 2:
             raise ValueError(
@@ -613,11 +589,12 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
         #: per-replica update size = the block-cyclic shard block
         self._block = max(1, int(rep_schedule.update_size))
         super().__init__(
-            model, lr, momentum, weight_decay, mitigation, mode,
-            self._block * self.replicas if self._sync else update_size,
-            micro_batch_size, lr_schedule, record_versions, None,
-            lockstep, stall_timeout, model_factory,
-            start_method, max_restarts, precision,
+            model, lr, mode=mode,
+            update_size=(
+                self._block * self.replicas if self._sync else update_size
+            ),
+            micro_batch_size=micro_batch_size,
+            model_factory=model_factory, **kwargs,
         )
         #: the R inner single-pipeline runners (``replica_runners[r]``
         #: is rank r); exposed so tests can reach per-replica state
@@ -627,22 +604,14 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             rep = ProcessPipelineRunner(
                 model_factory(),
                 lr,
-                momentum,
-                weight_decay,
-                mitigation,
-                mode,
-                update_size,
-                micro_batch_size,
-                lr_schedule=None,  # evaluated once at the master barrier
-                record_versions=record_versions,
-                lockstep=lockstep,
-                stall_timeout=stall_timeout,
+                mode=mode,
+                update_size=update_size,
+                micro_batch_size=micro_batch_size,
                 model_factory=model_factory,
-                start_method=start_method,
-                max_restarts=0,  # recovery is coordinated at this level
-                precision=precision,
+                # the LR is evaluated once at the master barrier, and
+                # recovery is coordinated at this level
+                **dict(kwargs, lr_schedule=None, max_restarts=0),
             )
-            rep._replica = True
             if rep.num_stages != self.num_stages:
                 raise ValueError(
                     "model_factory builds a "
@@ -680,10 +649,13 @@ class ReplicatedPipelineRunner(ProcessPipelineRunner):
             ]
         else:
             missing = [0] * R
-        # ship the master's drain-barrier state into every replica
+        # ship the master's drain-barrier state into every replica, and
+        # give each its own share of the CPUs read at train() entry
         master_states = [st.state_dict() for st in self.stages]
-        for rep in self.replica_runners:
+        shares = cpu_shares(self._cpus, R)
+        for rep, share in zip(self.replica_runners, shares):
             load_stage_states(rep.stages, master_states)
+            rep._cpus = share
         reduce_rings: list[ShmRing] = []
         if self._sync:
             chain, result = build_reduce_rings(self.stages, R, slots=2)
@@ -806,12 +778,13 @@ def make_pipeline_engine(
     group, or per stage when free-running ``pb`` / ``1f1b`` has a usable
     CPU per stage (module docstring).  ``replicas=R`` with ``R > 1``
     (process runtime only) returns a :class:`ReplicatedPipelineRunner`:
-    R data-parallel pipeline copies with cross-replica gradient
-    reduction at update barriers.  The concurrent engines are
-    free-running unless ``lockstep=True`` or a launch has fewer usable
-    CPUs than stages.  Every engine is a :class:`PipelineExecutor`, so
-    callers like :func:`~repro.experiments.common.run_pb_executor`
-    switch engines without touching their training loops, and every
+    R data-parallel pipeline copies, each on its own share of the usable
+    CPUs, with cross-replica gradient reduction at update barriers.  The
+    concurrent engines are free-running unless ``lockstep=True`` or a
+    launch has fewer CPUs in a pipeline's share than stages.  Every
+    engine is a :class:`PipelineExecutor`, so callers like
+    :func:`~repro.experiments.common.run_pb_executor` switch engines
+    without touching their training loops, and every
     engine's ``update_size`` is the one eq. 9 scales a reference to
     (``R*U`` for synchronous replicas).
     """

@@ -30,17 +30,6 @@ def fill_drain_utilization(num_stages: int, batch_size: int) -> float:
     return _slots_over_steps(num_stages, batch_size, "sample")
 
 
-def gpipe_utilization(num_stages: int, num_micro_batches: int) -> float:
-    """Slot utilization of GPipe-style micro-batched fill-and-drain.
-
-    Eq. 1 at micro-batch granularity: a mini-batch of ``M`` micro-batches
-    occupies ``M + 2S - 2`` steps of which ``M`` are fully utilized, so
-    utilization is ``M / (M + 2S - 2)`` — independent of the per-packet
-    width ``B`` because every slot carries ``B`` samples.
-    """
-    return _slots_over_steps(num_stages, num_micro_batches, "micro-batch")
-
-
 def pb_utilization(num_stages: int, total_samples: int) -> float:
     """Utilization of PB over a finite stream (one fill+drain total)."""
     return _slots_over_steps(num_stages, total_samples, "sample")

@@ -76,10 +76,13 @@ packet injected at tick ``i`` runs ``FWD s`` at tick ``i + s`` and
   tick in which the batch's last sample drained, and injection is held
   until then, so a worker blocked in a reduce round holds no ring slot,
   and its peers' rounds (the same stage on the other replicas) depend
-  only on their own replicas' earlier ticks.
+  only on their own replicas' earlier ticks.  A worker runs its stages'
+  rounds in stage order, so whatever each replica's cut, a round waits
+  on no round of a later stage.
 
 **Free-running** — ``pb`` and ``1f1b`` unless lockstep, one stage per
-worker, when the launch has a usable CPU for every stage (on fewer,
+worker, when the launch has a usable CPU for every stage (a replica:
+in its own share of the CPUs; on fewer,
 the workers would share cores and the OS scheduler would set the
 delays the cap only bounds).  A :class:`FreeStageWorker` runs its
 stage's ops ``Plan.ops(s, s)`` — per-gradient updates, so no

@@ -65,7 +65,7 @@ def rolling_reload(
         min_ready_observed=router.num_ready,
     )
 
-    def observe_drain(_replica) -> None:
+    def observe_drain(_) -> None:
         report.min_ready_observed = min(
             report.min_ready_observed, router.num_ready
         )

@@ -1,6 +1,6 @@
 """Seeded random-number-generator helpers.
 
-All stochastic components in the package (data synthesis, augmentation,
+All stochastic components in the package (data synthesis, shuffling,
 weight init, dropout, ASGD delay sampling) take a ``numpy.random.Generator``
 rather than relying on global state, so every experiment is reproducible
 from a single integer seed.
@@ -14,16 +14,6 @@ import numpy as np
 def new_rng(seed: int | None = 0) -> np.random.Generator:
     """Create a PCG64 generator from an integer seed (``None`` = entropy)."""
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Deterministically derive ``n`` independent generators from one seed.
-
-    Used when an experiment needs separate streams (e.g. one per training
-    run in a five-seed mean) that must not interact.
-    """
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(n)]
 
 
 def derive_seed(seed: int, *tags: int | str) -> int:

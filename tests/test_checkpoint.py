@@ -464,7 +464,7 @@ class TestDurableRun:
             model, lr=LR, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY,
             **RUNS[label],
         )
-        stream = ResumableSampleStream(X, Y, 1, new_rng(0), augment=None)
+        stream = ResumableSampleStream(X, Y, 1, new_rng(0))
         # bypass the shuffle: feed the canonical stream order directly
         stream._epoch_x, stream._epoch_y = X, Y
         stream._epoch_rng_state = stream.rng.bit_generator.state

@@ -1,10 +1,9 @@
-"""Synthetic data, augmentation, and loaders."""
+"""Synthetic data and loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    PadCropFlip,
     ResumableSampleStream,
     SyntheticCifar,
     SyntheticImageNet,
@@ -57,37 +56,6 @@ class TestSynthetic:
         assert acc > 0.5  # chance is 0.25
 
 
-class TestAugment:
-    def test_shape_preserved(self, rng):
-        aug = PadCropFlip(pad=2)
-        x = rng.normal(size=(8, 3, 16, 16))
-        out = aug(x, rng)
-        assert out.shape == x.shape
-
-    def test_zero_pad_no_flip_is_identity(self, rng):
-        aug = PadCropFlip(pad=0, flip_p=0.0)
-        x = rng.normal(size=(4, 3, 8, 8))
-        np.testing.assert_array_equal(aug(x, rng), x)
-
-    def test_flip_only_mirrors(self):
-        aug = PadCropFlip(pad=0, flip_p=1.0)
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = aug(x, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, x[..., ::-1])
-
-    def test_deterministic_given_rng(self, rng):
-        x = rng.normal(size=(6, 3, 10, 10))
-        a = PadCropFlip()(x, np.random.default_rng(5))
-        b = PadCropFlip()(x, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PadCropFlip(pad=-1)
-        with pytest.raises(ValueError):
-            PadCropFlip(flip_p=2.0)
-
-
 class TestLoader:
     def test_batches_cover_epoch(self, rng):
         x = rng.normal(size=(20, 2))
@@ -117,8 +85,7 @@ class TestLoader:
             next(iterate_batches(np.zeros((4, 1)), np.zeros(4), 2))
 
     @pytest.mark.parametrize("steps", [0, 1, 5, 6, 7, 12, 13])
-    @pytest.mark.parametrize("augment", [None, PadCropFlip(pad=1)])
-    def test_iterate_steps_matches_the_hand_written_nest(self, steps, augment):
+    def test_iterate_steps_matches_the_hand_written_nest(self, steps):
         """``iterate_steps`` yields exactly ``steps`` batches and draws
         from the rng exactly as the epoch nest every experiment used to
         write out (kept here as the reference): same batches, and the
@@ -130,9 +97,7 @@ class TestLoader:
         def nest(rng):
             out, done = [], 0
             while done < steps:
-                for xb, yb in iterate_batches(
-                    x, y, 4, rng=rng, augment=augment
-                ):
+                for xb, yb in iterate_batches(x, y, 4, rng=rng):
                     out.append((xb, yb))
                     done += 1
                     if done >= steps:
@@ -141,7 +106,7 @@ class TestLoader:
 
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         want = nest(rng_a)
-        got = list(iterate_steps(x, y, 4, steps, rng_b, augment=augment))
+        got = list(iterate_steps(x, y, 4, steps, rng_b))
         assert len(got) == steps == len(want)
         for (xa, ya), (xb, yb) in zip(want, got):
             assert xa.tobytes() == xb.tobytes()
@@ -180,21 +145,6 @@ class TestResumableSampleStream:
         np.testing.assert_array_equal(e_ys, l_ys)
         assert stream.exhausted
 
-    def test_eager_lazy_equivalence_with_augmentation(self):
-        """Augmentation draws from the same rng stream per epoch, so
-        augmented sequences must match bit for bit too."""
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 3, 8, 8))
-        y = np.arange(6)
-        aug = PadCropFlip(pad=1)
-        e_xs, e_ys = sample_stream(x, y, 2, np.random.default_rng(3),
-                                   augment=aug)
-        stream = ResumableSampleStream(x, y, 2, np.random.default_rng(3),
-                                       augment=aug)
-        l_xs, l_ys = stream.next_chunk(12)
-        np.testing.assert_array_equal(e_xs, l_xs)
-        np.testing.assert_array_equal(e_ys, l_ys)
-
     def test_chunked_consumption_matches_one_shot(self):
         x, y = self._data()
         one = ResumableSampleStream(x, y, 3, np.random.default_rng(5))
@@ -209,22 +159,15 @@ class TestResumableSampleStream:
             ys1, np.concatenate([p[1] for p in parts])
         )
 
-    @pytest.mark.parametrize("augment", [None, PadCropFlip(pad=1)])
-    def test_multi_epoch_chunk_equals_the_concatenation_it_replaced(
-        self, augment
-    ):
+    def test_multi_epoch_chunk_equals_the_concatenation_it_replaced(self):
         """A chunk crossing epoch boundaries is filled into one
         preallocated result; it must equal the per-epoch parts joined,
         ``x`` and ``y``, starting mid-epoch.  A chunk inside one epoch
         stays a view."""
         rng = np.random.default_rng(7)
         x, y = rng.normal(size=(6, 3, 8, 8)), np.arange(6)
-        whole = ResumableSampleStream(
-            x, y, 3, np.random.default_rng(3), augment=augment
-        )
-        parts = ResumableSampleStream(
-            x, y, 3, np.random.default_rng(3), augment=augment
-        )
+        whole = ResumableSampleStream(x, y, 3, np.random.default_rng(3))
+        parts = ResumableSampleStream(x, y, 3, np.random.default_rng(3))
         head = whole.next_chunk(4)
         assert head[0].base is not None  # inside epoch 0: a view
         np.testing.assert_array_equal(head[0], parts.next_chunk(4)[0])

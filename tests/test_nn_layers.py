@@ -7,17 +7,15 @@ from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    CrossEntropyLoss,
     Dropout,
     Flatten,
     GlobalAvgPool,
     GroupNorm,
     Linear,
     MaxPool2d,
-    MSELoss,
     group_norm_for,
 )
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor, check_gradients, cross_entropy
 from repro.utils.rng import new_rng
 
 
@@ -190,21 +188,9 @@ class TestDropout:
 
 
 class TestLosses:
-    def test_cross_entropy_module(self, rng):
-        loss = CrossEntropyLoss()
+    def test_cross_entropy(self, rng):
         logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = loss(logits, np.array([0, 1, 2, 0]))
+        out = cross_entropy(logits, np.array([0, 1, 2, 0]))
         assert out.size == 1
         out.backward()
         assert logits.grad is not None
-
-    def test_mse(self, rng):
-        loss = MSELoss()
-        a = Tensor(rng.normal(size=(5,)))
-        b = Tensor(rng.normal(size=(5,)))
-        expected = float(((a.data - b.data) ** 2).mean())
-        assert float(loss(a, b).data) == pytest.approx(expected)
-
-    def test_mse_sum(self, rng):
-        a, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        assert float(MSELoss("sum")(a, b).data) == pytest.approx(4.0)

@@ -19,8 +19,6 @@ from repro.optim import (
     SGDM,
     StepSchedule,
     WarmupSchedule,
-    momentum_half_life_samples,
-    per_sample_contribution,
     scale_for_batch_size,
     sgdm_update,
 )
@@ -425,8 +423,14 @@ class TestScalingRules:
         if scaled is None:
             return
         lr, m = scaled
-        h_ref = momentum_half_life_samples(m_ref, n_ref)
-        h_new = momentum_half_life_samples(m, n_new)
+        def half_life_samples(momentum, batch_size):
+            # the momentum decay's half-life measured in samples
+            if momentum <= 0.0:
+                return 0.0
+            return batch_size * math.log(0.5) / math.log(momentum)
+
+        h_ref = half_life_samples(m_ref, n_ref)
+        h_new = half_life_samples(m, n_new)
         assert h_new == pytest.approx(h_ref, rel=1e-6)
 
     @given(
@@ -441,8 +445,10 @@ class TestScalingRules:
         if scaled is None:
             return
         lr, m = scaled
-        c_ref = per_sample_contribution(lr_ref, m_ref, n_ref)
-        c_new = per_sample_contribution(lr, m, n_new)
+        # a unit gradient contributes lr / (1 - m) over time, shared by
+        # the batch's samples
+        c_ref = lr_ref / ((1.0 - m_ref) * n_ref)
+        c_new = lr / ((1.0 - m) * n_new)
         assert c_new == pytest.approx(c_ref, rel=1e-9)
 
     def test_hyperparams_scaled_to(self):

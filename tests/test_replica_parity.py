@@ -35,11 +35,14 @@ from repro.models.simple import small_cnn
 from repro.nn import Flatten, Linear, Sequential
 from repro.pipeline import (
     PipelineExecutor,
+    PipelineRunStats,
     ReplicatedPipelineRunner,
     make_pipeline_engine,
 )
 from repro.pipeline import runtime as runtime_module
 from repro.pipeline import worker as worker_module
+from repro.pipeline.inference import lane_cpus
+from repro.pipeline.stage import STATE_ARRAYS
 from repro.utils.rng import new_rng
 
 from test_schedules_golden import LR, MOMENTUM, WEIGHT_DECAY
@@ -121,6 +124,47 @@ def _run_both(depth: int, replicas: int, mode: str, kw: dict, n: int,
     )
     rep = runner.train(X, Y)
     return sim, rep, m_sim, m_rep, runner
+
+
+def _record_parts(monkeypatch) -> list:
+    """Every per-replica run record, in rank order, as the replicated
+    runner merges them (each keeps its own workers' pinned CPUs)."""
+    parts: list = []
+    merge = PipelineRunStats.merge_replicas
+
+    def recording(per_replica, *args, **kwargs):
+        parts.extend(per_replica)
+        return merge(per_replica, *args, **kwargs)
+
+    monkeypatch.setattr(
+        PipelineRunStats, "merge_replicas", staticmethod(recording)
+    )
+    return parts
+
+
+def _record_launches(monkeypatch) -> list:
+    """Every replica launch's worker group, in launch (rank) order."""
+    launched: list = []
+
+    class Recording(runtime_module.WorkerGroup):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            launched.append(self)
+
+    monkeypatch.setattr(runtime_module, "WorkerGroup", Recording)
+    return launched
+
+
+def _state_bytes(model_stages) -> list:
+    """Every stage's weights, velocity, previous weights, BatchNorm
+    buffers and update count, as bytes."""
+    return [
+        (
+            [[a.tobytes() for a in state[key]] for key in STATE_ARRAYS],
+            state["updates_applied"],
+        )
+        for state in (st.state_dict() for st in model_stages)
+    ]
 
 
 class TestReplicaParitySync:
@@ -295,9 +339,128 @@ class TestReplicaParitySync:
         ]
 
 
+#: K, the CPUs in each replica's share; "S": a CPU per stage
+SHARES = (1, 2, "S")
+
+
+def _share_cpus(monkeypatch, replicas: int, share, num_stages: int) -> int:
+    """Patch the usable CPUs to ``R·K``, so each replica's share holds
+    ``K`` of them; return ``K``."""
+    k = num_stages if share == "S" else share
+    monkeypatch.setattr(runtime_module, "usable_cpus", lambda: replicas * k)
+    return k
+
+
+class TestReplicaShares:
+    """A replica is a pipeline on its own share of the CPUs: ``K =
+    min(S, len(share))`` contiguous stage groups pinned to the share,
+    free-running only with a CPU per stage (``repro.pipeline.runtime``,
+    "Stage groups")."""
+
+    @pytest.mark.parametrize("share", SHARES)
+    @pytest.mark.parametrize("replicas", [2, 3])
+    @pytest.mark.parametrize("mode,kw", SYNC_CONFIGS)
+    def test_sync_replicas_match_the_simulator_at_every_share(
+        self, monkeypatch, mode, kw, replicas, share
+    ):
+        R, S = replicas, 4
+        k = _share_cpus(monkeypatch, R, share, S)
+        launched = _record_launches(monkeypatch)
+        parts = _record_parts(monkeypatch)
+        X, Y = _stream(12)
+        common = dict(lr=LR, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
+        sim = PipelineExecutor(
+            MODELS[S](seed=2024), mode=mode, **common,
+            **dict(kw, update_size=R * kw["update_size"]),
+        )
+        runner = ReplicatedPipelineRunner(
+            MODELS[S](seed=2024), mode=mode, replicas=R,
+            model_factory=MODELS[S], **common, **kw,
+        )
+        sim_stats, rep = sim.train(X, Y), runner.train(X, Y)
+        assert rep.mode == "lockstep"
+        assert _hex_losses(sim_stats) == _hex_losses(rep)
+        assert _state_bytes(sim.stages) == _state_bytes(runner.stages)
+        assert sim_stats.updates_per_stage == rep.updates_per_stage
+        # each replica launched K workers, pinned to its own share
+        shares = runtime_module.cpu_shares(lane_cpus(R * k), R)
+        assert [r._cpus for r in runner.replica_runners] == shares
+        assert [len(g.groups) for g in launched] == [k] * R
+        for group, part, mine in zip(launched, parts, shares):
+            assert [s for g in group.groups for s in g] == list(range(S))
+            assert {c for st in part.stages for c in st.cpus} <= set(mine)
+
+    @pytest.mark.parametrize("mode", ["pb", "1f1b"])
+    def test_lockstep_async_replicas_agree_across_shares(
+        self, monkeypatch, mode
+    ):
+        """Losses, weights, velocity, BatchNorm buffers and update
+        counts of lockstep replicas do not depend on how many CPUs each
+        replica's share holds."""
+        R = 2
+        S = BN_FACTORY().num_stages
+        X, Y = bn_stream(11)
+        launched = _record_launches(monkeypatch)
+        runs = []
+        for share in SHARES:
+            k = _share_cpus(monkeypatch, R, share, S)
+            del launched[:]
+            runner = ReplicatedPipelineRunner(
+                BN_FACTORY(), lr=0.05, momentum=0.9, mode=mode,
+                replicas=R, model_factory=BN_FACTORY, lockstep=True,
+                stall_timeout=60.0,
+            )
+            stats = runner.train(X, Y)
+            assert stats.mode == "lockstep"
+            assert [len(g.groups) for g in launched] == [k] * R
+            runs.append((
+                _hex_losses(stats),
+                list(stats.updates_per_stage),
+                _state_bytes(runner.stages),
+            ))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("mode", ["pb", "1f1b"])
+    def test_async_replicas_with_a_cpu_per_stage_run_free(
+        self, monkeypatch, mode, cpu_per_stage
+    ):
+        launched = _record_launches(monkeypatch)
+        factory = MODELS[4]
+        runner = ReplicatedPipelineRunner(
+            factory(seed=2024), lr=LR, momentum=MOMENTUM, mode=mode,
+            replicas=2, model_factory=factory,
+        )
+        stats = runner.train(*_stream(9))
+        assert stats.mode == runner.runtime_mode == "free_running"
+        assert [len(g.groups) for g in launched] == [4, 4]
+        assert all(
+            g.groups == [(s,) for s in range(4)] for g in launched
+        )
+
+    @pytest.mark.parametrize("share,want", [
+        (1, "lockstep"), (2, "lockstep"), ("S", "free_running"),
+    ])
+    def test_empty_stream_record_follows_the_replicas_rule(
+        self, monkeypatch, share, want
+    ):
+        """An empty stream launches nothing; its record still says what
+        the replicas run on their shares, as a full run's does."""
+        factory = MODELS[4]
+        _share_cpus(monkeypatch, 2, share, 4)
+        engine = make_pipeline_engine(
+            "process", factory(seed=2024), lr=LR, momentum=MOMENTUM,
+            mode="pb", replicas=2, model_factory=factory,
+        )
+        X, Y = _stream(8)
+        empty = engine.train(X[:0], Y[:0])
+        full = engine.train(X, Y)
+        assert empty.mode == full.mode == engine.runtime_mode == want
+
+
 class TestReplicaStalenessAsync:
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
-    def test_eq5_ceiling_holds_per_replica(self, mode):
+    def test_eq5_ceiling_holds_per_replica(self, mode, cpu_per_stage):
         """Each replica runs the asynchronous schedule on its own shard;
         the observed forward version of that replica's sample i at stage
         s must satisfy eq. 5: ``v_fwd >= i - 2(S-1-s)`` (clamped at the
@@ -323,10 +486,11 @@ class TestReplicaStalenessAsync:
         assert checked > 0, "no version traces recorded"
 
     @pytest.mark.parametrize("mode", ["pb", "1f1b"])
-    def test_lockstep_merge_is_deterministic(self, mode):
+    def test_lockstep_merge_is_deterministic(self, mode, monkeypatch):
         """The end-of-train rank-order delta-average merge must be a
         pure function of the (lockstep-deterministic) replica
         trajectories: two identical runs land on identical weights."""
+        parts = _record_parts(monkeypatch)
 
         def run():
             factory = MODELS[4]
@@ -336,10 +500,18 @@ class TestReplicaStalenessAsync:
                 model_factory=factory, lockstep=True,
             )
             stats = runner.train(*_stream(9))
-            # a replica is neither cut into stage groups nor pinned: one
-            # worker per stage, each on the caller's CPUs
-            mask = tuple(sorted(os.sched_getaffinity(0)))
-            assert [st.cpus for st in stats.stages] == [mask] * 4
+            # each replica's workers sit on that replica's own slice of
+            # the caller's CPUs: on 2 CPUs or more, slices of their own
+            shares = runtime_module.cpu_shares(
+                sorted(os.sched_getaffinity(0)), 2
+            )
+            used = [
+                {c for st in part.stages for c in st.cpus}
+                for part in parts[-2:]
+            ]
+            assert [u <= set(s) for u, s in zip(used, shares)] == [True] * 2
+            if len(os.sched_getaffinity(0)) >= 2:
+                assert not used[0] & used[1]
             return _hex_losses(stats), _weight_fingerprint(m)
 
         losses_a, fp_a = run()
@@ -401,6 +573,16 @@ class TestReplicatedEngineWiring:
                 schedule=make_schedule("fill_drain", update_size=4),
                 replicas=2, model_factory=factory,
             )
+
+    def test_cpu_shares_are_equal_disjoint_slices(self):
+        """``max(1, len // R)`` CPUs each, in mask order, round robin
+        when the replicas outnumber the CPUs."""
+        shares = runtime_module.cpu_shares
+        assert shares([0, 1, 2, 3, 4], 2) == [[0, 1], [2, 3]]
+        assert shares([0, 1, 2, 3], 1) == [[0, 1, 2, 3]]
+        assert shares([0, 1], 3) == [[0], [1], [0]]
+        assert shares([5], 2) == [[5], [5]]
+        assert shares([None], 2) == [[None], [None]]
 
     def test_async_engine_keeps_per_replica_update_size(self):
         factory = MODELS[2]

@@ -37,6 +37,7 @@ from repro.pipeline import (
     ReplicatedPipelineRunner,
     model_fingerprint,
 )
+from repro.pipeline import runtime as runtime_module
 
 pytestmark = pytest.mark.concurrency
 
@@ -126,10 +127,15 @@ class _ReplicaWorkerKiller:
 
 
 class TestReplicaDeathRecovery:
+    @pytest.mark.parametrize("share", [1, 2])
     @pytest.mark.parametrize("replica_index", [0, 1])
-    def test_sigkill_replica_worker_recovers_bit_exact(self, replica_index):
-        """Killing either replica's last stage worker mid-update must
-        recover the whole group to the crash-free trajectory."""
+    def test_sigkill_replica_worker_recovers_bit_exact(
+        self, monkeypatch, replica_index, share
+    ):
+        """Killing either replica's last worker mid-update, with one or
+        two stage groups per replica (``share`` CPUs each), must recover
+        the whole group to the crash-free trajectory."""
+        monkeypatch.setattr(runtime_module, "usable_cpus", lambda: 2 * share)
         X, Y = _stream(16)
         gold_weights, gold_losses = _sim_golden(X, Y)
 

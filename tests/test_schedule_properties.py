@@ -25,7 +25,6 @@ from repro.optim import SGDM
 from repro.pipeline import (
     PipelineExecutor,
     fill_drain_utilization,
-    gpipe_utilization,
     make_schedule,
     pipeline_delay_profile,
 )
@@ -218,9 +217,9 @@ class TestGPipe:
         stats = PipelineExecutor(
             m, lr=0.01, mode="gpipe", update_size=N, micro_batch_size=micro
         ).train(X, Y)
-        M = N // micro
+        M, S = N // micro, m.num_stages
         assert stats.utilization == pytest.approx(
-            gpipe_utilization(m.num_stages, M), abs=1e-9
+            M / (M + 2 * S - 2), abs=1e-9
         )
         # fewer, fatter packets: micro-batching shortens the run
         per_sample = PipelineExecutor(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import DelayedSGDM, MitigationConfig
-from repro.data import PadCropFlip, ResumableSampleStream
+from repro.data import ResumableSampleStream
 from repro.data.loader import iterate_steps, sample_stream
 from repro.models import small_cnn
 from repro.optim import SGDM, HE_CIFAR_REFERENCE
@@ -122,7 +122,7 @@ class TestMetrics:
         assert m.training
 
 
-def _flat_run(ds, opt_for, epochs, seed, batch_size=16, augment=None):
+def _flat_run(ds, opt_for, epochs, seed, batch_size=16):
     """``train_step`` over ``iterate_steps``: the experiments' flat loop."""
     m = small_cnn(num_classes=ds.num_classes, seed=0)
     opt = opt_for(m)
@@ -130,8 +130,7 @@ def _flat_run(ds, opt_for, epochs, seed, batch_size=16, augment=None):
     losses = [
         train_step(opt, m, xb, yb)
         for xb, yb in iterate_steps(
-            ds.x_train, ds.y_train, batch_size, steps, new_rng(seed),
-            augment=augment,
+            ds.x_train, ds.y_train, batch_size, steps, new_rng(seed)
         )
     ]
     return m, losses
@@ -176,14 +175,6 @@ class TestTrainStep:
         _, losses = _flat_run(tiny_dataset, opt_for, epochs=2, seed=0)
         assert len(losses) == 2 * 12
         assert np.all(np.isfinite(losses))
-
-    def test_augmented_batches_train(self, tiny_dataset):
-        _, plain = _flat_run(tiny_dataset, _sgdm, epochs=1, seed=0)
-        _, augmented = _flat_run(
-            tiny_dataset, _sgdm, epochs=1, seed=0, augment=PadCropFlip(pad=1)
-        )
-        assert np.all(np.isfinite(augmented))
-        assert augmented != plain  # the augment reached the batches
 
     def test_reproducible_runs(self, tiny_dataset):
         runs = [

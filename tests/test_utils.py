@@ -5,7 +5,7 @@ import pytest
 
 from repro.utils import ResultStore, ascii_heatmap, format_table
 from repro.utils.render import format_series
-from repro.utils.rng import derive_seed, new_rng, spawn_rngs
+from repro.utils.rng import derive_seed, new_rng
 
 
 class TestRender:
@@ -81,10 +81,6 @@ class TestRng:
         assert derive_seed(0, "a", 1) == derive_seed(0, "a", 1)
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert derive_seed(0, "a") != derive_seed(1, "a")
-
-    def test_spawn_rngs_independent(self):
-        r1, r2 = spawn_rngs(0, 2)
-        assert r1.normal() != r2.normal()
 
     def test_new_rng_reproducible(self):
         assert new_rng(5).normal() == new_rng(5).normal()
